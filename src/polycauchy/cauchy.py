@@ -212,10 +212,20 @@ def cauchy_poly(kind: str, n: int, k: int = 1, construction: str = "gsn") -> Pol
 
 @lru_cache(maxsize=None)
 def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
-    """Constant term of the poly-Cauchy polynomial."""
+    """Constant term of the poly-Cauchy polynomial.
+
+    Sums only the constant term of the ``gsn`` construction: gsn1(n, m)
+    contributes gsn1(n, m).constant() / (m+1)^k, signed (-1)^(n-m) for the
+    first kind.  The second kind carries an overall (-1)^n and skips the
+    x -> -x substitution, which leaves constant terms unchanged.
+    """
     _check_kind(kind)
     _check_nk(n, k)
-    return Fraction(_poly_gsn(kind, n, k).constant())
+    total = Fraction(0)
+    for m in range(n + 1):
+        sign = (-1) ** (n - m) if kind == "first" else (-1) ** n
+        total += Fraction(sign * gsn1(n, m).constant(), (m + 1) ** k)
+    return total
 
 
 def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:

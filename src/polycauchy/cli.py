@@ -110,6 +110,8 @@ def _write_lines(lines, out_path):
 
 def _cmd_table(args) -> int:
     max_n = args.n if args.n is not None else args.max_n
+    if max_n < 0:
+        raise UsageError(f"--max-n must be >= 0, got {max_n}")
     lines: list[str] = []
     if args.family in _TRIANGLES:
         lines.append("n\tm\tvalue")
@@ -329,10 +331,7 @@ def main(argv=None) -> int:
             code = _cmd_verify(args)
         else:
             code = _cmd_export(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     stirling.save_triangle_caches()

@@ -21,9 +21,10 @@ __all__ = ["harmonic_number", "hyperharmonic_poly", "harmonic_poly"]
 def harmonic_number(n: int) -> Fraction:
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n == 0:
-        return Fraction(0)
-    return harmonic_number(n - 1) + Fraction(1, n)
+    total = Fraction(0)
+    for j in range(1, n + 1):
+        total += Fraction(1, j)
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -141,14 +141,23 @@ class Series:
         return Series(out)
 
     def exp(self) -> "Series":
+        """f = exp(g) for g with zero constant term, by the O(N^2) recurrence
+        n f_n = sum_{k=1..n} k g_k f_{n-k} that follows from f' = g' f
+        (Brent & Kung, J. ACM 1978); zero g_k are skipped."""
         if self._coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        result = Series.one(self.order)
-        term = Series.one(self.order)
-        for j in range(1, self.order + 1):
-            term = (term * self).scale(Fraction(1, j))
-            result = result + term
-        return result
+        dg = [(k, k * c) for k, c in enumerate(self._coeffs) if k and c]
+        out = [1] + [0] * self.order
+        for n in range(1, self.order + 1):
+            acc = 0
+            for k, kc in dg:
+                if k > n:
+                    break
+                f = out[n - k]
+                if f:
+                    acc = acc + kc * f
+            out[n] = acc * Fraction(1, n)
+        return Series(out)
 
     def __repr__(self) -> str:
         return f"Series({list(self._coeffs)!r})"
@@ -190,10 +199,8 @@ def gf_gen_bernoulli(alpha: int, order: int) -> Series:
         raise ValueError("order of the generalized Bernoulli family must be >= 0")
     expm1_over_t = Series([Fraction(1, factorial(n + 1)) for n in range(order + 1)])
     base = expm1_over_t.reciprocal().pow_int(alpha)
-    coeffs = [Poly()] * (order + 1)
-    if order >= 1:
-        coeffs[1] = Poly.gen()
-    return base * Series(coeffs).exp()
+    exp_xt = [1] + [Poly([0] * n + [Fraction(1, factorial(n))]) for n in range(1, order + 1)]
+    return base * Series(exp_xt)
 
 
 def gf_hyperharmonic(order: int) -> Series:

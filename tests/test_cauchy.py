@@ -104,6 +104,22 @@ def test_construction_domain_errors():
         cauchy_poly("first", 2, 0)
 
 
+def test_number_is_constant_term_of_every_construction():
+    for kind in ("first", "second"):
+        for n in range(13):
+            for k in range(1, 4):
+                want = cauchy_number(kind, n, k)
+                for construction in CONSTRUCTIONS:
+                    if k != 1 and construction in ("series", "theorem1"):
+                        continue
+                    assert cauchy_poly(kind, n, k, construction).constant() == want
+
+
+def test_series_matches_gsn_at_high_degree():
+    for kind in ("first", "second"):
+        assert cauchy_poly(kind, 64, 1, "series") == cauchy_poly(kind, 64, 1, "gsn")
+
+
 def test_numbers():
     assert cauchy_number("first", 4) == F(-19, 30)
     assert cauchy_number("second", 6) == F(19087, 84)

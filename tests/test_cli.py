@@ -113,6 +113,20 @@ def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_library_value_error_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "cauchy", "--n", "3", "--k", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "k must be >= 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_table_negative_max_n_is_usage_error(capsys):
+    code, out, err = run(capsys, "table", "stirling1", "--max-n", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--max-n" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_export_json_round_trip(tmp_path, capsys):
     out_path = tmp_path / "c4.json"
     code, _, _ = run(capsys, "export", "--family", "cauchy-poly", "--kind", "first",

@@ -32,6 +32,11 @@ def test_harmonic_numbers():
         harmonic_number(-1)
 
 
+def test_harmonic_number_large_index():
+    # 5000 is beyond the default recursion limit
+    assert harmonic_number(5000) == sum(F(1, j) for j in range(1, 5001))
+
+
 def test_hyperharmonic_golden_table():
     for n, want in GOLDEN.items():
         assert hyperharmonic_poly(n) == want

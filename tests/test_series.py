@@ -35,6 +35,37 @@ def test_exp():
     assert Series([0, 1, 0]).exp().coeffs == (1, 1, F(1, 2))
 
 
+def exp_by_power_sum(g: Series) -> Series:
+    """The defining sum sum_j g^j/j!, exact modulo t^(order+1)."""
+    total = Series.one(g.order)
+    term = Series.one(g.order)
+    for j in range(1, g.order + 1):
+        term = (term * g).scale(F(1, j))
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_exp_matches_defining_sum_fraction(order):
+    g = Series([0] + [F((-1) ** k * (2 * k + 1), k * k + 3) for k in range(1, order + 1)])
+    assert g.exp() == exp_by_power_sum(g)
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_exp_matches_defining_sum_poly(order):
+    # every third coefficient is zero, so the zero-skipping path is exercised
+    g = Series([Poly()] + [Poly([F(k, 3), 0, F(-1, k)]) if k % 3 else Poly()
+                           for k in range(1, order + 1)])
+    assert g.exp() == exp_by_power_sum(g)
+
+
+def test_exp_matches_defining_sum_nested_poly():
+    for order in range(7):
+        g = Series([Poly()] + [Poly([Poly([0, F(1, k)]), Poly([(-1) ** k])])
+                               for k in range(1, order + 1)])
+        assert g.exp() == exp_by_power_sum(g)
+
+
 def test_exp_requires_zero_constant():
     with pytest.raises(ValueError):
         Series([1, 1]).exp()
@@ -85,9 +116,9 @@ def test_gf_cauchy2_golden():
 def test_gf_gen_bernoulli():
     s = gf_gen_bernoulli(1, 2)
     assert s.egf_value(2) == Poly([F(1, 6), -1, 1])
-    s0 = gf_gen_bernoulli(0, 3)
-    for n in range(4):
-        assert s0.egf_value(n) == Poly([0] * n + [1])
+    s0 = gf_gen_bernoulli(0, 12)
+    for n in range(13):
+        assert s0[n] == Poly([0] * n + [F(1, factorial(n))])
     s2 = gf_gen_bernoulli(2, 2)
     assert s2.egf_value(2) == Poly([F(5, 6), -2, 1])
 
