@@ -31,13 +31,10 @@ from .stirling import (
     gsn1_at,
     gsn2_at,
     gsn1_bivariate,
-    gsn2_bivariate_numerator,
     gsn1_bivariate_at,
     gsn2_bivariate_at,
     whitney,
     a_number,
-    save_triangle_caches,
-    load_triangle_caches,
 )
 from .cauchy import (
     CONSTRUCTIONS,
@@ -63,9 +60,5 @@ from .bernoulli import (
     multiparam_poly_bernoulli,
 )
 from .harmonic import harmonic_number, hyperharmonic_poly, harmonic_poly
-
-# language-neutral aliases for the core value types
-Polynomial = Poly
-TruncatedSeries = Series
 
 __version__ = "0.1.0"

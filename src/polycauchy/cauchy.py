@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .poly import Poly, binom_poly, falling_factorial_poly, rising_factorial_poly
 from .series import gf_cauchy1, gf_cauchy2
@@ -65,49 +65,36 @@ def _check_nk(n: int, k: int):
         raise ValueError("poly order k must be >= 1")
 
 
+def _check_weights(L, k: int) -> tuple:
+    """The weights L as a tuple of exactly k nonzero Fractions."""
+    L = tuple(Fraction(l) for l in L)
+    if len(L) != k or any(not l for l in L):
+        raise ValueError("L must contain exactly k nonzero weights")
+    return L
+
+
 @lru_cache(maxsize=None)
-def aux_poly(j: int, k: int) -> Poly:
-    """Moment polynomial of the k-fold unit-cube integral of (x - t)^j
-    (up to sign bookkeeping): constant 1 for j = 0, otherwise
-    sum_i (-1)^i/(i+1)^k binom(j,i) x^(j-i)."""
+def _moment_poly(j: int, k: int, w) -> Poly:
+    # sum_i (-1)^i/(i+1)^k binom(j,i) w^(i+1) x^(j-i), w the product of the weights
     if j < 0:
         raise ValueError("index must be >= 0")
     if k < 1:
         raise ValueError("poly order k must be >= 1")
-    if j == 0:
-        return Poly([1])
-    coeffs = [Fraction(0)] * (j + 1)
-    for i in range(j + 1):
-        coeffs[j - i] = Fraction((-1) ** i * comb(j, i), (i + 1) ** k)
-    return Poly(coeffs)
+    return Poly([
+        Fraction((-1) ** i * comb(j, i), (i + 1) ** k) * w ** (i + 1) for i in range(j, -1, -1)
+    ])
 
 
-@lru_cache(maxsize=None)
-def _aux_poly_weighted_cached(j: int, k: int, L: tuple) -> Poly:
-    if j == 0:
-        prod = Fraction(1)
-        for l in L:
-            prod *= l
-        return Poly([prod])
-    prod = Fraction(1)
-    for l in L:
-        prod *= l
-    coeffs = [Fraction(0)] * (j + 1)
-    for i in range(j + 1):
-        coeffs[j - i] = Fraction((-1) ** i * comb(j, i), (i + 1) ** k) * prod ** (i + 1)
-    return Poly(coeffs)
+def aux_poly(j: int, k: int) -> Poly:
+    """Moment polynomial of the k-fold unit-cube integral of (x - t)^j
+    (up to sign bookkeeping): sum_i (-1)^i/(i+1)^k binom(j,i) x^(j-i),
+    the constant 1 for j = 0."""
+    return _moment_poly(j, k, 1)
 
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:
     """Weighted moment polynomial for integration over [0,l_1]x...x[0,l_k]."""
-    if j < 0:
-        raise ValueError("index must be >= 0")
-    L = tuple(Fraction(l) for l in L)
-    if k < 1 or len(L) != k:
-        raise ValueError("L must be a tuple of exactly k nonzero weights")
-    if any(not l for l in L):
-        raise ValueError("all weights l_i must be nonzero")
-    return _aux_poly_weighted_cached(j, k, L)
+    return _moment_poly(j, k, prod(_check_weights(L, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +113,6 @@ def _poly_gsn(kind: str, n: int, k: int) -> Poly:
     return (total * (-1) ** n).affine_compose(-1, 0)
 
 
-def _unit_cube_weights(outer: Poly, k: int) -> Poly:
-    """Map sum_i g_i(x) t^i to sum_i g_i(x)/(i+1)^k (outer variable t)."""
-    total = Poly()
-    for i in range(outer.degree + 1):
-        c = outer[i]
-        if c:
-            inner = c if isinstance(c, Poly) else Poly.const(c)
-            total = total + inner * Fraction(1, (i + 1) ** k)
-    return total
-
-
 def _poly_integral(kind: str, n: int, k: int) -> Poly:
     # two-level ring: outer variable t, inner variable x; the linear
     # product expansion already carries the n! of the defining formula
@@ -146,7 +122,7 @@ def _poly_integral(kind: str, n: int, k: int) -> Poly:
             product = product * Poly([Poly([-j, -1]), 1])   # t - x - j
         else:
             product = product * Poly([Poly([-j, 1]), -1])   # x - t - j
-    return _unit_cube_weights(product, k)
+    return _weighted_cube_map(product, k, (1,) * k)
 
 
 def _poly_series(kind: str, n: int, k: int) -> Poly:
@@ -311,24 +287,19 @@ class MultiParam:
         if not (isinstance(self.a, int) and self.a >= 1):
             raise ValueError("shift a must be an integer >= 1")
         object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "L", tuple(Fraction(l) for l in self.L))
+        object.__setattr__(self, "L", _check_weights(self.L, self.k))
         object.__setattr__(self, "y", Fraction(self.y))
-        if len(self.L) != self.k:
-            raise ValueError("L must contain exactly k weights")
-        if any(not l for l in self.L):
-            raise ValueError("all weights l_i must be nonzero")
 
 
 def _weighted_cube_map(outer: Poly, k: int, L: tuple) -> Poly:
-    prod = Fraction(1)
-    for l in L:
-        prod *= l
+    """Map sum_i g_i(x) t^i to sum_i g_i(x) w^(i+1)/(i+1)^k, w the product of L."""
+    w = prod(L)
     total = Poly()
     for i in range(outer.degree + 1):
         c = outer[i]
         if c:
             inner = c if isinstance(c, Poly) else Poly.const(c)
-            total = total + inner * (prod ** (i + 1) / Fraction((i + 1) ** k))
+            total = total + inner * (w ** (i + 1) / Fraction((i + 1) ** k))
     return total
 
 
@@ -376,15 +347,10 @@ def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
     if not (isinstance(a, int) and a >= 1):
         raise ValueError("shift a must be an integer >= 1")
     q = Fraction(q)
-    L = tuple(Fraction(l) for l in L)
-    if len(L) != k or any(not l for l in L):
-        raise ValueError("L must contain exactly k nonzero weights")
-    prod = Fraction(1)
-    for l in L:
-        prod *= l
+    w = prod(_check_weights(L, k))
     total = Fraction(0)
     for m in range(n + 1):
-        base = prod ** (m + a) / Fraction((m + a) ** k) * stirling1(n, m)
+        base = w ** (m + a) / Fraction((m + a) ** k) * stirling1(n, m)
         if kind == "first":
             total += (-q) ** (n - m) * base
         else:

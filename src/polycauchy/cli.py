@@ -4,10 +4,6 @@ identity-suite runs, and exports.
 Every verb is a thin delegate into the library; no math lives here.
 Rationals cross the CLI boundary as "p/q" text in both directions.
 Exit codes: 0 success, 1 identity failures, 2 usage errors.
-
-If POLYCAUCHY_CACHE_DIR is set, the integer triangle caches are loaded
-from that directory on startup and saved back on exit (TSV files, one
-per triangle, with a version header).
 """
 
 from __future__ import annotations
@@ -31,6 +27,27 @@ _GRID_INT_KEYS = ("max_n", "max_n_double", "max_k", "max_r", "max_a", "max_n_mul
 _GRID_LIST_KEYS = ("qs", "xs", "ys_multi")
 
 
+# family -> the polynomial that ``eval`` evaluates at --x
+_EVAL_POLYS = {
+    "cauchy": lambda a: cauchy.cauchy_poly(a.kind, a.n, a.k),
+    "bernoulli-poly": lambda a: bernoulli.bernoulli_poly(a.n),
+    "gen-bernoulli": lambda a: bernoulli.gen_bernoulli_poly(a.n, a.alpha),
+    "euler-poly": lambda a: bernoulli.euler_poly(a.n),
+    "power-sum": lambda a: bernoulli.power_sum_poly(a.n),
+    "hyperharmonic": lambda a: harmonic.hyperharmonic_poly(a.n),
+    "harmonic-poly": lambda a: harmonic.harmonic_poly(a.n),
+}
+
+# generating function -> the truncated series that ``series`` dumps
+_SERIES = {
+    "cauchy1": lambda a: series.gf_cauchy1(a.order),
+    "cauchy2": lambda a: series.gf_cauchy2(a.order),
+    "gen-bernoulli": lambda a: series.gf_gen_bernoulli(a.alpha, a.order),
+    "hyperharmonic": lambda a: series.gf_hyperharmonic(a.order),
+    "harmonic": lambda a: series.gf_harmonic_poly(a.order),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -50,33 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--kind", choices=("first", "second"), default="first")
     p_table.add_argument("--k", type=int, default=1)
     p_table.add_argument("--out", help="write to a file instead of stdout")
+    p_table.set_defaults(func=_cmd_table)
 
     p_eval = sub.add_parser("eval", help="evaluate one family member exactly")
-    p_eval.add_argument(
-        "family",
-        choices=(
-            "cauchy",
-            "bernoulli-poly",
-            "gen-bernoulli",
-            "euler-poly",
-            "power-sum",
-            "hyperharmonic",
-            "harmonic-poly",
-        ),
-    )
+    p_eval.add_argument("family", choices=tuple(_EVAL_POLYS))
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--k", type=int, default=1)
     p_eval.add_argument("--kind", choices=("first", "second"), default="first")
     p_eval.add_argument("--alpha", type=int, default=1)
     p_eval.add_argument("--x", type=parse_rational, default=Fraction(0))
+    p_eval.set_defaults(func=_cmd_eval)
 
     p_series = sub.add_parser("series", help="dump generating-function coefficients")
-    p_series.add_argument(
-        "gf", choices=("cauchy1", "cauchy2", "gen-bernoulli", "hyperharmonic", "harmonic")
-    )
+    p_series.add_argument("gf", choices=tuple(_SERIES))
     p_series.add_argument("--order", type=int, default=8)
     p_series.add_argument("--alpha", type=int, default=1)
     p_series.add_argument("--out")
+    p_series.set_defaults(func=_cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--id", help="run a single case instead of the full catalog")
@@ -85,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="write the report to a file as well")
     for key in _GRID_INT_KEYS:
         p_verify.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_export = sub.add_parser("export", help="write family data to a file")
     p_export.add_argument("--family", required=True,
@@ -95,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--n", type=int, default=6)
     p_export.add_argument("--k", type=int, default=1)
     p_export.add_argument("--max-n", type=int, default=6)
+    p_export.set_defaults(func=_cmd_export)
 
     return parser
 
@@ -135,35 +144,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.family == "cauchy":
-        value = cauchy.cauchy_poly(args.kind, args.n, args.k)(args.x)
-    elif args.family == "bernoulli-poly":
-        value = bernoulli.bernoulli_poly(args.n)(args.x)
-    elif args.family == "gen-bernoulli":
-        value = bernoulli.gen_bernoulli_poly(args.n, args.alpha)(args.x)
-    elif args.family == "euler-poly":
-        value = bernoulli.euler_poly(args.n)(args.x)
-    elif args.family == "power-sum":
-        value = bernoulli.power_sum_poly(args.n)(args.x)
-    elif args.family == "hyperharmonic":
-        value = harmonic.hyperharmonic_poly(args.n)(args.x)
-    else:  # harmonic-poly
-        value = harmonic.harmonic_poly(args.n)(args.x)
-    print(format_rational(value))
+    print(format_rational(_EVAL_POLYS[args.family](args)(args.x)))
     return 0
 
 
 def _cmd_series(args) -> int:
-    if args.gf == "cauchy1":
-        s = series.gf_cauchy1(args.order)
-    elif args.gf == "cauchy2":
-        s = series.gf_cauchy2(args.order)
-    elif args.gf == "gen-bernoulli":
-        s = series.gf_gen_bernoulli(args.alpha, args.order)
-    elif args.gf == "hyperharmonic":
-        s = series.gf_hyperharmonic(args.order)
-    else:
-        s = series.gf_harmonic_poly(args.order)
+    s = _SERIES[args.gf](args)
     lines = ["n\tn!\tcoefficient"]
     for n in range(args.order + 1):
         c = s[n]
@@ -209,6 +195,10 @@ def _grid_from_args(args) -> Grid:
     return DEFAULT_GRID.with_overrides(**overrides)
 
 
+def _status(report) -> str:
+    return "probe" if report.probe else ("pass" if report.ok else "FAIL")
+
+
 def _cmd_verify(args) -> int:
     grid = _grid_from_args(args)
     if args.id:
@@ -220,8 +210,7 @@ def _cmd_verify(args) -> int:
         if args.json:
             print(payload)
         else:
-            status = "probe" if report.probe else ("pass" if report.ok else "FAIL")
-            print(f"{report.case_id}: {status} ({report.points} points, {report.millis} ms)")
+            print(f"{report.case_id}: {_status(report)} ({report.points} points, {report.millis} ms)")
             if report.finding:
                 print(f"  finding: {report.finding}")
             for f in report.failures[:10]:
@@ -236,8 +225,8 @@ def _cmd_verify(args) -> int:
         print(result.to_json())
     else:
         for report in result.reports:
-            status = "probe" if report.probe else ("pass" if report.ok else "FAIL")
-            line = f"{report.case_id:30s} {status:5s} {report.points:6d} points {report.millis:6d} ms"
+            line = (f"{report.case_id:30s} {_status(report):5s} {report.points:6d} points "
+                    f"{report.millis:6d} ms")
             print(line)
             if report.finding:
                 print(f"{'':30s} finding: {report.finding}")
@@ -262,47 +251,27 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.family == "cauchy-poly":
-        poly = cauchy.cauchy_poly(args.kind, args.n, args.k)
         params = {"kind": args.kind, "n": args.n, "k": args.k}
-        if args.format == "json":
-            payload = {"family": "cauchy-poly", "params": params,
-                       "coefficients": poly_to_strings(poly)}
-            _write_lines([json.dumps(payload, indent=2)], args.out)
-        else:
-            lines = ["i\tcoefficient"]
-            lines += [f"{i}\t{s}" for i, s in enumerate(poly_to_strings(poly))]
-            _write_lines(lines, args.out)
-        return 0
-    if args.family == "hyperharmonic":
-        poly = harmonic.hyperharmonic_poly(args.n)
-        if args.format == "json":
-            payload = {"family": "hyperharmonic", "params": {"n": args.n},
-                       "coefficients": poly_to_strings(poly)}
-            _write_lines([json.dumps(payload, indent=2)], args.out)
-        else:
-            lines = ["i\tcoefficient"]
-            lines += [f"{i}\t{s}" for i, s in enumerate(poly_to_strings(poly))]
-            _write_lines(lines, args.out)
-        return 0
-    # sequence families
-    if args.family == "cauchy-numbers":
-        values = [
-            (n, format_rational(cauchy.cauchy_number(args.kind, n, args.k)))
-            for n in range(args.max_n + 1)
-        ]
+        values = cauchy.cauchy_poly(args.kind, args.n, args.k).coeffs
+    elif args.family == "hyperharmonic":
+        params = {"n": args.n}
+        values = harmonic.hyperharmonic_poly(args.n).coeffs
+    elif args.family == "cauchy-numbers":
         params = {"kind": args.kind, "k": args.k, "max_n": args.max_n}
+        values = [cauchy.cauchy_number(args.kind, n, args.k) for n in range(args.max_n + 1)]
     else:
-        values = [
-            (n, format_rational(bernoulli.bernoulli_number(n))) for n in range(args.max_n + 1)
-        ]
         params = {"max_n": args.max_n}
+        values = [bernoulli.bernoulli_number(n) for n in range(args.max_n + 1)]
+    strings = [format_rational(v) for v in values]
+    if args.family in ("cauchy-poly", "hyperharmonic"):
+        key, header = "coefficients", "i\tcoefficient"
+    else:
+        key, header = "values", "n\tvalue"
     if args.format == "json":
-        payload = {"family": args.family, "params": params,
-                   "values": [v for _, v in values]}
+        payload = {"family": args.family, "params": params, key: strings}
         _write_lines([json.dumps(payload, indent=2)], args.out)
     else:
-        lines = ["n\tvalue"] + [f"{n}\t{v}" for n, v in values]
-        _write_lines(lines, args.out)
+        _write_lines([header] + [f"{i}\t{v}" for i, v in enumerate(strings)], args.out)
     return 0
 
 
@@ -313,29 +282,30 @@ def load_exported_poly(path: str) -> Poly:
     return poly_from_strings(payload["coefficients"])
 
 
+def _glue_x_values(argv: list[str]) -> list[str]:
+    """Rewrite "--x V" as "--x=V": argparse takes a value such as "-3/4"
+    after a separate "--x" for an option and rejects the command."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--x":
+            out[-1] = f"--x={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_x_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    stirling.load_triangle_caches()
     try:
-        if args.verb == "table":
-            code = _cmd_table(args)
-        elif args.verb == "eval":
-            code = _cmd_eval(args)
-        elif args.verb == "series":
-            code = _cmd_series(args)
-        elif args.verb == "verify":
-            code = _cmd_verify(args)
-        else:
-            code = _cmd_export(args)
+        return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    stirling.save_triangle_caches()
-    return code
 
 
 def console_main() -> None:

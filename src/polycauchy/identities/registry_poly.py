@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from ..bernoulli import (
     bernoulli_number,
@@ -23,7 +23,6 @@ from ..cauchy import (
     aux_poly_weighted,
     cauchy_coefficient,
     cauchy_derivative,
-    cauchy_number,
     cauchy_poly,
     multiparam_cauchy,
     shifted_cauchy_number,
@@ -50,39 +49,7 @@ from ..stirling import (
     whitney,
 )
 from .engine import IdentityCase
-
-F = Fraction
-X = Poly.gen()
-
-
-def _psum(terms) -> Poly:
-    total = Poly()
-    for t in terms:
-        total = total + t
-    return total
-
-
-def _fsum(terms) -> Fraction:
-    total = F(0)
-    for t in terms:
-        total += t
-    return total
-
-
-def _c(n, k=1):
-    return cauchy_number("first", n, k)
-
-
-def _ch(n, k=1):
-    return cauchy_number("second", n, k)
-
-
-def _cp(n, k=1):
-    return cauchy_poly("first", n, k)
-
-
-def _chp(n, k=1):
-    return cauchy_poly("second", n, k)
+from .registry_core import F, X, _c, _ch, _chp, _cp, _fsum, _psum
 
 
 def _n_k(grid, n_start=0, double=False):
@@ -869,22 +836,18 @@ def _g21():
 
     def x0_first(n, a, q, L, y):
         k = len(L)
-        prod = Fraction(1)
-        for l in L:
-            prod *= l
+        w = prod(L)
         rhs = _fsum(
-            F((-1) ** (n - m)) * gsn1_bivariate_at(n, m, y, q) * prod ** (m + a) / F((m + a) ** k)
+            F((-1) ** (n - m)) * gsn1_bivariate_at(n, m, y, q) * w ** (m + a) / F((m + a) ** k)
             for m in range(n + 1)
         )
         return Fraction(_mc("first", n, k, a, q, L, y).constant()), rhs
 
     def x0_second(n, a, q, L, y):
         k = len(L)
-        prod = Fraction(1)
-        for l in L:
-            prod *= l
+        w = prod(L)
         rhs = F((-1) ** n) * _fsum(
-            gsn1_bivariate_at(n, m, -y, q) * prod ** (m + a) / F((m + a) ** k)
+            gsn1_bivariate_at(n, m, -y, q) * w ** (m + a) / F((m + a) ** k)
             for m in range(n + 1)
         )
         return Fraction(_mc("second", n, k, a, q, L, y).constant()), rhs

@@ -14,12 +14,11 @@ Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
 non-negative integer r they give the r-shifted variants.  The bivariate
 first kind carries an extra geometric step q; the bivariate second kind
-is stored with the q^m denominator cleared (callers divide by q^m).
+is evaluated pointwise and needs q != 0.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -37,19 +36,12 @@ __all__ = [
     "gsn1_at",
     "gsn2_at",
     "gsn1_bivariate",
-    "gsn2_bivariate_numerator",
     "gsn1_bivariate_at",
     "gsn2_bivariate_at",
     "whitney",
     "a_number",
     "triangle_rows",
-    "save_triangle_caches",
-    "load_triangle_caches",
-    "CACHE_DIR_ENV",
 ]
-
-CACHE_DIR_ENV = "POLYCAUCHY_CACHE_DIR"
-_CACHE_FORMAT_HEADER = "# polycauchy triangle cache v1"
 
 
 class _Triangle:
@@ -72,15 +64,6 @@ class _Triangle:
                     prev = self._rows[-1]
                     self._rows.append(self._step(prev, len(self._rows) - 1))
         return self._rows[n][m]
-
-    def rows(self, max_n: int) -> list[list[int]]:
-        self.value(max_n, 0)
-        return [list(r) for r in self._rows[: max_n + 1]]
-
-    def merge(self, rows: list[list[int]]):
-        with self._lock:
-            if len(rows) > len(self._rows):
-                self._rows = [list(r) for r in rows]
 
 
 def _step_s1(prev: list[int], n: int) -> list[int]:
@@ -140,7 +123,7 @@ def lah(n: int, m: int) -> int:
 
 
 def triangle_rows(kind: str, max_n: int) -> list[tuple[int, int, int]]:
-    """Flat (n, m, value) listing of a triangle, for tables and caches."""
+    """Flat (n, m, value) listing of a triangle, for tables."""
     out = []
     for n in range(max_n + 1):
         for m in range(n + 1):
@@ -189,25 +172,6 @@ def gsn1_bivariate(n: int, m: int) -> Poly:
     return Poly(coeffs)
 
 
-@lru_cache(maxsize=None)
-def gsn2_bivariate_numerator(n: int, m: int) -> Poly:
-    """q^m-cleared second-kind bivariate polynomial (outer y, inner q).
-
-    The actual bivariate value carries a 1/q^m factor; dividing the
-    returned polynomial (evaluated at y, q) by q^m recovers it.
-    """
-    _check_indices(n, m)
-    outer = [Poly() for _ in range(n + 1)]
-    for l in range(m + 1):
-        weight = Fraction((-1) ** (m - l) * comb(m, l), factorial(m))
-        # (y + l q)^n contributes comb(n, j) l^(n-j) q^(n-j) to y^j
-        for j in range(n + 1):
-            c = weight * comb(n, j) * l ** (n - j)
-            if c:
-                outer[j] = outer[j] + Poly([0] * (n - j) + [c])
-    return Poly(outer)
-
-
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:
     _check_indices(n, m)
     total = Fraction(0)
@@ -251,57 +215,3 @@ def a_number(n: int, m: int) -> Poly:
     """(n!/m!) * binom(x + n - 1, n - m) as a polynomial in x."""
     _check_indices(n, m)
     return binom_poly(n - 1, 1, n - m) * (factorial(n) // factorial(m))
-
-
-def save_triangle_caches(dirpath: str | None = None) -> str | None:
-    """Persist the integer triangles as TSV files; returns the directory used."""
-    dirpath = dirpath or os.environ.get(CACHE_DIR_ENV)
-    if not dirpath:
-        return None
-    os.makedirs(dirpath, exist_ok=True)
-    for name, tri in _TRIANGLES.items():
-        with tri._lock:
-            rows = [list(r) for r in tri._rows]
-        path = os.path.join(dirpath, f"{name}.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_CACHE_FORMAT_HEADER + "\n")
-            for n, row in enumerate(rows):
-                for m, v in enumerate(row):
-                    fh.write(f"{n}\t{m}\t{v}\n")
-    return dirpath
-
-
-def load_triangle_caches(dirpath: str | None = None) -> bool:
-    """Load previously saved triangles; silently ignores missing files."""
-    dirpath = dirpath or os.environ.get(CACHE_DIR_ENV)
-    if not dirpath or not os.path.isdir(dirpath):
-        return False
-    loaded = False
-    for name, tri in _TRIANGLES.items():
-        path = os.path.join(dirpath, f"{name}.tsv")
-        if not os.path.isfile(path):
-            continue
-        rows: list[list[int]] = []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != _CACHE_FORMAT_HEADER:
-                continue
-            ok = True
-            for line in fh:
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    ok = False
-                    break
-                n, m, v = int(parts[0]), int(parts[1]), int(parts[2])
-                while len(rows) <= n:
-                    rows.append([])
-                if m != len(rows[n]):
-                    ok = False
-                    break
-                rows[n].append(v)
-            if not ok:
-                continue
-        if rows and all(len(row) == n + 1 for n, row in enumerate(rows)):
-            tri.merge(rows)
-            loaded = True
-    return loaded

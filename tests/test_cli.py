@@ -1,6 +1,10 @@
 import json
 from fractions import Fraction as F
+from math import factorial
 
+import pytest
+
+import polycauchy as pc
 from polycauchy import cauchy_poly
 from polycauchy.cli import load_exported_poly, main
 
@@ -59,6 +63,79 @@ def test_eval_other_families(capsys):
     assert (code, out.strip()) == (0, "14")
     code, out, _ = run(capsys, "eval", "harmonic-poly", "--n", "1", "--x", "0")
     assert (code, out.strip()) == (0, "3/2")
+
+
+@pytest.mark.parametrize("family, extra, poly", [
+    ("cauchy", ["--kind", "second", "--k", "2"], lambda: pc.cauchy_poly("second", 5, 2)),
+    ("bernoulli-poly", [], lambda: pc.bernoulli_poly(5)),
+    ("gen-bernoulli", ["--alpha", "3"], lambda: pc.gen_bernoulli_poly(5, 3)),
+    ("euler-poly", [], lambda: pc.euler_poly(5)),
+    ("power-sum", [], lambda: pc.power_sum_poly(5)),
+    ("hyperharmonic", [], lambda: pc.hyperharmonic_poly(5)),
+    ("harmonic-poly", [], lambda: pc.harmonic_poly(5)),
+])
+def test_eval_every_family(capsys, family, extra, poly):
+    code, out, _ = run(capsys, "eval", family, "--n", "5", "--x", "2/3", *extra)
+    assert code == 0
+    assert out.strip() == pc.format_rational(poly()(F(2, 3)))
+
+
+def test_eval_negative_rational_after_space(capsys):
+    code, out, _ = run(capsys, "eval", "cauchy", "--n", "3", "--x", "-3/4")
+    assert (code, out.strip()) == (0, "-11/64")
+    assert out.strip() == str(cauchy_poly("first", 3)(F(-3, 4)))
+
+
+@pytest.mark.parametrize("gf, extra, series", [
+    ("cauchy1", [], lambda: pc.gf_cauchy1(6)),
+    ("cauchy2", [], lambda: pc.gf_cauchy2(6)),
+    ("gen-bernoulli", ["--alpha", "2"], lambda: pc.gf_gen_bernoulli(2, 6)),
+    ("hyperharmonic", [], lambda: pc.gf_hyperharmonic(6)),
+    ("harmonic", [], lambda: pc.gf_harmonic_poly(6)),
+])
+def test_series_every_generating_function(capsys, gf, extra, series):
+    code, out, _ = run(capsys, "series", gf, "--order", "6", *extra)
+    assert code == 0
+    s = series()
+    want = ["n\tn!\tcoefficient"] + [
+        f"{n}\t{factorial(n)}\t{s[n] if isinstance(s[n], pc.Poly) else pc.Poly.const(s[n])}"
+        for n in range(7)
+    ]
+    assert out.splitlines() == want
+
+
+def _export_expected(family, fmt):
+    if family in ("cauchy-poly", "hyperharmonic"):
+        if family == "cauchy-poly":
+            poly, params = pc.cauchy_poly("second", 5, 2), {"kind": "second", "n": 5, "k": 2}
+        else:
+            poly, params = pc.hyperharmonic_poly(5), {"n": 5}
+        coeffs = pc.poly_to_strings(poly)
+        if fmt == "json":
+            return {"family": family, "params": params, "coefficients": coeffs}
+        return ["i\tcoefficient"] + [f"{i}\t{c}" for i, c in enumerate(coeffs)]
+    if family == "cauchy-numbers":
+        values = [pc.cauchy_number("second", n, 2) for n in range(6)]
+        params = {"kind": "second", "k": 2, "max_n": 5}
+    else:
+        values = [pc.bernoulli_number(n) for n in range(6)]
+        params = {"max_n": 5}
+    values = [pc.format_rational(v) for v in values]
+    if fmt == "json":
+        return {"family": family, "params": params, "values": values}
+    return ["n\tvalue"] + [f"{n}\t{v}" for n, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("family", ["cauchy-poly", "cauchy-numbers", "bernoulli", "hyperharmonic"])
+def test_export_every_family_and_format(tmp_path, capsys, family, fmt):
+    out_path = tmp_path / f"export.{fmt}"
+    code, _, _ = run(capsys, "export", "--family", family, "--format", fmt, "--out", str(out_path),
+                     "--kind", "second", "--n", "5", "--k", "2", "--max-n", "5")
+    assert code == 0
+    text = out_path.read_text()
+    got = json.loads(text) if fmt == "json" else text.splitlines()
+    assert got == _export_expected(family, fmt)
 
 
 def test_series_subcommand(capsys):
@@ -157,16 +234,16 @@ def test_export_empty_range_header_only(tmp_path, capsys):
     assert out_path.read_text() == "n\tvalue\n"
 
 
-def test_cache_dir_env(tmp_path, monkeypatch, capsys):
+def test_triangle_files_in_env_dir_are_neither_read_nor_written(tmp_path, monkeypatch, capsys):
+    # a wrong stirling1(1, 1) and an unparsable central row must not reach the result
+    header = "# polycauchy triangle cache v1\n"
+    (tmp_path / "stirling1.tsv").write_text(header + "0\t0\t1\n1\t0\t0\n1\t1\t7\n")
+    (tmp_path / "central.tsv").write_text(header + "0\t0\tx\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setenv("POLYCAUCHY_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "table", "stirling2", "--max-n", "6")
-    assert code == 0
-    assert (tmp_path / "stirling2.tsv").exists()
-    header = (tmp_path / "stirling2.tsv").read_text().splitlines()[0]
-    assert header.startswith("# polycauchy triangle cache")
-    # a second run loads the cache without error
-    code, _, _ = run(capsys, "table", "stirling2", "--max-n", "4")
-    assert code == 0
+    code, out, _ = run(capsys, "eval", "cauchy", "--n", "3", "--x", "0")
+    assert (code, out.strip()) == (0, "1/4")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_verify_report_out_file(tmp_path, capsys):
