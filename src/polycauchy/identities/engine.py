@@ -15,7 +15,7 @@ run in any order; the runner is sequential and emits catalog order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Iterable
@@ -56,6 +56,14 @@ class Grid:
         (Fraction(1), Fraction(1), Fraction(1, 2)),
     )
     ys_multi: tuple = (Fraction(0), Fraction(1, 2), Fraction(-3, 2))
+
+    def __post_init__(self):
+        # every int field is a bound; a negative one empties the grid, and
+        # every case would pass vacuously
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int) and value < 0:
+                raise ValueError(f"grid bound {f.name} must be >= 0, got {value}")
 
     def with_overrides(self, **kwargs) -> "Grid":
         return replace(self, **kwargs)

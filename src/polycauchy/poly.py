@@ -14,12 +14,21 @@ Conventions:
 * a bare Poly operand of ``*`` / ``+`` is always treated as a polynomial
   in the *same* variable.  To scale a nested polynomial by an inner-ring
   value, wrap it first: ``outer * Poly([inner])``.
+
+When every coefficient is an int or a Fraction, Poly x Poly products,
+evaluation at an int or Fraction point and ``affine_compose`` with a
+rational shift run on integer numerators over one common denominator
+(the representation of FLINT's ``fmpq_poly``), and build one Fraction
+per output value.  Results equal those of the generic coefficient loops,
+which still serve nested coefficients and Poly arguments, in value,
+``str``, ``hash`` and export form; only ``repr`` may differ, showing an
+integral coefficient as ``2`` where it used to show ``Fraction(2, 1)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 __all__ = [
@@ -31,6 +40,31 @@ __all__ = [
     "poly_to_strings",
     "poly_from_strings",
 ]
+
+
+_INT = frozenset([int])
+_RATIONAL = frozenset([int, Fraction])
+
+
+def _over_common_denominator(coeffs):
+    """(integer numerators, common denominator) of rational coefficients.
+
+    Returns None if some coefficient is neither an int nor a Fraction.
+    """
+    types = set(map(type, coeffs))
+    if types <= _INT:
+        return coeffs, 1
+    if not types <= _RATIONAL:
+        return None
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_common_denominator(nums, den) -> list:
+    """Coefficients n/den, as ints when den is 1."""
+    if den == 1:
+        return nums
+    return [Fraction(n, den) for n in nums]
 
 
 class Poly:
@@ -125,6 +159,17 @@ class Poly:
             if not a or not b:
                 return Poly()
             out = [0] * (len(a) + len(b) - 1)
+            split_a = _over_common_denominator(a)
+            split_b = split_a and _over_common_denominator(b)
+            if split_b:
+                (na, da), (nb, db) = split_a, split_b
+                if len(na) > len(nb):
+                    na, nb = nb, na
+                m = len(nb)
+                for i, x in enumerate(na):
+                    if x:
+                        out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], nb)]
+                return Poly(_from_common_denominator(out, da * db))
             for i, ca in enumerate(a):
                 if not ca:
                     continue
@@ -155,6 +200,10 @@ class Poly:
 
     def __call__(self, value):
         """Horner evaluation; `value` may be a scalar or another Poly."""
+        if isinstance(value, (int, Fraction)) and self._coeffs:
+            split = _over_common_denominator(self._coeffs)
+            if split is not None:
+                return _eval_rational(*split, value.numerator, value.denominator)
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
@@ -183,6 +232,10 @@ class Poly:
         """Substitute x -> sign*x + shift with sign in {+1, -1}."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        if isinstance(shift, (int, Fraction)):
+            split = _over_common_denominator(self._coeffs)
+            if split is not None:
+                return Poly(_affine_compose_rational(*split, sign, shift))
         result = self(Poly([shift, sign]))
         return result if isinstance(result, Poly) else Poly([result])
 
@@ -221,6 +274,54 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self._coeffs)!r})"
+
+
+def _eval_rational(nums, den, p, q):
+    """Value at p/q of sum(nums[i] x^i) / den, for nonempty nums.
+
+    Homogeneous integer Horner: sum(nums[i] p^i q^(n-i)) / (den q^n), so
+    the single gcd is the one in the final Fraction.
+    """
+    terms = reversed(nums)
+    acc = next(terms)
+    if q == 1:
+        for c in terms:
+            acc = acc * p + c
+        return acc if den == 1 else Fraction(acc, den)
+    q_power = 1
+    for c in terms:
+        q_power *= q
+        acc = acc * p + c * q_power
+    return Fraction(acc, den * q_power)
+
+
+def _affine_compose_rational(nums, den, sign, shift) -> list:
+    """Coefficients of sum(nums[i] (sign*x + shift)^i) / den, shift rational.
+
+    With shift = p/q and n the degree: b_i = nums[i] q^(n-i) is shifted by
+    the integer p (repeated synthetic division), then coefficient j is
+    b'_j sign^j / (den q^(n-j)).
+    """
+    p, q = shift.numerator, shift.denominator
+    n = len(nums) - 1
+    b = list(nums)
+    if q != 1:
+        scale = 1
+        for i in range(n, -1, -1):
+            b[i] *= scale
+            scale *= q
+    if p:
+        for i in range(n):
+            acc = b[n]
+            for j in range(n - 1, i - 1, -1):
+                acc = b[j] = b[j] + p * acc
+    if sign < 0:
+        b[1::2] = [-c for c in b[1::2]]
+    out = [0] * (n + 1)
+    for j in range(n, -1, -1):
+        out[j] = b[j] if den == 1 else Fraction(b[j], den)
+        den *= q
+    return out
 
 
 def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:

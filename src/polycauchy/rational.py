@@ -26,8 +26,14 @@ def rat(numerator: int, denominator: int = 1) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer "p") into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "p/q" (or a bare integer "p") into an exact rational.
+
+    Raises ValueError for malformed text and for a zero denominator.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value) -> str:

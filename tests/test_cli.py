@@ -204,6 +204,38 @@ def test_table_negative_max_n_is_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "cauchy", "--n", "3", "--x", "1/0")
+    assert (code, out) == (2, "")
+    assert "argument --x" in err and "'1/0'" in err
+    assert "Traceback" not in err
+
+
+def test_verify_config_zero_denominator_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("xs=0,1/0\n")
+    code, out, err = run(capsys, "verify", "--id", "G04.int1", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_negative_grid_flag_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--id", "G04.int1", "--max-n", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "max_n must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_negative_grid_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("max_n_double=-1\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "max_n_double must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_export_json_round_trip(tmp_path, capsys):
     out_path = tmp_path / "c4.json"
     code, _, _ = run(capsys, "export", "--family", "cauchy-poly", "--kind", "first",

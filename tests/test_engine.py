@@ -46,10 +46,15 @@ def test_verify_named_case_point_count():
     assert report.points == 11
 
 
-def test_verify_empty_grid_is_vacuous():
-    report = verify("G04.int1", Grid(max_n=-1))
-    assert report.ok
-    assert report.points == 0
+@pytest.mark.parametrize("bound", ["max_n", "max_n_double", "max_k", "max_r", "max_a",
+                                   "max_n_multi"])
+def test_negative_grid_bound_rejected(bound):
+    # a negative bound would empty the grid and let every case pass vacuously
+    with pytest.raises(ValueError, match=bound):
+        Grid(**{bound: -1})
+    with pytest.raises(ValueError, match=bound):
+        DEFAULT_GRID.with_overrides(**{bound: -5})
+    assert getattr(Grid(**{bound: 0}), bound) == 0
 
 
 def test_verify_zhao():

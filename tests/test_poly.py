@@ -20,6 +20,55 @@ polys = coeffs.map(Poly)
 small_inner = st.lists(st.integers(-4, 4), max_size=3).map(Poly)
 nested = st.lists(small_inner, max_size=3).map(Poly)
 
+# Degrees 0-24 and the zero polynomial; int-only, Fraction-only and mixed lists.
+wide_fraction = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=60)
+wide_coeff_lists = st.one_of(
+    st.lists(st.integers(-10**9, 10**9), max_size=25),
+    st.lists(wide_fraction, max_size=25),
+    st.lists(st.one_of(st.integers(-50, 50), wide_fraction), max_size=25),
+)
+wide_polys = wide_coeff_lists.map(Poly)
+points = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+shifts = st.one_of(st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]), st.integers(-9, 9),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=12))
+signs = st.sampled_from([1, -1])
+nested_wide = st.lists(st.lists(st.one_of(st.integers(-9, 9), wide_fraction), max_size=4).map(Poly),
+                       max_size=6).map(Poly)
+
+
+# Reference loops: the generic coefficient code Poly used for every ring
+# before rational coefficients got integer kernels.
+def ref_mul(p, q):
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return Poly()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return Poly(out)
+
+
+def ref_eval(p, value):
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (ref_mul(acc, value) if isinstance(acc, Poly) and isinstance(value, Poly)
+               else acc * value) + c
+    return acc
+
+
+def ref_affine_compose(p, sign, shift):
+    result = ref_eval(p, Poly([shift, sign]))
+    return result if isinstance(result, Poly) else Poly([result])
+
+
+def assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+
 
 def test_canonical_trim_and_degree():
     assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
@@ -146,3 +195,49 @@ def test_transpose_nested():
 def test_exact_scalar_division():
     assert Poly([1, 2]) / 2 == Poly([F(1, 2), 1])
     assert Poly([F(1, 3)]) / F(1, 3) == Poly([1])
+
+
+@given(wide_polys, wide_polys)
+def test_mul_kernel_matches_reference(p, q):
+    assert_same(p * q, ref_mul(p, q))
+
+
+@given(wide_polys, points)
+def test_eval_kernel_matches_reference(p, x):
+    assert_same(p(x), ref_eval(p, x))
+
+
+@given(wide_polys, signs, shifts)
+def test_affine_compose_kernel_matches_reference(p, sign, shift):
+    assert_same(p.affine_compose(sign, shift), ref_affine_compose(p, sign, shift))
+
+
+@given(nested_wide, st.one_of(nested_wide, wide_polys))
+def test_mul_nested_coefficients_match_reference(p, q):
+    assert_same(p * q, ref_mul(p, q))
+    assert_same(q * p, ref_mul(q, p))
+
+
+@given(nested_wide, points, wide_polys)
+def test_eval_nested_or_poly_argument_matches_reference(p, x, q):
+    assert_same(p(x), ref_eval(p, x))  # nested coefficients at a rational point
+    assert_same(q(Poly([x, 1])), ref_eval(q, Poly([x, 1])))  # composition
+
+
+@given(st.one_of(nested_wide, wide_polys), signs, st.one_of(small_inner, shifts))
+def test_affine_compose_nested_matches_reference(p, sign, shift):
+    assert_same(p.affine_compose(sign, shift), ref_affine_compose(p, sign, shift))
+
+
+def test_kernel_reference_examples():
+    half = F(1, 2)
+    assert_same(Poly([half, 3]) * Poly([4, F(2, 3)]), Poly([2, F(37, 3), 2]))
+    assert_same(Poly([F(1, 3), 0, F(-2, 5)])(F(-3, 2)), F(-17, 30))
+    assert_same(Poly([1, 2, 3])(-2), 9)
+    assert_same(Poly([F(1, 6), -1, 1]).affine_compose(-1, 1), Poly([F(1, 6), -1, 1]))
+    assert_same(Poly([0, 0, 1]).affine_compose(-1, F(1, 2)), Poly([F(1, 4), -1, 1]))
+    assert_same(Poly().affine_compose(1, F(2, 3)), Poly())
+    assert_same(Poly([F(7, 2)]).affine_compose(-1, 5), Poly([F(7, 2)]))
+    assert_same(Poly()(F(1, 2)), 0)
+    # an integral coefficient comes back as an int, equal to the Fraction it replaced
+    assert repr(Poly([F(2)]) * Poly([F(3)])) == "Poly([6])"

@@ -79,3 +79,9 @@ def test_text_form():
     assert format_rational(Fraction(-19, 30)) == "-19/30"
     assert format_rational(Fraction(7, 1)) == "7"
     assert parse_rational("-3/6") == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", " 0/0 "])
+def test_parse_zero_denominator_is_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational(text)
