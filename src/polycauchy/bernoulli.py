@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .cauchy import aux_poly_weighted
+from .cauchy import MultiParam, aux_poly_weighted
 from .poly import Poly
 from .series import gf_gen_bernoulli
 from .stirling import gsn2, gsn2_bivariate_at, stirling2
@@ -36,18 +36,13 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _gen_bernoulli_series(alpha: int, order: int):
-    return gf_gen_bernoulli(alpha, order)
-
-
-@lru_cache(maxsize=None)
 def gen_bernoulli_poly(n: int, alpha: int) -> Poly:
     """Order-alpha (higher-order) Bernoulli polynomial of degree n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if alpha < 0:
         raise ValueError("order must be >= 0")
-    coeff = _gen_bernoulli_series(alpha, n)[n]
+    coeff = gf_gen_bernoulli(alpha, n)[n]
     poly = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
     return poly * factorial(n)
 
@@ -111,19 +106,12 @@ def poly_bernoulli_kl(n: int, k: int) -> Poly:
 def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:
     """Multiparameter poly-Bernoulli polynomial: the bivariate second-kind
     Stirling transform of the weighted auxiliary polynomials."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if k < 1:
-        raise ValueError("poly order k must be >= 1")
-    if a < 1:
-        raise ValueError("shift a must be an integer >= 1")
-    q = Fraction(q)
-    if not q:
+    p = MultiParam(n, k, a, q, L, y)
+    if not p.q:
         raise ValueError("q must be nonzero")
-    L = tuple(Fraction(l) for l in L)
     total = Poly()
     for m in range(n + 1):
-        weight = factorial(m) * gsn2_bivariate_at(n, m, y, q)
+        weight = factorial(m) * gsn2_bivariate_at(n, m, p.y, p.q)
         if weight:
-            total = total + aux_poly_weighted(m + a - 1, k, L) * weight
+            total = total + aux_poly_weighted(m + a - 1, k, p.L) * weight
     return total * (-1) ** n

@@ -1,14 +1,22 @@
 """Identity cases G1-G13: the classical (k = 1) Cauchy polynomial facts,
 their Stirling/binomial/central-factorial/Whitney/derivative forms, the
-hyperharmonic connection, and the Bernoulli bridges."""
+hyperharmonic connection, and the Bernoulli bridges.
+
+Where a classical identity is the k = 1 case of a general-order one, the
+formula is written once, as a module-level general-order check below;
+the G14/G15 case registers it as it is and the classical case with k
+fixed to 1.  Their leading underscore keeps them private, so the benchmark
+tracer (``bench/tracer.py``), which wraps every public package function,
+leaves them alone."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from ..bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli_poly, euler_poly, power_sum_poly
-from ..cauchy import cauchy_coefficient, cauchy_derivative, cauchy_number, cauchy_poly
+from ..cauchy import cauchy_coefficient, cauchy_derivative, cauchy_number, cauchy_poly, cauchy_recurrence_step
 from ..harmonic import harmonic_number, hyperharmonic_poly
 from ..poly import Poly, binom_poly
 from ..stirling import a_number, central_u, gsn1, gsn2, stirling1, stirling2, whitney
@@ -66,16 +74,130 @@ def _n_y(grid, start=0, double=False):
     return ({"n": n, "y": y} for n in range(start, top + 1) for y in grid.xs)
 
 
+def _n_k(grid, n_start=0, double=False):
+    top = grid.max_n_double if double else grid.max_n
+    return (
+        {"n": n, "k": k} for n in range(n_start, top + 1) for k in range(1, grid.max_k + 1)
+    )
+
+
+def _even_points(grid):
+    return ({"n": n} for n in range(1, grid.max_n // 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# general-order checks shared with the classical cases
+
+
+def _pro41(n, k):
+    rhs = _psum(gsn1(n, m) * F((-1) ** (n - m), (m + 1) ** k) for m in range(n + 1))
+    return cauchy_poly("first", n, k, "integral"), rhs
+
+
+def _pro42(n, k):
+    lhs = cauchy_poly("second", n, k, "integral").affine_compose(-1, 0)
+    rhs = _psum(gsn1(n, m) * F(1, (m + 1) ** k) for m in range(n + 1)) * (-1) ** n
+    return lhs, rhs
+
+
+def _inv_a(n, k):
+    lhs = _psum(gsn2(n, m) * _cp(m, k) for m in range(n + 1))
+    return lhs, Poly([F(1, (n + 1) ** k)])
+
+
+def _inv_b(n, k):
+    lhs = _psum(gsn2(n, m) * _chp(m, k).affine_compose(-1, 0) for m in range(n + 1))
+    return lhs, Poly([F((-1) ** n, (n + 1) ** k)])
+
+
+def _cor2(kind, n, k):
+    poly = cauchy_poly(kind, n, k)
+    return (
+        tuple(cauchy_coefficient(kind, n, i, k) for i in range(n + 1)),
+        tuple(F(poly[i]) for i in range(n + 1)),
+    )
+
+
+def _symm5(n, k):
+    rhs = _psum(
+        binom_poly(n - 1, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m, k))
+        for m in range(n + 1)
+    ) * (-1) ** n
+    return _cp(n, k), rhs
+
+
+def _symm6(n, k):
+    rhs = _psum(
+        binom_poly(-m, 1, n - m)
+        * (F((-1) ** m * factorial(n), factorial(m)) * _c(m, k))
+        for m in range(n + 1)
+    )
+    return _chp(n, k), rhs
+
+
+def _symm8a(n, k):
+    rhs = _psum(
+        binom_poly(0, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m, k))
+        for m in range(n + 1)
+    )
+    return _chp(n, k), rhs
+
+
+def _reck(kind, n, k):
+    return cauchy_poly(kind, n + 1, k), cauchy_recurrence_step(kind, n, k)
+
+
+def _diffk1(n, k):
+    lhs = _cp(n, k).affine_compose(1, 1) - _cp(n, k)
+    return lhs, _cp(n - 1, k).affine_compose(1, 1) * (-n)
+
+
+def _diffk2(n, k):
+    lhs = _chp(n, k).affine_compose(1, 1) - _chp(n, k)
+    return lhs, _chp(n - 1, k) * n
+
+
+def _whitk1(n, k, m, r):
+    lhs = F(_cp(n, k)(F(r, m)))
+    rhs = _fsum(
+        F((-1) ** (n - l), (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
+        for l in range(n + 1)
+    )
+    return lhs, rhs
+
+
+def _whitk2(n, k, m, r):
+    lhs = F(_chp(n, k)(F(-r, m)))
+    rhs = F((-1) ** n) * _fsum(
+        F(1, (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
+        for l in range(n + 1)
+    )
+    return lhs, rhs
+
+
+def _genk1(n, i, k):
+    rhs = _psum(
+        gen_bernoulli_poly(m - i, n + 1).affine_compose(-1, 1)
+        * F(comb(n, m) * comb(m, i), (n + 1 - m) ** k)
+        for m in range(i, n + 1)
+    ) * ((-1) ** i * factorial(i))
+    return _cp(n, k).derivative(i), rhs
+
+
+def _genk2(n, i, k):
+    rhs = _psum(
+        gen_bernoulli_poly(m - i, n + 1).affine_compose(1, 1)
+        * (F((-1) ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k))
+        for m in range(i, n + 1)
+    ) * factorial(i)
+    return _chp(n, k).derivative(i), rhs
+
+
+def _derk(kind, n, i, k):
+    return cauchy_poly(kind, n, k).derivative(i), cauchy_derivative(kind, n, k, i)
+
+
 def _g01():
-    def th11(n):
-        rhs = _psum(gsn1(n, m) * F((-1) ** (n - m), m + 1) for m in range(n + 1))
-        return cauchy_poly("first", n, 1, "integral"), rhs
-
-    def th12(n):
-        lhs = cauchy_poly("second", n, 1, "integral").affine_compose(-1, 0)
-        rhs = _psum(gsn1(n, m) * F(1, m + 1) for m in range(n + 1)) * (-1) ** n
-        return lhs, rhs
-
     def rem31(n):
         lhs = cauchy_poly("second", n, 1, "integral")
         rhs = _psum(
@@ -94,40 +216,18 @@ def _g01():
         rhs = _fsum(F((-1) ** (n - m) * stirling1(n + 1, m + 1), m + 1) for m in range(n + 1))
         return _ch(n), rhs
 
-    def rem4a(n):
-        lhs = _psum(gsn2(n, m) * _cp(m) for m in range(n + 1))
-        return lhs, Poly([F(1, n + 1)])
-
-    def rem4b(n):
-        lhs = _psum(gsn2(n, m) * _chp(m).affine_compose(-1, 0) for m in range(n + 1))
-        return lhs, Poly([F((-1) ** n, n + 1)])
-
     return [
-        IdentityCase("G01.th11", "G01", "first kind as signed 1/(m+1) sum of shifted Stirling polynomials", _ns, th11),
-        IdentityCase("G01.th12", "G01", "second kind at -x as 1/(m+1) sum of shifted Stirling polynomials", _ns, th12),
+        IdentityCase("G01.th11", "G01", "first kind as signed 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro41, k=1)),
+        IdentityCase("G01.th12", "G01", "second kind at -x as 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro42, k=1)),
         IdentityCase("G01.rem31", "G01", "second kind via x -> -x composed Stirling polynomials", _ns, rem31),
         IdentityCase("G01.shift-1mx", "G01", "second kind via the 1-x shifted Stirling polynomials", _ns, one_minus),
         IdentityCase("G01.kargin", "G01", "second-kind numbers from the (n+1, m+1) Stirling column", _ns, kargin),
-        IdentityCase("G01.rem4a", "G01", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", _ns, rem4a),
-        IdentityCase("G01.rem4b", "G01", "second-kind Stirling transform of reflected second-kind polynomials", _ns, rem4b),
+        IdentityCase("G01.rem4a", "G01", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", _ns, partial(_inv_a, k=1)),
+        IdentityCase("G01.rem4b", "G01", "second-kind Stirling transform of reflected second-kind polynomials", _ns, partial(_inv_b, k=1)),
     ]
 
 
 def _g02():
-    def coef_first(n):
-        poly = _cp(n)
-        return (
-            tuple(cauchy_coefficient("first", n, i) for i in range(n + 1)),
-            tuple(F(poly[i]) for i in range(n + 1)),
-        )
-
-    def coef_second(n):
-        poly = _chp(n)
-        return (
-            tuple(cauchy_coefficient("second", n, i) for i in range(n + 1)),
-            tuple(F(poly[i]) for i in range(n + 1)),
-        )
-
     def leading(n):
         return (F(_cp(n)[n]), F(_chp(n)[n])), (F((-1) ** n), F(1))
 
@@ -136,8 +236,8 @@ def _g02():
         return lhs, (F((-1) ** n * n * (n - 2), 2), F(-n * n, 2))
 
     return [
-        IdentityCase("G02.coef1", "G02", "closed-form coefficients of the first kind", _ns, coef_first),
-        IdentityCase("G02.coef2", "G02", "closed-form coefficients of the second kind", _ns, coef_second),
+        IdentityCase("G02.coef1", "G02", "closed-form coefficients of the first kind", _ns, partial(_cor2, "first", k=1)),
+        IdentityCase("G02.coef2", "G02", "closed-form coefficients of the second kind", _ns, partial(_cor2, "second", k=1)),
         IdentityCase("G02.leading", "G02", "leading coefficients are (-1)^n and 1", _ns, leading),
         IdentityCase("G02.subleading", "G02", "subleading coefficients n(n-2)/2 laws", lambda g: _ns(g, 1), subleading),
     ]
@@ -221,33 +321,12 @@ def _g04():
 
 
 def _g05():
-    def chen1(n):
-        rhs = _psum(
-            binom_poly(n - 1, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m))
-            for m in range(n + 1)
-        ) * (-1) ** n
-        return _cp(n), rhs
-
-    def chen2(n):
-        rhs = _psum(
-            binom_poly(-m, 1, n - m) * (F((-1) ** m * factorial(n), factorial(m)) * _c(m))
-            for m in range(n + 1)
-        )
-        return _chp(n), rhs
-
     def symm1(n):
         rhs = _psum(
             binom_poly(n - m - 1, 1, n - m) * (F((-1) ** m * factorial(n), factorial(m)) * _c(m))
             for m in range(n + 1)
         ) * (-1) ** n
         return _cp(n), rhs
-
-    def symm2(n):
-        rhs = _psum(
-            binom_poly(0, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m))
-            for m in range(n + 1)
-        )
-        return _chp(n), rhs
 
     def x1_a(n):
         rhs = F((-1) ** n * factorial(n)) * _fsum(
@@ -304,10 +383,10 @@ def _g05():
         return _chp(n).affine_compose(-1, 0), rhs
 
     return [
-        IdentityCase("G05.chen1", "G05", "first kind from second-kind numbers and rising binomials", _ns, chen1),
-        IdentityCase("G05.chen2", "G05", "second kind from first-kind numbers and shifted binomials", _ns, chen2),
+        IdentityCase("G05.chen1", "G05", "first kind from second-kind numbers and rising binomials", _ns, partial(_symm5, k=1)),
+        IdentityCase("G05.chen2", "G05", "second kind from first-kind numbers and shifted binomials", _ns, partial(_symm6, k=1)),
         IdentityCase("G05.symm1", "G05", "first kind from its own numbers and shifted binomials", _ns, symm1),
-        IdentityCase("G05.symm2", "G05", "second kind from its own numbers and plain binomials", _ns, symm2),
+        IdentityCase("G05.symm2", "G05", "second kind from its own numbers and plain binomials", _ns, partial(_symm8a, k=1)),
         IdentityCase("G05.x1-a", "G05", "binomial self-convolution of second-kind numbers", _ns, x1_a),
         IdentityCase("G05.x1-b", "G05", "first-kind numbers from shifted second-kind convolution", lambda g: _ns(g, 1), x1_b),
         IdentityCase("G05.x1-c", "G05", "second-kind numbers from shifted first-kind convolution", lambda g: _ns(g, 1), x1_c),
@@ -322,21 +401,6 @@ def _g05():
 
 
 def _g06():
-    def rec1(n):
-        rhs = -(X + n) * _cp(n) + _psum(
-            binom_poly(n, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m + 1))
-            for m in range(n + 1)
-        ) * (-1) ** (n + 1)
-        return _cp(n + 1), rhs
-
-    def rec2(n):
-        rhs = (X - n) * _chp(n) - _psum(
-            binom_poly(-m - 1, 1, n - m)
-            * (F((-1) ** m * factorial(n), factorial(m)) * _c(m + 1))
-            for m in range(n + 1)
-        )
-        return _chp(n + 1), rhs
-
     def nstep1(n):
         rhs = _cp(n - 1) * (-n) + _psum(
             binom_poly(n - 2, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m))
@@ -351,24 +415,9 @@ def _g06():
         )
         return _chp(n), rhs
 
-    def diff1(n):
-        lhs = _cp(n).affine_compose(1, 1) - _cp(n)
-        return lhs, _cp(n - 1).affine_compose(1, 1) * (-n)
-
-    def diff2(n):
-        lhs = _chp(n).affine_compose(1, 1) - _chp(n)
-        return lhs, _chp(n - 1) * n
-
     def mirror(n):
         rhs = _chp(n).affine_compose(-1, 0) + _chp(n - 1).affine_compose(-1, 0) * n
         return _cp(n), rhs
-
-    def _k_rec_points(grid):
-        return (
-            {"n": n, "k": k}
-            for n in range(grid.max_n_double + 1)
-            for k in range(1, grid.max_k + 1)
-        )
 
     def _k_rec_variant(sign):
         def check(n, k):
@@ -382,18 +431,18 @@ def _g06():
         return check
 
     return [
-        IdentityCase("G06.rec1", "G06", "one-step recurrence for the first kind", lambda g: _ns(g, 0, g.max_n - 1), rec1),
-        IdentityCase("G06.rec2", "G06", "one-step recurrence for the second kind", lambda g: _ns(g, 0, g.max_n - 1), rec2),
+        IdentityCase("G06.rec1", "G06", "one-step recurrence for the first kind", lambda g: _ns(g, 0, g.max_n - 1), partial(_reck, "first", k=1)),
+        IdentityCase("G06.rec2", "G06", "one-step recurrence for the second kind", lambda g: _ns(g, 0, g.max_n - 1), partial(_reck, "second", k=1)),
         IdentityCase("G06.nstep1", "G06", "alternative step recurrence, first kind", lambda g: _ns(g, 1), nstep1),
         IdentityCase("G06.nstep2", "G06", "alternative step recurrence, second kind", lambda g: _ns(g, 1), nstep2),
-        IdentityCase("G06.diff1", "G06", "difference equation of the first kind", lambda g: _ns(g, 1), diff1),
-        IdentityCase("G06.diff2", "G06", "difference equation of the second kind", lambda g: _ns(g, 1), diff2),
+        IdentityCase("G06.diff1", "G06", "difference equation of the first kind", lambda g: _ns(g, 1), partial(_diffk1, k=1)),
+        IdentityCase("G06.diff2", "G06", "difference equation of the second kind", lambda g: _ns(g, 1), partial(_diffk2, k=1)),
         IdentityCase("G06.mirror", "G06", "first kind from the reflected second kind", lambda g: _ns(g, 1), mirror),
         IdentityCase(
             "G06.k-recurrence-sign",
             "G06",
             "probe: sign of the (x-n) term in the second-kind step recurrence for general order",
-            _k_rec_points,
+            lambda g: _n_k(g, 0, True),
             None,
             variants={"+(x-n)": _k_rec_variant(1), "-(x-n)": _k_rec_variant(-1)},
         ),
@@ -401,9 +450,6 @@ def _g06():
 
 
 def _g07():
-    def _even_points(grid):
-        return ({"n": n} for n in range(1, grid.max_n // 2 + 1))
-
     def even_first(n):
         rhs = _psum(
             (Poly([n - 1, 1]) ** (2 * m) - bernoulli_number(2 * m)) * F(central_u(n, m), m)
@@ -454,22 +500,6 @@ def _g08():
             if abs(r) <= grid.max_r
         )
 
-    def whit1(n, m, r):
-        lhs = F(_cp(n)(F(r, m)))
-        rhs = _fsum(
-            F((-1) ** (n - l), l + 1) * whitney("first", m, r, n, l) / F(m) ** (n - l)
-            for l in range(n + 1)
-        )
-        return lhs, rhs
-
-    def whit2(n, m, r):
-        lhs = F(_chp(n)(F(-r, m)))
-        rhs = F((-1) ** n) * _fsum(
-            F(1, l + 1) * whitney("first", m, r, n, l) / F(m) ** (n - l)
-            for l in range(n + 1)
-        )
-        return lhs, rhs
-
     def whit1_rev(n, m, r):
         lhs = _fsum(
             F(m) ** l * whitney("second", m, r, n, l) * _cp(l)(F(r, m))
@@ -485,36 +515,14 @@ def _g08():
         return lhs, F((-1) ** n * m**n, n + 1)
 
     return [
-        IdentityCase("G08.whit1", "G08", "first kind at r/m from first-kind Whitney numbers", _points, whit1),
-        IdentityCase("G08.whit2", "G08", "second kind at -r/m from first-kind Whitney numbers", _points, whit2),
+        IdentityCase("G08.whit1", "G08", "first kind at r/m from first-kind Whitney numbers", _points, partial(_whitk1, k=1)),
+        IdentityCase("G08.whit2", "G08", "second kind at -r/m from first-kind Whitney numbers", _points, partial(_whitk2, k=1)),
         IdentityCase("G08.whit1-rev", "G08", "reversed Whitney transform of first-kind values", _points, whit1_rev),
         IdentityCase("G08.whit2-rev", "G08", "reversed Whitney transform of second-kind values", _points, whit2_rev),
     ]
 
 
 def _g09():
-    def th5_first(n, i):
-        rhs = _psum(
-            gen_bernoulli_poly(m - i, n + 1).affine_compose(-1, 1)
-            * F(comb(n, m) * comb(m, i), n + 1 - m)
-            for m in range(i, n + 1)
-        ) * ((-1) ** i * factorial(i))
-        return _cp(n).derivative(i), rhs
-
-    def th5_second(n, i):
-        rhs = _psum(
-            gen_bernoulli_poly(m - i, n + 1).affine_compose(1, 1)
-            * (F((-1) ** (n - m) * comb(n, m) * comb(m, i), n + 1 - m))
-            for m in range(i, n + 1)
-        ) * factorial(i)
-        return _chp(n).derivative(i), rhs
-
-    def th6_first(n, i):
-        return _cp(n).derivative(i), cauchy_derivative("first", n, 1, i)
-
-    def th6_second(n, i):
-        return _chp(n).derivative(i), cauchy_derivative("second", n, 1, i)
-
     def th6b_first(n, i):
         rhs = _psum(
             gen_bernoulli_poly(m - i, m + 1).affine_compose(-1, 1)
@@ -596,10 +604,10 @@ def _g09():
         return lhs, F(n + 1)
 
     return [
-        IdentityCase("G09.th5-first", "G09", "derivatives via higher-order Bernoulli polynomials, first kind", _n_i, th5_first),
-        IdentityCase("G09.th5-second", "G09", "derivatives via higher-order Bernoulli polynomials, second kind", _n_i, th5_second),
-        IdentityCase("G09.th6-first", "G09", "derivatives via own numbers and Stirling polynomials, first kind", _n_i, th6_first),
-        IdentityCase("G09.th6-second", "G09", "derivatives via own numbers and Stirling polynomials, second kind", _n_i, th6_second),
+        IdentityCase("G09.th5-first", "G09", "derivatives via higher-order Bernoulli polynomials, first kind", _n_i, partial(_genk1, k=1)),
+        IdentityCase("G09.th5-second", "G09", "derivatives via higher-order Bernoulli polynomials, second kind", _n_i, partial(_genk2, k=1)),
+        IdentityCase("G09.th6-first", "G09", "derivatives via own numbers and Stirling polynomials, first kind", _n_i, partial(_derk, "first", k=1)),
+        IdentityCase("G09.th6-second", "G09", "derivatives via own numbers and Stirling polynomials, second kind", _n_i, partial(_derk, "second", k=1)),
         IdentityCase("G09.th6b-first", "G09", "derivative rewrite through order-(m+1) Bernoulli polynomials", _n_i, th6b_first),
         IdentityCase("G09.th6b-second", "G09", "second-kind derivative rewrite through Bernoulli polynomials", _n_i, th6b_second),
         IdentityCase("G09.der12", "G09", "derivatives collapse to a single shifted Stirling polynomial", lambda g: _n_i(g, 1, 1), der12),
@@ -831,7 +839,7 @@ def _g11():
         IdentityCase("G11.exp5a", "G11", "second-kind numbers from Bernoulli numbers", lambda g: _ns(g, 1), exp5a),
         IdentityCase("G11.exp5b", "G11", "first-kind numbers from alternating Bernoulli sums", lambda g: _ns(g, 1), exp5b),
         IdentityCase("G11.odd-vanish", "G11", "equality forcing odd Bernoulli numbers to vanish", lambda g: _ns(g, 2), odd_vanish),
-        IdentityCase("G11.chat2n-at-n", "G11", "even second-kind value at n from central factorials", lambda g: ({"n": n} for n in range(1, g.max_n // 2 + 1)), chat2n_at_n),
+        IdentityCase("G11.chat2n-at-n", "G11", "even second-kind value at n from central factorials", _even_points, chat2n_at_n),
     ]
 
 
@@ -887,12 +895,6 @@ def _g12():
 
 
 def _g13():
-    def _pts(grid):
-        return ({"n": n, "y": y} for n in range(grid.max_n_double + 1) for y in grid.xs)
-
-    def _pts1(grid):
-        return ({"n": n, "y": y} for n in range(1, grid.max_n_double + 1) for y in grid.xs)
-
     def p4a(n, y):
         rhs = _psum(
             gsn2(n, m)
@@ -1037,14 +1039,15 @@ def _g13():
         "p5g": "(x-1)^n form with second-kind numbers, first-kind values",
         "p5h": "(x-1)^n form with second-kind numbers and values",
     }
+    # check and first n of each case
     checks = {
-        "p4a": (p4a, _pts), "p4b": (p4b, _pts), "p4c": (p4c, _pts), "p4d": (p4d, _pts),
-        "p5a": (p5a, _pts1), "p5b": (p5b, _pts1), "p5c": (p5c, _pts1), "p5d": (p5d, _pts1),
-        "p5e": (p5e, _pts1), "p5f": (p5f, _pts1), "p5g": (p5g, _pts1), "p5h": (p5h, _pts1),
+        "p4a": (p4a, 0), "p4b": (p4b, 0), "p4c": (p4c, 0), "p4d": (p4d, 0),
+        "p5a": (p5a, 1), "p5b": (p5b, 1), "p5c": (p5c, 1), "p5d": (p5d, 1),
+        "p5e": (p5e, 1), "p5f": (p5f, 1), "p5g": (p5g, 1), "p5h": (p5h, 1),
     }
     return [
-        IdentityCase(f"G13.{name}", "G13", descs[name], pts, fn)
-        for name, (fn, pts) in checks.items()
+        IdentityCase(f"G13.{name}", "G13", descs[name], partial(_n_y, start=start, double=True), fn)
+        for name, (fn, start) in checks.items()
     ]
 
 

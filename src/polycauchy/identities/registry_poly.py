@@ -1,11 +1,15 @@
 """Identity cases G14-G22: general-order (poly) Cauchy polynomial facts,
 poly-Bernoulli bridges, the multiparameter family, and the harmonic
-polynomial connection."""
+polynomial connection.
+
+The general-order checks whose k = 1 case is also a classical (G01-G09)
+identity are written once, in ``registry_core``, and registered here as
+they are; the classical cases reuse them with k fixed to 1."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 
 from ..bernoulli import (
@@ -21,9 +25,6 @@ from ..cauchy import (
     MultiParam,
     aux_poly,
     aux_poly_weighted,
-    cauchy_coefficient,
-    cauchy_derivative,
-    cauchy_poly,
     multiparam_cauchy,
     shifted_cauchy_number,
 )
@@ -46,17 +47,12 @@ from ..stirling import (
     lah,
     stirling1,
     stirling2,
-    whitney,
 )
 from .engine import IdentityCase
-from .registry_core import F, X, _c, _ch, _chp, _cp, _fsum, _psum
-
-
-def _n_k(grid, n_start=0, double=False):
-    top = grid.max_n_double if double else grid.max_n
-    return (
-        {"n": n, "k": k} for n in range(n_start, top + 1) for k in range(1, grid.max_k + 1)
-    )
+from .registry_core import (
+    F, _c, _ch, _chp, _cor2, _cp, _derk, _diffk1, _diffk2, _fsum, _genk1, _genk2, _inv_a, _inv_b,
+    _n_k, _n_y, _ns, _pro41, _pro42, _psum, _reck, _symm5, _symm6, _symm8a, _whitk1, _whitk2,
+)
 
 
 def _n_i_k(grid, n_start=0, i_start=0):
@@ -69,29 +65,6 @@ def _n_i_k(grid, n_start=0, i_start=0):
 
 
 def _g14():
-    def pro41(n, k):
-        rhs = _psum(gsn1(n, m) * F((-1) ** (n - m), (m + 1) ** k) for m in range(n + 1))
-        return cauchy_poly("first", n, k, "integral"), rhs
-
-    def pro42(n, k):
-        lhs = cauchy_poly("second", n, k, "integral").affine_compose(-1, 0)
-        rhs = _psum(gsn1(n, m) * F(1, (m + 1) ** k) for m in range(n + 1)) * (-1) ** n
-        return lhs, rhs
-
-    def cor2a(n, k):
-        poly = _cp(n, k)
-        return (
-            tuple(cauchy_coefficient("first", n, i, k) for i in range(n + 1)),
-            tuple(F(poly[i]) for i in range(n + 1)),
-        )
-
-    def cor2b(n, k):
-        poly = _chp(n, k)
-        return (
-            tuple(cauchy_coefficient("second", n, i, k) for i in range(n + 1)),
-            tuple(F(poly[i]) for i in range(n + 1)),
-        )
-
     def _inner_negx(m, k):
         return _psum(
             Poly([0] * i + [F((-1) ** i * comb(m, i), (m - i + 1) ** k)]) for i in range(m + 1)
@@ -107,23 +80,15 @@ def _g14():
         rhs = _psum(_inner_negx(m, k) * stirling1(n, m) for m in range(n + 1)) * (-1) ** n
         return _chp(n, k), rhs
 
-    def inv_a(n, k):
-        lhs = _psum(gsn2(n, m) * _cp(m, k) for m in range(n + 1))
-        return lhs, Poly([F(1, (n + 1) ** k)])
-
-    def inv_b(n, k):
-        lhs = _psum(gsn2(n, m) * _chp(m, k).affine_compose(-1, 0) for m in range(n + 1))
-        return lhs, Poly([F((-1) ** n, (n + 1) ** k)])
-
     return [
-        IdentityCase("G14.pro41", "G14", "general order first kind as weighted Stirling polynomial sums", _n_k, pro41),
-        IdentityCase("G14.pro42", "G14", "general order second kind at -x as weighted Stirling sums", _n_k, pro42),
-        IdentityCase("G14.cor2a", "G14", "closed-form coefficients at general order, first kind", _n_k, cor2a),
-        IdentityCase("G14.cor2b", "G14", "closed-form coefficients at general order, second kind", _n_k, cor2b),
+        IdentityCase("G14.pro41", "G14", "general order first kind as weighted Stirling polynomial sums", _n_k, _pro41),
+        IdentityCase("G14.pro42", "G14", "general order second kind at -x as weighted Stirling sums", _n_k, _pro42),
+        IdentityCase("G14.cor2a", "G14", "closed-form coefficients at general order, first kind", _n_k, partial(_cor2, "first")),
+        IdentityCase("G14.cor2b", "G14", "closed-form coefficients at general order, second kind", _n_k, partial(_cor2, "second")),
         IdentityCase("G14.back1", "G14", "double-sum expansion over the plain triangle, first kind", _n_k, back1),
         IdentityCase("G14.back2", "G14", "double-sum expansion over the plain triangle, second kind", _n_k, back2),
-        IdentityCase("G14.inv-a", "G14", "inverted expansion gives 1/(n+1)^k", _n_k, inv_a),
-        IdentityCase("G14.inv-b", "G14", "inverted reflected expansion gives (-1)^n/(n+1)^k", _n_k, inv_b),
+        IdentityCase("G14.inv-a", "G14", "inverted expansion gives 1/(n+1)^k", _n_k, _inv_a),
+        IdentityCase("G14.inv-b", "G14", "inverted reflected expansion gives (-1)^n/(n+1)^k", _n_k, _inv_b),
     ]
 
 
@@ -132,14 +97,6 @@ _WHITNEY_RS = (-2, 1, 3)
 
 
 def _g15():
-    def diffk1(n, k):
-        lhs = _cp(n, k).affine_compose(1, 1) - _cp(n, k)
-        return lhs, _cp(n - 1, k).affine_compose(1, 1) * (-n)
-
-    def diffk2(n, k):
-        lhs = _chp(n, k).affine_compose(1, 1) - _chp(n, k)
-        return lhs, _chp(n - 1, k) * n
-
     def _whit_points(grid):
         return (
             {"n": n, "k": k, "m": m, "r": r}
@@ -149,37 +106,6 @@ def _g15():
             for r in _WHITNEY_RS
             if abs(r) <= grid.max_r
         )
-
-    def whitk1(n, k, m, r):
-        lhs = F(_cp(n, k)(F(r, m)))
-        rhs = _fsum(
-            F((-1) ** (n - l), (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
-            for l in range(n + 1)
-        )
-        return lhs, rhs
-
-    def whitk2(n, k, m, r):
-        lhs = F(_chp(n, k)(F(-r, m)))
-        rhs = F((-1) ** n) * _fsum(
-            F(1, (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
-            for l in range(n + 1)
-        )
-        return lhs, rhs
-
-    def symm5(n, k):
-        rhs = _psum(
-            binom_poly(n - 1, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m, k))
-            for m in range(n + 1)
-        ) * (-1) ** n
-        return _cp(n, k), rhs
-
-    def symm6(n, k):
-        rhs = _psum(
-            binom_poly(-m, 1, n - m)
-            * (F((-1) ** m * factorial(n), factorial(m)) * _c(m, k))
-            for m in range(n + 1)
-        )
-        return _chp(n, k), rhs
 
     def symm7a(n, k):
         rhs = _psum(
@@ -195,47 +121,11 @@ def _g15():
         )
         return _cp(n, k), rhs
 
-    def symm8a(n, k):
-        rhs = _psum(
-            binom_poly(0, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m, k))
-            for m in range(n + 1)
-        )
-        return _chp(n, k), rhs
-
     def symm8b(n, k):
         rhs = _psum(
             falling_factorial_poly(m) * (comb(n, m) * _ch(n - m, k)) for m in range(n + 1)
         )
         return _chp(n, k), rhs
-
-    def reck1(n, k):
-        rhs = -(X + n) * _cp(n, k) + _psum(
-            binom_poly(n, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m + 1, k))
-            for m in range(n + 1)
-        ) * (-1) ** (n + 1)
-        return _cp(n + 1, k), rhs
-
-    def genk1(n, i, k):
-        rhs = _psum(
-            gen_bernoulli_poly(m - i, n + 1).affine_compose(-1, 1)
-            * F(comb(n, m) * comb(m, i), (n + 1 - m) ** k)
-            for m in range(i, n + 1)
-        ) * ((-1) ** i * factorial(i))
-        return _cp(n, k).derivative(i), rhs
-
-    def genk2(n, i, k):
-        rhs = _psum(
-            gen_bernoulli_poly(m - i, n + 1).affine_compose(1, 1)
-            * (F((-1) ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k))
-            for m in range(i, n + 1)
-        ) * factorial(i)
-        return _chp(n, k).derivative(i), rhs
-
-    def derk1(n, i, k):
-        return _cp(n, k).derivative(i), cauchy_derivative("first", n, k, i)
-
-    def derk2(n, i, k):
-        return _chp(n, k).derivative(i), cauchy_derivative("second", n, k, i)
 
     def _korec_points(grid):
         return (
@@ -331,21 +221,21 @@ def _g15():
         return _chp(n, k), rhs
 
     return [
-        IdentityCase("G15.diffk1", "G15", "difference equation at general order, first kind", lambda g: _n_k(g, 1), diffk1),
-        IdentityCase("G15.diffk2", "G15", "difference equation at general order, second kind", lambda g: _n_k(g, 1), diffk2),
-        IdentityCase("G15.whitk1", "G15", "general order values at r/m from Whitney numbers", _whit_points, whitk1),
-        IdentityCase("G15.whitk2", "G15", "general order second kind at -r/m from Whitney numbers", _whit_points, whitk2),
-        IdentityCase("G15.symm5", "G15", "general order first kind from second-kind numbers", _n_k, symm5),
-        IdentityCase("G15.symm6", "G15", "general order second kind from first-kind numbers", _n_k, symm6),
+        IdentityCase("G15.diffk1", "G15", "difference equation at general order, first kind", lambda g: _n_k(g, 1), _diffk1),
+        IdentityCase("G15.diffk2", "G15", "difference equation at general order, second kind", lambda g: _n_k(g, 1), _diffk2),
+        IdentityCase("G15.whitk1", "G15", "general order values at r/m from Whitney numbers", _whit_points, _whitk1),
+        IdentityCase("G15.whitk2", "G15", "general order second kind at -r/m from Whitney numbers", _whit_points, _whitk2),
+        IdentityCase("G15.symm5", "G15", "general order first kind from second-kind numbers", _n_k, _symm5),
+        IdentityCase("G15.symm6", "G15", "general order second kind from first-kind numbers", _n_k, _symm6),
         IdentityCase("G15.symm7a", "G15", "self-number expansion with negated binomials, first kind", _n_k, symm7a),
         IdentityCase("G15.symm7b", "G15", "self-number expansion with rising factorials, first kind", _n_k, symm7b),
-        IdentityCase("G15.symm8a", "G15", "self-number expansion with plain binomials, second kind", _n_k, symm8a),
+        IdentityCase("G15.symm8a", "G15", "self-number expansion with plain binomials, second kind", _n_k, _symm8a),
         IdentityCase("G15.symm8b", "G15", "self-number expansion with falling factorials, second kind", _n_k, symm8b),
-        IdentityCase("G15.reck1", "G15", "one-step recurrence at general order, first kind", lambda g: _n_k(g, 0, True), reck1),
-        IdentityCase("G15.genk1", "G15", "derivatives via higher-order Bernoulli at general order, first kind", _n_i_k, genk1),
-        IdentityCase("G15.genk2", "G15", "derivatives via higher-order Bernoulli at general order, second kind", _n_i_k, genk2),
-        IdentityCase("G15.derk1", "G15", "derivatives via own numbers at general order, first kind", _n_i_k, derk1),
-        IdentityCase("G15.derk2", "G15", "derivatives via own numbers at general order, second kind", _n_i_k, derk2),
+        IdentityCase("G15.reck1", "G15", "one-step recurrence at general order, first kind", lambda g: _n_k(g, 0, True), partial(_reck, "first")),
+        IdentityCase("G15.genk1", "G15", "derivatives via higher-order Bernoulli at general order, first kind", _n_i_k, _genk1),
+        IdentityCase("G15.genk2", "G15", "derivatives via higher-order Bernoulli at general order, second kind", _n_i_k, _genk2),
+        IdentityCase("G15.derk1", "G15", "derivatives via own numbers at general order, first kind", _n_i_k, partial(_derk, "first")),
+        IdentityCase("G15.derk2", "G15", "derivatives via own numbers at general order, second kind", _n_i_k, partial(_derk, "second")),
         IdentityCase("G15.korec1", "G15", "three-index shifted transform identity, first kind", _korec_points, korec1),
         IdentityCase("G15.korec2", "G15", "three-index shifted transform identity, second kind", _korec_points, korec2),
         IdentityCase("G15.korec1-s0", "G15", "shifted transform with column sums, first kind", _korec_s0_points, korec1_s0),
@@ -387,9 +277,6 @@ def _g17():
             for k in range(1, grid.max_k + 1)
             for y in grid.xs
         )
-
-    def _pts_nk(grid):
-        return _n_k(grid, 0, True)
 
     def kb1(n, k, y):
         rhs = _psum(
@@ -475,10 +362,10 @@ def _g17():
         IdentityCase("G17.kb2", "G17", "poly-Bernoulli from double transforms of second-kind values", _pts, kb2),
         IdentityCase("G17.kb3", "G17", "general order first kind from poly-Bernoulli values", _pts, kb3),
         IdentityCase("G17.kb4", "G17", "reflected second kind from poly-Bernoulli values", _pts, kb4),
-        IdentityCase("G17.kl1", "G17", "alternative poly-Bernoulli from first-kind polynomials", _pts_nk, kl1),
-        IdentityCase("G17.kl2", "G17", "alternative poly-Bernoulli from second-kind polynomials", _pts_nk, kl2),
-        IdentityCase("G17.kl3", "G17", "first kind back from the alternative poly-Bernoulli family", _pts_nk, kl3),
-        IdentityCase("G17.kl4", "G17", "second kind back from the alternative poly-Bernoulli family", _pts_nk, kl4),
+        IdentityCase("G17.kl1", "G17", "alternative poly-Bernoulli from first-kind polynomials", lambda g: _n_k(g, 0, True), kl1),
+        IdentityCase("G17.kl2", "G17", "alternative poly-Bernoulli from second-kind polynomials", lambda g: _n_k(g, 0, True), kl2),
+        IdentityCase("G17.kl3", "G17", "first kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), kl3),
+        IdentityCase("G17.kl4", "G17", "second kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), kl4),
     ]
 
 
@@ -641,21 +528,18 @@ def _g19():
 
         return check
 
-    def _ns1(grid):
-        return ({"n": n} for n in range(1, grid.max_n + 1))
-
     return [
         IdentityCase("G19.th10-first", "G19", "general order first kind from Bernoulli polynomials and constants", lambda g: _n_k(g, 1), th10_first),
         IdentityCase("G19.th10-second", "G19", "reflected general order second kind from Bernoulli data", lambda g: _n_k(g, 1), th10_second),
         IdentityCase("G19.alt-first", "G19", "alternative with (-x)^m seeded by the classical number", lambda g: _n_k(g, 1), alt_first),
         IdentityCase("G19.alt-second", "G19", "alternative with (1-x)^m seeded by the classical number", lambda g: _n_k(g, 1), alt_second),
-        IdentityCase("G19.k1-first", "G19", "order-one collapse of the alternative form, first kind", _ns1, k1_first),
+        IdentityCase("G19.k1-first", "G19", "order-one collapse of the alternative form, first kind", lambda g: _ns(g, 1), k1_first),
         IdentityCase(
             "G19.k1-second",
             "G19",
             "probe: order-one collapse of the second-kind alternative; the printed (-1)^m weight "
             "must not multiply the constant term",
-            _ns1,
+            lambda g: _ns(g, 1),
             None,
             variants={
                 "as-printed ((-1)^m/m, (x-1)^m - 1)": _k1_second_variant(True),
@@ -1017,9 +901,6 @@ def _g21():
 
 
 def _g22():
-    def _n_y_pts(grid):
-        return ({"n": n, "y": y} for n in range(grid.max_n + 1) for y in grid.xs)
-
     def hp1(n, y):
         lhs = _psum(
             harmonic_poly(m).affine_compose(1, 1)
@@ -1082,16 +963,10 @@ def _g22():
         )
         return lhs, rhs
 
-    def _ns(grid):
-        return ({"n": n} for n in range(grid.max_n + 1))
-
-    def _ns1(grid):
-        return ({"n": n} for n in range(1, grid.max_n + 1))
-
     return [
-        IdentityCase("G22.hp1", "G22", "harmonic-polynomial convolution of the first kind gives a binomial", _n_y_pts, hp1),
-        IdentityCase("G22.hp2", "G22", "harmonic-polynomial convolution of the second kind gives a binomial", _n_y_pts, hp2),
-        IdentityCase("G22.hp3", "G22", "second kind from first-kind numbers and harmonic polynomials", _ns1, hp3),
+        IdentityCase("G22.hp1", "G22", "harmonic-polynomial convolution of the first kind gives a binomial", _n_y, hp1),
+        IdentityCase("G22.hp2", "G22", "harmonic-polynomial convolution of the second kind gives a binomial", _n_y, hp2),
+        IdentityCase("G22.hp3", "G22", "second kind from first-kind numbers and harmonic polynomials", lambda g: _ns(g, 1), hp3),
         IdentityCase(
             "G22.compare-hyp5",
             "G22",

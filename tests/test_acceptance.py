@@ -5,9 +5,12 @@ All comparisons are exact (zero tolerance); the only non-exact bounds
 are the stated runtime budgets.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 from polycauchy import (
@@ -32,6 +35,8 @@ from polycauchy.identities import run_all, verify
 from polycauchy.poly import transpose_nested
 
 from test_cauchy import FIRST, SECOND, poly_cauchy_golden_first, poly_cauchy_golden_second
+
+EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
 
 
 def _criterion(num, desc, fn):
@@ -108,8 +113,16 @@ def test_criterion_4_identity_suite_default_grids():
         assert probes, "probe cases must report"
         for r in probes:
             assert r.finding
+        # every case's id, point count and probe finding as recorded for the benchmark
+        expected = json.loads(EXPECTED_VERIFY.read_text())["cases"]
+        digests = {
+            r.case_id: hashlib.sha256(json.dumps(r.fingerprint(), sort_keys=True).encode()).hexdigest()
+            for r in result.reports
+        }
+        assert list(digests) == list(expected)
+        assert [cid for cid in expected if digests[cid] != expected[cid]] == []
 
-    _criterion(4, "identity suite on default grids: zero failures, <5min", check)
+    _criterion(4, "identity suite on default grids: zero failures, fingerprints as recorded, <5min", check)
 
 
 def test_criterion_5_oracle_equivalence():

@@ -173,4 +173,6 @@ def test_multiparam_poly_bernoulli_domain():
     with pytest.raises(ValueError):
         multiparam_poly_bernoulli(1, 1, 0, F(1), (F(1),), F(0))
     with pytest.raises(ValueError):
+        multiparam_poly_bernoulli(1, 1, F(3, 2), 1, (1,), 0)
+    with pytest.raises(ValueError):
         multiparam_poly_bernoulli(1, 0, 1, F(1), (), F(0))
