@@ -190,17 +190,18 @@ def cauchy_poly(kind: str, n: int, k: int = 1, construction: str = "gsn") -> Pol
 def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
     """Constant term of the poly-Cauchy polynomial.
 
-    Sums only the constant term of the ``gsn`` construction: gsn1(n, m)
-    contributes gsn1(n, m).constant() / (m+1)^k, signed (-1)^(n-m) for the
-    first kind.  The second kind carries an overall (-1)^n and skips the
-    x -> -x substitution, which leaves constant terms unchanged.
+    Komatsu's sum over the unsigned Stirling triangle: stirling1(n, m) /
+    (m+1)^k, signed (-1)^(n-m) for the first kind and (-1)^n for the
+    second.  It is the constant term of the ``gsn`` construction, since
+    gsn1(n, m) has constant term stirling1(n, m), but reads only the
+    triangle, so no gsn1 polynomial is built or memoised.
     """
     _check_kind(kind)
     _check_nk(n, k)
     total = Fraction(0)
     for m in range(n + 1):
         sign = (-1) ** (n - m) if kind == "first" else (-1) ** n
-        total += Fraction(sign * gsn1(n, m).constant(), (m + 1) ** k)
+        total += Fraction(sign * stirling1(n, m), (m + 1) ** k)
     return total
 
 

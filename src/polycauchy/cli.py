@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
@@ -109,38 +110,55 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write each line, newline-terminated, to stdout or to the file out_path.
+
+    A file is written through a temporary file in its own directory that
+    replaces out_path only once every line is written, so a run that fails
+    part-way leaves an existing out_path as it was and no partial file.
+    """
+    if not out_path:
+        for line in lines:
+            sys.stdout.write(line + "\n")
+        return
+    head, tail = os.path.split(os.path.abspath(out_path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_table(args) -> int:
     max_n = args.n if args.n is not None else args.max_n
     if max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {max_n}")
-    lines: list[str] = []
+    _write_lines(_table_lines(args, max_n), args.out)
+    return 0
+
+
+def _table_lines(args, max_n: int):
     if args.family in _TRIANGLES:
-        lines.append("n\tm\tvalue")
+        yield "n\tm\tvalue"
         for n, m, v in stirling.triangle_rows(args.family, max_n):
-            lines.append(f"{n}\t{m}\t{v}")
+            yield f"{n}\t{m}\t{v}"
     elif args.family == "cauchy-numbers":
-        lines.append("n\tvalue")
+        yield "n\tvalue"
         for n in range(max_n + 1):
-            lines.append(f"{n}\t{format_rational(cauchy.cauchy_number(args.kind, n, args.k))}")
+            yield f"{n}\t{format_rational(cauchy.cauchy_number(args.kind, n, args.k))}"
     elif args.family == "bernoulli":
-        lines.append("n\tvalue")
+        yield "n\tvalue"
         for n in range(max_n + 1):
-            lines.append(f"{n}\t{format_rational(bernoulli.bernoulli_number(n))}")
+            yield f"{n}\t{format_rational(bernoulli.bernoulli_number(n))}"
     else:  # hyperharmonic
-        lines.append("n\tcoefficients")
+        yield "n\tcoefficients"
         for n in range(max_n + 1):
             coeffs = ",".join(poly_to_strings(harmonic.hyperharmonic_poly(n)))
-            lines.append(f"{n}\t{coeffs}")
-    _write_lines(lines, args.out)
-    return 0
+            yield f"{n}\t{coeffs}"
 
 
 def _cmd_eval(args) -> int:

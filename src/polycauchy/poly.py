@@ -15,20 +15,33 @@ Conventions:
   in the *same* variable.  To scale a nested polynomial by an inner-ring
   value, wrap it first: ``outer * Poly([inner])``.
 
-When every coefficient is an int or a Fraction, Poly x Poly products,
-evaluation at an int or Fraction point and ``affine_compose`` with a
-rational shift run on integer numerators over one common denominator
-(the representation of FLINT's ``fmpq_poly``), and build one Fraction
-per output value.  Results equal those of the generic coefficient loops,
-which still serve nested coefficients and Poly arguments, in value,
-``str``, ``hash`` and export form; only ``repr`` may differ, showing an
-integral coefficient as ``2`` where it used to show ``Fraction(2, 1)``.
+Storage.  A Poly whose coefficients are all ints or Fractions is a
+*rational* Poly and is stored as FLINT's ``fmpq_poly`` is: one tuple of
+integer numerators over one denominator, in canonical form (trailing
+zeros trimmed, denominator > 0, gcd of the numerators and the
+denominator 1), so equal polynomials store equal pairs.  ``Poly(list)``
+splits its coefficients once; every operation on rational Polys works on
+the integers and builds no Fraction:
+
+* ``==`` (a tuple compare), ``+``, ``-``, negation, ``*`` and ``/`` by an
+  int or Fraction, Poly x Poly products, ``derivative``, ``stretch`` by
+  a rational factor, ``affine_compose`` with a rational shift;
+* evaluation at an int or Fraction point and ``integrate_01``, which
+  build one Fraction for the value.
+
+``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
+not kept.  Any other Poly (nested coefficients, or a rational Poly met by
+a Poly argument of ``__call__`` / ``affine_compose``) stores its
+coefficient tuple and runs the generic coefficient loops.  Both forms
+agree in value, ``str``, ``hash`` and export form; only ``repr`` may
+differ from the loops' results, showing an integral coefficient as ``2``
+where it used to show ``Fraction(2, 1)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable
 
 __all__ = [
@@ -49,7 +62,10 @@ _RATIONAL = frozenset([int, Fraction])
 def _over_common_denominator(coeffs):
     """(integer numerators, common denominator) of rational coefficients.
 
-    Returns None if some coefficient is neither an int nor a Fraction.
+    The pair is already canonical: each prime power in the lcm is the
+    full denominator power of some reduced coefficient, whose scaled
+    numerator that prime does not divide.  Returns None if some
+    coefficient is neither an int nor a Fraction.
     """
     types = set(map(type, coeffs))
     if types <= _INT:
@@ -60,23 +76,46 @@ def _over_common_denominator(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _from_common_denominator(nums, den) -> list:
-    """Coefficients n/den, as ints when den is 1."""
-    if den == 1:
-        return nums
-    return [Fraction(n, den) for n in nums]
+def _stored(vec: tuple, den) -> "Poly":
+    p = Poly.__new__(Poly)
+    p._vec = vec
+    p._den = den
+    return p
+
+
+def _make(nums, den: int) -> "Poly":
+    """The rational Poly sum(nums[i] x^i) / den (den > 0), made canonical."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    if end < len(nums):
+        nums = nums[:end]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return _stored(tuple(nums), den)
 
 
 class Poly:
-    """Immutable dense polynomial; index i holds the coefficient of x^i."""
+    """Immutable dense polynomial; index i holds the coefficient of x^i.
 
-    __slots__ = ("_coeffs",)
+    ``_vec`` holds the integer numerators over ``_den`` of a rational
+    Poly, or the coefficients themselves when ``_den`` is None.
+    """
+
+    __slots__ = ("_vec", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = tuple(cs)
+        split = _over_common_denominator(cs)
+        if split is None:
+            self._vec, self._den = tuple(cs), None
+        else:
+            self._vec, self._den = tuple(split[0]), split[1]
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -89,34 +128,42 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        den = self._den
+        if den is None or den == 1:
+            return self._vec
+        return tuple([Fraction(n, den) for n in self._vec])
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._vec) - 1
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._vec)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._vec)
 
     def __getitem__(self, i: int):
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
+        if not 0 <= i < len(self._vec):
+            return 0
+        den = self._den
+        if den is None or den == 1:
+            return self._vec[i]
+        return Fraction(self._vec[i], den)
 
     def constant(self):
         return self[0]
 
     def leading(self):
-        return self._coeffs[-1] if self._coeffs else 0
+        return self[len(self._vec) - 1]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            if len(self._coeffs) != len(other._coeffs):
+            if self._den is not None and other._den is not None:
+                return self._den == other._den and self._vec == other._vec
+            if len(self._vec) != len(other._vec):
                 return False
-            return all(a == b for a, b in zip(self._coeffs, other._coeffs))
+            return all(a == b for a, b in zip(self.coeffs, other.coeffs))
         # scalar: compare against the constant polynomial
         if self.degree > 0:
             return False
@@ -125,23 +172,31 @@ class Poly:
     def __hash__(self):
         if self.degree <= 0:
             return hash(self[0])
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._coeffs])
+        if self._den is not None:
+            return _stored(tuple([-n for n in self._vec]), self._den)
+        return Poly([-c for c in self.coeffs])
 
     def __add__(self, other) -> "Poly":
+        if self._den is not None:
+            if isinstance(other, Poly):
+                if other._den is not None:
+                    return _add_rational(self._vec, self._den, other._vec, other._den)
+            elif isinstance(other, (int, Fraction)):
+                return _add_rational(self._vec, self._den, (other.numerator,), other.denominator)
         if isinstance(other, Poly):
-            a, b = self._coeffs, other._coeffs
+            a, b = self.coeffs, other.coeffs
             if len(a) < len(b):
                 a, b = b, a
             out = list(a)
             for i, c in enumerate(b):
                 out[i] = out[i] + c
             return Poly(out)
-        if not self._coeffs:
+        if not self._vec:
             return Poly([other])
-        out = list(self._coeffs)
+        out = list(self.coeffs)
         out[0] = out[0] + other
         return Poly(out)
 
@@ -155,31 +210,33 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            a, b = self._coeffs, other._coeffs
+            a, b = self._vec, other._vec
             if not a or not b:
                 return Poly()
             out = [0] * (len(a) + len(b) - 1)
-            split_a = _over_common_denominator(a)
-            split_b = split_a and _over_common_denominator(b)
-            if split_b:
-                (na, da), (nb, db) = split_a, split_b
-                if len(na) > len(nb):
-                    na, nb = nb, na
-                m = len(nb)
-                for i, x in enumerate(na):
+            if self._den is not None and other._den is not None:
+                if len(a) > len(b):
+                    a, b = b, a
+                m = len(b)
+                for i, x in enumerate(a):
                     if x:
-                        out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], nb)]
-                return Poly(_from_common_denominator(out, da * db))
+                        out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], b)]
+                return _make(out, self._den * other._den)
+            a, b = self.coeffs, other.coeffs
             for i, ca in enumerate(a):
                 if not ca:
                     continue
                 for j, cb in enumerate(b):
                     out[i + j] = out[i + j] + ca * cb
             return Poly(out)
-        return Poly([c * other for c in self._coeffs])
+        if self._den is not None and isinstance(other, (int, Fraction)):
+            return _scale_rational(self._vec, self._den, other)
+        return Poly([c * other for c in self.coeffs])
 
     def __rmul__(self, other) -> "Poly":
-        return Poly([other * c for c in self._coeffs])
+        if self._den is not None and isinstance(other, (int, Fraction)):
+            return _scale_rational(self._vec, self._den, other)
+        return Poly([other * c for c in self.coeffs])
 
     def __truediv__(self, scalar) -> "Poly":
         """Exact division by a rational scalar."""
@@ -200,17 +257,15 @@ class Poly:
 
     def __call__(self, value):
         """Horner evaluation; `value` may be a scalar or another Poly."""
-        if isinstance(value, (int, Fraction)) and self._coeffs:
-            split = _over_common_denominator(self._coeffs)
-            if split is not None:
-                return _eval_rational(*split, value.numerator, value.denominator)
+        if self._den is not None and isinstance(value, (int, Fraction)) and self._vec:
+            return _eval_rational(self._vec, self._den, value.numerator, value.denominator)
         acc = 0
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
 
     def map_coeffs(self, fn) -> "Poly":
-        return Poly([fn(c) for c in self._coeffs])
+        return Poly([fn(c) for c in self.coeffs])
 
     def derivative(self, order: int = 1) -> "Poly":
         """Formal derivative of the given order (order >= 0)."""
@@ -218,13 +273,21 @@ class Poly:
             raise ValueError("derivative order must be >= 0")
         p = self
         for _ in range(order):
-            p = Poly([i * c for i, c in enumerate(p._coeffs)][1:])
+            if p._den is not None:
+                p = _make([i * n for i, n in enumerate(p._vec)][1:], p._den)
+            else:
+                p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
         return p
 
     def integrate_01(self):
         """Exact integral over [0, 1]: sum of coeff_i / (i + 1)."""
+        if self._den is not None:
+            nums = self._vec
+            den = lcm(*range(1, len(nums) + 1))
+            total = sum([n * (den // (i + 1)) for i, n in enumerate(nums)])
+            return Fraction(total, self._den * den)
         total = Fraction(0)
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coeffs):
             total = total + c * Fraction(1, i + 1)
         return total
 
@@ -232,27 +295,37 @@ class Poly:
         """Substitute x -> sign*x + shift with sign in {+1, -1}."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if isinstance(shift, (int, Fraction)):
-            split = _over_common_denominator(self._coeffs)
-            if split is not None:
-                return Poly(_affine_compose_rational(*split, sign, shift))
+        if self._den is not None and isinstance(shift, (int, Fraction)):
+            return _affine_compose_rational(self._vec, self._den, sign, shift)
         result = self(Poly([shift, sign]))
         return result if isinstance(result, Poly) else Poly([result])
 
     def stretch(self, factor) -> "Poly":
         """Substitute x -> factor*x (coefficient i picks up factor^i)."""
+        if self._den is not None and isinstance(factor, (int, Fraction)) and self._vec:
+            # coefficient i is nums[i] p^i q^(n-i) / (den q^n), factor = p/q
+            p, q = factor.numerator, factor.denominator
+            out = list(self._vec)
+            n = len(out) - 1
+            up = down = 1
+            for i in range(n + 1):
+                out[i] *= up
+                out[n - i] *= down
+                up *= p
+                down *= q
+            return _make(out, self._den * down // q)
         out = []
         scale = Fraction(1)
-        for c in self._coeffs:
+        for c in self.coeffs:
             out.append(c * scale)
             scale *= factor
         return Poly(out)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._vec:
             return "0"
         parts = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coeffs):
             if not c:
                 continue
             if isinstance(c, Poly):
@@ -273,7 +346,29 @@ class Poly:
         return out
 
     def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
+        return f"Poly({list(self.coeffs)!r})"
+
+
+def _add_rational(a, da, b, db) -> Poly:
+    """sum(a[i] x^i) / da + sum(b[i] x^i) / db, over lcm(da, db)."""
+    if da != db:
+        den = lcm(da, db)
+        if den != da:
+            a = [n * (den // da) for n in a]
+        if den != db:
+            b = [n * (den // db) for n in b]
+        da = den
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    out[:len(b)] = [x + y for x, y in zip(a, b)]
+    return _make(out, da)
+
+
+def _scale_rational(nums, den, c) -> Poly:
+    """sum(nums[i] x^i) / den times the int or Fraction c."""
+    p = c.numerator
+    return _make([n * p for n in nums], den * c.denominator)
 
 
 def _eval_rational(nums, den, p, q):
@@ -295,13 +390,15 @@ def _eval_rational(nums, den, p, q):
     return Fraction(acc, den * q_power)
 
 
-def _affine_compose_rational(nums, den, sign, shift) -> list:
-    """Coefficients of sum(nums[i] (sign*x + shift)^i) / den, shift rational.
+def _affine_compose_rational(nums, den, sign, shift) -> Poly:
+    """sum(nums[i] (sign*x + shift)^i) / den, for a rational shift.
 
     With shift = p/q and n the degree: b_i = nums[i] q^(n-i) is shifted by
     the integer p (repeated synthetic division), then coefficient j is
-    b'_j sign^j / (den q^(n-j)).
+    b'_j sign^j q^j / (den q^n).
     """
+    if not nums:
+        return _stored((), 1)
     p, q = shift.numerator, shift.denominator
     n = len(nums) - 1
     b = list(nums)
@@ -310,18 +407,20 @@ def _affine_compose_rational(nums, den, sign, shift) -> list:
         for i in range(n, -1, -1):
             b[i] *= scale
             scale *= q
+        den *= scale // q
     if p:
         for i in range(n):
             acc = b[n]
             for j in range(n - 1, i - 1, -1):
                 acc = b[j] = b[j] + p * acc
+    if q != 1:
+        scale = 1
+        for j in range(n + 1):
+            b[j] *= scale
+            scale *= q
     if sign < 0:
         b[1::2] = [-c for c in b[1::2]]
-    out = [0] * (n + 1)
-    for j in range(n, -1, -1):
-        out[j] = b[j] if den == 1 else Fraction(b[j], den)
-        den *= q
-    return out
+    return _make(b, den)
 
 
 def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:

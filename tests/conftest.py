@@ -6,4 +6,6 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a deeper property run for CI: pytest --hypothesis-profile=ci
+settings.register_profile("ci", parent=settings.get_profile("polycauchy"), max_examples=500)
 settings.load_profile("polycauchy")

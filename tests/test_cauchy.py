@@ -17,6 +17,7 @@ from polycauchy import (
     multiparam_cauchy,
     shifted_cauchy_number,
 )
+from polycauchy.stirling import gsn1
 
 FIRST = {
     0: Poly([1]),
@@ -113,6 +114,19 @@ def test_number_is_constant_term_of_every_construction():
                     if k != 1 and construction in ("series", "theorem1"):
                         continue
                     assert cauchy_poly(kind, n, k, construction).constant() == want
+
+
+def test_number_builds_no_gsn1_polynomial():
+    # cauchy_number reads the Stirling triangle; it must not fill the
+    # unbounded gsn1 memo with whole polynomials
+    gsn1.cache_clear()
+    got = {(kind, n): cauchy_number.__wrapped__(kind, n, 5)
+           for kind in ("first", "second") for n in range(40)}
+    assert gsn1.cache_info().currsize == 0
+    # the constant term of the gsn construction, term by term
+    for (kind, n), value in got.items():
+        signs = [(-1) ** (n - m) if kind == "first" else (-1) ** n for m in range(n + 1)]
+        assert value == sum(F(s * gsn1(n, m).constant(), (m + 1) ** 5) for m, s in enumerate(signs))
 
 
 def test_series_matches_gsn_at_high_degree():

@@ -204,6 +204,34 @@ def test_table_negative_max_n_is_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_table_failing_part_way_leaves_out_file_alone(tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "numbers.tsv"
+    out_path.write_text("old contents\n")
+
+    def failing_number(kind, n, k=1):
+        if n == 3:
+            raise ValueError("injected failure at n = 3")
+        return pc.cauchy_number(kind, n, k)
+
+    monkeypatch.setattr(pc.cauchy, "cauchy_number", failing_number)
+    code, out, err = run(capsys, "table", "cauchy-numbers", "--max-n", "6", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "injected failure" in err
+    assert out_path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["numbers.tsv"]
+
+
+def test_table_out_file_matches_stdout(tmp_path, capsys):
+    for family in ("stirling1", "central", "cauchy-numbers"):
+        out_path = tmp_path / f"{family}.tsv"
+        code, out, _ = run(capsys, "table", family, "--max-n", "12")
+        assert code == 0
+        assert run(capsys, "table", family, "--max-n", "12", "--out", str(out_path))[:2] == (0, "")
+        assert out_path.read_text() == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cauchy-numbers.tsv", "central.tsv", "stirling1.tsv"]
+
+
 def test_eval_zero_denominator_is_usage_error(capsys):
     code, out, err = run(capsys, "eval", "cauchy", "--n", "3", "--x", "1/0")
     assert (code, out) == (2, "")

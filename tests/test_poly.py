@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,8 @@ points = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, m
 shifts = st.one_of(st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]), st.integers(-9, 9),
                    st.fractions(min_value=-6, max_value=6, max_denominator=12))
 signs = st.sampled_from([1, -1])
+scalars = st.one_of(st.integers(-10**6, 10**6), wide_fraction)
+nonzero_scalars = scalars.filter(bool)
 nested_wide = st.lists(st.lists(st.one_of(st.integers(-9, 9), wide_fraction), max_size=4).map(Poly),
                        max_size=6).map(Poly)
 
@@ -62,6 +65,55 @@ def ref_eval(p, value):
 def ref_affine_compose(p, sign, shift):
     result = ref_eval(p, Poly([shift, sign]))
     return result if isinstance(result, Poly) else Poly([result])
+
+
+def ref_add(p, q):
+    a, b = list(p.coeffs), list(q.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    for i, c in enumerate(b):
+        a[i] = a[i] + c
+    return Poly(a)
+
+
+def ref_neg(p):
+    return Poly([-c for c in p.coeffs])
+
+
+def ref_scale(p, c):
+    return Poly([a * c for a in p.coeffs])
+
+
+def ref_div(p, c):
+    return Poly([F(a) / c for a in p.coeffs])
+
+
+def ref_derivative(p):
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def ref_stretch(p, factor):
+    return Poly([c * F(factor) ** i for i, c in enumerate(p.coeffs)])
+
+
+def ref_integrate_01(p):
+    return sum((F(c, i + 1) for i, c in enumerate(p.coeffs)), F(0))
+
+
+def ref_eq(p, q):
+    a, b = p.coeffs, q.coeffs
+    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
+
+
+def assert_canonical(p):
+    """A rational Poly stores trimmed integer numerators over a positive,
+    coprime denominator, and reads back as ints or Fractions."""
+    nums, den = p._vec, p._den
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert not nums or nums[-1]
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    assert all(type(c) in (int, F) for c in p.coeffs)
+    assert Poly(p.coeffs)._vec == nums and Poly(p.coeffs)._den == den
 
 
 def assert_same(got, want):
@@ -241,3 +293,82 @@ def test_kernel_reference_examples():
     assert_same(Poly()(F(1, 2)), 0)
     # an integral coefficient comes back as an int, equal to the Fraction it replaced
     assert repr(Poly([F(2)]) * Poly([F(3)])) == "Poly([6])"
+
+
+@given(wide_polys, wide_polys)
+def test_add_sub_neg_match_reference(p, q):
+    for got, want in ((p + q, ref_add(p, q)), (p - q, ref_add(p, ref_neg(q))),
+                      (-p, ref_neg(p)), (q - q, Poly())):
+        assert_canonical(got)
+        assert_same(got, want)
+
+
+@given(wide_polys, scalars)
+def test_scalar_add_sub_match_reference(p, c):
+    want = ref_add(p, Poly([c]))
+    for got in (p + c, c + p):
+        assert_canonical(got)
+        assert_same(got, want)
+    assert_same(p - c, ref_add(p, Poly([-c])))
+    assert_same(c - p, ref_add(ref_neg(p), Poly([c])))
+
+
+@given(wide_polys, scalars, nonzero_scalars)
+def test_scalar_mul_div_match_reference(p, c, d):
+    for got, want in ((p * c, ref_scale(p, c)), (c * p, ref_scale(p, c)), (p / d, ref_div(p, d))):
+        assert_canonical(got)
+        assert_same(got, want)
+
+
+@given(wide_polys, st.integers(0, 4), scalars)
+def test_derivative_stretch_integrate_match_reference(p, order, factor):
+    want = p
+    for _ in range(order):
+        want = ref_derivative(want)
+    for got, ref in ((p.derivative(order), want), (p.stretch(factor), ref_stretch(p, factor))):
+        assert_canonical(got)
+        assert_same(got, ref)
+    assert_same(p.integrate_01(), ref_integrate_01(p))
+    assert type(p.integrate_01()) is F
+
+
+@given(wide_polys, wide_polys)
+def test_equality_matches_reference(p, q):
+    assert (p == q) == ref_eq(p, q)
+    assert (p != q) == (not ref_eq(p, q))
+    twin = Poly(list(p.coeffs))
+    assert_same(twin, p)
+    half = p / 2  # same numerators as p, twice the denominator
+    assert (half == p) == ref_eq(half, p) == (not p)
+
+
+@given(wide_polys, signs, shifts, wide_polys)
+def test_kernel_results_are_canonical(p, sign, shift, q):
+    for got in (p * q, p.affine_compose(sign, shift), p ** 2):
+        assert_canonical(got)
+
+
+@given(wide_polys)
+def test_rational_and_nested_constant_twins_agree(p):
+    nested_twin = Poly([Poly([c]) for c in p.coeffs])
+    assert p == nested_twin and nested_twin == p
+    assert hash(p) == hash(nested_twin)
+    assert hash(p) == (hash(p[0]) if p.degree <= 0 else hash(tuple(p.coeffs)))
+
+
+def test_storage_examples():
+    assert Poly([Poly([1]), Poly([2])]) == Poly([1, 2])
+    assert Poly([1, 1]) != Poly([F(1, 2), F(1, 2)]) and Poly([1]) != Poly([F(1, 3)])
+    assert hash(Poly([Poly([1]), Poly([2])])) == hash(Poly([1, 2])) == hash((1, 2))
+    assert hash(Poly([Poly([F(1, 2)])])) == hash(Poly([F(1, 2)])) == hash(F(1, 2))
+    assert Poly([F(2, 4), F(3, 2)])._den == 2 and Poly([F(2, 4), F(3, 2)])._vec == (1, 3)
+    assert Poly([F(1, 6), F(1, 3)]) * 3 == Poly([F(1, 2), 1])
+    assert (Poly([F(1, 6), F(1, 3)]) * 3)._den == 2
+    assert (Poly([F(1, 2), 1]) + Poly([F(1, 2), -1]))._vec == (1,)
+    assert (Poly([F(1, 2), 1]) + Poly([F(1, 2), -1]))._den == 1
+    assert Poly([F(1, 3), F(2, 3)]).coeffs == (F(1, 3), F(2, 3))
+    assert Poly([F(4, 2), 6]).coeffs == (2, 6)
+    assert Poly([F(3, 2), 0, F(1, 2)]).derivative() == Poly([0, 1])
+    assert Poly([0, 1, 1]).stretch(F(-2, 3)) == Poly([0, F(-2, 3), F(4, 9)])
+    with pytest.raises(ZeroDivisionError):
+        Poly([1, 2]) / 0
