@@ -133,10 +133,14 @@ def _write_lines(lines, out_path):
         raise
 
 
-def _cmd_table(args) -> int:
-    max_n = args.n if args.n is not None else args.max_n
+def _checked_max_n(max_n: int) -> int:
     if max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {max_n}")
+    return max_n
+
+
+def _cmd_table(args) -> int:
+    max_n = _checked_max_n(args.n if args.n is not None else args.max_n)
     _write_lines(_table_lines(args, max_n), args.out)
     return 0
 
@@ -234,8 +238,7 @@ def _cmd_verify(args) -> int:
             for f in report.failures[:10]:
                 print(f"  at {f['params']}: {f['lhs']} != {f['rhs']}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+            _write_lines([payload], args.out)
         return 0 if report.ok else 1
 
     result = run_all(grid)
@@ -262,12 +265,12 @@ def _cmd_verify(args) -> int:
             f"{result.failures} failures"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
+        _write_lines([result.to_json()], args.out)
     return 0 if result.ok else 1
 
 
 def _cmd_export(args) -> int:
+    max_n = _checked_max_n(args.max_n)
     if args.family == "cauchy-poly":
         params = {"kind": args.kind, "n": args.n, "k": args.k}
         values = cauchy.cauchy_poly(args.kind, args.n, args.k).coeffs
@@ -275,11 +278,11 @@ def _cmd_export(args) -> int:
         params = {"n": args.n}
         values = harmonic.hyperharmonic_poly(args.n).coeffs
     elif args.family == "cauchy-numbers":
-        params = {"kind": args.kind, "k": args.k, "max_n": args.max_n}
-        values = [cauchy.cauchy_number(args.kind, n, args.k) for n in range(args.max_n + 1)]
+        params = {"kind": args.kind, "k": args.k, "max_n": max_n}
+        values = [cauchy.cauchy_number(args.kind, n, args.k) for n in range(max_n + 1)]
     else:
-        params = {"max_n": args.max_n}
-        values = [bernoulli.bernoulli_number(n) for n in range(args.max_n + 1)]
+        params = {"max_n": max_n}
+        values = [bernoulli.bernoulli_number(n) for n in range(max_n + 1)]
     strings = [format_rational(v) for v in values]
     if args.family in ("cauchy-poly", "hyperharmonic"):
         key, header = "coefficients", "i\tcoefficient"

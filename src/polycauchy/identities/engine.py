@@ -58,12 +58,17 @@ class Grid:
     ys_multi: tuple = (Fraction(0), Fraction(1, 2), Fraction(-3, 2))
 
     def __post_init__(self):
-        # every int field is a bound; a negative one empties the grid, and
-        # every case would pass vacuously
+        # every int field is a bound and every tuple a list of points; a bound
+        # below its first index or an empty list empties the grid of every
+        # case that reads it, and those cases would pass vacuously
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, int) and value < 0:
-                raise ValueError(f"grid bound {f.name} must be >= 0, got {value}")
+            if isinstance(value, int):
+                low = 1 if f.name in ("max_k", "max_a") else 0
+                if value < low:
+                    raise ValueError(f"grid bound {f.name} must be >= {low}, got {value}")
+            elif not value:
+                raise ValueError(f"grid list {f.name} must not be empty")
 
     def with_overrides(self, **kwargs) -> "Grid":
         return replace(self, **kwargs)

@@ -5,9 +5,12 @@ hyperharmonic connection, and the Bernoulli bridges.
 Where a classical identity is the k = 1 case of a general-order one, the
 formula is written once, as a module-level general-order check below;
 the G14/G15 case registers it as it is and the classical case with k
-fixed to 1.  Their leading underscore keeps them private, so the benchmark
-tracer (``bench/tracer.py``), which wraps every public package function,
-leaves them alone."""
+fixed to 1.  Where a result is stated once for each kind, the check is
+written once with ``kind`` as its first argument and registered for each
+kind with ``functools.partial``; ``_E`` holds the sign that tells the two
+kinds apart.  The leading underscore of the shared checks and helpers keeps
+them private, so the benchmark tracer (``bench/tracer.py``), which wraps
+every public package function, leaves them alone."""
 
 from __future__ import annotations
 
@@ -56,6 +59,21 @@ def _chp(n, k=1):
     return cauchy_poly("second", n, k)
 
 
+# The checks written once for both kinds take ``kind`` first and read
+# e = _E[kind]: a sign only the first kind carries is (-e) ** j, one only
+# the second kind carries is e ** j, a point +-y is e * y and a shift
+# +-n is e * n.
+_E = {"first": 1, "second": -1}
+_OTHER = {"first": "second", "second": "first"}
+
+
+def _reflected(kind, n, k=1, construction="gsn"):
+    """c_n^(k)(x) for the first kind, the second kind at -x."""
+    if kind == "first":
+        return cauchy_poly(kind, n, k, construction)
+    return cauchy_poly(kind, n, k, construction).affine_compose(-1, 0)
+
+
 def _ns(grid, start=0, stop=None):
     top = grid.max_n if stop is None else stop
     return ({"n": n} for n in range(start, top + 1))
@@ -89,25 +107,15 @@ def _even_points(grid):
 # general-order checks shared with the classical cases
 
 
-def _pro41(n, k):
-    rhs = _psum(gsn1(n, m) * F((-1) ** (n - m), (m + 1) ** k) for m in range(n + 1))
-    return cauchy_poly("first", n, k, "integral"), rhs
+def _pro4(kind, n, k):
+    e = _E[kind]
+    rhs = _psum(gsn1(n, m) * F((-1) ** n * (-e) ** m, (m + 1) ** k) for m in range(n + 1))
+    return _reflected(kind, n, k, "integral"), rhs
 
 
-def _pro42(n, k):
-    lhs = cauchy_poly("second", n, k, "integral").affine_compose(-1, 0)
-    rhs = _psum(gsn1(n, m) * F(1, (m + 1) ** k) for m in range(n + 1)) * (-1) ** n
-    return lhs, rhs
-
-
-def _inv_a(n, k):
-    lhs = _psum(gsn2(n, m) * _cp(m, k) for m in range(n + 1))
-    return lhs, Poly([F(1, (n + 1) ** k)])
-
-
-def _inv_b(n, k):
-    lhs = _psum(gsn2(n, m) * _chp(m, k).affine_compose(-1, 0) for m in range(n + 1))
-    return lhs, Poly([F((-1) ** n, (n + 1) ** k)])
+def _inv(kind, n, k):
+    lhs = _psum(gsn2(n, m) * _reflected(kind, m, k) for m in range(n + 1))
+    return lhs, Poly([F(_E[kind] ** n, (n + 1) ** k)])
 
 
 def _cor2(kind, n, k):
@@ -157,44 +165,53 @@ def _diffk2(n, k):
     return lhs, _chp(n - 1, k) * n
 
 
-def _whitk1(n, k, m, r):
-    lhs = F(_cp(n, k)(F(r, m)))
+def _whitk(kind, n, k, m, r):
+    e = _E[kind]
+    lhs = F(cauchy_poly(kind, n, k)(F(e * r, m)))
     rhs = _fsum(
-        F((-1) ** (n - l), (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
+        F((-1) ** n * (-e) ** l, (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
         for l in range(n + 1)
     )
     return lhs, rhs
 
 
-def _whitk2(n, k, m, r):
-    lhs = F(_chp(n, k)(F(-r, m)))
-    rhs = F((-1) ** n) * _fsum(
-        F(1, (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
-        for l in range(n + 1)
-    )
-    return lhs, rhs
-
-
-def _genk1(n, i, k):
+def _genk(kind, n, i, k):
+    e = _E[kind]
     rhs = _psum(
-        gen_bernoulli_poly(m - i, n + 1).affine_compose(-1, 1)
-        * F(comb(n, m) * comb(m, i), (n + 1 - m) ** k)
+        gen_bernoulli_poly(m - i, n + 1).affine_compose(-e, 1)
+        * F(e ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k)
         for m in range(i, n + 1)
-    ) * ((-1) ** i * factorial(i))
-    return _cp(n, k).derivative(i), rhs
-
-
-def _genk2(n, i, k):
-    rhs = _psum(
-        gen_bernoulli_poly(m - i, n + 1).affine_compose(1, 1)
-        * (F((-1) ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k))
-        for m in range(i, n + 1)
-    ) * factorial(i)
-    return _chp(n, k).derivative(i), rhs
+    ) * ((-e) ** i * factorial(i))
+    return cauchy_poly(kind, n, k).derivative(i), rhs
 
 
 def _derk(kind, n, i, k):
     return cauchy_poly(kind, n, k).derivative(i), cauchy_derivative(kind, n, k, i)
+
+
+def _odd_central(kind, n, odd_poly):
+    """The central-factorial sum for the kind's index-(2n+1) polynomial,
+    odd_poly(m) being an Euler-type polynomial of degree 2m+1."""
+    e = _E[kind]
+    return _psum(
+        odd_poly(m).affine_compose(1, e * n) * F(central_u(n, m), 2 * m + 1)
+        for m in range(1, n + 1)
+    ) * (-e * (2 * n + 1))
+
+
+def _s2_values(kind, m, k, y):
+    """Sum over l of gsn2(m, l)(y) times the kind's index-l value at y, or
+    at -y for the second kind."""
+    point = _E[kind] * y
+    return _fsum(gsn2(m, l)(y) * cauchy_poly(kind, l, k)(point) for l in range(m + 1))
+
+
+def _s2_double(kind, n, k, y):
+    e = _E[kind]
+    return _psum(
+        gsn2(n, m) * (F((-e) ** m * factorial(m)) * _s2_values(kind, m, k, y))
+        for m in range(n + 1)
+    )
 
 
 def _g01():
@@ -217,13 +234,13 @@ def _g01():
         return _ch(n), rhs
 
     return [
-        IdentityCase("G01.th11", "G01", "first kind as signed 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro41, k=1)),
-        IdentityCase("G01.th12", "G01", "second kind at -x as 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro42, k=1)),
+        IdentityCase("G01.th11", "G01", "first kind as signed 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro4, "first", k=1)),
+        IdentityCase("G01.th12", "G01", "second kind at -x as 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro4, "second", k=1)),
         IdentityCase("G01.rem31", "G01", "second kind via x -> -x composed Stirling polynomials", _ns, rem31),
         IdentityCase("G01.shift-1mx", "G01", "second kind via the 1-x shifted Stirling polynomials", _ns, one_minus),
         IdentityCase("G01.kargin", "G01", "second-kind numbers from the (n+1, m+1) Stirling column", _ns, kargin),
-        IdentityCase("G01.rem4a", "G01", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", _ns, partial(_inv_a, k=1)),
-        IdentityCase("G01.rem4b", "G01", "second-kind Stirling transform of reflected second-kind polynomials", _ns, partial(_inv_b, k=1)),
+        IdentityCase("G01.rem4a", "G01", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", _ns, partial(_inv, "first", k=1)),
+        IdentityCase("G01.rem4b", "G01", "second-kind Stirling transform of reflected second-kind polynomials", _ns, partial(_inv, "second", k=1)),
     ]
 
 
@@ -244,11 +261,8 @@ def _g02():
 
 
 def _g03():
-    def exp1(n):
-        return cauchy_poly("first", n, 1, "theorem1"), _cp(n)
-
-    def exp2(n):
-        return cauchy_poly("second", n, 1, "theorem1"), _chp(n)
+    def exp(kind, n):
+        return cauchy_poly(kind, n, 1, "theorem1"), cauchy_poly(kind, n, 1)
 
     def exp3(n):
         rhs = (1 if n == 1 else 0) + F((-1) ** (n + 1) * n) * _fsum(
@@ -273,8 +287,8 @@ def _g03():
         return _fsum(F((-1) ** m * stirling1(n, m)) for m in range(1, n + 1)), F(0)
 
     return [
-        IdentityCase("G03.exp1", "G03", "explicit Stirling expansion of the first kind", lambda g: _ns(g, 1), exp1),
-        IdentityCase("G03.exp2", "G03", "explicit Stirling expansion of the second kind", lambda g: _ns(g, 1), exp2),
+        IdentityCase("G03.exp1", "G03", "explicit Stirling expansion of the first kind", lambda g: _ns(g, 1), partial(exp, "first")),
+        IdentityCase("G03.exp2", "G03", "explicit Stirling expansion of the second kind", lambda g: _ns(g, 1), partial(exp, "second")),
         IdentityCase("G03.exp3", "G03", "first-kind numbers from Bernoulli numbers", lambda g: _ns(g, 1), exp3),
         IdentityCase("G03.exp4", "G03", "nonconstant coefficients are (n/i) times a Stirling entry", lambda g: _ns(g, 1), exp4),
         IdentityCase(
@@ -334,17 +348,12 @@ def _g05():
         )
         return _ch(n), rhs
 
-    def x1_b(n):
+    def x1_bc(kind, n):
         rhs = F((-1) ** n * factorial(n)) * _fsum(
-            comb(n - 1, m - 1) * _ch(m) / factorial(m) for m in range(1, n + 1)
+            comb(n - 1, m - 1) * cauchy_number(_OTHER[kind], m, 1) / factorial(m)
+            for m in range(1, n + 1)
         )
-        return _c(n), rhs
-
-    def x1_c(n):
-        rhs = F((-1) ** n * factorial(n)) * _fsum(
-            comb(n - 1, m - 1) * _c(m) / factorial(m) for m in range(1, n + 1)
-        )
-        return _ch(n), rhs
+        return cauchy_number(kind, n, 1), rhs
 
     def x1_d(n):
         rhs = F((-1) ** n * factorial(n)) * _fsum(
@@ -374,13 +383,11 @@ def _g05():
         t3 = F((-1) ** n * factorial(n)) * _fsum(comb(n, m) * _c(m) / factorial(m) for m in range(n + 1))
         return (t1, t2, t3), (want, want, want)
 
-    def seq1(n):
-        rhs = _psum(a_number(n, m) * _ch(m) for m in range(n + 1)) * (-1) ** n
-        return _cp(n), rhs
-
-    def seq2(n):
-        rhs = _psum(a_number(n, m) * _c(m) for m in range(n + 1)) * (-1) ** n
-        return _chp(n).affine_compose(-1, 0), rhs
+    def seq(kind, n):
+        rhs = _psum(
+            a_number(n, m) * cauchy_number(_OTHER[kind], m, 1) for m in range(n + 1)
+        ) * (-1) ** n
+        return _reflected(kind, n), rhs
 
     return [
         IdentityCase("G05.chen1", "G05", "first kind from second-kind numbers and rising binomials", _ns, partial(_symm5, k=1)),
@@ -388,15 +395,15 @@ def _g05():
         IdentityCase("G05.symm1", "G05", "first kind from its own numbers and shifted binomials", _ns, symm1),
         IdentityCase("G05.symm2", "G05", "second kind from its own numbers and plain binomials", _ns, partial(_symm8a, k=1)),
         IdentityCase("G05.x1-a", "G05", "binomial self-convolution of second-kind numbers", _ns, x1_a),
-        IdentityCase("G05.x1-b", "G05", "first-kind numbers from shifted second-kind convolution", lambda g: _ns(g, 1), x1_b),
-        IdentityCase("G05.x1-c", "G05", "second-kind numbers from shifted first-kind convolution", lambda g: _ns(g, 1), x1_c),
+        IdentityCase("G05.x1-b", "G05", "first-kind numbers from shifted second-kind convolution", lambda g: _ns(g, 1), partial(x1_bc, "first")),
+        IdentityCase("G05.x1-c", "G05", "second-kind numbers from shifted first-kind convolution", lambda g: _ns(g, 1), partial(x1_bc, "second")),
         IdentityCase("G05.x1-d", "G05", "first-kind numbers from doubly-shifted self convolution", lambda g: _ns(g, 2), x1_d),
         IdentityCase("G05.alt-conv", "G05", "alternating convolution links the two kinds", _ns, alt_conv),
         IdentityCase("G05.shift-two", "G05", "two-term relation between the kinds", lambda g: _ns(g, 1), shift_two),
         IdentityCase("G05.conv-int", "G05", "binomial convolution of both kinds equals (1-n) c_n", _ns, conv_int),
         IdentityCase("G05.c2-triple", "G05", "three equivalent sums for the value at 2", _ns, c2_triple),
-        IdentityCase("G05.seq1", "G05", "first kind in the factorial-binomial basis", _ns, seq1),
-        IdentityCase("G05.seq2", "G05", "reflected second kind in the factorial-binomial basis", _ns, seq2),
+        IdentityCase("G05.seq1", "G05", "first kind in the factorial-binomial basis", _ns, partial(seq, "first")),
+        IdentityCase("G05.seq2", "G05", "reflected second kind in the factorial-binomial basis", _ns, partial(seq, "second")),
     ]
 
 
@@ -464,25 +471,15 @@ def _g07():
         ) * n
         return _chp(2 * n), rhs
 
-    def odd_first(n):
-        rhs = _psum(
-            euler_poly(2 * m + 1).affine_compose(1, n) * F(central_u(n, m), 2 * m + 1)
-            for m in range(1, n + 1)
-        ) * (-(2 * n + 1))
-        return _cp(2 * n + 1), rhs
-
-    def odd_second(n):
-        rhs = _psum(
-            euler_poly(2 * m + 1).affine_compose(1, -n) * F(central_u(n, m), 2 * m + 1)
-            for m in range(1, n + 1)
-        ) * (2 * n + 1)
-        return _chp(2 * n + 1), rhs
+    def odd(kind, n):
+        rhs = _odd_central(kind, n, lambda m: euler_poly(2 * m + 1))
+        return cauchy_poly(kind, 2 * n + 1, 1), rhs
 
     return [
         IdentityCase("G07.even-first", "G07", "even first kind via central factorials and Bernoulli numbers", _even_points, even_first),
         IdentityCase("G07.even-second", "G07", "even second kind via central factorials and Bernoulli numbers", _even_points, even_second),
-        IdentityCase("G07.odd-first", "G07", "odd first kind via central factorials and Euler polynomials", _even_points, odd_first),
-        IdentityCase("G07.odd-second", "G07", "odd second kind via central factorials and Euler polynomials", _even_points, odd_second),
+        IdentityCase("G07.odd-first", "G07", "odd first kind via central factorials and Euler polynomials", _even_points, partial(odd, "first")),
+        IdentityCase("G07.odd-second", "G07", "odd second kind via central factorials and Euler polynomials", _even_points, partial(odd, "second")),
     ]
 
 
@@ -500,44 +497,31 @@ def _g08():
             if abs(r) <= grid.max_r
         )
 
-    def whit1_rev(n, m, r):
+    def whit_rev(kind, n, m, r):
+        e = _E[kind]
         lhs = _fsum(
-            F(m) ** l * whitney("second", m, r, n, l) * _cp(l)(F(r, m))
+            F(m) ** l * whitney("second", m, r, n, l) * cauchy_poly(kind, l, 1)(F(e * r, m))
             for l in range(n + 1)
         )
-        return lhs, F(m**n, n + 1)
-
-    def whit2_rev(n, m, r):
-        lhs = _fsum(
-            F(m) ** l * whitney("second", m, r, n, l) * _chp(l)(F(-r, m))
-            for l in range(n + 1)
-        )
-        return lhs, F((-1) ** n * m**n, n + 1)
+        return lhs, F(e**n * m**n, n + 1)
 
     return [
-        IdentityCase("G08.whit1", "G08", "first kind at r/m from first-kind Whitney numbers", _points, partial(_whitk1, k=1)),
-        IdentityCase("G08.whit2", "G08", "second kind at -r/m from first-kind Whitney numbers", _points, partial(_whitk2, k=1)),
-        IdentityCase("G08.whit1-rev", "G08", "reversed Whitney transform of first-kind values", _points, whit1_rev),
-        IdentityCase("G08.whit2-rev", "G08", "reversed Whitney transform of second-kind values", _points, whit2_rev),
+        IdentityCase("G08.whit1", "G08", "first kind at r/m from first-kind Whitney numbers", _points, partial(_whitk, "first", k=1)),
+        IdentityCase("G08.whit2", "G08", "second kind at -r/m from first-kind Whitney numbers", _points, partial(_whitk, "second", k=1)),
+        IdentityCase("G08.whit1-rev", "G08", "reversed Whitney transform of first-kind values", _points, partial(whit_rev, "first")),
+        IdentityCase("G08.whit2-rev", "G08", "reversed Whitney transform of second-kind values", _points, partial(whit_rev, "second")),
     ]
 
 
 def _g09():
-    def th6b_first(n, i):
+    def th6b(kind, n, i):
+        e = _E[kind]
         rhs = _psum(
-            gen_bernoulli_poly(m - i, m + 1).affine_compose(-1, 1)
-            * (_c(n - m) * comb(n, m) * comb(m, i))
+            gen_bernoulli_poly(m - i, m + 1).affine_compose(-e, 1)
+            * (cauchy_number(kind, n - m, 1) * comb(n, m) * comb(m, i))
             for m in range(i, n + 1)
-        ) * ((-1) ** i * factorial(i))
-        return _cp(n).derivative(i), rhs
-
-    def th6b_second(n, i):
-        rhs = _psum(
-            gen_bernoulli_poly(m - i, m + 1).affine_compose(1, 1)
-            * (_ch(n - m) * comb(n, m) * comb(m, i))
-            for m in range(i, n + 1)
-        ) * factorial(i)
-        return _chp(n).derivative(i), rhs
+        ) * ((-e) ** i * factorial(i))
+        return cauchy_poly(kind, n, 1).derivative(i), rhs
 
     def der12(n, i):
         rhs = gsn1(n - 1, i - 1) * ((-1) ** n * n * factorial(i - 1))
@@ -604,12 +588,12 @@ def _g09():
         return lhs, F(n + 1)
 
     return [
-        IdentityCase("G09.th5-first", "G09", "derivatives via higher-order Bernoulli polynomials, first kind", _n_i, partial(_genk1, k=1)),
-        IdentityCase("G09.th5-second", "G09", "derivatives via higher-order Bernoulli polynomials, second kind", _n_i, partial(_genk2, k=1)),
+        IdentityCase("G09.th5-first", "G09", "derivatives via higher-order Bernoulli polynomials, first kind", _n_i, partial(_genk, "first", k=1)),
+        IdentityCase("G09.th5-second", "G09", "derivatives via higher-order Bernoulli polynomials, second kind", _n_i, partial(_genk, "second", k=1)),
         IdentityCase("G09.th6-first", "G09", "derivatives via own numbers and Stirling polynomials, first kind", _n_i, partial(_derk, "first", k=1)),
         IdentityCase("G09.th6-second", "G09", "derivatives via own numbers and Stirling polynomials, second kind", _n_i, partial(_derk, "second", k=1)),
-        IdentityCase("G09.th6b-first", "G09", "derivative rewrite through order-(m+1) Bernoulli polynomials", _n_i, th6b_first),
-        IdentityCase("G09.th6b-second", "G09", "second-kind derivative rewrite through Bernoulli polynomials", _n_i, th6b_second),
+        IdentityCase("G09.th6b-first", "G09", "derivative rewrite through order-(m+1) Bernoulli polynomials", _n_i, partial(th6b, "first")),
+        IdentityCase("G09.th6b-second", "G09", "second-kind derivative rewrite through Bernoulli polynomials", _n_i, partial(th6b, "second")),
         IdentityCase("G09.der12", "G09", "derivatives collapse to a single shifted Stirling polynomial", lambda g: _n_i(g, 1, 1), der12),
         IdentityCase("G09.der22", "G09", "second-kind derivatives collapse with the 1-x argument", lambda g: _n_i(g, 1, 1), der22),
         IdentityCase("G09.gder1", "G09", "Stirling-weighted number sums collapse, first kind", lambda g: _n_i(g, 1, 1), gder1),
@@ -697,17 +681,13 @@ def _g10():
         )
         return _c(n) / factorial(n), rhs
 
-    def hyp6(n):
+    def hyp67(kind, n):
         rhs = _psum(
-            _chp(m).affine_compose(1, n) * F((-1) ** m, factorial(m)) for m in range(n + 1)
+            cauchy_poly(_OTHER[kind], m, 1).affine_compose(1, _E[kind] * n)
+            * F((-1) ** m, factorial(m))
+            for m in range(n + 1)
         )
-        return _cp(n) / factorial(n), rhs
-
-    def hyp7(n):
-        rhs = _psum(
-            _cp(m).affine_compose(1, -n) * F((-1) ** m, factorial(m)) for m in range(n + 1)
-        )
-        return _chp(n) / factorial(n), rhs
+        return cauchy_poly(kind, n, 1) / factorial(n), rhs
 
     def eval_two(n):
         lhs = (F(_cp(n)(F(-n))), F(_chp(n)(F(n))))
@@ -746,8 +726,8 @@ def _g10():
         IdentityCase("G10.rec-negy", "G10", "two-factor denominator recurrence, first kind", lambda g: _ns(g, 1), rec_negy_first),
         IdentityCase("G10.hyp5", "G10", "two-factor denominator recurrence, second kind", lambda g: _ns(g, 1), hyp5),
         IdentityCase("G10.hyp5-x1", "G10", "number specialization of the two-factor recurrence", lambda g: _ns(g, 1), hyp5_x1),
-        IdentityCase("G10.hyp6", "G10", "first kind as alternating shifted second-kind sums", _ns, hyp6),
-        IdentityCase("G10.hyp7", "G10", "second kind as alternating shifted first-kind sums", _ns, hyp7),
+        IdentityCase("G10.hyp6", "G10", "first kind as alternating shifted second-kind sums", _ns, partial(hyp67, "first")),
+        IdentityCase("G10.hyp7", "G10", "second kind as alternating shifted first-kind sums", _ns, partial(hyp67, "second")),
         IdentityCase("G10.eval-two", "G10", "values at -n and n collapse to values at 2 and 0", _ns, eval_two),
         IdentityCase("G10.via-bernoulli-1", "G10", "hyperharmonic polynomials from first-kind numbers and Bernoulli polynomials", lambda g: _ns(g, 1), via_bernoulli_first),
         IdentityCase("G10.via-bernoulli-2", "G10", "shifted hyperharmonic polynomials from second-kind numbers", lambda g: _ns(g, 1), via_bernoulli_second),
@@ -895,133 +875,67 @@ def _g12():
 
 
 def _g13():
-    def p4a(n, y):
-        rhs = _psum(
-            gsn2(n, m)
-            * (
-                F((-1) ** m * factorial(m))
-                * _fsum(gsn2(m, l)(y) * _cp(l)(y) for l in range(m + 1))
-            )
-            for m in range(n + 1)
-        )
-        return bernoulli_poly(n), rhs
+    def p4ab(kind, n, y):
+        return bernoulli_poly(n), _s2_double(kind, n, 1, y)
 
-    def p4b(n, y):
-        rhs = _psum(
-            gsn2(n, m)
-            * (
-                F(factorial(m))
-                * _fsum(gsn2(m, l)(y) * _chp(l)(-y) for l in range(m + 1))
-            )
-            for m in range(n + 1)
-        )
-        return bernoulli_poly(n), rhs
-
-    def p4c(n, y):
+    def p4cd(kind, n, y):
+        e = _E[kind]
         rhs = _psum(
             gsn1(n, m)
             * _fsum(
-                F((-1) ** (n - m + l), factorial(m)) * gsn1(m, l)(y) * bernoulli_poly(l)(y)
+                F((-1) ** (n + l) * (-e) ** m, factorial(m)) * gsn1(m, l)(y) * bernoulli_poly(l)(y)
                 for l in range(m + 1)
             )
             for m in range(n + 1)
         )
-        return _cp(n), rhs
+        return _reflected(kind, n), rhs
 
-    def p4d(n, y):
-        rhs = _psum(
-            gsn1(n, m)
-            * _fsum(
-                F((-1) ** (n - l), factorial(m)) * gsn1(m, l)(y) * bernoulli_poly(l)(y)
-                for l in range(m + 1)
-            )
-            for m in range(n + 1)
-        )
-        return _chp(n).affine_compose(-1, 0), rhs
+    def inner(kind, m, y):
+        return F(_E[kind] ** m) * _s2_values(kind, m - 1, 1, y)
 
     def p5a(n, y):
-        rhs = _psum(
-            gsn2(n - 1, m - 1)
-            * _cp(m)
-            * _fsum(gsn2(m - 1, l - 1)(y) * _cp(l - 1)(y) for l in range(1, m + 1))
-            for m in range(1, n + 1)
-        )
+        rhs = _psum(gsn2(n - 1, m - 1) * _cp(m) * inner("first", m, y) for m in range(1, n + 1))
         return bernoulli_poly(n) / (-n), rhs
 
     def p5b(n, y):
-        rhs = _psum(
-            gsn2(n - 1, m - 1)
-            * _cp(m)
-            * (
-                F((-1) ** m)
-                * _fsum(gsn2(m - 1, l - 1)(y) * _chp(l - 1)(-y) for l in range(1, m + 1))
-            )
-            for m in range(1, n + 1)
-        )
+        rhs = _psum(gsn2(n - 1, m - 1) * _cp(m) * inner("second", m, y) for m in range(1, n + 1))
         return bernoulli_poly(n) / n, rhs
 
     def p5c(n, y):
         rhs = _psum(
-            gsn2(n - 1, m - 1)
-            * _chp(m).affine_compose(-1, 0)
-            * _fsum(gsn2(m - 1, l - 1)(y) * _cp(l - 1)(y) for l in range(1, m + 1))
+            gsn2(n - 1, m - 1) * _reflected("second", m) * inner("first", m, y)
             for m in range(1, n + 1)
         )
         return (Poly([F((-1) ** n)]) - bernoulli_poly(n)) / n, rhs
 
     def p5d(n, y):
         rhs = _psum(
-            gsn2(n - 1, m - 1)
-            * _chp(m).affine_compose(-1, 0)
-            * (
-                F((-1) ** m)
-                * _fsum(gsn2(m - 1, l - 1)(y) * _chp(l - 1)(-y) for l in range(1, m + 1))
-            )
+            gsn2(n - 1, m - 1) * _reflected("second", m) * inner("second", m, y)
             for m in range(1, n + 1)
         )
         return (bernoulli_poly(n) - F((-1) ** n)) / n, rhs
 
     def p5e(n, y):
         rhs = Poly([0] * n + [1]) - _psum(
-            gsn2(n - 1, m - 1)
-            * (
-                _c(m)
-                * _fsum(gsn2(m - 1, l - 1)(y) * _cp(l - 1)(y) for l in range(1, m + 1))
-            )
-            for m in range(1, n + 1)
+            gsn2(n - 1, m - 1) * (_c(m) * inner("first", m, y)) for m in range(1, n + 1)
         ) * n
         return bernoulli_poly(n), rhs
 
     def p5f(n, y):
         rhs = Poly([0] * n + [1]) + _psum(
-            gsn2(n - 1, m - 1)
-            * (
-                F((-1) ** m) * _c(m)
-                * _fsum(gsn2(m - 1, l - 1)(y) * _chp(l - 1)(-y) for l in range(1, m + 1))
-            )
-            for m in range(1, n + 1)
+            gsn2(n - 1, m - 1) * (_c(m) * inner("second", m, y)) for m in range(1, n + 1)
         ) * n
         return bernoulli_poly(n), rhs
 
     def p5g(n, y):
         rhs = Poly([-1, 1]) ** n - _psum(
-            gsn2(n - 1, m - 1)
-            * (
-                _ch(m)
-                * _fsum(gsn2(m - 1, l - 1)(y) * _cp(l - 1)(y) for l in range(1, m + 1))
-            )
-            for m in range(1, n + 1)
+            gsn2(n - 1, m - 1) * (_ch(m) * inner("first", m, y)) for m in range(1, n + 1)
         ) * n
         return bernoulli_poly(n), rhs
 
     def p5h(n, y):
         rhs = Poly([-1, 1]) ** n + _psum(
-            gsn2(n - 1, m - 1)
-            * (
-                F((-1) ** m) * _ch(m)
-                * _fsum(gsn2(m - 1, l - 1)(y) * _chp(l - 1)(-y) for l in range(1, m + 1))
-            )
-            for m in range(1, n + 1)
+            gsn2(n - 1, m - 1) * (_ch(m) * inner("second", m, y)) for m in range(1, n + 1)
         ) * n
         return bernoulli_poly(n), rhs
 
@@ -1041,7 +955,8 @@ def _g13():
     }
     # check and first n of each case
     checks = {
-        "p4a": (p4a, 0), "p4b": (p4b, 0), "p4c": (p4c, 0), "p4d": (p4d, 0),
+        "p4a": (partial(p4ab, "first"), 0), "p4b": (partial(p4ab, "second"), 0),
+        "p4c": (partial(p4cd, "first"), 0), "p4d": (partial(p4cd, "second"), 0),
         "p5a": (p5a, 1), "p5b": (p5b, 1), "p5c": (p5c, 1), "p5d": (p5d, 1),
         "p5e": (p5e, 1), "p5f": (p5f, 1), "p5g": (p5g, 1), "p5h": (p5h, 1),
     }

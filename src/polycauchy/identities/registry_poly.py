@@ -4,7 +4,10 @@ polynomial connection.
 
 The general-order checks whose k = 1 case is also a classical (G01-G09)
 identity are written once, in ``registry_core``, and registered here as
-they are; the classical cases reuse them with k fixed to 1."""
+they are; the classical cases reuse them with k fixed to 1.  Each
+first/second-kind pair is one check taking ``kind`` first, registered
+once per kind with ``functools.partial``; pairs whose two forms differ in
+structure stay two functions."""
 
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ from ..cauchy import (
     MultiParam,
     aux_poly,
     aux_poly_weighted,
+    cauchy_number,
+    cauchy_poly,
     multiparam_cauchy,
     shifted_cauchy_number,
 )
@@ -50,8 +55,9 @@ from ..stirling import (
 )
 from .engine import IdentityCase
 from .registry_core import (
-    F, _c, _ch, _chp, _cor2, _cp, _derk, _diffk1, _diffk2, _fsum, _genk1, _genk2, _inv_a, _inv_b,
-    _n_k, _n_y, _ns, _pro41, _pro42, _psum, _reck, _symm5, _symm6, _symm8a, _whitk1, _whitk2,
+    _E, _OTHER, F, _c, _ch, _chp, _cor2, _cp, _derk, _diffk1, _diffk2, _fsum, _genk, _inv, _n_k,
+    _n_y, _ns, _odd_central, _pro4, _psum, _reck, _reflected, _s2_double, _symm5, _symm6, _symm8a,
+    _whitk,
 )
 
 
@@ -70,25 +76,22 @@ def _g14():
             Poly([0] * i + [F((-1) ** i * comb(m, i), (m - i + 1) ** k)]) for i in range(m + 1)
         )
 
-    def back1(n, k):
+    def back(kind, n, k):
         rhs = _psum(
-            _inner_negx(m, k) * ((-1) ** (n - m) * stirling1(n, m)) for m in range(n + 1)
+            _inner_negx(m, k) * ((-1) ** n * (-_E[kind]) ** m * stirling1(n, m))
+            for m in range(n + 1)
         )
-        return _cp(n, k), rhs
-
-    def back2(n, k):
-        rhs = _psum(_inner_negx(m, k) * stirling1(n, m) for m in range(n + 1)) * (-1) ** n
-        return _chp(n, k), rhs
+        return cauchy_poly(kind, n, k), rhs
 
     return [
-        IdentityCase("G14.pro41", "G14", "general order first kind as weighted Stirling polynomial sums", _n_k, _pro41),
-        IdentityCase("G14.pro42", "G14", "general order second kind at -x as weighted Stirling sums", _n_k, _pro42),
+        IdentityCase("G14.pro41", "G14", "general order first kind as weighted Stirling polynomial sums", _n_k, partial(_pro4, "first")),
+        IdentityCase("G14.pro42", "G14", "general order second kind at -x as weighted Stirling sums", _n_k, partial(_pro4, "second")),
         IdentityCase("G14.cor2a", "G14", "closed-form coefficients at general order, first kind", _n_k, partial(_cor2, "first")),
         IdentityCase("G14.cor2b", "G14", "closed-form coefficients at general order, second kind", _n_k, partial(_cor2, "second")),
-        IdentityCase("G14.back1", "G14", "double-sum expansion over the plain triangle, first kind", _n_k, back1),
-        IdentityCase("G14.back2", "G14", "double-sum expansion over the plain triangle, second kind", _n_k, back2),
-        IdentityCase("G14.inv-a", "G14", "inverted expansion gives 1/(n+1)^k", _n_k, _inv_a),
-        IdentityCase("G14.inv-b", "G14", "inverted reflected expansion gives (-1)^n/(n+1)^k", _n_k, _inv_b),
+        IdentityCase("G14.back1", "G14", "double-sum expansion over the plain triangle, first kind", _n_k, partial(back, "first")),
+        IdentityCase("G14.back2", "G14", "double-sum expansion over the plain triangle, second kind", _n_k, partial(back, "second")),
+        IdentityCase("G14.inv-a", "G14", "inverted expansion gives 1/(n+1)^k", _n_k, partial(_inv, "first")),
+        IdentityCase("G14.inv-b", "G14", "inverted reflected expansion gives (-1)^n/(n+1)^k", _n_k, partial(_inv, "second")),
     ]
 
 
@@ -136,22 +139,15 @@ def _g15():
             for s in range(r + 1)
         )
 
-    def korec1(n, k, r, s):
+    def korec(kind, n, k, r, s):
         lhs = _fsum(
-            gsn2(n - r, m - r)(F(r)) * _cp(m - s, k)(F(s)) for m in range(r, n + 1)
+            gsn2(n - r, m - r)(F(r)) * cauchy_poly(kind, m - s, k)(F(_E[kind] * s))
+            for m in range(r, n + 1)
         )
+        # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second
         rhs = _fsum(
-            F((-1) ** (r - l), (n + l - r - s + 1) ** k) * gsn1(r - s, l - s)(F(s))
-            for l in range(s, r + 1)
-        )
-        return lhs, rhs
-
-    def korec2(n, k, r, s):
-        lhs = _fsum(
-            gsn2(n - r, m - r)(F(r)) * _chp(m - s, k)(F(-s)) for m in range(r, n + 1)
-        )
-        rhs = F((-1) ** (n - s)) * _fsum(
-            F(1, (n + l - r - s + 1) ** k) * gsn1(r - s, l - s)(F(s))
+            F((-1) ** (n - s) * (-_E[kind]) ** (n - s + r - l), (n + l - r - s + 1) ** k)
+            * gsn1(r - s, l - s)(F(s))
             for l in range(s, r + 1)
         )
         return lhs, rhs
@@ -164,35 +160,22 @@ def _g15():
             for r in range(grid.max_r + 1)
         )
 
-    def korec1_s0(n, k, r):
-        lhs = _fsum(gsn2(n, m)(F(r)) * _c(m + r, k) for m in range(n + 1))
-        rhs = _fsum(F((-1) ** (r - l), (n + l + 1) ** k) * stirling1(r, l) for l in range(r + 1))
-        return lhs, rhs
-
-    def korec2_s0(n, k, r):
-        lhs = _fsum(gsn2(n, m)(F(r)) * _ch(m + r, k) for m in range(n + 1))
-        rhs = F((-1) ** (n + r)) * _fsum(
-            F(1, (n + l + 1) ** k) * stirling1(r, l) for l in range(r + 1)
+    def korec_s0(kind, n, k, r):
+        lhs = _fsum(gsn2(n, m)(F(r)) * cauchy_number(kind, m + r, k) for m in range(n + 1))
+        # (-1)^(r-l) for the first kind, (-1)^(n+r) for the second
+        rhs = _fsum(
+            F((-1) ** (n + r) * (-_E[kind]) ** (n + l), (n + l + 1) ** k) * stirling1(r, l)
+            for l in range(r + 1)
         )
         return lhs, rhs
 
-    def val_at1(n, k):
-        want = F(_cp(n, k)(F(1)))
+    def val_at(kind, n, k):
+        want = F(cauchy_poly(kind, n, k)(F(_E[kind])))
         t1 = F((-1) ** n * factorial(n)) * _fsum(
-            comb(n, m) * _ch(m, k) / factorial(m) for m in range(n + 1)
+            comb(n, m) * cauchy_number(_OTHER[kind], m, k) / factorial(m) for m in range(n + 1)
         )
         t2 = F((-1) ** n * factorial(n)) * _fsum(
-            F((-1) ** m) * _c(m, k) / factorial(m) for m in range(n + 1)
-        )
-        return (t1, t2), (want, want)
-
-    def val_at_neg1(n, k):
-        want = F(_chp(n, k)(F(-1)))
-        t1 = F((-1) ** n * factorial(n)) * _fsum(
-            comb(n, m) * _c(m, k) / factorial(m) for m in range(n + 1)
-        )
-        t2 = F((-1) ** n * factorial(n)) * _fsum(
-            F((-1) ** m) * _ch(m, k) / factorial(m) for m in range(n + 1)
+            F((-1) ** m) * cauchy_number(kind, m, k) / factorial(m) for m in range(n + 1)
         )
         return (t1, t2), (want, want)
 
@@ -204,27 +187,20 @@ def _g15():
         )
         return lhs, rhs
 
-    def gbpk1(n, k):
+    def gbpk(kind, n, k):
+        e = _E[kind]
         rhs = _psum(
-            gen_bernoulli_poly(m, n + 1).affine_compose(-1, 1)
-            * F(comb(n, m), (n + 1 - m) ** k)
+            gen_bernoulli_poly(m, n + 1).affine_compose(-e, 1)
+            * F(e ** (n - m) * comb(n, m), (n + 1 - m) ** k)
             for m in range(n + 1)
         )
-        return _cp(n, k), rhs
-
-    def gbpk2(n, k):
-        rhs = _psum(
-            gen_bernoulli_poly(m, n + 1).affine_compose(1, 1)
-            * F((-1) ** (n - m) * comb(n, m), (n + 1 - m) ** k)
-            for m in range(n + 1)
-        )
-        return _chp(n, k), rhs
+        return cauchy_poly(kind, n, k), rhs
 
     return [
         IdentityCase("G15.diffk1", "G15", "difference equation at general order, first kind", lambda g: _n_k(g, 1), _diffk1),
         IdentityCase("G15.diffk2", "G15", "difference equation at general order, second kind", lambda g: _n_k(g, 1), _diffk2),
-        IdentityCase("G15.whitk1", "G15", "general order values at r/m from Whitney numbers", _whit_points, _whitk1),
-        IdentityCase("G15.whitk2", "G15", "general order second kind at -r/m from Whitney numbers", _whit_points, _whitk2),
+        IdentityCase("G15.whitk1", "G15", "general order values at r/m from Whitney numbers", _whit_points, partial(_whitk, "first")),
+        IdentityCase("G15.whitk2", "G15", "general order second kind at -r/m from Whitney numbers", _whit_points, partial(_whitk, "second")),
         IdentityCase("G15.symm5", "G15", "general order first kind from second-kind numbers", _n_k, _symm5),
         IdentityCase("G15.symm6", "G15", "general order second kind from first-kind numbers", _n_k, _symm6),
         IdentityCase("G15.symm7a", "G15", "self-number expansion with negated binomials, first kind", _n_k, symm7a),
@@ -232,19 +208,19 @@ def _g15():
         IdentityCase("G15.symm8a", "G15", "self-number expansion with plain binomials, second kind", _n_k, _symm8a),
         IdentityCase("G15.symm8b", "G15", "self-number expansion with falling factorials, second kind", _n_k, symm8b),
         IdentityCase("G15.reck1", "G15", "one-step recurrence at general order, first kind", lambda g: _n_k(g, 0, True), partial(_reck, "first")),
-        IdentityCase("G15.genk1", "G15", "derivatives via higher-order Bernoulli at general order, first kind", _n_i_k, _genk1),
-        IdentityCase("G15.genk2", "G15", "derivatives via higher-order Bernoulli at general order, second kind", _n_i_k, _genk2),
+        IdentityCase("G15.genk1", "G15", "derivatives via higher-order Bernoulli at general order, first kind", _n_i_k, partial(_genk, "first")),
+        IdentityCase("G15.genk2", "G15", "derivatives via higher-order Bernoulli at general order, second kind", _n_i_k, partial(_genk, "second")),
         IdentityCase("G15.derk1", "G15", "derivatives via own numbers at general order, first kind", _n_i_k, partial(_derk, "first")),
         IdentityCase("G15.derk2", "G15", "derivatives via own numbers at general order, second kind", _n_i_k, partial(_derk, "second")),
-        IdentityCase("G15.korec1", "G15", "three-index shifted transform identity, first kind", _korec_points, korec1),
-        IdentityCase("G15.korec2", "G15", "three-index shifted transform identity, second kind", _korec_points, korec2),
-        IdentityCase("G15.korec1-s0", "G15", "shifted transform with column sums, first kind", _korec_s0_points, korec1_s0),
-        IdentityCase("G15.korec2-s0", "G15", "shifted transform with column sums, second kind", _korec_s0_points, korec2_s0),
-        IdentityCase("G15.val-at1", "G15", "two sums for the general-order value at 1", _n_k, val_at1),
-        IdentityCase("G15.val-at-neg1", "G15", "two sums for the general-order second-kind value at -1", _n_k, val_at_neg1),
+        IdentityCase("G15.korec1", "G15", "three-index shifted transform identity, first kind", _korec_points, partial(korec, "first")),
+        IdentityCase("G15.korec2", "G15", "three-index shifted transform identity, second kind", _korec_points, partial(korec, "second")),
+        IdentityCase("G15.korec1-s0", "G15", "shifted transform with column sums, first kind", _korec_s0_points, partial(korec_s0, "first")),
+        IdentityCase("G15.korec2-s0", "G15", "shifted transform with column sums, second kind", _korec_s0_points, partial(korec_s0, "second")),
+        IdentityCase("G15.val-at1", "G15", "two sums for the general-order value at 1", _n_k, partial(val_at, "first")),
+        IdentityCase("G15.val-at-neg1", "G15", "two sums for the general-order second-kind value at -1", _n_k, partial(val_at, "second")),
         IdentityCase("G15.lah-pair", "G15", "the two kinds exchange through Lah-number transforms", _n_k, lah_pair),
-        IdentityCase("G15.gbpk1", "G15", "general order first kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), gbpk1),
-        IdentityCase("G15.gbpk2", "G15", "general order second kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), gbpk2),
+        IdentityCase("G15.gbpk1", "G15", "general order first kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(gbpk, "first")),
+        IdentityCase("G15.gbpk2", "G15", "general order second kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(gbpk, "second")),
     ]
 
 
@@ -278,145 +254,68 @@ def _g17():
             for y in grid.xs
         )
 
-    def kb1(n, k, y):
-        rhs = _psum(
-            gsn2(n, m)
-            * (
-                F((-1) ** m * factorial(m))
-                * _fsum(gsn2(m, l)(y) * _cp(l, k)(y) for l in range(m + 1))
-            )
-            for m in range(n + 1)
-        ) * (-1) ** n
-        return poly_bernoulli_gsn(n, k), rhs
+    def kb12(kind, n, k, y):
+        return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y) * (-1) ** n
 
-    def kb2(n, k, y):
-        rhs = _psum(
-            gsn2(n, m)
-            * (
-                F(factorial(m))
-                * _fsum(gsn2(m, l)(y) * _chp(l, k)(-y) for l in range(m + 1))
-            )
-            for m in range(n + 1)
-        ) * (-1) ** n
-        return poly_bernoulli_gsn(n, k), rhs
-
-    def kb3(n, k, y):
+    def kb34(kind, n, k, y):
         rhs = _psum(
             gsn1(n, m)
             * _fsum(
-                F((-1) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
+                F((-_E[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
                 for l in range(m + 1)
             )
             for m in range(n + 1)
         ) * (-1) ** n
-        return _cp(n, k), rhs
+        return _reflected(kind, n, k), rhs
 
-    def kb4(n, k, y):
+    def kl12(kind, n, k):
         rhs = _psum(
-            gsn1(n, m)
-            * _fsum(
-                F(1, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
-                for l in range(m + 1)
-            )
-            for m in range(n + 1)
-        ) * (-1) ** n
-        return _chp(n, k).affine_compose(-1, 0), rhs
-
-    def kl1(n, k):
-        rhs = _psum(
-            _cp(l, k)
-            * ((-1) ** m * factorial(m) * stirling2(n, m) * stirling2(m, l))
+            cauchy_poly(kind, l, k)
+            * ((-_E[kind]) ** m * factorial(m) * stirling2(n, m) * stirling2(m, l))
             for m in range(n + 1)
             for l in range(m + 1)
         ) * (-1) ** n
         return poly_bernoulli_kl(n, k), rhs
 
-    def kl2(n, k):
-        rhs = _psum(
-            _chp(l, k) * (factorial(m) * stirling2(n, m) * stirling2(m, l))
-            for m in range(n + 1)
-            for l in range(m + 1)
-        ) * (-1) ** n
-        return poly_bernoulli_kl(n, k), rhs
-
-    def kl3(n, k):
+    def kl34(kind, n, k):
         rhs = _psum(
             poly_bernoulli_kl(l, k)
-            * (F((-1) ** m, factorial(m)) * stirling1(n, m) * stirling1(m, l))
+            * (F((-_E[kind]) ** m, factorial(m)) * stirling1(n, m) * stirling1(m, l))
             for m in range(n + 1)
             for l in range(m + 1)
         ) * (-1) ** n
-        return _cp(n, k), rhs
-
-    def kl4(n, k):
-        rhs = _psum(
-            poly_bernoulli_kl(l, k)
-            * (F(1, factorial(m)) * stirling1(n, m) * stirling1(m, l))
-            for m in range(n + 1)
-            for l in range(m + 1)
-        ) * (-1) ** n
-        return _chp(n, k), rhs
+        return cauchy_poly(kind, n, k), rhs
 
     return [
-        IdentityCase("G17.kb1", "G17", "poly-Bernoulli from double transforms of first-kind values", _pts, kb1),
-        IdentityCase("G17.kb2", "G17", "poly-Bernoulli from double transforms of second-kind values", _pts, kb2),
-        IdentityCase("G17.kb3", "G17", "general order first kind from poly-Bernoulli values", _pts, kb3),
-        IdentityCase("G17.kb4", "G17", "reflected second kind from poly-Bernoulli values", _pts, kb4),
-        IdentityCase("G17.kl1", "G17", "alternative poly-Bernoulli from first-kind polynomials", lambda g: _n_k(g, 0, True), kl1),
-        IdentityCase("G17.kl2", "G17", "alternative poly-Bernoulli from second-kind polynomials", lambda g: _n_k(g, 0, True), kl2),
-        IdentityCase("G17.kl3", "G17", "first kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), kl3),
-        IdentityCase("G17.kl4", "G17", "second kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), kl4),
+        IdentityCase("G17.kb1", "G17", "poly-Bernoulli from double transforms of first-kind values", _pts, partial(kb12, "first")),
+        IdentityCase("G17.kb2", "G17", "poly-Bernoulli from double transforms of second-kind values", _pts, partial(kb12, "second")),
+        IdentityCase("G17.kb3", "G17", "general order first kind from poly-Bernoulli values", _pts, partial(kb34, "first")),
+        IdentityCase("G17.kb4", "G17", "reflected second kind from poly-Bernoulli values", _pts, partial(kb34, "second")),
+        IdentityCase("G17.kl1", "G17", "alternative poly-Bernoulli from first-kind polynomials", lambda g: _n_k(g, 0, True), partial(kl12, "first")),
+        IdentityCase("G17.kl2", "G17", "alternative poly-Bernoulli from second-kind polynomials", lambda g: _n_k(g, 0, True), partial(kl12, "second")),
+        IdentityCase("G17.kl3", "G17", "first kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), partial(kl34, "first")),
+        IdentityCase("G17.kl4", "G17", "second kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), partial(kl34, "second")),
     ]
 
 
 def _g18():
-    def poly1(n, k):
-        rhs = (Poly([1]) if n == 1 else Poly()) + _psum(
+    def poly(kind, seeded, n, k):
+        # seeded: start the inner sum at j = 0 and add the first-kind number
+        e = _E[kind]
+        if seeded:
+            seed, start = Poly([_c(n)]), 0
+        else:
+            seed, start = (Poly([1]) if n == 1 else Poly()), 1
+        rhs = seed + _psum(
             _psum(
-                aux_poly(j, k).affine_compose(1, 1)
-                * (comb(m, j) * bernoulli_number(m - j))
-                for j in range(1, m + 1)
+                aux_poly(j, k).affine_compose(1, e)
+                * (e ** j * comb(m, j) * bernoulli_number(m - j))
+                for j in range(start, m + 1)
             )
             * F(stirling1(n - 1, m - 1), m)
             for m in range(1, n + 1)
         ) * ((-1) ** n * n)
-        return _cp(n, k), rhs
-
-    def poly2(n, k):
-        rhs = (Poly([1]) if n == 1 else Poly()) + _psum(
-            _psum(
-                aux_poly(j, k).affine_compose(1, -1)
-                * ((-1) ** j * comb(m, j) * bernoulli_number(m - j))
-                for j in range(1, m + 1)
-            )
-            * F(stirling1(n - 1, m - 1), m)
-            for m in range(1, n + 1)
-        ) * ((-1) ** n * n)
-        return _chp(n, k), rhs
-
-    def poly5(n, k):
-        rhs = Poly([_c(n)]) + _psum(
-            _psum(
-                aux_poly(j, k).affine_compose(1, 1)
-                * (comb(m, j) * bernoulli_number(m - j))
-                for j in range(m + 1)
-            )
-            * F(stirling1(n - 1, m - 1), m)
-            for m in range(1, n + 1)
-        ) * ((-1) ** n * n)
-        return _cp(n, k), rhs
-
-    def poly6(n, k):
-        rhs = Poly([_c(n)]) + _psum(
-            _psum(
-                aux_poly(j, k).affine_compose(1, -1)
-                * ((-1) ** j * comb(m, j) * bernoulli_number(m - j))
-                for j in range(m + 1)
-            )
-            * F(stirling1(n - 1, m - 1), m)
-            for m in range(1, n + 1)
-        ) * ((-1) ** n * n)
-        return _chp(n, k), rhs
+        return cauchy_poly(kind, n, k), rhs
 
     def idc1(m):
         lhs = _psum(
@@ -436,75 +335,43 @@ def _g18():
         return ({"m": m} for m in range(grid.max_n + 1))
 
     return [
-        IdentityCase("G18.poly1", "G18", "general order first kind from Bernoulli-weighted moment polynomials", lambda g: _n_k(g, 1), poly1),
-        IdentityCase("G18.poly2", "G18", "general order second kind from Bernoulli-weighted moment polynomials", lambda g: _n_k(g, 1), poly2),
-        IdentityCase("G18.poly5", "G18", "variant seeded by the classical first-kind number", lambda g: _n_k(g, 1), poly5),
-        IdentityCase("G18.poly6", "G18", "second-kind variant seeded by the classical number", lambda g: _n_k(g, 1), poly6),
+        IdentityCase("G18.poly1", "G18", "general order first kind from Bernoulli-weighted moment polynomials", lambda g: _n_k(g, 1), partial(poly, "first", False)),
+        IdentityCase("G18.poly2", "G18", "general order second kind from Bernoulli-weighted moment polynomials", lambda g: _n_k(g, 1), partial(poly, "second", False)),
+        IdentityCase("G18.poly5", "G18", "variant seeded by the classical first-kind number", lambda g: _n_k(g, 1), partial(poly, "first", True)),
+        IdentityCase("G18.poly6", "G18", "second-kind variant seeded by the classical number", lambda g: _n_k(g, 1), partial(poly, "second", True)),
         IdentityCase("G18.idc1", "G18", "Bernoulli-weighted moment polynomials collapse to x^m", _ms, idc1),
         IdentityCase("G18.idc2", "G18", "alternating Bernoulli-weighted moments collapse to x^m", _ms, idc2),
     ]
 
 
 def _g19():
-    def th10_first(n, k):
+    def moments_at(kind, m, k):
+        # the Bernoulli-weighted moment polynomial of degree m at 1, or at -1
+        # with alternating weights for the second kind
+        e = _E[kind]
+        return _fsum(
+            e ** j * comb(m, j) * bernoulli_number(m - j) * aux_poly(j, k)(F(e))
+            for j in range(m + 1)
+        )
+
+    def th10(kind, n, k):
         rhs = _psum(
             gsn1(n - 1, m - 1)
-            * (
-                bernoulli_poly(m) * (-1) ** m
-                - _fsum(
-                    comb(m, j) * bernoulli_number(m - j) * aux_poly(j, k)(F(1))
-                    for j in range(m + 1)
-                )
-            )
+            * (bernoulli_poly(m) * (-1) ** m - moments_at(kind, m, k))
             * F((-1) ** n, m)
             for m in range(1, n + 1)
         )
-        return _cp(n, k) / (-n), rhs
+        return _reflected(kind, n, k) / (-n), rhs
 
-    def th10_second(n, k):
-        rhs = _psum(
+    def alt(kind, n, k):
+        # (-x)^m for the first kind, (1-x)^m for the second
+        rhs = Poly([cauchy_number(kind, n, 1)]) - _psum(
             gsn1(n - 1, m - 1)
-            * (
-                bernoulli_poly(m) * (-1) ** m
-                - _fsum(
-                    (-1) ** j * comb(m, j) * bernoulli_number(m - j) * aux_poly(j, k)(F(-1))
-                    for j in range(m + 1)
-                )
-            )
-            * F((-1) ** n, m)
-            for m in range(1, n + 1)
-        )
-        return _chp(n, k).affine_compose(-1, 0) / (-n), rhs
-
-    def alt_first(n, k):
-        rhs = Poly([_c(n)]) - _psum(
-            gsn1(n - 1, m - 1)
-            * (
-                Poly([0, -1]) ** m
-                - _fsum(
-                    comb(m, j) * bernoulli_number(m - j) * aux_poly(j, k)(F(1))
-                    for j in range(m + 1)
-                )
-            )
+            * (Poly([(1 - _E[kind]) // 2, -1]) ** m - moments_at(kind, m, k))
             * F((-1) ** n, m)
             for m in range(1, n + 1)
         ) * n
-        return _cp(n, k), rhs
-
-    def alt_second(n, k):
-        rhs = Poly([_ch(n)]) - _psum(
-            gsn1(n - 1, m - 1)
-            * (
-                Poly([1, -1]) ** m
-                - _fsum(
-                    (-1) ** j * comb(m, j) * bernoulli_number(m - j) * aux_poly(j, k)(F(-1))
-                    for j in range(m + 1)
-                )
-            )
-            * F((-1) ** n, m)
-            for m in range(1, n + 1)
-        ) * n
-        return _chp(n, k).affine_compose(-1, 0), rhs
+        return _reflected(kind, n, k), rhs
 
     def k1_first(n):
         rhs = Poly([_c(n)]) - _psum(
@@ -529,10 +396,10 @@ def _g19():
         return check
 
     return [
-        IdentityCase("G19.th10-first", "G19", "general order first kind from Bernoulli polynomials and constants", lambda g: _n_k(g, 1), th10_first),
-        IdentityCase("G19.th10-second", "G19", "reflected general order second kind from Bernoulli data", lambda g: _n_k(g, 1), th10_second),
-        IdentityCase("G19.alt-first", "G19", "alternative with (-x)^m seeded by the classical number", lambda g: _n_k(g, 1), alt_first),
-        IdentityCase("G19.alt-second", "G19", "alternative with (1-x)^m seeded by the classical number", lambda g: _n_k(g, 1), alt_second),
+        IdentityCase("G19.th10-first", "G19", "general order first kind from Bernoulli polynomials and constants", lambda g: _n_k(g, 1), partial(th10, "first")),
+        IdentityCase("G19.th10-second", "G19", "reflected general order second kind from Bernoulli data", lambda g: _n_k(g, 1), partial(th10, "second")),
+        IdentityCase("G19.alt-first", "G19", "alternative with (-x)^m seeded by the classical number", lambda g: _n_k(g, 1), partial(alt, "first")),
+        IdentityCase("G19.alt-second", "G19", "alternative with (1-x)^m seeded by the classical number", lambda g: _n_k(g, 1), partial(alt, "second")),
         IdentityCase("G19.k1-first", "G19", "order-one collapse of the alternative form, first kind", lambda g: _ns(g, 1), k1_first),
         IdentityCase(
             "G19.k1-second",
@@ -565,53 +432,31 @@ def _g20():
             for k in range(1, grid.max_k + 1)
         )
 
-    def th11_even_first(n, k):
+    def th11_even(kind, n, k):
+        e = _E[kind]
         rhs = _psum(
             _psum(
-                aux_poly(2 * m - j, k).affine_compose(1, n)
-                * (comb(2 * m, j) * bernoulli_number(j))
+                aux_poly(2 * m - j, k).affine_compose(1, e * n)
+                * (e ** j * comb(2 * m, j) * bernoulli_number(j))
                 for j in range(2 * m)
             )
             * F(central_u(n, m), m)
             for m in range(1, n + 1)
         ) * n
-        return _cp(2 * n, k), rhs
+        return cauchy_poly(kind, 2 * n, k), rhs
 
-    def th11_even_second(n, k):
+    def th11_odd(kind, n, k):
+        e = _E[kind]
         rhs = _psum(
             _psum(
-                aux_poly(2 * m - j, k).affine_compose(1, -n)
-                * ((-1) ** j * comb(2 * m, j) * bernoulli_number(j))
-                for j in range(2 * m)
-            )
-            * F(central_u(n, m), m)
-            for m in range(1, n + 1)
-        ) * n
-        return _chp(2 * n, k), rhs
-
-    def th11_odd_first(n, k):
-        rhs = _psum(
-            _psum(
-                aux_poly(2 * m + 1 - j, k).affine_compose(1, n + 1)
+                aux_poly(2 * m + 1 - j, k).affine_compose(1, e * n + 1)
                 * (2**j * comb(2 * m + 1, j) * bernoulli_number(j))
                 for j in range(2 * m + 1)
             )
             * F(central_u(n, m), 2 * m + 1)
             for m in range(1, n + 1)
-        ) * (-(2 * n + 1))
-        return _cp(2 * n + 1, k), rhs
-
-    def th11_odd_second(n, k):
-        rhs = _psum(
-            _psum(
-                aux_poly(2 * m + 1 - j, k).affine_compose(1, -n + 1)
-                * (2**j * comb(2 * m + 1, j) * bernoulli_number(j))
-                for j in range(2 * m + 1)
-            )
-            * F(central_u(n, m), 2 * m + 1)
-            for m in range(1, n + 1)
-        ) * (2 * n + 1)
-        return _chp(2 * n + 1, k), rhs
+        ) * (-e * (2 * n + 1))
+        return cauchy_poly(kind, 2 * n + 1, k), rhs
 
     def euler_odd(m):
         return euler_poly(2 * m + 1), _gen_euler(m, 1)
@@ -632,33 +477,22 @@ def _g20():
         )
         return euler_poly(2 * m), rhs
 
-    def gen_euler_odd_first(n, k):
-        rhs = _psum(
-            _gen_euler(m, k).affine_compose(1, n) * F(central_u(n, m), 2 * m + 1)
-            for m in range(1, n + 1)
-        ) * (-(2 * n + 1))
-        return _cp(2 * n + 1, k), rhs
-
-    def gen_euler_odd_second(n, k):
-        rhs = _psum(
-            _gen_euler(m, k).affine_compose(1, -n) * F(central_u(n, m), 2 * m + 1)
-            for m in range(1, n + 1)
-        ) * (2 * n + 1)
-        return _chp(2 * n + 1, k), rhs
+    def gen_euler_odd(kind, n, k):
+        return cauchy_poly(kind, 2 * n + 1, k), _odd_central(kind, n, partial(_gen_euler, k=k))
 
     def _ms1(grid):
         return ({"m": m} for m in range(1, grid.max_n // 2 + 1))
 
     return [
-        IdentityCase("G20.even-first", "G20", "even general order first kind via central factorials", _even_pts, th11_even_first),
-        IdentityCase("G20.even-second", "G20", "even general order second kind via central factorials", _even_pts, th11_even_second),
-        IdentityCase("G20.odd-first", "G20", "odd general order first kind via central factorials", _even_pts, th11_odd_first),
-        IdentityCase("G20.odd-second", "G20", "odd general order second kind via central factorials", _even_pts, th11_odd_second),
+        IdentityCase("G20.even-first", "G20", "even general order first kind via central factorials", _even_pts, partial(th11_even, "first")),
+        IdentityCase("G20.even-second", "G20", "even general order second kind via central factorials", _even_pts, partial(th11_even, "second")),
+        IdentityCase("G20.odd-first", "G20", "odd general order first kind via central factorials", _even_pts, partial(th11_odd, "first")),
+        IdentityCase("G20.odd-second", "G20", "odd general order second kind via central factorials", _even_pts, partial(th11_odd, "second")),
         IdentityCase("G20.euler-odd", "G20", "odd Euler polynomials from Bernoulli-weighted moments", _ms1, euler_odd),
         IdentityCase("G20.euler-at0", "G20", "odd Euler value at 0 via the next Bernoulli number", _ms1, euler_at0),
         IdentityCase("G20.euler-even", "G20", "even Euler polynomials from centered moment differences", _ms1, euler_even),
-        IdentityCase("G20.gen-euler-odd-first", "G20", "odd first kind through generalized Euler polynomials", _even_pts, gen_euler_odd_first),
-        IdentityCase("G20.gen-euler-odd-second", "G20", "odd second kind through generalized Euler polynomials", _even_pts, gen_euler_odd_second),
+        IdentityCase("G20.gen-euler-odd-first", "G20", "odd first kind through generalized Euler polynomials", _even_pts, partial(gen_euler_odd, "first")),
+        IdentityCase("G20.gen-euler-odd-second", "G20", "odd second kind through generalized Euler polynomials", _even_pts, partial(gen_euler_odd, "second")),
     ]
 
 
@@ -678,6 +512,13 @@ def _bivariate_fixed_q(n: int, m: int, q) -> Poly:
     return gsn1_bivariate(n, m).map_coeffs(
         lambda c: Fraction(c(q)) if isinstance(c, Poly) else Fraction(c)
     )
+
+
+# the two halves of the value at sqrt(5) recorded for G21.golden, by kind
+_GOLDEN = {
+    "first": (F(114177911, 144000), F(-284203, 768)),
+    "second": (F(14046697, 288000), F(10805, 768)),
+}
 
 
 def _g21():
@@ -700,41 +541,26 @@ def _g21():
             for L in grid.ls
         )
 
-    def shif1(n, a, q, L):
+    def shif(kind, n, a, q, L):
         k = len(L)
-        lhs = multiparam_cauchy("first", MultiParam(n, k, a, q, L, 0), "integral").constant()
-        return Fraction(lhs), shifted_cauchy_number("first", n, k, a, q, L)
+        lhs = multiparam_cauchy(kind, MultiParam(n, k, a, q, L, 0), "integral").constant()
+        return Fraction(lhs), shifted_cauchy_number(kind, n, k, a, q, L)
 
-    def shif2(n, a, q, L):
-        k = len(L)
-        lhs = multiparam_cauchy("second", MultiParam(n, k, a, q, L, 0), "integral").constant()
-        return Fraction(lhs), shifted_cauchy_number("second", n, k, a, q, L)
-
-    def para1(n, a, q, L, y):
+    def para(kind, n, a, q, L, y):
         p = MultiParam(n, len(L), a, q, L, y)
-        return multiparam_cauchy("first", p, "integral"), _mc("first", n, len(L), a, q, L, y)
+        return multiparam_cauchy(kind, p, "integral"), _mc(kind, n, len(L), a, q, L, y)
 
-    def para2(n, a, q, L, y):
-        p = MultiParam(n, len(L), a, q, L, y)
-        return multiparam_cauchy("second", p, "integral"), _mc("second", n, len(L), a, q, L, y)
-
-    def x0_first(n, a, q, L, y):
+    def x0(kind, n, a, q, L, y):
         k = len(L)
         w = prod(L)
+        e = _E[kind]
+        point = e * y
         rhs = _fsum(
-            F((-1) ** (n - m)) * gsn1_bivariate_at(n, m, y, q) * w ** (m + a) / F((m + a) ** k)
+            F((-1) ** n * (-e) ** m) * gsn1_bivariate_at(n, m, point, q)
+            * w ** (m + a) / F((m + a) ** k)
             for m in range(n + 1)
         )
-        return Fraction(_mc("first", n, k, a, q, L, y).constant()), rhs
-
-    def x0_second(n, a, q, L, y):
-        k = len(L)
-        w = prod(L)
-        rhs = F((-1) ** n) * _fsum(
-            gsn1_bivariate_at(n, m, -y, q) * w ** (m + a) / F((m + a) ** k)
-            for m in range(n + 1)
-        )
-        return Fraction(_mc("second", n, k, a, q, L, y).constant()), rhs
+        return Fraction(_mc(kind, n, k, a, q, L, y).constant()), rhs
 
     def reduce_ordinary(n, k):
         ones = (F(1),) * k
@@ -744,15 +570,11 @@ def _g21():
         )
         return lhs, (_cp(n, k), _chp(n, k))
 
-    def reduce_display_first(n, k):
-        rhs = _psum(aux_poly(m, k) * stirling1(n, m) for m in range(n + 1)) * (-1) ** n
-        return _cp(n, k), rhs
-
-    def reduce_display_second(n, k):
+    def reduce_display(kind, n, k):
         rhs = _psum(
-            aux_poly(m, k) * ((-1) ** (n - m) * stirling1(n, m)) for m in range(n + 1)
+            aux_poly(m, k) * ((-1) ** n * _E[kind] ** m * stirling1(n, m)) for m in range(n + 1)
         )
-        return _chp(n, k), rhs
+        return cauchy_poly(kind, n, k), rhs
 
     def _sym_points(grid):
         return (
@@ -777,15 +599,9 @@ def _g21():
         lhs = (first, second)
         return lhs, (transpose_nested(first), transpose_nested(second))
 
-    def golden_point(kind):
+    def golden(kind):
         p = MultiParam(4, 3, 1, F(-3), (F(1), F(1), F(1, 2)), F(-3, 2))
-        return eval_at_sqrt(multiparam_cauchy(kind, p), 5)
-
-    def golden_first():
-        return golden_point("first"), (F(114177911, 144000), F(-284203, 768))
-
-    def golden_second():
-        return golden_point("second"), (F(14046697, 288000), F(10805, 768))
+        return eval_at_sqrt(multiparam_cauchy(kind, p), 5), _GOLDEN[kind]
 
     def negq(n, a, q, L, y):
         k = len(L)
@@ -804,65 +620,37 @@ def _g21():
             for y in grid.ys_multi
         )
 
-    def mpb1(n, a, q, L, y):
+    def mpb12(kind, n, a, q, L, y):
         k = len(L)
-        sign = (-1) ** (n + a - 1)
+        e = _E[kind]
+        point = e * y
         rhs = _psum(
-            _mc("first", l, k, a, q, L, y)
+            _mc(kind, l, k, a, q, L, y)
             * (
-                F((-1) ** m * factorial(m))
+                F((-e) ** m * factorial(m))
                 * gsn2_bivariate_at(n, m, y, q)
-                * gsn2_bivariate_at(m, l, y, q)
+                * gsn2_bivariate_at(m, l, point, q)
             )
             for m in range(n + 1)
             for l in range(m + 1)
-        ) * sign
+        ) * (-1) ** (n + a - 1)
         return _mpb(n, k, a, q, L, y), rhs
 
-    def mpb2(n, a, q, L, y):
+    def mpb34(kind, n, a, q, L, y):
         k = len(L)
-        sign = (-1) ** (n + a - 1)
-        rhs = _psum(
-            _mc("second", l, k, a, q, L, y)
-            * (
-                F(factorial(m))
-                * gsn2_bivariate_at(n, m, y, q)
-                * gsn2_bivariate_at(m, l, -y, q)
-            )
-            for m in range(n + 1)
-            for l in range(m + 1)
-        ) * sign
-        return _mpb(n, k, a, q, L, y), rhs
-
-    def mpb3(n, a, q, L, y):
-        k = len(L)
-        sign = (-1) ** (n + a - 1)
+        e = _E[kind]
+        point = e * y
         rhs = _psum(
             _mpb(l, k, a, q, L, y)
             * (
-                F((-1) ** m, factorial(m))
-                * gsn1_bivariate_at(n, m, y, q)
+                F((-e) ** m, factorial(m))
+                * gsn1_bivariate_at(n, m, point, q)
                 * gsn1_bivariate_at(m, l, y, q)
             )
             for m in range(n + 1)
             for l in range(m + 1)
-        ) * sign
-        return _mc("first", n, k, a, q, L, y), rhs
-
-    def mpb4(n, a, q, L, y):
-        k = len(L)
-        sign = (-1) ** (n + a - 1)
-        rhs = _psum(
-            _mpb(l, k, a, q, L, y)
-            * (
-                F(1, factorial(m))
-                * gsn1_bivariate_at(n, m, -y, q)
-                * gsn1_bivariate_at(m, l, y, q)
-            )
-            for m in range(n + 1)
-            for l in range(m + 1)
-        ) * sign
-        return _mc("second", n, k, a, q, L, y), rhs
+        ) * (-1) ** (n + a - 1)
+        return _mc(kind, n, k, a, q, L, y), rhs
 
     def mpb_reduce(n, k):
         ones = (F(1),) * k
@@ -879,43 +667,37 @@ def _g21():
         return ({},)
 
     return [
-        IdentityCase("G21.shif1", "G21", "shifted numbers match the integral construction, first kind", _shif_points, shif1),
-        IdentityCase("G21.shif2", "G21", "shifted numbers match the integral construction, second kind", _shif_points, shif2),
-        IdentityCase("G21.para1", "G21", "bivariate Stirling expansion equals the integral oracle, first kind", _mp_points, para1),
-        IdentityCase("G21.para2", "G21", "bivariate Stirling expansion equals the integral oracle, second kind", _mp_points, para2),
-        IdentityCase("G21.x0-first", "G21", "value at 0 from bivariate Stirling sums, first kind", _mp_points, x0_first),
-        IdentityCase("G21.x0-second", "G21", "value at 0 from bivariate Stirling sums, second kind", _mp_points, x0_second),
+        IdentityCase("G21.shif1", "G21", "shifted numbers match the integral construction, first kind", _shif_points, partial(shif, "first")),
+        IdentityCase("G21.shif2", "G21", "shifted numbers match the integral construction, second kind", _shif_points, partial(shif, "second")),
+        IdentityCase("G21.para1", "G21", "bivariate Stirling expansion equals the integral oracle, first kind", _mp_points, partial(para, "first")),
+        IdentityCase("G21.para2", "G21", "bivariate Stirling expansion equals the integral oracle, second kind", _mp_points, partial(para, "second")),
+        IdentityCase("G21.x0-first", "G21", "value at 0 from bivariate Stirling sums, first kind", _mp_points, partial(x0, "first")),
+        IdentityCase("G21.x0-second", "G21", "value at 0 from bivariate Stirling sums, second kind", _mp_points, partial(x0, "second")),
         IdentityCase("G21.reduce", "G21", "unit parameters reduce to the ordinary general-order family", _nk3, reduce_ordinary),
-        IdentityCase("G21.reduce-display-first", "G21", "plain-triangle moment expansion, first kind", _nk3, reduce_display_first),
-        IdentityCase("G21.reduce-display-second", "G21", "plain-triangle moment expansion, second kind", _nk3, reduce_display_second),
+        IdentityCase("G21.reduce-display-first", "G21", "plain-triangle moment expansion, first kind", _nk3, partial(reduce_display, "first")),
+        IdentityCase("G21.reduce-display-second", "G21", "plain-triangle moment expansion, second kind", _nk3, partial(reduce_display, "second")),
         IdentityCase("G21.sym-xy", "G21", "with unit shift the two free arguments commute (bivariate equality)", _sym_points, sym_xy),
-        IdentityCase("G21.golden-first", "G21", "irrational-point evaluation splits to the recorded pair, first kind", _single, golden_first),
-        IdentityCase("G21.golden-second", "G21", "irrational-point evaluation splits to the recorded pair, second kind", _single, golden_second),
+        IdentityCase("G21.golden-first", "G21", "irrational-point evaluation splits to the recorded pair, first kind", _single, partial(golden, "first")),
+        IdentityCase("G21.golden-second", "G21", "irrational-point evaluation splits to the recorded pair, second kind", _single, partial(golden, "second")),
         IdentityCase("G21.negq", "G21", "negating the step exchanges the kinds up to sign", _mp_points, negq),
-        IdentityCase("G21.mpb1", "G21", "multiparameter poly-Bernoulli from first-kind values", _mpb_points, mpb1),
-        IdentityCase("G21.mpb2", "G21", "multiparameter poly-Bernoulli from second-kind values", _mpb_points, mpb2),
-        IdentityCase("G21.mpb3", "G21", "first kind back from multiparameter poly-Bernoulli values", _mpb_points, mpb3),
-        IdentityCase("G21.mpb4", "G21", "second kind back from multiparameter poly-Bernoulli values", _mpb_points, mpb4),
+        IdentityCase("G21.mpb1", "G21", "multiparameter poly-Bernoulli from first-kind values", _mpb_points, partial(mpb12, "first")),
+        IdentityCase("G21.mpb2", "G21", "multiparameter poly-Bernoulli from second-kind values", _mpb_points, partial(mpb12, "second")),
+        IdentityCase("G21.mpb3", "G21", "first kind back from multiparameter poly-Bernoulli values", _mpb_points, partial(mpb34, "first")),
+        IdentityCase("G21.mpb4", "G21", "second kind back from multiparameter poly-Bernoulli values", _mpb_points, partial(mpb34, "second")),
         IdentityCase("G21.mpb-reduce", "G21", "unit parameters reduce to the alternative poly-Bernoulli family", _nk3, mpb_reduce),
     ]
 
 
 def _g22():
-    def hp1(n, y):
+    def hp(kind, n, y):
+        e = _E[kind]
+        # harmonic polynomials at x + 1 for the first kind, x + 2 for the second
         lhs = _psum(
-            harmonic_poly(m).affine_compose(1, 1)
-            * (F((-1) ** m, factorial(n - m)) * _cp(n - m)(y))
+            harmonic_poly(m).affine_compose(1, (3 - e) // 2)
+            * (F((-1) ** m, factorial(n - m)) * cauchy_poly(kind, n - m, 1)(y))
             for m in range(n + 1)
         )
-        return lhs, binom_poly(-y, 1, n)
-
-    def hp2(n, y):
-        lhs = _psum(
-            harmonic_poly(m).affine_compose(1, 2)
-            * (F((-1) ** m, factorial(n - m)) * _chp(n - m)(y))
-            for m in range(n + 1)
-        )
-        return lhs, binom_poly(y, 1, n)
+        return lhs, binom_poly(-e * y, 1, n)
 
     def hp3(n):
         rhs = binom_poly(0, 1, n) - _psum(
@@ -964,8 +746,8 @@ def _g22():
         return lhs, rhs
 
     return [
-        IdentityCase("G22.hp1", "G22", "harmonic-polynomial convolution of the first kind gives a binomial", _n_y, hp1),
-        IdentityCase("G22.hp2", "G22", "harmonic-polynomial convolution of the second kind gives a binomial", _n_y, hp2),
+        IdentityCase("G22.hp1", "G22", "harmonic-polynomial convolution of the first kind gives a binomial", _n_y, partial(hp, "first")),
+        IdentityCase("G22.hp2", "G22", "harmonic-polynomial convolution of the second kind gives a binomial", _n_y, partial(hp, "second")),
         IdentityCase("G22.hp3", "G22", "second kind from first-kind numbers and harmonic polynomials", lambda g: _ns(g, 1), hp3),
         IdentityCase(
             "G22.compare-hyp5",

@@ -5,11 +5,6 @@ order, over repr((variant label, sorted params, lhs, rhs)) at every
 ``DEFAULT_GRID`` point; the label is None for a plain case and each
 variant's label for a probe.  A registry refactor that keeps every value
 and its type keeps every digest.
-
-After a deliberate change to what a check computes, regenerate the file
-from the repository root with
-
-    PYTHONPATH=src python tests/test_check_values.py --write
 """
 
 import hashlib
@@ -38,6 +33,11 @@ def check_values() -> dict:
 
 
 def test_check_values_match_recorded():
+    """After a deliberate change to what a check computes, regenerate the
+    file from the repository root with
+
+        PYTHONPATH=src python tests/test_check_values.py --write
+    """
     expected = json.loads(EXPECTED.read_text())
     actual = check_values()
     assert list(actual) == list(expected), "case ids or their order changed"

@@ -255,6 +255,22 @@ def test_verify_negative_grid_flag_is_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_verify_empty_config_list_is_usage_error(tmp_path, capsys):
+    # "xs=" would leave G04.lm11 with 0 points and a vacuous pass
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("xs=\n")
+    code, out, err = run(capsys, "verify", "--id", "G04.lm11", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: grid list xs must not be empty\n"
+
+
+def test_verify_zero_max_k_is_usage_error(capsys):
+    # every general-order case starts at k = 1, so --max-k 0 would run none of its points
+    code, out, err = run(capsys, "verify", "--id", "G15.diffk1", "--max-k", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: grid bound max_k must be >= 1, got 0\n"
+
+
 def test_verify_negative_grid_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("max_n_double=-1\n")
@@ -286,12 +302,16 @@ def test_export_tsv_sequence(tmp_path, capsys):
     assert lines[-1] == "6\t-863/84"
 
 
-def test_export_empty_range_header_only(tmp_path, capsys):
-    out_path = tmp_path / "empty.tsv"
-    code, _, _ = run(capsys, "export", "--family", "bernoulli", "--max-n", "-1",
-                     "--format", "tsv", "--out", str(out_path))
-    assert code == 0
-    assert out_path.read_text() == "n\tvalue\n"
+@pytest.mark.parametrize("max_n", ["-1", "-3"])
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_export_negative_max_n_is_usage_error(tmp_path, capsys, fmt, max_n):
+    # as for table: a negative --max-n is a usage error, not an empty export
+    out_path = tmp_path / f"numbers.{fmt}"
+    code, out, err = run(capsys, "export", "--family", "bernoulli", "--format", fmt,
+                         "--out", str(out_path), "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-n must be >= 0, got {max_n}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_triangle_files_in_env_dir_are_neither_read_nor_written(tmp_path, monkeypatch, capsys):

@@ -49,12 +49,25 @@ def test_verify_named_case_point_count():
 @pytest.mark.parametrize("bound", ["max_n", "max_n_double", "max_k", "max_r", "max_a",
                                    "max_n_multi"])
 def test_negative_grid_bound_rejected(bound):
-    # a negative bound would empty the grid and let every case pass vacuously
+    # a negative bound would empty the grid and let every case pass vacuously;
+    # the order k and the shift a start at 1, so 0 empties their cases too
     with pytest.raises(ValueError, match=bound):
         Grid(**{bound: -1})
     with pytest.raises(ValueError, match=bound):
         DEFAULT_GRID.with_overrides(**{bound: -5})
-    assert getattr(Grid(**{bound: 0}), bound) == 0
+    low = 1 if bound in ("max_k", "max_a") else 0
+    if low:
+        with pytest.raises(ValueError, match=f"{bound} must be >= 1"):
+            Grid(**{bound: 0})
+    assert getattr(Grid(**{bound: low}), bound) == low
+
+
+@pytest.mark.parametrize("points", ["qs", "xs", "ls", "ys_multi"])
+def test_empty_grid_list_rejected(points):
+    with pytest.raises(ValueError, match=f"{points} must not be empty"):
+        Grid(**{points: ()})
+    with pytest.raises(ValueError, match=points):
+        DEFAULT_GRID.with_overrides(**{points: ()})
 
 
 def test_verify_zhao():
