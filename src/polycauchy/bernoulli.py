@@ -58,6 +58,8 @@ def bernoulli_number(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def euler_poly(n: int) -> Poly:
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     b = gen_bernoulli_poly(n + 1, 1)
     return (b - b.stretch(Fraction(1, 2)) * 2 ** (n + 1)) * Fraction(2, n + 1)
 
@@ -65,6 +67,8 @@ def euler_poly(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def power_sum_poly(n: int) -> Poly:
     """S_n(x), with S_n(m) = 1^n + ... + m^n for positive integers m."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     b = gen_bernoulli_poly(n + 1, 1)
     return (b.affine_compose(1, 1) - b(Fraction(1))) / (n + 1)
 

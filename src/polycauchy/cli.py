@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("family", choices=_TRIANGLES + _SEQUENCE_TABLES)
     p_table.add_argument("--max-n", type=int, default=10)
     p_table.add_argument("--n", type=int, help="alias for --max-n")
-    p_table.add_argument("--kind", choices=("first", "second"), default="first")
+    p_table.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_table.add_argument("--k", type=int, default=1)
     p_table.add_argument("--out", help="write to a file instead of stdout")
     p_table.set_defaults(func=_cmd_table)
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("family", choices=tuple(_EVAL_POLYS))
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--k", type=int, default=1)
-    p_eval.add_argument("--kind", choices=("first", "second"), default="first")
+    p_eval.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_eval.add_argument("--alpha", type=int, default=1)
     p_eval.add_argument("--x", type=parse_rational, default=Fraction(0))
     p_eval.set_defaults(func=_cmd_eval)
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=("cauchy-poly", "cauchy-numbers", "bernoulli", "hyperharmonic"))
     p_export.add_argument("--format", required=True, choices=("json", "tsv"))
     p_export.add_argument("--out", required=True)
-    p_export.add_argument("--kind", choices=("first", "second"), default="first")
+    p_export.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_export.add_argument("--n", type=int, default=6)
     p_export.add_argument("--k", type=int, default=1)
     p_export.add_argument("--max-n", type=int, default=6)
@@ -196,7 +196,10 @@ def _parse_config(path: str) -> dict:
             if key in _GRID_INT_KEYS:
                 overrides[key] = int(value)
             elif key in _GRID_LIST_KEYS:
-                overrides[key] = tuple(parse_rational(v) for v in value.split(",") if v)
+                items = value.split(",") if value else []
+                if not all(items):
+                    raise UsageError(f"empty item in grid list {key}: {value!r}")
+                overrides[key] = tuple(parse_rational(v) for v in items)
             else:
                 raise UsageError(f"unknown config key {key!r}")
     return overrides
@@ -227,7 +230,7 @@ def _cmd_verify(args) -> int:
         try:
             report = verify(args.id, grid)
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
         payload = json.dumps(report.to_dict(), indent=2)
         if args.json:
             print(payload)

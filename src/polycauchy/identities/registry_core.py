@@ -7,10 +7,11 @@ formula is written once, as a module-level general-order check below;
 the G14/G15 case registers it as it is and the classical case with k
 fixed to 1.  Where a result is stated once for each kind, the check is
 written once with ``kind`` as its first argument and registered for each
-kind with ``functools.partial``; ``_E`` holds the sign that tells the two
-kinds apart.  The leading underscore of the shared checks and helpers keeps
-them private, so the benchmark tracer (``bench/tracer.py``), which wraps
-every public package function, leaves them alone."""
+kind with ``functools.partial``; the kind's sign e = ``KIND_SIGN[kind]``
+and ``_reflect`` follow the convention stated in ``polycauchy.cauchy``.
+The leading underscore of the shared checks and helpers keeps them
+private, so the benchmark tracer (``bench/tracer.py``), which wraps every
+public package function, leaves them alone."""
 
 from __future__ import annotations
 
@@ -19,7 +20,10 @@ from functools import partial
 from math import comb, factorial
 
 from ..bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli_poly, euler_poly, power_sum_poly
-from ..cauchy import cauchy_coefficient, cauchy_derivative, cauchy_number, cauchy_poly, cauchy_recurrence_step
+from ..cauchy import (
+    KIND_SIGN, _OTHER, _reflect, cauchy_coefficient, cauchy_derivative, cauchy_number, cauchy_poly,
+    cauchy_recurrence_step,
+)
 from ..harmonic import harmonic_number, hyperharmonic_poly
 from ..poly import Poly, binom_poly
 from ..stirling import a_number, central_u, gsn1, gsn2, stirling1, stirling2, whitney
@@ -60,18 +64,12 @@ def _chp(n, k=1):
 
 
 # The checks written once for both kinds take ``kind`` first and read
-# e = _E[kind]: a sign only the first kind carries is (-e) ** j, one only
-# the second kind carries is e ** j, a point +-y is e * y and a shift
-# +-n is e * n.
-_E = {"first": 1, "second": -1}
-_OTHER = {"first": "second", "second": "first"}
+# e = KIND_SIGN[kind] as ``polycauchy.cauchy`` does; a shift +-n is e * n.
 
 
 def _reflected(kind, n, k=1, construction="gsn"):
     """c_n^(k)(x) for the first kind, the second kind at -x."""
-    if kind == "first":
-        return cauchy_poly(kind, n, k, construction)
-    return cauchy_poly(kind, n, k, construction).affine_compose(-1, 0)
+    return _reflect(kind, cauchy_poly(kind, n, k, construction))
 
 
 def _ns(grid, start=0, stop=None):
@@ -108,14 +106,14 @@ def _even_points(grid):
 
 
 def _pro4(kind, n, k):
-    e = _E[kind]
+    e = KIND_SIGN[kind]
     rhs = _psum(gsn1(n, m) * F((-1) ** n * (-e) ** m, (m + 1) ** k) for m in range(n + 1))
     return _reflected(kind, n, k, "integral"), rhs
 
 
 def _inv(kind, n, k):
     lhs = _psum(gsn2(n, m) * _reflected(kind, m, k) for m in range(n + 1))
-    return lhs, Poly([F(_E[kind] ** n, (n + 1) ** k)])
+    return lhs, Poly([F(KIND_SIGN[kind] ** n, (n + 1) ** k)])
 
 
 def _cor2(kind, n, k):
@@ -166,7 +164,7 @@ def _diffk2(n, k):
 
 
 def _whitk(kind, n, k, m, r):
-    e = _E[kind]
+    e = KIND_SIGN[kind]
     lhs = F(cauchy_poly(kind, n, k)(F(e * r, m)))
     rhs = _fsum(
         F((-1) ** n * (-e) ** l, (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
@@ -176,7 +174,7 @@ def _whitk(kind, n, k, m, r):
 
 
 def _genk(kind, n, i, k):
-    e = _E[kind]
+    e = KIND_SIGN[kind]
     rhs = _psum(
         gen_bernoulli_poly(m - i, n + 1).affine_compose(-e, 1)
         * F(e ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k)
@@ -192,7 +190,7 @@ def _derk(kind, n, i, k):
 def _odd_central(kind, n, odd_poly):
     """The central-factorial sum for the kind's index-(2n+1) polynomial,
     odd_poly(m) being an Euler-type polynomial of degree 2m+1."""
-    e = _E[kind]
+    e = KIND_SIGN[kind]
     return _psum(
         odd_poly(m).affine_compose(1, e * n) * F(central_u(n, m), 2 * m + 1)
         for m in range(1, n + 1)
@@ -202,12 +200,12 @@ def _odd_central(kind, n, odd_poly):
 def _s2_values(kind, m, k, y):
     """Sum over l of gsn2(m, l)(y) times the kind's index-l value at y, or
     at -y for the second kind."""
-    point = _E[kind] * y
+    point = KIND_SIGN[kind] * y
     return _fsum(gsn2(m, l)(y) * cauchy_poly(kind, l, k)(point) for l in range(m + 1))
 
 
 def _s2_double(kind, n, k, y):
-    e = _E[kind]
+    e = KIND_SIGN[kind]
     return _psum(
         gsn2(n, m) * (F((-e) ** m * factorial(m)) * _s2_values(kind, m, k, y))
         for m in range(n + 1)
@@ -498,7 +496,7 @@ def _g08():
         )
 
     def whit_rev(kind, n, m, r):
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         lhs = _fsum(
             F(m) ** l * whitney("second", m, r, n, l) * cauchy_poly(kind, l, 1)(F(e * r, m))
             for l in range(n + 1)
@@ -515,7 +513,7 @@ def _g08():
 
 def _g09():
     def th6b(kind, n, i):
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         rhs = _psum(
             gen_bernoulli_poly(m - i, m + 1).affine_compose(-e, 1)
             * (cauchy_number(kind, n - m, 1) * comb(n, m) * comb(m, i))
@@ -683,7 +681,7 @@ def _g10():
 
     def hyp67(kind, n):
         rhs = _psum(
-            cauchy_poly(_OTHER[kind], m, 1).affine_compose(1, _E[kind] * n)
+            cauchy_poly(_OTHER[kind], m, 1).affine_compose(1, KIND_SIGN[kind] * n)
             * F((-1) ** m, factorial(m))
             for m in range(n + 1)
         )
@@ -879,7 +877,7 @@ def _g13():
         return bernoulli_poly(n), _s2_double(kind, n, 1, y)
 
     def p4cd(kind, n, y):
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         rhs = _psum(
             gsn1(n, m)
             * _fsum(
@@ -891,52 +889,29 @@ def _g13():
         return _reflected(kind, n), rhs
 
     def inner(kind, m, y):
-        return F(_E[kind] ** m) * _s2_values(kind, m - 1, 1, y)
+        return F(KIND_SIGN[kind] ** m) * _s2_values(kind, m - 1, 1, y)
 
-    def p5a(n, y):
-        rhs = _psum(gsn2(n - 1, m - 1) * _cp(m) * inner("first", m, y) for m in range(1, n + 1))
-        return bernoulli_poly(n) / (-n), rhs
+    def p5ab(kind, n, y):
+        rhs = _psum(gsn2(n - 1, m - 1) * _cp(m) * inner(kind, m, y) for m in range(1, n + 1))
+        return bernoulli_poly(n) / (-KIND_SIGN[kind] * n), rhs
 
-    def p5b(n, y):
-        rhs = _psum(gsn2(n - 1, m - 1) * _cp(m) * inner("second", m, y) for m in range(1, n + 1))
-        return bernoulli_poly(n) / n, rhs
-
-    def p5c(n, y):
+    def p5cd(kind, n, y):
         rhs = _psum(
-            gsn2(n - 1, m - 1) * _reflected("second", m) * inner("first", m, y)
+            gsn2(n - 1, m - 1) * _reflected("second", m) * inner(kind, m, y)
             for m in range(1, n + 1)
         )
-        return (Poly([F((-1) ** n)]) - bernoulli_poly(n)) / n, rhs
+        return (Poly([F((-1) ** n)]) - bernoulli_poly(n)) / (KIND_SIGN[kind] * n), rhs
 
-    def p5d(n, y):
-        rhs = _psum(
-            gsn2(n - 1, m - 1) * _reflected("second", m) * inner("second", m, y)
-            for m in range(1, n + 1)
-        )
-        return (bernoulli_poly(n) - F((-1) ** n)) / n, rhs
-
-    def p5e(n, y):
+    def p5ef(kind, n, y):
         rhs = Poly([0] * n + [1]) - _psum(
-            gsn2(n - 1, m - 1) * (_c(m) * inner("first", m, y)) for m in range(1, n + 1)
-        ) * n
+            gsn2(n - 1, m - 1) * (_c(m) * inner(kind, m, y)) for m in range(1, n + 1)
+        ) * (KIND_SIGN[kind] * n)
         return bernoulli_poly(n), rhs
 
-    def p5f(n, y):
-        rhs = Poly([0] * n + [1]) + _psum(
-            gsn2(n - 1, m - 1) * (_c(m) * inner("second", m, y)) for m in range(1, n + 1)
-        ) * n
-        return bernoulli_poly(n), rhs
-
-    def p5g(n, y):
+    def p5gh(kind, n, y):
         rhs = Poly([-1, 1]) ** n - _psum(
-            gsn2(n - 1, m - 1) * (_ch(m) * inner("first", m, y)) for m in range(1, n + 1)
-        ) * n
-        return bernoulli_poly(n), rhs
-
-    def p5h(n, y):
-        rhs = Poly([-1, 1]) ** n + _psum(
-            gsn2(n - 1, m - 1) * (_ch(m) * inner("second", m, y)) for m in range(1, n + 1)
-        ) * n
+            gsn2(n - 1, m - 1) * (_ch(m) * inner(kind, m, y)) for m in range(1, n + 1)
+        ) * (KIND_SIGN[kind] * n)
         return bernoulli_poly(n), rhs
 
     descs = {
@@ -957,8 +932,10 @@ def _g13():
     checks = {
         "p4a": (partial(p4ab, "first"), 0), "p4b": (partial(p4ab, "second"), 0),
         "p4c": (partial(p4cd, "first"), 0), "p4d": (partial(p4cd, "second"), 0),
-        "p5a": (p5a, 1), "p5b": (p5b, 1), "p5c": (p5c, 1), "p5d": (p5d, 1),
-        "p5e": (p5e, 1), "p5f": (p5f, 1), "p5g": (p5g, 1), "p5h": (p5h, 1),
+        "p5a": (partial(p5ab, "first"), 1), "p5b": (partial(p5ab, "second"), 1),
+        "p5c": (partial(p5cd, "first"), 1), "p5d": (partial(p5cd, "second"), 1),
+        "p5e": (partial(p5ef, "first"), 1), "p5f": (partial(p5ef, "second"), 1),
+        "p5g": (partial(p5gh, "first"), 1), "p5h": (partial(p5gh, "second"), 1),
     }
     return [
         IdentityCase(f"G13.{name}", "G13", descs[name], partial(_n_y, start=start, double=True), fn)

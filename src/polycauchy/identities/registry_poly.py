@@ -7,7 +7,8 @@ identity are written once, in ``registry_core``, and registered here as
 they are; the classical cases reuse them with k fixed to 1.  Each
 first/second-kind pair is one check taking ``kind`` first, registered
 once per kind with ``functools.partial``; pairs whose two forms differ in
-structure stay two functions."""
+structure stay two functions.  The kind's sign e = ``KIND_SIGN[kind]`` and
+``_reflect`` follow the convention stated in ``polycauchy.cauchy``."""
 
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ from ..bernoulli import (
     poly_bernoulli_kl,
 )
 from ..cauchy import (
+    KIND_SIGN,
+    _OTHER,
     MultiParam,
     aux_poly,
     aux_poly_weighted,
@@ -55,7 +58,7 @@ from ..stirling import (
 )
 from .engine import IdentityCase
 from .registry_core import (
-    _E, _OTHER, F, _c, _ch, _chp, _cor2, _cp, _derk, _diffk1, _diffk2, _fsum, _genk, _inv, _n_k,
+    F, _c, _ch, _chp, _cor2, _cp, _derk, _diffk1, _diffk2, _fsum, _genk, _inv, _n_k,
     _n_y, _ns, _odd_central, _pro4, _psum, _reck, _reflected, _s2_double, _symm5, _symm6, _symm8a,
     _whitk,
 )
@@ -78,7 +81,7 @@ def _g14():
 
     def back(kind, n, k):
         rhs = _psum(
-            _inner_negx(m, k) * ((-1) ** n * (-_E[kind]) ** m * stirling1(n, m))
+            _inner_negx(m, k) * ((-1) ** n * (-KIND_SIGN[kind]) ** m * stirling1(n, m))
             for m in range(n + 1)
         )
         return cauchy_poly(kind, n, k), rhs
@@ -141,12 +144,12 @@ def _g15():
 
     def korec(kind, n, k, r, s):
         lhs = _fsum(
-            gsn2(n - r, m - r)(F(r)) * cauchy_poly(kind, m - s, k)(F(_E[kind] * s))
+            gsn2(n - r, m - r)(F(r)) * cauchy_poly(kind, m - s, k)(F(KIND_SIGN[kind] * s))
             for m in range(r, n + 1)
         )
         # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second
         rhs = _fsum(
-            F((-1) ** (n - s) * (-_E[kind]) ** (n - s + r - l), (n + l - r - s + 1) ** k)
+            F((-1) ** (n - s) * (-KIND_SIGN[kind]) ** (n - s + r - l), (n + l - r - s + 1) ** k)
             * gsn1(r - s, l - s)(F(s))
             for l in range(s, r + 1)
         )
@@ -164,13 +167,13 @@ def _g15():
         lhs = _fsum(gsn2(n, m)(F(r)) * cauchy_number(kind, m + r, k) for m in range(n + 1))
         # (-1)^(r-l) for the first kind, (-1)^(n+r) for the second
         rhs = _fsum(
-            F((-1) ** (n + r) * (-_E[kind]) ** (n + l), (n + l + 1) ** k) * stirling1(r, l)
+            F((-1) ** (n + r) * (-KIND_SIGN[kind]) ** (n + l), (n + l + 1) ** k) * stirling1(r, l)
             for l in range(r + 1)
         )
         return lhs, rhs
 
     def val_at(kind, n, k):
-        want = F(cauchy_poly(kind, n, k)(F(_E[kind])))
+        want = F(cauchy_poly(kind, n, k)(F(KIND_SIGN[kind])))
         t1 = F((-1) ** n * factorial(n)) * _fsum(
             comb(n, m) * cauchy_number(_OTHER[kind], m, k) / factorial(m) for m in range(n + 1)
         )
@@ -188,7 +191,7 @@ def _g15():
         return lhs, rhs
 
     def gbpk(kind, n, k):
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         rhs = _psum(
             gen_bernoulli_poly(m, n + 1).affine_compose(-e, 1)
             * F(e ** (n - m) * comb(n, m), (n + 1 - m) ** k)
@@ -261,7 +264,7 @@ def _g17():
         rhs = _psum(
             gsn1(n, m)
             * _fsum(
-                F((-_E[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
+                F((-KIND_SIGN[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
                 for l in range(m + 1)
             )
             for m in range(n + 1)
@@ -271,7 +274,7 @@ def _g17():
     def kl12(kind, n, k):
         rhs = _psum(
             cauchy_poly(kind, l, k)
-            * ((-_E[kind]) ** m * factorial(m) * stirling2(n, m) * stirling2(m, l))
+            * ((-KIND_SIGN[kind]) ** m * factorial(m) * stirling2(n, m) * stirling2(m, l))
             for m in range(n + 1)
             for l in range(m + 1)
         ) * (-1) ** n
@@ -280,7 +283,7 @@ def _g17():
     def kl34(kind, n, k):
         rhs = _psum(
             poly_bernoulli_kl(l, k)
-            * (F((-_E[kind]) ** m, factorial(m)) * stirling1(n, m) * stirling1(m, l))
+            * (F((-KIND_SIGN[kind]) ** m, factorial(m)) * stirling1(n, m) * stirling1(m, l))
             for m in range(n + 1)
             for l in range(m + 1)
         ) * (-1) ** n
@@ -301,7 +304,7 @@ def _g17():
 def _g18():
     def poly(kind, seeded, n, k):
         # seeded: start the inner sum at j = 0 and add the first-kind number
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         if seeded:
             seed, start = Poly([_c(n)]), 0
         else:
@@ -348,7 +351,7 @@ def _g19():
     def moments_at(kind, m, k):
         # the Bernoulli-weighted moment polynomial of degree m at 1, or at -1
         # with alternating weights for the second kind
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         return _fsum(
             e ** j * comb(m, j) * bernoulli_number(m - j) * aux_poly(j, k)(F(e))
             for j in range(m + 1)
@@ -367,7 +370,7 @@ def _g19():
         # (-x)^m for the first kind, (1-x)^m for the second
         rhs = Poly([cauchy_number(kind, n, 1)]) - _psum(
             gsn1(n - 1, m - 1)
-            * (Poly([(1 - _E[kind]) // 2, -1]) ** m - moments_at(kind, m, k))
+            * (Poly([(1 - KIND_SIGN[kind]) // 2, -1]) ** m - moments_at(kind, m, k))
             * F((-1) ** n, m)
             for m in range(1, n + 1)
         ) * n
@@ -433,7 +436,7 @@ def _g20():
         )
 
     def th11_even(kind, n, k):
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         rhs = _psum(
             _psum(
                 aux_poly(2 * m - j, k).affine_compose(1, e * n)
@@ -446,7 +449,7 @@ def _g20():
         return cauchy_poly(kind, 2 * n, k), rhs
 
     def th11_odd(kind, n, k):
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         rhs = _psum(
             _psum(
                 aux_poly(2 * m + 1 - j, k).affine_compose(1, e * n + 1)
@@ -553,7 +556,7 @@ def _g21():
     def x0(kind, n, a, q, L, y):
         k = len(L)
         w = prod(L)
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         point = e * y
         rhs = _fsum(
             F((-1) ** n * (-e) ** m) * gsn1_bivariate_at(n, m, point, q)
@@ -572,7 +575,7 @@ def _g21():
 
     def reduce_display(kind, n, k):
         rhs = _psum(
-            aux_poly(m, k) * ((-1) ** n * _E[kind] ** m * stirling1(n, m)) for m in range(n + 1)
+            aux_poly(m, k) * ((-1) ** n * KIND_SIGN[kind] ** m * stirling1(n, m)) for m in range(n + 1)
         )
         return cauchy_poly(kind, n, k), rhs
 
@@ -622,7 +625,7 @@ def _g21():
 
     def mpb12(kind, n, a, q, L, y):
         k = len(L)
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         point = e * y
         rhs = _psum(
             _mc(kind, l, k, a, q, L, y)
@@ -638,7 +641,7 @@ def _g21():
 
     def mpb34(kind, n, a, q, L, y):
         k = len(L)
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         point = e * y
         rhs = _psum(
             _mpb(l, k, a, q, L, y)
@@ -690,7 +693,7 @@ def _g21():
 
 def _g22():
     def hp(kind, n, y):
-        e = _E[kind]
+        e = KIND_SIGN[kind]
         # harmonic polynomials at x + 1 for the first kind, x + 2 for the second
         lhs = _psum(
             harmonic_poly(m).affine_compose(1, (3 - e) // 2)

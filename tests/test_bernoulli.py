@@ -115,6 +115,12 @@ def test_poly_bernoulli_domain():
         poly_bernoulli_kl(2, 0)
 
 
+@pytest.mark.parametrize("fn", [euler_poly, power_sum_poly])
+def test_negative_degree_rejected(fn):
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        fn(-1)
+
+
 def test_poly_bernoulli_kl():
     for k in range(1, 4):
         assert poly_bernoulli_kl(0, k) == Poly([1])

@@ -156,7 +156,7 @@ def test_verify_single_case(capsys):
 def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "--id", "bogus")
     assert code == 2
-    assert "unknown identity case" in err
+    assert err == "error: unknown identity case 'bogus'\n"
 
 
 def test_verify_json_small_grid(capsys):
@@ -190,10 +190,15 @@ def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_library_value_error_is_usage_error(capsys):
-    code, out, err = run(capsys, "eval", "cauchy", "--n", "3", "--k", "0")
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "cauchy", "--n", "3", "--k", "0"), "k must be >= 1"),
+    (("eval", "euler-poly", "--n", "-1"), "degree must be >= 0"),
+    (("eval", "power-sum", "--n", "-1"), "degree must be >= 0"),
+], ids=["cauchy-k0", "euler-poly-n-1", "power-sum-n-1"])
+def test_library_value_error_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "k must be >= 1" in err
+    assert err.startswith("error: ") and message in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -262,6 +267,16 @@ def test_verify_empty_config_list_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--id", "G04.lm11", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == "error: grid list xs must not be empty\n"
+
+
+@pytest.mark.parametrize("items", ["0,,1", "0,1,", ",0"])
+def test_verify_empty_config_list_item_is_usage_error(tmp_path, capsys, items):
+    # a doubled or trailing comma must not drop a point and run on the rest
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"xs={items}\n")
+    code, out, err = run(capsys, "verify", "--id", "G04.lm11", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: empty item in grid list xs: {items!r}\n"
 
 
 def test_verify_zero_max_k_is_usage_error(capsys):
