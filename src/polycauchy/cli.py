@@ -63,8 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="emit a triangle or sequence as TSV")
     p_table.add_argument("family", choices=_TRIANGLES + _SEQUENCE_TABLES)
-    p_table.add_argument("--max-n", type=int, default=10)
-    p_table.add_argument("--n", type=int, help="alias for --max-n")
+    p_table.add_argument("--max-n", "--n", dest="max_n", type=int, default=10)
     p_table.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_table.add_argument("--k", type=int, default=1)
     p_table.add_argument("--out", help="write to a file instead of stdout")
@@ -140,7 +139,7 @@ def _checked_max_n(max_n: int) -> int:
 
 
 def _cmd_table(args) -> int:
-    max_n = _checked_max_n(args.n if args.n is not None else args.max_n)
+    max_n = _checked_max_n(args.max_n)
     _write_lines(_table_lines(args, max_n), args.out)
     return 0
 

@@ -9,6 +9,11 @@ fixed to 1.  Where a result is stated once for each kind, the check is
 written once with ``kind`` as its first argument and registered for each
 kind with ``functools.partial``; the kind's sign e = ``KIND_SIGN[kind]``
 and ``_reflect`` follow the convention stated in ``polycauchy.cauchy``.
+A shift, seed or factor that only one kind carries is scaled by
+(1 - e)/2, which is 0 for the first kind and 1 for the second, or by
+(1 + e)/2, which is the reverse.  Where a case restates another case or a
+library construction, it registers that existing check or compares with
+that construction (``_constructions``) instead of writing the sum again.
 The leading underscore of the shared checks and helpers keeps them
 private, so the benchmark tracer (``bench/tracer.py``), which wraps every
 public package function, leaves them alone."""
@@ -106,9 +111,13 @@ def _even_points(grid):
 
 
 def _pro4(kind, n, k):
-    e = KIND_SIGN[kind]
-    rhs = _psum(gsn1(n, m) * F((-1) ** n * (-e) ** m, (m + 1) ** k) for m in range(n + 1))
-    return _reflected(kind, n, k, "integral"), rhs
+    # the weighted Stirling-polynomial sum is the gsn construction
+    return _reflected(kind, n, k, "integral"), _reflected(kind, n, k)
+
+
+def _constructions(lhs, rhs, kind, n, k=1):
+    """The kind's polynomial by the two named constructions."""
+    return cauchy_poly(kind, n, k, lhs), cauchy_poly(kind, n, k, rhs)
 
 
 def _inv(kind, n, k):
@@ -141,6 +150,15 @@ def _symm6(n, k):
     return _chp(n, k), rhs
 
 
+def _symm7a(n, k):
+    # C(-x, j) = (-1)^j C(x+j-1, j): at k = 1 this is the classical symm1 form
+    rhs = _psum(
+        binom_poly(0, -1, n - m) * (F(factorial(n), factorial(m)) * _c(m, k))
+        for m in range(n + 1)
+    )
+    return _cp(n, k), rhs
+
+
 def _symm8a(n, k):
     rhs = _psum(
         binom_poly(0, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m, k))
@@ -153,14 +171,11 @@ def _reck(kind, n, k):
     return cauchy_poly(kind, n + 1, k), cauchy_recurrence_step(kind, n, k)
 
 
-def _diffk1(n, k):
-    lhs = _cp(n, k).affine_compose(1, 1) - _cp(n, k)
-    return lhs, _cp(n - 1, k).affine_compose(1, 1) * (-n)
-
-
-def _diffk2(n, k):
-    lhs = _chp(n, k).affine_compose(1, 1) - _chp(n, k)
-    return lhs, _chp(n - 1, k) * n
+def _diffk(kind, n, k):
+    e = KIND_SIGN[kind]
+    poly = cauchy_poly(kind, n, k)
+    rhs = cauchy_poly(kind, n - 1, k).affine_compose(1, (1 + e) // 2) * (-e * n)
+    return poly.affine_compose(1, 1) - poly, rhs
 
 
 def _whitk(kind, n, k, m, r):
@@ -213,13 +228,6 @@ def _s2_double(kind, n, k, y):
 
 
 def _g01():
-    def rem31(n):
-        lhs = cauchy_poly("second", n, 1, "integral")
-        rhs = _psum(
-            gsn1(n, m).affine_compose(-1, 0) * F(1, m + 1) for m in range(n + 1)
-        ) * (-1) ** n
-        return lhs, rhs
-
     def one_minus(n):
         rhs = _psum(
             gsn1(n, m).affine_compose(-1, 1) * F((-1) ** (n - m), m + 1)
@@ -234,7 +242,7 @@ def _g01():
     return [
         IdentityCase("G01.th11", "G01", "first kind as signed 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro4, "first", k=1)),
         IdentityCase("G01.th12", "G01", "second kind at -x as 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro4, "second", k=1)),
-        IdentityCase("G01.rem31", "G01", "second kind via x -> -x composed Stirling polynomials", _ns, rem31),
+        IdentityCase("G01.rem31", "G01", "second kind via x -> -x composed Stirling polynomials", _ns, partial(_constructions, "integral", "gsn", "second")),
         IdentityCase("G01.shift-1mx", "G01", "second kind via the 1-x shifted Stirling polynomials", _ns, one_minus),
         IdentityCase("G01.kargin", "G01", "second-kind numbers from the (n+1, m+1) Stirling column", _ns, kargin),
         IdentityCase("G01.rem4a", "G01", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", _ns, partial(_inv, "first", k=1)),
@@ -259,9 +267,6 @@ def _g02():
 
 
 def _g03():
-    def exp(kind, n):
-        return cauchy_poly(kind, n, 1, "theorem1"), cauchy_poly(kind, n, 1)
-
     def exp3(n):
         rhs = (1 if n == 1 else 0) + F((-1) ** (n + 1) * n) * _fsum(
             F(stirling1(n - 1, m - 1), m) * bernoulli_number(m) for m in range(1, n + 1)
@@ -285,8 +290,8 @@ def _g03():
         return _fsum(F((-1) ** m * stirling1(n, m)) for m in range(1, n + 1)), F(0)
 
     return [
-        IdentityCase("G03.exp1", "G03", "explicit Stirling expansion of the first kind", lambda g: _ns(g, 1), partial(exp, "first")),
-        IdentityCase("G03.exp2", "G03", "explicit Stirling expansion of the second kind", lambda g: _ns(g, 1), partial(exp, "second")),
+        IdentityCase("G03.exp1", "G03", "explicit Stirling expansion of the first kind", lambda g: _ns(g, 1), partial(_constructions, "theorem1", "gsn", "first")),
+        IdentityCase("G03.exp2", "G03", "explicit Stirling expansion of the second kind", lambda g: _ns(g, 1), partial(_constructions, "theorem1", "gsn", "second")),
         IdentityCase("G03.exp3", "G03", "first-kind numbers from Bernoulli numbers", lambda g: _ns(g, 1), exp3),
         IdentityCase("G03.exp4", "G03", "nonconstant coefficients are (n/i) times a Stirling entry", lambda g: _ns(g, 1), exp4),
         IdentityCase(
@@ -333,13 +338,6 @@ def _g04():
 
 
 def _g05():
-    def symm1(n):
-        rhs = _psum(
-            binom_poly(n - m - 1, 1, n - m) * (F((-1) ** m * factorial(n), factorial(m)) * _c(m))
-            for m in range(n + 1)
-        ) * (-1) ** n
-        return _cp(n), rhs
-
     def x1_a(n):
         rhs = F((-1) ** n * factorial(n)) * _fsum(
             comb(n, m) * _ch(m) / factorial(m) for m in range(n + 1)
@@ -390,7 +388,7 @@ def _g05():
     return [
         IdentityCase("G05.chen1", "G05", "first kind from second-kind numbers and rising binomials", _ns, partial(_symm5, k=1)),
         IdentityCase("G05.chen2", "G05", "second kind from first-kind numbers and shifted binomials", _ns, partial(_symm6, k=1)),
-        IdentityCase("G05.symm1", "G05", "first kind from its own numbers and shifted binomials", _ns, symm1),
+        IdentityCase("G05.symm1", "G05", "first kind from its own numbers and shifted binomials", _ns, partial(_symm7a, k=1)),
         IdentityCase("G05.symm2", "G05", "second kind from its own numbers and plain binomials", _ns, partial(_symm8a, k=1)),
         IdentityCase("G05.x1-a", "G05", "binomial self-convolution of second-kind numbers", _ns, x1_a),
         IdentityCase("G05.x1-b", "G05", "first-kind numbers from shifted second-kind convolution", lambda g: _ns(g, 1), partial(x1_bc, "first")),
@@ -440,8 +438,8 @@ def _g06():
         IdentityCase("G06.rec2", "G06", "one-step recurrence for the second kind", lambda g: _ns(g, 0, g.max_n - 1), partial(_reck, "second", k=1)),
         IdentityCase("G06.nstep1", "G06", "alternative step recurrence, first kind", lambda g: _ns(g, 1), nstep1),
         IdentityCase("G06.nstep2", "G06", "alternative step recurrence, second kind", lambda g: _ns(g, 1), nstep2),
-        IdentityCase("G06.diff1", "G06", "difference equation of the first kind", lambda g: _ns(g, 1), partial(_diffk1, k=1)),
-        IdentityCase("G06.diff2", "G06", "difference equation of the second kind", lambda g: _ns(g, 1), partial(_diffk2, k=1)),
+        IdentityCase("G06.diff1", "G06", "difference equation of the first kind", lambda g: _ns(g, 1), partial(_diffk, "first", k=1)),
+        IdentityCase("G06.diff2", "G06", "difference equation of the second kind", lambda g: _ns(g, 1), partial(_diffk, "second", k=1)),
         IdentityCase("G06.mirror", "G06", "first kind from the reflected second kind", lambda g: _ns(g, 1), mirror),
         IdentityCase(
             "G06.k-recurrence-sign",
@@ -455,27 +453,23 @@ def _g06():
 
 
 def _g07():
-    def even_first(n):
+    def even(kind, n):
+        # powers of x + n - 1 for the first kind, x - n for the second
+        e = KIND_SIGN[kind]
+        base = Poly([e * n - (1 + e) // 2, 1])
         rhs = _psum(
-            (Poly([n - 1, 1]) ** (2 * m) - bernoulli_number(2 * m)) * F(central_u(n, m), m)
+            (base ** (2 * m) - bernoulli_number(2 * m)) * F(central_u(n, m), m)
             for m in range(1, n + 1)
         ) * n
-        return _cp(2 * n), rhs
-
-    def even_second(n):
-        rhs = _psum(
-            (Poly([-n, 1]) ** (2 * m) - bernoulli_number(2 * m)) * F(central_u(n, m), m)
-            for m in range(1, n + 1)
-        ) * n
-        return _chp(2 * n), rhs
+        return cauchy_poly(kind, 2 * n, 1), rhs
 
     def odd(kind, n):
         rhs = _odd_central(kind, n, lambda m: euler_poly(2 * m + 1))
         return cauchy_poly(kind, 2 * n + 1, 1), rhs
 
     return [
-        IdentityCase("G07.even-first", "G07", "even first kind via central factorials and Bernoulli numbers", _even_points, even_first),
-        IdentityCase("G07.even-second", "G07", "even second kind via central factorials and Bernoulli numbers", _even_points, even_second),
+        IdentityCase("G07.even-first", "G07", "even first kind via central factorials and Bernoulli numbers", _even_points, partial(even, "first")),
+        IdentityCase("G07.even-second", "G07", "even second kind via central factorials and Bernoulli numbers", _even_points, partial(even, "second")),
         IdentityCase("G07.odd-first", "G07", "odd first kind via central factorials and Euler polynomials", _even_points, partial(odd, "first")),
         IdentityCase("G07.odd-second", "G07", "odd second kind via central factorials and Euler polynomials", _even_points, partial(odd, "second")),
     ]
@@ -521,35 +515,28 @@ def _g09():
         ) * ((-e) ** i * factorial(i))
         return cauchy_poly(kind, n, 1).derivative(i), rhs
 
-    def der12(n, i):
-        rhs = gsn1(n - 1, i - 1) * ((-1) ** n * n * factorial(i - 1))
-        return _cp(n).derivative(i), rhs
-
-    def der22(n, i):
-        rhs = gsn1(n - 1, i - 1).affine_compose(-1, 1) * (
-            (-1) ** (n + i) * n * factorial(i - 1)
+    def der(kind, n, i):
+        # the Stirling polynomial at x for the first kind, at 1 - x for the second
+        e = KIND_SIGN[kind]
+        rhs = gsn1(n - 1, i - 1).affine_compose(e, (1 - e) // 2) * (
+            (-1) ** n * e**i * n * factorial(i - 1)
         )
-        return _chp(n).derivative(i), rhs
+        return cauchy_poly(kind, n, 1).derivative(i), rhs
 
-    def gder1(n, i):
+    def gder(kind, n, i):
         lhs = _psum(
-            gsn1(m, i) * ((-1) ** (n - m) * _c(n - m) * comb(n, m))
+            gsn1(m, i) * ((-1) ** (n - m) * cauchy_number(kind, n - m, 1) * comb(n, m))
             for m in range(i, n + 1)
         )
-        return lhs, gsn1(n - 1, i - 1) * F(n, i)
+        return lhs, gsn1(n - 1, i - 1).affine_compose(1, (1 - KIND_SIGN[kind]) // 2) * F(n, i)
 
-    def gder2(n, i):
-        lhs = _psum(
-            gsn1(m, i) * ((-1) ** (n - m) * _ch(n - m) * comb(n, m))
-            for m in range(i, n + 1)
+    def self_rec(kind, n):
+        # only the second kind's recurrence is seeded, by (-1)^n
+        rhs = F((1 - KIND_SIGN[kind]) // 2 * (-1) ** n) + _fsum(
+            cauchy_number(kind, m, 1) / factorial(m) * F((-1) ** (n + 1 - m), n + 1 - m)
+            for m in range(n)
         )
-        return lhs, gsn1(n - 1, i - 1).affine_compose(1, 1) * F(n, i)
-
-    def merlin(n):
-        rhs = _fsum(
-            _c(m) / factorial(m) * F((-1) ** (n + 1 - m), n + 1 - m) for m in range(n)
-        )
-        return _c(n) / factorial(n), rhs
+        return cauchy_number(kind, n, 1) / factorial(n), rhs
 
     def half_harm(n):
         lhs = _fsum(
@@ -558,18 +545,13 @@ def _g09():
         )
         return lhs, F(1, 2 * n)
 
-    def zhao(n):
+    def zhao(kind, n):
         lhs = _fsum(
-            F((-1) ** (n - m)) * _c(n - m) / factorial(n - m) * harmonic_number(m + 1)
+            F((-1) ** (n - m)) * cauchy_number(kind, n - m, 1) / factorial(n - m)
+            * harmonic_number(m + 1)
             for m in range(n + 1)
         )
-        return lhs, F(1)
-
-    def chat_rec(n):
-        rhs = F((-1) ** n) + _fsum(
-            _ch(m) / factorial(m) * F((-1) ** (n + 1 - m), n + 1 - m) for m in range(n)
-        )
-        return _ch(n) / factorial(n), rhs
+        return lhs, F(1 + (1 - KIND_SIGN[kind]) // 2 * n)
 
     def chat_half(n):
         lhs = _fsum(
@@ -578,13 +560,6 @@ def _g09():
         )
         return lhs, harmonic_number(n) / 2
 
-    def chat_zhao(n):
-        lhs = _fsum(
-            F((-1) ** (n - m)) * _ch(n - m) / factorial(n - m) * harmonic_number(m + 1)
-            for m in range(n + 1)
-        )
-        return lhs, F(n + 1)
-
     return [
         IdentityCase("G09.th5-first", "G09", "derivatives via higher-order Bernoulli polynomials, first kind", _n_i, partial(_genk, "first", k=1)),
         IdentityCase("G09.th5-second", "G09", "derivatives via higher-order Bernoulli polynomials, second kind", _n_i, partial(_genk, "second", k=1)),
@@ -592,33 +567,27 @@ def _g09():
         IdentityCase("G09.th6-second", "G09", "derivatives via own numbers and Stirling polynomials, second kind", _n_i, partial(_derk, "second", k=1)),
         IdentityCase("G09.th6b-first", "G09", "derivative rewrite through order-(m+1) Bernoulli polynomials", _n_i, partial(th6b, "first")),
         IdentityCase("G09.th6b-second", "G09", "second-kind derivative rewrite through Bernoulli polynomials", _n_i, partial(th6b, "second")),
-        IdentityCase("G09.der12", "G09", "derivatives collapse to a single shifted Stirling polynomial", lambda g: _n_i(g, 1, 1), der12),
-        IdentityCase("G09.der22", "G09", "second-kind derivatives collapse with the 1-x argument", lambda g: _n_i(g, 1, 1), der22),
-        IdentityCase("G09.gder1", "G09", "Stirling-weighted number sums collapse, first kind", lambda g: _n_i(g, 1, 1), gder1),
-        IdentityCase("G09.gder2", "G09", "Stirling-weighted number sums collapse, second kind", lambda g: _n_i(g, 1, 1), gder2),
-        IdentityCase("G09.merlin", "G09", "self-referential recurrence of the first-kind numbers", lambda g: _ns(g, 1), merlin),
+        IdentityCase("G09.der12", "G09", "derivatives collapse to a single shifted Stirling polynomial", lambda g: _n_i(g, 1, 1), partial(der, "first")),
+        IdentityCase("G09.der22", "G09", "second-kind derivatives collapse with the 1-x argument", lambda g: _n_i(g, 1, 1), partial(der, "second")),
+        IdentityCase("G09.gder1", "G09", "Stirling-weighted number sums collapse, first kind", lambda g: _n_i(g, 1, 1), partial(gder, "first")),
+        IdentityCase("G09.gder2", "G09", "Stirling-weighted number sums collapse, second kind", lambda g: _n_i(g, 1, 1), partial(gder, "second")),
+        IdentityCase("G09.merlin", "G09", "self-referential recurrence of the first-kind numbers", lambda g: _ns(g, 1), partial(self_rec, "first")),
         IdentityCase("G09.half-harm", "G09", "harmonic-weighted convolution gives 1/(2n)", lambda g: _ns(g, 1), half_harm),
-        IdentityCase("G09.zhao", "G09", "harmonic-weighted convolution gives 1", _ns, zhao),
-        IdentityCase("G09.chat-rec", "G09", "self-referential recurrence of second-kind numbers", lambda g: _ns(g, 1), chat_rec),
+        IdentityCase("G09.zhao", "G09", "harmonic-weighted convolution gives 1", _ns, partial(zhao, "first")),
+        IdentityCase("G09.chat-rec", "G09", "self-referential recurrence of second-kind numbers", lambda g: _ns(g, 1), partial(self_rec, "second")),
         IdentityCase("G09.chat-half", "G09", "second-kind harmonic convolution gives half a harmonic number", _ns, chat_half),
-        IdentityCase("G09.chat-zhao", "G09", "second-kind harmonic convolution gives n+1", _ns, chat_zhao),
+        IdentityCase("G09.chat-zhao", "G09", "second-kind harmonic convolution gives n+1", _ns, partial(zhao, "second")),
     ]
 
 
 def _g10():
-    def hyp1(n, y):
+    def hyp12(kind, n, y):
+        e = KIND_SIGN[kind]
         lhs = _psum(
-            _cp(m) * (F((-1) ** m, factorial(m)) * hyperharmonic_poly(n + 1 - m)(y))
+            cauchy_poly(kind, m, 1) * (F((-1) ** m, factorial(m)) * hyperharmonic_poly(n + 1 - m)(y))
             for m in range(n + 1)
         )
-        return lhs, binom_poly(y + n - 1, 1, n)
-
-    def hyp2(n, y):
-        lhs = _psum(
-            _chp(m) * (F((-1) ** m, factorial(m)) * hyperharmonic_poly(n + 1 - m)(y))
-            for m in range(n + 1)
-        )
-        return lhs, binom_poly(y + n, -1, n)
+        return lhs, binom_poly(y + n - (1 + e) // 2, e, n)
 
     def hyp3(n):
         lhs = _psum(
@@ -658,19 +627,14 @@ def _g10():
         )
         return _chp(n) / factorial(n), rhs
 
-    def rec_negy_first(n):
-        rhs = binom_poly(n - 2, 1, n) * (-1) ** n + _psum(
-            _cp(m) * F((-1) ** (n - m), factorial(m) * (n - m) * (n + 1 - m))
+    def hyp5(kind, n):
+        # C(1-x, n) = (-1)^n C(x+n-2, n) for the first kind, C(x, n) for the second
+        e = KIND_SIGN[kind]
+        rhs = binom_poly((1 + e) // 2, -e, n) + _psum(
+            cauchy_poly(kind, m, 1) * F((-1) ** (n - m), factorial(m) * (n - m) * (n + 1 - m))
             for m in range(n)
         )
-        return _cp(n) / factorial(n), rhs
-
-    def hyp5(n):
-        rhs = binom_poly(0, 1, n) + _psum(
-            _chp(m) * F((-1) ** (n - m), factorial(m) * (n - m) * (n + 1 - m))
-            for m in range(n)
-        )
-        return _chp(n) / factorial(n), rhs
+        return cauchy_poly(kind, n, 1) / factorial(n), rhs
 
     def hyp5_x1(n):
         rhs = (F(1) if n == 1 else F(0)) + _fsum(
@@ -692,59 +656,40 @@ def _g10():
         rhs = (F((-1) ** n) * _cp(n)(F(2)), F((-1) ** n) * _ch(n))
         return lhs, rhs
 
-    def via_bernoulli_first(n):
+    def via_bernoulli(kind, n):
         rhs = _psum(
             _psum(
                 bernoulli_poly(i - 1) * (stirling1(m + 1, i + 1) * i)
                 for i in range(1, m + 1)
             )
-            * ((-1) ** (n - m) * comb(n, m) * _c(n - m))
+            * ((-1) ** (n - m) * comb(n, m) * cauchy_number(kind, n - m, 1))
             for m in range(1, n + 1)
         ) / factorial(n)
-        return hyperharmonic_poly(n), rhs
-
-    def via_bernoulli_second(n):
-        rhs = _psum(
-            _psum(
-                bernoulli_poly(i - 1) * (stirling1(m + 1, i + 1) * i)
-                for i in range(1, m + 1)
-            )
-            * ((-1) ** (n - m) * comb(n, m) * _ch(n - m))
-            for m in range(1, n + 1)
-        ) / factorial(n)
-        return hyperharmonic_poly(n).affine_compose(1, 1), rhs
+        return hyperharmonic_poly(n).affine_compose(1, (1 - KIND_SIGN[kind]) // 2), rhs
 
     return [
-        IdentityCase("G10.hyp1", "G10", "hyperharmonic convolution of the first kind gives a binomial", lambda g: _n_y(g), hyp1),
-        IdentityCase("G10.hyp2", "G10", "hyperharmonic convolution of the second kind gives a binomial", lambda g: _n_y(g), hyp2),
+        IdentityCase("G10.hyp1", "G10", "hyperharmonic convolution of the first kind gives a binomial", lambda g: _n_y(g), partial(hyp12, "first")),
+        IdentityCase("G10.hyp2", "G10", "hyperharmonic convolution of the second kind gives a binomial", lambda g: _n_y(g), partial(hyp12, "second")),
         IdentityCase("G10.hyp3", "G10", "self-cancelling hyperharmonic convolution, first kind", _ns, hyp3),
         IdentityCase("G10.hyp4", "G10", "constant hyperharmonic convolution, second kind", _ns, hyp4),
         IdentityCase("G10.conec1", "G10", "recurrence with inner binomial weights, first kind", lambda g: _ns(g, 1), conec1),
         IdentityCase("G10.conec2", "G10", "recurrence with inner binomial weights, second kind", lambda g: _ns(g, 1), conec2),
-        IdentityCase("G10.rec-negy", "G10", "two-factor denominator recurrence, first kind", lambda g: _ns(g, 1), rec_negy_first),
-        IdentityCase("G10.hyp5", "G10", "two-factor denominator recurrence, second kind", lambda g: _ns(g, 1), hyp5),
+        IdentityCase("G10.rec-negy", "G10", "two-factor denominator recurrence, first kind", lambda g: _ns(g, 1), partial(hyp5, "first")),
+        IdentityCase("G10.hyp5", "G10", "two-factor denominator recurrence, second kind", lambda g: _ns(g, 1), partial(hyp5, "second")),
         IdentityCase("G10.hyp5-x1", "G10", "number specialization of the two-factor recurrence", lambda g: _ns(g, 1), hyp5_x1),
         IdentityCase("G10.hyp6", "G10", "first kind as alternating shifted second-kind sums", _ns, partial(hyp67, "first")),
         IdentityCase("G10.hyp7", "G10", "second kind as alternating shifted first-kind sums", _ns, partial(hyp67, "second")),
         IdentityCase("G10.eval-two", "G10", "values at -n and n collapse to values at 2 and 0", _ns, eval_two),
-        IdentityCase("G10.via-bernoulli-1", "G10", "hyperharmonic polynomials from first-kind numbers and Bernoulli polynomials", lambda g: _ns(g, 1), via_bernoulli_first),
-        IdentityCase("G10.via-bernoulli-2", "G10", "shifted hyperharmonic polynomials from second-kind numbers", lambda g: _ns(g, 1), via_bernoulli_second),
+        IdentityCase("G10.via-bernoulli-1", "G10", "hyperharmonic polynomials from first-kind numbers and Bernoulli polynomials", lambda g: _ns(g, 1), partial(via_bernoulli, "first")),
+        IdentityCase("G10.via-bernoulli-2", "G10", "shifted hyperharmonic polynomials from second-kind numbers", lambda g: _ns(g, 1), partial(via_bernoulli, "second")),
     ]
 
 
 def _g11():
-    def th31(n):
-        lhs = bernoulli_poly(n) / (-n)
-        rhs = _psum(gsn2(n - 1, m - 1) * _cp(m) * F(1, m) for m in range(1, n + 1))
-        return lhs, rhs
-
-    def th32(n):
-        lhs = (Poly([F((-1) ** n)]) - bernoulli_poly(n)) / n
-        rhs = _psum(
-            gsn2(n - 1, m - 1) * _chp(m).affine_compose(-1, 0) * F(1, m)
-            for m in range(1, n + 1)
-        )
-        return lhs, rhs
+    def th3(kind, n):
+        seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
+        rhs = _psum(gsn2(n - 1, m - 1) * _reflected(kind, m) * F(1, m) for m in range(1, n + 1))
+        return (Poly([seed]) - bernoulli_poly(n)) / n, rhs
 
     def th31_x1(n):
         rhs = F((-1) ** n) * _fsum(_ch(m) / m * stirling2(n, m) for m in range(1, n + 1))
@@ -754,23 +699,13 @@ def _g11():
         rhs = _fsum(_c(m) / m * stirling2(n - 1, m - 1) for m in range(1, n + 1))
         return -bernoulli_number(n) / n, rhs
 
-    def inv2(n):
-        lhs = _cp(n) / (-n)
+    def inv(kind, n):
+        seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
         rhs = _psum(
-            gsn1(n - 1, m - 1) * bernoulli_poly(m) * F((-1) ** (n - m), m)
+            gsn1(n - 1, m - 1) * (bernoulli_poly(m) * (-1) ** (n - m) - seed) * F(1, m)
             for m in range(1, n + 1)
         )
-        return lhs, rhs
-
-    def inv3(n):
-        lhs = _chp(n).affine_compose(-1, 0) / (-n)
-        rhs = _psum(
-            gsn1(n - 1, m - 1)
-            * (bernoulli_poly(m) * (-1) ** m - 1)
-            * F((-1) ** n, m)
-            for m in range(1, n + 1)
-        )
-        return lhs, rhs
+        return _reflected(kind, n) / (-n), rhs
 
     def inv3_alt(n):
         lhs = _chp(n).affine_compose(-1, 0) / (-n)
@@ -807,12 +742,12 @@ def _g11():
         return lhs, rhs
 
     return [
-        IdentityCase("G11.th31", "G11", "Bernoulli polynomials from first-kind polynomial transforms", lambda g: _ns(g, 1), th31),
-        IdentityCase("G11.th32", "G11", "Bernoulli polynomials from reflected second-kind transforms", lambda g: _ns(g, 1), th32),
+        IdentityCase("G11.th31", "G11", "Bernoulli polynomials from first-kind polynomial transforms", lambda g: _ns(g, 1), partial(th3, "first")),
+        IdentityCase("G11.th32", "G11", "Bernoulli polynomials from reflected second-kind transforms", lambda g: _ns(g, 1), partial(th3, "second")),
         IdentityCase("G11.th31-x1", "G11", "Bernoulli numbers from second-kind numbers", lambda g: _ns(g, 1), th31_x1),
         IdentityCase("G11.th31-x0", "G11", "Bernoulli numbers from first-kind numbers", lambda g: _ns(g, 1), th31_x0),
-        IdentityCase("G11.inv2", "G11", "first-kind polynomials from Bernoulli polynomials", lambda g: _ns(g, 1), inv2),
-        IdentityCase("G11.inv3", "G11", "reflected second kind from Bernoulli polynomials", lambda g: _ns(g, 1), inv3),
+        IdentityCase("G11.inv2", "G11", "first-kind polynomials from Bernoulli polynomials", lambda g: _ns(g, 1), partial(inv, "first")),
+        IdentityCase("G11.inv3", "G11", "reflected second kind from Bernoulli polynomials", lambda g: _ns(g, 1), partial(inv, "second")),
         IdentityCase("G11.inv3-alt", "G11", "rewritten reflected second-kind inversion", lambda g: _ns(g, 1), inv3_alt),
         IdentityCase("G11.exp5a", "G11", "second-kind numbers from Bernoulli numbers", lambda g: _ns(g, 1), exp5a),
         IdentityCase("G11.exp5b", "G11", "first-kind numbers from alternating Bernoulli sums", lambda g: _ns(g, 1), exp5b),
@@ -822,15 +757,10 @@ def _g11():
 
 
 def _g12():
-    def th41(n):
-        rhs = Poly([0] * n + [1]) - _psum(
-            gsn2(n - 1, m - 1) * (_c(m) / m) for m in range(1, n + 1)
-        ) * n
-        return bernoulli_poly(n), rhs
-
-    def th42(n):
-        rhs = Poly([-1, 1]) ** n - _psum(
-            gsn2(n - 1, m - 1) * (_ch(m) / m) for m in range(1, n + 1)
+    def th4(kind, n):
+        # x^n for the first kind, (x-1)^n for the second
+        rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _psum(
+            gsn2(n - 1, m - 1) * (cauchy_number(kind, m, 1) / m) for m in range(1, n + 1)
         ) * n
         return bernoulli_poly(n), rhs
 
@@ -862,8 +792,8 @@ def _g12():
         return lhs, F(1, n + 1)
 
     return [
-        IdentityCase("G12.th41", "G12", "Bernoulli polynomials from first-kind numbers and x^n", lambda g: _ns(g, 1), th41),
-        IdentityCase("G12.th42", "G12", "Bernoulli polynomials from second-kind numbers and (x-1)^n", lambda g: _ns(g, 1), th42),
+        IdentityCase("G12.th41", "G12", "Bernoulli polynomials from first-kind numbers and x^n", lambda g: _ns(g, 1), partial(th4, "first")),
+        IdentityCase("G12.th42", "G12", "Bernoulli polynomials from second-kind numbers and (x-1)^n", lambda g: _ns(g, 1), partial(th4, "second")),
         IdentityCase("G12.bn-alt1", "G12", "alternative Bernoulli number formula, first kind", lambda g: _ns(g, 1), bn_alt1),
         IdentityCase("G12.bn-alt2", "G12", "alternative Bernoulli number formula, second kind", lambda g: _ns(g, 1), bn_alt2),
         IdentityCase("G12.diff-c", "G12", "number-minus-polynomial transform collapses to x^n/n", lambda g: _ns(g, 1), diff_c),
@@ -891,27 +821,21 @@ def _g13():
     def inner(kind, m, y):
         return F(KIND_SIGN[kind] ** m) * _s2_values(kind, m - 1, 1, y)
 
-    def p5ab(kind, n, y):
-        rhs = _psum(gsn2(n - 1, m - 1) * _cp(m) * inner(kind, m, y) for m in range(1, n + 1))
-        return bernoulli_poly(n) / (-KIND_SIGN[kind] * n), rhs
-
-    def p5cd(kind, n, y):
+    # p5_poly has the form of G11.th31/th32 and p5_numbers that of G12.th41/th42;
+    # the value kind sets the inner sum that replaces 1/m and the sign
+    def p5_poly(poly_kind, value_kind, n, y):
+        seed = (1 - KIND_SIGN[poly_kind]) // 2 * (-1) ** n
         rhs = _psum(
-            gsn2(n - 1, m - 1) * _reflected("second", m) * inner(kind, m, y)
+            gsn2(n - 1, m - 1) * _reflected(poly_kind, m) * inner(value_kind, m, y)
             for m in range(1, n + 1)
         )
-        return (Poly([F((-1) ** n)]) - bernoulli_poly(n)) / (KIND_SIGN[kind] * n), rhs
+        return (Poly([seed]) - bernoulli_poly(n)) / (KIND_SIGN[value_kind] * n), rhs
 
-    def p5ef(kind, n, y):
-        rhs = Poly([0] * n + [1]) - _psum(
-            gsn2(n - 1, m - 1) * (_c(m) * inner(kind, m, y)) for m in range(1, n + 1)
-        ) * (KIND_SIGN[kind] * n)
-        return bernoulli_poly(n), rhs
-
-    def p5gh(kind, n, y):
-        rhs = Poly([-1, 1]) ** n - _psum(
-            gsn2(n - 1, m - 1) * (_ch(m) * inner(kind, m, y)) for m in range(1, n + 1)
-        ) * (KIND_SIGN[kind] * n)
+    def p5_numbers(number_kind, value_kind, n, y):
+        rhs = Poly([(KIND_SIGN[number_kind] - 1) // 2, 1]) ** n - _psum(
+            gsn2(n - 1, m - 1) * (cauchy_number(number_kind, m, 1) * inner(value_kind, m, y))
+            for m in range(1, n + 1)
+        ) * (KIND_SIGN[value_kind] * n)
         return bernoulli_poly(n), rhs
 
     descs = {
@@ -932,10 +856,10 @@ def _g13():
     checks = {
         "p4a": (partial(p4ab, "first"), 0), "p4b": (partial(p4ab, "second"), 0),
         "p4c": (partial(p4cd, "first"), 0), "p4d": (partial(p4cd, "second"), 0),
-        "p5a": (partial(p5ab, "first"), 1), "p5b": (partial(p5ab, "second"), 1),
-        "p5c": (partial(p5cd, "first"), 1), "p5d": (partial(p5cd, "second"), 1),
-        "p5e": (partial(p5ef, "first"), 1), "p5f": (partial(p5ef, "second"), 1),
-        "p5g": (partial(p5gh, "first"), 1), "p5h": (partial(p5gh, "second"), 1),
+        "p5a": (partial(p5_poly, "first", "first"), 1), "p5b": (partial(p5_poly, "first", "second"), 1),
+        "p5c": (partial(p5_poly, "second", "first"), 1), "p5d": (partial(p5_poly, "second", "second"), 1),
+        "p5e": (partial(p5_numbers, "first", "first"), 1), "p5f": (partial(p5_numbers, "first", "second"), 1),
+        "p5g": (partial(p5_numbers, "second", "first"), 1), "p5h": (partial(p5_numbers, "second", "second"), 1),
     }
     return [
         IdentityCase(f"G13.{name}", "G13", descs[name], partial(_n_y, start=start, double=True), fn)

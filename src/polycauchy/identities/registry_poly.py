@@ -8,7 +8,11 @@ they are; the classical cases reuse them with k fixed to 1.  Each
 first/second-kind pair is one check taking ``kind`` first, registered
 once per kind with ``functools.partial``; pairs whose two forms differ in
 structure stay two functions.  The kind's sign e = ``KIND_SIGN[kind]`` and
-``_reflect`` follow the convention stated in ``polycauchy.cauchy``."""
+``_reflect`` follow the convention stated in ``polycauchy.cauchy``, and a
+term only one kind carries is scaled by (1 - e)/2 (second kind only) or
+(1 + e)/2 (first kind only).  A case that restates another case or a
+library construction registers that existing check (``_moments``,
+``_genk``, ``_constructions``) instead of writing the sum again."""
 
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from math import comb, factorial, prod
 from ..bernoulli import (
     bernoulli_number,
     bernoulli_poly,
-    gen_bernoulli_poly,
     euler_poly,
     multiparam_poly_bernoulli,
     poly_bernoulli_gsn,
@@ -41,8 +44,6 @@ from ..poly import (
     Poly,
     binom_poly,
     eval_at_sqrt,
-    falling_factorial_poly,
-    rising_factorial_poly,
     transpose_nested,
 )
 from ..stirling import (
@@ -58,9 +59,9 @@ from ..stirling import (
 )
 from .engine import IdentityCase
 from .registry_core import (
-    F, _c, _ch, _chp, _cor2, _cp, _derk, _diffk1, _diffk2, _fsum, _genk, _inv, _n_k,
-    _n_y, _ns, _odd_central, _pro4, _psum, _reck, _reflected, _s2_double, _symm5, _symm6, _symm8a,
-    _whitk,
+    F, _c, _ch, _chp, _constructions, _cor2, _cp, _derk, _diffk, _fsum, _genk, _inv, _n_k,
+    _n_y, _ns, _odd_central, _pro4, _psum, _reck, _reflected, _s2_double, _symm5, _symm6, _symm7a,
+    _symm8a, _whitk,
 )
 
 
@@ -73,26 +74,22 @@ def _n_i_k(grid, n_start=0, i_start=0):
     )
 
 
+def _moments(kind, n, k):
+    """The kind's polynomial as moment polynomials over the plain Stirling triangle."""
+    rhs = _psum(
+        aux_poly(m, k) * ((-1) ** n * KIND_SIGN[kind] ** m * stirling1(n, m)) for m in range(n + 1)
+    )
+    return cauchy_poly(kind, n, k), rhs
+
+
 def _g14():
-    def _inner_negx(m, k):
-        return _psum(
-            Poly([0] * i + [F((-1) ** i * comb(m, i), (m - i + 1) ** k)]) for i in range(m + 1)
-        )
-
-    def back(kind, n, k):
-        rhs = _psum(
-            _inner_negx(m, k) * ((-1) ** n * (-KIND_SIGN[kind]) ** m * stirling1(n, m))
-            for m in range(n + 1)
-        )
-        return cauchy_poly(kind, n, k), rhs
-
     return [
         IdentityCase("G14.pro41", "G14", "general order first kind as weighted Stirling polynomial sums", _n_k, partial(_pro4, "first")),
         IdentityCase("G14.pro42", "G14", "general order second kind at -x as weighted Stirling sums", _n_k, partial(_pro4, "second")),
         IdentityCase("G14.cor2a", "G14", "closed-form coefficients at general order, first kind", _n_k, partial(_cor2, "first")),
         IdentityCase("G14.cor2b", "G14", "closed-form coefficients at general order, second kind", _n_k, partial(_cor2, "second")),
-        IdentityCase("G14.back1", "G14", "double-sum expansion over the plain triangle, first kind", _n_k, partial(back, "first")),
-        IdentityCase("G14.back2", "G14", "double-sum expansion over the plain triangle, second kind", _n_k, partial(back, "second")),
+        IdentityCase("G14.back1", "G14", "double-sum expansion over the plain triangle, first kind", _n_k, partial(_moments, "first")),
+        IdentityCase("G14.back2", "G14", "double-sum expansion over the plain triangle, second kind", _n_k, partial(_moments, "second")),
         IdentityCase("G14.inv-a", "G14", "inverted expansion gives 1/(n+1)^k", _n_k, partial(_inv, "first")),
         IdentityCase("G14.inv-b", "G14", "inverted reflected expansion gives (-1)^n/(n+1)^k", _n_k, partial(_inv, "second")),
     ]
@@ -112,26 +109,6 @@ def _g15():
             for r in _WHITNEY_RS
             if abs(r) <= grid.max_r
         )
-
-    def symm7a(n, k):
-        rhs = _psum(
-            binom_poly(0, -1, n - m) * (F(factorial(n), factorial(m)) * _c(m, k))
-            for m in range(n + 1)
-        )
-        return _cp(n, k), rhs
-
-    def symm7b(n, k):
-        rhs = _psum(
-            rising_factorial_poly(m) * ((-1) ** m * comb(n, m) * _c(n - m, k))
-            for m in range(n + 1)
-        )
-        return _cp(n, k), rhs
-
-    def symm8b(n, k):
-        rhs = _psum(
-            falling_factorial_poly(m) * (comb(n, m) * _ch(n - m, k)) for m in range(n + 1)
-        )
-        return _chp(n, k), rhs
 
     def _korec_points(grid):
         return (
@@ -190,26 +167,17 @@ def _g15():
         )
         return lhs, rhs
 
-    def gbpk(kind, n, k):
-        e = KIND_SIGN[kind]
-        rhs = _psum(
-            gen_bernoulli_poly(m, n + 1).affine_compose(-e, 1)
-            * F(e ** (n - m) * comb(n, m), (n + 1 - m) ** k)
-            for m in range(n + 1)
-        )
-        return cauchy_poly(kind, n, k), rhs
-
     return [
-        IdentityCase("G15.diffk1", "G15", "difference equation at general order, first kind", lambda g: _n_k(g, 1), _diffk1),
-        IdentityCase("G15.diffk2", "G15", "difference equation at general order, second kind", lambda g: _n_k(g, 1), _diffk2),
+        IdentityCase("G15.diffk1", "G15", "difference equation at general order, first kind", lambda g: _n_k(g, 1), partial(_diffk, "first")),
+        IdentityCase("G15.diffk2", "G15", "difference equation at general order, second kind", lambda g: _n_k(g, 1), partial(_diffk, "second")),
         IdentityCase("G15.whitk1", "G15", "general order values at r/m from Whitney numbers", _whit_points, partial(_whitk, "first")),
         IdentityCase("G15.whitk2", "G15", "general order second kind at -r/m from Whitney numbers", _whit_points, partial(_whitk, "second")),
         IdentityCase("G15.symm5", "G15", "general order first kind from second-kind numbers", _n_k, _symm5),
         IdentityCase("G15.symm6", "G15", "general order second kind from first-kind numbers", _n_k, _symm6),
-        IdentityCase("G15.symm7a", "G15", "self-number expansion with negated binomials, first kind", _n_k, symm7a),
-        IdentityCase("G15.symm7b", "G15", "self-number expansion with rising factorials, first kind", _n_k, symm7b),
+        IdentityCase("G15.symm7a", "G15", "self-number expansion with negated binomials, first kind", _n_k, _symm7a),
+        IdentityCase("G15.symm7b", "G15", "self-number expansion with rising factorials, first kind", _n_k, partial(_constructions, "gsn", "binomial_conv", "first")),
         IdentityCase("G15.symm8a", "G15", "self-number expansion with plain binomials, second kind", _n_k, _symm8a),
-        IdentityCase("G15.symm8b", "G15", "self-number expansion with falling factorials, second kind", _n_k, symm8b),
+        IdentityCase("G15.symm8b", "G15", "self-number expansion with falling factorials, second kind", _n_k, partial(_constructions, "gsn", "binomial_conv", "second")),
         IdentityCase("G15.reck1", "G15", "one-step recurrence at general order, first kind", lambda g: _n_k(g, 0, True), partial(_reck, "first")),
         IdentityCase("G15.genk1", "G15", "derivatives via higher-order Bernoulli at general order, first kind", _n_i_k, partial(_genk, "first")),
         IdentityCase("G15.genk2", "G15", "derivatives via higher-order Bernoulli at general order, second kind", _n_i_k, partial(_genk, "second")),
@@ -222,8 +190,8 @@ def _g15():
         IdentityCase("G15.val-at1", "G15", "two sums for the general-order value at 1", _n_k, partial(val_at, "first")),
         IdentityCase("G15.val-at-neg1", "G15", "two sums for the general-order second-kind value at -1", _n_k, partial(val_at, "second")),
         IdentityCase("G15.lah-pair", "G15", "the two kinds exchange through Lah-number transforms", _n_k, lah_pair),
-        IdentityCase("G15.gbpk1", "G15", "general order first kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(gbpk, "first")),
-        IdentityCase("G15.gbpk2", "G15", "general order second kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(gbpk, "second")),
+        IdentityCase("G15.gbpk1", "G15", "general order first kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(_genk, "first", i=0)),
+        IdentityCase("G15.gbpk2", "G15", "general order second kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(_genk, "second", i=0)),
     ]
 
 
@@ -573,12 +541,6 @@ def _g21():
         )
         return lhs, (_cp(n, k), _chp(n, k))
 
-    def reduce_display(kind, n, k):
-        rhs = _psum(
-            aux_poly(m, k) * ((-1) ** n * KIND_SIGN[kind] ** m * stirling1(n, m)) for m in range(n + 1)
-        )
-        return cauchy_poly(kind, n, k), rhs
-
     def _sym_points(grid):
         return (
             {"n": n, "q": q, "L": L}
@@ -677,8 +639,8 @@ def _g21():
         IdentityCase("G21.x0-first", "G21", "value at 0 from bivariate Stirling sums, first kind", _mp_points, partial(x0, "first")),
         IdentityCase("G21.x0-second", "G21", "value at 0 from bivariate Stirling sums, second kind", _mp_points, partial(x0, "second")),
         IdentityCase("G21.reduce", "G21", "unit parameters reduce to the ordinary general-order family", _nk3, reduce_ordinary),
-        IdentityCase("G21.reduce-display-first", "G21", "plain-triangle moment expansion, first kind", _nk3, partial(reduce_display, "first")),
-        IdentityCase("G21.reduce-display-second", "G21", "plain-triangle moment expansion, second kind", _nk3, partial(reduce_display, "second")),
+        IdentityCase("G21.reduce-display-first", "G21", "plain-triangle moment expansion, first kind", _nk3, partial(_moments, "first")),
+        IdentityCase("G21.reduce-display-second", "G21", "plain-triangle moment expansion, second kind", _nk3, partial(_moments, "second")),
         IdentityCase("G21.sym-xy", "G21", "with unit shift the two free arguments commute (bivariate equality)", _sym_points, sym_xy),
         IdentityCase("G21.golden-first", "G21", "irrational-point evaluation splits to the recorded pair, first kind", _single, partial(golden, "first")),
         IdentityCase("G21.golden-second", "G21", "irrational-point evaluation splits to the recorded pair, second kind", _single, partial(golden, "second")),

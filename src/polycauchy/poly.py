@@ -2,9 +2,9 @@
 
 Coefficients may be ints, Fractions, or Poly values themselves (the
 nested form is how two-variable work is done: the outer variable's
-coefficients are polynomials in the inner variable).  Coefficients only
-need ``+``, ``-``, ``*``, exact equality, and exact division by rational
-scalars.
+coefficients are polynomials in the inner variable).  Any other
+coefficient, or any other evaluation point, raises ``TypeError``, so an
+inexact float cannot pass silently into an exact result.
 
 Conventions:
 
@@ -113,6 +113,9 @@ class Poly:
             cs.pop()
         split = _over_common_denominator(cs)
         if split is None:
+            for c in cs:
+                if not isinstance(c, (int, Fraction, Poly)):
+                    raise TypeError(f"Poly coefficients must be exact, got {type(c).__name__}")
             self._vec, self._den = tuple(cs), None
         else:
             self._vec, self._den = tuple(split[0]), split[1]
@@ -259,6 +262,8 @@ class Poly:
         """Horner evaluation; `value` may be a scalar or another Poly."""
         if self._den is not None and isinstance(value, (int, Fraction)) and self._vec:
             return _eval_rational(self._vec, self._den, value.numerator, value.denominator)
+        if not isinstance(value, (int, Fraction, Poly)):
+            raise TypeError(f"Poly evaluation point must be exact, got {type(value).__name__}")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c

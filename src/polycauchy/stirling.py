@@ -172,26 +172,26 @@ def gsn1_bivariate(n: int, m: int) -> Poly:
     return Poly(coeffs)
 
 
+def _homogenised_at(p: Poly, degree: int, y, q) -> Fraction:
+    """q^degree p(y/q) for p of that degree: the leading term alone at q = 0."""
+    y, q = Fraction(y), Fraction(q)
+    if not q:
+        return p.leading() * y**degree
+    return q**degree * p(y / q)
+
+
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:
+    """The first-kind bivariate polynomial at (y, q): q^(n-m) [n m]_(y/q)."""
     _check_indices(n, m)
-    total = Fraction(0)
-    y = Fraction(y)
-    q = Fraction(q)
-    for i in range(n - m + 1):
-        total += comb(i + m, m) * stirling1(n, i + m) * y**i * q ** (n - m - i)
-    return total
+    return _homogenised_at(gsn1(n, m), n - m, y, q)
 
 
 def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
+    """The second-kind bivariate value q^(n-m) {n m}_(y/q), for q != 0."""
     _check_indices(n, m)
-    q = Fraction(q)
-    if not q:
+    if not Fraction(q):
         raise ValueError("the bivariate second-kind value needs q != 0")
-    y = Fraction(y)
-    total = Fraction(0)
-    for l in range(m + 1):
-        total += Fraction((-1) ** (m - l) * comb(m, l)) * (y + l * q) ** n
-    return total / (factorial(m) * q**m)
+    return _homogenised_at(gsn2(n, m), n - m, y, q)
 
 
 def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:

@@ -29,6 +29,16 @@ def test_table_bernoulli(capsys):
     assert out.strip().splitlines()[-1] == "4\t-1/30"
 
 
+def test_table_n_is_a_second_spelling_of_max_n(capsys):
+    # the last of the two given wins, as for any repeated option
+    code, out, _ = run(capsys, "table", "bernoulli", "--n", "3", "--max-n", "5")
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.splitlines()[1:]] == ["0", "1", "2", "3", "4", "5"]
+    code, out, _ = run(capsys, "table", "bernoulli", "--max-n", "5", "--n", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "3\t0"
+
+
 def test_table_triangle(capsys):
     code, out, _ = run(capsys, "table", "stirling1", "--max-n", "3")
     assert code == 0

@@ -10,6 +10,7 @@ from polycauchy import (
     binom_poly,
     eval_at_sqrt,
     falling_factorial_poly,
+    hyperharmonic_poly,
     poly_from_strings,
     poly_to_strings,
     rising_factorial_poly,
@@ -372,3 +373,22 @@ def test_storage_examples():
     assert Poly([0, 1, 1]).stretch(F(-2, 3)) == Poly([0, F(-2, 3), F(4, 9)])
     with pytest.raises(ZeroDivisionError):
         Poly([1, 2]) / 0
+
+
+def test_float_coefficients_and_points_are_rejected():
+    # an inexact float would otherwise pass silently into exact results
+    p = Poly([1, F(1, 2)])
+    with pytest.raises(TypeError):
+        Poly([0.5, 1])
+    with pytest.raises(TypeError):
+        binom_poly(0.5, 1, 2)
+    with pytest.raises(TypeError):
+        hyperharmonic_poly(3)(0.1)
+    with pytest.raises(TypeError):
+        p * 0.5
+    with pytest.raises(TypeError):
+        p + 0.5
+    with pytest.raises(TypeError):
+        Poly([Poly([1]), 0.5])
+    with pytest.raises(TypeError):
+        Poly([Poly([1]), 2])(0.5)

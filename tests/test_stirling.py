@@ -205,6 +205,36 @@ def test_bivariate_second_kind():
         gsn2_bivariate_at(2, 1, F(1), 0)
 
 
+def _gsn2_bivariate_closed_form(n, m, y, q):
+    total = sum(F((-1) ** (m - l) * comb(m, l)) * (y + l * q) ** n for l in range(m + 1))
+    return total / (factorial(m) * q**m)
+
+
+def test_bivariate_values_match_independent_forms():
+    ys = (F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3))
+    qs = (F(1), F(-1), F(1, 2), F(-3), F(5, 7))
+    for n in range(9):
+        for m in range(n + 1):
+            # the nested (y, q) polynomial, evaluated at each point
+            first = gsn1_bivariate(n, m)
+            for y in ys:
+                for q in qs + (F(0),):
+                    value = gsn1_bivariate_at(n, m, y, q)
+                    assert type(value) is F
+                    assert value == first.map_coeffs(lambda c: c(q))(y)
+                for q in qs:
+                    value = gsn2_bivariate_at(n, m, y, q)
+                    assert type(value) is F
+                    assert value == _gsn2_bivariate_closed_form(n, m, y, q)
+
+
+def test_bivariate_first_kind_at_zero_step():
+    # only the y^(n-m) term survives q = 0; its coefficient is binom(n, m)
+    assert gsn1_bivariate_at(3, 1, F(2), 0) == 12
+    assert gsn1_bivariate_at(4, 4, F(-1, 2), 0) == 1
+    assert gsn1_bivariate_at(5, 2, F(-1, 2), 0) == comb(5, 2) * F(-1, 2) ** 3
+
+
 def test_whitney_examples_and_cross_checks():
     assert whitney("first", 1, 0, 4, 2) == stirling1(4, 2)
     assert whitney("first", 2, 1, 2, 1) == 4
