@@ -30,7 +30,6 @@ from .stirling import (
     gsn2,
     gsn1_at,
     gsn2_at,
-    gsn1_bivariate,
     gsn1_bivariate_at,
     gsn2_bivariate_at,
     whitney,

@@ -42,9 +42,7 @@ def gen_bernoulli_poly(n: int, alpha: int) -> Poly:
         raise ValueError("degree must be >= 0")
     if alpha < 0:
         raise ValueError("order must be >= 0")
-    coeff = gf_gen_bernoulli(alpha, n)[n]
-    poly = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-    return poly * factorial(n)
+    return gf_gen_bernoulli(alpha, n).poly(n) * factorial(n)
 
 
 def bernoulli_poly(n: int) -> Poly:

@@ -7,9 +7,10 @@ constructions which must agree (the test suite enforces this):
                       the canonical (default) construction, defined for
                       every (kind, n, k);
 * ``integral``     -- expand the defining binomial under the k-fold unit
-                      cube integral in a two-level polynomial ring and
-                      integrate monomial-by-monomial (t^i contributes a
-                      1/(i+1)^k weight; never performed numerically);
+                      cube integral as a row list (row i the coefficient
+                      of t^i, a polynomial in x) and integrate
+                      monomial-by-monomial (t^i contributes a 1/(i+1)^k
+                      weight; never performed numerically);
 * ``series``       -- k = 1 only: exponential-generating-function
                       coefficient times n!;
 * ``binomial_conv``-- convolution of the family's own numbers with
@@ -41,6 +42,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .poly import Poly, binom_poly, falling_factorial_poly
+from .rational import _exact
 from .series import gf_cauchy1, gf_cauchy2
 from .stirling import gsn1, gsn1_bivariate_at, stirling1
 
@@ -86,7 +88,7 @@ def _check_nk(n: int, k: int):
 
 def _check_weights(L, k: int) -> tuple:
     """The weights L as a tuple of exactly k nonzero Fractions."""
-    L = tuple(Fraction(l) for l in L)
+    L = tuple(Fraction(_exact(l)) for l in L)
     if len(L) != k or any(not l for l in L):
         raise ValueError("L must contain exactly k nonzero weights")
     return L
@@ -137,9 +139,7 @@ def _poly_series(kind: str, n: int, k: int) -> Poly:
     if k != 1:
         raise ValueError("the generating-function construction is defined for k = 1 only")
     gf = gf_cauchy1(n) if kind == "first" else gf_cauchy2(n)
-    coeff = gf[n]
-    poly = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-    return poly * factorial(n)
+    return gf.poly(n) * factorial(n)
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:
@@ -264,20 +264,19 @@ class MultiParam:
             raise ValueError("poly order k must be >= 1")
         if not (isinstance(self.a, int) and self.a >= 1):
             raise ValueError("shift a must be an integer >= 1")
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", Fraction(_exact(self.q)))
         object.__setattr__(self, "L", _check_weights(self.L, self.k))
-        object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "y", Fraction(_exact(self.y)))
 
 
-def _weighted_cube_map(outer: Poly, k: int, L: tuple) -> Poly:
-    """Map sum_i g_i(x) t^i to sum_i g_i(x) w^(i+1)/(i+1)^k, w the product of L."""
+def _weighted_cube_map(rows: list, k: int, L: tuple) -> Poly:
+    """Map sum_i g_i(x) t^i, given as the rows g_i, to
+    sum_i g_i(x) w^(i+1)/(i+1)^k, w the product of L."""
     w = prod(L)
     total = Poly()
-    for i in range(outer.degree + 1):
-        c = outer[i]
-        if c:
-            inner = c if isinstance(c, Poly) else Poly.const(c)
-            total = total + inner * (w ** (i + 1) / Fraction((i + 1) ** k))
+    for i, g in enumerate(rows):
+        if g:
+            total = total + g * (w ** (i + 1) / Fraction((i + 1) ** k))
     return total
 
 
@@ -285,7 +284,7 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
     """Multiparameter poly-Cauchy polynomial in x, degree n + a - 1.
 
     ``stirling`` evaluates the bivariate first-kind Stirling expansion;
-    ``integral`` expands the defining product in the two-level ring and
+    ``integral`` expands the defining product in t as a row list and
     applies the weighted monomial integral -- an independent oracle.
     """
     e = _check_kind(kind)
@@ -299,12 +298,14 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
         return total * (-1) ** (a - 1 + n)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
-    # two-level ring: outer t, inner x; the linear product expansion
-    # already carries the n! of the defining formula
-    product = Poly([Poly([0, -e]), e]) ** (a - 1)                   # (e(t - x))^(a-1)
-    for j in range(n):
-        product = product * Poly([Poly([-e * y - j * q, -e]), e])   # e(t - x - y) - jq
-    return _weighted_cube_map(product, k, L) * e ** (a - 1)
+    # rows[i] is the coefficient of t^i, a Poly in x; the linear product
+    # expansion already carries the n! of the defining formula.  Each
+    # factor is e*t + c(x): (e(t - x))^(a-1), then e(t - x - y) - jq.
+    factors = [Poly([0, -e])] * (a - 1) + [Poly([-e * y - j * q, -e]) for j in range(n)]
+    rows = [Poly([1])]
+    for c in factors:  # new row i = e * old row (i - 1) + c * old row i
+        rows = [prev * e + c * cur for prev, cur in zip([Poly()] + rows, rows + [Poly()])]
+    return _weighted_cube_map(rows, k, L) * e ** (a - 1)
 
 
 def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
@@ -314,7 +315,7 @@ def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
     _check_nk(n, k)
     if not (isinstance(a, int) and a >= 1):
         raise ValueError("shift a must be an integer >= 1")
-    q = Fraction(q)
+    q = _exact(q)
     w = prod(_check_weights(L, k))
     total = Fraction(0)
     for m in range(n + 1):

@@ -173,9 +173,7 @@ def _cmd_series(args) -> int:
     s = _SERIES[args.gf](args)
     lines = ["n\tn!\tcoefficient"]
     for n in range(args.order + 1):
-        c = s[n]
-        poly = c if isinstance(c, Poly) else Poly.const(c)
-        lines.append(f"{n}\t{factorial(n)}\t{poly}")
+        lines.append(f"{n}\t{factorial(n)}\t{s.poly(n)}")
     _write_lines(lines, args.out)
     return 0
 

@@ -40,16 +40,10 @@ from ..cauchy import (
     shifted_cauchy_number,
 )
 from ..harmonic import harmonic_number, harmonic_poly
-from ..poly import (
-    Poly,
-    binom_poly,
-    eval_at_sqrt,
-    transpose_nested,
-)
+from ..poly import Poly, binom_poly, eval_at_sqrt
 from ..stirling import (
     central_u,
     gsn1,
-    gsn1_bivariate,
     gsn1_bivariate_at,
     gsn2,
     gsn2_bivariate_at,
@@ -479,10 +473,13 @@ def _mpb(n: int, k: int, a: int, q, L, y) -> Poly:
 
 def _bivariate_fixed_q(n: int, m: int, q) -> Poly:
     """First-kind bivariate Stirling polynomial with q fixed: a Poly in y."""
-    q = Fraction(q)
-    return gsn1_bivariate(n, m).map_coeffs(
-        lambda c: Fraction(c(q)) if isinstance(c, Poly) else Fraction(c)
-    )
+    return Poly([c * q**(n - m - i) for i, c in enumerate(gsn1(n, m).coeffs)])
+
+
+def _transpose(rows: tuple) -> tuple:
+    """Swap the two variables of rows[i], the coefficient of x^i as a Poly in y."""
+    height = max((r.degree for r in rows), default=-1) + 1
+    return tuple(Poly([r[j] for r in rows]) for j in range(height))
 
 
 # the two halves of the value at sqrt(5) recorded for G21.golden, by kind
@@ -550,19 +547,19 @@ def _g21():
         )
 
     def sym_xy(n, q, L):
+        # each side as rows: row i is the coefficient of x^i, a Poly in y
         k = len(L)
-        first = Poly()
-        second = Poly()
+        first = [Poly()] * (n + 1)
+        second = [Poly()] * (n + 1)
         for m in range(n + 1):
             ypoly = _bivariate_fixed_q(n, m, q)
-            aux = aux_poly_weighted(m, k, L)
-            first = first + aux.map_coeffs(lambda fc, yp=ypoly: yp * fc)
-            second = second + aux.map_coeffs(
-                lambda fc, yp=ypoly: yp.affine_compose(-1, 0) * ((-1) ** (n - m) * fc)
-            )
-        first = first * (-1) ** n
-        lhs = (first, second)
-        return lhs, (transpose_nested(first), transpose_nested(second))
+            yneg = ypoly.affine_compose(-1, 0) * (-1) ** (n - m)
+            for i, fc in enumerate(aux_poly_weighted(m, k, L).coeffs):
+                first[i] = first[i] + ypoly * fc
+                second[i] = second[i] + yneg * fc
+        first = tuple(r * (-1) ** n for r in first)
+        second = tuple(second)
+        return (first, second), (_transpose(first), _transpose(second))
 
     def golden(kind):
         p = MultiParam(4, 3, 1, F(-3), (F(1), F(1), F(1, 2)), F(-3, 2))

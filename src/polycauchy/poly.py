@@ -1,27 +1,21 @@
-"""Dense univariate polynomials over an exact coefficient ring.
+"""Dense univariate polynomials with rational coefficients.
 
-Coefficients may be ints, Fractions, or Poly values themselves (the
-nested form is how two-variable work is done: the outer variable's
-coefficients are polynomials in the inner variable).  Any other
-coefficient, or any other evaluation point, raises ``TypeError``, so an
-inexact float cannot pass silently into an exact result.
+Coefficients are ints or Fractions.  Any other coefficient, scalar
+operand, evaluation point or shift raises ``TypeError``, so an inexact
+float cannot pass silently into an exact result.
 
 Conventions:
 
 * trailing zero coefficients are trimmed; the zero polynomial stores no
   coefficients and has ``degree == -1`` (a sentinel, not -infinity);
-* ``==`` against a bare scalar compares with the constant polynomial;
-* a bare Poly operand of ``*`` / ``+`` is always treated as a polynomial
-  in the *same* variable.  To scale a nested polynomial by an inner-ring
-  value, wrap it first: ``outer * Poly([inner])``.
+* ``==`` against a bare scalar compares with the constant polynomial.
 
-Storage.  A Poly whose coefficients are all ints or Fractions is a
-*rational* Poly and is stored as FLINT's ``fmpq_poly`` is: one tuple of
+Storage.  A Poly is stored as FLINT's ``fmpq_poly`` is: one tuple of
 integer numerators over one denominator, in canonical form (trailing
 zeros trimmed, denominator > 0, gcd of the numerators and the
 denominator 1), so equal polynomials store equal pairs.  ``Poly(list)``
-splits its coefficients once; every operation on rational Polys works on
-the integers and builds no Fraction:
+splits its coefficients once; every operation works on the integers and
+builds no Fraction:
 
 * ``==`` (a tuple compare), ``+``, ``-``, negation, ``*`` and ``/`` by an
   int or Fraction, Poly x Poly products, ``derivative``, ``stretch`` by
@@ -30,12 +24,7 @@ the integers and builds no Fraction:
   build one Fraction for the value.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
-not kept.  Any other Poly (nested coefficients, or a rational Poly met by
-a Poly argument of ``__call__`` / ``affine_compose``) stores its
-coefficient tuple and runs the generic coefficient loops.  Both forms
-agree in value, ``str``, ``hash`` and export form; only ``repr`` may
-differ from the loops' results, showing an integral coefficient as ``2``
-where it used to show ``Fraction(2, 1)``.
+not kept.  An integral coefficient reads back as an int.
 """
 
 from __future__ import annotations
@@ -43,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable
+
+from .rational import _exact
 
 __all__ = [
     "Poly",
@@ -59,24 +50,7 @@ _INT = frozenset([int])
 _RATIONAL = frozenset([int, Fraction])
 
 
-def _over_common_denominator(coeffs):
-    """(integer numerators, common denominator) of rational coefficients.
-
-    The pair is already canonical: each prime power in the lcm is the
-    full denominator power of some reduced coefficient, whose scaled
-    numerator that prime does not divide.  Returns None if some
-    coefficient is neither an int nor a Fraction.
-    """
-    types = set(map(type, coeffs))
-    if types <= _INT:
-        return coeffs, 1
-    if not types <= _RATIONAL:
-        return None
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _stored(vec: tuple, den) -> "Poly":
+def _stored(vec: tuple, den: int) -> "Poly":
     p = Poly.__new__(Poly)
     p._vec = vec
     p._den = den
@@ -84,7 +58,7 @@ def _stored(vec: tuple, den) -> "Poly":
 
 
 def _make(nums, den: int) -> "Poly":
-    """The rational Poly sum(nums[i] x^i) / den (den > 0), made canonical."""
+    """The Poly sum(nums[i] x^i) / den (den > 0), made canonical."""
     end = len(nums)
     while end and not nums[end - 1]:
         end -= 1
@@ -101,24 +75,26 @@ def _make(nums, den: int) -> "Poly":
 class Poly:
     """Immutable dense polynomial; index i holds the coefficient of x^i.
 
-    ``_vec`` holds the integer numerators over ``_den`` of a rational
-    Poly, or the coefficients themselves when ``_den`` is None.
+    ``_vec`` holds the integer numerators over the denominator ``_den``.
     """
 
     __slots__ = ("_vec", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
+        types = set(map(type, cs))
+        den = 1
+        if not types <= _INT:
+            if not types <= _RATIONAL:
+                cs = list(map(_exact, cs))
+            # already canonical: each prime power in the lcm is the full
+            # denominator power of some reduced coefficient, whose scaled
+            # numerator that prime does not divide
+            den = lcm(*[c.denominator for c in cs])
+            cs = [c.numerator * (den // c.denominator) for c in cs]
         while cs and not cs[-1]:
             cs.pop()
-        split = _over_common_denominator(cs)
-        if split is None:
-            for c in cs:
-                if not isinstance(c, (int, Fraction, Poly)):
-                    raise TypeError(f"Poly coefficients must be exact, got {type(c).__name__}")
-            self._vec, self._den = tuple(cs), None
-        else:
-            self._vec, self._den = tuple(split[0]), split[1]
+        self._vec, self._den = tuple(cs), den
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -132,7 +108,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         den = self._den
-        if den is None or den == 1:
+        if den == 1:
             return self._vec
         return tuple([Fraction(n, den) for n in self._vec])
 
@@ -150,7 +126,7 @@ class Poly:
         if not 0 <= i < len(self._vec):
             return 0
         den = self._den
-        if den is None or den == 1:
+        if den == 1:
             return self._vec[i]
         return Fraction(self._vec[i], den)
 
@@ -162,11 +138,7 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            if self._den is not None and other._den is not None:
-                return self._den == other._den and self._vec == other._vec
-            if len(self._vec) != len(other._vec):
-                return False
-            return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            return self._den == other._den and self._vec == other._vec
         # scalar: compare against the constant polynomial
         if self.degree > 0:
             return False
@@ -178,30 +150,13 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        if self._den is not None:
-            return _stored(tuple([-n for n in self._vec]), self._den)
-        return Poly([-c for c in self.coeffs])
+        return _stored(tuple([-n for n in self._vec]), self._den)
 
     def __add__(self, other) -> "Poly":
-        if self._den is not None:
-            if isinstance(other, Poly):
-                if other._den is not None:
-                    return _add_rational(self._vec, self._den, other._vec, other._den)
-            elif isinstance(other, (int, Fraction)):
-                return _add_rational(self._vec, self._den, (other.numerator,), other.denominator)
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = out[i] + c
-            return Poly(out)
-        if not self._vec:
-            return Poly([other])
-        out = list(self.coeffs)
-        out[0] = out[0] + other
-        return Poly(out)
+            return _add_rational(self._vec, self._den, other._vec, other._den)
+        other = _exact(other)
+        return _add_rational(self._vec, self._den, (other.numerator,), other.denominator)
 
     __radd__ = __add__
 
@@ -212,34 +167,22 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            a, b = self._vec, other._vec
-            if not a or not b:
-                return Poly()
-            out = [0] * (len(a) + len(b) - 1)
-            if self._den is not None and other._den is not None:
-                if len(a) > len(b):
-                    a, b = b, a
-                m = len(b)
-                for i, x in enumerate(a):
-                    if x:
-                        out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], b)]
-                return _make(out, self._den * other._den)
-            a, b = self.coeffs, other.coeffs
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-            return Poly(out)
-        if self._den is not None and isinstance(other, (int, Fraction)):
-            return _scale_rational(self._vec, self._den, other)
-        return Poly([c * other for c in self.coeffs])
+        if not isinstance(other, Poly):
+            other = _exact(other)
+            return _make([n * other.numerator for n in self._vec], self._den * other.denominator)
+        a, b = self._vec, other._vec
+        if not a or not b:
+            return _stored((), 1)
+        out = [0] * (len(a) + len(b) - 1)
+        if len(a) > len(b):
+            a, b = b, a
+        m = len(b)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], b)]
+        return _make(out, self._den * other._den)
 
-    def __rmul__(self, other) -> "Poly":
-        if self._den is not None and isinstance(other, (int, Fraction)):
-            return _scale_rational(self._vec, self._den, other)
-        return Poly([other * c for c in self.coeffs])
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Poly":
         """Exact division by a rational scalar."""
@@ -259,15 +202,26 @@ class Poly:
         return result
 
     def __call__(self, value):
-        """Horner evaluation; `value` may be a scalar or another Poly."""
-        if self._den is not None and isinstance(value, (int, Fraction)) and self._vec:
-            return _eval_rational(self._vec, self._den, value.numerator, value.denominator)
-        if not isinstance(value, (int, Fraction, Poly)):
-            raise TypeError(f"Poly evaluation point must be exact, got {type(value).__name__}")
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """Horner evaluation at an int or Fraction point p/q.
+
+        Homogeneous integer Horner: sum(nums[i] p^i q^(n-i)) / (den q^n), so
+        the single gcd is the one in the final Fraction.
+        """
+        value = _exact(value)
+        if not self._vec:
+            return 0
+        p, q, den = value.numerator, value.denominator, self._den
+        terms = reversed(self._vec)
+        acc = next(terms)
+        if q == 1:
+            for c in terms:
+                acc = acc * p + c
+            return acc if den == 1 else Fraction(acc, den)
+        q_power = 1
+        for c in terms:
+            q_power *= q
+            acc = acc * p + c * q_power
+        return Fraction(acc, den * q_power)
 
     def map_coeffs(self, fn) -> "Poly":
         return Poly([fn(c) for c in self.coeffs])
@@ -278,53 +232,67 @@ class Poly:
             raise ValueError("derivative order must be >= 0")
         p = self
         for _ in range(order):
-            if p._den is not None:
-                p = _make([i * n for i, n in enumerate(p._vec)][1:], p._den)
-            else:
-                p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+            p = _make([i * n for i, n in enumerate(p._vec)][1:], p._den)
         return p
 
     def integrate_01(self):
         """Exact integral over [0, 1]: sum of coeff_i / (i + 1)."""
-        if self._den is not None:
-            nums = self._vec
-            den = lcm(*range(1, len(nums) + 1))
-            total = sum([n * (den // (i + 1)) for i, n in enumerate(nums)])
-            return Fraction(total, self._den * den)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            total = total + c * Fraction(1, i + 1)
-        return total
+        nums = self._vec
+        den = lcm(*range(1, len(nums) + 1))
+        total = sum([n * (den // (i + 1)) for i, n in enumerate(nums)])
+        return Fraction(total, self._den * den)
 
     def affine_compose(self, sign: int, shift) -> "Poly":
-        """Substitute x -> sign*x + shift with sign in {+1, -1}."""
+        """Substitute x -> sign*x + shift with sign in {+1, -1}.
+
+        With shift = p/q and n the degree: b_i = nums[i] q^(n-i) is shifted by
+        the integer p (repeated synthetic division), then coefficient j is
+        b'_j sign^j q^j / (den q^n).
+        """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self._den is not None and isinstance(shift, (int, Fraction)):
-            return _affine_compose_rational(self._vec, self._den, sign, shift)
-        result = self(Poly([shift, sign]))
-        return result if isinstance(result, Poly) else Poly([result])
+        shift = _exact(shift)
+        if not self._vec:
+            return self
+        p, q, den = shift.numerator, shift.denominator, self._den
+        n = len(self._vec) - 1
+        b = list(self._vec)
+        if q != 1:
+            scale = 1
+            for i in range(n, -1, -1):
+                b[i] *= scale
+                scale *= q
+            den *= scale // q
+        if p:
+            for i in range(n):
+                acc = b[n]
+                for j in range(n - 1, i - 1, -1):
+                    acc = b[j] = b[j] + p * acc
+        if q != 1:
+            scale = 1
+            for j in range(n + 1):
+                b[j] *= scale
+                scale *= q
+        if sign < 0:
+            b[1::2] = [-c for c in b[1::2]]
+        return _make(b, den)
 
     def stretch(self, factor) -> "Poly":
         """Substitute x -> factor*x (coefficient i picks up factor^i)."""
-        if self._den is not None and isinstance(factor, (int, Fraction)) and self._vec:
-            # coefficient i is nums[i] p^i q^(n-i) / (den q^n), factor = p/q
-            p, q = factor.numerator, factor.denominator
-            out = list(self._vec)
-            n = len(out) - 1
-            up = down = 1
-            for i in range(n + 1):
-                out[i] *= up
-                out[n - i] *= down
-                up *= p
-                down *= q
-            return _make(out, self._den * down // q)
-        out = []
-        scale = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * scale)
-            scale *= factor
-        return Poly(out)
+        factor = _exact(factor)
+        if not self._vec:
+            return self
+        # coefficient i is nums[i] p^i q^(n-i) / (den q^n), factor = p/q
+        p, q = factor.numerator, factor.denominator
+        out = list(self._vec)
+        n = len(out) - 1
+        up = down = 1
+        for i in range(n + 1):
+            out[i] *= up
+            out[n - i] *= down
+            up *= p
+            down *= q
+        return _make(out, self._den * down // q)
 
     def __str__(self) -> str:
         if not self._vec:
@@ -333,10 +301,7 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            if isinstance(c, Poly):
-                body = f"({c})"
-            else:
-                body = str(Fraction(c)) if not isinstance(c, Fraction) else str(c)
+            body = str(c)
             if i == 0:
                 parts.append(body)
             elif body == "1":
@@ -370,68 +335,10 @@ def _add_rational(a, da, b, db) -> Poly:
     return _make(out, da)
 
 
-def _scale_rational(nums, den, c) -> Poly:
-    """sum(nums[i] x^i) / den times the int or Fraction c."""
-    p = c.numerator
-    return _make([n * p for n in nums], den * c.denominator)
-
-
-def _eval_rational(nums, den, p, q):
-    """Value at p/q of sum(nums[i] x^i) / den, for nonempty nums.
-
-    Homogeneous integer Horner: sum(nums[i] p^i q^(n-i)) / (den q^n), so
-    the single gcd is the one in the final Fraction.
-    """
-    terms = reversed(nums)
-    acc = next(terms)
-    if q == 1:
-        for c in terms:
-            acc = acc * p + c
-        return acc if den == 1 else Fraction(acc, den)
-    q_power = 1
-    for c in terms:
-        q_power *= q
-        acc = acc * p + c * q_power
-    return Fraction(acc, den * q_power)
-
-
-def _affine_compose_rational(nums, den, sign, shift) -> Poly:
-    """sum(nums[i] (sign*x + shift)^i) / den, for a rational shift.
-
-    With shift = p/q and n the degree: b_i = nums[i] q^(n-i) is shifted by
-    the integer p (repeated synthetic division), then coefficient j is
-    b'_j sign^j q^j / (den q^n).
-    """
-    if not nums:
-        return _stored((), 1)
-    p, q = shift.numerator, shift.denominator
-    n = len(nums) - 1
-    b = list(nums)
-    if q != 1:
-        scale = 1
-        for i in range(n, -1, -1):
-            b[i] *= scale
-            scale *= q
-        den *= scale // q
-    if p:
-        for i in range(n):
-            acc = b[n]
-            for j in range(n - 1, i - 1, -1):
-                acc = b[j] = b[j] + p * acc
-    if q != 1:
-        scale = 1
-        for j in range(n + 1):
-            b[j] *= scale
-            scale *= q
-    if sign < 0:
-        b[1::2] = [-c for c in b[1::2]]
-    return _make(b, den)
-
-
 def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:
     """Binomial coefficient binom(sign*x + shift, n) as a polynomial in x.
 
-    ``shift`` may be a rational or an inner Poly (for nested work).
+    ``shift`` is an int or Fraction.
     ``n! * binom_poly(0, 1, n)`` is the falling factorial (x)_n and
     ``n! * binom_poly(n - 1, 1, n)`` is the rising factorial x^(n).
     """
@@ -470,13 +377,6 @@ def eval_at_sqrt(p: Poly, radicand: int):
             b += p[i + 1] * power
         power *= radicand
     return a, b
-
-
-def transpose_nested(p: Poly) -> Poly:
-    """Swap the outer and inner variables of a nested polynomial."""
-    rows = [c if isinstance(c, Poly) else Poly([c]) for c in p.coeffs]
-    height = max((r.degree for r in rows), default=-1) + 1
-    return Poly([Poly([row[j] for row in rows]) for j in range(height)])
 
 
 def poly_to_strings(p: Poly) -> list[str]:

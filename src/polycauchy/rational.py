@@ -20,6 +20,18 @@ Rational = Fraction
 __all__ = ["Rational", "rat", "parse_rational", "format_rational", "binom_scalar"]
 
 
+def _exact(value):
+    """``value`` unchanged if it is an int or a Fraction.
+
+    Anything else, a float above all, raises ``TypeError``: converting a
+    float would carry its binary value, not the number meant, into an
+    exact result.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"expected an exact int or Fraction, got {type(value).__name__}")
+
+
 def rat(numerator: int, denominator: int = 1) -> Fraction:
     """Canonical fraction numerator/denominator, sign carried by the numerator."""
     return Fraction(numerator, denominator)
@@ -49,6 +61,7 @@ def binom_scalar(top, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("lower index of a binomial coefficient must be >= 0")
+    top = _exact(top)
     product = Fraction(1)
     for j in range(n):
         product *= top - j

@@ -70,6 +70,11 @@ class Series:
     def __getitem__(self, n: int):
         return self._coeffs[n]
 
+    def poly(self, n: int) -> Poly:
+        """Coefficient n as a Poly; a scalar coefficient is a constant."""
+        c = self._coeffs[n]
+        return c if isinstance(c, Poly) else Poly.const(c)
+
     def egf_value(self, n: int):
         """Coefficient n times n! (value of an EGF-normalized family)."""
         return self._coeffs[n] * factorial(n)

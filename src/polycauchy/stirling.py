@@ -12,9 +12,9 @@ so concurrent readers are safe):
 
 Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
-non-negative integer r they give the r-shifted variants.  The bivariate
-first kind carries an extra geometric step q; the bivariate second kind
-is evaluated pointwise and needs q != 0.
+non-negative integer r they give the r-shifted variants.  Their bivariate
+values q^(n-m) p(y/q) carry an extra geometric step q; the second kind's
+needs q != 0.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .poly import Poly, binom_poly
+from .rational import _exact
 
 __all__ = [
     "stirling1",
@@ -35,7 +36,6 @@ __all__ = [
     "gsn2",
     "gsn1_at",
     "gsn2_at",
-    "gsn1_bivariate",
     "gsn1_bivariate_at",
     "gsn2_bivariate_at",
     "whitney",
@@ -154,27 +154,16 @@ def gsn2(n: int, m: int) -> Poly:
 
 
 def gsn1_at(n: int, m: int, x0) -> Fraction:
-    return Fraction(gsn1(n, m)(Fraction(x0)))
+    return Fraction(gsn1(n, m)(x0))
 
 
 def gsn2_at(n: int, m: int, x0) -> Fraction:
-    return Fraction(gsn2(n, m)(Fraction(x0)))
-
-
-@lru_cache(maxsize=None)
-def gsn1_bivariate(n: int, m: int) -> Poly:
-    """First-kind bivariate polynomial: outer variable y, inner variable q."""
-    _check_indices(n, m)
-    coeffs = []
-    for i in range(n - m + 1):
-        inner = [0] * (n - m - i) + [comb(i + m, m) * stirling1(n, i + m)]
-        coeffs.append(Poly(inner))
-    return Poly(coeffs)
+    return Fraction(gsn2(n, m)(x0))
 
 
 def _homogenised_at(p: Poly, degree: int, y, q) -> Fraction:
     """q^degree p(y/q) for p of that degree: the leading term alone at q = 0."""
-    y, q = Fraction(y), Fraction(q)
+    y, q = Fraction(_exact(y)), Fraction(_exact(q))
     if not q:
         return p.leading() * y**degree
     return q**degree * p(y / q)
@@ -189,7 +178,7 @@ def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:
 def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
     """The second-kind bivariate value q^(n-m) {n m}_(y/q), for q != 0."""
     _check_indices(n, m)
-    if not Fraction(q):
+    if not _exact(q):
         raise ValueError("the bivariate second-kind value needs q != 0")
     return _homogenised_at(gsn2(n, m), n - m, y, q)
 

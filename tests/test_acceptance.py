@@ -27,12 +27,10 @@ from polycauchy import (
     gf_cauchy2,
     gf_gen_bernoulli,
     gsn1,
-    gsn1_bivariate,
     gsn2,
     multiparam_cauchy,
 )
 from polycauchy.identities import run_all, verify
-from polycauchy.poly import transpose_nested
 
 from test_cauchy import FIRST, SECOND, poly_cauchy_golden_first, poly_cauchy_golden_second
 
@@ -81,22 +79,24 @@ def test_criterion_3_multiparameter_golden_point():
         assert eval_at_sqrt(multiparam_cauchy("second", params), 5) == golden_second
 
         # unit-shift symmetry at the same parameter point: build the full
-        # two-variable polynomial (outer x, inner y) and check it is
-        # symmetric, then evaluate it with the arguments exchanged
+        # two-variable polynomial as rows (row i the coefficient of x^i, a
+        # Poly in y) and check it is symmetric, then evaluate it with the
+        # arguments exchanged
         n, k, q, L = 4, 3, F(-3), (F(1), F(1), F(1, 2))
         for kind, golden in (("first", golden_first), ("second", golden_second)):
-            biv = Poly()
+            rows = [Poly()] * (n + 1)
             for m in range(n + 1):
-                ypoly = gsn1_bivariate(n, m).map_coeffs(lambda c: F(c(q)))
+                # the first-kind bivariate Stirling polynomial at this q, in y
+                ypoly = Poly([c * q ** (n - m - i) for i, c in enumerate(gsn1(n, m).coeffs)])
                 if kind == "second":
                     ypoly = ypoly.affine_compose(-1, 0) * (-1) ** (n - m)
-                biv = biv + aux_poly_weighted(m, k, L).map_coeffs(
-                    lambda fc, yp=ypoly: yp * fc
-                )
+                for i, fc in enumerate(aux_poly_weighted(m, k, L).coeffs):
+                    rows[i] = rows[i] + ypoly * fc
             if kind == "first":
-                biv = biv * (-1) ** n
-            assert biv == transpose_nested(biv)
-            swapped = biv(F(-3, 2))  # fix the outer slot at -3/2: a Poly in y
+                rows = [r * (-1) ** n for r in rows]
+            assert rows == [Poly([r[j] for r in rows]) for j in range(n + 1)]
+            # fix x at -3/2: a Poly in y
+            swapped = sum((r * F(-3, 2) ** i for i, r in enumerate(rows)), Poly())
             assert eval_at_sqrt(swapped, 5) == golden
 
     _criterion(3, "multiparameter sqrt(5) split values and unit-shift symmetry", check)

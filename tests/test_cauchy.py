@@ -248,6 +248,19 @@ def test_multiparam_validation():
         multiparam_cauchy("first", MultiParam(1, 1, 1, F(1), (F(1),), F(0)), "magic")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: MultiParam(2, 1, 1, 0.1, (1,), 0),
+    lambda: MultiParam(2, 1, 1, 1, (1,), 0.5),
+    lambda: MultiParam(2, 1, 1, 1, (0.5,), 0),
+    lambda: aux_poly_weighted(2, 1, (0.1,)),
+    lambda: shifted_cauchy_number("first", 3, 1, 1, 0.1, (1,)),
+], ids=["MultiParam.q", "MultiParam.y", "MultiParam.L", "aux_poly_weighted", "shifted_cauchy_number"])
+def test_float_parameters_are_rejected(call):
+    # a float's binary value would otherwise enter the exact result
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_multiparam_reduction_to_ordinary():
     for kind in ("first", "second"):
         for n in range(6):

@@ -48,6 +48,11 @@ def test_binom_scalar_examples():
     assert binom_scalar(Fraction(7, 3), 0) == 1
 
 
+def test_binom_scalar_rejects_float_top():
+    with pytest.raises(TypeError):
+        binom_scalar(0.5, 2)
+
+
 def test_binom_scalar_rejects_negative_order():
     with pytest.raises(ValueError):
         binom_scalar(Fraction(1, 2), -1)

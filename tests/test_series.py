@@ -59,13 +59,6 @@ def test_exp_matches_defining_sum_poly(order):
     assert g.exp() == exp_by_power_sum(g)
 
 
-def test_exp_matches_defining_sum_nested_poly():
-    for order in range(7):
-        g = Series([Poly()] + [Poly([Poly([0, F(1, k)]), Poly([(-1) ** k])])
-                               for k in range(1, order + 1)])
-        assert g.exp() == exp_by_power_sum(g)
-
-
 def test_exp_requires_zero_constant():
     with pytest.raises(ValueError):
         Series([1, 1]).exp()

@@ -11,7 +11,6 @@ from polycauchy import (
     central_u,
     gsn1,
     gsn1_at,
-    gsn1_bivariate,
     gsn1_bivariate_at,
     gsn2,
     gsn2_at,
@@ -157,7 +156,8 @@ def test_symmetric_transformation_formulas():
 
 
 def test_bivariate_first_kind():
-    assert gsn1_bivariate(2, 1) == Poly([Poly([0, 1]), Poly([2])])  # q + 2y
+    for y, q in ((F(1), F(1)), (F(1, 2), F(-3)), (F(-2), F(0)), (F(0), F(2, 3))):
+        assert gsn1_bivariate_at(2, 1, y, q) == q + 2 * y
     for n in range(6):
         for m in range(n + 1):
             assert gsn1_bivariate_at(n, m, 0, 1) == stirling1(n, m)
@@ -177,10 +177,8 @@ def test_bivariate_reduces_to_shifted_at_unit_step():
     # fixing q = 1 recovers the single-shift polynomials in y
     for n in range(7):
         for m in range(n + 1):
-            fixed = gsn1_bivariate(n, m).map_coeffs(
-                lambda c: F(c(F(1))) if isinstance(c, Poly) else F(c)
-            )
-            assert fixed == gsn1(n, m)
+            for y in (F(0), F(1), F(-1, 2), F(7, 3)):
+                assert gsn1_bivariate_at(n, m, y, 1) == gsn1(n, m)(y)
 
 
 def test_concurrent_triangle_fill():
@@ -205,6 +203,12 @@ def test_bivariate_second_kind():
         gsn2_bivariate_at(2, 1, F(1), 0)
 
 
+def _gsn1_bivariate_sum(n, m, y, q):
+    # sum_i C(i+m, m) s(n, i+m) y^i q^(n-m-i), written out
+    return sum(comb(i + m, m) * stirling1(n, i + m) * y**i * q ** (n - m - i)
+               for i in range(n - m + 1))
+
+
 def _gsn2_bivariate_closed_form(n, m, y, q):
     total = sum(F((-1) ** (m - l) * comb(m, l)) * (y + l * q) ** n for l in range(m + 1))
     return total / (factorial(m) * q**m)
@@ -215,17 +219,28 @@ def test_bivariate_values_match_independent_forms():
     qs = (F(1), F(-1), F(1, 2), F(-3), F(5, 7))
     for n in range(9):
         for m in range(n + 1):
-            # the nested (y, q) polynomial, evaluated at each point
-            first = gsn1_bivariate(n, m)
             for y in ys:
                 for q in qs + (F(0),):
                     value = gsn1_bivariate_at(n, m, y, q)
                     assert type(value) is F
-                    assert value == first.map_coeffs(lambda c: c(q))(y)
+                    assert value == _gsn1_bivariate_sum(n, m, y, q)
                 for q in qs:
                     value = gsn2_bivariate_at(n, m, y, q)
                     assert type(value) is F
                     assert value == _gsn2_bivariate_closed_form(n, m, y, q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gsn1_at(3, 1, 0.1),
+    lambda: gsn2_at(3, 1, 0.1),
+    lambda: gsn1_bivariate_at(3, 1, 0.1, 1),
+    lambda: gsn1_bivariate_at(3, 1, 1, 0.1),
+    lambda: gsn2_bivariate_at(3, 1, 1, 0.1),
+], ids=["gsn1_at", "gsn2_at", "gsn1_bivariate_at.y", "gsn1_bivariate_at.q", "gsn2_bivariate_at"])
+def test_float_points_are_rejected(call):
+    # a float's binary value would otherwise enter the exact result
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_bivariate_first_kind_at_zero_step():
