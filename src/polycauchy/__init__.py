@@ -15,6 +15,7 @@ from .series import (
     Series,
     log1p_series,
     log1p_over_t_series,
+    sheffer_rows,
     gf_cauchy1,
     gf_cauchy2,
     gf_gen_bernoulli,

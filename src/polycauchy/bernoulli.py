@@ -1,10 +1,11 @@
 """Bernoulli numbers and polynomials, Euler and power-sum polynomials,
 and the poly-Bernoulli variants.
 
-All polynomial families here are extracted from the truncated-series
-kernel (``gf_gen_bernoulli``), so the series module is the single source
-of the defining convention (B_1 = -1/2).  Euler polynomials use the
-Bernoulli-based closed form
+The Bernoulli, Euler and power-sum polynomials are rows of the
+generating function (t/(e^t - 1))^alpha e^(xt) (``gf_gen_bernoulli``,
+read by the Sheffer-row kernel ``sheffer_rows``), so the series module is
+the single source of the defining convention (B_1 = -1/2).  Euler
+polynomials use the Bernoulli-based closed form
 
     E_n(x) = (2/(n+1)) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2)),
 
@@ -42,7 +43,7 @@ def gen_bernoulli_poly(n: int, alpha: int) -> Poly:
         raise ValueError("degree must be >= 0")
     if alpha < 0:
         raise ValueError("order must be >= 0")
-    return gf_gen_bernoulli(alpha, n).poly(n) * factorial(n)
+    return gf_gen_bernoulli(alpha, n)[n] * factorial(n)
 
 
 def bernoulli_poly(n: int) -> Poly:

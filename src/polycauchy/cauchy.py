@@ -138,8 +138,7 @@ def _poly_integral(kind: str, n: int, k: int) -> Poly:
 def _poly_series(kind: str, n: int, k: int) -> Poly:
     if k != 1:
         raise ValueError("the generating-function construction is defined for k = 1 only")
-    gf = gf_cauchy1(n) if kind == "first" else gf_cauchy2(n)
-    return gf.poly(n) * factorial(n)
+    return (gf_cauchy1 if kind == "first" else gf_cauchy2)(n)[n] * factorial(n)
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:

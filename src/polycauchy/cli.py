@@ -39,7 +39,7 @@ _EVAL_POLYS = {
     "harmonic-poly": lambda a: harmonic.harmonic_poly(a.n),
 }
 
-# generating function -> the truncated series that ``series`` dumps
+# generating function -> the rows that ``series`` dumps
 _SERIES = {
     "cauchy1": lambda a: series.gf_cauchy1(a.order),
     "cauchy2": lambda a: series.gf_cauchy2(a.order),
@@ -170,10 +170,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    s = _SERIES[args.gf](args)
+    rows = _SERIES[args.gf](args)
     lines = ["n\tn!\tcoefficient"]
     for n in range(args.order + 1):
-        lines.append(f"{n}\t{factorial(n)}\t{s.poly(n)}")
+        lines.append(f"{n}\t{factorial(n)}\t{rows[n]}")
     _write_lines(lines, args.out)
     return 0
 

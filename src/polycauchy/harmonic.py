@@ -43,4 +43,4 @@ def harmonic_poly(m: int) -> Poly:
     """Degree-m harmonic polynomial; its value at 0 is the (m+1)-st harmonic number."""
     if m < 0:
         raise ValueError("index must be >= 0")
-    return gf_harmonic_poly(m).poly(m)
+    return gf_harmonic_poly(m)[m]

@@ -57,6 +57,12 @@ def _stored(vec: tuple, den: int) -> "Poly":
     return p
 
 
+def _over_one_denominator(cs) -> tuple[list, int]:
+    """Rationals cs as integer numerators over the lcm of their denominators."""
+    den = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 def _make(nums, den: int) -> "Poly":
     """The Poly sum(nums[i] x^i) / den (den > 0), made canonical."""
     end = len(nums)
@@ -90,8 +96,7 @@ class Poly:
             # already canonical: each prime power in the lcm is the full
             # denominator power of some reduced coefficient, whose scaled
             # numerator that prime does not divide
-            den = lcm(*[c.denominator for c in cs])
-            cs = [c.numerator * (den // c.denominator) for c in cs]
+            cs, den = _over_one_denominator(cs)
         while cs and not cs[-1]:
             cs.pop()
         self._vec, self._den = tuple(cs), den

@@ -2,30 +2,37 @@
 
 A :class:`Series` of order N stores exactly N+1 coefficients (t^0 .. t^N);
 trailing zeros are significant and binary operations demand equal orders.
-Coefficients live in any exact ring (Fraction or Poly); everything is
-formal, convergence is never consulted.
+Coefficients are ints or Fractions; any other coefficient or ``scale``
+factor raises ``TypeError``, so neither a float nor a polynomial enters a
+series.  Everything is formal, convergence is never consulted.
 
-Normalization conventions for the oracles here:
+Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
+with scalar A and g (Roman, *The Umbral Calculus*, 1984), returned as the
+rows [t^n] (Polys in x) that :func:`sheffer_rows` computes.  The first
+three are exponential (row n times n! is the family value), the last two
+ordinary (row n is the value):
 
-* ``gf_cauchy1`` / ``gf_cauchy2`` / ``gf_gen_bernoulli`` are exponential
-  generating functions: the family value of index n is coefficient n
-  times n!.
-* ``gf_hyperharmonic`` / ``gf_harmonic_poly`` are ordinary generating
-  functions: coefficient n is the value itself.
+* ``gf_cauchy1``: A = t/log(1+t), g = -log(1+t);
+* ``gf_cauchy2``: A = t/((1+t) log(1+t)), g = log(1+t);
+* ``gf_gen_bernoulli``: A = (t/(e^t - 1))^alpha, g = t;
+* ``gf_hyperharmonic``: A = g = -log(1-t);
+* ``gf_harmonic_poly``: A = -log(1-t)/(t(1-t)), g = log(1-t).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable
+from math import factorial, gcd
+from typing import Callable, Iterable
 
-from .poly import Poly
+from .poly import Poly, _over_one_denominator
+from .rational import _exact
 
 __all__ = [
     "Series",
     "log1p_series",
     "log1p_over_t_series",
+    "sheffer_rows",
     "gf_cauchy1",
     "gf_cauchy2",
     "gf_gen_bernoulli",
@@ -34,24 +41,13 @@ __all__ = [
 ]
 
 
-def _invert_constant(c):
-    """Multiplicative inverse of a series constant term, or None."""
-    if isinstance(c, Poly):
-        if c.degree > 0 or not c:
-            return None
-        c = c.constant()
-    if not c:
-        return None
-    return Fraction(1) / Fraction(c)
-
-
 class Series:
-    """Power series modulo t^(order+1) over an exact coefficient ring."""
+    """Power series modulo t^(order+1) with rational coefficients."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        self._coeffs = tuple(coeffs)
+        self._coeffs = tuple(map(_exact, coeffs))
         if not self._coeffs:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
 
@@ -70,23 +66,12 @@ class Series:
     def __getitem__(self, n: int):
         return self._coeffs[n]
 
-    def poly(self, n: int) -> Poly:
-        """Coefficient n as a Poly; a scalar coefficient is a constant."""
-        c = self._coeffs[n]
-        return c if isinstance(c, Poly) else Poly.const(c)
-
-    def egf_value(self, n: int):
-        """Coefficient n times n! (value of an EGF-normalized family)."""
-        return self._coeffs[n] * factorial(n)
-
     def _check(self, other: "Series"):
         if self.order != other.order:
             raise ValueError("series orders differ: %d vs %d" % (self.order, other.order))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and all(
-            a == b for a, b in zip(self._coeffs, other._coeffs)
-        ) and self.order == other.order
+        return isinstance(other, Series) and self._coeffs == other._coeffs
 
     def __hash__(self):
         return hash(self._coeffs)
@@ -104,25 +89,20 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check(other)
-        n = self.order
-        out = [0] * (n + 1)
+        out = [0] * len(self._coeffs)
         for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+            if a:
+                out[i:] = [o + a * b if b else o for o, b in zip(out[i:], other._coeffs)]
         return Series(out)
 
     def scale(self, factor) -> "Series":
+        factor = _exact(factor)
         return Series([c * factor for c in self._coeffs])
 
     def pow_int(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative series power")
-        result = Series.one(self.order)
-        base = self
+        result, base = Series.one(self.order), self
         while k:
             if k & 1:
                 result = result * base
@@ -131,37 +111,24 @@ class Series:
         return result
 
     def reciprocal(self) -> "Series":
-        inv0 = _invert_constant(self._coeffs[0])
-        if inv0 is None:
+        c = self._coeffs
+        if not c[0]:
             raise ValueError("constant term is not invertible")
-        n = self.order
-        out = [inv0] + [0] * n
-        for i in range(1, n + 1):
-            acc = 0
-            for j in range(1, i + 1):
-                a = self._coeffs[j]
-                if a:
-                    acc = acc + a * out[i - j]
-            out[i] = -inv0 * acc
+        inv0 = Fraction(1) / c[0]
+        out = [inv0]
+        for i in range(1, len(c)):
+            out.append(-inv0 * sum([c[j] * out[i - j] for j in range(1, i + 1) if c[j]]))
         return Series(out)
 
     def exp(self) -> "Series":
-        """f = exp(g) for g with zero constant term, by the O(N^2) recurrence
-        n f_n = sum_{k=1..n} k g_k f_{n-k} that follows from f' = g' f
+        """exp(g) for g(0) = 0 by n f_n = sum_{k=1..n} k g_k f_{n-k}, from f' = g' f
         (Brent & Kung, J. ACM 1978); zero g_k are skipped."""
         if self._coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
         dg = [(k, k * c) for k, c in enumerate(self._coeffs) if k and c]
-        out = [1] + [0] * self.order
-        for n in range(1, self.order + 1):
-            acc = 0
-            for k, kc in dg:
-                if k > n:
-                    break
-                f = out[n - k]
-                if f:
-                    acc = acc + kc * f
-            out[n] = acc * Fraction(1, n)
+        out = [1]
+        for n in range(1, len(self._coeffs)):
+            out.append(sum([kc * out[n - k] for k, kc in dg if k <= n]) * Fraction(1, n))
         return Series(out)
 
     def __repr__(self) -> str:
@@ -183,39 +150,64 @@ def _neg_log1m_series(order: int) -> Series:
     return Series([Fraction(0)] + [Fraction(1, n) for n in range(1, order + 1)])
 
 
-def gf_cauchy1(order: int) -> Series:
-    """t / ((1+t)^x log(1+t)); coefficient n times n! is c_n(x) (Poly in x)."""
-    x = Poly.gen()
-    base = log1p_over_t_series(order).reciprocal()
-    power = log1p_series(order).scale(-x).exp()
-    return base * power
+def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
+                 order: int) -> tuple[Poly, ...]:
+    """Rows 0..order of A(t) exp(x g(t)), row n the Poly sum_j ([t^n] A g^j / j!) x^j.
+
+    ``A`` and ``g`` map an order to a series of that order; g(0) = 0.  The
+    power A g^j / j! starts at t^j, so it is held from t^j to t^order as
+    integer numerators over one denominator, and the next power reads only
+    the nonzero coefficients of g (g = t costs O(order^2)).
+    """
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
+    nums, den = _over_one_denominator(A(order).coeffs)
+    g_nums, g_den = _over_one_denominator(g(order).coeffs)
+    if g_nums[0]:
+        raise ValueError("g needs a zero constant term")
+    g_terms = [(k, c) for k, c in enumerate(g_nums) if c]
+    powers = []
+    for j in range(order + 1):
+        powers.append([Fraction(c, den) for c in nums])  # [t^(j+i)] A g^j / j! at i
+        nxt = [0] * (order - j)
+        for k, gk in g_terms:
+            nxt[k - 1:] = [o + gk * c for o, c in zip(nxt[k - 1:], nums)]
+        den *= g_den * (j + 1)
+        common = gcd(den, *nxt)
+        nums, den = [c // common for c in nxt], den // common
+    return tuple(Poly([powers[j][n - j] for j in range(n + 1)]) for n in range(order + 1))
 
 
-def gf_cauchy2(order: int) -> Series:
-    """t (1+t)^x / ((1+t) log(1+t)); coefficient n times n! is the second-kind polynomial."""
-    base = log1p_over_t_series(order).reciprocal()
-    power = log1p_series(order).scale(Poly([-1, 1])).exp()
-    return base * power
+def gf_cauchy1(order: int) -> tuple[Poly, ...]:
+    """t / ((1+t)^x log(1+t)); row n times n! is c_n(x)."""
+    return sheffer_rows(lambda n: log1p_over_t_series(n).reciprocal(),
+                        lambda n: -log1p_series(n), order)
 
 
-def gf_gen_bernoulli(alpha: int, order: int) -> Series:
-    """(t/(e^t - 1))^alpha * e^(x t); coefficient n times n! is the order-alpha Bernoulli polynomial."""
+def gf_cauchy2(order: int) -> tuple[Poly, ...]:
+    """t (1+t)^x / ((1+t) log(1+t)); row n times n! is the second-kind polynomial."""
+    return sheffer_rows(
+        lambda n: log1p_over_t_series(n).reciprocal() * Series([(-1) ** i for i in range(n + 1)]),
+        log1p_series, order)
+
+
+def gf_gen_bernoulli(alpha: int, order: int) -> tuple[Poly, ...]:
+    """(t/(e^t - 1))^alpha * e^(x t); row n times n! is the order-alpha Bernoulli polynomial."""
     if alpha < 0:
         raise ValueError("order of the generalized Bernoulli family must be >= 0")
-    expm1_over_t = Series([Fraction(1, factorial(n + 1)) for n in range(order + 1)])
-    base = expm1_over_t.reciprocal().pow_int(alpha)
-    exp_xt = [1] + [Poly([0] * n + [Fraction(1, factorial(n))]) for n in range(1, order + 1)]
-    return base * Series(exp_xt)
+    return sheffer_rows(
+        lambda n: Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)])
+        .reciprocal().pow_int(alpha),
+        lambda n: Series([int(i == 1) for i in range(n + 1)]), order)
 
 
-def gf_hyperharmonic(order: int) -> Series:
-    """-log(1-t)/(1-t)^x; coefficient n *is* the hyperharmonic polynomial in x."""
-    s = _neg_log1m_series(order)
-    return s * s.scale(Poly.gen()).exp()
+def gf_hyperharmonic(order: int) -> tuple[Poly, ...]:
+    """-log(1-t)/(1-t)^x; row n *is* the hyperharmonic polynomial in x."""
+    return sheffer_rows(_neg_log1m_series, _neg_log1m_series, order)
 
 
-def gf_harmonic_poly(order: int) -> Series:
-    """-log(1-t)/(t (1-t)^(1-x)); coefficient m *is* the degree-m harmonic polynomial."""
-    s_over_t = Series([Fraction(1, n + 1) for n in range(order + 1)])
-    s = _neg_log1m_series(order)
-    return s_over_t * s.scale(Poly([1, -1])).exp()
+def gf_harmonic_poly(order: int) -> tuple[Poly, ...]:
+    """-log(1-t)/(t (1-t)^(1-x)); row m *is* the degree-m harmonic polynomial."""
+    return sheffer_rows(
+        lambda n: Series([Fraction(1, i + 1) for i in range(n + 1)]) * Series([1] * (n + 1)),
+        lambda n: -_neg_log1m_series(n), order)

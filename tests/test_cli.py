@@ -107,10 +107,7 @@ def test_series_every_generating_function(capsys, gf, extra, series):
     code, out, _ = run(capsys, "series", gf, "--order", "6", *extra)
     assert code == 0
     s = series()
-    want = ["n\tn!\tcoefficient"] + [
-        f"{n}\t{factorial(n)}\t{s[n] if isinstance(s[n], pc.Poly) else pc.Poly.const(s[n])}"
-        for n in range(7)
-    ]
+    want = ["n\tn!\tcoefficient"] + [f"{n}\t{factorial(n)}\t{s[n]}" for n in range(7)]
     assert out.splitlines() == want
 
 
@@ -155,6 +152,12 @@ def test_series_subcommand(capsys):
     assert lines[0] == "n\tn!\tcoefficient"
     assert lines[1].startswith("0\t1\t")
     assert lines[2] == "1\t1\t1/2 - x"
+
+
+def test_series_negative_order_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "series", "cauchy1", "--order", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: series order must be >= 0, got -1\n"
 
 
 def test_verify_single_case(capsys):

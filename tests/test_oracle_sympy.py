@@ -1,10 +1,13 @@
-"""SymPy as an independent oracle for the scalar families.
+"""SymPy as an independent oracle for the scalar families and the
+generating functions.
 
 SymPy shares no code with this package, so agreement here cross-checks
 the triangle fills, the Bernoulli series, the harmonic loop, the Euler
 polynomials, and the central factorial, Lah and r-Whitney numbers through
-the products and bases that define them.  SymPy uses B_1 = +1/2; this
-package uses B_1 = -1/2.
+the products and bases that define them, and the Cauchy, higher-order
+Bernoulli, hyperharmonic and harmonic polynomials through SymPy's own
+expansion of their closed-form generating functions.  SymPy uses
+B_1 = +1/2; this package uses B_1 = -1/2.
 """
 
 from fractions import Fraction
@@ -15,10 +18,16 @@ sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import bernoulli, harmonic, stirling  # noqa: E402
 
 from polycauchy import (  # noqa: E402
+    Poly,
     bernoulli_number,
+    cauchy_poly,
     central_u,
     euler_poly,
+    gen_bernoulli_poly,
+    gf_hyperharmonic,
     harmonic_number,
+    harmonic_poly,
+    hyperharmonic_poly,
     lah,
     stirling1,
     stirling2,
@@ -26,6 +35,21 @@ from polycauchy import (  # noqa: E402
 )
 
 x = sympy.Symbol("x")
+t = sympy.Symbol("t")
+
+# closed form in t and x, whether it is an EGF (row n times n!), row n
+_GENERATING_FUNCTIONS = {
+    "cauchy1": (t / ((1 + t) ** x * sympy.log(1 + t)), True,
+                lambda n: cauchy_poly("first", n, 1, "series")),
+    "cauchy2": (t * (1 + t) ** x / ((1 + t) * sympy.log(1 + t)), True,
+                lambda n: cauchy_poly("second", n, 1, "series")),
+    "gen-bernoulli-3": ((t / (sympy.exp(t) - 1)) ** 3 * sympy.exp(x * t), True,
+                        lambda n: gen_bernoulli_poly(n, 3)),
+    "hyperharmonic": (-sympy.log(1 - t) / (1 - t) ** x, False, hyperharmonic_poly),
+    "hyperharmonic-gf": (-sympy.log(1 - t) / (1 - t) ** x, False,
+                         lambda n: gf_hyperharmonic(6)[n]),
+    "harmonic": (-sympy.log(1 - t) / (t * (1 - t) ** (1 - x)), False, harmonic_poly),
+}
 
 
 def _fraction(value) -> Fraction:
@@ -86,3 +110,12 @@ def test_whitney_numbers_expand_powers_in_falling_factorials():
                 for l in range(n + 1)
             )
             assert _coeffs((m * x + r) ** n) == _coeffs(expansion), (m, r, n)
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATING_FUNCTIONS))
+def test_generating_functions_match_sympy_series(name):
+    closed, egf, row = _GENERATING_FUNCTIONS[name]
+    expansion = sympy.expand(sympy.series(closed, t, 0, 7).removeO())
+    for n in range(7):
+        want = expansion.coeff(t, n) * (sympy.factorial(n) if egf else 1)
+        assert row(n) == Poly(_coeffs(want)), (name, n)
