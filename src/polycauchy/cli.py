@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 from math import factorial
@@ -109,7 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_lines(lines, out_path):
-    """Write each line, newline-terminated, to stdout or to the file out_path.
+    """Write each item, newline-terminated, to stdout or to the file out_path.
+
+    An item may hold several newline-separated lines, so a caller can hand
+    over a whole block, such as a triangle row, as one write.
 
     A file is written through a temporary file in its own directory that
     replaces out_path only once every line is written, so a run that fails
@@ -147,8 +151,8 @@ def _cmd_table(args) -> int:
 def _table_lines(args, max_n: int):
     if args.family in _TRIANGLES:
         yield "n\tm\tvalue"
-        for n, m, v in stirling.triangle_rows(args.family, max_n):
-            yield f"{n}\t{m}\t{v}"
+        for n, row in enumerate(stirling.triangle_rows(args.family, max_n)):
+            yield "\n".join([f"{n}\t{m}\t{v}" for m, v in enumerate(row)])
     elif args.family == "cauchy-numbers":
         yield "n\tvalue"
         for n in range(max_n + 1):
@@ -315,15 +319,34 @@ def _glue_x_values(argv: list[str]) -> list[str]:
     return out
 
 
+@contextmanager
+def _uncapped_int_text():
+    """Lift CPython's cap on int/str conversion (4300 digits by default) for
+    the block, then put back the cap the caller had.  The cap is global to
+    the interpreter, so this is not meant for several threads at once."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters before the cap
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
+        # user text such as --x is parsed under the caller's cap
         args = parser.parse_args(_glue_x_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # exact results, such as central_u(900, 1), can run past the cap
+        with _uncapped_int_text():
+            return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

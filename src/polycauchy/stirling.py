@@ -1,14 +1,15 @@
 """Stirling-like triangles and their polynomial generalizations.
 
-Integer triangles (all memoized row by row, filled on demand under a lock
-so concurrent readers are safe):
+Four integer triangles, each memoized row by row and filled on demand under
+a lock so concurrent readers are safe.  Every one starts from T(0,0) = 1 and
+steps T(n+1,m) = T(n,m-1) + w*T(n,m) with its own weight w:
 
-* ``stirling1`` -- unsigned first kind, [n+1,m] = [n,m-1] + n*[n,m];
-* ``stirling2`` -- second kind, {n+1,m} = {n,m-1} + m*{n,m};
+* ``stirling1`` -- unsigned first kind, w = n;
+* ``stirling2`` -- second kind, w = m;
 * ``central_u`` -- signed central factorial numbers with even indices,
-  u(n+1,m) = u(n,m-1) - n^2*u(n,m) with u(0,0) = 1.  The recurrence also
-  fixes u(n,0) = 0 for n >= 1;
-* ``lah`` -- L(n,m) = (n!/m!) * binom(n-1, m-1).
+  w = -n^2.  The recurrence also fixes u(n,0) = 0 for n >= 1;
+* ``lah`` -- unsigned Lah numbers, w = n + m, so that
+  L(n,m) = (n!/m!) * binom(n-1, m-1) without a division per entry.
 
 Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
@@ -22,6 +23,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
 
 from .poly import Poly, binom_poly
@@ -50,8 +52,19 @@ class _Triangle:
     def __init__(self, name: str, step):
         self.name = name
         self._step = step  # step(previous_row, n_previous) -> next row
-        self._rows = [[1]]
+        self._rows = [(1,)]
         self._lock = threading.Lock()
+
+    def _extend(self, n: int) -> None:
+        with self._lock:
+            while n >= len(self._rows):
+                self._rows.append(self._step(self._rows[-1], len(self._rows) - 1))
+
+    def rows(self, max_n: int) -> list[tuple[int, ...]]:
+        """Rows 0..max_n; row n is the tuple (T(n, 0), ..., T(n, n))."""
+        if max_n >= len(self._rows):
+            self._extend(max_n)
+        return self._rows[: max_n + 1]
 
     def value(self, n: int, m: int) -> int:
         if n < 0:
@@ -59,38 +72,36 @@ class _Triangle:
         if m < 0 or m > n:
             return 0
         if n >= len(self._rows):
-            with self._lock:
-                while n >= len(self._rows):
-                    prev = self._rows[-1]
-                    self._rows.append(self._step(prev, len(self._rows) - 1))
+            self._extend(n)
         return self._rows[n][m]
 
 
-def _step_s1(prev: list[int], n: int) -> list[int]:
-    return [
-        (prev[m - 1] if m >= 1 else 0) + n * (prev[m] if m <= n else 0)
-        for m in range(n + 2)
-    ]
+def _pascal_step(prev: tuple[int, ...], weights) -> tuple[int, ...]:
+    """Row n+1 from row n: T(n+1, m) = T(n, m-1) + w_m T(n, m), m = 0..n+1."""
+    return tuple([a + w * b for a, w, b in zip((0, *prev), weights, (*prev, 0))])
 
 
-def _step_s2(prev: list[int], n: int) -> list[int]:
-    return [
-        (prev[m - 1] if m >= 1 else 0) + m * (prev[m] if m <= n else 0)
-        for m in range(n + 2)
-    ]
+def _step_s1(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return _pascal_step(prev, repeat(n))
 
 
-def _step_u(prev: list[int], n: int) -> list[int]:
-    return [
-        (prev[m - 1] if m >= 1 else 0) - n * n * (prev[m] if m <= n else 0)
-        for m in range(n + 2)
-    ]
+def _step_s2(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return _pascal_step(prev, range(n + 2))
+
+
+def _step_u(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return _pascal_step(prev, repeat(-n * n))
+
+
+def _step_lah(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return _pascal_step(prev, range(n, 2 * n + 2))
 
 
 _TRIANGLES = {
     "stirling1": _Triangle("stirling1", _step_s1),
     "stirling2": _Triangle("stirling2", _step_s2),
     "central": _Triangle("central", _step_u),
+    "lah": _Triangle("lah", _step_lah),
 }
 
 
@@ -113,25 +124,12 @@ def lah(n: int, m: int) -> int:
     """Unsigned Lah number L(n, m) = (n!/m!) binom(n-1, m-1)."""
     if n < 0 or m < 0:
         raise ValueError("Lah indices must be >= 0")
-    if m > n:
-        return 0
-    if n == 0:
-        return 1
-    if m == 0:
-        return 0
-    return factorial(n) // factorial(m) * comb(n - 1, m - 1)
+    return _TRIANGLES["lah"].value(n, m)
 
 
-def triangle_rows(kind: str, max_n: int) -> list[tuple[int, int, int]]:
-    """Flat (n, m, value) listing of a triangle, for tables."""
-    out = []
-    for n in range(max_n + 1):
-        for m in range(n + 1):
-            if kind == "lah":
-                out.append((n, m, lah(n, m)))
-            else:
-                out.append((n, m, _TRIANGLES[kind].value(n, m)))
-    return out
+def triangle_rows(kind: str, max_n: int) -> list[tuple[int, ...]]:
+    """Rows 0..max_n of a triangle, for tables: row n is (T(n, 0), ..., T(n, n))."""
+    return _TRIANGLES[kind].rows(max_n)
 
 
 def _check_indices(n: int, m: int):

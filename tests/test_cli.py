@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -7,6 +9,9 @@ import pytest
 import polycauchy as pc
 from polycauchy import cauchy_poly
 from polycauchy.cli import load_exported_poly, main
+
+needs_int_digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int/str digit cap")
 
 
 def run(capsys, *argv):
@@ -43,6 +48,56 @@ def test_table_triangle(capsys):
     code, out, _ = run(capsys, "table", "stirling1", "--max-n", "3")
     assert code == 0
     assert "3\t2\t3" in out.splitlines()
+
+
+# SHA-256 of `table <family> --max-n 40` on stdout, recorded before the
+# triangles were written a row at a time; any change to the bytes fails here
+TRIANGLE_TABLE_SHA256 = {
+    "stirling1": "a7391baae757253ed4793ea0fd32c41d119e318929c54d83b6b317b2ed0bd4d0",
+    "stirling2": "112f1740f257b7c9da9673807fd4411e109363cbf4094259c441bc92ef2162e0",
+    "central": "6a0e6934b1e3ceb676a6c1a76a2de774ff3688b1d2d06dab97458a736aba1f26",
+    "lah": "306b63158b82665651d5ca631990e5063ae6162e675c14b730c07f73dcb334b9",
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRIANGLE_TABLE_SHA256))
+def test_triangle_table_bytes_are_locked(capsys, family):
+    code, out, err = run(capsys, "table", family, "--max-n", "40")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 41 * 42 // 2
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLE_TABLE_SHA256[family]
+
+
+@needs_int_digit_cap
+def test_table_prints_values_past_the_int_str_digit_cap(capsys):
+    # central_u(200, 1) = -(199!)^2 has 746 digits, past a cap of 640
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "table", "central", "--max-n", "200")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + 201 * 202 // 2
+    n, m, value = lines[1 + 200 * 201 // 2 + 1].split("\t")
+    assert (n, m, len(value)) == ("200", "1", 1 + 746)
+    assert int(value) == pc.central_u(200, 1)
+    assert lines[-1].split("\t") == ["200", "200", str(pc.central_u(200, 200))]
+
+
+@needs_int_digit_cap
+def test_eval_x_is_parsed_under_the_int_str_digit_cap(capsys):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "eval", "cauchy", "--n", "3", "--x", "1/" + "7" * 700)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, out) == (2, "")
+    assert "argument --x" in err
 
 
 def test_table_hyperharmonic(capsys):

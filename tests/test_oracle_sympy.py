@@ -6,7 +6,9 @@ the triangle fills, the Bernoulli series, the harmonic loop, the Euler
 polynomials, and the central factorial, Lah and r-Whitney numbers through
 the products and bases that define them, and the Cauchy, higher-order
 Bernoulli, hyperharmonic and harmonic polynomials through SymPy's own
-expansion of their closed-form generating functions.  SymPy uses
+expansion of their closed-form generating functions.  The hyperharmonic
+polynomials are also checked at integer points against Conway and Guy's
+closed form in harmonic numbers.  SymPy uses
 B_1 = +1/2; this package uses B_1 = -1/2.
 """
 
@@ -99,6 +101,14 @@ def test_lah_numbers_expand_rising_in_falling_factorials():
     for n in range(15):
         expansion = sum(lah(n, m) * sympy.ff(x, m) for m in range(n + 1))
         assert _coeffs(sympy.rf(x, n)) == _coeffs(expansion), n
+
+
+def test_hyperharmonic_numbers_match_conway_guy():
+    # Conway and Guy: H_n^(r) = C(n+r-1, r-1) (H_{n+r-1} - H_{r-1}) at integer r >= 1
+    for n in range(16):
+        for r in range(1, 6):
+            closed = sympy.binomial(n + r - 1, r - 1) * (harmonic(n + r - 1) - harmonic(r - 1))
+            assert hyperharmonic_poly(n)(r) == _fraction(closed), (n, r)
 
 
 def test_whitney_numbers_expand_powers_in_falling_factorials():

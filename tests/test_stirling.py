@@ -42,6 +42,16 @@ def test_lah_values():
     assert lah(4, 0) == 0
     with pytest.raises(ValueError):
         lah(-1, 0)
+    with pytest.raises(ValueError):
+        lah(3, -1)
+    assert lah(3, 5) == 0
+
+
+def test_lah_matches_its_closed_form():
+    # the closed form shares nothing with the triangle's recurrence
+    for n in range(1, 121):
+        for m in range(1, n + 1):
+            assert lah(n, m) == factorial(n) // factorial(m) * comb(n - 1, m - 1), (n, m)
 
 
 def test_central_values():
@@ -288,6 +298,13 @@ def test_a_number():
 
 def test_triangle_rows_listing():
     rows = triangle_rows("stirling2", 3)
-    assert rows[0] == (0, 0, 1)
-    assert (3, 2, 3) in rows
-    assert len(rows) == 10
+    assert rows[0] == (1,)
+    assert rows[3][2] == 3
+    assert len(rows) == 4
+    assert rows == [(1,), (0, 1), (0, 1, 1), (0, 1, 3, 1)]
+    # the rows are immutable and the list is a copy, so the memo cannot be changed through them
+    with pytest.raises(TypeError):
+        rows[3][2] = 99
+    rows.clear()
+    assert triangle_rows("stirling2", 3)[3] == (0, 1, 3, 1)
+    assert stirling2(3, 2) == 3
