@@ -83,9 +83,8 @@ def poly_bernoulli_gsn(n: int, k: int) -> Poly:
         raise ValueError("degree must be >= 0")
     if k < 1:
         raise ValueError("poly order k must be >= 1")
-    total = Poly()
-    for m in range(n + 1):
-        total = total + gsn2(n, m) * Fraction((-1) ** m * factorial(m), (m + 1) ** k)
+    total = sum((gsn2(n, m) * Fraction((-1) ** m * factorial(m), (m + 1) ** k)
+                 for m in range(n + 1)), Poly())
     return total * (-1) ** n
 
 
@@ -97,12 +96,11 @@ def poly_bernoulli_kl(n: int, k: int) -> Poly:
         raise ValueError("degree must be >= 0")
     if k < 1:
         raise ValueError("poly order k must be >= 1")
-    total = Poly()
-    for m in range(n + 1):
-        inner = Poly()
-        for i in range(m + 1):
-            inner = inner + Poly([0] * i + [Fraction((-1) ** i, (m - i + 1) ** k) * comb(m, i)])
-        total = total + inner * ((-1) ** m * factorial(m) * stirling2(n, m))
+    total = sum((
+        Poly([Fraction((-1) ** i * comb(m, i), (m - i + 1) ** k) for i in range(m + 1)])
+        * ((-1) ** m * factorial(m) * stirling2(n, m))
+        for m in range(n + 1)
+    ), Poly())
     return total * (-1) ** n
 
 
@@ -112,9 +110,7 @@ def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:
     p = MultiParam(n, k, a, q, L, y)
     if not p.q:
         raise ValueError("q must be nonzero")
-    total = Poly()
-    for m in range(n + 1):
-        weight = factorial(m) * gsn2_bivariate_at(n, m, p.y, p.q)
-        if weight:
-            total = total + aux_poly_weighted(m + a - 1, k, p.L) * weight
+    weights = (factorial(m) * gsn2_bivariate_at(n, m, p.y, p.q) for m in range(n + 1))
+    total = sum((aux_poly_weighted(m + a - 1, k, p.L) * w for m, w in enumerate(weights) if w),
+                Poly())
     return total * (-1) ** n

@@ -61,8 +61,6 @@ __all__ = [
     "shifted_cauchy_number",
 ]
 
-CONSTRUCTIONS = ("gsn", "integral", "series", "binomial_conv", "theorem1")
-
 KIND_SIGN = {"first": 1, "second": -1}
 _OTHER = {"first": "second", "second": "first"}
 
@@ -125,9 +123,8 @@ def aux_poly_weighted(j: int, k: int, L) -> Poly:
 @lru_cache(maxsize=None)
 def _poly_gsn(kind: str, n: int, k: int) -> Poly:
     e = KIND_SIGN[kind]
-    total = Poly()
-    for m in range(n + 1):
-        total = total + gsn1(n, m) * Fraction((-1) ** n * (-e) ** m, (m + 1) ** k)
+    total = sum((gsn1(n, m) * Fraction((-1) ** n * (-e) ** m, (m + 1) ** k) for m in range(n + 1)),
+                Poly())
     return _reflect(kind, total)
 
 
@@ -142,9 +139,8 @@ def _poly_series(kind: str, n: int, k: int) -> Poly:
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:
-    total = Poly()
-    for m in range(n + 1):
-        total = total + falling_factorial_poly(m) * (comb(n, m) * cauchy_number(kind, n - m, k))
+    total = sum((falling_factorial_poly(m) * (comb(n, m) * cauchy_number(kind, n - m, k))
+                 for m in range(n + 1)), Poly())
     # the first kind sums (-1)^m x^(m) = (-x)_m, so it is the falling sum at -x
     return _reflect(_OTHER[kind], total)
 
@@ -169,6 +165,7 @@ _CONSTRUCTION_FNS = {
     "binomial_conv": _poly_binomial_conv,
     "theorem1": _poly_theorem1,
 }
+CONSTRUCTIONS = tuple(_CONSTRUCTION_FNS)
 
 
 def cauchy_poly(kind: str, n: int, k: int = 1, construction: str = "gsn") -> Poly:
@@ -194,10 +191,8 @@ def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
     """
     e = _check_kind(kind)
     _check_nk(n, k)
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += Fraction((-1) ** n * (-e) ** m * stirling1(n, m), (m + 1) ** k)
-    return total
+    return sum((Fraction((-1) ** n * (-e) ** m * stirling1(n, m), (m + 1) ** k)
+                for m in range(n + 1)), Fraction(0))
 
 
 def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
@@ -206,9 +201,8 @@ def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
     _check_nk(n, k)
     if i < 0 or i > n:
         raise ValueError(f"coefficient index must satisfy 0 <= i <= n, got {i}")
-    total = Fraction(0)
-    for m in range(i, n + 1):
-        total += Fraction((-e) ** m * comb(m, i), (m - i + 1) ** k) * stirling1(n, m)
+    total = sum((Fraction((-e) ** m * comb(m, i), (m - i + 1) ** k) * stirling1(n, m)
+                 for m in range(i, n + 1)), Fraction(0))
     return Fraction((-1) ** (n + i)) * total
 
 
@@ -219,9 +213,8 @@ def cauchy_derivative(kind: str, n: int, k: int = 1, order: int = 1) -> Poly:
     _check_nk(n, k)
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    total = Poly()
-    for m in range(order, n + 1):
-        total = total + gsn1(m, order) * ((-1) ** m * comb(n, m) * cauchy_number(kind, n - m, k))
+    total = sum((gsn1(m, order) * ((-1) ** m * comb(n, m) * cauchy_number(kind, n - m, k))
+                 for m in range(order, n + 1)), Poly())
     return _reflect(kind, total) * (e ** order * factorial(order))
 
 
@@ -233,11 +226,9 @@ def cauchy_recurrence_step(kind: str, n: int, k: int = 1) -> Poly:
     """
     e = _check_kind(kind)
     _check_nk(n, k)
-    total = Poly()
-    for m in range(n + 1):
-        total = total + binom_poly(-m - 1, -e, n - m) * (
-            (-1) ** m * Fraction(factorial(n), factorial(m)) * cauchy_number(_OTHER[kind], m + 1, k)
-        )
+    total = sum((binom_poly(-m - 1, -e, n - m) * (
+        (-1) ** m * Fraction(factorial(n), factorial(m)) * cauchy_number(_OTHER[kind], m + 1, k)
+    ) for m in range(n + 1)), Poly())
     return Poly([-n, -e]) * cauchy_poly(kind, n, k) - total   # (u - n) P_n - ..., u = -e x
 
 
@@ -272,11 +263,8 @@ def _weighted_cube_map(rows: list, k: int, L: tuple) -> Poly:
     """Map sum_i g_i(x) t^i, given as the rows g_i, to
     sum_i g_i(x) w^(i+1)/(i+1)^k, w the product of L."""
     w = prod(L)
-    total = Poly()
-    for i, g in enumerate(rows):
-        if g:
-            total = total + g * (w ** (i + 1) / Fraction((i + 1) ** k))
-    return total
+    return sum((g * (w ** (i + 1) / Fraction((i + 1) ** k)) for i, g in enumerate(rows) if g),
+               Poly())
 
 
 def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") -> Poly:
@@ -289,11 +277,9 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
     e = _check_kind(kind)
     n, k, a, q, L, y = p.n, p.k, p.a, p.q, p.L, p.y
     if construction == "stirling":
-        total = Poly()
-        for m in range(n + 1):
-            w = gsn1_bivariate_at(n, m, e * y, q)
-            if w:
-                total = total + aux_poly_weighted(m + a - 1, k, L) * (e ** m * w)
+        weights = (gsn1_bivariate_at(n, m, e * y, q) for m in range(n + 1))
+        total = sum((aux_poly_weighted(m + a - 1, k, L) * (e ** m * w)
+                     for m, w in enumerate(weights) if w), Poly())
         return total * (-1) ** (a - 1 + n)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
@@ -316,7 +302,5 @@ def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
         raise ValueError("shift a must be an integer >= 1")
     q = _exact(q)
     w = prod(_check_weights(L, k))
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += (-q) ** (n - m) * e ** m * w ** (m + a) / Fraction((m + a) ** k) * stirling1(n, m)
-    return total
+    return sum(((-q) ** (n - m) * e ** m * w ** (m + a) / Fraction((m + a) ** k) * stirling1(n, m)
+                for m in range(n + 1)), Fraction(0))

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 from math import factorial
 
@@ -214,10 +213,6 @@ def _grid_from_args(args) -> Grid:
         flag = getattr(args, key)
         if flag is not None:
             overrides[key] = flag
-    valid = {f.name for f in dataclass_fields(Grid)}
-    bad = set(overrides) - valid
-    if bad:
-        raise UsageError(f"unknown grid settings: {sorted(bad)}")
     return DEFAULT_GRID.with_overrides(**overrides)
 
 

@@ -21,10 +21,7 @@ __all__ = ["harmonic_number", "hyperharmonic_poly", "harmonic_poly"]
 def harmonic_number(n: int) -> Fraction:
     if n < 0:
         raise ValueError("index must be >= 0")
-    total = Fraction(0)
-    for j in range(1, n + 1):
-        total += Fraction(1, j)
-    return total
+    return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -32,10 +29,7 @@ def hyperharmonic_poly(n: int) -> Poly:
     """Sum of binom(x + n - t - 1, n - t)/t over t = 1..n; zero for n = 0."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    total = Poly()
-    for t in range(1, n + 1):
-        total = total + binom_poly(n - t - 1, 1, n - t) * Fraction(1, t)
-    return total
+    return sum((binom_poly(n - t - 1, 1, n - t) * Fraction(1, t) for t in range(1, n + 1)), Poly())
 
 
 @lru_cache(maxsize=None)

@@ -92,11 +92,15 @@ class IdentityCase:
     """One registered identity (or probe) over a parameter space."""
 
     id: str
-    group: str
     description: str
     points: Callable[[Grid], Iterable[dict]]
     check: Callable | None = None
     variants: dict | None = None  # probe cases only
+
+    @property
+    def group(self) -> str:
+        """The group that prefixes the id: "G04" for "G04.int1"."""
+        return self.id.split(".", 1)[0]
 
     @property
     def probe(self) -> bool:

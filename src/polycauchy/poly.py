@@ -30,7 +30,7 @@ not kept.  An integral coefficient reads back as an int.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterable
 
 from .rational import _exact
@@ -61,6 +61,18 @@ def _over_one_denominator(cs) -> tuple[list, int]:
     """Rationals cs as integer numerators over the lcm of their denominators."""
     den = lcm(*[c.denominator for c in cs])
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent (exponent >= 0) by square-and-multiply, from the unit one."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _make(nums, den: int) -> "Poly":
@@ -196,15 +208,7 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Poly([1]))
 
     def __call__(self, value):
         """Horner evaluation at an int or Fraction point p/q.
@@ -351,10 +355,7 @@ def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:
         raise ValueError("sign must be +1 or -1")
     if n < 0:
         raise ValueError("binomial order must be >= 0")
-    result = Poly([1])
-    for j in range(n):
-        result = result * Poly([shift - j, sign])
-    return result / factorial(n)
+    return prod((Poly([shift - j, sign]) for j in range(n)), start=Poly([1])) / factorial(n)
 
 
 def falling_factorial_poly(n: int) -> Poly:

@@ -13,7 +13,7 @@ accepts the same form back, so values round-trip exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 Rational = Fraction
 
@@ -62,7 +62,4 @@ def binom_scalar(top, n: int) -> Fraction:
     if n < 0:
         raise ValueError("lower index of a binomial coefficient must be >= 0")
     top = _exact(top)
-    product = Fraction(1)
-    for j in range(n):
-        product *= top - j
-    return product / factorial(n)
+    return prod((top - j for j in range(n)), start=Fraction(1)) / factorial(n)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Callable, Iterable
 
-from .poly import Poly, _over_one_denominator
+from .poly import Poly, _over_one_denominator, _power
 from .rational import _exact
 
 __all__ = [
@@ -102,13 +102,7 @@ class Series:
     def pow_int(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative series power")
-        result, base = Series.one(self.order), self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Series.one(self.order))
 
     def reciprocal(self) -> "Series":
         c = self._coeffs

@@ -15,7 +15,7 @@ Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
 non-negative integer r they give the r-shifted variants.  Their bivariate
 values q^(n-m) p(y/q) carry an extra geometric step q; the second kind's
-needs q != 0.
+needs q != 0.  The r-Whitney numbers are these values at (y, q) = (r, m).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial
+from typing import Iterator
 
 from .poly import Poly, binom_poly
 from .rational import _exact
@@ -59,12 +60,6 @@ class _Triangle:
         with self._lock:
             while n >= len(self._rows):
                 self._rows.append(self._step(self._rows[-1], len(self._rows) - 1))
-
-    def rows(self, max_n: int) -> list[tuple[int, ...]]:
-        """Rows 0..max_n; row n is the tuple (T(n, 0), ..., T(n, n))."""
-        if max_n >= len(self._rows):
-            self._extend(max_n)
-        return self._rows[: max_n + 1]
 
     def value(self, n: int, m: int) -> int:
         if n < 0:
@@ -127,9 +122,14 @@ def lah(n: int, m: int) -> int:
     return _TRIANGLES["lah"].value(n, m)
 
 
-def triangle_rows(kind: str, max_n: int) -> list[tuple[int, ...]]:
-    """Rows 0..max_n of a triangle, for tables: row n is (T(n, 0), ..., T(n, n))."""
-    return _TRIANGLES[kind].rows(max_n)
+def triangle_rows(kind: str, max_n: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..max_n of a triangle, for tables: row n is (T(n, 0), ..., T(n, n)).
+    Each row is stepped here and yielded in turn; the memo is neither read nor filled."""
+    step, row = _TRIANGLES[kind]._step, (1,)
+    for n in range(max_n + 1):
+        if n:
+            row = step(row, n - 1)
+        yield row
 
 
 def _check_indices(n: int, m: int):
@@ -182,7 +182,7 @@ def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
 
 
 def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:
-    """r-Whitney number of either kind via the shifted Stirling polynomials.
+    """r-Whitney number of either kind: the bivariate value at (y, q) = (r, m).
 
     kind "first":  w_{m,r}(n,l) = m^(n-l) [n l]_{r/m}
     kind "second": W_{m,r}(n,l) = m^(n-l) {n l}_{r/m}
@@ -191,10 +191,7 @@ def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:
         raise ValueError("r-Whitney numbers need m != 0")
     if kind not in ("first", "second"):
         raise ValueError(f"unknown kind {kind!r}")
-    _check_indices(n, l)
-    x0 = Fraction(r, m)
-    poly = gsn1(n, l) if kind == "first" else gsn2(n, l)
-    return Fraction(m) ** (n - l) * poly(x0)
+    return (gsn1_bivariate_at if kind == "first" else gsn2_bivariate_at)(n, l, r, m)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 import polycauchy as pc
-from polycauchy import cauchy_poly
+from polycauchy import cauchy_poly, stirling
 from polycauchy.cli import load_exported_poly, main
 
 needs_int_digit_cap = pytest.mark.skipif(
@@ -85,6 +85,19 @@ def test_table_prints_values_past_the_int_str_digit_cap(capsys):
     assert (n, m, len(value)) == ("200", "1", 1 + 746)
     assert int(value) == pc.central_u(200, 1)
     assert lines[-1].split("\t") == ["200", "200", str(pc.central_u(200, 200))]
+
+
+def test_table_leaves_the_triangle_memo_alone(capsys, monkeypatch):
+    # a fresh central memo holds row 0 only; the table steps its own rows
+    memo = stirling._Triangle("central", stirling._step_u)
+    monkeypatch.setitem(stirling._TRIANGLES, "central", memo)
+    code, out, err = run(capsys, "table", "central", "--max-n", "120")
+    assert (code, err) == (0, "")
+    assert len(memo._rows) == 1
+    # u(n, 1) = (-1)^(n-1) ((n-1)!)^2
+    assert pc.central_u(120, 1) == -factorial(119) ** 2
+    last_row = [int(line.split("\t")[2]) for line in out.splitlines()[-121:]]
+    assert last_row == [pc.central_u(120, m) for m in range(121)]
 
 
 @needs_int_digit_cap

@@ -264,8 +264,8 @@ def test_whitney_examples_and_cross_checks():
     assert whitney("first", 1, 0, 4, 2) == stirling1(4, 2)
     assert whitney("first", 2, 1, 2, 1) == 4
     assert whitney("second", 2, 1, 2, 1) == 4
-    for m in (1, 2, -2, 3):
-        for r in (-2, 0, 1, 3):
+    for m in (1, 2, -2, 3, -5):
+        for r in (-2, 0, 1, 3, F(1, 2)):
             for n in range(6):
                 for l in range(n + 1):
                     direct_w = sum(
@@ -276,8 +276,10 @@ def test_whitney_examples_and_cross_checks():
                         comb(n, j) * m ** (j - l) * r ** (n - j) * stirling2(j, l)
                         for j in range(l, n + 1)
                     )
-                    assert whitney("first", m, r, n, l) == direct_w
-                    assert whitney("second", m, r, n, l) == direct_big
+                    w, big = whitney("first", m, r, n, l), whitney("second", m, r, n, l)
+                    assert isinstance(w, F) and isinstance(big, F)
+                    assert w == direct_w
+                    assert big == direct_big
     with pytest.raises(ValueError):
         whitney("first", 0, 1, 2, 1)
     with pytest.raises(ValueError):
@@ -297,14 +299,10 @@ def test_a_number():
 
 
 def test_triangle_rows_listing():
-    rows = triangle_rows("stirling2", 3)
+    rows = list(triangle_rows("stirling2", 3))
     assert rows[0] == (1,)
     assert rows[3][2] == 3
     assert len(rows) == 4
     assert rows == [(1,), (0, 1), (0, 1, 1), (0, 1, 3, 1)]
-    # the rows are immutable and the list is a copy, so the memo cannot be changed through them
     with pytest.raises(TypeError):
         rows[3][2] = 99
-    rows.clear()
-    assert triangle_rows("stirling2", 3)[3] == (0, 1, 3, 1)
-    assert stirling2(3, 2) == 3
