@@ -6,11 +6,11 @@ constructions which must agree (the test suite enforces this):
 * ``gsn``          -- weighted sum of first-kind Stirling polynomials;
                       the canonical (default) construction, defined for
                       every (kind, n, k);
-* ``integral``     -- expand the defining binomial under the k-fold unit
-                      cube integral as a row list (row i the coefficient
-                      of t^i, a polynomial in x) and integrate
-                      monomial-by-monomial (t^i contributes a 1/(i+1)^k
-                      weight; never performed numerically);
+* ``integral``     -- expand the defining product under the k-fold unit
+                      cube integral as one polynomial in u = t - x and map
+                      each u^m to its moment polynomial in x (t^i
+                      contributes a 1/(i+1)^k weight; never performed
+                      numerically);
 * ``series``       -- k = 1 only: exponential-generating-function
                       coefficient times n!;
 * ``binomial_conv``-- convolution of the family's own numbers with
@@ -94,6 +94,7 @@ def _check_weights(L, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _moment_poly(j: int, k: int, w) -> Poly:
+    # the integral of (x - t)^j, t = t_1...t_k, over [0,l_1] x ... x [0,l_k]:
     # sum_i (-1)^i/(i+1)^k binom(j,i) w^(i+1) x^(j-i), w the product of the weights
     if j < 0:
         raise ValueError("index must be >= 0")
@@ -259,38 +260,30 @@ class MultiParam:
         object.__setattr__(self, "y", Fraction(_exact(self.y)))
 
 
-def _weighted_cube_map(rows: list, k: int, L: tuple) -> Poly:
-    """Map sum_i g_i(x) t^i, given as the rows g_i, to
-    sum_i g_i(x) w^(i+1)/(i+1)^k, w the product of L."""
-    w = prod(L)
-    return sum((g * (w ** (i + 1) / Fraction((i + 1) ** k)) for i, g in enumerate(rows) if g),
-               Poly())
-
-
 def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") -> Poly:
     """Multiparameter poly-Cauchy polynomial in x, degree n + a - 1.
 
-    ``stirling`` evaluates the bivariate first-kind Stirling expansion;
-    ``integral`` expands the defining product in t as a row list and
-    applies the weighted monomial integral -- an independent oracle.
+    ``stirling`` evaluates the bivariate first-kind Stirling expansion.
+    ``integral`` is an independent oracle.  Every factor of the defining
+    product depends on t = t_1...t_k and x only through u = t - x, so it
+    expands the one polynomial (e u)^(a-1) prod_{j<n} (e(u - y) - jq) in u
+    (which carries the n! of the defining formula) and maps each u^m
+    through the cube integral as (-1)^m times the moment polynomial.
     """
     e = _check_kind(kind)
-    n, k, a, q, L, y = p.n, p.k, p.a, p.q, p.L, p.y
+    n, k, a, q, y = p.n, p.k, p.a, p.q, p.y
+    w = prod(p.L)
     if construction == "stirling":
         weights = (gsn1_bivariate_at(n, m, e * y, q) for m in range(n + 1))
-        total = sum((aux_poly_weighted(m + a - 1, k, L) * (e ** m * w)
-                     for m, w in enumerate(weights) if w), Poly())
+        total = sum((_moment_poly(m + a - 1, k, w) * (e ** m * v)
+                     for m, v in enumerate(weights) if v), Poly())
         return total * (-1) ** (a - 1 + n)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
-    # rows[i] is the coefficient of t^i, a Poly in x; the linear product
-    # expansion already carries the n! of the defining formula.  Each
-    # factor is e*t + c(x): (e(t - x))^(a-1), then e(t - x - y) - jq.
-    factors = [Poly([0, -e])] * (a - 1) + [Poly([-e * y - j * q, -e]) for j in range(n)]
-    rows = [Poly([1])]
-    for c in factors:  # new row i = e * old row (i - 1) + c * old row i
-        rows = [prev * e + c * cur for prev, cur in zip([Poly()] + rows, rows + [Poly()])]
-    return _weighted_cube_map(rows, k, L) * e ** (a - 1)
+    product = prod((Poly([-e * y - j * q, e]) for j in range(n)), start=Poly([0, e]) ** (a - 1))
+    total = sum((_moment_poly(m, k, w) * ((-1) ** m * c) for m, c in enumerate(product.coeffs) if c),
+                Poly())
+    return total * e ** (a - 1)
 
 
 def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:

@@ -371,18 +371,12 @@ def rising_factorial_poly(n: int) -> Poly:
 def eval_at_sqrt(p: Poly, radicand: int):
     """Split p(sqrt(d)) into (A, B) with p(sqrt(d)) = A + B*sqrt(d).
 
-    Uses even/odd coefficient splitting (x^2 -> d); exact, no algebraic
-    number type involved.
+    A is the even-index part of p evaluated at d (x^2 -> d), B the
+    odd-index part; exact, no algebraic number type involved.  Both are
+    Fractions, and a float radicand raises ``TypeError``.
     """
-    a = Fraction(0)
-    b = Fraction(0)
-    power = Fraction(1)
-    for i in range(0, p.degree + 1, 2):
-        a += p[i] * power
-        if i + 1 <= p.degree:
-            b += p[i + 1] * power
-        power *= radicand
-    return a, b
+    cs = p.coeffs
+    return Fraction(Poly(cs[0::2])(radicand)), Fraction(Poly(cs[1::2])(radicand))
 
 
 def poly_to_strings(p: Poly) -> list[str]:

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polycauchy import (
     CONSTRUCTIONS,
@@ -270,11 +272,23 @@ def test_multiparam_reduction_to_ordinary():
 
 
 def test_multiparam_constructions_agree():
+    points = [MultiParam(n, 2, a, F(-3), (F(1, 2), F(2)), F(-3, 2)) for n in range(4) for a in (1, 2, 3)]
+    # high degree with weight product 1/2, so every moment carries a power of the weight
+    points.append(MultiParam(40, 3, 2, F(-3), (F(1), F(1), F(1, 2)), F(-3, 2)))
     for kind in ("first", "second"):
-        for n in range(4):
-            for a in (1, 2, 3):
-                p = MultiParam(n, 2, a, F(-3), (F(1, 2), F(2)), F(-3, 2))
-                assert multiparam_cauchy(kind, p) == multiparam_cauchy(kind, p, "integral")
+        for p in points:
+            assert multiparam_cauchy(kind, p) == multiparam_cauchy(kind, p, "integral")
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+weights = st.lists(rationals.filter(bool), min_size=1, max_size=3)
+
+
+@given(st.sampled_from(["first", "second"]), st.integers(0, 6), st.integers(1, 3),
+       rationals, weights, rationals)
+def test_multiparam_constructions_agree_at_random_parameters(kind, n, a, q, L, y):
+    p = MultiParam(n, len(L), a, q, L, y)
+    assert multiparam_cauchy(kind, p) == multiparam_cauchy(kind, p, "integral")
 
 
 def test_multiparam_degree():

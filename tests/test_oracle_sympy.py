@@ -8,8 +8,10 @@ the products and bases that define them, and the Cauchy, higher-order
 Bernoulli, hyperharmonic and harmonic polynomials through SymPy's own
 expansion of their closed-form generating functions.  The hyperharmonic
 polynomials are also checked at integer points against Conway and Guy's
-closed form in harmonic numbers.  SymPy uses
-B_1 = +1/2; this package uses B_1 = -1/2.
+closed form in harmonic numbers.  The multiparameter Cauchy polynomials,
+and the ordinary poly-Cauchy polynomials as their unit-parameter case, are
+checked against SymPy's own iterated integral of the defining product.
+SymPy uses B_1 = +1/2; this package uses B_1 = -1/2.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import bernoulli, harmonic, stirling  # noqa: E402
 
 from polycauchy import (  # noqa: E402
+    MultiParam,
     Poly,
     bernoulli_number,
     cauchy_poly,
@@ -31,6 +34,7 @@ from polycauchy import (  # noqa: E402
     harmonic_poly,
     hyperharmonic_poly,
     lah,
+    multiparam_cauchy,
     stirling1,
     stirling2,
     whitney,
@@ -129,3 +133,41 @@ def test_generating_functions_match_sympy_series(name):
     for n in range(7):
         want = expansion.coeff(t, n) * (sympy.factorial(n) if egf else 1)
         assert row(n) == Poly(_coeffs(want)), (name, n)
+
+
+def _cube_integral(kind: str, n: int, a: int, q, L, y):
+    """e^(a-1) (e u)^(a-1) prod_{j<n} (e(u - y) - jq), u = t_1...t_k - x,
+    integrated by SymPy over [0,l_1] x ... x [0,l_k]."""
+    e = {"first": 1, "second": -1}[kind]
+    ts = sympy.symbols(f"t1:{len(L) + 1}")
+    u = sympy.prod(ts) - x
+    q, y = sympy.Rational(q), sympy.Rational(y)
+    integrand = e ** (a - 1) * (e * u) ** (a - 1) * sympy.prod([e * (u - y) - j * q for j in range(n)])
+    limits = [(ti, 0, sympy.Rational(li)) for ti, li in zip(ts, L)]
+    return sympy.integrate(sympy.expand(integrand), *limits)
+
+
+# (q, L, y) from DEFAULT_GRID; the last has weight product 1/2
+_MULTIPARAM_POINTS = (
+    (-1, (1,), Fraction(-3, 2)),
+    (Fraction(1, 2), (Fraction(1, 2), 2), Fraction(1, 2)),
+    (-3, (1, 1, Fraction(1, 2)), Fraction(-3, 2)),
+)
+
+
+@pytest.mark.parametrize("q, L, y", _MULTIPARAM_POINTS)
+def test_multiparam_cauchy_matches_sympy_integral(q, L, y):
+    for kind in ("first", "second"):
+        for n in range(4):
+            for a in (1, 2):
+                want = Poly(_coeffs(_cube_integral(kind, n, a, q, L, y)))
+                p = MultiParam(n, len(L), a, q, L, y)
+                for construction in ("stirling", "integral"):
+                    assert multiparam_cauchy(kind, p, construction) == want, (kind, n, a, construction)
+
+
+def test_poly_cauchy_matches_sympy_integral_at_unit_parameters():
+    for kind in ("first", "second"):
+        for n in range(7):
+            want = Poly(_coeffs(_cube_integral(kind, n, 1, 1, (1, 1), 0)))
+            assert cauchy_poly(kind, n, 2) == want, (kind, n)

@@ -217,6 +217,13 @@ def test_eval_at_sqrt():
     a, b = eval_at_sqrt(p, 5)
     assert a == 1 + 15
     assert b == 2 + 20
+    assert type(a) is F and type(b) is F
+    assert eval_at_sqrt(Poly(), 5) == (0, 0)
+    # 1/3 + 2x^2 + 5x^3 at sqrt(1/4): 1/3 + 2/4 + 5/4 sqrt(1/4)
+    assert eval_at_sqrt(Poly([F(1, 3), 0, 2, 5]), F(1, 4)) == (F(5, 6), F(5, 4))
+    # a float radicand would leak its binary value into the exact parts
+    with pytest.raises(TypeError):
+        eval_at_sqrt(Poly([1, F(1, 3), 2]), 0.1)
 
 
 def test_str_and_json_round_trip():
