@@ -29,8 +29,6 @@ from .stirling import (
     lah,
     gsn1,
     gsn2,
-    gsn1_at,
-    gsn2_at,
     gsn1_bivariate_at,
     gsn2_bivariate_at,
     whitney,

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 
-from .cauchy import MultiParam, _moment_poly
+from .cauchy import MultiParam, _moment_sum
 from .poly import Poly
 from .series import gf_gen_bernoulli
 from .stirling import gsn2, gsn2_bivariate_at, stirling2
@@ -110,7 +110,5 @@ def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:
     p = MultiParam(n, k, a, q, L, y)
     if not p.q:
         raise ValueError("q must be nonzero")
-    w = prod(p.L)
-    weights = (factorial(m) * gsn2_bivariate_at(n, m, p.y, p.q) for m in range(n + 1))
-    total = sum((_moment_poly(m + a - 1, k, w) * v for m, v in enumerate(weights) if v), Poly())
-    return total * (-1) ** n
+    weights = [(-1) ** n * factorial(m) * gsn2_bivariate_at(n, m, p.y, p.q) for m in range(n + 1)]
+    return _moment_sum(weights, k, p.L, a - 1)

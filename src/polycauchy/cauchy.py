@@ -7,8 +7,8 @@ constructions which must agree (the test suite enforces this):
                       the canonical (default) construction, defined for
                       every (kind, n, k);
 * ``integral``     -- expand the defining product under the k-fold unit
-                      cube integral as one polynomial in u = t - x and map
-                      each u^m to its moment polynomial in x (t^i
+                      cube integral as one polynomial in v = x - t and map
+                      each v^m to its moment polynomial in x (t^i
                       contributes a 1/(i+1)^k weight; never performed
                       numerically);
 * ``series``       -- k = 1 only: exponential-generating-function
@@ -93,28 +93,35 @@ def _check_weights(L, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _moment_poly(j: int, k: int, w) -> Poly:
-    # the integral of (x - t)^j, t = t_1...t_k, over [0,l_1] x ... x [0,l_k]:
-    # sum_i (-1)^i/(i+1)^k binom(j,i) w^(i+1) x^(j-i), w the product of the weights
-    if j < 0:
-        raise ValueError("index must be >= 0")
-    if k < 1:
-        raise ValueError("poly order k must be >= 1")
-    return Poly([
-        Fraction((-1) ** i * comb(j, i), (i + 1) ** k) * w ** (i + 1) for i in range(j, -1, -1)
-    ])
-
-
 def aux_poly(j: int, k: int) -> Poly:
     """Moment polynomial of the k-fold unit-cube integral of (x - t)^j
     (up to sign bookkeeping): sum_i (-1)^i/(i+1)^k binom(j,i) x^(j-i),
     the constant 1 for j = 0."""
-    return _moment_poly(j, k, 1)
+    if j < 0:
+        raise ValueError("index must be >= 0")
+    if k < 1:
+        raise ValueError("poly order k must be >= 1")
+    return Poly([Fraction((-1) ** i * comb(j, i), (i + 1) ** k) for i in range(j, -1, -1)])
+
+
+def _moment_sum(coeffs, k: int, L: tuple, shift: int = 0) -> Poly:
+    """sum_m c_m M_(m+shift) for the moments M_j of (x - t)^j, t = t_1...t_k, over
+    [0,l_1] x ... x [0,l_k].  With w the product of the weights,
+    M_j(x) = w^(j+1) aux_poly(j, k)(x/w), so the sum is taken at x/w and
+    stretched back once."""
+    w = prod(L)
+    scale = w ** (shift + 1)
+    total = Poly()
+    for m, c in enumerate(coeffs):
+        if c:
+            total += aux_poly(m + shift, k) * (c * scale)
+        scale *= w
+    return total.stretch(1 / w)
 
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:
     """Weighted moment polynomial for integration over [0,l_1]x...x[0,l_k]."""
-    return _moment_poly(j, k, prod(_check_weights(L, k)))
+    return _moment_sum([1], k, _check_weights(L, k), j)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +256,7 @@ class MultiParam:
     y: Fraction
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("degree index must be >= 0")
-        if self.k < 1:
-            raise ValueError("poly order k must be >= 1")
+        _check_nk(self.n, self.k)
         if not (isinstance(self.a, int) and self.a >= 1):
             raise ValueError("shift a must be an integer >= 1")
         object.__setattr__(self, "q", Fraction(_exact(self.q)))
@@ -265,35 +269,28 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
 
     ``stirling`` evaluates the bivariate first-kind Stirling expansion.
     ``integral`` is an independent oracle.  Every factor of the defining
-    product depends on t = t_1...t_k and x only through u = t - x, so it
-    expands the one polynomial (e u)^(a-1) prod_{j<n} (e(u - y) - jq) in u
-    (which carries the n! of the defining formula) and maps each u^m
-    through the cube integral as (-1)^m times the moment polynomial.
+    product depends on t = t_1...t_k and x only through v = x - t, so it
+    expands the one polynomial (-ev)^(a-1) prod_{j<n} (-e(v + y) - jq) in v
+    (which carries the n! and the e^(a-1) of the defining formula) and maps
+    each v^m through the cube integral to its moment polynomial.
     """
     e = _check_kind(kind)
-    n, k, a, q, y = p.n, p.k, p.a, p.q, p.y
-    w = prod(p.L)
+    n, a, q, y = p.n, p.a, p.q, p.y
     if construction == "stirling":
-        weights = (gsn1_bivariate_at(n, m, e * y, q) for m in range(n + 1))
-        total = sum((_moment_poly(m + a - 1, k, w) * (e ** m * v)
-                     for m, v in enumerate(weights) if v), Poly())
-        return total * (-1) ** (a - 1 + n)
+        sign = (-1) ** (a - 1 + n)
+        weights = [sign * e ** m * gsn1_bivariate_at(n, m, e * y, q) for m in range(n + 1)]
+        return _moment_sum(weights, p.k, p.L, a - 1)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
-    product = prod((Poly([-e * y - j * q, e]) for j in range(n)), start=Poly([0, e]) ** (a - 1))
-    total = sum((_moment_poly(m, k, w) * ((-1) ** m * c) for m, c in enumerate(product.coeffs) if c),
-                Poly())
-    return total * e ** (a - 1)
+    product = prod((Poly([-e * y - j * q, -e]) for j in range(n)), start=Poly([0, -1]) ** (a - 1))
+    return _moment_sum(product.coeffs, p.k, p.L)
 
 
 def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
     """Shifted poly-Cauchy number: the multiparameter value at x = 0, y = 0,
     via the ordinary first-kind Stirling expansion."""
     e = _check_kind(kind)
-    _check_nk(n, k)
-    if not (isinstance(a, int) and a >= 1):
-        raise ValueError("shift a must be an integer >= 1")
-    q = _exact(q)
-    w = prod(_check_weights(L, k))
+    p = MultiParam(n, k, a, q, L, 0)
+    q, w = p.q, prod(p.L)
     return sum(((-q) ** (n - m) * e ** m * w ** (m + a) / Fraction((m + a) ** k) * stirling1(n, m)
                 for m in range(n + 1)), Fraction(0))

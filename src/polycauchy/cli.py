@@ -22,7 +22,6 @@ from .poly import Poly, poly_from_strings, poly_to_strings
 from .rational import format_rational, parse_rational
 
 _TRIANGLES = ("stirling1", "stirling2", "central", "lah")
-_SEQUENCE_TABLES = ("cauchy-numbers", "bernoulli", "hyperharmonic")
 
 _GRID_INT_KEYS = ("max_n", "max_n_double", "max_k", "max_r", "max_a", "max_n_multi")
 _GRID_LIST_KEYS = ("qs", "xs", "ys_multi")
@@ -37,6 +36,25 @@ _EVAL_POLYS = {
     "power-sum": lambda a: bernoulli.power_sum_poly(a.n),
     "hyperharmonic": lambda a: harmonic.hyperharmonic_poly(a.n),
     "harmonic-poly": lambda a: harmonic.harmonic_poly(a.n),
+}
+
+# sequence family -> (header, entry(args, n)): the TSV lines that ``table``
+# writes, and the values that ``export`` writes for n = 0..max_n
+_SEQUENCES = {
+    "cauchy-numbers": ("n\tvalue",
+                       lambda a, n: format_rational(cauchy.cauchy_number(a.kind, n, a.k))),
+    "bernoulli": ("n\tvalue", lambda a, n: format_rational(bernoulli.bernoulli_number(n))),
+    "hyperharmonic": ("n\tcoefficients",
+                      lambda a, n: ",".join(poly_to_strings(harmonic.hyperharmonic_poly(n)))),
+}
+
+# export family -> (the parameters its JSON records, the one polynomial it
+# writes, or None for a sequence family, whose values are n = 0..max_n)
+_EXPORTS = {
+    "cauchy-poly": (("kind", "n", "k"), _EVAL_POLYS["cauchy"]),
+    "hyperharmonic": (("n",), _EVAL_POLYS["hyperharmonic"]),
+    "cauchy-numbers": (("kind", "k", "max_n"), None),
+    "bernoulli": (("max_n",), None),
 }
 
 # generating function -> the rows that ``series`` dumps
@@ -62,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_table = sub.add_parser("table", help="emit a triangle or sequence as TSV")
-    p_table.add_argument("family", choices=_TRIANGLES + _SEQUENCE_TABLES)
+    p_table.add_argument("family", choices=_TRIANGLES + tuple(_SEQUENCES))
     p_table.add_argument("--max-n", "--n", dest="max_n", type=int, default=10)
     p_table.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_table.add_argument("--k", type=int, default=1)
@@ -96,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write family data to a file")
     p_export.add_argument("--family", required=True,
-                          choices=("cauchy-poly", "cauchy-numbers", "bernoulli", "hyperharmonic"))
+                          choices=tuple(_EXPORTS))
     p_export.add_argument("--format", required=True, choices=("json", "tsv"))
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
@@ -152,19 +170,11 @@ def _table_lines(args, max_n: int):
         yield "n\tm\tvalue"
         for n, row in enumerate(stirling.triangle_rows(args.family, max_n)):
             yield "\n".join([f"{n}\t{m}\t{v}" for m, v in enumerate(row)])
-    elif args.family == "cauchy-numbers":
-        yield "n\tvalue"
-        for n in range(max_n + 1):
-            yield f"{n}\t{format_rational(cauchy.cauchy_number(args.kind, n, args.k))}"
-    elif args.family == "bernoulli":
-        yield "n\tvalue"
-        for n in range(max_n + 1):
-            yield f"{n}\t{format_rational(bernoulli.bernoulli_number(n))}"
-    else:  # hyperharmonic
-        yield "n\tcoefficients"
-        for n in range(max_n + 1):
-            coeffs = ",".join(poly_to_strings(harmonic.hyperharmonic_poly(n)))
-            yield f"{n}\t{coeffs}"
+        return
+    header, entry = _SEQUENCES[args.family]
+    yield header
+    for n in range(max_n + 1):
+        yield f"{n}\t{entry(args, n)}"
 
 
 def _cmd_eval(args) -> int:
@@ -270,23 +280,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     max_n = _checked_max_n(args.max_n)
-    if args.family == "cauchy-poly":
-        params = {"kind": args.kind, "n": args.n, "k": args.k}
-        values = cauchy.cauchy_poly(args.kind, args.n, args.k).coeffs
-    elif args.family == "hyperharmonic":
-        params = {"n": args.n}
-        values = harmonic.hyperharmonic_poly(args.n).coeffs
-    elif args.family == "cauchy-numbers":
-        params = {"kind": args.kind, "k": args.k, "max_n": max_n}
-        values = [cauchy.cauchy_number(args.kind, n, args.k) for n in range(max_n + 1)]
-    else:
-        params = {"max_n": max_n}
-        values = [bernoulli.bernoulli_number(n) for n in range(max_n + 1)]
-    strings = [format_rational(v) for v in values]
-    if args.family in ("cauchy-poly", "hyperharmonic"):
+    keys, poly = _EXPORTS[args.family]
+    params = {key: getattr(args, key) for key in keys}
+    if poly:
         key, header = "coefficients", "i\tcoefficient"
+        strings = poly_to_strings(poly(args))
     else:
-        key, header = "values", "n\tvalue"
+        key, (header, entry) = "values", _SEQUENCES[args.family]
+        strings = [entry(args, n) for n in range(max_n + 1)]
     if args.format == "json":
         payload = {"family": args.family, "params": params, key: strings}
         _write_lines([json.dumps(payload, indent=2)], args.out)

@@ -3,7 +3,8 @@
 The hyperharmonic polynomial of index n has degree n-1 in the order
 variable (the zero polynomial for n = 0); evaluating it at a
 non-negative integer r gives the n-th hyperharmonic number of order r,
-at 1 the ordinary harmonic number, at 0 the value 1/n.
+at 1 the ordinary harmonic number, at 0 the value 1/n.  The harmonic
+polynomial of degree m is the hyperharmonic one of index m+1 at 1 - x.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Poly, binom_poly
-from .series import gf_harmonic_poly
 
 __all__ = ["harmonic_number", "hyperharmonic_poly", "harmonic_poly"]
 
@@ -37,4 +37,4 @@ def harmonic_poly(m: int) -> Poly:
     """Degree-m harmonic polynomial; its value at 0 is the (m+1)-st harmonic number."""
     if m < 0:
         raise ValueError("index must be >= 0")
-    return gf_harmonic_poly(m)[m]
+    return hyperharmonic_poly(m + 1).affine_compose(-1, 1)

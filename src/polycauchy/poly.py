@@ -114,10 +114,6 @@ class Poly:
         self._vec, self._den = tuple(cs), den
 
     @classmethod
-    def const(cls, value) -> "Poly":
-        return cls([value])
-
-    @classmethod
     def gen(cls) -> "Poly":
         """The generator polynomial x."""
         return cls([0, 1])

@@ -9,14 +9,16 @@ series.  Everything is formal, convergence is never consulted.
 Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
 with scalar A and g (Roman, *The Umbral Calculus*, 1984), returned as the
 rows [t^n] (Polys in x) that :func:`sheffer_rows` computes.  The first
-three are exponential (row n times n! is the family value), the last two
+three are exponential (row n times n! is the family value), the last
 ordinary (row n is the value):
 
 * ``gf_cauchy1``: A = t/log(1+t), g = -log(1+t);
 * ``gf_cauchy2``: A = t/((1+t) log(1+t)), g = log(1+t);
 * ``gf_gen_bernoulli``: A = (t/(e^t - 1))^alpha, g = t;
-* ``gf_hyperharmonic``: A = g = -log(1-t);
-* ``gf_harmonic_poly``: A = -log(1-t)/(t(1-t)), g = log(1-t).
+* ``gf_hyperharmonic``: A = g = -log(1-t).
+
+``gf_harmonic_poly`` divides the hyperharmonic function by t and puts
+1 - x for x, so its rows are hyperharmonic rows 1..order+1 at 1 - x.
 """
 
 from __future__ import annotations
@@ -202,6 +204,4 @@ def gf_hyperharmonic(order: int) -> tuple[Poly, ...]:
 
 def gf_harmonic_poly(order: int) -> tuple[Poly, ...]:
     """-log(1-t)/(t (1-t)^(1-x)); row m *is* the degree-m harmonic polynomial."""
-    return sheffer_rows(
-        lambda n: Series([Fraction(1, i + 1) for i in range(n + 1)]) * Series([1] * (n + 1)),
-        lambda n: -_neg_log1m_series(n), order)
+    return tuple(row.affine_compose(-1, 1) for row in gf_hyperharmonic(order + 1)[1:])

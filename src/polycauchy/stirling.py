@@ -37,8 +37,6 @@ __all__ = [
     "lah",
     "gsn1",
     "gsn2",
-    "gsn1_at",
-    "gsn2_at",
     "gsn1_bivariate_at",
     "gsn2_bivariate_at",
     "whitney",
@@ -149,14 +147,6 @@ def gsn2(n: int, m: int) -> Poly:
     """Shifted-parameter Stirling polynomial of the second kind, {n m}_x."""
     _check_indices(n, m)
     return Poly([comb(n, i) * stirling2(n - i, m) for i in range(n - m + 1)])
-
-
-def gsn1_at(n: int, m: int, x0) -> Fraction:
-    return Fraction(gsn1(n, m)(x0))
-
-
-def gsn2_at(n: int, m: int, x0) -> Fraction:
-    return Fraction(gsn2(n, m)(x0))
 
 
 def _homogenised_at(p: Poly, degree: int, y, q) -> Fraction:

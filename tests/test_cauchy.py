@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from polycauchy import (
     cauchy_recurrence_step,
     eval_at_sqrt,
     multiparam_cauchy,
+    multiparam_poly_bernoulli,
     shifted_cauchy_number,
 )
 from polycauchy.stirling import gsn1
@@ -300,6 +302,24 @@ def test_multiparam_degree():
 def test_multiparam_q_zero_allowed_in_integral_definition():
     p = MultiParam(2, 1, 1, F(0), (F(1),), F(1, 2))
     assert multiparam_cauchy("first", p) == multiparam_cauchy("first", p, "integral")
+
+
+def test_moment_cache_does_not_grow_with_the_weights():
+    # the moments are cached by (j, k) alone, so new weights add no entries
+    p = MultiParam(6, 2, 2, F(1, 2), (F(1), F(1)), F(1, 3))
+
+    def run_every_weighted_route(p):
+        for kind in ("first", "second"):
+            for construction in ("stirling", "integral"):
+                multiparam_cauchy(kind, p, construction)
+        multiparam_poly_bernoulli(p.n, p.k, p.a, p.q, p.L, p.y)
+        aux_poly_weighted(p.n + p.a - 1, p.k, p.L)
+
+    run_every_weighted_route(p)
+    size = aux_poly.cache_info().currsize
+    for i in range(2, 50):
+        run_every_weighted_route(replace(p, L=(F(i), F(-1, i + 1))))
+    assert aux_poly.cache_info().currsize == size
 
 
 def test_shifted_numbers_match_multiparam_at_origin():

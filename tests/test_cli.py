@@ -387,6 +387,19 @@ def test_export_json_round_trip(tmp_path, capsys):
     assert load_exported_poly(str(out_path)) == cauchy_poly("first", 4)
 
 
+@pytest.mark.parametrize("family, extra", [
+    ("cauchy-numbers", ("--kind", "second", "--k", "2")),
+    ("bernoulli", ()),
+])
+def test_export_tsv_equals_table_out(tmp_path, capsys, family, extra):
+    # both verbs write a sequence family's rows from one table of entries
+    table, export = tmp_path / "table.tsv", tmp_path / "export.tsv"
+    assert run(capsys, "table", family, "--max-n", "20", *extra, "--out", str(table))[0] == 0
+    assert run(capsys, "export", "--family", family, "--format", "tsv", "--max-n", "20", *extra,
+               "--out", str(export))[0] == 0
+    assert export.read_bytes() == table.read_bytes()
+
+
 def test_export_tsv_sequence(tmp_path, capsys):
     out_path = tmp_path / "numbers.tsv"
     code, _, _ = run(capsys, "export", "--family", "cauchy-numbers", "--kind", "first",

@@ -10,10 +10,8 @@ from polycauchy import (
     binom_poly,
     central_u,
     gsn1,
-    gsn1_at,
     gsn1_bivariate_at,
     gsn2,
-    gsn2_at,
     gsn2_bivariate_at,
     lah,
     stirling1,
@@ -70,10 +68,10 @@ def test_gsn_examples():
     assert gsn2(3, 2) == Poly([3, 3])
     for n in range(7):
         for m in range(n + 1):
-            assert gsn1_at(n, m, 0) == stirling1(n, m)
-            assert gsn2_at(n, m, 0) == stirling2(n, m)
-    assert gsn1_at(2, 1, -1) == -1
-    assert gsn1_at(2, 1, 1) == 3 == stirling1(3, 2)
+            assert gsn1(n, m)(0) == stirling1(n, m)
+            assert gsn2(n, m)(0) == stirling2(n, m)
+    assert gsn1(2, 1)(-1) == -1
+    assert gsn1(2, 1)(1) == 3 == stirling1(3, 2)
 
 
 def test_gsn_domain_errors():
@@ -89,7 +87,7 @@ def test_gsn_shift_matches_r_stirling():
     for r in range(4):
         for n in range(6):
             for m in range(n + 1):
-                assert gsn1_at(n, m, r) == _r_stirling1(n + r, m + r, r)
+                assert gsn1(n, m)(r) == _r_stirling1(n + r, m + r, r)
 
 
 def _r_stirling1(n, m, r):
@@ -241,12 +239,12 @@ def test_bivariate_values_match_independent_forms():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: gsn1_at(3, 1, 0.1),
-    lambda: gsn2_at(3, 1, 0.1),
+    lambda: gsn1(3, 1)(0.1),
+    lambda: gsn2(3, 1)(0.1),
     lambda: gsn1_bivariate_at(3, 1, 0.1, 1),
     lambda: gsn1_bivariate_at(3, 1, 1, 0.1),
     lambda: gsn2_bivariate_at(3, 1, 1, 0.1),
-], ids=["gsn1_at", "gsn2_at", "gsn1_bivariate_at.y", "gsn1_bivariate_at.q", "gsn2_bivariate_at"])
+], ids=["gsn1", "gsn2", "gsn1_bivariate_at.y", "gsn1_bivariate_at.q", "gsn2_bivariate_at"])
 def test_float_points_are_rejected(call):
     # a float's binary value would otherwise enter the exact result
     with pytest.raises(TypeError):
