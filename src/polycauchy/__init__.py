@@ -5,8 +5,6 @@ from .rational import Rational, rat, parse_rational, format_rational, binom_scal
 from .poly import (
     Poly,
     binom_poly,
-    falling_factorial_poly,
-    rising_factorial_poly,
     eval_at_sqrt,
     poly_to_strings,
     poly_from_strings,
@@ -33,6 +31,8 @@ from .stirling import (
     gsn2_bivariate_at,
     whitney,
     a_number,
+    falling_factorial_poly,
+    rising_factorial_poly,
 )
 from .cauchy import (
     CONSTRUCTIONS,

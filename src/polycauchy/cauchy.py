@@ -14,7 +14,8 @@ constructions which must agree (the test suite enforces this):
 * ``series``       -- k = 1 only: exponential-generating-function
                       coefficient times n!;
 * ``binomial_conv``-- convolution of the family's own numbers with
-                      rising/falling factorials;
+                      rising/falling factorials, read from the rows of
+                      the first-kind Stirling triangle;
 * ``theorem1``     -- k = 1 only: the explicit first-kind-Stirling
                       expansion seeded by the Cauchy numbers.
 
@@ -41,10 +42,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .poly import Poly, binom_poly, falling_factorial_poly
+from .poly import Poly, binom_poly
 from .rational import _exact
 from .series import gf_cauchy1, gf_cauchy2
-from .stirling import gsn1, gsn1_bivariate_at, stirling1
+from .stirling import falling_factorial_poly, gsn1, gsn1_bivariate_at, stirling1
 
 __all__ = [
     "CONSTRUCTIONS",

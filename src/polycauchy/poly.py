@@ -38,8 +38,6 @@ from .rational import _exact
 __all__ = [
     "Poly",
     "binom_poly",
-    "falling_factorial_poly",
-    "rising_factorial_poly",
     "eval_at_sqrt",
     "poly_to_strings",
     "poly_from_strings",
@@ -352,16 +350,6 @@ def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:
     if n < 0:
         raise ValueError("binomial order must be >= 0")
     return prod((Poly([shift - j, sign]) for j in range(n)), start=Poly([1])) / factorial(n)
-
-
-def falling_factorial_poly(n: int) -> Poly:
-    """(x)_n = x(x-1)...(x-n+1), with (x)_0 = 1."""
-    return binom_poly(0, 1, n) * factorial(n)
-
-
-def rising_factorial_poly(n: int) -> Poly:
-    """x^(n) = x(x+1)...(x+n-1), with x^(0) = 1."""
-    return binom_poly(n - 1, 1, n) * factorial(n)
 
 
 def eval_at_sqrt(p: Poly, radicand: int):

@@ -4,7 +4,11 @@ Four integer triangles, each memoized row by row and filled on demand under
 a lock so concurrent readers are safe.  Every one starts from T(0,0) = 1 and
 steps T(n+1,m) = T(n,m-1) + w*T(n,m) with its own weight w:
 
-* ``stirling1`` -- unsigned first kind, w = n;
+* ``stirling1`` -- unsigned first kind, w = n.  Row n holds the power-basis
+  coefficients of the rising factorial x^(n) = sum_m [n m] x^m and, with
+  the signs (-1)^(n-m), of the falling factorial (x)_n, so
+  ``rising_factorial_poly`` and ``falling_factorial_poly`` read the
+  memoized row and multiply no polynomials;
 * ``stirling2`` -- second kind, w = m;
 * ``central_u`` -- signed central factorial numbers with even indices,
   w = -n^2.  The recurrence also fixes u(n,0) = 0 for n >= 1;
@@ -42,6 +46,8 @@ __all__ = [
     "whitney",
     "a_number",
     "triangle_rows",
+    "falling_factorial_poly",
+    "rising_factorial_poly",
 ]
 
 
@@ -59,14 +65,17 @@ class _Triangle:
             while n >= len(self._rows):
                 self._rows.append(self._step(self._rows[-1], len(self._rows) - 1))
 
-    def value(self, n: int, m: int) -> int:
+    def row(self, n: int) -> tuple[int, ...]:
+        """Row n, (T(n, 0), ..., T(n, n)), the memoized tuple itself."""
         if n < 0:
             raise ValueError(f"{self.name}: row index must be >= 0")
-        if m < 0 or m > n:
-            return 0
         if n >= len(self._rows):
             self._extend(n)
-        return self._rows[n][m]
+        return self._rows[n]
+
+    def value(self, n: int, m: int) -> int:
+        row = self.row(n)
+        return row[m] if 0 <= m <= n else 0
 
 
 def _pascal_step(prev: tuple[int, ...], weights) -> tuple[int, ...]:
@@ -118,6 +127,16 @@ def lah(n: int, m: int) -> int:
     if n < 0 or m < 0:
         raise ValueError("Lah indices must be >= 0")
     return _TRIANGLES["lah"].value(n, m)
+
+
+def rising_factorial_poly(n: int) -> Poly:
+    """x^(n) = x(x+1)...(x+n-1) = sum_m [n m] x^m, with x^(0) = 1."""
+    return Poly(_TRIANGLES["stirling1"].row(n))
+
+
+def falling_factorial_poly(n: int) -> Poly:
+    """(x)_n = x(x-1)...(x-n+1) = sum_m (-1)^(n-m) [n m] x^m, with (x)_0 = 1."""
+    return Poly([-c if (n - m) & 1 else c for m, c in enumerate(_TRIANGLES["stirling1"].row(n))])
 
 
 def triangle_rows(kind: str, max_n: int) -> Iterator[tuple[int, ...]]:

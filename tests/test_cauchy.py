@@ -138,6 +138,13 @@ def test_series_matches_gsn_at_high_degree():
         assert cauchy_poly(kind, 64, 1, "series") == cauchy_poly(kind, 64, 1, "gsn")
 
 
+def test_binomial_conv_matches_gsn_at_high_degree():
+    for kind in ("first", "second"):
+        for n in (40, 80):
+            for k in (1, 2):
+                assert cauchy_poly(kind, n, k, "binomial_conv") == cauchy_poly(kind, n, k, "gsn")
+
+
 def test_numbers():
     assert cauchy_number("first", 4) == F(-19, 30)
     assert cauchy_number("second", 6) == F(19087, 84)

@@ -68,6 +68,17 @@ def test_triangle_table_bytes_are_locked(capsys, family):
     assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLE_TABLE_SHA256[family]
 
 
+# `table hyperharmonic --max-n 120` as the product-built binomials printed it
+HYPERHARMONIC_TABLE_SHA256 = "b33ca463e5e8e8477010eb9a8b9b1421c3ef4aacb2fe61ec614848b75e311d7f"
+
+
+def test_hyperharmonic_table_bytes_are_locked(capsys):
+    code, out, err = run(capsys, "table", "hyperharmonic", "--max-n", "120")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 121
+    assert hashlib.sha256(out.encode()).hexdigest() == HYPERHARMONIC_TABLE_SHA256
+
+
 @needs_int_digit_cap
 def test_table_prints_values_past_the_int_str_digit_cap(capsys):
     # central_u(200, 1) = -(199!)^2 has 746 digits, past a cap of 640

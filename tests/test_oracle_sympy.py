@@ -2,7 +2,8 @@
 generating functions.
 
 SymPy shares no code with this package, so agreement here cross-checks
-the triangle fills, the Bernoulli series, the harmonic loop, the Euler
+the triangle fills, the falling and rising factorial polynomials read
+from the first-kind rows, the Bernoulli series, the harmonic loop, the Euler
 polynomials, and the central factorial, Lah and r-Whitney numbers through
 the products and bases that define them, and the Cauchy, higher-order
 Bernoulli, hyperharmonic and harmonic polynomials through SymPy's own
@@ -28,6 +29,7 @@ from polycauchy import (  # noqa: E402
     cauchy_poly,
     central_u,
     euler_poly,
+    falling_factorial_poly,
     gen_bernoulli_poly,
     gf_hyperharmonic,
     harmonic_number,
@@ -35,6 +37,7 @@ from polycauchy import (  # noqa: E402
     hyperharmonic_poly,
     lah,
     multiparam_cauchy,
+    rising_factorial_poly,
     stirling1,
     stirling2,
     whitney,
@@ -73,6 +76,14 @@ def test_stirling_numbers_match_sympy():
         for m in range(n + 1):
             assert stirling1(n, m) == int(stirling(n, m, kind=1, signed=False)), (n, m)
             assert stirling2(n, m) == int(stirling(n, m, kind=2)), (n, m)
+
+
+def test_factorial_polys_match_sympy():
+    # SymPy multiplies the linear factors in its own polynomial ring
+    ring_x = sympy.Poly(x, x)
+    for n in range(31):
+        assert list(falling_factorial_poly(n).coeffs) == _coeffs(sympy.ff(ring_x, n)), n
+        assert list(rising_factorial_poly(n).coeffs) == _coeffs(sympy.rf(ring_x, n)), n
 
 
 def test_bernoulli_numbers_match_sympy():

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -171,6 +171,10 @@ def test_factorial_polys():
     assert falling_factorial_poly(3) == Poly([0, 2, -3, 1])
     assert rising_factorial_poly(3) == Poly([0, 2, 3, 1])
     assert falling_factorial_poly(0) == Poly([1])
+    # the rows of the Stirling triangle against n! times a product of n linear factors
+    for n in range(81):
+        assert falling_factorial_poly(n) == binom_poly(0, 1, n) * factorial(n), n
+        assert rising_factorial_poly(n) == binom_poly(n - 1, 1, n) * factorial(n), n
 
 
 def test_eval_examples():

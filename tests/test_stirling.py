@@ -18,7 +18,12 @@ from polycauchy import (
     stirling2,
     whitney,
 )
-from polycauchy.stirling import triangle_rows
+from polycauchy.stirling import (
+    _TRIANGLES,
+    falling_factorial_poly,
+    rising_factorial_poly,
+    triangle_rows,
+)
 
 
 def test_triangle_values():
@@ -30,6 +35,20 @@ def test_triangle_values():
     assert stirling2(4, 2) == 7
     assert stirling2(5, 5) == 1
     assert stirling1(5, 7) == 0
+
+
+def test_row_is_the_memoized_row():
+    for name, triangle in _TRIANGLES.items():
+        row = triangle.row(30)
+        assert row is triangle.row(30), name
+        assert row == tuple(triangle.value(30, m) for m in range(31)), name
+        assert row == list(triangle_rows(name, 30))[30], name
+        with pytest.raises(ValueError):
+            triangle.row(-1)
+    with pytest.raises(ValueError):
+        rising_factorial_poly(-1)
+    with pytest.raises(ValueError):
+        falling_factorial_poly(-1)
 
 
 def test_lah_values():
