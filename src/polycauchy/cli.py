@@ -4,11 +4,17 @@ identity-suite runs, and exports.
 Every verb is a thin delegate into the library; no math lives here.
 Rationals cross the CLI boundary as "p/q" text in both directions.
 Exit codes: 0 success, 1 identity failures, 2 usage errors.
+
+:func:`main` is the one entry point, for the console script and for
+callers that send many requests in one process.  The argument parser is
+built on the first call and reused by every later one, since parsing a
+request keeps no state in the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,6 +77,7 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polycauchy",
@@ -172,8 +179,12 @@ def _table_lines(args, max_n: int):
             yield "\n".join([f"{n}\t{m}\t{v}" for m, v in enumerate(row)])
         return
     header, entry = _SEQUENCES[args.family]
+    # entry n = 0 comes before the header, so an argument the family
+    # rejects, such as --k 0, fails before any line reaches stdout
+    first = entry(args, 0)
     yield header
-    for n in range(max_n + 1):
+    yield f"0\t{first}"
+    for n in range(1, max_n + 1):
         yield f"{n}\t{entry(args, n)}"
 
 

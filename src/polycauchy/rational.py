@@ -38,10 +38,16 @@ def rat(numerator: int, denominator: int = 1) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer "p") into an exact rational.
+    """Parse "p/q", a bare integer "p" or a plain decimal such as "-0.25"
+    into an exact rational.
 
-    Raises ValueError for malformed text and for a zero denominator.
+    Raises ValueError for malformed text, for a zero denominator and for
+    an exponent ("e" or "E"): "1e999999" would build a million-digit
+    integer from nine characters, which CPython's cap on int/str
+    conversion does not bound.
     """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent not accepted in rational text {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction as F
 from math import factorial
@@ -7,7 +8,7 @@ from math import factorial
 import pytest
 
 import polycauchy as pc
-from polycauchy import cauchy_poly, stirling
+from polycauchy import cauchy_poly, cli, stirling
 from polycauchy.cli import load_exported_poly, main
 
 needs_int_digit_cap = pytest.mark.skipif(
@@ -286,7 +287,8 @@ def test_usage_error_exit_code(capsys):
     (("eval", "cauchy", "--n", "3", "--k", "0"), "k must be >= 1"),
     (("eval", "euler-poly", "--n", "-1"), "degree must be >= 0"),
     (("eval", "power-sum", "--n", "-1"), "degree must be >= 0"),
-], ids=["cauchy-k0", "euler-poly-n-1", "power-sum-n-1"])
+    (("table", "cauchy-numbers", "--max-n", "3", "--k", "0"), "k must be >= 1"),
+], ids=["cauchy-k0", "euler-poly-n-1", "power-sum-n-1", "table-cauchy-numbers-k0"])
 def test_library_value_error_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -334,6 +336,19 @@ def test_eval_zero_denominator_is_usage_error(capsys):
     assert (code, out) == (2, "")
     assert "argument --x" in err and "'1/0'" in err
     assert "Traceback" not in err
+
+
+def test_exponent_text_is_a_usage_error(tmp_path, capsys):
+    # no int/str digit cap bounds the digits an exponent makes: --x=1e999999 ran
+    # past 20 s, so a small exponent keeps a regression quick to see
+    code, out, err = run(capsys, "eval", "cauchy", "--n", "2", "--x=1e999")
+    assert (code, out) == (2, "")
+    assert "argument --x" in err and "'1e999'" in err
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("xs=0,1E999\n")
+    code, out, err = run(capsys, "verify", "--id", "G04.int1", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: exponent not accepted in rational text '1E999'\n"
 
 
 def test_verify_config_zero_denominator_is_usage_error(tmp_path, capsys):
@@ -453,3 +468,45 @@ def test_verify_report_out_file(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["id"] == "G09.zhao"
     assert payload["failures"] == []
+
+
+# one process, one request after another: a usage error, help, and requests
+# that leave out an option the request before them gave
+SHARED_PARSER_REQUESTS = [
+    ("eval", "cauchy", "--n", "3", "--x", "not-a-number"),
+    ("--help",),
+    ("eval", "gen-bernoulli", "--n", "4", "--alpha", "3", "--x", "1/2"),
+    ("eval", "gen-bernoulli", "--n", "4", "--x", "1/2"),
+    ("verify", "--id", "G04.int1", "--max-n", "4"),
+    ("verify", "--id", "G04.int1"),
+]
+
+
+def _answers(capsys, requests):
+    """(exit code, stdout, stderr) per request, verify's elapsed time masked."""
+    answers = []
+    for argv in requests:
+        code, out, err = run(capsys, *argv)
+        answers.append((code, re.sub(r"\d+ ms\)", "ms)", out), err))
+    return answers
+
+
+def test_shared_parser_answers_as_a_fresh_parser(capsys, monkeypatch):
+    shared = _answers(capsys, SHARED_PARSER_REQUESTS)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _answers(capsys, SHARED_PARSER_REQUESTS)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0]
+    assert shared[1][1].startswith("usage: polycauchy")
+    # the --alpha of the request before does not carry over: the default 1 comes back
+    assert shared[2][1].strip() == pc.format_rational(pc.gen_bernoulli_poly(4, 3)(F(1, 2)))
+    assert shared[3][1].strip() == pc.format_rational(pc.gen_bernoulli_poly(4, 1)(F(1, 2)))
+    assert "(5 points" in shared[4][1] and "(5 points" not in shared[5][1]
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    for n in range(50):
+        assert main(["eval", "power-sum", "--n", str(n % 5), "--x", "2"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 49)

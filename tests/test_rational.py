@@ -90,3 +90,18 @@ def test_text_form():
 def test_parse_zero_denominator_is_value_error(text):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e999999", "1E5", "2.5e-3", "-1e0", "1/2e3"])
+def test_parse_exponent_is_value_error(text):
+    # an exponent would build a number of 10**exponent digits from a few characters
+    with pytest.raises(ValueError, match="exponent"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-3/4", Fraction(-3, 4)), ("12", Fraction(12)), (" 7 ", Fraction(7)),
+    ("0.5", Fraction(1, 2)), ("-0.125", Fraction(-1, 8)),
+])
+def test_parse_accepts_fraction_integer_and_plain_decimal(text, value):
+    assert parse_rational(text) == value
