@@ -1,7 +1,7 @@
 """Exact-rational Cauchy / Stirling / Bernoulli / hyperharmonic families
 with an executable identity catalog and a batch CLI."""
 
-from .rational import Rational, rat, parse_rational, format_rational, binom_scalar
+from .rational import parse_rational, format_rational
 from .poly import (
     Poly,
     binom_poly,

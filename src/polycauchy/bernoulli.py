@@ -11,15 +11,19 @@ polynomials use the Bernoulli-based closed form
 
 which is validated elsewhere through its role in the even/odd Cauchy
 polynomial decompositions and the half-interval integration rule.
+
+The poly-Bernoulli variants weight the unit-cube moment polynomials of
+the Cauchy module (``aux_poly``, ``_moment_sum``) by second-kind Stirling
+values, and check n and k with its ``_check_nk``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
-from .cauchy import MultiParam, _moment_sum
+from .cauchy import MultiParam, _check_nk, _moment_sum, aux_poly
 from .poly import Poly
 from .series import gf_gen_bernoulli
 from .stirling import gsn2, gsn2_bivariate_at, stirling2
@@ -79,10 +83,7 @@ def poly_bernoulli_gsn(n: int, k: int) -> Poly:
     At x = 0 this reduces to the classical poly-Bernoulli number with
     weight m!/(m+1)^k.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if k < 1:
-        raise ValueError("poly order k must be >= 1")
+    _check_nk(n, k)
     total = sum((gsn2(n, m) * Fraction((-1) ** m * factorial(m), (m + 1) ** k)
                  for m in range(n + 1)), Poly())
     return total * (-1) ** n
@@ -90,25 +91,17 @@ def poly_bernoulli_gsn(n: int, k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def poly_bernoulli_kl(n: int, k: int) -> Poly:
-    """The alternative poly-Bernoulli polynomial built from the ordinary
-    second-kind triangle with an inner binomial sum in (-x)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if k < 1:
-        raise ValueError("poly order k must be >= 1")
-    total = sum((
-        Poly([Fraction((-1) ** i * comb(m, i), (m - i + 1) ** k) for i in range(m + 1)])
-        * ((-1) ** m * factorial(m) * stirling2(n, m))
-        for m in range(n + 1)
-    ), Poly())
-    return total * (-1) ** n
+    """The alternative poly-Bernoulli polynomial: the unit-cube moment
+    polynomials aux_poly(m, k) weighted by (-1)^n m! S(n, m), over the
+    ordinary second-kind triangle."""
+    _check_nk(n, k)
+    return sum((aux_poly(m, k) * ((-1) ** n * factorial(m) * stirling2(n, m))
+                for m in range(n + 1)), Poly())
 
 
 def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:
     """Multiparameter poly-Bernoulli polynomial: the bivariate second-kind
-    Stirling transform of the weighted auxiliary polynomials."""
+    Stirling transform of the weighted auxiliary polynomials, for q != 0."""
     p = MultiParam(n, k, a, q, L, y)
-    if not p.q:
-        raise ValueError("q must be nonzero")
     weights = [(-1) ** n * factorial(m) * gsn2_bivariate_at(n, m, p.y, p.q) for m in range(n + 1)]
     return _moment_sum(weights, k, p.L, a - 1)

@@ -98,10 +98,7 @@ def aux_poly(j: int, k: int) -> Poly:
     """Moment polynomial of the k-fold unit-cube integral of (x - t)^j
     (up to sign bookkeeping): sum_i (-1)^i/(i+1)^k binom(j,i) x^(j-i),
     the constant 1 for j = 0."""
-    if j < 0:
-        raise ValueError("index must be >= 0")
-    if k < 1:
-        raise ValueError("poly order k must be >= 1")
+    _check_nk(j, k)
     return Poly([Fraction((-1) ** i * comb(j, i), (i + 1) ** k) for i in range(j, -1, -1)])
 
 
@@ -190,29 +187,22 @@ def cauchy_poly(kind: str, n: int, k: int = 1, construction: str = "gsn") -> Pol
 
 @lru_cache(maxsize=None)
 def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
-    """Constant term of the poly-Cauchy polynomial.
-
-    Komatsu's sum over the unsigned Stirling triangle: stirling1(n, m) /
-    (m+1)^k, signed (-1)^(n-m) for the first kind and (-1)^n for the
-    second.  It is the constant term of the ``gsn`` construction, since
-    gsn1(n, m) has constant term stirling1(n, m), but reads only the
-    triangle, so no gsn1 polynomial is built or memoised.
+    """Constant term of the poly-Cauchy polynomial, memoised: coefficient 0
+    of the closed form, Komatsu's sum over the unsigned Stirling triangle.
+    It reads only the triangle, so no gsn1 polynomial is built or memoised.
     """
-    e = _check_kind(kind)
-    _check_nk(n, k)
-    return sum((Fraction((-1) ** n * (-e) ** m * stirling1(n, m), (m + 1) ** k)
-                for m in range(n + 1)), Fraction(0))
+    return cauchy_coefficient(kind, n, 0, k)
 
 
 def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
-    """Closed-form coefficient of x^i in the poly-Cauchy polynomial."""
+    """Closed-form coefficient of x^i in the poly-Cauchy polynomial:
+    sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k."""
     e = _check_kind(kind)
     _check_nk(n, k)
     if i < 0 or i > n:
         raise ValueError(f"coefficient index must satisfy 0 <= i <= n, got {i}")
-    total = sum((Fraction((-e) ** m * comb(m, i), (m - i + 1) ** k) * stirling1(n, m)
-                 for m in range(i, n + 1)), Fraction(0))
-    return Fraction((-1) ** (n + i)) * total
+    return sum((Fraction((-1) ** (n + i) * (-e) ** m * comb(m, i) * stirling1(n, m),
+                         (m - i + 1) ** k) for m in range(i, n + 1)), Fraction(0))
 
 
 def cauchy_derivative(kind: str, n: int, k: int = 1, order: int = 1) -> Poly:

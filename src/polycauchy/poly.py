@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from typing import Iterable
 
-from .rational import _exact
+from .rational import _exact, format_rational, parse_rational
 
 __all__ = [
     "Poly",
@@ -365,8 +365,9 @@ def eval_at_sqrt(p: Poly, radicand: int):
 
 def poly_to_strings(p: Poly) -> list[str]:
     """JSON form: list of rational coefficient strings, index = power."""
-    return [str(Fraction(c)) for c in p.coeffs]
+    return [format_rational(c) for c in p.coeffs]
 
 
 def poly_from_strings(strings: Iterable[str]) -> Poly:
-    return Poly([Fraction(s) for s in strings])
+    """Inverse of ``poly_to_strings``: each item must be ``parse_rational`` text."""
+    return Poly([parse_rational(s) for s in strings])

@@ -1,4 +1,4 @@
-"""Exact rational scalars and scalar combinatorial helpers.
+"""Exact rational scalars: the exactness check and the text form.
 
 The universal scalar of this package is :class:`fractions.Fraction`:
 arbitrary precision, always reduced, denominator always positive, so
@@ -13,11 +13,8 @@ accepts the same form back, so values round-trip exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
 
-Rational = Fraction
-
-__all__ = ["Rational", "rat", "parse_rational", "format_rational", "binom_scalar"]
+__all__ = ["parse_rational", "format_rational"]
 
 
 def _exact(value):
@@ -32,20 +29,17 @@ def _exact(value):
     raise TypeError(f"expected an exact int or Fraction, got {type(value).__name__}")
 
 
-def rat(numerator: int, denominator: int = 1) -> Fraction:
-    """Canonical fraction numerator/denominator, sign carried by the numerator."""
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", a bare integer "p" or a plain decimal such as "-0.25"
     into an exact rational.
 
-    Raises ValueError for malformed text, for a zero denominator and for
-    an exponent ("e" or "E"): "1e999999" would build a million-digit
-    integer from nine characters, which CPython's cap on int/str
-    conversion does not bound.
+    Raises TypeError for anything but a str, and ValueError for malformed
+    text, for a zero denominator and for an exponent ("e" or "E"):
+    "1e999999" would build a million-digit integer from nine characters,
+    which CPython's cap on int/str conversion does not bound.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"expected rational text, got {type(text).__name__}")
     if "e" in text or "E" in text:
         raise ValueError(f"exponent not accepted in rational text {text!r}")
     try:
@@ -55,17 +49,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Render an exact value as "p/q", omitting the denominator when it is 1."""
-    return str(Fraction(value))
-
-
-def binom_scalar(top, n: int) -> Fraction:
-    """Generalized binomial coefficient: top*(top-1)*...*(top-n+1) / n!.
-
-    ``top`` may be any exact rational (or integer); ``n`` must be a
-    non-negative integer.  Returns 1 for n == 0.
-    """
-    if n < 0:
-        raise ValueError("lower index of a binomial coefficient must be >= 0")
-    top = _exact(top)
-    return prod((top - j for j in range(n)), start=Fraction(1)) / factorial(n)
+    """Render an int or Fraction as "p/q", omitting the denominator when it
+    is 1; anything else, a float above all, raises ``TypeError``."""
+    return str(Fraction(_exact(value)))

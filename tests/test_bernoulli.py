@@ -113,6 +113,10 @@ def test_poly_bernoulli_domain():
         poly_bernoulli_gsn(2, 0)
     with pytest.raises(ValueError):
         poly_bernoulli_kl(2, 0)
+    with pytest.raises(ValueError):
+        poly_bernoulli_gsn(-1, 1)
+    with pytest.raises(ValueError):
+        poly_bernoulli_kl(-1, 1)
 
 
 @pytest.mark.parametrize("fn", [euler_poly, power_sum_poly])
@@ -136,9 +140,9 @@ def test_poly_bernoulli_kl():
             total = total + inner * ((-1) ** (n + m) * factorial(m) * stirling2(n, m))
         return total
 
-    for n in range(6):
-        assert poly_bernoulli_kl(n, 1) == direct(n, 1)
-        assert poly_bernoulli_kl(n, 2) == direct(n, 2)
+    for n in range(17):
+        for k in range(1, 5):
+            assert poly_bernoulli_kl(n, k) == direct(n, k), (n, k)
 
 
 def test_multiparam_poly_bernoulli():
@@ -172,8 +176,10 @@ def test_multiparam_poly_bernoulli():
 
 
 def test_multiparam_poly_bernoulli_domain():
-    with pytest.raises(ValueError):
-        multiparam_poly_bernoulli(1, 1, 1, 0, (F(1),), F(0))
+    # q = 0 at every n, n = 0 included
+    for n in range(3):
+        with pytest.raises(ValueError):
+            multiparam_poly_bernoulli(n, 1, 1, 0, (F(1),), F(0))
     with pytest.raises(ValueError):
         multiparam_poly_bernoulli(1, 1, 1, F(1), (F(0),), F(0))
     with pytest.raises(ValueError):

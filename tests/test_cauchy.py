@@ -216,6 +216,8 @@ def test_aux_polys():
     with pytest.raises(ValueError):
         aux_poly(1, 0)
     with pytest.raises(ValueError):
+        aux_poly(-1, 1)
+    with pytest.raises(ValueError):
         aux_poly_weighted(1, 2, (F(1),))
     with pytest.raises(ValueError):
         aux_poly_weighted(1, 1, (F(0),))

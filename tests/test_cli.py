@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from fractions import Fraction as F
 from math import factorial
 
@@ -411,6 +412,22 @@ def test_export_json_round_trip(tmp_path, capsys):
     assert payload["family"] == "cauchy-poly"
     assert payload["coefficients"] == ["-19/30", "0", "4", "4", "1"]
     assert load_exported_poly(str(out_path)) == cauchy_poly("first", 4)
+
+
+@pytest.mark.parametrize("bad, error", [("1e4000", ValueError), (0.1, TypeError),
+                                        (True, TypeError)])
+def test_exported_poly_with_inexact_coefficient_is_rejected(tmp_path, capsys, bad, error):
+    # exponent text would load a 4,001-digit integer, a float or bool its binary value
+    out_path = tmp_path / "c4.json"
+    run(capsys, "export", "--family", "cauchy-poly", "--n", "4", "--format", "json",
+        "--out", str(out_path))
+    payload = json.loads(out_path.read_text())
+    payload["coefficients"][2] = bad
+    out_path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    with pytest.raises(error):
+        load_exported_poly(str(out_path))
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("family, extra", [

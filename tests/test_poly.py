@@ -165,6 +165,13 @@ def test_binom_poly_examples():
     assert binom_poly(0, 1, 0) == Poly([1])
     assert binom_poly(0, 1, 2) == Poly([0, F(-1, 2), F(1, 2)])
     assert binom_poly(1, 1, 2) == Poly([0, F(1, 2), F(1, 2)])
+    # at x = 0, the generalized binomial coefficient of the shift
+    assert binom_poly(5, 1, 2)(0) == 10
+    assert binom_poly(F(1, 2), 1, 2)(0) == F(-1, 8)
+    assert binom_poly(-1, 1, 3)(0) == -1
+    assert binom_poly(F(7, 3), 1, 0)(0) == 1
+    with pytest.raises(ValueError):
+        binom_poly(F(1, 2), 1, -1)
 
 
 def test_factorial_polys():
@@ -195,11 +202,19 @@ def test_fundamental_theorem(p):
     assert p.derivative().integrate_01() == p(F(1)) - p(F(0))
 
 
-@given(st.integers(1, 8))
-def test_binom_pascal_polynomial_identity(n):
-    lhs = binom_poly(0, 1, n)
-    rhs = binom_poly(-1, 1, n) + binom_poly(-1, 1, n - 1)
+@given(shifts, st.integers(1, 8))
+def test_binom_pascal_polynomial_identity(r, n):
+    lhs = binom_poly(r, 1, n)
+    rhs = binom_poly(r - 1, 1, n) + binom_poly(r - 1, 1, n - 1)
     assert lhs == rhs
+
+
+@given(shifts, st.integers(0, 8))
+def test_binom_poly_times_factorial_is_falling_product(r, n):
+    product = F(1)
+    for j in range(n):
+        product *= r - j
+    assert binom_poly(r, 1, n)(0) * factorial(n) == product
 
 
 @given(polys, polys, polys)
@@ -235,6 +250,16 @@ def test_str_and_json_round_trip():
     assert str(p) == "-19/30 + 4*x^2 - x^3"
     assert str(Poly()) == "0"
     assert poly_from_strings(poly_to_strings(p)) == p
+
+
+@pytest.mark.parametrize("item, error", [
+    (0.1, TypeError), (True, TypeError), (2, TypeError), (F(1, 2), TypeError),
+    ("1e3", ValueError), ("1E4000", ValueError), ("x", ValueError),
+])
+def test_poly_from_strings_reads_only_rational_text(item, error):
+    # a float would load its binary value, exponent text a 10**exponent-sized integer
+    with pytest.raises(error):
+        poly_from_strings(["1", item])
 
 
 def test_exact_scalar_division():

@@ -4,32 +4,38 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycauchy import binom_scalar, format_rational, parse_rational, rat
+from polycauchy import format_rational, parse_rational, poly_from_strings
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
 
 def test_canonicalization():
-    assert rat(2, 4) == Fraction(1, 2)
-    assert rat(-19, 30) == Fraction(-19, 30)
-    assert rat(3, -6) == Fraction(-1, 2)
-    assert rat(3, -6).denominator == 2
-    assert rat(0, 7) == 0
+    # text is read into the reduced form and printed from it
+    assert parse_rational("2/4") == Fraction(1, 2)
+    assert format_rational(parse_rational("2/4")) == "1/2"
+    assert format_rational(parse_rational("-19/30")) == "-19/30"
+    assert parse_rational("-3/6").denominator == 2
+    assert format_rational(parse_rational("0/7")) == "0"
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
+    # an exported coefficient is read as rational text too
+    with pytest.raises(ValueError, match="zero denominator"):
+        poly_from_strings(["1", "1/0"])
 
 
 def test_integers_are_unit_denominator():
-    assert rat(5).denominator == 1
-    assert rat(5) == 5
+    assert parse_rational("5").denominator == 1
+    assert format_rational(Fraction(10, 2)) == "5"
+    assert format_rational(True) == "1"
 
 
 @given(st.integers(-500, 500), st.integers(1, 200))
 def test_additive_inverse(a, b):
-    assert rat(a, b) + rat(-a, b) == 0
+    # the sign is carried by the numerator of the text
+    text = format_rational(Fraction(a, -b))
+    assert "/-" not in text
+    assert parse_rational(text) + parse_rational(format_rational(Fraction(a, b))) == 0
 
 
 @given(fractions, fractions, fractions)
@@ -39,39 +45,6 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     if c != 0:
         assert (a / c) * c == a
-
-
-def test_binom_scalar_examples():
-    assert binom_scalar(5, 2) == 10
-    assert binom_scalar(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert binom_scalar(-1, 3) == -1
-    assert binom_scalar(Fraction(7, 3), 0) == 1
-
-
-def test_binom_scalar_rejects_float_top():
-    with pytest.raises(TypeError):
-        binom_scalar(0.5, 2)
-
-
-def test_binom_scalar_rejects_negative_order():
-    with pytest.raises(ValueError):
-        binom_scalar(Fraction(1, 2), -1)
-
-
-@given(fractions, st.integers(0, 8))
-def test_binom_times_factorial_is_falling_product(r, n):
-    product = Fraction(1)
-    for j in range(n):
-        product *= r - j
-    fact = 1
-    for j in range(1, n + 1):
-        fact *= j
-    assert binom_scalar(r, n) * fact == product
-
-
-@given(fractions, st.integers(1, 8))
-def test_pascal_rule(r, n):
-    assert binom_scalar(r, n) == binom_scalar(r - 1, n) + binom_scalar(r - 1, n - 1)
 
 
 @given(fractions)
@@ -105,3 +78,16 @@ def test_parse_exponent_is_value_error(text):
 ])
 def test_parse_accepts_fraction_integer_and_plain_decimal(text, value):
     assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, "1/2", None])
+def test_format_rejects_inexact_values(value):
+    # a float would print its binary value, not the number meant
+    with pytest.raises(TypeError):
+        format_rational(value)
+
+
+@pytest.mark.parametrize("value", [0.1, True, 7, Fraction(1, 2), None, b"1/2"])
+def test_parse_rejects_non_text(value):
+    with pytest.raises(TypeError, match="expected rational text"):
+        parse_rational(value)
