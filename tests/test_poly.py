@@ -165,13 +165,6 @@ def test_binom_poly_examples():
     assert binom_poly(0, 1, 0) == Poly([1])
     assert binom_poly(0, 1, 2) == Poly([0, F(-1, 2), F(1, 2)])
     assert binom_poly(1, 1, 2) == Poly([0, F(1, 2), F(1, 2)])
-    # at x = 0, the generalized binomial coefficient of the shift
-    assert binom_poly(5, 1, 2)(0) == 10
-    assert binom_poly(F(1, 2), 1, 2)(0) == F(-1, 8)
-    assert binom_poly(-1, 1, 3)(0) == -1
-    assert binom_poly(F(7, 3), 1, 0)(0) == 1
-    with pytest.raises(ValueError):
-        binom_poly(F(1, 2), 1, -1)
 
 
 def test_factorial_polys():
@@ -207,14 +200,6 @@ def test_binom_pascal_polynomial_identity(r, n):
     lhs = binom_poly(r, 1, n)
     rhs = binom_poly(r - 1, 1, n) + binom_poly(r - 1, 1, n - 1)
     assert lhs == rhs
-
-
-@given(shifts, st.integers(0, 8))
-def test_binom_poly_times_factorial_is_falling_product(r, n):
-    product = F(1)
-    for j in range(n):
-        product *= r - j
-    assert binom_poly(r, 1, n)(0) * factorial(n) == product
 
 
 @given(polys, polys, polys)

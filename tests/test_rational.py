@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycauchy import format_rational, parse_rational, poly_from_strings
+from polycauchy import binom_poly, format_rational, parse_rational, poly_from_strings
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
+
+
+def binom_scalar(top, n):
+    """Generalized binomial C(top, n) of a rational top: binom_poly(top, 1, n) at x = 0."""
+    return binom_poly(top, 1, n)(0)
 
 
 def test_canonicalization():
@@ -45,6 +50,39 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     if c != 0:
         assert (a / c) * c == a
+
+
+def test_binom_scalar_examples():
+    assert binom_scalar(5, 2) == 10
+    assert binom_scalar(Fraction(1, 2), 2) == Fraction(-1, 8)
+    assert binom_scalar(-1, 3) == -1
+    assert binom_scalar(Fraction(7, 3), 0) == 1
+
+
+def test_binom_scalar_rejects_float_top():
+    with pytest.raises(TypeError):
+        binom_scalar(0.5, 2)
+
+
+def test_binom_scalar_rejects_negative_order():
+    with pytest.raises(ValueError):
+        binom_scalar(Fraction(1, 2), -1)
+
+
+@given(fractions, st.integers(0, 8))
+def test_binom_times_factorial_is_falling_product(r, n):
+    product = Fraction(1)
+    for j in range(n):
+        product *= r - j
+    fact = 1
+    for j in range(1, n + 1):
+        fact *= j
+    assert binom_scalar(r, n) * fact == product
+
+
+@given(fractions, st.integers(1, 8))
+def test_pascal_rule(r, n):
+    assert binom_scalar(r, n) == binom_scalar(r - 1, n) + binom_scalar(r - 1, n - 1)
 
 
 @given(fractions)
