@@ -4,8 +4,17 @@ and the poly-Bernoulli variants.
 The Bernoulli, Euler and power-sum polynomials are rows of the
 generating function (t/(e^t - 1))^alpha e^(xt) (``gf_gen_bernoulli``,
 read by the Sheffer-row kernel ``sheffer_rows``), so the series module is
-the single source of the defining convention (B_1 = -1/2).  Euler
-polynomials use the Bernoulli-based closed form
+the single source of the defining convention (B_1 = -1/2).
+
+The Bernoulli numbers are read from integers alone, by the TangentNumbers
+algorithm of Brent & Harvey, "Fast computation of Bernoulli, Tangent and
+Secant numbers" (2011): B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) for the
+tangent numbers T_m, with B_0 = 1, B_1 = -1/2 and B_n = 0 for odd n >= 3.
+Each new T_m takes O(m) integer steps, so B_0..B_300 take milliseconds
+and build no polynomial; the constant terms of the Sheffer rows are the
+tests' cross-check of the numbers.
+
+Euler polynomials use the Bernoulli-based closed form
 
     E_n(x) = (2/(n+1)) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2)),
 
@@ -19,6 +28,7 @@ values, and check n and k with its ``_check_nk``.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -54,9 +64,39 @@ def bernoulli_poly(n: int) -> Poly:
     return gen_bernoulli_poly(n, 1)
 
 
-@lru_cache(maxsize=None)
+# B_0, B_2, ..., B_2m, the one memo of the numbers, and the column of the
+# tangent number T_m as each pass of Brent & Harvey's TangentNumbers left it
+_EVEN = [Fraction(1), Fraction(1, 6)]
+_TANGENT_COLUMN = [1]
+_EVEN_LOCK = threading.Lock()
+
+
+def _extend_even(m: int) -> None:
+    """Fill _EVEN up to B_2m.  Pass k of TangentNumbers sets
+    T_j <- (j-k) T_(j-1) + (j-k+2) T_j for j = k, k+1, ..., from T_j = (j-1)!,
+    so T_j's column by pass is stepped in place from T_(j-1)'s."""
+    column = _TANGENT_COLUMN
+    with _EVEN_LOCK:
+        while m >= len(_EVEN):
+            j = len(_EVEN)
+            column[0] *= j - 1
+            for i in range(1, j - 1):
+                column[i] = (j - 1 - i) * column[i] + (j + 1 - i) * column[i - 1]
+            column.append(2 * column[-1])
+            four_j = 4**j
+            _EVEN.append(Fraction((-1) ** (j - 1) * 2 * j * column[-1], four_j * (four_j - 1)))
+
+
 def bernoulli_number(n: int) -> Fraction:
-    return Fraction(bernoulli_poly(n).constant())
+    """B_n, with B_1 = -1/2: B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) for
+    the tangent numbers T_m, and B_n = 0 for odd n >= 3."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if n & 1:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    if n >> 1 >= len(_EVEN):
+        _extend_even(n >> 1)
+    return _EVEN[n >> 1]
 
 
 @lru_cache(maxsize=None)

@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # exact results, such as central_u(900, 1), can run past the cap
+        # exact results, such as the numerator of B_460, can run past the cap
         with _uncapped_int_text():
             return args.func(args)
     except (UsageError, ValueError, OSError) as exc:

@@ -15,6 +15,13 @@ steps T(n+1,m) = T(n,m-1) + w*T(n,m) with its own weight w:
 * ``lah`` -- unsigned Lah numbers, w = n + m, so that
   L(n,m) = (n!/m!) * binom(n-1, m-1) without a division per entry.
 
+``triangle_rows`` serves the ``table`` verb: it steps a triangle's rows
+afresh, leaving the memo alone, and yields each as decimal text.  It
+steps them as exact ``Decimal`` integers, because libmpdec stores base
+10^19 limbs and so writes text in time linear in the digits, where
+CPython's ``str(int)`` takes time quadratic in them; for ``central`` at
+n = 300 (20 M digits) that text is most of the table's time.
+
 Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
 non-negative integer r they give the r-shifted variants.  Their bivariate
@@ -24,6 +31,7 @@ needs q != 0.  The r-Whitney numbers are these values at (y, q) = (r, m).
 
 from __future__ import annotations
 
+import decimal
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -79,7 +87,8 @@ class _Triangle:
 
 
 def _pascal_step(prev: tuple[int, ...], weights) -> tuple[int, ...]:
-    """Row n+1 from row n: T(n+1, m) = T(n, m-1) + w_m T(n, m), m = 0..n+1."""
+    """Row n+1 from row n: T(n+1, m) = T(n, m-1) + w_m T(n, m), m = 0..n+1.
+    The entries are ints, or exact Decimals in ``triangle_rows``."""
     return tuple([a + w * b for a, w, b in zip((0, *prev), weights, (*prev, 0))])
 
 
@@ -139,14 +148,32 @@ def falling_factorial_poly(n: int) -> Poly:
     return Poly([-c if (n - m) & 1 else c for m, c in enumerate(_TRIANGLES["stirling1"].row(n))])
 
 
-def triangle_rows(kind: str, max_n: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0..max_n of a triangle, for tables: row n is (T(n, 0), ..., T(n, n)).
-    Each row is stepped here and yielded in turn; the memo is neither read nor filled."""
-    step, row = _TRIANGLES[kind]._step, (1,)
+# Exact integer arithmetic in Decimal: every digit is kept, and any rounding
+# or overflow raises instead of yielding a wrong digit.  The rounding mode is
+# fixed too, since it decides the sign of a zero sum.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    rounding=decimal.ROUND_HALF_EVEN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+
+def triangle_rows(kind: str, max_n: int) -> Iterator[tuple[str, ...]]:
+    """Rows 0..max_n of a triangle as decimal text, for tables: row n is
+    (str(T(n, 0)), ..., str(T(n, n))).
+
+    Each row is stepped here, as exact ``Decimal`` integers, and yielded in
+    turn; the memo is neither read nor filled.  The exact context is entered
+    for each step alone, so the caller's context is never seen or changed,
+    and no Decimal leaves.
+    """
+    step, row = _TRIANGLES[kind]._step, (decimal.Decimal(1),)
     for n in range(max_n + 1):
-        if n:
-            row = step(row, n - 1)
-        yield row
+        with decimal.localcontext(_EXACT):
+            if n:
+                row = step(row, n - 1)
+            text = tuple(map(str, row))
+        yield text
 
 
 def _check_indices(n: int, m: int):

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -16,6 +19,7 @@ from polycauchy import (
     power_sum_poly,
     stirling2,
 )
+import polycauchy.bernoulli as bernoulli_module
 
 
 def test_bernoulli_polys():
@@ -31,6 +35,41 @@ def test_bernoulli_numbers():
     assert bernoulli_number(2) == F(1, 6)
     assert bernoulli_number(4) == F(-1, 30)
     assert all(bernoulli_number(2 * m + 1) == 0 for m in range(1, 7))
+    with pytest.raises(ValueError):
+        bernoulli_number(-1)
+
+
+def test_concurrent_fill_of_a_fresh_memo(monkeypatch):
+    want = [bernoulli_number(n) for n in range(161)]
+    monkeypatch.setattr(bernoulli_module, "_EVEN", [F(1), F(1, 6)])
+    monkeypatch.setattr(bernoulli_module, "_TANGENT_COLUMN", [1])
+    results = {}
+
+    def worker(i):
+        ns = list(range(161))
+        random.Random(i).shuffle(ns)
+        results[i] = {n: bernoulli_number(n) for n in ns}
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert all([r[n] for n in range(161)] == want for r in results.values())
+    assert len(results) == 8
+
+
+def test_tangent_numbers_match_the_sheffer_rows():
+    # the numbers come from the tangent numbers, the polynomials from the
+    # generating function (t/(e^t - 1)) e^(xt): at x = 0 they agree
+    for n in range(61):
+        assert bernoulli_number(n) == bernoulli_poly(n).constant(), n
 
 
 def test_reflection_value():

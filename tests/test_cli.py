@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import re
@@ -70,6 +71,40 @@ def test_triangle_table_bytes_are_locked(capsys, family):
     assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLE_TABLE_SHA256[family]
 
 
+# SHA-256 of `table <family> --max-n 300` on stdout, recorded while the rows
+# were still printed from ints, before they were stepped in decimal
+TRIANGLE_TABLE_300_SHA256 = {
+    "stirling1": "a1c3cfe86fd2313cc6004ed97f02d32673a13abe9172761a739d64a2c64181b8",
+    "stirling2": "591349302ced361936fff173b2dc513d0dd877375575a5aa5b8cd5e3483d1bd4",
+    "central": "0df48226f2c405970dd486a38805852c30e42bf5530550eb98c734eae3be7406",
+    "lah": "ca79445bb75dda7b8e7e3532e06035e6f0446d010130cf7a2a9e9f185cba08e5",
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRIANGLE_TABLE_300_SHA256))
+def test_triangle_table_300_bytes_are_locked(capsys, family):
+    code, out, err = run(capsys, "table", family, "--max-n", "300")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 301 * 302 // 2
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLE_TABLE_300_SHA256[family]
+
+
+def test_triangle_table_ignores_the_callers_decimal_context(capsys):
+    # a caller context that would round every value to 5 digits, and signal
+    # nothing, neither reaches the table nor is changed by it
+    code, want, err = run(capsys, "table", "central", "--max-n", "120")
+    assert (code, err) == (0, "")
+    caller = decimal.Context(prec=5, traps=[])
+    with decimal.localcontext(caller) as ctx:
+        code, out, err = run(capsys, "table", "central", "--max-n", "120")
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding) == (
+            caller.prec, caller.Emax, caller.Emin, caller.rounding)
+        assert not any(ctx.traps.values()) and not any(ctx.flags.values())
+    assert (code, err) == (0, "")
+    assert out == want
+
+
 # `table hyperharmonic --max-n 120` as the product-built binomials printed it
 HYPERHARMONIC_TABLE_SHA256 = "b33ca463e5e8e8477010eb9a8b9b1421c3ef4aacb2fe61ec614848b75e311d7f"
 
@@ -98,6 +133,22 @@ def test_table_prints_values_past_the_int_str_digit_cap(capsys):
     assert (n, m, len(value)) == ("200", "1", 1 + 746)
     assert int(value) == pc.central_u(200, 1)
     assert lines[-1].split("\t") == ["200", "200", str(pc.central_u(200, 200))]
+
+
+@needs_int_digit_cap
+def test_sequence_table_prints_values_past_the_int_str_digit_cap(capsys):
+    # the numerator of B_460 has 667 digits, past a cap of 640
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "table", "bernoulli", "--max-n", "460")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, err) == (0, "")
+    n, value = out.splitlines()[-1].split("\t")
+    assert n == "460" and len(value.split("/")[0]) == 1 + 667
+    assert F(value) == pc.bernoulli_number(460)
 
 
 def test_table_leaves_the_triangle_memo_alone(capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import random
+import sys
+import threading
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -11,6 +15,8 @@ from polycauchy import (
     harmonic_poly,
     hyperharmonic_poly,
 )
+import polycauchy.harmonic as harmonic_module
+from polycauchy.stirling import rising_factorial_poly
 
 GOLDEN = {
     0: Poly(),
@@ -54,6 +60,41 @@ def test_series_oracle_matches_sum_form():
     s = gf_hyperharmonic(80)
     for n in range(81):
         assert s[n] == hyperharmonic_poly(n), n
+
+
+def test_recurrence_matches_the_defining_sum():
+    # the sum of binom(x + n - t - 1, n - t)/t over t = 1..n, each binomial
+    # the rising factorial over (n - t)!
+    for n in range(41):
+        want = sum((rising_factorial_poly(n - t) * F(1, t * factorial(n - t))
+                    for t in range(1, n + 1)), Poly())
+        assert hyperharmonic_poly(n) == want, n
+
+
+def test_concurrent_fill_of_a_fresh_memo(monkeypatch):
+    want = [hyperharmonic_poly(n) for n in range(81)]
+    monkeypatch.setattr(harmonic_module, "_HYPER_ROWS", [Poly()])
+    monkeypatch.setattr(harmonic_module, "_hyper_scaled", ((), (1,)))
+    results = {}
+
+    def worker(i):
+        ns = list(range(81))
+        random.Random(i).shuffle(ns)
+        results[i] = {n: hyperharmonic_poly(n) for n in ns}
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert all([r[n] for n in range(81)] == want for r in results.values())
+    assert len(results) == 8
 
 
 def test_derivative_representation():

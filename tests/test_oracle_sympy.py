@@ -87,7 +87,7 @@ def test_factorial_polys_match_sympy():
 
 
 def test_bernoulli_numbers_match_sympy():
-    for n in range(41):
+    for n in range(301):
         want = _fraction(bernoulli(n))
         if n == 1:
             want = -want

@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -20,6 +21,7 @@ from polycauchy import (
 )
 from polycauchy.stirling import (
     _TRIANGLES,
+    _Triangle,
     falling_factorial_poly,
     rising_factorial_poly,
     triangle_rows,
@@ -42,7 +44,7 @@ def test_row_is_the_memoized_row():
         row = triangle.row(30)
         assert row is triangle.row(30), name
         assert row == tuple(triangle.value(30, m) for m in range(31)), name
-        assert row == list(triangle_rows(name, 30))[30], name
+        assert list(triangle_rows(name, 30))[30] == tuple(map(str, row)), name
         with pytest.raises(ValueError):
             triangle.row(-1)
     with pytest.raises(ValueError):
@@ -317,9 +319,25 @@ def test_a_number():
 
 def test_triangle_rows_listing():
     rows = list(triangle_rows("stirling2", 3))
-    assert rows[0] == (1,)
-    assert rows[3][2] == 3
+    assert rows[0] == ("1",)
+    assert rows[3][2] == "3"
     assert len(rows) == 4
-    assert rows == [(1,), (0, 1), (0, 1, 1), (0, 1, 3, 1)]
+    assert rows == [("1",), ("0", "1"), ("0", "1", "1"), ("0", "1", "3", "1")]
     with pytest.raises(TypeError):
-        rows[3][2] = 99
+        rows[3][2] = "99"
+    # every entry is text, equal to the memoised integer's, for all four triangles
+    for name, triangle in _TRIANGLES.items():
+        for n, row in enumerate(triangle_rows(name, 60)):
+            assert row == tuple(map(str, triangle.row(n))), (name, n)
+
+
+def test_triangle_rows_raise_on_a_rounded_step(monkeypatch):
+    # a step that rounds (here to a multiple of 10) raises; no digit is printed
+    def rounding_step(prev, n):
+        return (*prev, prev[-1].quantize(decimal.Decimal("1E+1")))
+
+    monkeypatch.setitem(_TRIANGLES, "central", _Triangle("central", rounding_step))
+    rows = triangle_rows("central", 3)
+    assert next(rows) == ("1",)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        next(rows)
