@@ -99,7 +99,6 @@ def bernoulli_number(n: int) -> Fraction:
     return _EVEN[n >> 1]
 
 
-@lru_cache(maxsize=None)
 def euler_poly(n: int) -> Poly:
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -107,7 +106,6 @@ def euler_poly(n: int) -> Poly:
     return (b - b.stretch(Fraction(1, 2)) * 2 ** (n + 1)) * Fraction(2, n + 1)
 
 
-@lru_cache(maxsize=None)
 def power_sum_poly(n: int) -> Poly:
     """S_n(x), with S_n(m) = 1^n + ... + m^n for positive integers m."""
     if n < 0:

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -26,8 +27,6 @@ from . import bernoulli, cauchy, harmonic, series, stirling
 from .identities import DEFAULT_GRID, Grid, run_all, verify
 from .poly import Poly, poly_from_strings, poly_to_strings
 from .rational import format_rational, parse_rational
-
-_TRIANGLES = ("stirling1", "stirling2", "central", "lah")
 
 _GRID_INT_KEYS = ("max_n", "max_n_double", "max_k", "max_r", "max_a", "max_n_multi")
 _GRID_LIST_KEYS = ("qs", "xs", "ys_multi")
@@ -87,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_table = sub.add_parser("table", help="emit a triangle or sequence as TSV")
-    p_table.add_argument("family", choices=_TRIANGLES + tuple(_SEQUENCES))
+    p_table.add_argument("family", choices=(*stirling._TRIANGLES, *_SEQUENCES))
     p_table.add_argument("--max-n", "--n", dest="max_n", type=int, default=10)
     p_table.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_table.add_argument("--k", type=int, default=1)
@@ -173,7 +172,7 @@ def _cmd_table(args) -> int:
 
 
 def _table_lines(args, max_n: int):
-    if args.family in _TRIANGLES:
+    if args.family in stirling._TRIANGLES:
         yield "n\tm\tvalue"
         for n, row in enumerate(stirling.triangle_rows(args.family, max_n)):
             yield "\n".join([f"{n}\t{m}\t{v}" for m, v in enumerate(row)])
@@ -234,7 +233,7 @@ def _grid_from_args(args) -> Grid:
         flag = getattr(args, key)
         if flag is not None:
             overrides[key] = flag
-    return DEFAULT_GRID.with_overrides(**overrides)
+    return replace(DEFAULT_GRID, **overrides)
 
 
 def _status(report) -> str:
@@ -242,10 +241,9 @@ def _status(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    grid = _grid_from_args(args)
     if args.id:
         try:
-            report = verify(args.id, grid)
+            report = verify(args.id, args.grid)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
         payload = json.dumps(report.to_dict(), indent=2)
@@ -261,7 +259,7 @@ def _cmd_verify(args) -> int:
             _write_lines([payload], args.out)
         return 0 if report.ok else 1
 
-    result = run_all(grid)
+    result = run_all(args.grid)
     if args.json:
         print(result.to_json())
     else:
@@ -351,6 +349,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        # so is a verify --config file: past the cap, a grid bound of
+        # thousands of digits would be read and run for ever
+        if args.verb == "verify":
+            args.grid = _grid_from_args(args)
         # exact results, such as the numerator of B_460, can run past the cap
         with _uncapped_int_text():
             return args.func(args)

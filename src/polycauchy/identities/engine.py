@@ -15,7 +15,7 @@ run in any order; the runner is sequential and emits catalog order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Iterable
@@ -69,9 +69,6 @@ class Grid:
                     raise ValueError(f"grid bound {f.name} must be >= {low}, got {value}")
             elif not value:
                 raise ValueError(f"grid list {f.name} must not be empty")
-
-    def with_overrides(self, **kwargs) -> "Grid":
-        return replace(self, **kwargs)
 
 
 DEFAULT_GRID = Grid()

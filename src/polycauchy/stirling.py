@@ -60,12 +60,13 @@ __all__ = [
 
 
 class _Triangle:
-    """Row-memoized integer triangle; rows are extended on demand."""
+    """Row-memoized integer triangle; rows are extended on demand from the
+    first row, (1,) unless given."""
 
-    def __init__(self, name: str, step):
+    def __init__(self, name: str, step, first: tuple[int, ...] = (1,)):
         self.name = name
         self._step = step  # step(previous_row, n_previous) -> next row
-        self._rows = [(1,)]
+        self._rows = [first]
         self._lock = threading.Lock()
 
     def _extend(self, n: int) -> None:
@@ -230,7 +231,6 @@ def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:
     return (gsn1_bivariate_at if kind == "first" else gsn2_bivariate_at)(n, l, r, m)
 
 
-@lru_cache(maxsize=None)
 def a_number(n: int, m: int) -> Poly:
     """(n!/m!) * binom(x + n - 1, n - m) as a polynomial in x."""
     _check_indices(n, m)

@@ -105,15 +105,20 @@ def test_triangle_table_ignores_the_callers_decimal_context(capsys):
     assert out == want
 
 
-# `table hyperharmonic --max-n 120` as the product-built binomials printed it
-HYPERHARMONIC_TABLE_SHA256 = "b33ca463e5e8e8477010eb9a8b9b1421c3ef4aacb2fe61ec614848b75e311d7f"
+# `table hyperharmonic --max-n N` as the product-built binomials printed it at
+# N = 120, and as the stepped rising factorials printed it at N = 300
+HYPERHARMONIC_TABLE_SHA256 = {
+    120: "b33ca463e5e8e8477010eb9a8b9b1421c3ef4aacb2fe61ec614848b75e311d7f",
+    300: "c69924053ee36fc54054e5cc7fd0d11ef2a5886416c016a74eae86a45a370678",
+}
 
 
 def test_hyperharmonic_table_bytes_are_locked(capsys):
-    code, out, err = run(capsys, "table", "hyperharmonic", "--max-n", "120")
-    assert (code, err) == (0, "")
-    assert len(out.splitlines()) == 1 + 121
-    assert hashlib.sha256(out.encode()).hexdigest() == HYPERHARMONIC_TABLE_SHA256
+    for max_n, digest in HYPERHARMONIC_TABLE_SHA256.items():
+        code, out, err = run(capsys, "table", "hyperharmonic", "--max-n", str(max_n))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + max_n + 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, max_n
 
 
 @needs_int_digit_cap
@@ -175,6 +180,23 @@ def test_eval_x_is_parsed_under_the_int_str_digit_cap(capsys):
         sys.set_int_max_str_digits(previous)
     assert (code, out) == (2, "")
     assert "argument --x" in err
+
+
+@needs_int_digit_cap
+def test_verify_config_is_parsed_under_the_int_str_digit_cap(tmp_path, capsys):
+    # G04.int1 reads max_n, not max_n_multi, so a bound read past the cap
+    # runs the case and passes instead of running for ever
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("max_n_multi=" + "9" * 700 + "\n")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "verify", "--id", "G04.int1", "--config", str(cfg))
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "640 digits" in err
 
 
 def test_table_hyperharmonic(capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -54,7 +55,7 @@ def test_negative_grid_bound_rejected(bound):
     with pytest.raises(ValueError, match=bound):
         Grid(**{bound: -1})
     with pytest.raises(ValueError, match=bound):
-        DEFAULT_GRID.with_overrides(**{bound: -5})
+        replace(DEFAULT_GRID, **{bound: -5})
     low = 1 if bound in ("max_k", "max_a") else 0
     if low:
         with pytest.raises(ValueError, match=f"{bound} must be >= 1"):
@@ -67,7 +68,7 @@ def test_empty_grid_list_rejected(points):
     with pytest.raises(ValueError, match=f"{points} must not be empty"):
         Grid(**{points: ()})
     with pytest.raises(ValueError, match=points):
-        DEFAULT_GRID.with_overrides(**{points: ()})
+        replace(DEFAULT_GRID, **{points: ()})
 
 
 def test_verify_zhao():
@@ -126,6 +127,6 @@ def test_failure_reporting_shape():
 
 
 def test_grid_overrides():
-    g = DEFAULT_GRID.with_overrides(max_n=3)
+    g = replace(DEFAULT_GRID, max_n=3)
     assert g.max_n == 3
     assert g.max_k == DEFAULT_GRID.max_k

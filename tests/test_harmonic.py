@@ -16,7 +16,8 @@ from polycauchy import (
     hyperharmonic_poly,
 )
 import polycauchy.harmonic as harmonic_module
-from polycauchy.stirling import rising_factorial_poly
+import polycauchy.stirling as stirling
+from polycauchy.stirling import _Triangle, rising_factorial_poly
 
 GOLDEN = {
     0: Poly(),
@@ -73,8 +74,10 @@ def test_recurrence_matches_the_defining_sum():
 
 def test_concurrent_fill_of_a_fresh_memo(monkeypatch):
     want = [hyperharmonic_poly(n) for n in range(81)]
-    monkeypatch.setattr(harmonic_module, "_HYPER_ROWS", [Poly()])
-    monkeypatch.setattr(harmonic_module, "_hyper_scaled", ((), (1,)))
+    # fresh first-kind rows too, so threads take both locks, in their one order
+    monkeypatch.setitem(stirling._TRIANGLES, "stirling1", _Triangle("stirling1", stirling._step_s1))
+    monkeypatch.setattr(harmonic_module, "_HYPER",
+                        _Triangle("hyperharmonic", harmonic_module._step_hyper, ()))
     results = {}
 
     def worker(i):
