@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
-from .poly import Poly, binom_poly
+from .poly import Poly, _make, binom_poly
 from .rational import _exact
 from .series import gf_cauchy1, gf_cauchy2
 from .stirling import falling_factorial_poly, gsn1, gsn1_bivariate_at, stirling1
@@ -106,15 +106,26 @@ def _moment_sum(coeffs, k: int, L: tuple, shift: int = 0) -> Poly:
     """sum_m c_m M_(m+shift) for the moments M_j of (x - t)^j, t = t_1...t_k, over
     [0,l_1] x ... x [0,l_k].  With w the product of the weights,
     M_j(x) = w^(j+1) aux_poly(j, k)(x/w), so the sum is taken at x/w and
-    stretched back once."""
+    stretched back once.
+
+    The sum at x/w is one accumulation of integers: term m is aux_poly's
+    numerators times the scalar c_m w^(m+shift+1), brought over the lcm of
+    every term's denominator, and the total is made canonical once."""
     w = prod(L)
     scale = w ** (shift + 1)
-    total = Poly()
+    terms = []
     for m, c in enumerate(coeffs):
         if c:
-            total += aux_poly(m + shift, k) * (c * scale)
+            s = c * scale
+            moment = aux_poly(m + shift, k)
+            terms.append((moment._vec, s.numerator, moment._den * s.denominator))
         scale *= w
-    return total.stretch(1 / w)
+    den = lcm(*[d for _, _, d in terms])
+    total = [0] * (len(coeffs) + shift)
+    for vec, numerator, d in terms:
+        factor = numerator * (den // d)
+        total[:len(vec)] = [t + factor * v for t, v in zip(total, vec)]
+    return _make(total, den).stretch(1 / w)
 
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:

@@ -21,7 +21,7 @@ public package function, leaves them alone."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from ..bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli_poly, euler_poly, power_sum_poly
@@ -191,9 +191,12 @@ def _odd_central(kind, n, odd_poly):
     ), Poly()) * (-e * (2 * n + 1))
 
 
+@lru_cache(maxsize=2048)
 def _s2_values(kind, m, k, y):
     """Sum over l of gsn2(m, l)(y) times the kind's index-l value at y, or
-    at -y for the second kind."""
+    at -y for the second kind.  Memoised, bounded above the 1,092 keys of a
+    deep grid (max_n_double 12, max_k 6), since G13 and G17 read each value
+    for every n of an outer sum."""
     point = KIND_SIGN[kind] * y
     return sum((gsn2(m, l)(y) * cauchy_poly(kind, l, k)(point) for l in range(m + 1)), F(0))
 

@@ -209,6 +209,31 @@ def _g16():
     ]
 
 
+# Inner sums that do not depend on the outer index n of their case are
+# memoised once per key (as is ``registry_core._s2_values``).  Each memo is
+# bounded, and its maxsize exceeds the keys of the default grid and of a deep
+# grid with max_n 24, max_n_double 12 and max_k 6 (1,092 and 576 keys), so
+# neither run evicts and recomputes a sum.
+
+@lru_cache(maxsize=2048)
+def _kb_inner(kind, m, k, y):
+    """G17.kb3/kb4's inner sum over l of (-e)^m/m! gsn1(m, l)(y) B_l^(k)(y)."""
+    return sum((
+        F((-KIND_SIGN[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
+        for l in range(m + 1)
+    ), F(0))
+
+
+@lru_cache(maxsize=1024)
+def _bernoulli_moments(e, m, k, start):
+    """The Bernoulli-weighted moment polynomial of G18.poly*:
+    sum_{start <= j <= m} e^j binom(m, j) B_(m-j) aux_poly(j, k)(x + e)."""
+    return sum((
+        aux_poly(j, k).affine_compose(1, e) * (e ** j * comb(m, j) * bernoulli_number(m - j))
+        for j in range(start, m + 1)
+    ), Poly())
+
+
 def _g17():
     def _pts(grid):
         return (
@@ -222,14 +247,7 @@ def _g17():
         return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y) * (-1) ** n
 
     def kb34(kind, n, k, y):
-        rhs = sum((
-            gsn1(n, m)
-            * sum((
-                F((-KIND_SIGN[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
-                for l in range(m + 1)
-            ), F(0))
-            for m in range(n + 1)
-        ), Poly()) * (-1) ** n
+        rhs = sum((gsn1(n, m) * _kb_inner(kind, m, k, y) for m in range(n + 1)), Poly()) * (-1) ** n
         return _reflected(kind, n, k), rhs
 
     def kl12(kind, n, k):
@@ -271,12 +289,7 @@ def _g18():
         else:
             seed, start = (Poly([1]) if n == 1 else Poly()), 1
         rhs = seed + sum((
-            sum((
-                aux_poly(j, k).affine_compose(1, e)
-                * (e ** j * comb(m, j) * bernoulli_number(m - j))
-                for j in range(start, m + 1)
-            ), Poly())
-            * F(stirling1(n - 1, m - 1), m)
+            _bernoulli_moments(e, m, k, start) * F(stirling1(n - 1, m - 1), m)
             for m in range(1, n + 1)
         ), Poly()) * ((-1) ** n * n)
         return cauchy_poly(kind, n, k), rhs
@@ -312,11 +325,7 @@ def _g19():
     def moments_at(kind, m, k):
         # the Bernoulli-weighted moment polynomial of degree m at 1, or at -1
         # with alternating weights for the second kind
-        e = KIND_SIGN[kind]
-        return sum((
-            e ** j * comb(m, j) * bernoulli_number(m - j) * aux_poly(j, k)(F(e))
-            for j in range(m + 1)
-        ), F(0))
+        return _bernoulli_moments(KIND_SIGN[kind], m, k, 0).constant()
 
     def th10(kind, n, k):
         rhs = sum((
@@ -580,19 +589,17 @@ def _g21():
             for y in grid.ys_multi
         )
 
+    # the double sums over l <= m <= n are summed over m first, so each
+    # memoised polynomial of index l is scaled once
     def mpb12(kind, n, a, q, L, y):
         k = len(L)
         e = KIND_SIGN[kind]
         point = e * y
+        outer = [F((-e) ** m * factorial(m)) * gsn2_bivariate_at(n, m, y, q) for m in range(n + 1)]
         rhs = sum((
             _mc(kind, l, k, a, q, L, y)
-            * (
-                F((-e) ** m * factorial(m))
-                * gsn2_bivariate_at(n, m, y, q)
-                * gsn2_bivariate_at(m, l, point, q)
-            )
-            for m in range(n + 1)
-            for l in range(m + 1)
+            * sum((outer[m] * gsn2_bivariate_at(m, l, point, q) for m in range(l, n + 1)), F(0))
+            for l in range(n + 1)
         ), Poly()) * (-1) ** (n + a - 1)
         return _mpb(n, k, a, q, L, y), rhs
 
@@ -600,15 +607,11 @@ def _g21():
         k = len(L)
         e = KIND_SIGN[kind]
         point = e * y
+        outer = [F((-e) ** m, factorial(m)) * gsn1_bivariate_at(n, m, point, q) for m in range(n + 1)]
         rhs = sum((
             _mpb(l, k, a, q, L, y)
-            * (
-                F((-e) ** m, factorial(m))
-                * gsn1_bivariate_at(n, m, point, q)
-                * gsn1_bivariate_at(m, l, y, q)
-            )
-            for m in range(n + 1)
-            for l in range(m + 1)
+            * sum((outer[m] * gsn1_bivariate_at(m, l, y, q) for m in range(l, n + 1)), F(0))
+            for l in range(n + 1)
         ), Poly()) * (-1) ** (n + a - 1)
         return _mc(kind, n, k, a, q, L, y), rhs
 

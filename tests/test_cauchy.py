@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from polycauchy import (
     multiparam_poly_bernoulli,
     shifted_cauchy_number,
 )
+from polycauchy.cauchy import _moment_sum
 from polycauchy.stirling import gsn1
 
 FIRST = {
@@ -300,6 +302,27 @@ weights = st.lists(rationals.filter(bool), min_size=1, max_size=3)
 def test_multiparam_constructions_agree_at_random_parameters(kind, n, a, q, L, y):
     p = MultiParam(n, len(L), a, q, L, y)
     assert multiparam_cauchy(kind, p) == multiparam_cauchy(kind, p, "integral")
+
+
+def _moment(j, k, L):
+    """The integral of (x - t_1...t_k)^j over [0,l_1] x ... x [0,l_k], term by
+    term: the x^(j-i) coefficient is (-1)^i binom(j, i) prod_r l_r^(i+1)/(i+1)."""
+    return sum((Poly([0] * (j - i) + [(-1) ** i * comb(j, i) * prod(l ** (i + 1) / (i + 1) for l in L)])
+                for i in range(j + 1)), Poly())
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(-4, 4), rationals), max_size=6),
+       weights, st.integers(0, 3))
+def test_moment_sum_matches_the_per_term_sum(coeffs, L, shift):
+    L = tuple(L)
+    want = sum((_moment(m + shift, len(L), L) * c for m, c in enumerate(coeffs)), Poly())
+    assert _moment_sum(coeffs, len(L), L, shift) == want
+
+
+def test_moment_sum_of_zero_coefficients_is_zero():
+    for coeffs in ([], [0], [0, F(0), 0]):
+        for shift in range(4):
+            assert _moment_sum(coeffs, 2, (F(-1, 2), F(3)), shift) == Poly()
 
 
 def test_multiparam_degree():

@@ -12,6 +12,7 @@ from polycauchy.identities import (
     run_all,
     verify,
 )
+from polycauchy.identities import registry_core, registry_poly
 
 SMALL = Grid(max_n=5, max_n_double=3, max_k=2, max_r=2, max_a=2, max_n_multi=2)
 
@@ -130,3 +131,16 @@ def test_grid_overrides():
     g = replace(DEFAULT_GRID, max_n=3)
     assert g.max_n == 3
     assert g.max_k == DEFAULT_GRID.max_k
+
+
+def test_registry_memos_are_bounded_and_hold_the_default_grid():
+    # each memo of an inner sum is bounded, and a default run fills it below
+    # its bound, so nothing is evicted and computed again
+    memos = (registry_core._s2_values, registry_poly._kb_inner, registry_poly._bernoulli_moments)
+    for memo in memos:
+        memo.cache_clear()
+    assert run_all(DEFAULT_GRID).ok
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.currsize < info.maxsize

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polycauchy import (
     Poly,
@@ -270,6 +272,36 @@ def test_float_points_are_rejected(call):
     # a float's binary value would otherwise enter the exact result
     with pytest.raises(TypeError):
         call()
+
+
+def _homogenised_reference(p, degree, y, q):
+    """q^degree p(y/q) in Fraction arithmetic; the leading term alone at q = 0."""
+    if q == 0:
+        return F(p.leading()) * F(y) ** degree
+    return F(q) ** degree * sum(F(c) * (F(y) / q) ** i for i, c in enumerate(p.coeffs))
+
+
+bivariate_points = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=9))
+
+
+@given(st.data(), st.integers(0, 12), bivariate_points, st.one_of(st.just(0), bivariate_points))
+def test_bivariate_kernel_matches_fraction_reference(data, n, y, q):
+    m = data.draw(st.integers(0, n))
+    first = gsn1_bivariate_at(n, m, y, q)
+    assert type(first) is F
+    assert first == _homogenised_reference(gsn1(n, m), n - m, y, q)
+    if q == 0:
+        with pytest.raises(ValueError):
+            gsn2_bivariate_at(n, m, y, q)
+        return
+    second = gsn2_bivariate_at(n, m, y, q)
+    assert type(second) is F
+    assert second == _homogenised_reference(gsn2(n, m), n - m, y, q)
+    # the r-Whitney numbers are the same values at (y, q) = (r, m)
+    for kind, value in (("first", first), ("second", second)):
+        got = whitney(kind, q, y, n, m)
+        assert type(got) is F
+        assert got == value
 
 
 def test_bivariate_first_kind_at_zero_step():
