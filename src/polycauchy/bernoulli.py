@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import factorial
 
 from .cauchy import MultiParam, _check_nk, _moment_sum, aux_poly
-from .poly import Poly
+from .poly import Poly, _lincomb
 from .series import gf_gen_bernoulli
 from .stirling import gsn2, gsn2_bivariate_at, stirling2
 
@@ -122,9 +122,8 @@ def poly_bernoulli_gsn(n: int, k: int) -> Poly:
     weight m!/(m+1)^k.
     """
     _check_nk(n, k)
-    total = sum((gsn2(n, m) * Fraction((-1) ** m * factorial(m), (m + 1) ** k)
-                 for m in range(n + 1)), Poly())
-    return total * (-1) ** n
+    return _lincomb((Fraction((-1) ** (n + m) * factorial(m), (m + 1) ** k), gsn2(n, m))
+                    for m in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +132,8 @@ def poly_bernoulli_kl(n: int, k: int) -> Poly:
     polynomials aux_poly(m, k) weighted by (-1)^n m! S(n, m), over the
     ordinary second-kind triangle."""
     _check_nk(n, k)
-    return sum((aux_poly(m, k) * ((-1) ** n * factorial(m) * stirling2(n, m))
-                for m in range(n + 1)), Poly())
+    return _lincomb(((-1) ** n * factorial(m) * stirling2(n, m), aux_poly(m, k))
+                    for m in range(n + 1))
 
 
 def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:

@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
-from .poly import Poly, _make, binom_poly
+from .poly import Poly, _lincomb, binom_poly
 from .rational import _exact
 from .series import gf_cauchy1, gf_cauchy2
 from .stirling import falling_factorial_poly, gsn1, gsn1_bivariate_at, stirling1
@@ -106,26 +106,10 @@ def _moment_sum(coeffs, k: int, L: tuple, shift: int = 0) -> Poly:
     """sum_m c_m M_(m+shift) for the moments M_j of (x - t)^j, t = t_1...t_k, over
     [0,l_1] x ... x [0,l_k].  With w the product of the weights,
     M_j(x) = w^(j+1) aux_poly(j, k)(x/w), so the sum is taken at x/w and
-    stretched back once.
-
-    The sum at x/w is one accumulation of integers: term m is aux_poly's
-    numerators times the scalar c_m w^(m+shift+1), brought over the lcm of
-    every term's denominator, and the total is made canonical once."""
+    stretched back once."""
     w = prod(L)
-    scale = w ** (shift + 1)
-    terms = []
-    for m, c in enumerate(coeffs):
-        if c:
-            s = c * scale
-            moment = aux_poly(m + shift, k)
-            terms.append((moment._vec, s.numerator, moment._den * s.denominator))
-        scale *= w
-    den = lcm(*[d for _, _, d in terms])
-    total = [0] * (len(coeffs) + shift)
-    for vec, numerator, d in terms:
-        factor = numerator * (den // d)
-        total[:len(vec)] = [t + factor * v for t, v in zip(total, vec)]
-    return _make(total, den).stretch(1 / w)
+    return _lincomb((c * w ** (m + shift + 1), aux_poly(m + shift, k))
+                    for m, c in enumerate(coeffs) if c).stretch(1 / w)
 
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:
@@ -140,8 +124,8 @@ def aux_poly_weighted(j: int, k: int, L) -> Poly:
 @lru_cache(maxsize=None)
 def _poly_gsn(kind: str, n: int, k: int) -> Poly:
     e = KIND_SIGN[kind]
-    total = sum((gsn1(n, m) * Fraction((-1) ** n * (-e) ** m, (m + 1) ** k) for m in range(n + 1)),
-                Poly())
+    total = _lincomb((Fraction((-1) ** n * (-e) ** m, (m + 1) ** k), gsn1(n, m))
+                     for m in range(n + 1))
     return _reflect(kind, total)
 
 
@@ -156,8 +140,8 @@ def _poly_series(kind: str, n: int, k: int) -> Poly:
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:
-    total = sum((falling_factorial_poly(m) * (comb(n, m) * cauchy_number(kind, n - m, k))
-                 for m in range(n + 1)), Poly())
+    total = _lincomb((comb(n, m) * cauchy_number(kind, n - m, k), falling_factorial_poly(m))
+                     for m in range(n + 1))
     # the first kind sums (-1)^m x^(m) = (-x)_m, so it is the falling sum at -x
     return _reflect(_OTHER[kind], total)
 
@@ -223,8 +207,8 @@ def cauchy_derivative(kind: str, n: int, k: int = 1, order: int = 1) -> Poly:
     _check_nk(n, k)
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    total = sum((gsn1(m, order) * ((-1) ** m * comb(n, m) * cauchy_number(kind, n - m, k))
-                 for m in range(order, n + 1)), Poly())
+    total = _lincomb(((-1) ** m * comb(n, m) * cauchy_number(kind, n - m, k), gsn1(m, order))
+                     for m in range(order, n + 1))
     return _reflect(kind, total) * (e ** order * factorial(order))
 
 
@@ -236,9 +220,10 @@ def cauchy_recurrence_step(kind: str, n: int, k: int = 1) -> Poly:
     """
     e = _check_kind(kind)
     _check_nk(n, k)
-    total = sum((binom_poly(-m - 1, -e, n - m) * (
-        (-1) ** m * Fraction(factorial(n), factorial(m)) * cauchy_number(_OTHER[kind], m + 1, k)
-    ) for m in range(n + 1)), Poly())
+    total = _lincomb((
+        (-1) ** m * Fraction(factorial(n), factorial(m)) * cauchy_number(_OTHER[kind], m + 1, k),
+        binom_poly(-m - 1, -e, n - m),
+    ) for m in range(n + 1))
     return Poly([-n, -e]) * cauchy_poly(kind, n, k) - total   # (u - n) P_n - ..., u = -e x
 
 

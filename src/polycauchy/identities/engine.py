@@ -140,30 +140,27 @@ class Report:
 
 def run_case(case: IdentityCase, grid: Grid) -> Report:
     start = perf_counter()
+    checks = case.variants if case.probe else {None: case.check}
+    stats = dict.fromkeys(checks, 0)  # failing points per variant
     points = 0
     failures: list = []
+    for params in case.points(grid):
+        points += 1
+        for label, fn in checks.items():
+            lhs, rhs = fn(**params)
+            if not lhs == rhs:
+                stats[label] += 1
+                if not case.probe:
+                    failures.append(
+                        {"params": _params_str(params), "lhs": _render(lhs), "rhs": _render(rhs)}
+                    )
     finding = None
     if case.probe:
-        stats = {label: 0 for label in case.variants}
-        for params in case.points(grid):
-            points += 1
-            for label, fn in case.variants.items():
-                lhs, rhs = fn(**params)
-                if not lhs == rhs:
-                    stats[label] += 1
         holds = [label for label, bad in stats.items() if bad == 0]
         fails = [f"{label} ({bad}/{points} points fail)" for label, bad in stats.items() if bad]
         finding = "holds: " + (", ".join(holds) if holds else "none")
         if fails:
             finding += "; fails: " + ", ".join(fails)
-    else:
-        for params in case.points(grid):
-            points += 1
-            lhs, rhs = case.check(**params)
-            if not lhs == rhs:
-                failures.append(
-                    {"params": _params_str(params), "lhs": _render(lhs), "rhs": _render(rhs)}
-                )
     millis = int((perf_counter() - start) * 1000)
     return Report(case.id, case.group, points, failures, millis, finding, case.probe)
 

@@ -20,8 +20,11 @@ builds no Fraction:
 * ``==`` (a tuple compare), ``+``, ``-``, negation, ``*`` and ``/`` by an
   int or Fraction, Poly x Poly products, ``derivative``, ``stretch`` by
   a rational factor, ``affine_compose`` with a rational shift;
-* evaluation at an int or Fraction point and ``integrate_01``, which
-  build one Fraction for the value.
+* evaluation at a point, ``eval_at_sqrt`` and the homogeneous value
+  q^n p(y/q), all by one integer Horner loop, and ``integrate_01``, which
+  build one Fraction per value;
+* ``_lincomb``, the library's rational-weighted sums of polynomials.  No
+  other module reads or writes this form.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
 not kept.  An integral coefficient reads back as an int.
@@ -86,6 +89,21 @@ def _make(nums, den: int) -> "Poly":
             nums = [n // g for n in nums]
             den //= g
     return _stored(tuple(nums), den)
+
+
+def _horner(nums, u: int, v: int) -> int:
+    """sum(nums[i] u^i v^(n-i)) for the n + 1 integers nums (n >= 0)."""
+    terms = reversed(nums)
+    acc = next(terms)
+    if v == 1:
+        for c in terms:
+            acc = acc * u + c
+        return acc
+    v_power = 1
+    for c in terms:
+        v_power *= v
+        acc = acc * u + c * v_power
+    return acc
 
 
 class Poly:
@@ -205,26 +223,18 @@ class Poly:
         return _power(self, exponent, Poly([1]))
 
     def __call__(self, value):
-        """Horner evaluation at an int or Fraction point p/q.
-
-        Homogeneous integer Horner: sum(nums[i] p^i q^(n-i)) / (den q^n), so
-        the single gcd is the one in the final Fraction.
+        """Value at an int or Fraction point p/q: sum(nums[i] p^i q^(n-i)) / (den q^n),
+        so the single gcd is the one in the final Fraction.  An int when the
+        point and the coefficients are integral (or the polynomial is zero).
         """
         value = _exact(value)
         if not self._vec:
             return 0
         p, q, den = value.numerator, value.denominator, self._den
-        terms = reversed(self._vec)
-        acc = next(terms)
-        if q == 1:
-            for c in terms:
-                acc = acc * p + c
-            return acc if den == 1 else Fraction(acc, den)
-        q_power = 1
-        for c in terms:
-            q_power *= q
-            acc = acc * p + c * q_power
-        return Fraction(acc, den * q_power)
+        acc = _horner(self._vec, p, q)
+        if q == 1 and den == 1:
+            return acc
+        return Fraction(acc, den * q ** (len(self._vec) - 1))
 
     def map_coeffs(self, fn) -> "Poly":
         return Poly([fn(c) for c in self.coeffs])
@@ -338,6 +348,29 @@ def _add_rational(a, da, b, db) -> Poly:
     return _make(out, da)
 
 
+def _lincomb(terms) -> Poly:
+    """sum c p over the (c, p) pairs, c an int or Fraction: each term's
+    numerators are brought over the lcm of every term's denominator, and the
+    total is made canonical once.  Zero weights and polynomials are skipped."""
+    scaled = [(p._vec, c.numerator, p._den * c.denominator) for c, p in terms if c and p._vec]
+    den = lcm(*[d for _, _, d in scaled])
+    total = [0] * max([len(vec) for vec, _, _ in scaled], default=0)
+    for vec, numerator, d in scaled:
+        factor = numerator * (den // d)
+        total[:len(vec)] = [t + factor * v for t, v in zip(total, vec)]
+    return _make(total, den)
+
+
+def _homogenised_at(p: Poly, y, q) -> Fraction:
+    """q^n p(y/q) for n = p.degree >= 0, the leading term alone at q = 0.  With
+    y = a/b and q = c/d it is sum_i nums_i (ad)^i (cb)^(n-i) / (den (bd)^n)."""
+    y, q = _exact(y), _exact(q)
+    if not q:
+        return Fraction(p.leading() * y**p.degree)
+    b, d = y.denominator, q.denominator
+    return Fraction(_horner(p._vec, y.numerator * d, q.numerator * b), p._den * (b * d) ** p.degree)
+
+
 def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:
     """Binomial coefficient binom(sign*x + shift, n) as a polynomial in x.
 
@@ -359,8 +392,11 @@ def eval_at_sqrt(p: Poly, radicand: int):
     odd-index part; exact, no algebraic number type involved.  Both are
     Fractions, and a float radicand raises ``TypeError``.
     """
-    cs = p.coeffs
-    return Fraction(Poly(cs[0::2])(radicand)), Fraction(Poly(cs[1::2])(radicand))
+    d = _exact(radicand)
+    a, b = d.numerator, d.denominator
+    parts = p._vec[0::2], p._vec[1::2]
+    return tuple([Fraction(_horner(part, a, b), p._den * b ** (len(part) - 1)) if part
+                  else Fraction(0) for part in parts])
 
 
 def poly_to_strings(p: Poly) -> list[str]:

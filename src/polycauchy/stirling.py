@@ -26,9 +26,9 @@ Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
 non-negative integer r they give the r-shifted variants.  Their bivariate
 values q^(n-m) p(y/q) carry an extra geometric step q; the second kind's
-needs q != 0.  Each bivariate value is one homogeneous integer Horner pass
-over the polynomial's numerators, which builds a single Fraction.  The
-r-Whitney numbers are these values at (y, q) = (r, m).
+needs q != 0.  Each is read through the poly module's homogeneous
+evaluation of the memoised polynomial.  The r-Whitney numbers are these
+values at (y, q) = (r, m).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterator
 
-from .poly import Poly, binom_poly
+from .poly import Poly, _homogenised_at, binom_poly
 from .rational import _exact
 
 __all__ = [
@@ -198,30 +198,10 @@ def gsn2(n: int, m: int) -> Poly:
     return Poly([comb(n, i) * stirling2(n - i, m) for i in range(n - m + 1)])
 
 
-def _homogenised_at(p: Poly, degree: int, y, q) -> Fraction:
-    """q^degree p(y/q) for p of that degree: the leading term alone at q = 0.
-
-    One homogeneous integer Horner pass over p's numerators: with y = a/b,
-    q = c/d and D the degree, the value is
-    sum_i nums_i (ad)^i (cb)^(D-i) / (den (bd)^D), so the one gcd is the
-    final Fraction's.
-    """
-    y, q = _exact(y), _exact(q)
-    if not q:
-        return Fraction(p.leading() * y**degree)
-    b, d = y.denominator, q.denominator
-    u, v = y.numerator * d, q.numerator * b
-    acc, v_power = 0, 1
-    for c in reversed(p._vec):
-        acc = acc * u + c * v_power
-        v_power *= v
-    return Fraction(acc, p._den * (b * d) ** degree)
-
-
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:
     """The first-kind bivariate polynomial at (y, q): q^(n-m) [n m]_(y/q)."""
     _check_indices(n, m)
-    return _homogenised_at(gsn1(n, m), n - m, y, q)
+    return _homogenised_at(gsn1(n, m), y, q)
 
 
 def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
@@ -229,7 +209,7 @@ def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
     _check_indices(n, m)
     if not _exact(q):
         raise ValueError("the bivariate second-kind value needs q != 0")
-    return _homogenised_at(gsn2(n, m), n - m, y, q)
+    return _homogenised_at(gsn2(n, m), y, q)
 
 
 def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:

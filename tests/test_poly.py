@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polycauchy
 from polycauchy import (
     Poly,
     binom_poly,
@@ -15,6 +17,7 @@ from polycauchy import (
     poly_to_strings,
     rising_factorial_poly,
 )
+from polycauchy.poly import _lincomb
 
 coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=5)
 polys = coeffs.map(Poly)
@@ -259,7 +262,11 @@ def test_mul_kernel_matches_reference(p, q):
 
 @given(wide_polys, points)
 def test_eval_kernel_matches_reference(p, x):
-    assert_same(p(x), ref_eval(p, x))
+    got = p(x)
+    assert_same(got, ref_eval(p, x))
+    # an int exactly when the point and every coefficient are integral, or p is zero
+    integral = not p or (F(x).denominator == 1 and all(type(c) is int for c in p.coeffs))
+    assert type(got) is (int if integral else F)
 
 
 @given(wide_polys, signs, shifts)
@@ -327,6 +334,45 @@ def test_equality_matches_reference(p, q):
     assert hash(p) == (hash(p[0]) if p.degree <= 0 else hash(tuple(p.coeffs)))
     half = p / 2  # same numerators as p, twice the denominator
     assert (half == p) == ref_eq(half, p) == (not p)
+
+
+@given(st.lists(st.tuples(st.one_of(scalars, st.sampled_from([0, F(0)])),
+                          st.one_of(wide_polys, st.just(Poly()))), max_size=6))
+def test_lincomb_matches_reference(pairs):
+    want = Poly()
+    for c, p in pairs:
+        want = ref_add(want, ref_mul(Poly([c]), p))
+    got = _lincomb(pairs)
+    assert_canonical(got)
+    assert_same(got, want)
+
+
+def test_lincomb_examples():
+    assert_same(_lincomb([]), Poly())
+    assert_same(_lincomb(iter([])), Poly())
+    # zero weights and zero polynomials add nothing, whatever their denominators
+    assert_same(_lincomb([(0, Poly([1, 2])), (F(0), Poly([F(1, 3)])), (F(5, 7), Poly())]), Poly())
+    assert_same(_lincomb([(0, Poly([F(1, 9)])), (2, Poly([F(1, 3), 1])), (F(1, 11), Poly())]),
+                Poly([F(2, 3), 2]))
+    # a full cancellation is the canonical zero
+    total = _lincomb([(F(1, 2), Poly([1, F(1, 3)])), (-1, Poly([F(1, 2), F(1, 6)]))])
+    assert total == Poly() and total._vec == () and total._den == 1
+    # int and Fraction weights in one call
+    total = _lincomb([(2, Poly([1, 1])), (F(1, 3), Poly([0, 0, 3])), (F(-3, 4), Poly([F(4, 3)]))])
+    assert_canonical(total)
+    assert_same(total, Poly([1, 2, 1]))
+
+
+def test_only_poly_reads_the_storage():
+    """The integer-numerators-over-one-denominator form is poly.py's alone:
+    every other module goes through Poly's operations and kernels."""
+    package = Path(polycauchy.__file__).resolve().parent
+    readers = [
+        (path.relative_to(package).as_posix(), token)
+        for path in sorted(package.rglob("*.py")) if path != package / "poly.py"
+        for token in ("._vec", "._den", "_make(", "_stored(") if token in path.read_text()
+    ]
+    assert not readers
 
 
 @given(wide_polys, signs, shifts, wide_polys)
