@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .poly import Poly, _lincomb, binom_poly
+from .poly import Poly, _lincomb, _linear_product, binom_poly
 from .rational import _exact
 from .series import gf_cauchy1, gf_cauchy2
 from .stirling import falling_factorial_poly, gsn1, gsn1_bivariate_at, stirling1
@@ -85,10 +85,15 @@ def _check_nk(n: int, k: int):
         raise ValueError("poly order k must be >= 1")
 
 
+def _fraction(value) -> Fraction:
+    """An int or Fraction as a Fraction; a Fraction is returned as it is."""
+    return value if type(value) is Fraction else Fraction(_exact(value))
+
+
 def _check_weights(L, k: int) -> tuple:
     """The weights L as a tuple of exactly k nonzero Fractions."""
-    L = tuple(Fraction(_exact(l)) for l in L)
-    if len(L) != k or any(not l for l in L):
+    L = tuple(map(_fraction, L))
+    if len(L) != k or not all(L):
         raise ValueError("L must contain exactly k nonzero weights")
     return L
 
@@ -246,20 +251,22 @@ class MultiParam:
         _check_nk(self.n, self.k)
         if not (isinstance(self.a, int) and self.a >= 1):
             raise ValueError("shift a must be an integer >= 1")
-        object.__setattr__(self, "q", Fraction(_exact(self.q)))
+        object.__setattr__(self, "q", _fraction(self.q))
         object.__setattr__(self, "L", _check_weights(self.L, self.k))
-        object.__setattr__(self, "y", Fraction(_exact(self.y)))
+        object.__setattr__(self, "y", _fraction(self.y))
 
 
 def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") -> Poly:
     """Multiparameter poly-Cauchy polynomial in x, degree n + a - 1.
 
     ``stirling`` evaluates the bivariate first-kind Stirling expansion.
-    ``integral`` is an independent oracle.  Every factor of the defining
-    product depends on t = t_1...t_k and x only through v = x - t, so it
-    expands the one polynomial (-ev)^(a-1) prod_{j<n} (-e(v + y) - jq) in v
-    (which carries the n! and the e^(a-1) of the defining formula) and maps
-    each v^m through the cube integral to its moment polynomial.
+    ``integral`` is an independent oracle.  The defining integrand is
+    e^(a-1) (eu)^(a-1) prod_{j<n} (e(u - y) - jq) with u = t - x and
+    t = t_1...t_k, so every factor depends on t and x only through v = x - t.
+    The oracle expands the product of linear factors
+    (-ev)^(a-1) prod_{j<n} (-e(v + y) - jq) in v (it carries the n! of the
+    defining formula), multiplies its coefficients by the e^(a-1) in front,
+    and maps each v^m through the cube integral to its moment polynomial.
     """
     e = _check_kind(kind)
     n, a, q, y = p.n, p.a, p.q, p.y
@@ -269,8 +276,8 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
         return _moment_sum(weights, p.k, p.L, a - 1)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
-    product = prod((Poly([-e * y - j * q, -e]) for j in range(n)), start=Poly([0, -1]) ** (a - 1))
-    return _moment_sum(product.coeffs, p.k, p.L)
+    product = _linear_product([0] * (a - 1) + [-e * y - j * q for j in range(n)], -e)
+    return _moment_sum((product * e ** (a - 1)).coeffs, p.k, p.L)
 
 
 def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:

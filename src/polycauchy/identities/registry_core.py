@@ -30,7 +30,7 @@ from ..cauchy import (
     cauchy_recurrence_step,
 )
 from ..harmonic import harmonic_number, hyperharmonic_poly
-from ..poly import Poly, binom_poly
+from ..poly import Poly, _lincomb, binom_poly
 from ..stirling import a_number, central_u, gsn1, gsn2, stirling1, stirling2, whitney
 from .engine import IdentityCase
 
@@ -107,7 +107,7 @@ def _constructions(lhs, rhs, kind, n, k=1):
 
 
 def _inv(kind, n, k):
-    lhs = sum((gsn2(n, m) * _reflected(kind, m, k) for m in range(n + 1)), Poly())
+    lhs = _lincomb((1, gsn2(n, m) * _reflected(kind, m, k)) for m in range(n + 1))
     return lhs, Poly([F(KIND_SIGN[kind] ** n, (n + 1) ** k)])
 
 
@@ -120,29 +120,28 @@ def _cor2(kind, n, k):
 
 
 def _symm5(n, k):
-    rhs = sum((
-        binom_poly(n - 1, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m, k))
+    rhs = _lincomb(
+        (F(factorial(n), factorial(m)) * _ch(m, k), binom_poly(n - 1, 1, n - m))
         for m in range(n + 1)
-    ), Poly()) * (-1) ** n
+    ) * (-1) ** n
     return _cp(n, k), rhs
 
 
 def _symm6(n, k):
-    rhs = sum((
-        binom_poly(-m, 1, n - m)
-        * (F((-1) ** m * factorial(n), factorial(m)) * _c(m, k))
+    rhs = _lincomb(
+        (F((-1) ** m * factorial(n), factorial(m)) * _c(m, k), binom_poly(-m, 1, n - m))
         for m in range(n + 1)
-    ), Poly())
+    )
     return _chp(n, k), rhs
 
 
 def _symm_self(kind, n, k):
     # C(-x, j) = (-1)^j C(x+j-1, j): at k = 1 the first kind is the classical symm1 form
     e = KIND_SIGN[kind]
-    rhs = sum((
-        binom_poly(0, -e, n - m) * (F(factorial(n), factorial(m)) * cauchy_number(kind, m, k))
+    rhs = _lincomb(
+        (F(factorial(n), factorial(m)) * cauchy_number(kind, m, k), binom_poly(0, -e, n - m))
         for m in range(n + 1)
-    ), Poly())
+    )
     return cauchy_poly(kind, n, k), rhs
 
 
@@ -157,23 +156,33 @@ def _diffk(kind, n, k):
     return poly.affine_compose(1, 1) - poly, rhs
 
 
+@lru_cache(maxsize=512)
+def _whitney_values(m, r, n):
+    """whitney("first", m, r, n, l) / m^(n-l) for l = 0..n.  Memoised, bounded
+    above the 400 keys of a deep grid (max_n 24, max_r 5; the default grid has
+    208), since G08 and G15 read each value for every k and both kinds."""
+    return tuple(whitney("first", m, r, n, l) / F(m) ** (n - l) for l in range(n + 1))
+
+
 def _whitk(kind, n, k, m, r):
+    """The kind's index-n value at e r/m, and the sum over l of
+    (-1)^n (-e)^l / (l+1)^k times the first-kind r-Whitney number w_{m,r}(n, l)
+    over m^(n-l), whose values depend on neither k nor the kind."""
     e = KIND_SIGN[kind]
     lhs = F(cauchy_poly(kind, n, k)(F(e * r, m)))
     rhs = sum((
-        F((-1) ** n * (-e) ** l, (l + 1) ** k) * whitney("first", m, r, n, l) / F(m) ** (n - l)
-        for l in range(n + 1)
+        F((-1) ** n * (-e) ** l, (l + 1) ** k) * value
+        for l, value in enumerate(_whitney_values(m, r, n))
     ), F(0))
     return lhs, rhs
 
 
 def _genk(kind, n, i, k):
     e = KIND_SIGN[kind]
-    rhs = sum((
-        gen_bernoulli_poly(m - i, n + 1).affine_compose(-e, 1)
-        * F(e ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k)
-        for m in range(i, n + 1)
-    ), Poly()) * ((-e) ** i * factorial(i))
+    rhs = _lincomb((
+        F(e ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k),
+        gen_bernoulli_poly(m - i, n + 1).affine_compose(-e, 1),
+    ) for m in range(i, n + 1)) * ((-e) ** i * factorial(i))
     return cauchy_poly(kind, n, k).derivative(i), rhs
 
 
@@ -185,10 +194,10 @@ def _odd_central(kind, n, odd_poly):
     """The central-factorial sum for the kind's index-(2n+1) polynomial,
     odd_poly(m) being an Euler-type polynomial of degree 2m+1."""
     e = KIND_SIGN[kind]
-    return sum((
-        odd_poly(m).affine_compose(1, e * n) * F(central_u(n, m), 2 * m + 1)
+    return _lincomb(
+        (F(central_u(n, m), 2 * m + 1), odd_poly(m).affine_compose(1, e * n))
         for m in range(1, n + 1)
-    ), Poly()) * (-e * (2 * n + 1))
+    ) * (-e * (2 * n + 1))
 
 
 @lru_cache(maxsize=2048)
@@ -203,18 +212,18 @@ def _s2_values(kind, m, k, y):
 
 def _s2_double(kind, n, k, y):
     e = KIND_SIGN[kind]
-    return sum((
-        gsn2(n, m) * (F((-e) ** m * factorial(m)) * _s2_values(kind, m, k, y))
+    return _lincomb(
+        (F((-e) ** m * factorial(m)) * _s2_values(kind, m, k, y), gsn2(n, m))
         for m in range(n + 1)
-    ), Poly())
+    )
 
 
 def _g01():
     def one_minus(n):
-        rhs = sum((
-            gsn1(n, m).affine_compose(-1, 1) * F((-1) ** (n - m), m + 1)
+        rhs = _lincomb(
+            (F((-1) ** (n - m), m + 1), gsn1(n, m).affine_compose(-1, 1))
             for m in range(n + 1)
-        ), Poly())
+        )
         return cauchy_poly("second", n, 1, "integral"), rhs
 
     def kargin(n):
@@ -362,9 +371,9 @@ def _g05():
         return (t1, t2, t3), (want, want, want)
 
     def seq(kind, n):
-        rhs = sum((
-            a_number(n, m) * cauchy_number(_OTHER[kind], m, 1) for m in range(n + 1)
-        ), Poly()) * (-1) ** n
+        rhs = _lincomb(
+            (cauchy_number(_OTHER[kind], m, 1), a_number(n, m)) for m in range(n + 1)
+        ) * (-1) ** n
         return _reflected(kind, n), rhs
 
     return [
@@ -387,17 +396,17 @@ def _g05():
 
 def _g06():
     def nstep1(n):
-        rhs = _cp(n - 1) * (-n) + sum((
-            binom_poly(n - 2, 1, n - m) * (F(factorial(n), factorial(m)) * _ch(m))
+        rhs = _cp(n - 1) * (-n) + _lincomb(
+            (F(factorial(n), factorial(m)) * _ch(m), binom_poly(n - 2, 1, n - m))
             for m in range(n + 1)
-        ), Poly()) * (-1) ** n
+        ) * (-1) ** n
         return _cp(n), rhs
 
     def nstep2(n):
-        rhs = _chp(n - 1) * (-n) + sum((
-            binom_poly(1 - m, 1, n - m) * (F((-1) ** m * factorial(n), factorial(m)) * _c(m))
+        rhs = _chp(n - 1) * (-n) + _lincomb(
+            (F((-1) ** m * factorial(n), factorial(m)) * _c(m), binom_poly(1 - m, 1, n - m))
             for m in range(n + 1)
-        ), Poly())
+        )
         return _chp(n), rhs
 
     def mirror(n):
@@ -406,11 +415,10 @@ def _g06():
 
     def _k_rec_variant(sign):
         def check(n, k):
-            rhs = (X - n) * _chp(n, k) * sign - sum((
-                binom_poly(-m - 1, 1, n - m)
-                * (F((-1) ** m * factorial(n), factorial(m)) * _c(m + 1, k))
-                for m in range(n + 1)
-            ), Poly())
+            rhs = (X - n) * _chp(n, k) * sign - _lincomb((
+                F((-1) ** m * factorial(n), factorial(m)) * _c(m + 1, k),
+                binom_poly(-m - 1, 1, n - m),
+            ) for m in range(n + 1))
             return _chp(n + 1, k), rhs
 
         return check
@@ -438,10 +446,10 @@ def _g07():
         # powers of x + n - 1 for the first kind, x - n for the second
         e = KIND_SIGN[kind]
         base = Poly([e * n - (1 + e) // 2, 1])
-        rhs = sum((
-            (base ** (2 * m) - bernoulli_number(2 * m)) * F(central_u(n, m), m)
+        rhs = _lincomb(
+            (F(central_u(n, m), m), base ** (2 * m) - bernoulli_number(2 * m))
             for m in range(1, n + 1)
-        ), Poly()) * n
+        ) * n
         return cauchy_poly(kind, 2 * n, 1), rhs
 
     def odd(kind, n):
@@ -489,11 +497,10 @@ def _g08():
 def _g09():
     def th6b(kind, n, i):
         e = KIND_SIGN[kind]
-        rhs = sum((
-            gen_bernoulli_poly(m - i, m + 1).affine_compose(-e, 1)
-            * (cauchy_number(kind, n - m, 1) * comb(n, m) * comb(m, i))
-            for m in range(i, n + 1)
-        ), Poly()) * ((-e) ** i * factorial(i))
+        rhs = _lincomb((
+            cauchy_number(kind, n - m, 1) * comb(n, m) * comb(m, i),
+            gen_bernoulli_poly(m - i, m + 1).affine_compose(-e, 1),
+        ) for m in range(i, n + 1)) * ((-e) ** i * factorial(i))
         return cauchy_poly(kind, n, 1).derivative(i), rhs
 
     def der(kind, n, i):
@@ -505,10 +512,10 @@ def _g09():
         return cauchy_poly(kind, n, 1).derivative(i), rhs
 
     def gder(kind, n, i):
-        lhs = sum((
-            gsn1(m, i) * ((-1) ** (n - m) * cauchy_number(kind, n - m, 1) * comb(n, m))
+        lhs = _lincomb(
+            ((-1) ** (n - m) * cauchy_number(kind, n - m, 1) * comb(n, m), gsn1(m, i))
             for m in range(i, n + 1)
-        ), Poly())
+        )
         return lhs, gsn1(n - 1, i - 1).affine_compose(1, (1 - KIND_SIGN[kind]) // 2) * F(n, i)
 
     def self_rec(kind, n):
@@ -564,57 +571,53 @@ def _g09():
 def _g10():
     def hyp12(kind, n, y):
         e = KIND_SIGN[kind]
-        lhs = sum((
-            cauchy_poly(kind, m, 1) * (F((-1) ** m, factorial(m)) * hyperharmonic_poly(n + 1 - m)(y))
+        lhs = _lincomb(
+            (F((-1) ** m, factorial(m)) * hyperharmonic_poly(n + 1 - m)(y), cauchy_poly(kind, m, 1))
             for m in range(n + 1)
-        ), Poly())
+        )
         return lhs, binom_poly(y + n - (1 + e) // 2, e, n)
 
     def hyp3(n):
-        lhs = sum((
-            _cp(m) * hyperharmonic_poly(n + 1 - m).affine_compose(-1, 0) * F((-1) ** m, factorial(m))
+        lhs = _lincomb(
+            (F((-1) ** m, factorial(m)), _cp(m) * hyperharmonic_poly(n + 1 - m).affine_compose(-1, 0))
             for m in range(n + 1)
-        ), Poly())
+        )
         return lhs, Poly([1 if n == 0 else 0])
 
     def hyp4(n):
-        lhs = sum((
-            _chp(m) * hyperharmonic_poly(n + 1 - m) * F((-1) ** m, factorial(m))
+        lhs = _lincomb(
+            (F((-1) ** m, factorial(m)), _chp(m) * hyperharmonic_poly(n + 1 - m))
             for m in range(n + 1)
-        ), Poly())
+        )
         return lhs, Poly([1])
 
     def conec1(n):
-        rhs = sum((
-            _cp(m)
-            * sum((
-                binom_poly(0, 1, t) * F((-1) ** (n + 1 - m - t), n + 1 - m - t)
+        rhs = _lincomb((
+            F(1, factorial(m)),
+            _cp(m) * _lincomb(
+                (F((-1) ** (n + 1 - m - t), n + 1 - m - t), binom_poly(0, 1, t))
                 for t in range(n - m + 1)
-            ), Poly())
-            * F(1, factorial(m))
-            for m in range(n)
-        ), Poly())
+            ),
+        ) for m in range(n))
         return _cp(n) / factorial(n), rhs
 
     def conec2(n):
-        rhs = Poly([F((-1) ** n)]) + sum((
-            _chp(m)
-            * sum((
-                binom_poly(t - 1, 1, t) * F((-1) ** (n + 1 - m), n + 1 - m - t)
+        rhs = Poly([F((-1) ** n)]) + _lincomb((
+            F(1, factorial(m)),
+            _chp(m) * _lincomb(
+                (F((-1) ** (n + 1 - m), n + 1 - m - t), binom_poly(t - 1, 1, t))
                 for t in range(n - m + 1)
-            ), Poly())
-            * F(1, factorial(m))
-            for m in range(n)
-        ), Poly())
+            ),
+        ) for m in range(n))
         return _chp(n) / factorial(n), rhs
 
     def hyp5(kind, n):
         # C(1-x, n) = (-1)^n C(x+n-2, n) for the first kind, C(x, n) for the second
         e = KIND_SIGN[kind]
-        rhs = binom_poly((1 + e) // 2, -e, n) + sum((
-            cauchy_poly(kind, m, 1) * F((-1) ** (n - m), factorial(m) * (n - m) * (n + 1 - m))
+        rhs = binom_poly((1 + e) // 2, -e, n) + _lincomb(
+            (F((-1) ** (n - m), factorial(m) * (n - m) * (n + 1 - m)), cauchy_poly(kind, m, 1))
             for m in range(n)
-        ), Poly())
+        )
         return cauchy_poly(kind, n, 1) / factorial(n), rhs
 
     def hyp5_x1(n):
@@ -625,11 +628,10 @@ def _g10():
         return _c(n) / factorial(n), rhs
 
     def hyp67(kind, n):
-        rhs = sum((
-            cauchy_poly(_OTHER[kind], m, 1).affine_compose(1, KIND_SIGN[kind] * n)
-            * F((-1) ** m, factorial(m))
-            for m in range(n + 1)
-        ), Poly())
+        rhs = _lincomb((
+            F((-1) ** m, factorial(m)),
+            cauchy_poly(_OTHER[kind], m, 1).affine_compose(1, KIND_SIGN[kind] * n),
+        ) for m in range(n + 1))
         return cauchy_poly(kind, n, 1) / factorial(n), rhs
 
     def eval_two(n):
@@ -638,14 +640,10 @@ def _g10():
         return lhs, rhs
 
     def via_bernoulli(kind, n):
-        rhs = sum((
-            sum((
-                bernoulli_poly(i - 1) * (stirling1(m + 1, i + 1) * i)
-                for i in range(1, m + 1)
-            ), Poly())
-            * ((-1) ** (n - m) * comb(n, m) * cauchy_number(kind, n - m, 1))
-            for m in range(1, n + 1)
-        ), Poly()) / factorial(n)
+        rhs = _lincomb((
+            (-1) ** (n - m) * comb(n, m) * cauchy_number(kind, n - m, 1),
+            _lincomb((stirling1(m + 1, i + 1) * i, bernoulli_poly(i - 1)) for i in range(1, m + 1)),
+        ) for m in range(1, n + 1)) / factorial(n)
         return hyperharmonic_poly(n).affine_compose(1, (1 - KIND_SIGN[kind]) // 2), rhs
 
     return [
@@ -669,7 +667,7 @@ def _g10():
 def _g11():
     def th3(kind, n):
         seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
-        rhs = sum((gsn2(n - 1, m - 1) * _reflected(kind, m) * F(1, m) for m in range(1, n + 1)), Poly())
+        rhs = _lincomb((F(1, m), gsn2(n - 1, m - 1) * _reflected(kind, m)) for m in range(1, n + 1))
         return (Poly([seed]) - bernoulli_poly(n)) / n, rhs
 
     def th31_x1(n):
@@ -682,18 +680,18 @@ def _g11():
 
     def inv(kind, n):
         seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
-        rhs = sum((
-            gsn1(n - 1, m - 1) * (bernoulli_poly(m) * (-1) ** (n - m) - seed) * F(1, m)
+        rhs = _lincomb(
+            (F(1, m), gsn1(n - 1, m - 1) * (bernoulli_poly(m) * (-1) ** (n - m) - seed))
             for m in range(1, n + 1)
-        ), Poly())
+        )
         return _reflected(kind, n) / (-n), rhs
 
     def inv3_alt(n):
         lhs = _chp(n).affine_compose(-1, 0) / (-n)
-        rhs = _chp(n - 1).affine_compose(-1, 0) + sum((
-            gsn1(n - 1, m - 1) * bernoulli_poly(m) * F((-1) ** (n - m), m)
+        rhs = _chp(n - 1).affine_compose(-1, 0) + _lincomb(
+            (F((-1) ** (n - m), m), gsn1(n - 1, m - 1) * bernoulli_poly(m))
             for m in range(1, n + 1)
-        ), Poly())
+        )
         return lhs, rhs
 
     def exp5a(n):
@@ -740,9 +738,9 @@ def _g11():
 def _g12():
     def th4(kind, n):
         # x^n for the first kind, (x-1)^n for the second
-        rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - sum((
-            gsn2(n - 1, m - 1) * (cauchy_number(kind, m, 1) / m) for m in range(1, n + 1)
-        ), Poly()) * n
+        rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _lincomb(
+            (cauchy_number(kind, m, 1) / m, gsn2(n - 1, m - 1)) for m in range(1, n + 1)
+        ) * n
         return bernoulli_poly(n), rhs
 
     def bn_alt1(n):
@@ -758,10 +756,10 @@ def _g12():
         return bernoulli_number(n), rhs
 
     def diff_c(n):
-        lhs = sum((
-            gsn2(n - 1, m - 1) * (Poly([_c(m)]) - _cp(m)) * F(1, m)
+        lhs = _lincomb(
+            (F(1, m), gsn2(n - 1, m - 1) * (Poly([_c(m)]) - _cp(m)))
             for m in range(1, n + 1)
-        ), Poly())
+        )
         return lhs, Poly([0] * n + [F(1, n)])
 
     def diff_cchat(n):
@@ -789,14 +787,13 @@ def _g13():
 
     def p4cd(kind, n, y):
         e = KIND_SIGN[kind]
-        rhs = sum((
-            gsn1(n, m)
-            * sum((
+        rhs = _lincomb((
+            sum((
                 F((-1) ** (n + l) * (-e) ** m, factorial(m)) * gsn1(m, l)(y) * bernoulli_poly(l)(y)
                 for l in range(m + 1)
-            ), F(0))
-            for m in range(n + 1)
-        ), Poly())
+            ), F(0)),
+            gsn1(n, m),
+        ) for m in range(n + 1))
         return _reflected(kind, n), rhs
 
     def inner(kind, m, y):
@@ -806,17 +803,17 @@ def _g13():
     # the value kind sets the inner sum that replaces 1/m and the sign
     def p5_poly(poly_kind, value_kind, n, y):
         seed = (1 - KIND_SIGN[poly_kind]) // 2 * (-1) ** n
-        rhs = sum((
-            gsn2(n - 1, m - 1) * _reflected(poly_kind, m) * inner(value_kind, m, y)
+        rhs = _lincomb(
+            (inner(value_kind, m, y), gsn2(n - 1, m - 1) * _reflected(poly_kind, m))
             for m in range(1, n + 1)
-        ), Poly())
+        )
         return (Poly([seed]) - bernoulli_poly(n)) / (KIND_SIGN[value_kind] * n), rhs
 
     def p5_numbers(number_kind, value_kind, n, y):
-        rhs = Poly([(KIND_SIGN[number_kind] - 1) // 2, 1]) ** n - sum((
-            gsn2(n - 1, m - 1) * (cauchy_number(number_kind, m, 1) * inner(value_kind, m, y))
+        rhs = Poly([(KIND_SIGN[number_kind] - 1) // 2, 1]) ** n - _lincomb(
+            (cauchy_number(number_kind, m, 1) * inner(value_kind, m, y), gsn2(n - 1, m - 1))
             for m in range(1, n + 1)
-        ), Poly()) * (KIND_SIGN[value_kind] * n)
+        ) * (KIND_SIGN[value_kind] * n)
         return bernoulli_poly(n), rhs
 
     descs = {

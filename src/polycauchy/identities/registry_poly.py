@@ -40,7 +40,7 @@ from ..cauchy import (
     shifted_cauchy_number,
 )
 from ..harmonic import harmonic_number, harmonic_poly
-from ..poly import Poly, binom_poly, eval_at_sqrt
+from ..poly import Poly, _lincomb, binom_poly, eval_at_sqrt
 from ..stirling import (
     central_u,
     gsn1,
@@ -69,9 +69,9 @@ def _n_i_k(grid, n_start=0, i_start=0):
 
 def _moments(kind, n, k):
     """The kind's polynomial as moment polynomials over the plain Stirling triangle."""
-    rhs = sum((
-        aux_poly(m, k) * ((-1) ** n * KIND_SIGN[kind] ** m * stirling1(n, m)) for m in range(n + 1)
-    ), Poly())
+    rhs = _lincomb(
+        ((-1) ** n * KIND_SIGN[kind] ** m * stirling1(n, m), aux_poly(m, k)) for m in range(n + 1)
+    )
     return cauchy_poly(kind, n, k), rhs
 
 
@@ -228,10 +228,10 @@ def _kb_inner(kind, m, k, y):
 def _bernoulli_moments(e, m, k, start):
     """The Bernoulli-weighted moment polynomial of G18.poly*:
     sum_{start <= j <= m} e^j binom(m, j) B_(m-j) aux_poly(j, k)(x + e)."""
-    return sum((
-        aux_poly(j, k).affine_compose(1, e) * (e ** j * comb(m, j) * bernoulli_number(m - j))
+    return _lincomb(
+        (e ** j * comb(m, j) * bernoulli_number(m - j), aux_poly(j, k).affine_compose(1, e))
         for j in range(start, m + 1)
-    ), Poly())
+    )
 
 
 def _g17():
@@ -247,25 +247,21 @@ def _g17():
         return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y) * (-1) ** n
 
     def kb34(kind, n, k, y):
-        rhs = sum((gsn1(n, m) * _kb_inner(kind, m, k, y) for m in range(n + 1)), Poly()) * (-1) ** n
+        rhs = _lincomb((_kb_inner(kind, m, k, y), gsn1(n, m)) for m in range(n + 1)) * (-1) ** n
         return _reflected(kind, n, k), rhs
 
     def kl12(kind, n, k):
-        rhs = sum((
-            cauchy_poly(kind, l, k)
-            * ((-KIND_SIGN[kind]) ** m * factorial(m) * stirling2(n, m) * stirling2(m, l))
-            for m in range(n + 1)
-            for l in range(m + 1)
-        ), Poly()) * (-1) ** n
+        rhs = _lincomb((
+            (-KIND_SIGN[kind]) ** m * factorial(m) * stirling2(n, m) * stirling2(m, l),
+            cauchy_poly(kind, l, k),
+        ) for m in range(n + 1) for l in range(m + 1)) * (-1) ** n
         return poly_bernoulli_kl(n, k), rhs
 
     def kl34(kind, n, k):
-        rhs = sum((
-            poly_bernoulli_kl(l, k)
-            * (F((-KIND_SIGN[kind]) ** m, factorial(m)) * stirling1(n, m) * stirling1(m, l))
-            for m in range(n + 1)
-            for l in range(m + 1)
-        ), Poly()) * (-1) ** n
+        rhs = _lincomb((
+            F((-KIND_SIGN[kind]) ** m, factorial(m)) * stirling1(n, m) * stirling1(m, l),
+            poly_bernoulli_kl(l, k),
+        ) for m in range(n + 1) for l in range(m + 1)) * (-1) ** n
         return cauchy_poly(kind, n, k), rhs
 
     return [
@@ -288,24 +284,24 @@ def _g18():
             seed, start = Poly([_c(n)]), 0
         else:
             seed, start = (Poly([1]) if n == 1 else Poly()), 1
-        rhs = seed + sum((
-            _bernoulli_moments(e, m, k, start) * F(stirling1(n - 1, m - 1), m)
+        rhs = seed + _lincomb(
+            (F(stirling1(n - 1, m - 1), m), _bernoulli_moments(e, m, k, start))
             for m in range(1, n + 1)
-        ), Poly()) * ((-1) ** n * n)
+        ) * ((-1) ** n * n)
         return cauchy_poly(kind, n, k), rhs
 
     def idc1(m):
-        lhs = sum((
-            aux_poly(j, 1).affine_compose(1, 1) * (comb(m, j) * bernoulli_number(m - j))
+        lhs = _lincomb(
+            (comb(m, j) * bernoulli_number(m - j), aux_poly(j, 1).affine_compose(1, 1))
             for j in range(m + 1)
-        ), Poly())
+        )
         return lhs, Poly([0] * m + [1])
 
     def idc2(m):
-        lhs = sum((
-            aux_poly(j, 1) * ((-1) ** (m - j) * comb(m, j) * bernoulli_number(m - j))
+        lhs = _lincomb(
+            ((-1) ** (m - j) * comb(m, j) * bernoulli_number(m - j), aux_poly(j, 1))
             for j in range(m + 1)
-        ), Poly())
+        )
         return lhs, Poly([0] * m + [1])
 
     def _ms(grid):
@@ -328,42 +324,38 @@ def _g19():
         return _bernoulli_moments(KIND_SIGN[kind], m, k, 0).constant()
 
     def th10(kind, n, k):
-        rhs = sum((
-            gsn1(n - 1, m - 1)
-            * (bernoulli_poly(m) * (-1) ** m - moments_at(kind, m, k))
-            * F((-1) ** n, m)
-            for m in range(1, n + 1)
-        ), Poly())
+        rhs = _lincomb((
+            F((-1) ** n, m),
+            gsn1(n - 1, m - 1) * (bernoulli_poly(m) * (-1) ** m - moments_at(kind, m, k)),
+        ) for m in range(1, n + 1))
         return _reflected(kind, n, k) / (-n), rhs
 
     def alt(kind, n, k):
         # (-x)^m for the first kind, (1-x)^m for the second
-        rhs = Poly([cauchy_number(kind, n, 1)]) - sum((
-            gsn1(n - 1, m - 1)
-            * (Poly([(1 - KIND_SIGN[kind]) // 2, -1]) ** m - moments_at(kind, m, k))
-            * F((-1) ** n, m)
-            for m in range(1, n + 1)
-        ), Poly()) * n
+        rhs = Poly([cauchy_number(kind, n, 1)]) - _lincomb((
+            F((-1) ** n, m),
+            gsn1(n - 1, m - 1) * (Poly([(1 - KIND_SIGN[kind]) // 2, -1]) ** m - moments_at(kind, m, k)),
+        ) for m in range(1, n + 1)) * n
         return _reflected(kind, n, k), rhs
 
     def k1_first(n):
-        rhs = Poly([_c(n)]) - sum((
-            gsn1(n - 1, m - 1) * Poly([0] * m + [F((-1) ** m, m)]) for m in range(1, n + 1)
-        ), Poly()) * ((-1) ** n * n)
+        rhs = Poly([_c(n)]) - _lincomb(
+            (1, gsn1(n - 1, m - 1) * Poly([0] * m + [F((-1) ** m, m)])) for m in range(1, n + 1)
+        ) * ((-1) ** n * n)
         return _cp(n), rhs
 
     def _k1_second_variant(signed_weight: bool):
         def check(n):
             if signed_weight:
-                rhs = Poly([_ch(n)]) - sum((
-                    gsn1(n - 1, m - 1) * (Poly([-1, 1]) ** m - 1) * F((-1) ** m, m)
+                rhs = Poly([_ch(n)]) - _lincomb(
+                    (F((-1) ** m, m), gsn1(n - 1, m - 1) * (Poly([-1, 1]) ** m - 1))
                     for m in range(1, n + 1)
-                ), Poly()) * ((-1) ** n * n)
+                ) * ((-1) ** n * n)
             else:
-                rhs = Poly([_ch(n)]) - sum((
-                    gsn1(n - 1, m - 1) * (Poly([1, -1]) ** m - 1) * F(1, m)
+                rhs = Poly([_ch(n)]) - _lincomb(
+                    (F(1, m), gsn1(n - 1, m - 1) * (Poly([1, -1]) ** m - 1))
                     for m in range(1, n + 1)
-                ), Poly()) * ((-1) ** n * n)
+                ) * ((-1) ** n * n)
             return _chp(n).affine_compose(-1, 0), rhs
 
         return check
@@ -389,11 +381,10 @@ def _g19():
 
 
 def _gen_euler(m: int, k: int) -> Poly:
-    return sum((
-        aux_poly(2 * m + 1 - j, k).affine_compose(1, 1)
-        * (2**j * comb(2 * m + 1, j) * bernoulli_number(j))
-        for j in range(2 * m + 1)
-    ), Poly())
+    return _lincomb((
+        2**j * comb(2 * m + 1, j) * bernoulli_number(j),
+        aux_poly(2 * m + 1 - j, k).affine_compose(1, 1),
+    ) for j in range(2 * m + 1))
 
 
 def _g20():
@@ -406,28 +397,24 @@ def _g20():
 
     def th11_even(kind, n, k):
         e = KIND_SIGN[kind]
-        rhs = sum((
-            sum((
-                aux_poly(2 * m - j, k).affine_compose(1, e * n)
-                * (e ** j * comb(2 * m, j) * bernoulli_number(j))
-                for j in range(2 * m)
-            ), Poly())
-            * F(central_u(n, m), m)
-            for m in range(1, n + 1)
-        ), Poly()) * n
+        rhs = _lincomb((
+            F(central_u(n, m), m),
+            _lincomb((
+                e ** j * comb(2 * m, j) * bernoulli_number(j),
+                aux_poly(2 * m - j, k).affine_compose(1, e * n),
+            ) for j in range(2 * m)),
+        ) for m in range(1, n + 1)) * n
         return cauchy_poly(kind, 2 * n, k), rhs
 
     def th11_odd(kind, n, k):
         e = KIND_SIGN[kind]
-        rhs = sum((
-            sum((
-                aux_poly(2 * m + 1 - j, k).affine_compose(1, e * n + 1)
-                * (2**j * comb(2 * m + 1, j) * bernoulli_number(j))
-                for j in range(2 * m + 1)
-            ), Poly())
-            * F(central_u(n, m), 2 * m + 1)
-            for m in range(1, n + 1)
-        ), Poly()) * (-e * (2 * n + 1))
+        rhs = _lincomb((
+            F(central_u(n, m), 2 * m + 1),
+            _lincomb((
+                2**j * comb(2 * m + 1, j) * bernoulli_number(j),
+                aux_poly(2 * m + 1 - j, k).affine_compose(1, e * n + 1),
+            ) for j in range(2 * m + 1)),
+        ) for m in range(1, n + 1)) * (-e * (2 * n + 1))
         return cauchy_poly(kind, 2 * n + 1, k), rhs
 
     def euler_odd(m):
@@ -442,11 +429,10 @@ def _g20():
         return lhs, rhs
 
     def euler_even(m):
-        rhs = sum((
-            (aux_poly(2 * m - j, 1).affine_compose(1, 1) - aux_poly(2 * m - j, 1)(F(1)))
-            * (2**j * comb(2 * m, j) * bernoulli_number(j))
-            for j in range(2 * m)
-        ), Poly())
+        rhs = _lincomb((
+            2**j * comb(2 * m, j) * bernoulli_number(j),
+            aux_poly(2 * m - j, 1).affine_compose(1, 1) - aux_poly(2 * m - j, 1)(F(1)),
+        ) for j in range(2 * m))
         return euler_poly(2 * m), rhs
 
     def gen_euler_odd(kind, n, k):
@@ -596,11 +582,10 @@ def _g21():
         e = KIND_SIGN[kind]
         point = e * y
         outer = [F((-e) ** m * factorial(m)) * gsn2_bivariate_at(n, m, y, q) for m in range(n + 1)]
-        rhs = sum((
-            _mc(kind, l, k, a, q, L, y)
-            * sum((outer[m] * gsn2_bivariate_at(m, l, point, q) for m in range(l, n + 1)), F(0))
-            for l in range(n + 1)
-        ), Poly()) * (-1) ** (n + a - 1)
+        rhs = _lincomb((
+            sum((outer[m] * gsn2_bivariate_at(m, l, point, q) for m in range(l, n + 1)), F(0)),
+            _mc(kind, l, k, a, q, L, y),
+        ) for l in range(n + 1)) * (-1) ** (n + a - 1)
         return _mpb(n, k, a, q, L, y), rhs
 
     def mpb34(kind, n, a, q, L, y):
@@ -608,11 +593,10 @@ def _g21():
         e = KIND_SIGN[kind]
         point = e * y
         outer = [F((-e) ** m, factorial(m)) * gsn1_bivariate_at(n, m, point, q) for m in range(n + 1)]
-        rhs = sum((
-            _mpb(l, k, a, q, L, y)
-            * sum((outer[m] * gsn1_bivariate_at(m, l, y, q) for m in range(l, n + 1)), F(0))
-            for l in range(n + 1)
-        ), Poly()) * (-1) ** (n + a - 1)
+        rhs = _lincomb((
+            sum((outer[m] * gsn1_bivariate_at(m, l, y, q) for m in range(l, n + 1)), F(0)),
+            _mpb(l, k, a, q, L, y),
+        ) for l in range(n + 1)) * (-1) ** (n + a - 1)
         return _mc(kind, n, k, a, q, L, y), rhs
 
     def mpb_reduce(n, k):
@@ -655,33 +639,30 @@ def _g22():
     def hp(kind, n, y):
         e = KIND_SIGN[kind]
         # harmonic polynomials at x + 1 for the first kind, x + 2 for the second
-        lhs = sum((
-            harmonic_poly(m).affine_compose(1, (3 - e) // 2)
-            * (F((-1) ** m, factorial(n - m)) * cauchy_poly(kind, n - m, 1)(y))
-            for m in range(n + 1)
-        ), Poly())
+        lhs = _lincomb((
+            F((-1) ** m, factorial(n - m)) * cauchy_poly(kind, n - m, 1)(y),
+            harmonic_poly(m).affine_compose(1, (3 - e) // 2),
+        ) for m in range(n + 1))
         return lhs, binom_poly(-e * y, 1, n)
 
     def hp3(n):
-        rhs = binom_poly(0, 1, n) - sum((
-            harmonic_poly(m).affine_compose(1, 1)
-            * F((-1) ** m, factorial(n - m - 1)) * _c(n - m)
+        rhs = binom_poly(0, 1, n) - _lincomb(
+            (F((-1) ** m, factorial(n - m - 1)) * _c(n - m), harmonic_poly(m).affine_compose(1, 1))
             for m in range(n)
-        ), Poly())
+        )
         return _chp(n) / factorial(n), rhs
 
     def _compare_variant(shift):
         # shift: the argument of the first-kind polynomials on the left side
         def check(n):
-            lhs = sum((
-                _cp(m).affine_compose(-1, shift)
-                * F((-1) ** m, factorial(m) * (n - m + 1) * (n - m + 2))
+            lhs = _lincomb((
+                F((-1) ** m, factorial(m) * (n - m + 1) * (n - m + 2)),
+                _cp(m).affine_compose(-1, shift),
+            ) for m in range(n + 1))
+            rhs = _lincomb(
+                (F((-1) ** (n - m)) * _c(n + 1 - m) / factorial(n - m), harmonic_poly(m))
                 for m in range(n + 1)
-            ), Poly())
-            rhs = sum((
-                harmonic_poly(m) * (F((-1) ** (n - m)) * _c(n + 1 - m) / factorial(n - m))
-                for m in range(n + 1)
-            ), Poly())
+            )
             return lhs, rhs
 
         return check

@@ -23,8 +23,10 @@ builds no Fraction:
 * evaluation at a point, ``eval_at_sqrt`` and the homogeneous value
   q^n p(y/q), all by one integer Horner loop, and ``integrate_01``, which
   build one Fraction per value;
-* ``_lincomb``, the library's rational-weighted sums of polynomials.  No
-  other module reads or writes this form.
+* ``_lincomb``, every rational-weighted sum of polynomials, the library's
+  and the identity registries', and ``_linear_product``, a product of
+  linear factors (``binom_poly`` and the multiparameter ``integral``
+  oracle).  No other module reads or writes this form.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
 not kept.  An integral coefficient reads back as an int.
@@ -33,7 +35,7 @@ not kept.  An integral coefficient reads back as an int.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from typing import Iterable
 
 from .rational import _exact, format_rational, parse_rational
@@ -214,8 +216,15 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Poly":
-        """Exact division by a rational scalar."""
-        return self * (Fraction(1) / scalar)
+        """Exact division by a nonzero rational scalar p/q: numerators times q
+        over the denominator times p, with the sign of p moved to q."""
+        scalar = _exact(scalar)
+        p, q = scalar.numerator, scalar.denominator
+        if not p:
+            raise ZeroDivisionError("polynomial division by zero")
+        if p < 0:
+            p, q = -p, -q
+        return _make([n * q for n in self._vec], self._den * p)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -361,6 +370,19 @@ def _lincomb(terms) -> Poly:
     return _make(total, den)
 
 
+def _linear_product(shifts, slope: int, den: int = 1) -> Poly:
+    """prod_j (shifts[j] + slope x) / den for int or Fraction shifts, an int
+    slope and an int den > 0.  Over the lcm Q of the shifts' denominators each
+    factor is (a_j + slope Q x) / Q with a_j an integer, so the product is
+    stepped in integers and made canonical once, over den Q^n."""
+    nums, q = _over_one_denominator(shifts)
+    b = slope * q
+    out = [1]
+    for a in nums:
+        out = [a * lo + b * hi for lo, hi in zip(out + [0], [0] + out)]
+    return _make(out, den * q ** len(nums))
+
+
 def _homogenised_at(p: Poly, y, q) -> Fraction:
     """q^n p(y/q) for n = p.degree >= 0, the leading term alone at q = 0.  With
     y = a/b and q = c/d it is sum_i nums_i (ad)^i (cb)^(n-i) / (den (bd)^n)."""
@@ -382,7 +404,8 @@ def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:
         raise ValueError("sign must be +1 or -1")
     if n < 0:
         raise ValueError("binomial order must be >= 0")
-    return prod((Poly([shift - j, sign]) for j in range(n)), start=Poly([1])) / factorial(n)
+    shift = _exact(shift)
+    return _linear_product([shift - j for j in range(n)], sign, factorial(n))
 
 
 def eval_at_sqrt(p: Poly, radicand: int):

@@ -259,17 +259,42 @@ def test_multiparam_validation():
         MultiParam(1, 2, 1, F(1), (F(1),), F(0))
     with pytest.raises(ValueError):
         MultiParam(1, 1, 1, F(1), (F(0),), F(0))
+    # list and int inputs are checked as tuples of Fractions are
+    for bad in ([0], [1, 2], (), iter([1, 2])):
+        with pytest.raises(ValueError):
+            MultiParam(1, 1, 1, 1, bad, 0)
+    for a in (-1, F(1)):
+        with pytest.raises(ValueError):
+            MultiParam(1, 1, a, 1, [1], 0)
     with pytest.raises(ValueError):
         multiparam_cauchy("first", MultiParam(1, 1, 1, F(1), (F(1),), F(0)), "magic")
+
+
+def test_multiparam_stores_fractions_whatever_the_input():
+    want = MultiParam(2, 2, 1, F(-3), (F(1, 2), F(2)), F(0))
+    for p in (
+        MultiParam(2, 2, 1, -3, [F(1, 2), 2], 0),
+        MultiParam(2, 2, 1, F(-3), [F(1, 2), F(2)], F(0)),
+        MultiParam(2, 2, 1, -3, (F(1, 2), 2), F(0)),
+        want,
+    ):
+        assert p == want and hash(p) == hash(want)
+        assert type(p.L) is tuple
+        assert all(type(v) is F for v in (p.q, p.y, *p.L))
 
 
 @pytest.mark.parametrize("call", [
     lambda: MultiParam(2, 1, 1, 0.1, (1,), 0),
     lambda: MultiParam(2, 1, 1, 1, (1,), 0.5),
     lambda: MultiParam(2, 1, 1, 1, (0.5,), 0),
+    lambda: MultiParam(2, 2, 1, F(1), (F(1), 0.5), F(0)),
+    lambda: MultiParam(2, 2, 1, F(1), [F(1), 0.5], F(0)),
+    lambda: MultiParam(2, 1, 1, F(1), (F(1),), 0.5),
     lambda: aux_poly_weighted(2, 1, (0.1,)),
     lambda: shifted_cauchy_number("first", 3, 1, 1, 0.1, (1,)),
-], ids=["MultiParam.q", "MultiParam.y", "MultiParam.L", "aux_poly_weighted", "shifted_cauchy_number"])
+], ids=["MultiParam.q", "MultiParam.y", "MultiParam.L", "MultiParam.L-among-Fractions",
+        "MultiParam.L-list", "MultiParam.y-with-Fraction-L", "aux_poly_weighted",
+        "shifted_cauchy_number"])
 def test_float_parameters_are_rejected(call):
     # a float's binary value would otherwise enter the exact result
     with pytest.raises(TypeError):

@@ -134,9 +134,10 @@ def test_grid_overrides():
 
 
 def test_registry_memos_are_bounded_and_hold_the_default_grid():
-    # each memo of an inner sum is bounded, and a default run fills it below
-    # its bound, so nothing is evicted and computed again
-    memos = (registry_core._s2_values, registry_poly._kb_inner, registry_poly._bernoulli_moments)
+    # each memo of an inner sum or of r-Whitney values is bounded, and a
+    # default run fills it below its bound, so nothing is evicted and computed again
+    memos = (registry_core._s2_values, registry_core._whitney_values, registry_poly._kb_inner,
+             registry_poly._bernoulli_moments)
     for memo in memos:
         memo.cache_clear()
     assert run_all(DEFAULT_GRID).ok

@@ -17,7 +17,7 @@ from polycauchy import (
     poly_to_strings,
     rising_factorial_poly,
 )
-from polycauchy.poly import _lincomb
+from polycauchy.poly import _lincomb, _linear_product
 
 coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=5)
 polys = coeffs.map(Poly)
@@ -361,6 +361,27 @@ def test_lincomb_examples():
     total = _lincomb([(2, Poly([1, 1])), (F(1, 3), Poly([0, 0, 3])), (F(-3, 4), Poly([F(4, 3)]))])
     assert_canonical(total)
     assert_same(total, Poly([1, 2, 1]))
+
+
+def ref_linear_product(cs, slope, den=1):
+    want = Poly([F(1, den)])
+    for c in cs:
+        want = ref_mul(want, Poly([c, slope]))
+    return want
+
+
+@given(st.lists(shifts, max_size=12), st.integers(-3, 3), st.integers(1, 10**6))
+def test_linear_product_matches_reference(cs, slope, den):
+    got = _linear_product(cs, slope, den)
+    assert_canonical(got)
+    assert_same(got, ref_linear_product(cs, slope, den))
+
+
+@given(shifts, signs, st.integers(0, 12))
+def test_binom_poly_matches_reference(shift, sign, n):
+    got = binom_poly(shift, sign, n)
+    assert_canonical(got)
+    assert_same(got, ref_linear_product([shift - j for j in range(n)], sign, factorial(n)))
 
 
 def test_only_poly_reads_the_storage():
