@@ -164,6 +164,15 @@ def _whitney_values(m, r, n):
     return tuple(whitney("first", m, r, n, l) / F(m) ** (n - l) for l in range(n + 1))
 
 
+@lru_cache(maxsize=2048)
+def _cauchy_at(kind, n, k, y):
+    """cauchy_poly(kind, n, k)(y).  Memoised, bounded above the 1,236 keys of a
+    deep grid (max_n 24, max_n_double 12, max_k 6, max_r 5; the default grid
+    has 520), since G08.whit*-rev and G15.korec* read each value for every
+    outer index that reaches it."""
+    return cauchy_poly(kind, n, k)(y)
+
+
 def _whitk(kind, n, k, m, r):
     """The kind's index-n value at e r/m, and the sum over l of
     (-1)^n (-e)^l / (l+1)^k times the first-kind r-Whitney number w_{m,r}(n, l)
@@ -480,8 +489,9 @@ def _g08():
 
     def whit_rev(kind, n, m, r):
         e = KIND_SIGN[kind]
+        point = F(e * r, m)
         lhs = sum((
-            F(m) ** l * whitney("second", m, r, n, l) * cauchy_poly(kind, l, 1)(F(e * r, m))
+            F(m) ** l * whitney("second", m, r, n, l) * _cauchy_at(kind, l, 1, point)
             for l in range(n + 1)
         ), F(0))
         return lhs, F(e**n * m**n, n + 1)

@@ -53,8 +53,8 @@ from ..stirling import (
 )
 from .engine import IdentityCase
 from .registry_core import (
-    F, _c, _ch, _chp, _constructions, _cor2, _cp, _derk, _diffk, _genk, _inv, _n_k, _n_y, _ns,
-    _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _whitk,
+    F, _c, _cauchy_at, _ch, _chp, _constructions, _cor2, _cp, _derk, _diffk, _genk, _inv, _n_k, _n_y,
+    _ns, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _whitk,
 )
 
 
@@ -113,8 +113,9 @@ def _g15():
         )
 
     def korec(kind, n, k, r, s):
+        point = KIND_SIGN[kind] * s
         lhs = sum((
-            gsn2(n - r, m - r)(F(r)) * cauchy_poly(kind, m - s, k)(F(KIND_SIGN[kind] * s))
+            _gsn2_at(n - r, m - r, r) * _cauchy_at(kind, m - s, k, point)
             for m in range(r, n + 1)
         ), F(0))
         # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second
@@ -214,6 +215,13 @@ def _g16():
 # bounded, and its maxsize exceeds the keys of the default grid and of a deep
 # grid with max_n 24, max_n_double 12 and max_k 6 (1,092 and 576 keys), so
 # neither run evicts and recomputes a sum.
+
+@lru_cache(maxsize=512)
+def _gsn2_at(n, m, y):
+    """gsn2(n, m)(y), read by G15.korec* for every n and k that reach it
+    (371 keys on the deep grid, 145 on the default grid)."""
+    return gsn2(n, m)(y)
+
 
 @lru_cache(maxsize=2048)
 def _kb_inner(kind, m, k, y):

@@ -136,8 +136,11 @@ def test_number_builds_no_gsn1_polynomial():
 
 
 def test_series_matches_gsn_at_high_degree():
+    # the integer reciprocal rescales its prefix as the lcm of its
+    # denominators grows, which only happens often at these orders
     for kind in ("first", "second"):
-        assert cauchy_poly(kind, 64, 1, "series") == cauchy_poly(kind, 64, 1, "gsn")
+        for n in (48, 64):
+            assert cauchy_poly(kind, n, 1, "series") == cauchy_poly(kind, n, 1, "gsn")
 
 
 def test_binomial_conv_matches_gsn_at_high_degree():

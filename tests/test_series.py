@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -22,6 +22,114 @@ from polycauchy import (
 units = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10), min_size=3, max_size=6
 ).filter(lambda cs: cs[0] != 0)
+
+# Orders 0-16; ints, Fractions and zeros mixed, so interior coefficients are
+# often zero.  A unit's constant term is nonzero and often negative.
+coefficient = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**3, max_value=10**3, max_denominator=40),
+)
+orders = st.integers(0, 16)
+
+
+def coefficient_lists(order, constant=coefficient):
+    return st.tuples(constant, st.lists(coefficient, min_size=order, max_size=order)).map(
+        lambda parts: [parts[0], *parts[1]])
+
+
+series_lists = orders.flatmap(coefficient_lists)
+unit_lists = orders.flatmap(lambda n: coefficient_lists(n, coefficient.filter(bool)))
+pairs_of_lists = orders.flatmap(lambda n: st.tuples(coefficient_lists(n), coefficient_lists(n)))
+scalars = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=60))
+
+
+# Reference loops over plain Fractions, one coefficient at a time; they call
+# no Series kernel.
+def ref_mul(a, b):
+    return [sum((F(a[j]) * b[i - j] for j in range(i + 1)), F(0)) for i in range(len(a))]
+
+
+def ref_reciprocal(a):
+    out = [1 / F(a[0])]
+    for i in range(1, len(a)):
+        out.append(-sum((F(a[j]) * out[i - j] for j in range(1, i + 1)), F(0)) / a[0])
+    return out
+
+
+def ref_pow(a, k):
+    out = [F(1)] + [F(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def assert_canonical(s, order):
+    """A Series stores order + 1 integer numerators, trailing zeros kept, over
+    a positive coprime denominator, and reads back as ints or Fractions, an
+    integral coefficient as an int."""
+    nums, lcd = s._nums, s._lcd
+    assert type(nums) is tuple and len(nums) == order + 1 == s.order + 1
+    assert all(type(n) is int for n in nums)
+    assert type(lcd) is int and lcd > 0 and gcd(lcd, *nums) == 1
+    assert all(type(c) is (int if F(c).denominator == 1 else F) for c in s.coeffs)
+    rebuilt = Series(s.coeffs)
+    assert (rebuilt._nums, rebuilt._lcd) == (nums, lcd)
+
+
+def assert_matches(got, want):
+    assert_canonical(got, len(want) - 1)
+    assert got.coeffs == tuple(want)
+    assert got == Series(want)
+
+
+@given(pairs_of_lists)
+def test_mul_matches_reference(pair):
+    a, b = pair
+    assert_matches(Series(a) * Series(b), ref_mul(a, b))
+
+
+@given(unit_lists)
+def test_reciprocal_matches_reference(a):
+    assert_matches(Series(a).reciprocal(), ref_reciprocal(a))
+
+
+@given(series_lists, st.integers(0, 5))
+def test_pow_int_matches_reference(a, k):
+    assert_matches(Series(a).pow_int(k), ref_pow(a, k))
+
+
+@given(series_lists, scalars)
+def test_scale_and_negation_match_reference(a, c):
+    assert_matches(Series(a).scale(c), [F(x) * c for x in a])
+    assert_matches(-Series(a), [-F(x) for x in a])
+
+
+@given(pairs_of_lists)
+def test_add_sub_match_reference(pair):
+    a, b = pair
+    assert_matches(Series(a) + Series(b), [F(x) + y for x, y in zip(a, b)])
+    assert_matches(Series(a) - Series(b), [F(x) - y for x, y in zip(a, b)])
+
+
+@given(series_lists)
+def test_construction_is_canonical(a):
+    s = Series(a)
+    assert_canonical(s, len(a) - 1)
+    assert s.coeffs == tuple(a)
+
+
+def test_storage_examples():
+    assert Series([1, 0, 0])._nums == (1, 0, 0) and Series([1, 0, 0])._lcd == 1
+    assert Series([F(2, 4), F(3, 2), 0])._nums == (1, 3, 0) and Series([F(2, 4), F(3, 2), 0])._lcd == 2
+    assert Series([F(4, 2), F(1, 3)]).coeffs == (2, F(1, 3)) and type(Series([F(4, 2), F(1, 3)])[0]) is int
+    assert Series([F(1, 2), 0, F(1, 2)]) * Series([2, 0, 0]) == Series([1, 0, 1])
+    assert (Series([F(1, 2), 0, F(1, 2)]) * Series([2, 0, 0]))._lcd == 1
+    assert Series([-2, 0, 1]).reciprocal().coeffs == (F(-1, 2), 0, F(-1, 4))
+    assert Series([F(-3, 7)]).reciprocal() == Series([F(-7, 3)])
+    assert Series([F(1, 3), 1]) - Series([F(1, 3), 1]) == Series([0, 0])
+    assert repr(Series([F(1, 2), 1])) == "Series([Fraction(1, 2), 1])"
+    assert hash(Series([F(2, 4), 1])) == hash(Series([F(1, 2), F(2, 2)]))
 
 
 def test_log1p():
