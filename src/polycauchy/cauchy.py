@@ -40,12 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .poly import Poly, _lincomb, _linear_product, binom_poly
 from .rational import _exact
 from .series import gf_cauchy1, gf_cauchy2
-from .stirling import falling_factorial_poly, gsn1, gsn1_bivariate_at, stirling1
+from .stirling import _TRIANGLES, falling_factorial_poly, gsn1, gsn1_bivariate_at, stirling1
 
 __all__ = [
     "CONSTRUCTIONS",
@@ -102,9 +102,13 @@ def _check_weights(L, k: int) -> tuple:
 def aux_poly(j: int, k: int) -> Poly:
     """Moment polynomial of the k-fold unit-cube integral of (x - t)^j
     (up to sign bookkeeping): sum_i (-1)^i/(i+1)^k binom(j,i) x^(j-i),
-    the constant 1 for j = 0."""
+    the constant 1 for j = 0.  Filled in integers over
+    D = lcm(1..j+1)^k = lcm((i+1)^k): the numerators (-1)^i binom(j,i) D/(i+1)^k
+    over D, made canonical by one gcd."""
     _check_nk(j, k)
-    return Poly([Fraction((-1) ** i * comb(j, i), (i + 1) ** k) for i in range(j, -1, -1)])
+    base = lcm(*range(1, j + 2))
+    return Poly([(-1) ** i * comb(j, i) * (base // (i + 1)) ** k
+                 for i in range(j, -1, -1)]) / base ** k
 
 
 def _moment_sum(coeffs, k: int, L: tuple, shift: int = 0) -> Poly:
@@ -157,9 +161,10 @@ def _poly_theorem1(kind: str, n: int, k: int) -> Poly:
     if n == 0:
         return Poly([1])
     e = KIND_SIGN[kind]
-    tail = Poly([0] + [
-        Fraction((-1) ** n * n, m) * stirling1(n - 1, m - 1) for m in range(1, n + 1)
-    ])
+    # (-1)^n n/m [n-1 m-1] x^m for m = 1..n, in integers over lcm(1..n)
+    base, row = lcm(*range(1, n + 1)), _TRIANGLES["stirling1"].row(n - 1)
+    sign = (-1) ** n * n
+    tail = Poly([0] + [sign * (base // m) * c for m, c in enumerate(row, 1)]) / base
     # the second kind is the same tail at 1 - x
     return tail.affine_compose(e, (1 - e) // 2) + cauchy_number("first", n, 1)
 
@@ -196,13 +201,19 @@ def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
 
 def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
     """Closed-form coefficient of x^i in the poly-Cauchy polynomial:
-    sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k."""
+    sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k.
+
+    Summed in integers over D = lcm(1..n-i+1)^k = lcm((m-i+1)^k) from row n
+    of the memoised first-kind triangle, each term scaled by D/(m-i+1)^k;
+    the one Fraction built is the total over D."""
     e = _check_kind(kind)
     _check_nk(n, k)
     if i < 0 or i > n:
         raise ValueError(f"coefficient index must satisfy 0 <= i <= n, got {i}")
-    return sum((Fraction((-1) ** (n + i) * (-e) ** m * comb(m, i) * stirling1(n, m),
-                         (m - i + 1) ** k) for m in range(i, n + 1)), Fraction(0))
+    base, row = lcm(*range(1, n - i + 2)), _TRIANGLES["stirling1"].row(n)
+    total = sum([(-e) ** m * comb(m, i) * row[m] * (base // (m - i + 1)) ** k
+                 for m in range(i, n + 1)])
+    return Fraction((-1) ** (n + i) * total, base ** k)
 
 
 def cauchy_derivative(kind: str, n: int, k: int = 1, order: int = 1) -> Poly:

@@ -148,15 +148,21 @@ def _write_lines(lines, out_path):
         return
     head, tail = os.path.split(os.path.abspath(out_path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            for line in lines:
-                fh.write(line + "\n")
-        os.replace(tmp, out_path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                for line in lines:
+                    fh.write(line + "\n")
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the user's path, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, out_path) from None
 
 
 def _checked_max_n(max_n: int) -> int:

@@ -164,6 +164,14 @@ def _whitney_values(m, r, n):
     return tuple(whitney("first", m, r, n, l) / F(m) ** (n - l) for l in range(n + 1))
 
 
+@lru_cache(maxsize=512)
+def _whitney2_values(m, r, n):
+    """m^l whitney("second", m, r, n, l) for l = 0..n.  Memoised, bounded
+    above the 400 keys of a deep grid (max_n 24, max_r 5), since G08 reads
+    each value for both kinds."""
+    return tuple(F(m) ** l * whitney("second", m, r, n, l) for l in range(n + 1))
+
+
 @lru_cache(maxsize=2048)
 def _cauchy_at(kind, n, k, y):
     """cauchy_poly(kind, n, k)(y).  Memoised, bounded above the 1,236 keys of a
@@ -491,8 +499,8 @@ def _g08():
         e = KIND_SIGN[kind]
         point = F(e * r, m)
         lhs = sum((
-            F(m) ** l * whitney("second", m, r, n, l) * _cauchy_at(kind, l, 1, point)
-            for l in range(n + 1)
+            value * _cauchy_at(kind, l, 1, point)
+            for l, value in enumerate(_whitney2_values(m, r, n))
         ), F(0))
         return lhs, F(e**n * m**n, n + 1)
 

@@ -186,16 +186,22 @@ def _check_indices(n: int, m: int):
 
 @lru_cache(maxsize=None)
 def gsn1(n: int, m: int) -> Poly:
-    """Shifted-parameter Stirling polynomial of the first kind, [n m]_x."""
+    """Shifted-parameter Stirling polynomial of the first kind, [n m]_x: the
+    integer coefficients binom(i+m, m) [n i+m] of x^i, read from row n of
+    the memoised first-kind triangle."""
     _check_indices(n, m)
-    return Poly([comb(i + m, m) * stirling1(n, i + m) for i in range(n - m + 1)])
+    row = _TRIANGLES["stirling1"].row(n)
+    return Poly([comb(i, m) * row[i] for i in range(m, n + 1)])
 
 
 @lru_cache(maxsize=None)
 def gsn2(n: int, m: int) -> Poly:
-    """Shifted-parameter Stirling polynomial of the second kind, {n m}_x."""
+    """Shifted-parameter Stirling polynomial of the second kind, {n m}_x: the
+    integer coefficients binom(n, i) {n-i m} of x^i, read down column m of
+    the memoised second-kind triangle."""
     _check_indices(n, m)
-    return Poly([comb(n, i) * stirling2(n - i, m) for i in range(n - m + 1)])
+    row = _TRIANGLES["stirling2"].row
+    return Poly([comb(n, i) * row(n - i)[m] for i in range(n - m + 1)])
 
 
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:

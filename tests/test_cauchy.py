@@ -24,6 +24,7 @@ from polycauchy import (
 )
 from polycauchy.cauchy import _moment_sum
 from polycauchy.stirling import gsn1
+from test_poly import assert_canonical
 
 FIRST = {
     0: Poly([1]),
@@ -167,6 +168,26 @@ def test_coefficients():
         cauchy_coefficient("first", 3, 4)
 
 
+def _stirling1_row(n):
+    """Unsigned first-kind Stirling numbers [n m], m = 0..n, by their recurrence."""
+    row = [1]
+    for j in range(n):
+        row = [a + j * b for a, b in zip([0] + row, row + [0])]
+    return row
+
+
+@given(st.sampled_from(["first", "second"]), st.integers(0, 30), st.data(), st.integers(1, 4))
+def test_coefficient_matches_a_fraction_loop(kind, n, data, k):
+    i = data.draw(st.integers(0, n))
+    e = 1 if kind == "first" else -1
+    row = _stirling1_row(n)
+    want = F(0)
+    for m in range(i, n + 1):
+        want += F((-1) ** (n + i) * (-e) ** m * comb(m, i) * row[m], (m - i + 1) ** k)
+    got = cauchy_coefficient(kind, n, i, k)
+    assert type(got) is F and got == want
+
+
 def test_coefficient_agrees_with_polynomial():
     for kind in ("first", "second"):
         for n in range(8):
@@ -226,6 +247,16 @@ def test_aux_polys():
         aux_poly_weighted(1, 2, (F(1),))
     with pytest.raises(ValueError):
         aux_poly_weighted(1, 1, (F(0),))
+
+
+@given(st.integers(0, 40), st.integers(1, 5))
+def test_aux_poly_matches_a_fraction_loop(j, k):
+    want = [F(0)] * (j + 1)
+    for i in range(j + 1):
+        want[j - i] = F((-1) ** i * comb(j, i), (i + 1) ** k)
+    got = aux_poly(j, k)
+    assert list(got.coeffs) == want
+    assert_canonical(got)
 
 
 def test_integration_formula():

@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -392,6 +393,16 @@ def test_table_failing_part_way_leaves_out_file_alone(tmp_path, monkeypatch, cap
     assert err.startswith("error: ") and "injected failure" in err
     assert out_path.read_text() == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["numbers.tsv"]
+
+
+def test_out_into_a_missing_directory_names_the_out_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "export", "--family", "cauchy-poly", "--format", "json",
+                         "--out", os.path.join("nodir", "x.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and os.path.join("nodir", "x.json") in err
+    assert ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table_out_file_matches_stdout(tmp_path, capsys):

@@ -137,7 +137,8 @@ def test_registry_memos_are_bounded_and_hold_the_default_grid():
     # each memo of an inner sum, of r-Whitney values or of single values is
     # bounded, and a default run fills it below its bound, so nothing is
     # evicted and computed again
-    memos = (registry_core._s2_values, registry_core._whitney_values, registry_core._cauchy_at,
+    memos = (registry_core._s2_values, registry_core._whitney_values, registry_core._whitney2_values,
+             registry_core._cauchy_at,
              registry_poly._kb_inner, registry_poly._bernoulli_moments, registry_poly._gsn2_at)
     for memo in memos:
         memo.cache_clear()

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polycauchy import (
     Poly,
@@ -37,6 +39,15 @@ def test_harmonic_numbers():
     assert harmonic_number(3) == F(11, 6)
     with pytest.raises(ValueError):
         harmonic_number(-1)
+
+
+@given(st.integers(0, 200))
+def test_harmonic_number_matches_a_fraction_loop(n):
+    want = F(0)
+    for j in range(1, n + 1):
+        want += F(1, j)
+    got = harmonic_number(n)
+    assert type(got) is F and got == want
 
 
 def test_harmonic_number_large_index():

@@ -97,6 +97,13 @@ def test_gsn_examples():
     assert gsn1(2, 1)(1) == 3 == stirling1(3, 2)
 
 
+@given(st.integers(0, 40), st.data())
+def test_gsn_coefficients_are_comb_times_stirling(n, data):
+    m = data.draw(st.integers(0, n))
+    assert list(gsn1(n, m).coeffs) == [comb(i + m, m) * stirling1(n, i + m) for i in range(n - m + 1)]
+    assert list(gsn2(n, m).coeffs) == [comb(n, i) * stirling2(n - i, m) for i in range(n - m + 1)]
+
+
 def test_gsn_domain_errors():
     with pytest.raises(ValueError):
         gsn1(2, 3)
