@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -132,29 +133,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_each(fh, lines) -> None:
+    # the item and its newline are written apart, so a large block is not
+    # copied just to end it
+    write = fh.write
+    for line in lines:
+        write(line)
+        write("\n")
+
+
 def _write_lines(lines, out_path):
     """Write each item, newline-terminated, to stdout or to the file out_path.
 
     An item may hold several newline-separated lines, so a caller can hand
     over a whole block, such as a triangle row, as one write.
 
-    A file is written through a temporary file in its own directory that
-    replaces out_path only once every line is written, so a run that fails
-    part-way leaves an existing out_path as it was and no partial file.
+    A regular or missing file is written through a temporary file that
+    replaces it only once every line is written, so a run that fails
+    part-way leaves an existing file as it was and no partial file.  A
+    symlink is resolved first: the file it names is replaced, in that
+    file's directory, and the link is kept.  Any other existing path, such
+    as a FIFO or a device, is opened and written in place.
     """
     if not out_path:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        _write_each(sys.stdout, lines)
         return
-    head, tail = os.path.split(os.path.abspath(out_path))
+    try:
+        regular = stat.S_ISREG(os.stat(out_path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            _write_each(fh, lines)
+        return
+    # the file a symlink names is replaced, not the link
+    target = os.path.realpath(out_path) if os.path.islink(out_path) else os.path.abspath(out_path)
+    head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8")
         try:
             with fh:
-                for line in lines:
-                    fh.write(line + "\n")
-            os.replace(tmp, out_path)
+                _write_each(fh, lines)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -180,8 +201,15 @@ def _cmd_table(args) -> int:
 def _table_lines(args, max_n: int):
     if args.family in stirling._TRIANGLES:
         yield "n\tm\tvalue"
+        # row n's block is "n\t" + "0\t" + T(n, 0) + "\nn\t" + "1\t" + ... + T(n, n),
+        # joined once from (separator, "m\t", value) triples
+        heads = [f"{m}\t" for m in range(max_n + 1)]
         for n, row in enumerate(stirling.triangle_rows(args.family, max_n)):
-            yield "\n".join([f"{n}\t{m}\t{v}" for m, v in enumerate(row)])
+            parts = [f"\n{n}\t"] * (3 * n + 3)
+            parts[0] = f"{n}\t"
+            parts[1::3] = heads[:n + 1]
+            parts[2::3] = row
+            yield "".join(parts)
         return
     header, entry = _SEQUENCES[args.family]
     # entry n = 0 comes before the header, so an argument the family
@@ -252,7 +280,7 @@ def _cmd_verify(args) -> int:
             report = verify(args.id, args.grid)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
-        payload = json.dumps(report.to_dict(), indent=2)
+        payload = json.dumps(report.to_dict(), indent=2) if args.json or args.out else None
         if args.json:
             print(payload)
         else:

@@ -19,8 +19,11 @@ steps T(n+1,m) = T(n,m-1) + w*T(n,m) with its own weight w:
 afresh, leaving the memo alone, and yields each as decimal text.  It
 steps them as exact ``Decimal`` integers, because libmpdec stores base
 10^19 limbs and so writes text in time linear in the digits, where
-CPython's ``str(int)`` takes time quadratic in them; for ``central`` at
-n = 300 (20 M digits) that text is most of the table's time.
+CPython's ``str(int)`` takes time quadratic in them.  Each step is the
+memo's own weight rule, handed the weights as ``Decimal``s converted once
+per table.  For ``central`` at n = 300 (20 M digits) ``str`` is then over
+half of the table's time and the step about a quarter; the CLI's
+assembly of the lines and the write share the rest.
 
 Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
@@ -34,6 +37,7 @@ values at (y, q) = (r, m).
 from __future__ import annotations
 
 import decimal
+import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -89,26 +93,33 @@ class _Triangle:
         return row[m] if 0 <= m <= n else 0
 
 
+# The integers 0, 1, 2, ... as ints: each step reads its weights from a
+# sequence whose item i is the integer i, and ``triangle_rows`` hands it a
+# list of the same integers as Decimals, so each weight is converted once.
+_INTS = range(sys.maxsize)
+
+
 def _pascal_step(prev: tuple[int, ...], weights) -> tuple[int, ...]:
     """Row n+1 from row n: T(n+1, m) = T(n, m-1) + w_m T(n, m), m = 0..n+1.
     The entries are ints, or exact Decimals in ``triangle_rows``."""
     return tuple([a + w * b for a, w, b in zip((0, *prev), weights, (*prev, 0))])
 
 
-def _step_s1(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return _pascal_step(prev, repeat(n))
+# The four weight rules.  The step from row n reads ints[0..2n+1] at most.
+def _step_s1(prev: tuple[int, ...], n: int, ints=_INTS) -> tuple[int, ...]:
+    return _pascal_step(prev, repeat(ints[n]))
 
 
-def _step_s2(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return _pascal_step(prev, range(n + 2))
+def _step_s2(prev: tuple[int, ...], n: int, ints=_INTS) -> tuple[int, ...]:
+    return _pascal_step(prev, ints[:n + 2])
 
 
-def _step_u(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return _pascal_step(prev, repeat(-n * n))
+def _step_u(prev: tuple[int, ...], n: int, ints=_INTS) -> tuple[int, ...]:
+    return _pascal_step(prev, repeat(-ints[n] * ints[n]))
 
 
-def _step_lah(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return _pascal_step(prev, range(n, 2 * n + 2))
+def _step_lah(prev: tuple[int, ...], n: int, ints=_INTS) -> tuple[int, ...]:
+    return _pascal_step(prev, ints[n:2 * n + 2])
 
 
 _TRIANGLES = {
@@ -166,15 +177,21 @@ def triangle_rows(kind: str, max_n: int) -> Iterator[tuple[str, ...]]:
     (str(T(n, 0)), ..., str(T(n, n))).
 
     Each row is stepped here, as exact ``Decimal`` integers, and yielded in
-    turn; the memo is neither read nor filled.  The exact context is entered
-    for each step alone, so the caller's context is never seen or changed,
-    and no Decimal leaves.
+    turn; the memo is neither read nor filled.  The step is the memo's own
+    weight rule, read from one list of the integers below 2*max_n as Decimals,
+    so no weight is converted per entry.  The exact context is entered for
+    each step alone, so the caller's context is never seen or changed, and
+    no Decimal leaves.
+
+    For ``central`` at max_n = 300 (20 M digits), ``str`` of the rows
+    costs about twice their steps, and is the floor of a table's cost.
     """
     step, row = _TRIANGLES[kind]._step, (decimal.Decimal(1),)
+    ints = list(map(decimal.Decimal, range(2 * max_n)))
     for n in range(max_n + 1):
         with decimal.localcontext(_EXACT):
             if n:
-                row = step(row, n - 1)
+                row = step(row, n - 1, ints)
             text = tuple(map(str, row))
         yield text
 

@@ -3,7 +3,9 @@ import hashlib
 import json
 import os
 import re
+import stat
 import sys
+import threading
 import time
 from fractions import Fraction as F
 from math import factorial
@@ -414,6 +416,49 @@ def test_table_out_file_matches_stdout(tmp_path, capsys):
         assert out_path.read_text() == out
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cauchy-numbers.tsv", "central.tsv", "stirling1.tsv"]
+
+
+@pytest.mark.parametrize("family, max_n", [*((f, 40) for f in TRIANGLE_TABLE_SHA256), ("central", 300)])
+def test_triangle_table_out_bytes_equal_stdout(tmp_path, capsys, family, max_n):
+    out_path = tmp_path / "table.tsv"
+    code, out, _ = run(capsys, "table", family, "--max-n", str(max_n))
+    assert code == 0
+    assert run(capsys, "table", family, "--max-n", str(max_n), "--out", str(out_path))[:2] == (0, "")
+    assert out_path.read_bytes() == out.encode()
+
+
+def test_out_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    # the temporary file goes beside the target, and the link stays a link
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "table.tsv"
+    target.write_text("old\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(os.path.join("data", "table.tsv"))
+    code, out, _ = run(capsys, "table", "stirling2", "--max-n", "6")
+    assert code == 0
+    assert run(capsys, "table", "stirling2", "--max-n", "6", "--out", str(link))[:2] == (0, "")
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "table.tsv")
+    assert target.read_text() == out
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.tsv", "table.tsv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="platform has no os.mkfifo")
+def test_out_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    code, out, _ = run(capsys, "table", "lah", "--max-n", "30")
+    assert code == 0
+    got = []
+    # a daemon, so a reader left waiting on a FIFO that was never opened
+    # for writing cannot hold the test run open
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(capsys, "table", "lah", "--max-n", "30", "--out", str(fifo))[:2] == (0, "")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [out.encode()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["table.fifo"]
 
 
 def test_eval_zero_denominator_is_usage_error(capsys):

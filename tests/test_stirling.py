@@ -371,8 +371,9 @@ def test_triangle_rows_listing():
 
 
 def test_triangle_rows_raise_on_a_rounded_step(monkeypatch):
-    # a step that rounds (here to a multiple of 10) raises; no digit is printed
-    def rounding_step(prev, n):
+    # a step that rounds (here to a multiple of 10) raises; no digit is printed.
+    # A table calls the step with its Decimal weights as a third argument.
+    def rounding_step(prev, n, ints):
         return (*prev, prev[-1].quantize(decimal.Decimal("1E+1")))
 
     monkeypatch.setitem(_TRIANGLES, "central", _Triangle("central", rounding_step))
