@@ -36,7 +36,7 @@ from math import factorial
 from .cauchy import MultiParam, _check_nk, _moment_sum, aux_poly
 from .poly import Poly, _lincomb
 from .series import gf_gen_bernoulli
-from .stirling import gsn2, gsn2_bivariate_at, stirling2
+from .stirling import _gsn2_row, gsn2, stirling2
 
 __all__ = [
     "bernoulli_number",
@@ -140,5 +140,5 @@ def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:
     """Multiparameter poly-Bernoulli polynomial: the bivariate second-kind
     Stirling transform of the weighted auxiliary polynomials, for q != 0."""
     p = MultiParam(n, k, a, q, L, y)
-    weights = [(-1) ** n * factorial(m) * gsn2_bivariate_at(n, m, p.y, p.q) for m in range(n + 1)]
+    weights = _gsn2_row(n, p.y, p.q, [factorial(m) for m in range(n + 1)]) * (-1) ** n
     return _moment_sum(weights, k, p.L, a - 1)

@@ -42,10 +42,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
-from .poly import Poly, _lincomb, _linear_product, binom_poly
+from .poly import Poly, _lincomb, _linear_product, _weighted_sum, binom_poly
 from .rational import _exact
 from .series import gf_cauchy1, gf_cauchy2
-from .stirling import _TRIANGLES, falling_factorial_poly, gsn1, gsn1_bivariate_at, stirling1
+from .stirling import _TRIANGLES, _gsn1_row, falling_factorial_poly, gsn1
 
 __all__ = [
     "CONSTRUCTIONS",
@@ -111,19 +111,22 @@ def aux_poly(j: int, k: int) -> Poly:
                  for i in range(j, -1, -1)]) / base ** k
 
 
-def _moment_sum(coeffs, k: int, L: tuple, shift: int = 0) -> Poly:
-    """sum_m c_m M_(m+shift) for the moments M_j of (x - t)^j, t = t_1...t_k, over
-    [0,l_1] x ... x [0,l_k].  With w the product of the weights,
-    M_j(x) = w^(j+1) aux_poly(j, k)(x/w), so the sum is taken at x/w and
-    stretched back once."""
+def _moment_sum(weights: Poly, k: int, L: tuple, shift: int = 0) -> Poly:
+    """sum_m c_m M_(m+shift) for the coefficients c_m of weights and the moments
+    M_j of (x - t)^j, t = t_1...t_k, over [0,l_1] x ... x [0,l_k].  With w the
+    product of the weights L, M_j(x) = w^(j+1) aux_poly(j, k)(x/w), so the sum
+    is w^(shift+1) times sum_m c_m w^m aux_poly(m+shift, k) at x/w: the weights
+    are stretched by w, summed against the moments in integers over one
+    denominator, and the total is stretched back once."""
     w = prod(L)
-    return _lincomb((c * w ** (m + shift + 1), aux_poly(m + shift, k))
-                    for m, c in enumerate(coeffs) if c).stretch(1 / w)
+    moments = [aux_poly(m + shift, k) for m in range(len(weights))]
+    total = _weighted_sum(weights.stretch(w), moments)
+    return total if w == 1 else total.stretch(1 / w) * w ** (shift + 1)
 
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:
     """Weighted moment polynomial for integration over [0,l_1]x...x[0,l_k]."""
-    return _moment_sum([1], k, _check_weights(L, k), j)
+    return _moment_sum(Poly([1]), k, _check_weights(L, k), j)
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +285,33 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
     e = _check_kind(kind)
     n, a, q, y = p.n, p.a, p.q, p.y
     if construction == "stirling":
-        sign = (-1) ** (a - 1 + n)
-        weights = [sign * e ** m * gsn1_bivariate_at(n, m, e * y, q) for m in range(n + 1)]
+        # the values q^(n-m) [n m]_(ey/q) times e^m, as one Poly in m
+        weights = _reflect(kind, _gsn1_row(n, e * y, q)) * (-1) ** (a - 1 + n)
         return _moment_sum(weights, p.k, p.L, a - 1)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
-    product = _linear_product([0] * (a - 1) + [-e * y - j * q for j in range(n)], -e)
-    return _moment_sum((product * e ** (a - 1)).coeffs, p.k, p.L)
+    # over s = bd for y = c/b and q = g/d, each factor is (s_j - esv)/s with an
+    # integer s_j, so the product is stepped in integers over s^(n+a-1)
+    (c, b), (g, d) = y.as_integer_ratio(), q.as_integer_ratio()
+    s = b * d
+    shifts = [0] * (a - 1) + [-e * c * d - j * g * b for j in range(n)]
+    product = _linear_product(shifts, -e * s, s ** (n + a - 1))
+    return _moment_sum(product * e ** (a - 1), p.k, p.L)
 
 
 def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
     """Shifted poly-Cauchy number: the multiparameter value at x = 0, y = 0,
-    via the ordinary first-kind Stirling expansion."""
+    via the ordinary first-kind Stirling expansion
+    sum_m (-q)^(n-m) e^m w^(m+a) [n m] / (m+a)^k, w the product of the weights.
+
+    With q = c/d and w = u/v, (-q)^(n-m) e^m w^(m+a) is
+    (-cv)^(n-m) (edu)^m u^a / (d^n v^(n+a)), so the sum is taken in integers
+    over D = lcm(a..n+a)^k = lcm((m+a)^k) from row n of the memoised triangle,
+    each term scaled by D/(m+a)^k; the one Fraction built is the total."""
     e = _check_kind(kind)
     p = MultiParam(n, k, a, q, L, 0)
-    q, w = p.q, prod(p.L)
-    return sum(((-q) ** (n - m) * e ** m * w ** (m + a) / Fraction((m + a) ** k) * stirling1(n, m)
-                for m in range(n + 1)), Fraction(0))
+    (c, d), (u, v) = p.q.as_integer_ratio(), prod(p.L).as_integer_ratio()
+    base, row = lcm(*range(a, n + a + 1)), _TRIANGLES["stirling1"].row(n)
+    total = sum([(-c * v) ** (n - m) * (e * d * u) ** m * row[m] * (base // (m + a)) ** k
+                 for m in range(n + 1)])
+    return Fraction(total * u**a, d**n * v ** (n + a) * base**k)

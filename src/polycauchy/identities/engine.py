@@ -38,8 +38,10 @@ class Grid:
     """Default parameter budgets for the identity suite.
 
     ``max_n`` bounds single-sum indices, ``max_n_double`` double sums,
-    ``max_n_multi`` the multiparameter family (whose oracle expands a
-    product integral per point, so it gets the tightest budget).
+    ``max_n_multi`` the multiparameter family.  Its budget is the smallest
+    because each of its indices n is checked at every shift a, step q,
+    weight list L and offset y (108 points per n on the default lists), not
+    because a point is dear: the oracle's product is stepped in integers.
     """
 
     max_n: int = 12

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from ..bernoulli import (
     bernoulli_number,
@@ -40,13 +40,13 @@ from ..cauchy import (
     shifted_cauchy_number,
 )
 from ..harmonic import harmonic_number, harmonic_poly
-from ..poly import Poly, _lincomb, binom_poly, eval_at_sqrt
+from ..poly import Poly, _lincomb, _weighted_sum, binom_poly, eval_at_sqrt
 from ..stirling import (
+    _gsn1_row,
+    _gsn2_row,
     central_u,
     gsn1,
-    gsn1_bivariate_at,
     gsn2,
-    gsn2_bivariate_at,
     lah,
     stirling1,
     stirling2,
@@ -462,12 +462,12 @@ def _g20():
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _mc(kind: str, n: int, k: int, a: int, q, L, y) -> Poly:
     return multiparam_cauchy(kind, MultiParam(n, k, a, q, L, y))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _mpb(n: int, k: int, a: int, q, L, y) -> Poly:
     return multiparam_poly_bernoulli(n, k, a, q, L, y)
 
@@ -520,15 +520,14 @@ def _g21():
         return multiparam_cauchy(kind, p, "integral"), _mc(kind, n, len(L), a, q, L, y)
 
     def x0(kind, n, a, q, L, y):
+        # sum_m (-1)^n (-e)^m q^(n-m) [n m]_(ey/q) w^(m+a) / (m+a)^k: the row's
+        # values scaled by D/(m+a)^k, D = lcm((m+a)^k), and read at -ew
         k = len(L)
         w = prod(L)
         e = KIND_SIGN[kind]
-        point = e * y
-        rhs = sum((
-            F((-1) ** n * (-e) ** m) * gsn1_bivariate_at(n, m, point, q)
-            * w ** (m + a) / F((m + a) ** k)
-            for m in range(n + 1)
-        ), F(0))
+        base = lcm(*range(a, n + a + 1))
+        row = _gsn1_row(n, e * y, q, [(base // (m + a)) ** k for m in range(n + 1)])
+        rhs = row(-e * w) * (-1) ** n * w**a / base**k
         return Fraction(_mc(kind, n, k, a, q, L, y).constant()), rhs
 
     def reduce_ordinary(n, k):
@@ -583,28 +582,24 @@ def _g21():
             for y in grid.ys_multi
         )
 
-    # the double sums over l <= m <= n are summed over m first, so each
-    # memoised polynomial of index l is scaled once
+    # the double sums over l <= m <= n are summed over m first: the outer row's
+    # values weight the inner rows, whose coefficient l is the value at (m, l),
+    # so each memoised polynomial of index l is scaled once
     def mpb12(kind, n, a, q, L, y):
         k = len(L)
         e = KIND_SIGN[kind]
-        point = e * y
-        outer = [F((-e) ** m * factorial(m)) * gsn2_bivariate_at(n, m, y, q) for m in range(n + 1)]
-        rhs = _lincomb((
-            sum((outer[m] * gsn2_bivariate_at(m, l, point, q) for m in range(l, n + 1)), F(0)),
-            _mc(kind, l, k, a, q, L, y),
-        ) for l in range(n + 1)) * (-1) ** (n + a - 1)
+        outer = _gsn2_row(n, y, q, [factorial(m) for m in range(n + 1)]).stretch(-e)
+        inner = _weighted_sum(outer, [_gsn2_row(m, e * y, q) for m in range(n + 1)])
+        rhs = _weighted_sum(inner, [_mc(kind, l, k, a, q, L, y) for l in range(n + 1)]) * (-1) ** (n + a - 1)
         return _mpb(n, k, a, q, L, y), rhs
 
     def mpb34(kind, n, a, q, L, y):
+        # the weights (-e)^m/m! as the integers n!/m! over n!
         k = len(L)
         e = KIND_SIGN[kind]
-        point = e * y
-        outer = [F((-e) ** m, factorial(m)) * gsn1_bivariate_at(n, m, point, q) for m in range(n + 1)]
-        rhs = _lincomb((
-            sum((outer[m] * gsn1_bivariate_at(m, l, y, q) for m in range(l, n + 1)), F(0)),
-            _mpb(l, k, a, q, L, y),
-        ) for l in range(n + 1)) * (-1) ** (n + a - 1)
+        outer = _gsn1_row(n, e * y, q, [factorial(n) // factorial(m) for m in range(n + 1)]).stretch(-e)
+        inner = _weighted_sum(outer, [_gsn1_row(m, y, q) for m in range(n + 1)]) / factorial(n)
+        rhs = _weighted_sum(inner, [_mpb(l, k, a, q, L, y) for l in range(n + 1)]) * (-1) ** (n + a - 1)
         return _mc(kind, n, k, a, q, L, y), rhs
 
     def mpb_reduce(n, k):

@@ -24,9 +24,12 @@ builds no Fraction:
   q^n p(y/q), all by one integer Horner loop, and ``integrate_01``, which
   build one Fraction per value;
 * ``_lincomb``, every rational-weighted sum of polynomials, the library's
-  and the identity registries', and ``_linear_product``, a product of
-  linear factors (``binom_poly`` and the multiparameter ``integral``
-  oracle).  No other module reads or writes this form.
+  and the identity registries', ``_weighted_sum``, the same sum with its
+  weights read from a Poly's coefficients, ``_linear_product``, a product
+  of linear factors (``binom_poly`` and the multiparameter ``integral``
+  oracle), and ``_homogenised_row``, the values q^n p(y/q) of a list of
+  polynomials as the coefficients of one Poly (the bivariate Stirling
+  rows).  No other module reads or writes this form.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
 not kept.  An integral coefficient reads back as an int.
@@ -302,7 +305,7 @@ class Poly:
     def stretch(self, factor) -> "Poly":
         """Substitute x -> factor*x (coefficient i picks up factor^i)."""
         factor = _exact(factor)
-        if not self._vec:
+        if not self._vec or factor == 1:
             return self
         # coefficient i is nums[i] p^i q^(n-i) / (den q^n), factor = p/q
         p, q = factor.numerator, factor.denominator
@@ -361,7 +364,20 @@ def _lincomb(terms) -> Poly:
     """sum c p over the (c, p) pairs, c an int or Fraction: each term's
     numerators are brought over the lcm of every term's denominator, and the
     total is made canonical once.  Zero weights and polynomials are skipped."""
-    scaled = [(p._vec, c.numerator, p._den * c.denominator) for c, p in terms if c and p._vec]
+    return _sum_scaled([(p._vec, c.numerator, p._den * c.denominator) for c, p in terms if c and p._vec])
+
+
+def _weighted_sum(weights: Poly, polys) -> Poly:
+    """sum_m weights[m] polys[m], the weights read as integer numerators over
+    weights' denominator, summed as ``_lincomb`` sums.  polys holds at least
+    one polynomial per coefficient of weights."""
+    den = weights._den
+    return _sum_scaled([(p._vec, c, p._den * den) for c, p in zip(weights._vec, polys) if c and p._vec])
+
+
+def _sum_scaled(scaled) -> Poly:
+    """sum numerator vec / d over the (vec, numerator, d) triples, in integers
+    over the lcm of the d's, made canonical once."""
     den = lcm(*[d for _, _, d in scaled])
     total = [0] * max([len(vec) for vec, _, _ in scaled], default=0)
     for vec, numerator, d in scaled:
@@ -381,6 +397,25 @@ def _linear_product(shifts, slope: int, den: int = 1) -> Poly:
     for a in nums:
         out = [a * lo + b * hi for lo, hi in zip(out + [0], [0] + out)]
     return _make(out, den * q ** len(nums))
+
+
+def _homogenised_row(polys, y, q, scales=None) -> Poly:
+    """The values q^(n_m) p_m(y/q) of the nonzero polynomials p_m, of degrees
+    n_m, each times the integer scales[m] if scales are given, as the
+    coefficients of one Poly: coefficient m is the value of p_m.  With y = a/b,
+    q = c/d and D the lcm of the p_m's denominators, value m is
+    _horner(nums_m, ad, cb) (D/den_m) (bd)^(n - n_m) over D (bd)^n, n the
+    largest degree, and the row is made canonical once.  At q = 0 the loop
+    leaves the leading term alone, times y^(n_m)."""
+    y, q = _exact(y), _exact(q)
+    b, d = y.denominator, q.denominator
+    u, v, s = y.numerator * d, q.numerator * b, b * d
+    n = max([len(p._vec) for p in polys]) - 1
+    den = lcm(*[p._den for p in polys])
+    nums = [_horner(p._vec, u, v) * (den // p._den) * s ** (n + 1 - len(p._vec)) for p in polys]
+    if scales is not None:
+        nums = [c * f for c, f in zip(nums, scales)]
+    return _make(nums, den * s**n)
 
 
 def _homogenised_at(p: Poly, y, q) -> Fraction:

@@ -30,8 +30,10 @@ ordinary triangles: at x = 0 they reduce to the triangle entry and at a
 non-negative integer r they give the r-shifted variants.  Their bivariate
 values q^(n-m) p(y/q) carry an extra geometric step q; the second kind's
 needs q != 0.  Each is read through the poly module's homogeneous
-evaluation of the memoised polynomial.  The r-Whitney numbers are these
-values at (y, q) = (r, m).
+evaluation of the memoised polynomial, and ``_gsn1_row``/``_gsn2_row``
+give the values for m = 0..n as the coefficients of one Poly, by the
+same integer Horner loop over one denominator.  The r-Whitney numbers are
+these values at (y, q) = (r, m).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterator
 
-from .poly import Poly, _homogenised_at, binom_poly
+from .poly import Poly, _homogenised_at, _homogenised_row, binom_poly
 from .rational import _exact
 
 __all__ = [
@@ -219,6 +221,24 @@ def gsn2(n: int, m: int) -> Poly:
     _check_indices(n, m)
     row = _TRIANGLES["stirling2"].row
     return Poly([comb(n, i) * row(n - i)[m] for i in range(n - m + 1)])
+
+
+def _gsn1_row(n: int, y, q, scales=None) -> Poly:
+    """The first-kind bivariate values q^(n-m) [n m]_(y/q), m = 0..n, each
+    times the integer scales[m] if scales are given, as the coefficients of
+    one Poly: one homogeneous Horner pass per memoised gsn1(n, m), in
+    integers over one denominator."""
+    _check_indices(n, 0)
+    return _homogenised_row([gsn1(n, m) for m in range(n + 1)], y, q, scales)
+
+
+def _gsn2_row(n: int, y, q, scales=None) -> Poly:
+    """The second-kind bivariate values q^(n-m) {n m}_(y/q), m = 0..n, for
+    q != 0, as ``_gsn1_row`` gives the first kind's."""
+    _check_indices(n, 0)
+    if not _exact(q):
+        raise ValueError("the bivariate second-kind value needs q != 0")
+    return _homogenised_row([gsn2(n, m) for m in range(n + 1)], y, q, scales)
 
 
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:

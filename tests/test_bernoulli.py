@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polycauchy import (
     Poly,
@@ -212,6 +214,16 @@ def test_multiparam_poly_bernoulli():
         want = want + inner * (factorial(m) * biv)
     want = want * (-1) ** n
     assert got == want
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(st.integers(0, 8), st.integers(1, 3), st.sampled_from([0, F(0)]),
+       st.lists(rationals.filter(bool), min_size=1, max_size=3), rationals)
+def test_multiparam_poly_bernoulli_refuses_a_zero_step(n, a, q, L, y):
+    with pytest.raises(ValueError, match="needs q != 0"):
+        multiparam_poly_bernoulli(n, len(L), a, q, L, y)
 
 
 def test_multiparam_poly_bernoulli_domain():

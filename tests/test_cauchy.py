@@ -23,7 +23,7 @@ from polycauchy import (
     shifted_cauchy_number,
 )
 from polycauchy.cauchy import _moment_sum
-from polycauchy.stirling import gsn1
+from polycauchy.stirling import gsn1, stirling1
 from test_poly import assert_canonical
 
 FIRST = {
@@ -375,13 +375,32 @@ def _moment(j, k, L):
 def test_moment_sum_matches_the_per_term_sum(coeffs, L, shift):
     L = tuple(L)
     want = sum((_moment(m + shift, len(L), L) * c for m, c in enumerate(coeffs)), Poly())
-    assert _moment_sum(coeffs, len(L), L, shift) == want
+    got = _moment_sum(Poly(coeffs), len(L), L, shift)
+    assert_canonical(got)
+    assert got == want
 
 
 def test_moment_sum_of_zero_coefficients_is_zero():
     for coeffs in ([], [0], [0, F(0), 0]):
         for shift in range(4):
-            assert _moment_sum(coeffs, 2, (F(-1, 2), F(3)), shift) == Poly()
+            assert _moment_sum(Poly(coeffs), 2, (F(-1, 2), F(3)), shift) == Poly()
+
+
+@given(st.sampled_from(["first", "second"]), st.integers(0, 10), st.integers(1, 4),
+       st.integers(0, 4), rationals, st.data())
+def test_shifted_numbers_match_the_fraction_sum(kind, n, a, k, q, data):
+    L = data.draw(st.lists(rationals.filter(bool), min_size=k, max_size=k)) if k else []
+    if not k:
+        with pytest.raises(ValueError):
+            shifted_cauchy_number(kind, n, k, a, q, L)
+        return
+    e = 1 if kind == "first" else -1
+    w = prod(L)
+    want = sum((F(-q) ** (n - m) * e**m * w ** (m + a) / (m + a) ** k * stirling1(n, m)
+                for m in range(n + 1)), F(0))
+    got = shifted_cauchy_number(kind, n, k, a, q, L)
+    assert type(got) is F
+    assert got == want
 
 
 def test_multiparam_degree():

@@ -139,7 +139,8 @@ def test_registry_memos_are_bounded_and_hold_the_default_grid():
     # evicted and computed again
     memos = (registry_core._s2_values, registry_core._whitney_values, registry_core._whitney2_values,
              registry_core._cauchy_at,
-             registry_poly._kb_inner, registry_poly._bernoulli_moments, registry_poly._gsn2_at)
+             registry_poly._kb_inner, registry_poly._bernoulli_moments, registry_poly._gsn2_at,
+             registry_poly._mc, registry_poly._mpb)
     for memo in memos:
         memo.cache_clear()
     assert run_all(DEFAULT_GRID).ok

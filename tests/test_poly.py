@@ -17,7 +17,7 @@ from polycauchy import (
     poly_to_strings,
     rising_factorial_poly,
 )
-from polycauchy.poly import _lincomb, _linear_product
+from polycauchy.poly import _homogenised_row, _lincomb, _linear_product, _weighted_sum
 
 coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=5)
 polys = coeffs.map(Poly)
@@ -361,6 +361,34 @@ def test_lincomb_examples():
     total = _lincomb([(2, Poly([1, 1])), (F(1, 3), Poly([0, 0, 3])), (F(-3, 4), Poly([F(4, 3)]))])
     assert_canonical(total)
     assert_same(total, Poly([1, 2, 1]))
+
+
+@given(polys, st.lists(st.one_of(wide_polys, st.just(Poly())), max_size=6))
+def test_weighted_sum_matches_reference(weights, ps):
+    ps = ps + [Poly([1])] * (len(weights) - len(ps))  # one polynomial per weight at least
+    want = Poly()
+    for c, p in zip(weights.coeffs, ps):
+        want = ref_add(want, ref_mul(Poly([c]), p))
+    got = _weighted_sum(weights, ps)
+    assert_canonical(got)
+    assert_same(got, want)
+
+
+def ref_homogenised(p, y, q):
+    """q^n p(y/q) for n = p.degree, term by term in Fractions."""
+    n = p.degree
+    return sum((F(c) * F(y) ** i * F(q) ** (n - i) for i, c in enumerate(p.coeffs)), F(0))
+
+
+@given(st.lists(wide_polys.filter(bool), min_size=1, max_size=6), points,
+       st.one_of(st.just(0), points), st.data())
+def test_homogenised_row_matches_reference(ps, y, q, data):
+    scales = data.draw(st.one_of(st.none(), st.lists(st.integers(-10**6, 10**6),
+                                                     min_size=len(ps), max_size=len(ps))))
+    got = _homogenised_row(ps, y, q, scales)
+    assert_canonical(got)
+    want = [ref_homogenised(p, y, q) * (1 if scales is None else scales[m]) for m, p in enumerate(ps)]
+    assert_same(got, Poly(want))
 
 
 def ref_linear_product(cs, slope, den=1):

@@ -24,6 +24,8 @@ from polycauchy import (
 from polycauchy.stirling import (
     _TRIANGLES,
     _Triangle,
+    _gsn1_row,
+    _gsn2_row,
     falling_factorial_poly,
     rising_factorial_poly,
     triangle_rows,
@@ -309,6 +311,32 @@ def test_bivariate_kernel_matches_fraction_reference(data, n, y, q):
         got = whitney(kind, q, y, n, m)
         assert type(got) is F
         assert got == value
+
+
+@given(st.integers(0, 12), st.one_of(st.just(0), bivariate_points), st.one_of(st.just(0), bivariate_points))
+def test_bivariate_rows_match_the_values(n, y, q):
+    # coefficient m of a row is the scalar value at (n, m), q = 0 and y = 0 included
+    assert _gsn1_row(n, y, q) == Poly([gsn1_bivariate_at(n, m, y, q) for m in range(n + 1)])
+    scales = [factorial(m) for m in range(n + 1)]
+    assert _gsn1_row(n, y, q, scales) == Poly([factorial(m) * gsn1_bivariate_at(n, m, y, q)
+                                               for m in range(n + 1)])
+    if q == 0:
+        with pytest.raises(ValueError, match="needs q != 0"):
+            _gsn2_row(n, y, q)
+        return
+    assert _gsn2_row(n, y, q) == Poly([gsn2_bivariate_at(n, m, y, q) for m in range(n + 1)])
+    assert _gsn2_row(n, y, q, scales) == Poly([factorial(m) * gsn2_bivariate_at(n, m, y, q)
+                                               for m in range(n + 1)])
+
+
+def test_bivariate_rows_examples():
+    # [2 m]_x = (x^2 + x, 2x + 1, 1): at (y, q) = (1/2, -3) the values are
+    # q^2 ((y/q)^2 + y/q), q (2y/q + 1) and 1
+    assert _gsn1_row(2, F(1, 2), -3) == Poly([F(-5, 4), -2, 1])
+    assert _gsn1_row(2, F(1, 2), 0) == Poly([F(1, 4), 1, 1])
+    assert _gsn1_row(0, 5, 7) == Poly([1])
+    with pytest.raises(ValueError):
+        _gsn1_row(-1, 0, 1)
 
 
 def test_bivariate_first_kind_at_zero_step():
