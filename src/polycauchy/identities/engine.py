@@ -60,17 +60,41 @@ class Grid:
     ys_multi: tuple = (Fraction(0), Fraction(1, 2), Fraction(-3, 2))
 
     def __post_init__(self):
-        # every int field is a bound and every tuple a list of points; a bound
-        # below its first index or an empty list empties the grid of every
-        # case that reads it, and those cases would pass vacuously
+        # every field with an int default is a bound and every other a list of
+        # points; a bound below its first index or an empty list empties the
+        # grid of every case that reads it, and those cases would pass
+        # vacuously.  A float would fail part-way through a run and a bool
+        # bound would run as n <= 1, so both are refused here, as is a weight
+        # list that the multiparameter family would refuse part-way.
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, int):
+            if isinstance(f.default, int):
+                if not _is_int(value):
+                    raise ValueError(f"grid bound {f.name} must be an int, got {value!r}")
                 low = 1 if f.name in ("max_k", "max_a") else 0
                 if value < low:
                     raise ValueError(f"grid bound {f.name} must be >= {low}, got {value}")
             elif not value:
                 raise ValueError(f"grid list {f.name} must not be empty")
+            elif f.name == "ls":
+                for weights in value:
+                    if not (isinstance(weights, tuple) and weights and all(map(_is_point, weights))
+                            and all(weights)):
+                        raise ValueError(f"grid list ls must hold non-empty tuples of nonzero int or "
+                                         f"Fraction weights, got {weights!r}")
+            else:
+                for point in value:
+                    if not _is_point(point):
+                        raise ValueError(f"grid list {f.name} must hold int or Fraction points, "
+                                         f"got {point!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_point(value) -> bool:
+    return _is_int(value) or isinstance(value, Fraction)
 
 
 DEFAULT_GRID = Grid()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from ..bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli_poly, euler_poly, power_sum_poly
 from ..cauchy import (
@@ -30,8 +30,8 @@ from ..cauchy import (
     cauchy_recurrence_step,
 )
 from ..harmonic import harmonic_number, hyperharmonic_poly
-from ..poly import Poly, _lincomb, binom_poly
-from ..stirling import a_number, central_u, gsn1, gsn2, stirling1, stirling2, whitney
+from ..poly import Poly, _dot, _homogenised_row, _lincomb, _weighted_sum, binom_poly
+from ..stirling import _gsn1_row, _gsn2_row, a_number, central_u, gsn1, gsn2, stirling1, stirling2
 from .engine import IdentityCase
 
 F = Fraction
@@ -156,42 +156,16 @@ def _diffk(kind, n, k):
     return poly.affine_compose(1, 1) - poly, rhs
 
 
-@lru_cache(maxsize=512)
-def _whitney_values(m, r, n):
-    """whitney("first", m, r, n, l) / m^(n-l) for l = 0..n.  Memoised, bounded
-    above the 400 keys of a deep grid (max_n 24, max_r 5; the default grid has
-    208), since G08 and G15 read each value for every k and both kinds."""
-    return tuple(whitney("first", m, r, n, l) / F(m) ** (n - l) for l in range(n + 1))
-
-
-@lru_cache(maxsize=512)
-def _whitney2_values(m, r, n):
-    """m^l whitney("second", m, r, n, l) for l = 0..n.  Memoised, bounded
-    above the 400 keys of a deep grid (max_n 24, max_r 5), since G08 reads
-    each value for both kinds."""
-    return tuple(F(m) ** l * whitney("second", m, r, n, l) for l in range(n + 1))
-
-
-@lru_cache(maxsize=2048)
-def _cauchy_at(kind, n, k, y):
-    """cauchy_poly(kind, n, k)(y).  Memoised, bounded above the 1,236 keys of a
-    deep grid (max_n 24, max_n_double 12, max_k 6, max_r 5; the default grid
-    has 520), since G08.whit*-rev and G15.korec* read each value for every
-    outer index that reaches it."""
-    return cauchy_poly(kind, n, k)(y)
-
-
 def _whitk(kind, n, k, m, r):
     """The kind's index-n value at e r/m, and the sum over l of
     (-1)^n (-e)^l / (l+1)^k times the first-kind r-Whitney number w_{m,r}(n, l)
-    over m^(n-l), whose values depend on neither k nor the kind."""
+    over m^(n-l), which is [n l]_(r/m): the row of those values, scaled by the
+    integers (D/(l+1))^k for D = lcm(1..n+1), read at -e and divided by D^k."""
     e = KIND_SIGN[kind]
     lhs = F(cauchy_poly(kind, n, k)(F(e * r, m)))
-    rhs = sum((
-        F((-1) ** n * (-e) ** l, (l + 1) ** k) * value
-        for l, value in enumerate(_whitney_values(m, r, n))
-    ), F(0))
-    return lhs, rhs
+    base = lcm(*range(1, n + 2))
+    row = _gsn1_row(n, F(r, m), 1, [(base // (l + 1)) ** k for l in range(n + 1)])
+    return lhs, F(row(-e) * (-1) ** n, base**k)
 
 
 def _genk(kind, n, i, k):
@@ -220,11 +194,12 @@ def _odd_central(kind, n, odd_poly):
 @lru_cache(maxsize=2048)
 def _s2_values(kind, m, k, y):
     """Sum over l of gsn2(m, l)(y) times the kind's index-l value at y, or
-    at -y for the second kind.  Memoised, bounded above the 1,092 keys of a
-    deep grid (max_n_double 12, max_k 6), since G13 and G17 read each value
-    for every n of an outer sum."""
-    point = KIND_SIGN[kind] * y
-    return sum((gsn2(m, l)(y) * cauchy_poly(kind, l, k)(point) for l in range(m + 1)), F(0))
+    at -y for the second kind.  Memoised, bounded above the 1,428 keys of the
+    deep grid (max_n_double 16, max_k 6), since G13 and G17 read each value
+    for every n of an outer sum.  It is the dot product of the two rows of
+    values."""
+    values = _homogenised_row([cauchy_poly(kind, l, k) for l in range(m + 1)], KIND_SIGN[kind] * y, 1)
+    return _dot(_gsn2_row(m, y, 1), values)
 
 
 def _s2_double(kind, n, k, y):
@@ -496,13 +471,11 @@ def _g08():
         )
 
     def whit_rev(kind, n, m, r):
+        # m^l W_{m,r}(n, l) = m^n {n l}_(r/m): the row of those values against
+        # the row of the kind's values at e r/m
         e = KIND_SIGN[kind]
-        point = F(e * r, m)
-        lhs = sum((
-            value * _cauchy_at(kind, l, 1, point)
-            for l, value in enumerate(_whitney2_values(m, r, n))
-        ), F(0))
-        return lhs, F(e**n * m**n, n + 1)
+        values = _homogenised_row([cauchy_poly(kind, l, 1) for l in range(n + 1)], F(e * r, m), 1)
+        return _dot(_gsn2_row(n, F(r, m), 1), values) * m**n, F(e**n * m**n, n + 1)
 
     return [
         IdentityCase("G08.whit1", "first kind at r/m from first-kind Whitney numbers", _points, partial(_whitk, "first", k=1)),
@@ -588,11 +561,11 @@ def _g09():
 
 def _g10():
     def hyp12(kind, n, y):
+        # the weights (-1)^m/m! H_(n+1-m)(y): the values scaled by (-1)^m n!/m!, over n!
         e = KIND_SIGN[kind]
-        lhs = _lincomb(
-            (F((-1) ** m, factorial(m)) * hyperharmonic_poly(n + 1 - m)(y), cauchy_poly(kind, m, 1))
-            for m in range(n + 1)
-        )
+        weights = _homogenised_row([hyperharmonic_poly(n + 1 - m) for m in range(n + 1)], y, 1,
+                                   [(-1) ** m * (factorial(n) // factorial(m)) for m in range(n + 1)])
+        lhs = _weighted_sum(weights, [cauchy_poly(kind, m, 1) for m in range(n + 1)]) / factorial(n)
         return lhs, binom_poly(y + n - (1 + e) // 2, e, n)
 
     def hyp3(n):
@@ -804,14 +777,15 @@ def _g13():
         return bernoulli_poly(n), _s2_double(kind, n, 1, y)
 
     def p4cd(kind, n, y):
+        # inner sum m: (-1)^n (-e)^m/m! times the first-kind row m against the
+        # Bernoulli values at y signed by (-1)^l, one row that every m reads
         e = KIND_SIGN[kind]
-        rhs = _lincomb((
-            sum((
-                F((-1) ** (n + l) * (-e) ** m, factorial(m)) * gsn1(m, l)(y) * bernoulli_poly(l)(y)
-                for l in range(m + 1)
-            ), F(0)),
-            gsn1(n, m),
-        ) for m in range(n + 1))
+        values = _homogenised_row([bernoulli_poly(l) for l in range(n + 1)], y, 1,
+                                  [(-1) ** l for l in range(n + 1)])
+        rhs = _lincomb(
+            (F((-1) ** n * (-e) ** m, factorial(m)) * _dot(_gsn1_row(m, y, 1), values), gsn1(n, m))
+            for m in range(n + 1)
+        )
         return _reflected(kind, n), rhs
 
     def inner(kind, m, y):

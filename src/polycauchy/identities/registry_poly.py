@@ -40,20 +40,19 @@ from ..cauchy import (
     shifted_cauchy_number,
 )
 from ..harmonic import harmonic_number, harmonic_poly
-from ..poly import Poly, _lincomb, _weighted_sum, binom_poly, eval_at_sqrt
+from ..poly import Poly, _dot, _homogenised_row, _lincomb, _weighted_sum, binom_poly, eval_at_sqrt
 from ..stirling import (
     _gsn1_row,
     _gsn2_row,
     central_u,
     gsn1,
-    gsn2,
     lah,
     stirling1,
     stirling2,
 )
 from .engine import IdentityCase
 from .registry_core import (
-    F, _c, _cauchy_at, _ch, _chp, _constructions, _cor2, _cp, _derk, _diffk, _genk, _inv, _n_k, _n_y,
+    F, _c, _ch, _chp, _constructions, _cor2, _cp, _derk, _diffk, _genk, _inv, _n_k, _n_y,
     _ns, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _whitk,
 )
 
@@ -113,18 +112,14 @@ def _g15():
         )
 
     def korec(kind, n, k, r, s):
-        point = KIND_SIGN[kind] * s
-        lhs = sum((
-            _gsn2_at(n - r, m - r, r) * _cauchy_at(kind, m - s, k, point)
-            for m in range(r, n + 1)
-        ), F(0))
-        # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second
-        rhs = sum((
-            F((-1) ** (n - s) * (-KIND_SIGN[kind]) ** (n - s + r - l), (n + l - r - s + 1) ** k)
-            * gsn1(r - s, l - s)(F(s))
-            for l in range(s, r + 1)
-        ), F(0))
-        return lhs, rhs
+        e = KIND_SIGN[kind]
+        values = _homogenised_row([cauchy_poly(kind, m - s, k) for m in range(r, n + 1)], e * s, 1)
+        lhs = _dot(_gsn2_row(n - r, r, 1), values)
+        # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second: the row over
+        # j = l - s scaled by (D/(n-r+1+j))^k, D = lcm(n-r+1..n-s+1), read at -e
+        base = lcm(*range(n - r + 1, n - s + 2))
+        row = _gsn1_row(r - s, s, 1, [(base // (n - r + 1 + j)) ** k for j in range(r - s + 1)])
+        return lhs, F(row(-e) * (-1) ** (n - s) * (-e) ** (n + r), base**k)
 
     def _korec_s0_points(grid):
         return (
@@ -135,13 +130,12 @@ def _g15():
         )
 
     def korec_s0(kind, n, k, r):
-        lhs = sum((gsn2(n, m)(F(r)) * cauchy_number(kind, m + r, k) for m in range(n + 1)), F(0))
-        # (-1)^(r-l) for the first kind, (-1)^(n+r) for the second
-        rhs = sum((
-            F((-1) ** (n + r) * (-KIND_SIGN[kind]) ** (n + l), (n + l + 1) ** k) * stirling1(r, l)
-            for l in range(r + 1)
-        ), F(0))
-        return lhs, rhs
+        e = KIND_SIGN[kind]
+        lhs = _dot(_gsn2_row(n, r, 1), Poly([cauchy_number(kind, m + r, k) for m in range(n + 1)]))
+        # (-1)^(r-l) for the first kind, (-1)^(n+r) for the second, over D = lcm(n+1..n+r+1)
+        base = lcm(*range(n + 1, n + r + 2))
+        rhs = sum([(-e) ** l * stirling1(r, l) * (base // (n + l + 1)) ** k for l in range(r + 1)])
+        return lhs, F(rhs * (-1) ** (n + r) * (-e) ** n, base**k)
 
     def val_at(kind, n, k):
         want = F(cauchy_poly(kind, n, k)(F(KIND_SIGN[kind])))
@@ -212,24 +206,18 @@ def _g16():
 
 # Inner sums that do not depend on the outer index n of their case are
 # memoised once per key (as is ``registry_core._s2_values``).  Each memo is
-# bounded, and its maxsize exceeds the keys of the default grid and of a deep
-# grid with max_n 24, max_n_double 12 and max_k 6 (1,092 and 576 keys), so
-# neither run evicts and recomputes a sum.
-
-@lru_cache(maxsize=512)
-def _gsn2_at(n, m, y):
-    """gsn2(n, m)(y), read by G15.korec* for every n and k that reach it
-    (371 keys on the deep grid, 145 on the default grid)."""
-    return gsn2(n, m)(y)
-
+# bounded, and its maxsize exceeds the keys of the default grid and of the
+# deep grid, with max_n 36, max_n_double 16 and max_k 6 (1,428 and 864 keys),
+# so neither run evicts and recomputes a sum.  A value read once per point
+# is not memoised: the r-Whitney sums of G08/G15 and the G15.korec* sums
+# are each one row of values per point.
 
 @lru_cache(maxsize=2048)
 def _kb_inner(kind, m, k, y):
-    """G17.kb3/kb4's inner sum over l of (-e)^m/m! gsn1(m, l)(y) B_l^(k)(y)."""
-    return sum((
-        F((-KIND_SIGN[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
-        for l in range(m + 1)
-    ), F(0))
+    """G17.kb3/kb4's inner sum over l of (-e)^m/m! gsn1(m, l)(y) B_l^(k)(y):
+    (-e)^m/m! times the first-kind row against the poly-Bernoulli values."""
+    values = _homogenised_row([poly_bernoulli_gsn(l, k) for l in range(m + 1)], y, 1)
+    return _dot(_gsn1_row(m, y, 1), values) * F((-KIND_SIGN[kind]) ** m, factorial(m))
 
 
 @lru_cache(maxsize=1024)
@@ -640,13 +628,14 @@ def _g21():
 
 def _g22():
     def hp(kind, n, y):
+        # the weights (-1)^m/(n-m)! c_(n-m)(y): the values scaled by
+        # (-1)^m n!/(n-m)!, over n!; harmonic polynomials at x + 1 for the
+        # first kind, x + 2 for the second
         e = KIND_SIGN[kind]
-        # harmonic polynomials at x + 1 for the first kind, x + 2 for the second
-        lhs = _lincomb((
-            F((-1) ** m, factorial(n - m)) * cauchy_poly(kind, n - m, 1)(y),
-            harmonic_poly(m).affine_compose(1, (3 - e) // 2),
-        ) for m in range(n + 1))
-        return lhs, binom_poly(-e * y, 1, n)
+        weights = _homogenised_row([cauchy_poly(kind, n - m, 1) for m in range(n + 1)], y, 1,
+                                   [(-1) ** m * (factorial(n) // factorial(n - m)) for m in range(n + 1)])
+        lhs = _weighted_sum(weights, [harmonic_poly(m).affine_compose(1, (3 - e) // 2) for m in range(n + 1)])
+        return lhs / factorial(n), binom_poly(-e * y, 1, n)
 
     def hp3(n):
         rhs = binom_poly(0, 1, n) - _lincomb(

@@ -27,9 +27,10 @@ builds no Fraction:
   and the identity registries', ``_weighted_sum``, the same sum with its
   weights read from a Poly's coefficients, ``_linear_product``, a product
   of linear factors (``binom_poly`` and the multiparameter ``integral``
-  oracle), and ``_homogenised_row``, the values q^n p(y/q) of a list of
+  oracle), ``_homogenised_row``, the values q^n p(y/q) of a list of
   polynomials as the coefficients of one Poly (the bivariate Stirling
-  rows).  No other module reads or writes this form.
+  rows), and ``_dot``, the sum of the products of two such rows' values,
+  which builds one Fraction.  No other module reads or writes this form.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
 not kept.  An integral coefficient reads back as an int.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from .rational import _exact, format_rational, parse_rational
@@ -416,6 +418,12 @@ def _homogenised_row(polys, y, q, scales=None) -> Poly:
     if scales is not None:
         nums = [c * f for c, f in zip(nums, scales)]
     return _make(nums, den * s**n)
+
+
+def _dot(a: Poly, b: Poly) -> Fraction:
+    """sum_i a[i] b[i], over the coefficients the two have in common: the
+    integer dot product of the numerators over a's denominator times b's."""
+    return Fraction(sum(map(mul, a._vec, b._vec)), a._den * b._den)
 
 
 def _homogenised_at(p: Poly, y, q) -> Fraction:

@@ -1,5 +1,7 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from polycauchy.identities import (
     run_all,
     verify,
 )
+from polycauchy.cli import _parse_config
 from polycauchy.identities import registry_core, registry_poly
 
 SMALL = Grid(max_n=5, max_n_double=3, max_k=2, max_r=2, max_a=2, max_n_multi=2)
@@ -70,6 +73,27 @@ def test_empty_grid_list_rejected(points):
         Grid(**{points: ()})
     with pytest.raises(ValueError, match=points):
         replace(DEFAULT_GRID, **{points: ()})
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"xs": (0.1,)}, "xs"),
+    ({"qs": (0.5,)}, "qs"),
+    ({"ys_multi": (0.25,)}, "ys_multi"),
+    ({"max_n": 2.5}, "max_n"),
+    ({"max_n": True}, "max_n"),
+    ({"ls": ((Fraction(0),),)}, "ls"),
+], ids=["float-x", "float-q", "float-y", "float-bound", "bool-bound", "zero-weight"])
+def test_grid_of_bad_type_rejected_when_built(overrides, field):
+    # each of these used to be accepted, then fail part-way through run_all()
+    # or, for the bool bound, run as n <= 1
+    with pytest.raises(ValueError, match=field):
+        replace(DEFAULT_GRID, **overrides)
+
+
+def test_deep_grid_config_builds():
+    config = Path(__file__).resolve().parents[1] / "ci" / "deep-grid.cfg"
+    grid = replace(DEFAULT_GRID, **_parse_config(str(config)))
+    assert grid.max_n > DEFAULT_GRID.max_n and grid.qs == DEFAULT_GRID.qs
 
 
 def test_verify_zhao():
@@ -134,12 +158,9 @@ def test_grid_overrides():
 
 
 def test_registry_memos_are_bounded_and_hold_the_default_grid():
-    # each memo of an inner sum, of r-Whitney values or of single values is
-    # bounded, and a default run fills it below its bound, so nothing is
-    # evicted and computed again
-    memos = (registry_core._s2_values, registry_core._whitney_values, registry_core._whitney2_values,
-             registry_core._cauchy_at,
-             registry_poly._kb_inner, registry_poly._bernoulli_moments, registry_poly._gsn2_at,
+    # each memo of an inner sum or of single values is bounded, and a default
+    # run fills it below its bound, so nothing is evicted and computed again
+    memos = (registry_core._s2_values, registry_poly._kb_inner, registry_poly._bernoulli_moments,
              registry_poly._mc, registry_poly._mpb)
     for memo in memos:
         memo.cache_clear()

@@ -17,7 +17,7 @@ from polycauchy import (
     poly_to_strings,
     rising_factorial_poly,
 )
-from polycauchy.poly import _homogenised_row, _lincomb, _linear_product, _weighted_sum
+from polycauchy.poly import _dot, _homogenised_row, _lincomb, _linear_product, _weighted_sum
 
 coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=5)
 polys = coeffs.map(Poly)
@@ -389,6 +389,22 @@ def test_homogenised_row_matches_reference(ps, y, q, data):
     assert_canonical(got)
     want = [ref_homogenised(p, y, q) * (1 if scales is None else scales[m]) for m, p in enumerate(ps)]
     assert_same(got, Poly(want))
+
+
+@given(wide_polys, wide_polys)
+def test_dot_matches_reference(a, b):
+    # the lists differ in length, and either may be the zero polynomial
+    want = F(0)
+    for x, y in zip(a.coeffs, b.coeffs):
+        want += F(x) * F(y)
+    got = _dot(a, b)
+    assert type(got) is F and got == want
+
+
+def test_dot_examples():
+    assert _dot(Poly(), Poly([1, 2])) == 0 and type(_dot(Poly(), Poly())) is F
+    assert _dot(Poly([F(1, 2), 3]), Poly([F(2, 3)])) == F(1, 3)
+    assert _dot(Poly([1, F(1, 2)]), Poly([0, F(-2, 3), 7])) == F(-1, 3)
 
 
 def ref_linear_product(cs, slope, den=1):
