@@ -2,9 +2,10 @@
 and the poly-Bernoulli variants.
 
 The Bernoulli, Euler and power-sum polynomials are rows of the
-generating function (t/(e^t - 1))^alpha e^(xt) (``gf_gen_bernoulli``,
-read by the Sheffer-row kernel ``sheffer_rows``), so the series module is
-the single source of the defining convention (B_1 = -1/2).
+generating function (t/(e^t - 1))^alpha e^(xt) (``gf_gen_bernoulli``);
+``gen_bernoulli_poly`` builds its one row n from the same Sheffer pair and
+power loop as ``sheffer_rows``, so the series module is the single source
+of the defining convention (B_1 = -1/2).
 
 The Bernoulli numbers are read from integers alone, by the TangentNumbers
 algorithm of Brent & Harvey, "Fast computation of Bernoulli, Tangent and
@@ -35,7 +36,7 @@ from math import factorial
 
 from .cauchy import MultiParam, _check_nk, _moment_sum, aux_poly
 from .poly import Poly, _lincomb
-from .series import gf_gen_bernoulli
+from .series import _gen_bernoulli, _sheffer_row
 from .stirling import _gsn2_row, gsn2, stirling2
 
 __all__ = [
@@ -57,7 +58,7 @@ def gen_bernoulli_poly(n: int, alpha: int) -> Poly:
         raise ValueError("degree must be >= 0")
     if alpha < 0:
         raise ValueError("order must be >= 0")
-    return gf_gen_bernoulli(alpha, n)[n] * factorial(n)
+    return _sheffer_row(*_gen_bernoulli(alpha), n) * factorial(n)
 
 
 def bernoulli_poly(n: int) -> Poly:

@@ -44,7 +44,7 @@ from math import comb, factorial, lcm, prod
 
 from .poly import Poly, _lincomb, _linear_product, _weighted_sum, binom_poly
 from .rational import _exact
-from .series import gf_cauchy1, gf_cauchy2
+from .series import _CAUCHY1, _CAUCHY2, _sheffer_row
 from .stirling import _TRIANGLES, _gsn1_row, falling_factorial_poly, gsn1
 
 __all__ = [
@@ -148,7 +148,7 @@ def _poly_integral(kind: str, n: int, k: int) -> Poly:
 def _poly_series(kind: str, n: int, k: int) -> Poly:
     if k != 1:
         raise ValueError("the generating-function construction is defined for k = 1 only")
-    return (gf_cauchy1 if kind == "first" else gf_cauchy2)(n)[n] * factorial(n)
+    return _sheffer_row(*(_CAUCHY1 if kind == "first" else _CAUCHY2), n) * factorial(n)
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:

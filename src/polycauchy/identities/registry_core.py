@@ -29,8 +29,8 @@ from ..cauchy import (
     KIND_SIGN, _OTHER, _reflect, cauchy_coefficient, cauchy_derivative, cauchy_number, cauchy_poly,
     cauchy_recurrence_step,
 )
-from ..harmonic import harmonic_number, hyperharmonic_poly
-from ..poly import Poly, _dot, _homogenised_row, _lincomb, _weighted_sum, binom_poly
+from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
+from ..poly import Poly, _dot, _homogenised_row, _lincomb, _over_one_denominator, _weighted_sum, binom_poly
 from ..stirling import _gsn1_row, _gsn2_row, a_number, central_u, gsn1, gsn2, stirling1, stirling2
 from .engine import IdentityCase
 
@@ -192,22 +192,25 @@ def _odd_central(kind, n, odd_poly):
 
 
 @lru_cache(maxsize=2048)
-def _s2_values(kind, m, k, y):
+def _s2_values(kind, m, k, y_num, y_den):
     """Sum over l of gsn2(m, l)(y) times the kind's index-l value at y, or
-    at -y for the second kind.  Memoised, bounded above the 1,428 keys of the
-    deep grid (max_n_double 16, max_k 6), since G13 and G17 read each value
-    for every n of an outer sum.  It is the dot product of the two rows of
-    values."""
+    at -y for the second kind, for y = y_num/y_den.  Memoised, bounded above
+    the 1,428 keys of the deep grid (max_n_double 16, max_k 6), since G13 and
+    G17 read each value for every n of an outer sum; y is keyed by two ints,
+    as hashing a Fraction costs more than the rest of a lookup.  It is the
+    dot product of the two rows of values."""
+    y = F(y_num, y_den)
     values = _homogenised_row([cauchy_poly(kind, l, k) for l in range(m + 1)], KIND_SIGN[kind] * y, 1)
     return _dot(_gsn2_row(m, y, 1), values)
 
 
 def _s2_double(kind, n, k, y):
-    e = KIND_SIGN[kind]
-    return _lincomb(
-        (F((-e) ** m * factorial(m)) * _s2_values(kind, m, k, y), gsn2(n, m))
-        for m in range(n + 1)
-    )
+    """Sum over m of (-e)^m m! _s2_values(kind, m, k, y) gsn2(n, m): the values
+    as one row over their lcm, weighted by the integers (-e)^m m!."""
+    e, a, b = KIND_SIGN[kind], y.numerator, y.denominator
+    nums, den = _over_one_denominator([_s2_values(kind, m, k, a, b) for m in range(n + 1)])
+    weights = Poly([(-e) ** m * factorial(m) * c for m, c in enumerate(nums)]) / den
+    return _weighted_sum(weights, [gsn2(n, m) for m in range(n + 1)])
 
 
 def _g01():
@@ -561,11 +564,12 @@ def _g09():
 
 def _g10():
     def hyp12(kind, n, y):
-        # the weights (-1)^m/m! H_(n+1-m)(y): the values scaled by (-1)^m n!/m!, over n!
+        # the weights (-1)^m/m! H_(n+1-m)(y), with H_i = R_i/i! for the memoised
+        # integer rows R_i: the values of R_(n+1-m) scaled by (-1)^m C(n+1, m), over (n+1)!
         e = KIND_SIGN[kind]
-        weights = _homogenised_row([hyperharmonic_poly(n + 1 - m) for m in range(n + 1)], y, 1,
-                                   [(-1) ** m * (factorial(n) // factorial(m)) for m in range(n + 1)])
-        lhs = _weighted_sum(weights, [cauchy_poly(kind, m, 1) for m in range(n + 1)]) / factorial(n)
+        weights = _homogenised_row([Poly(_HYPER.row(n + 1 - m)) for m in range(n + 1)], y, 1,
+                                   [(-1) ** m * comb(n + 1, m) for m in range(n + 1)])
+        lhs = _weighted_sum(weights, [cauchy_poly(kind, m, 1) for m in range(n + 1)]) / factorial(n + 1)
         return lhs, binom_poly(y + n - (1 + e) // 2, e, n)
 
     def hyp3(n):
@@ -789,7 +793,7 @@ def _g13():
         return _reflected(kind, n), rhs
 
     def inner(kind, m, y):
-        return F(KIND_SIGN[kind] ** m) * _s2_values(kind, m - 1, 1, y)
+        return F(KIND_SIGN[kind] ** m) * _s2_values(kind, m - 1, 1, y.numerator, y.denominator)
 
     # p5_poly has the form of G11.th31/th32 and p5_numbers that of G12.th41/th42;
     # the value kind sets the inner sum that replaces 1/m and the sign

@@ -39,7 +39,7 @@ from ..cauchy import (
     multiparam_cauchy,
     shifted_cauchy_number,
 )
-from ..harmonic import harmonic_number, harmonic_poly
+from ..harmonic import harmonic_number, harmonic_poly, hyperharmonic_poly
 from ..poly import Poly, _dot, _homogenised_row, _lincomb, _weighted_sum, binom_poly, eval_at_sqrt
 from ..stirling import (
     _gsn1_row,
@@ -630,11 +630,13 @@ def _g22():
     def hp(kind, n, y):
         # the weights (-1)^m/(n-m)! c_(n-m)(y): the values scaled by
         # (-1)^m n!/(n-m)!, over n!; harmonic polynomials at x + 1 for the
-        # first kind, x + 2 for the second
+        # first kind, x + 2 for the second, which are the hyperharmonic ones
+        # of index m + 1 at -x + (e - 1)/2
         e = KIND_SIGN[kind]
         weights = _homogenised_row([cauchy_poly(kind, n - m, 1) for m in range(n + 1)], y, 1,
                                    [(-1) ** m * (factorial(n) // factorial(n - m)) for m in range(n + 1)])
-        lhs = _weighted_sum(weights, [harmonic_poly(m).affine_compose(1, (3 - e) // 2) for m in range(n + 1)])
+        lhs = _weighted_sum(weights, [hyperharmonic_poly(m + 1).affine_compose(-1, (e - 1) // 2)
+                                      for m in range(n + 1)])
         return lhs / factorial(n), binom_poly(-e * y, 1, n)
 
     def hp3(n):

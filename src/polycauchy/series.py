@@ -15,9 +15,13 @@ gcd; ``reciprocal`` sums in integers over the running lcm of its prefix's
 denominators, with one gcd per coefficient; ``pow_int`` squares and
 multiplies by ``*``; ``+``, ``-``, negation and ``scale`` work on the
 integers too.  :func:`sheffer_rows` reads the integer form of A and g
-directly and builds each row from integers.  ``coeffs``, ``[i]`` and
-``repr`` build the Fractions when read; they are not kept.  An integral
-coefficient reads back as an int.
+directly: each power A g^j / j! is stepped from the last by one integer dot
+product per coefficient over the nonzero width w of g/t (O(order * w) per
+power, a scaled copy when w = 1), and each row is built from integers.
+The Cauchy ``series`` construction and the Bernoulli polynomials build
+their one row n from the same powers without rows 0..n-1.  ``coeffs``,
+``[i]`` and ``repr`` build the Fractions when read; they are not kept.  An
+integral coefficient reads back as an int.
 
 Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
 with scalar A and g (Roman, *The Umbral Calculus*, 1984), returned as the
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Iterable
 
 from .poly import Poly, _over_one_denominator, _power
@@ -201,63 +206,101 @@ def _neg_log1m_series(order: int) -> Series:
     return Series([Fraction(0)] + [Fraction(1, n) for n in range(1, order + 1)])
 
 
+def _sheffer_powers(A: Callable[[int], Series], g: Callable[[int], Series],
+                    order: int) -> list:
+    """The powers A g^j / j!, j = 0..order, of the pair (A, g) of ``sheffer_rows``:
+    power j held from t^j to t^order as (integer numerators, denominator) in
+    lowest terms.
+
+    With h = g/t, power j+1 is power j times h, shifted by t and divided by
+    j+1, so its coefficient i is the dot product of h_0..h_i with the
+    coefficients i..0 of power j.  h is reversed once, its trailing zeros
+    trimmed to its last nonzero h_(w-1), so each coefficient is one
+    ``sum(map(mul, ...))`` over a window of at most w terms, and a step
+    costs O(order * w) integer products and one gcd.  For w = 1 (g = g_1 t,
+    as for the Bernoulli family) the next power is a scaled copy, which is
+    faster than w one-term windows.
+    """
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
+    a, g_series = A(order), g(order)
+    if g_series._nums[0]:
+        raise ValueError("g needs a zero constant term")
+    h, g_den = g_series._nums[1:], g_series._lcd
+    width = max([m + 1 for m, c in enumerate(h) if c], default=1)
+    h_rev = h[width - 1::-1]
+    nums, den = a._nums, a._lcd
+    powers = [(nums, den)]
+    for j in range(order):
+        size = order - j  # the next power's coefficients t^(j+1) .. t^order
+        if width == 1:
+            nxt = [h_rev[0] * c for c in nums[:size]]
+        else:
+            nxt = [sum(map(mul, h_rev[width - 1 - i:], nums)) for i in range(min(width - 1, size))]
+            nxt += [sum(map(mul, h_rev, nums[i + 1 - width:i + 1])) for i in range(width - 1, size)]
+        den *= g_den * (j + 1)
+        common = gcd(den, *nxt)
+        nums, den = [c // common for c in nxt], den // common
+        powers.append((nums, den))
+    return powers
+
+
+def _row(powers: list, n: int, lcd: int) -> Poly:
+    """Row n, sum_j ([t^n] power j) x^j, from powers 0..n over lcd, a common
+    multiple of their denominators."""
+    return Poly([p[n - j] * (lcd // d) for j, (p, d) in enumerate(powers[:n + 1])]) / lcd
+
+
 def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
                  order: int) -> tuple[Poly, ...]:
     """Rows 0..order of A(t) exp(x g(t)), row n the Poly sum_j ([t^n] A g^j / j!) x^j.
 
     ``A`` and ``g`` map an order to a series of that order; g(0) = 0.  The
-    power A g^j / j! starts at t^j, so it is held from t^j to t^order as
-    integer numerators over one denominator, and the next power reads only
-    the nonzero coefficients of g (g = t costs O(order^2)).  Row n is built
-    in integers over the lcm of the denominators of powers 0..n.
+    powers A g^j / j! are stepped in integers by ``_sheffer_powers``, one dot
+    product per coefficient over the nonzero width of g/t, and row n is built
+    over the lcm of the denominators of powers 0..n.
     """
-    if order < 0:
-        raise ValueError(f"series order must be >= 0, got {order}")
-    a, g_series = A(order), g(order)
-    nums, den = a._nums, a._lcd
-    g_nums, g_den = g_series._nums, g_series._lcd
-    if g_nums[0]:
-        raise ValueError("g needs a zero constant term")
-    g_terms = [(k, c) for k, c in enumerate(g_nums) if c]
-    powers = []  # (numerators of [t^(j+i)] A g^j / j! at i, their denominator)
-    for j in range(order + 1):
-        powers.append((nums, den))
-        nxt = [0] * (order - j)
-        for k, gk in g_terms:
-            nxt[k - 1:] = [o + gk * c for o, c in zip(nxt[k - 1:], nums)]
-        den *= g_den * (j + 1)
-        common = gcd(den, *nxt)
-        nums, den = [c // common for c in nxt], den // common
-    rows = []
-    row_lcd = 1
-    for n in range(order + 1):
-        row_lcd = lcm(row_lcd, powers[n][1])
-        rows.append(Poly([p[n - j] * (row_lcd // d) for j, (p, d) in enumerate(powers[:n + 1])])
-                    / row_lcd)
+    powers = _sheffer_powers(A, g, order)
+    rows, lcd = [], 1
+    for n, (_, d) in enumerate(powers):
+        lcd = lcm(lcd, d)
+        rows.append(_row(powers, n, lcd))
     return tuple(rows)
+
+
+def _sheffer_row(A: Callable[[int], Series], g: Callable[[int], Series], n: int) -> Poly:
+    """``sheffer_rows(A, g, n)[n]`` without building rows 0..n-1."""
+    powers = _sheffer_powers(A, g, n)
+    return _row(powers, n, lcm(*[d for _, d in powers]))
+
+
+# (A, g) of the generating functions, each mapping an order to a Series
+_CAUCHY1 = (lambda n: log1p_over_t_series(n).reciprocal(), lambda n: -log1p_series(n))
+_CAUCHY2 = (lambda n: _CAUCHY1[0](n) * Series([(-1) ** i for i in range(n + 1)]), log1p_series)
+
+
+def _gen_bernoulli(alpha: int) -> tuple:
+    """(A, g) of the order-alpha Bernoulli generating function."""
+    return (lambda n: Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)])
+            .reciprocal().pow_int(alpha),
+            lambda n: Series([int(i == 1) for i in range(n + 1)]))
 
 
 def gf_cauchy1(order: int) -> tuple[Poly, ...]:
     """t / ((1+t)^x log(1+t)); row n times n! is c_n(x)."""
-    return sheffer_rows(lambda n: log1p_over_t_series(n).reciprocal(),
-                        lambda n: -log1p_series(n), order)
+    return sheffer_rows(*_CAUCHY1, order)
 
 
 def gf_cauchy2(order: int) -> tuple[Poly, ...]:
     """t (1+t)^x / ((1+t) log(1+t)); row n times n! is the second-kind polynomial."""
-    return sheffer_rows(
-        lambda n: log1p_over_t_series(n).reciprocal() * Series([(-1) ** i for i in range(n + 1)]),
-        log1p_series, order)
+    return sheffer_rows(*_CAUCHY2, order)
 
 
 def gf_gen_bernoulli(alpha: int, order: int) -> tuple[Poly, ...]:
     """(t/(e^t - 1))^alpha * e^(x t); row n times n! is the order-alpha Bernoulli polynomial."""
     if alpha < 0:
         raise ValueError("order of the generalized Bernoulli family must be >= 0")
-    return sheffer_rows(
-        lambda n: Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)])
-        .reciprocal().pow_int(alpha),
-        lambda n: Series([int(i == 1) for i in range(n + 1)]), order)
+    return sheffer_rows(*_gen_bernoulli(alpha), order)
 
 
 def gf_hyperharmonic(order: int) -> tuple[Poly, ...]:
@@ -267,4 +310,6 @@ def gf_hyperharmonic(order: int) -> tuple[Poly, ...]:
 
 def gf_harmonic_poly(order: int) -> tuple[Poly, ...]:
     """-log(1-t)/(t (1-t)^(1-x)); row m *is* the degree-m harmonic polynomial."""
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     return tuple(row.affine_compose(-1, 1) for row in gf_hyperharmonic(order + 1)[1:])

@@ -317,6 +317,13 @@ def test_series_negative_order_is_a_usage_error(capsys):
     assert err == "error: series order must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("order", [-1, -2])
+def test_series_harmonic_negative_order_is_a_usage_error(capsys, order):
+    code, out, err = run(capsys, "series", "harmonic", "--order", str(order))
+    assert (code, out) == (2, "")
+    assert err == f"error: series order must be >= 0, got {order}\n"
+
+
 def test_verify_single_case(capsys):
     code, out, _ = run(capsys, "verify", "--id", "G04.int1")
     assert code == 0

@@ -18,6 +18,7 @@ from polycauchy import (
     log1p_series,
     sheffer_rows,
 )
+from polycauchy.series import _sheffer_powers, _sheffer_row
 
 units = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10), min_size=3, max_size=6
@@ -174,6 +175,54 @@ def test_exp_matches_defining_sum_poly(order):
             want[n][j] = c
         term = (term * g).scale(F(1, j + 1))
     assert sheffer_rows(lambda _: a, lambda _: g, order) == tuple(Poly(r) for r in want)
+
+
+# g = t h(t) for the shapes the power step treats apart: h dense, h a
+# constant (g = c t), h with interior zeros, and h with trailing zeros.
+# Small coefficients keep the order-20 reference products quick.
+nonzero = st.builds(F, st.integers(1, 30) | st.integers(-30, -1), st.integers(1, 12))
+small = st.just(0) | nonzero
+
+
+def g_lists(order):
+    shapes = (
+        st.lists(nonzero, min_size=order, max_size=order),
+        nonzero.map(lambda c: [c] + [0] * (order - 1)),
+        st.lists(small, min_size=order, max_size=order),
+        st.integers(0, order).flatmap(lambda w: st.lists(nonzero, min_size=w, max_size=w)
+                                      .map(lambda h: h + [0] * (order - w))),
+    )
+    return st.sampled_from(shapes).flatmap(lambda shape: shape).map(lambda h: [0] + h[:order])
+
+
+sheffer_pairs = st.integers(0, 20).flatmap(
+    lambda n: st.tuples(st.lists(small, min_size=n + 1, max_size=n + 1), g_lists(n)))
+
+
+def ref_sheffer_powers(a, g):
+    """A g^j / j! for j = 0..order, each a full list t^0..t^order, by the
+    truncated products of the reference loop scaled by 1/(j+1)."""
+    powers = [[F(c) for c in a]]
+    for j in range(len(a) - 1):
+        powers.append([c / (j + 1) for c in ref_mul(powers[-1], g)])
+    return powers
+
+
+@given(sheffer_pairs)
+def test_sheffer_rows_match_reference(pair):
+    a, g = pair
+    order = len(a) - 1
+    A, G = (lambda n: Series(a[:n + 1])), (lambda n: Series(g[:n + 1]))
+    want = ref_sheffer_powers(a, g)
+    # power j is held from t^j, as integer numerators over a positive denominator, in lowest terms
+    for j, (nums, den) in enumerate(_sheffer_powers(A, G, order)):
+        assert all(type(c) is int for c in nums) and type(den) is int
+        assert den > 0 and gcd(den, *nums) == 1
+        assert [F(c, den) for c in nums] == want[j][j:]
+    rows = sheffer_rows(A, G, order)
+    assert rows == tuple(Poly([want[j][n] for j in range(n + 1)]) for n in range(order + 1))
+    for n in range(order + 1):
+        assert _sheffer_row(A, G, n) == rows[n]
 
 
 def test_sheffer_rows_of_exp_xt():
