@@ -35,7 +35,8 @@ from functools import lru_cache
 from math import factorial
 
 from .cauchy import MultiParam, _check_nk, _moment_sum, aux_poly
-from .poly import Poly, _lincomb
+from .poly import Poly, _lincomb, _weighted_sum
+from .rational import _reciprocal_powers
 from .series import _gen_bernoulli, _sheffer_row
 from .stirling import _gsn2_row, gsn2, stirling2
 
@@ -123,8 +124,9 @@ def poly_bernoulli_gsn(n: int, k: int) -> Poly:
     weight m!/(m+1)^k.
     """
     _check_nk(n, k)
-    return _lincomb((Fraction((-1) ** (n + m) * factorial(m), (m + 1) ** k), gsn2(n, m))
-                    for m in range(n + 1))
+    weights, den = _reciprocal_powers(1, n + 2, k)
+    signed = Poly([(-1) ** (n + m) * factorial(m) * w for m, w in enumerate(weights)]) / den
+    return _weighted_sum(signed, [gsn2(n, m) for m in range(n + 1)])
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,10 @@ formula as the primary route and the iterated-integral expansion over
 construction is its unit-parameter case (a = 1, q = 1, L = (1,..,1),
 y = 0).
 
+Every weight 1/(m+a)^k is read from ``rational._reciprocal_powers`` as
+integer numerators over one denominator, so each weighted sum is taken in
+integers and builds one Fraction.
+
 Each result is written once for both kinds.  ``_check_kind`` returns the
 kind's sign e = ``KIND_SIGN[kind]`` (1 for the first kind, -1 for the
 second): a sign that only the first kind carries is (-e)^m, one that only
@@ -40,10 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 from .poly import Poly, _lincomb, _linear_product, _weighted_sum, binom_poly
-from .rational import _exact
+from .rational import _exact, _reciprocal_powers
 from .series import _CAUCHY1, _CAUCHY2, _sheffer_row
 from .stirling import _TRIANGLES, _gsn1_row, falling_factorial_poly, gsn1
 
@@ -102,13 +106,10 @@ def _check_weights(L, k: int) -> tuple:
 def aux_poly(j: int, k: int) -> Poly:
     """Moment polynomial of the k-fold unit-cube integral of (x - t)^j
     (up to sign bookkeeping): sum_i (-1)^i/(i+1)^k binom(j,i) x^(j-i),
-    the constant 1 for j = 0.  Filled in integers over
-    D = lcm(1..j+1)^k = lcm((i+1)^k): the numerators (-1)^i binom(j,i) D/(i+1)^k
-    over D, made canonical by one gcd."""
+    the constant 1 for j = 0."""
     _check_nk(j, k)
-    base = lcm(*range(1, j + 2))
-    return Poly([(-1) ** i * comb(j, i) * (base // (i + 1)) ** k
-                 for i in range(j, -1, -1)]) / base ** k
+    weights, den = _reciprocal_powers(1, j + 2, k)
+    return Poly([(-1) ** i * comb(j, i) * weights[i] for i in range(j, -1, -1)]) / den
 
 
 def _moment_sum(weights: Poly, k: int, L: tuple, shift: int = 0) -> Poly:
@@ -136,9 +137,9 @@ def aux_poly_weighted(j: int, k: int, L) -> Poly:
 @lru_cache(maxsize=None)
 def _poly_gsn(kind: str, n: int, k: int) -> Poly:
     e = KIND_SIGN[kind]
-    total = _lincomb((Fraction((-1) ** n * (-e) ** m, (m + 1) ** k), gsn1(n, m))
-                     for m in range(n + 1))
-    return _reflect(kind, total)
+    weights, den = _reciprocal_powers(1, n + 2, k)
+    signed = Poly([(-1) ** n * (-e) ** m * w for m, w in enumerate(weights)]) / den
+    return _reflect(kind, _weighted_sum(signed, [gsn1(n, m) for m in range(n + 1)]))
 
 
 def _poly_integral(kind: str, n: int, k: int) -> Poly:
@@ -164,10 +165,10 @@ def _poly_theorem1(kind: str, n: int, k: int) -> Poly:
     if n == 0:
         return Poly([1])
     e = KIND_SIGN[kind]
-    # (-1)^n n/m [n-1 m-1] x^m for m = 1..n, in integers over lcm(1..n)
-    base, row = lcm(*range(1, n + 1)), _TRIANGLES["stirling1"].row(n - 1)
+    # (-1)^n n/m [n-1 m-1] x^m for m = 1..n
+    weights, den = _reciprocal_powers(1, n + 1, 1)
     sign = (-1) ** n * n
-    tail = Poly([0] + [sign * (base // m) * c for m, c in enumerate(row, 1)]) / base
+    tail = Poly([0] + [sign * w * c for w, c in zip(weights, _TRIANGLES["stirling1"].row(n - 1))]) / den
     # the second kind is the same tail at 1 - x
     return tail.affine_compose(e, (1 - e) // 2) + cauchy_number("first", n, 1)
 
@@ -204,19 +205,16 @@ def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
 
 def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
     """Closed-form coefficient of x^i in the poly-Cauchy polynomial:
-    sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k.
-
-    Summed in integers over D = lcm(1..n-i+1)^k = lcm((m-i+1)^k) from row n
-    of the memoised first-kind triangle, each term scaled by D/(m-i+1)^k;
-    the one Fraction built is the total over D."""
+    sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k,
+    summed in integers from row n of the memoised first-kind triangle."""
     e = _check_kind(kind)
     _check_nk(n, k)
     if i < 0 or i > n:
         raise ValueError(f"coefficient index must satisfy 0 <= i <= n, got {i}")
-    base, row = lcm(*range(1, n - i + 2)), _TRIANGLES["stirling1"].row(n)
-    total = sum([(-e) ** m * comb(m, i) * row[m] * (base // (m - i + 1)) ** k
-                 for m in range(i, n + 1)])
-    return Fraction((-1) ** (n + i) * total, base ** k)
+    weights, den = _reciprocal_powers(1, n - i + 2, k)
+    row = _TRIANGLES["stirling1"].row(n)
+    total = sum([(-e) ** m * comb(m, i) * row[m] * w for m, w in zip(range(i, n + 1), weights)])
+    return Fraction((-1) ** (n + i) * total, den)
 
 
 def cauchy_derivative(kind: str, n: int, k: int = 1, order: int = 1) -> Poly:
@@ -306,12 +304,11 @@ def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
 
     With q = c/d and w = u/v, (-q)^(n-m) e^m w^(m+a) is
     (-cv)^(n-m) (edu)^m u^a / (d^n v^(n+a)), so the sum is taken in integers
-    over D = lcm(a..n+a)^k = lcm((m+a)^k) from row n of the memoised triangle,
-    each term scaled by D/(m+a)^k; the one Fraction built is the total."""
+    from row n of the memoised triangle; the one Fraction built is the total."""
     e = _check_kind(kind)
     p = MultiParam(n, k, a, q, L, 0)
     (c, d), (u, v) = p.q.as_integer_ratio(), prod(p.L).as_integer_ratio()
-    base, row = lcm(*range(a, n + a + 1)), _TRIANGLES["stirling1"].row(n)
-    total = sum([(-c * v) ** (n - m) * (e * d * u) ** m * row[m] * (base // (m + a)) ** k
-                 for m in range(n + 1)])
-    return Fraction(total * u**a, d**n * v ** (n + a) * base**k)
+    weights, den = _reciprocal_powers(a, n + a + 1, k)
+    row = _TRIANGLES["stirling1"].row(n)
+    total = sum([(-c * v) ** (n - m) * (e * d * u) ** m * row[m] * weights[m] for m in range(n + 1)])
+    return Fraction(total * u**a, d**n * v ** (n + a) * den)

@@ -23,20 +23,21 @@ each call and not cached a second time.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .poly import Poly
+from .rational import _reciprocal_powers
 from .stirling import _TRIANGLES, _Triangle, _step_s1
 
 __all__ = ["harmonic_number", "hyperharmonic_poly", "harmonic_poly"]
 
 
 def harmonic_number(n: int) -> Fraction:
-    """1 + 1/2 + ... + 1/n, summed in integers over lcm(1..n); 0 for n = 0."""
+    """1 + 1/2 + ... + 1/n, summed in integers over one denominator; 0 for n = 0."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    den = lcm(*range(1, n + 1))
-    return Fraction(sum([den // j for j in range(1, n + 1)]), den)
+    weights, den = _reciprocal_powers(1, n + 1, 1)
+    return Fraction(sum(weights), den)
 
 
 def _step_hyper(row: tuple[int, ...], n: int) -> tuple[int, ...]:

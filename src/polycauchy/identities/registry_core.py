@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from ..bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli_poly, euler_poly, power_sum_poly
 from ..cauchy import (
@@ -31,6 +31,7 @@ from ..cauchy import (
 )
 from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
 from ..poly import Poly, _dot, _homogenised_row, _lincomb, _over_one_denominator, _weighted_sum, binom_poly
+from ..rational import _reciprocal_powers
 from ..stirling import _gsn1_row, _gsn2_row, a_number, central_u, gsn1, gsn2, stirling1, stirling2
 from .engine import IdentityCase
 
@@ -108,7 +109,8 @@ def _constructions(lhs, rhs, kind, n, k=1):
 
 def _inv(kind, n, k):
     lhs = _lincomb((1, gsn2(n, m) * _reflected(kind, m, k)) for m in range(n + 1))
-    return lhs, Poly([F(KIND_SIGN[kind] ** n, (n + 1) ** k)])
+    weights, den = _reciprocal_powers(n + 1, n + 2, k)
+    return lhs, Poly([KIND_SIGN[kind] ** n * w for w in weights]) / den
 
 
 def _cor2(kind, n, k):
@@ -156,25 +158,29 @@ def _diffk(kind, n, k):
     return poly.affine_compose(1, 1) - poly, rhs
 
 
+def _weighted_stirling(n, y, q, start, k, at):
+    """sum_l q^(n-l) [n l]_(y/q) at^l / (l+start)^k: the first-kind row of
+    bivariate values, scaled by the numerators of the weights, read at ``at``."""
+    weights, den = _reciprocal_powers(start, n + start + 1, k)
+    return F(_gsn1_row(n, y, q, weights)(at), den)
+
+
 def _whitk(kind, n, k, m, r):
     """The kind's index-n value at e r/m, and the sum over l of
     (-1)^n (-e)^l / (l+1)^k times the first-kind r-Whitney number w_{m,r}(n, l)
-    over m^(n-l), which is [n l]_(r/m): the row of those values, scaled by the
-    integers (D/(l+1))^k for D = lcm(1..n+1), read at -e and divided by D^k."""
+    over m^(n-l), which is [n l]_(r/m)."""
     e = KIND_SIGN[kind]
     lhs = F(cauchy_poly(kind, n, k)(F(e * r, m)))
-    base = lcm(*range(1, n + 2))
-    row = _gsn1_row(n, F(r, m), 1, [(base // (l + 1)) ** k for l in range(n + 1)])
-    return lhs, F(row(-e) * (-1) ** n, base**k)
+    return lhs, _weighted_stirling(n, F(r, m), 1, 1, k, -e) * (-1) ** n
 
 
 def _genk(kind, n, i, k):
     e = KIND_SIGN[kind]
-    rhs = _lincomb((
-        F(e ** (n - m) * comb(n, m) * comb(m, i), (n + 1 - m) ** k),
-        gen_bernoulli_poly(m - i, n + 1).affine_compose(-e, 1),
-    ) for m in range(i, n + 1)) * ((-e) ** i * factorial(i))
-    return cauchy_poly(kind, n, k).derivative(i), rhs
+    # the weight 1/(n+1-m)^k of term m is weights[n - m]
+    weights, den = _reciprocal_powers(1, n + 2 - i, k)
+    signed = Poly([e ** (n - m) * comb(n, m) * comb(m, i) * weights[n - m] for m in range(i, n + 1)]) / den
+    rhs = _weighted_sum(signed, [gen_bernoulli_poly(m - i, n + 1).affine_compose(-e, 1) for m in range(i, n + 1)])
+    return cauchy_poly(kind, n, k).derivative(i), rhs * ((-e) ** i * factorial(i))
 
 
 def _derk(kind, n, i, k):
@@ -183,12 +189,53 @@ def _derk(kind, n, i, k):
 
 def _odd_central(kind, n, odd_poly):
     """The central-factorial sum for the kind's index-(2n+1) polynomial,
-    odd_poly(m) being an Euler-type polynomial of degree 2m+1."""
+    odd_poly(d) being an Euler-type polynomial of odd degree d."""
     e = KIND_SIGN[kind]
     return _lincomb(
-        (F(central_u(n, m), 2 * m + 1), odd_poly(m).affine_compose(1, e * n))
+        (F(central_u(n, m), 2 * m + 1), odd_poly(2 * m + 1).affine_compose(1, e * n))
         for m in range(1, n + 1)
     ) * (-e * (2 * n + 1))
+
+
+def _conv(kind, n, k, weight, start=0):
+    """(-1)^n n! sum_{start <= m <= n} weight(m) c_m/m! over the kind's
+    order-k numbers c_m."""
+    return F((-1) ** n * factorial(n)) * sum((
+        weight(m) * cauchy_number(kind, m, k) / factorial(m) for m in range(start, n + 1)
+    ), F(0))
+
+
+def _stirling_bernoulli(n, sign):
+    """sum_{1 <= m <= n} sign^m [n-1 m-1] B_m/m."""
+    return sum((
+        sign**m * stirling1(n - 1, m - 1) * bernoulli_number(m) / m for m in range(1, n + 1)
+    ), F(0))
+
+
+def _number_transform(kind, n, shift):
+    """sum_{1 <= m <= n} c_m/m {n-shift m-shift} over the kind's numbers c_m."""
+    return sum((
+        cauchy_number(kind, m, 1) / m * stirling2(n - shift, m - shift) for m in range(1, n + 1)
+    ), F(0))
+
+
+def _th3(kind, n, weight=partial(F, 1), sign=1):
+    """(seed - B_n(x))/(sign n), and the sum over m of weight(m) gsn2(n-1, m-1)
+    times the kind's reflected polynomial of index m, seeded by (-1)^n for the
+    second kind only: G11.th31/th32 at weight 1/m, G13.p5a-d at an inner sum."""
+    seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
+    rhs = _lincomb((weight(m), gsn2(n - 1, m - 1) * _reflected(kind, m)) for m in range(1, n + 1))
+    return (Poly([seed]) - bernoulli_poly(n)) / (sign * n), rhs
+
+
+def _th4(kind, n, weight=partial(F, 1), sign=1):
+    """B_n(x), and x^n for the first kind, (x-1)^n for the second, minus sign n
+    times the sum over m of c_m weight(m) gsn2(n-1, m-1): G12.th41/th42 and
+    G13.p5e-h, weighted as for ``_th3``."""
+    rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _lincomb(
+        (cauchy_number(kind, m, 1) * weight(m), gsn2(n - 1, m - 1)) for m in range(1, n + 1)
+    ) * (sign * n)
+    return bernoulli_poly(n), rhs
 
 
 @lru_cache(maxsize=2048)
@@ -254,10 +301,7 @@ def _g02():
 
 def _g03():
     def exp3(n):
-        rhs = (1 if n == 1 else 0) + F((-1) ** (n + 1) * n) * sum((
-            F(stirling1(n - 1, m - 1), m) * bernoulli_number(m) for m in range(1, n + 1)
-        ), F(0))
-        return _c(n), rhs
+        return _c(n), (1 if n == 1 else 0) + F((-1) ** (n + 1) * n) * _stirling_bernoulli(n, 1)
 
     def exp4(n):
         poly = _cp(n)
@@ -290,24 +334,19 @@ def _g03():
 
 
 def _g04():
-    def lm11(n, y):
-        lhs = power_sum_poly(n - 1).affine_compose(1, y - 1).integrate_01()
-        return lhs, (y**n - bernoulli_poly(n)(F(1))) / n
+    def lm1(sign, n, y):
+        # y^n at x + y - 1, (y - 1)^n at -x + y - 1
+        lhs = power_sum_poly(n - 1).affine_compose(sign, y - 1).integrate_01()
+        return lhs, ((y - (1 - sign) // 2) ** n - bernoulli_poly(n)(F(1))) / n
 
-    def lm12(n, y):
-        lhs = power_sum_poly(n - 1).affine_compose(-1, y - 1).integrate_01()
-        return lhs, ((y - 1) ** n - bernoulli_poly(n)(F(1))) / n
+    def qi_sum(n):
+        return sum((F(stirling1(n - 1, m - 1), m * (m + 1)) for m in range(1, n + 1)), F(0))
 
     def qi(n):
-        rhs = F((-1) ** (n + 1)) * sum((
-            F(stirling1(n - 1, m - 1), m * (m + 1)) for m in range(1, n + 1)
-        ), F(0))
-        return _c(n), rhs
+        return _c(n), F((-1) ** (n + 1)) * qi_sum(n)
 
     def int_pair(n):
-        rhs = _c(n) + F((-1) ** n * n) * sum((
-            F(stirling1(n - 1, m - 1), m * (m + 1)) for m in range(1, n + 1)
-        ), F(0))
+        rhs = _c(n) + F((-1) ** n * n) * qi_sum(n)
         return (_cp(n).integrate_01(), _chp(n).integrate_01()), (rhs, rhs)
 
     def int1(n):
@@ -315,8 +354,8 @@ def _g04():
         return (_cp(n).integrate_01(), _chp(n).integrate_01()), (want, want)
 
     return [
-        IdentityCase("G04.lm11", "unit integral of the shifted power-sum polynomial", lambda g: _n_y(g, 1), lm11),
-        IdentityCase("G04.lm12", "unit integral of the reflected power-sum polynomial", lambda g: _n_y(g, 1), lm12),
+        IdentityCase("G04.lm11", "unit integral of the shifted power-sum polynomial", lambda g: _n_y(g, 1), partial(lm1, 1)),
+        IdentityCase("G04.lm12", "unit integral of the reflected power-sum polynomial", lambda g: _n_y(g, 1), partial(lm1, -1)),
         IdentityCase("G04.qi", "first-kind numbers as 1/(m(m+1)) Stirling sums", lambda g: _ns(g, 1), qi),
         IdentityCase("G04.int-pair", "unit integrals of both kinds share the Stirling sum value", lambda g: _ns(g, 1), int_pair),
         IdentityCase("G04.int1", "unit integrals of both kinds equal (1-n) times the first-kind number", _ns, int1),
@@ -325,29 +364,16 @@ def _g04():
 
 def _g05():
     def x1_a(n):
-        rhs = F((-1) ** n * factorial(n)) * sum((
-            comb(n, m) * _ch(m) / factorial(m) for m in range(n + 1)
-        ), F(0))
-        return _ch(n), rhs
+        return _ch(n), _conv("second", n, 1, partial(comb, n))
 
     def x1_bc(kind, n):
-        rhs = F((-1) ** n * factorial(n)) * sum((
-            comb(n - 1, m - 1) * cauchy_number(_OTHER[kind], m, 1) / factorial(m)
-            for m in range(1, n + 1)
-        ), F(0))
-        return cauchy_number(kind, n, 1), rhs
+        return cauchy_number(kind, n, 1), _conv(_OTHER[kind], n, 1, lambda m: comb(n - 1, m - 1), 1)
 
     def x1_d(n):
-        rhs = F((-1) ** n * factorial(n)) * sum((
-            comb(n - 2, m - 2) * _c(m) / factorial(m) for m in range(2, n + 1)
-        ), F(0))
-        return _c(n), rhs
+        return _c(n), _conv("first", n, 1, lambda m: comb(n - 2, m - 2), 2)
 
     def alt_conv(n):
-        rhs = F((-1) ** n * factorial(n)) * sum((
-            F((-1) ** m) * _c(m) / factorial(m) for m in range(n + 1)
-        ), F(0))
-        return _ch(n), rhs
+        return _ch(n), _conv("first", n, 1, partial(pow, -1))
 
     def shift_two(n):
         return _c(n), _ch(n) + n * _ch(n - 1)
@@ -360,9 +386,9 @@ def _g05():
 
     def c2_triple(n):
         want = F(_cp(n)(F(2)))
-        t1 = F((-1) ** n * factorial(n)) * sum((F((-1) ** m) * _ch(m) / factorial(m) for m in range(n + 1)), F(0))
-        t2 = F((-1) ** n * factorial(n)) * sum((comb(n + 1, m + 1) * _ch(m) / factorial(m) for m in range(n + 1)), F(0))
-        t3 = F((-1) ** n * factorial(n)) * sum((comb(n, m) * _c(m) / factorial(m) for m in range(n + 1)), F(0))
+        t1 = _conv("second", n, 1, partial(pow, -1))
+        t2 = _conv("second", n, 1, lambda m: comb(n + 1, m + 1))
+        t3 = _conv("first", n, 1, partial(comb, n))
         return (t1, t2, t3), (want, want, want)
 
     def seq(kind, n):
@@ -448,7 +474,7 @@ def _g07():
         return cauchy_poly(kind, 2 * n, 1), rhs
 
     def odd(kind, n):
-        rhs = _odd_central(kind, n, lambda m: euler_poly(2 * m + 1))
+        rhs = _odd_central(kind, n, euler_poly)
         return cauchy_poly(kind, 2 * n + 1, 1), rhs
 
     return [
@@ -520,12 +546,14 @@ def _g09():
         ), F(0))
         return cauchy_number(kind, n, 1) / factorial(n), rhs
 
-    def half_harm(n):
-        lhs = sum((
-            F((-1) ** (n - m), m + 1) * _c(n - m) / factorial(n - m) * harmonic_number(m)
+    def harmonic_sum(kind, n):
+        return sum((
+            F((-1) ** (n - m), m + 1) * cauchy_number(kind, n - m, 1) / factorial(n - m) * harmonic_number(m)
             for m in range(n + 1)
         ), F(0))
-        return lhs, F(1, 2 * n)
+
+    def half_harm(n):
+        return harmonic_sum("first", n), F(1, 2 * n)
 
     def zhao(kind, n):
         lhs = sum((
@@ -536,11 +564,7 @@ def _g09():
         return lhs, F(1 + (1 - KIND_SIGN[kind]) // 2 * n)
 
     def chat_half(n):
-        lhs = sum((
-            F((-1) ** (n - m), m + 1) * _ch(n - m) / factorial(n - m) * harmonic_number(m)
-            for m in range(n + 1)
-        ), F(0))
-        return lhs, harmonic_number(n) / 2
+        return harmonic_sum("second", n), harmonic_number(n) / 2
 
     return [
         IdentityCase("G09.th5-first", "derivatives via higher-order Bernoulli polynomials, first kind", _n_i, partial(_genk, "first", k=1)),
@@ -660,18 +684,11 @@ def _g10():
 
 
 def _g11():
-    def th3(kind, n):
-        seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
-        rhs = _lincomb((F(1, m), gsn2(n - 1, m - 1) * _reflected(kind, m)) for m in range(1, n + 1))
-        return (Poly([seed]) - bernoulli_poly(n)) / n, rhs
-
     def th31_x1(n):
-        rhs = F((-1) ** n) * sum((_ch(m) / m * stirling2(n, m) for m in range(1, n + 1)), F(0))
-        return -bernoulli_number(n) / n, rhs
+        return -bernoulli_number(n) / n, F((-1) ** n) * _number_transform("second", n, 0)
 
     def th31_x0(n):
-        rhs = sum((_c(m) / m * stirling2(n - 1, m - 1) for m in range(1, n + 1)), F(0))
-        return -bernoulli_number(n) / n, rhs
+        return -bernoulli_number(n) / n, _number_transform("first", n, 1)
 
     def inv(kind, n):
         seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
@@ -694,19 +711,10 @@ def _g11():
         return F((-1) ** (n + 1)) * _ch(n) / n, rhs
 
     def exp5b(n):
-        rhs = sum((
-            F((-1) ** m) * stirling1(n - 1, m - 1) * bernoulli_number(m) / m
-            for m in range(1, n + 1)
-        ), F(0))
-        return F((-1) ** (n + 1)) * _c(n) / n, rhs
+        return F((-1) ** (n + 1)) * _c(n) / n, _stirling_bernoulli(n, -1)
 
     def odd_vanish(n):
-        lhs = sum((stirling1(n - 1, m - 1) * bernoulli_number(m) / m for m in range(1, n + 1)), F(0))
-        rhs = sum((
-            F((-1) ** m) * stirling1(n - 1, m - 1) * bernoulli_number(m) / m
-            for m in range(1, n + 1)
-        ), F(0))
-        return lhs, rhs
+        return _stirling_bernoulli(n, 1), _stirling_bernoulli(n, -1)
 
     def chat2n_at_n(n):
         lhs = F(_chp(2 * n)(F(n)))
@@ -716,8 +724,8 @@ def _g11():
         return lhs, rhs
 
     return [
-        IdentityCase("G11.th31", "Bernoulli polynomials from first-kind polynomial transforms", lambda g: _ns(g, 1), partial(th3, "first")),
-        IdentityCase("G11.th32", "Bernoulli polynomials from reflected second-kind transforms", lambda g: _ns(g, 1), partial(th3, "second")),
+        IdentityCase("G11.th31", "Bernoulli polynomials from first-kind polynomial transforms", lambda g: _ns(g, 1), partial(_th3, "first")),
+        IdentityCase("G11.th32", "Bernoulli polynomials from reflected second-kind transforms", lambda g: _ns(g, 1), partial(_th3, "second")),
         IdentityCase("G11.th31-x1", "Bernoulli numbers from second-kind numbers", lambda g: _ns(g, 1), th31_x1),
         IdentityCase("G11.th31-x0", "Bernoulli numbers from first-kind numbers", lambda g: _ns(g, 1), th31_x0),
         IdentityCase("G11.inv2", "first-kind polynomials from Bernoulli polynomials", lambda g: _ns(g, 1), partial(inv, "first")),
@@ -731,24 +739,11 @@ def _g11():
 
 
 def _g12():
-    def th4(kind, n):
-        # x^n for the first kind, (x-1)^n for the second
-        rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _lincomb(
-            (cauchy_number(kind, m, 1) / m, gsn2(n - 1, m - 1)) for m in range(1, n + 1)
-        ) * n
-        return bernoulli_poly(n), rhs
-
     def bn_alt1(n):
-        rhs = F((-1) ** n) * (
-            1 - n * sum((_c(m) / m * stirling2(n, m) for m in range(1, n + 1)), F(0))
-        )
-        return bernoulli_number(n), rhs
+        return bernoulli_number(n), F((-1) ** n) * (1 - n * _number_transform("first", n, 0))
 
     def bn_alt2(n):
-        rhs = F((-1) ** n) - n * sum((
-            _ch(m) / m * stirling2(n - 1, m - 1) for m in range(1, n + 1)
-        ), F(0))
-        return bernoulli_number(n), rhs
+        return bernoulli_number(n), F((-1) ** n) - n * _number_transform("second", n, 1)
 
     def diff_c(n):
         lhs = _lincomb(
@@ -758,16 +753,15 @@ def _g12():
         return lhs, Poly([0] * n + [F(1, n)])
 
     def diff_cchat(n):
-        lhs = sum(((_c(m) - _ch(m)) / m * stirling2(n, m) for m in range(1, n + 1)), F(0))
-        return lhs, F(1, n)
+        return _number_transform("first", n, 0) - _number_transform("second", n, 0), F(1, n)
 
     def kargin_inv(n):
         lhs = sum((stirling2(n + 1, m + 1) * _ch(m) for m in range(n + 1)), F(0))
         return lhs, F(1, n + 1)
 
     return [
-        IdentityCase("G12.th41", "Bernoulli polynomials from first-kind numbers and x^n", lambda g: _ns(g, 1), partial(th4, "first")),
-        IdentityCase("G12.th42", "Bernoulli polynomials from second-kind numbers and (x-1)^n", lambda g: _ns(g, 1), partial(th4, "second")),
+        IdentityCase("G12.th41", "Bernoulli polynomials from first-kind numbers and x^n", lambda g: _ns(g, 1), partial(_th4, "first")),
+        IdentityCase("G12.th42", "Bernoulli polynomials from second-kind numbers and (x-1)^n", lambda g: _ns(g, 1), partial(_th4, "second")),
         IdentityCase("G12.bn-alt1", "alternative Bernoulli number formula, first kind", lambda g: _ns(g, 1), bn_alt1),
         IdentityCase("G12.bn-alt2", "alternative Bernoulli number formula, second kind", lambda g: _ns(g, 1), bn_alt2),
         IdentityCase("G12.diff-c", "number-minus-polynomial transform collapses to x^n/n", lambda g: _ns(g, 1), diff_c),
@@ -795,22 +789,13 @@ def _g13():
     def inner(kind, m, y):
         return F(KIND_SIGN[kind] ** m) * _s2_values(kind, m - 1, 1, y.numerator, y.denominator)
 
-    # p5_poly has the form of G11.th31/th32 and p5_numbers that of G12.th41/th42;
-    # the value kind sets the inner sum that replaces 1/m and the sign
+    # p5a-d are G11.th31/th32 and p5e-h G12.th41/th42, with the value kind's
+    # inner sum in place of 1/m and its sign
     def p5_poly(poly_kind, value_kind, n, y):
-        seed = (1 - KIND_SIGN[poly_kind]) // 2 * (-1) ** n
-        rhs = _lincomb(
-            (inner(value_kind, m, y), gsn2(n - 1, m - 1) * _reflected(poly_kind, m))
-            for m in range(1, n + 1)
-        )
-        return (Poly([seed]) - bernoulli_poly(n)) / (KIND_SIGN[value_kind] * n), rhs
+        return _th3(poly_kind, n, partial(inner, value_kind, y=y), KIND_SIGN[value_kind])
 
     def p5_numbers(number_kind, value_kind, n, y):
-        rhs = Poly([(KIND_SIGN[number_kind] - 1) // 2, 1]) ** n - _lincomb(
-            (cauchy_number(number_kind, m, 1) * inner(value_kind, m, y), gsn2(n - 1, m - 1))
-            for m in range(1, n + 1)
-        ) * (KIND_SIGN[value_kind] * n)
-        return bernoulli_poly(n), rhs
+        return _th4(number_kind, n, partial(inner, value_kind, y=y), KIND_SIGN[value_kind])
 
     descs = {
         "p4a": "Bernoulli polynomials from double second-kind transforms of first-kind values",

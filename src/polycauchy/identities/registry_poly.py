@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 from ..bernoulli import (
     bernoulli_number,
@@ -52,8 +52,8 @@ from ..stirling import (
 )
 from .engine import IdentityCase
 from .registry_core import (
-    F, _c, _ch, _chp, _constructions, _cor2, _cp, _derk, _diffk, _genk, _inv, _n_k, _n_y,
-    _ns, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _whitk,
+    F, _c, _ch, _chp, _constructions, _conv, _cor2, _cp, _derk, _diffk, _genk, _inv, _n_k, _n_y, _ns,
+    _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _weighted_stirling, _whitk,
 )
 
 
@@ -116,10 +116,8 @@ def _g15():
         values = _homogenised_row([cauchy_poly(kind, m - s, k) for m in range(r, n + 1)], e * s, 1)
         lhs = _dot(_gsn2_row(n - r, r, 1), values)
         # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second: the row over
-        # j = l - s scaled by (D/(n-r+1+j))^k, D = lcm(n-r+1..n-s+1), read at -e
-        base = lcm(*range(n - r + 1, n - s + 2))
-        row = _gsn1_row(r - s, s, 1, [(base // (n - r + 1 + j)) ** k for j in range(r - s + 1)])
-        return lhs, F(row(-e) * (-1) ** (n - s) * (-e) ** (n + r), base**k)
+        # j = l - s weighted by 1/(n-r+1+j)^k
+        return lhs, _weighted_stirling(r - s, s, 1, n - r + 1, k, -e) * ((-1) ** (n - s) * (-e) ** (n + r))
 
     def _korec_s0_points(grid):
         return (
@@ -132,28 +130,19 @@ def _g15():
     def korec_s0(kind, n, k, r):
         e = KIND_SIGN[kind]
         lhs = _dot(_gsn2_row(n, r, 1), Poly([cauchy_number(kind, m + r, k) for m in range(n + 1)]))
-        # (-1)^(r-l) for the first kind, (-1)^(n+r) for the second, over D = lcm(n+1..n+r+1)
-        base = lcm(*range(n + 1, n + r + 2))
-        rhs = sum([(-e) ** l * stirling1(r, l) * (base // (n + l + 1)) ** k for l in range(r + 1)])
-        return lhs, F(rhs * (-1) ** (n + r) * (-e) ** n, base**k)
+        # (-1)^(r-l) [r l] for the first kind, (-1)^(n+r) [r l] for the second, over (n+l+1)^k
+        return lhs, _weighted_stirling(r, 0, 1, n + 1, k, -e) * ((-1) ** (n + r) * (-e) ** n)
 
     def val_at(kind, n, k):
         want = F(cauchy_poly(kind, n, k)(F(KIND_SIGN[kind])))
-        t1 = F((-1) ** n * factorial(n)) * sum((
-            comb(n, m) * cauchy_number(_OTHER[kind], m, k) / factorial(m) for m in range(n + 1)
-        ), F(0))
-        t2 = F((-1) ** n * factorial(n)) * sum((
-            F((-1) ** m) * cauchy_number(kind, m, k) / factorial(m) for m in range(n + 1)
-        ), F(0))
+        t1 = _conv(_OTHER[kind], n, k, partial(comb, n))
+        t2 = _conv(kind, n, k, partial(pow, -1))
         return (t1, t2), (want, want)
 
     def lah_pair(n, k):
-        lhs = (_c(n, k), _ch(n, k))
-        rhs = (
-            F((-1) ** n) * sum((lah(n, m) * _ch(m, k) for m in range(n + 1)), F(0)),
-            F((-1) ** n) * sum((lah(n, m) * _c(m, k) for m in range(n + 1)), F(0)),
-        )
-        return lhs, rhs
+        rhs = tuple(F((-1) ** n) * sum((lah(n, m) * cauchy_number(_OTHER[kind], m, k) for m in range(n + 1)), F(0))
+                    for kind in KIND_SIGN)
+        return (_c(n, k), _ch(n, k)), rhs
 
     return [
         IdentityCase("G15.diffk1", "difference equation at general order, first kind", lambda g: _n_k(g, 1), partial(_diffk, "first")),
@@ -287,11 +276,7 @@ def _g18():
         return cauchy_poly(kind, n, k), rhs
 
     def idc1(m):
-        lhs = _lincomb(
-            (comb(m, j) * bernoulli_number(m - j), aux_poly(j, 1).affine_compose(1, 1))
-            for j in range(m + 1)
-        )
-        return lhs, Poly([0] * m + [1])
+        return _bernoulli_moments(1, m, 1, 0), Poly([0] * m + [1])
 
     def idc2(m):
         lhs = _lincomb(
@@ -340,18 +325,13 @@ def _g19():
         ) * ((-1) ** n * n)
         return _cp(n), rhs
 
-    def _k1_second_variant(signed_weight: bool):
+    def _k1_second_variant(sign):
+        # sign -1: the printed (-1)^m/m against (x-1)^m - 1; sign 1: 1/m against (1-x)^m - 1
         def check(n):
-            if signed_weight:
-                rhs = Poly([_ch(n)]) - _lincomb(
-                    (F((-1) ** m, m), gsn1(n - 1, m - 1) * (Poly([-1, 1]) ** m - 1))
-                    for m in range(1, n + 1)
-                ) * ((-1) ** n * n)
-            else:
-                rhs = Poly([_ch(n)]) - _lincomb(
-                    (F(1, m), gsn1(n - 1, m - 1) * (Poly([1, -1]) ** m - 1))
-                    for m in range(1, n + 1)
-                ) * ((-1) ** n * n)
+            rhs = Poly([_ch(n)]) - _lincomb(
+                (F(sign**m, m), gsn1(n - 1, m - 1) * (Poly([sign, -sign]) ** m - 1))
+                for m in range(1, n + 1)
+            ) * ((-1) ** n * n)
             return _chp(n).affine_compose(-1, 0), rhs
 
         return check
@@ -369,18 +349,20 @@ def _g19():
             lambda g: _ns(g, 1),
             None,
             variants={
-                "as-printed ((-1)^m/m, (x-1)^m - 1)": _k1_second_variant(True),
-                "unsigned (1/m, (1-x)^m - 1)": _k1_second_variant(False),
+                "as-printed ((-1)^m/m, (x-1)^m - 1)": _k1_second_variant(-1),
+                "unsigned (1/m, (1-x)^m - 1)": _k1_second_variant(1),
             },
         ),
     ]
 
 
-def _gen_euler(m: int, k: int) -> Poly:
+def _gen_euler(d: int, k: int) -> Poly:
+    """sum_{j < d} 2^j binom(d, j) B_j aux_poly(d - j, k)(x + 1): for odd d the
+    generalized Euler polynomial of degree d, at k = 1 the Euler polynomial."""
     return _lincomb((
-        2**j * comb(2 * m + 1, j) * bernoulli_number(j),
-        aux_poly(2 * m + 1 - j, k).affine_compose(1, 1),
-    ) for j in range(2 * m + 1))
+        2**j * comb(d, j) * bernoulli_number(j),
+        aux_poly(d - j, k).affine_compose(1, 1),
+    ) for j in range(d))
 
 
 def _g20():
@@ -392,44 +374,24 @@ def _g20():
         )
 
     def th11_even(kind, n, k):
+        # the inner sum over j < 2m of e^j binom(2m, j) B_j aux_poly(2m - j, k)(x + en)
         e = KIND_SIGN[kind]
         rhs = _lincomb((
             F(central_u(n, m), m),
-            _lincomb((
-                e ** j * comb(2 * m, j) * bernoulli_number(j),
-                aux_poly(2 * m - j, k).affine_compose(1, e * n),
-            ) for j in range(2 * m)),
+            _bernoulli_moments(e, 2 * m, k, 1).affine_compose(1, e * (n - 1)),
         ) for m in range(1, n + 1)) * n
         return cauchy_poly(kind, 2 * n, k), rhs
 
-    def th11_odd(kind, n, k):
-        e = KIND_SIGN[kind]
-        rhs = _lincomb((
-            F(central_u(n, m), 2 * m + 1),
-            _lincomb((
-                2**j * comb(2 * m + 1, j) * bernoulli_number(j),
-                aux_poly(2 * m + 1 - j, k).affine_compose(1, e * n + 1),
-            ) for j in range(2 * m + 1)),
-        ) for m in range(1, n + 1)) * (-e * (2 * n + 1))
-        return cauchy_poly(kind, 2 * n + 1, k), rhs
-
     def euler_odd(m):
-        return euler_poly(2 * m + 1), _gen_euler(m, 1)
+        return euler_poly(2 * m + 1), _gen_euler(2 * m + 1, 1)
 
     def euler_at0(m):
-        lhs = sum((
-            F(2**j * comb(2 * m + 1, j)) * bernoulli_number(j) * aux_poly(2 * m + 1 - j, 1)(F(1))
-            for j in range(2 * m + 1)
-        ), F(0))
         rhs = F(1 - 2 ** (2 * m + 2), m + 1) * bernoulli_number(2 * m + 2)
-        return lhs, rhs
+        return F(_gen_euler(2 * m + 1, 1)(0)), rhs
 
     def euler_even(m):
-        rhs = _lincomb((
-            2**j * comb(2 * m, j) * bernoulli_number(j),
-            aux_poly(2 * m - j, 1).affine_compose(1, 1) - aux_poly(2 * m - j, 1)(F(1)),
-        ) for j in range(2 * m))
-        return euler_poly(2 * m), rhs
+        g = _gen_euler(2 * m, 1)
+        return euler_poly(2 * m), g - g(0)
 
     def gen_euler_odd(kind, n, k):
         return cauchy_poly(kind, 2 * n + 1, k), _odd_central(kind, n, partial(_gen_euler, k=k))
@@ -440,8 +402,8 @@ def _g20():
     return [
         IdentityCase("G20.even-first", "even general order first kind via central factorials", _even_pts, partial(th11_even, "first")),
         IdentityCase("G20.even-second", "even general order second kind via central factorials", _even_pts, partial(th11_even, "second")),
-        IdentityCase("G20.odd-first", "odd general order first kind via central factorials", _even_pts, partial(th11_odd, "first")),
-        IdentityCase("G20.odd-second", "odd general order second kind via central factorials", _even_pts, partial(th11_odd, "second")),
+        IdentityCase("G20.odd-first", "odd general order first kind via central factorials", _even_pts, partial(gen_euler_odd, "first")),
+        IdentityCase("G20.odd-second", "odd general order second kind via central factorials", _even_pts, partial(gen_euler_odd, "second")),
         IdentityCase("G20.euler-odd", "odd Euler polynomials from Bernoulli-weighted moments", _ms1, euler_odd),
         IdentityCase("G20.euler-at0", "odd Euler value at 0 via the next Bernoulli number", _ms1, euler_at0),
         IdentityCase("G20.euler-even", "even Euler polynomials from centered moment differences", _ms1, euler_even),
@@ -508,14 +470,11 @@ def _g21():
         return multiparam_cauchy(kind, p, "integral"), _mc(kind, n, len(L), a, q, L, y)
 
     def x0(kind, n, a, q, L, y):
-        # sum_m (-1)^n (-e)^m q^(n-m) [n m]_(ey/q) w^(m+a) / (m+a)^k: the row's
-        # values scaled by D/(m+a)^k, D = lcm((m+a)^k), and read at -ew
+        # sum_m (-1)^n (-e)^m q^(n-m) [n m]_(ey/q) w^(m+a) / (m+a)^k
         k = len(L)
         w = prod(L)
         e = KIND_SIGN[kind]
-        base = lcm(*range(a, n + a + 1))
-        row = _gsn1_row(n, e * y, q, [(base // (m + a)) ** k for m in range(n + 1)])
-        rhs = row(-e * w) * (-1) ** n * w**a / base**k
+        rhs = _weighted_stirling(n, e * y, q, a, k, -e * w) * (-1) ** n * w**a
         return Fraction(_mc(kind, n, k, a, q, L, y).constant()), rhs
 
     def reduce_ordinary(n, k):
@@ -661,27 +620,26 @@ def _g22():
 
         return check
 
+    def _x0_harmonic(n):
+        # sum_m (-1)^m c_(n+1-m) H_(m+1)/(n-m)!: the printed right side, and (-1)^n times the shifted one
+        return sum((
+            F((-1) ** m) * _c(n + 1 - m) / factorial(n - m) * harmonic_number(m + 1)
+            for m in range(n + 1)
+        ), F(0))
+
     def _x0_printed(n):
         lhs = sum((
             F((-1) ** m) * _c(n - m) / (factorial(n - m) * (m + 1) * (m + 2))
             for m in range(n + 1)
         ), F(0))
-        rhs = sum((
-            F((-1) ** m) * _c(n + 1 - m) / factorial(n - m) * harmonic_number(m + 1)
-            for m in range(n + 1)
-        ), F(0))
-        return lhs, rhs
+        return lhs, _x0_harmonic(n)
 
     def _x0_shifted(n):
         lhs = sum((
             F((-1) ** m) * F(_cp(m)(F(2))) / (factorial(m) * (n + 1 - m) * (n + 2 - m))
             for m in range(n + 1)
         ), F(0))
-        rhs = sum((
-            F((-1) ** (n - m)) * _c(n + 1 - m) / factorial(n - m) * harmonic_number(m + 1)
-            for m in range(n + 1)
-        ), F(0))
-        return lhs, rhs
+        return lhs, F((-1) ** n) * _x0_harmonic(n)
 
     return [
         IdentityCase("G22.hp1", "harmonic-polynomial convolution of the first kind gives a binomial", _n_y, partial(hp, "first")),

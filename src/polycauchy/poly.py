@@ -33,7 +33,9 @@ builds no Fraction:
   which builds one Fraction.  No other module reads or writes this form.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
-not kept.  An integral coefficient reads back as an int.
+not kept.  Every coefficient reads back as an int when the whole polynomial
+is integral (denominator 1), and as a Fraction otherwise, an integral one
+too: ``Poly([Fraction(1, 2), 1])[1]`` is ``Fraction(1, 1)``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable
 
-from .rational import _exact, format_rational, parse_rational
+from .rational import _exact, _reciprocal_powers, format_rational, parse_rational
 
 __all__ = [
     "Poly",
@@ -264,10 +266,8 @@ class Poly:
 
     def integrate_01(self):
         """Exact integral over [0, 1]: sum of coeff_i / (i + 1)."""
-        nums = self._vec
-        den = lcm(*range(1, len(nums) + 1))
-        total = sum([n * (den // (i + 1)) for i, n in enumerate(nums)])
-        return Fraction(total, self._den * den)
+        weights, den = _reciprocal_powers(1, len(self._vec) + 1, 1)
+        return Fraction(sum(map(mul, self._vec, weights)), self._den * den)
 
     def affine_compose(self, sign: int, shift) -> "Poly":
         """Substitute x -> sign*x + shift with sign in {+1, -1}.

@@ -8,11 +8,16 @@ interoperate freely and compare equal to the corresponding Fraction.
 Text form is ``"p/q"`` with the ``/q`` omitted when the denominator is 1,
 which is exactly what ``str(Fraction)`` produces; :func:`parse_rational`
 accepts the same form back, so values round-trip exactly.
+
+Every 1/j^k weight of the package (the poly-Cauchy and poly-Bernoulli
+weights, the harmonic numbers, the unit integral) is one row of integer
+numerators over one denominator from :func:`_reciprocal_powers`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["parse_rational", "format_rational"]
 
@@ -27,6 +32,16 @@ def _exact(value):
     if isinstance(value, (int, Fraction)):
         return value
     raise TypeError(f"expected an exact int or Fraction, got {type(value).__name__}")
+
+
+def _reciprocal_powers(start: int, stop: int, k: int) -> tuple[list, int]:
+    """The weights 1/j^k, j = start..stop-1 (start >= 1, k >= 0), as the integer
+    numerators (b/j)^k over b^k, b = lcm(start..stop-1): in lowest terms, since
+    each prime power in b divides some j.  ([], 1) for an empty range."""
+    if k < 0:
+        raise ValueError(f"weight exponent k must be >= 0, got {k}")
+    base = lcm(*range(start, stop))
+    return [(base // j) ** k for j in range(start, stop)], base**k
 
 
 def parse_rational(text: str) -> Fraction:

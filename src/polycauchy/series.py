@@ -224,6 +224,9 @@ def _sheffer_powers(A: Callable[[int], Series], g: Callable[[int], Series],
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
     a, g_series = A(order), g(order)
+    for name, series in (("A", a), ("g", g_series)):
+        if series.order != order:
+            raise ValueError(f"{name}({order}) has order {series.order}, expected {order}")
     if g_series._nums[0]:
         raise ValueError("g needs a zero constant term")
     h, g_den = g_series._nums[1:], g_series._lcd
@@ -255,7 +258,8 @@ def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
                  order: int) -> tuple[Poly, ...]:
     """Rows 0..order of A(t) exp(x g(t)), row n the Poly sum_j ([t^n] A g^j / j!) x^j.
 
-    ``A`` and ``g`` map an order to a series of that order; g(0) = 0.  The
+    ``A`` and ``g`` map an order to a series of that order, and a series of
+    another order raises ``ValueError``; g(0) = 0.  The
     powers A g^j / j! are stepped in integers by ``_sheffer_powers``, one dot
     product per coefficient over the nonzero width of g/t, and row n is built
     over the lcm of the denominators of powers 0..n.

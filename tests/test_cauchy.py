@@ -158,6 +158,17 @@ def test_numbers():
     assert cauchy_number("first", 0, 3) == 1
 
 
+def test_numbers_match_komatsus_sum_at_depth():
+    # plain Fractions, no shared weight code: at these depths the library's
+    # routes (the gsn polynomial, Komatsu's closed form) read one weight helper
+    n = 30
+    for k in (2, 3):
+        first = sum(F((-1) ** (n - m) * stirling1(n, m), (m + 1) ** k) for m in range(n + 1))
+        second = sum(F((-1) ** n * stirling1(n, m), (m + 1) ** k) for m in range(n + 1))
+        assert cauchy_number("first", n, k) == first and cauchy_poly("first", n, k).constant() == first
+        assert cauchy_number("second", n, k) == second and cauchy_poly("second", n, k).constant() == second
+
+
 def test_coefficients():
     assert cauchy_coefficient("first", 3, 2) == F(-3, 2)
     assert cauchy_coefficient("second", 4, 3) == -8

@@ -151,6 +151,14 @@ def test_failure_reporting_shape():
     assert "argument-shifted" in report.finding
 
 
+def test_integer_grid_points_and_weights_stay_exact():
+    # ints are valid grid points and weights; with them G21.x0's right side was
+    # once a float, and 87 of its points failed
+    grid = replace(SMALL, qs=(1, 3), ls=((2, 3),), ys_multi=(0, 2), max_n_multi=8)
+    for case_id in ("G21.x0-first", "G21.x0-second"):
+        assert verify(case_id, grid).ok
+
+
 def test_grid_overrides():
     g = replace(DEFAULT_GRID, max_n=3)
     assert g.max_n == 3

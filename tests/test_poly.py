@@ -440,6 +440,15 @@ def test_only_poly_reads_the_storage():
     assert not readers
 
 
+def test_coefficients_read_back_as_ints_only_when_the_poly_is_integral():
+    # a coefficient's type is part of the repr that the recorded check values hash
+    mixed = Poly([F(1, 2), 1])
+    assert mixed.coeffs == (F(1, 2), 1) and [type(c) for c in mixed.coeffs] == [F, F]
+    assert type(mixed[1]) is F and type(mixed.leading()) is F
+    assert repr(polycauchy.cauchy_poly("first", 2).coeffs[1:]) == "(Fraction(0, 1), Fraction(1, 1))"
+    assert [type(c) for c in Poly([F(4, 2), 6]).coeffs] == [int, int] and type(Poly([2, 6])[1]) is int
+
+
 @given(wide_polys, signs, shifts, wide_polys)
 def test_kernel_results_are_canonical(p, sign, shift, q):
     for got in (p * q, p.affine_compose(sign, shift), p ** 2):

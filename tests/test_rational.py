@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polycauchy
 from polycauchy import binom_poly, format_rational, parse_rational, poly_from_strings
+from polycauchy.rational import _reciprocal_powers
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
@@ -129,3 +133,33 @@ def test_format_rejects_inexact_values(value):
 def test_parse_rejects_non_text(value):
     with pytest.raises(TypeError, match="expected rational text"):
         parse_rational(value)
+
+
+@given(st.integers(1, 60), st.integers(0, 40), st.integers(0, 6))
+def test_reciprocal_powers_are_the_weights_in_lowest_terms(start, length, k):
+    nums, den = _reciprocal_powers(start, start + length, k)
+    assert all(type(c) is int for c in nums) and type(den) is int and den > 0
+    assert [Fraction(c, den) for c in nums] == [Fraction(1, j**k) for j in range(start, start + length)]
+    assert gcd(den, *nums) == 1
+
+
+def test_reciprocal_powers_of_an_empty_range():
+    assert _reciprocal_powers(1, 1, 3) == ([], 1)
+    assert _reciprocal_powers(7, 5, 2) == ([], 1)
+
+
+def test_reciprocal_powers_reject_a_negative_exponent():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        _reciprocal_powers(1, 4, -1)
+
+
+def test_only_rational_writes_the_reciprocal_weights():
+    """Every 1/j^k weight is read from rational._reciprocal_powers: no other
+    module builds its own lcm over a range."""
+    package = Path(polycauchy.__file__).resolve().parent
+    writers = [
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "rational.py" and "lcm(*range(" in path.read_text()
+    ]
+    assert not writers

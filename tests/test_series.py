@@ -237,6 +237,18 @@ def test_sheffer_rows_rejects_bad_input():
         sheffer_rows(Series.one, Series.one, 3)
 
 
+def test_sheffer_rows_reject_a_series_of_the_wrong_order():
+    # a g one order short once gave row 3 as 1 + x/2 + x^3/6, not 1 + 5x/6 + x^3/6
+    def ones(n):
+        return Series([1] * (n + 1))
+
+    assert sheffer_rows(ones, log1p_series, 3)[3] == Poly([1, F(5, 6), 0, F(1, 6)])
+    with pytest.raises(ValueError, match=r"g\(3\) has order 2, expected 3"):
+        sheffer_rows(ones, lambda n: log1p_series(max(n - 1, 0)), 3)
+    with pytest.raises(ValueError, match=r"A\(3\) has order 2, expected 3"):
+        sheffer_rows(lambda n: Series([1] * n), log1p_series, 3)
+
+
 def test_exp_requires_zero_constant():
     with pytest.raises(ValueError):
         Series([1, 1]).exp()
