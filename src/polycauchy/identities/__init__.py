@@ -2,17 +2,19 @@
 
 ``catalog()`` lists every registered case (groups G01..G22) in a fixed,
 deterministic order; ``verify`` runs one case over a grid; ``run_all``
-runs the whole suite and aggregates a summary.
+runs the whole suite and aggregates a summary.  Either refuses, with a
+``ValueError`` naming the case, a grid on which a case has no point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .engine import DEFAULT_GRID, Grid, IdentityCase, Report, SuiteResult, run_case
+from .engine import DEFAULT_GRID, Axis, Grid, IdentityCase, Report, SuiteResult, run_case
 from . import registry_core, registry_poly
 
 __all__ = [
+    "Axis",
     "Grid",
     "DEFAULT_GRID",
     "IdentityCase",
@@ -59,5 +61,7 @@ def verify(case_id: str, grid: Grid = DEFAULT_GRID) -> Report:
 
 
 def run_all(grid: Grid = DEFAULT_GRID) -> SuiteResult:
-    """Run every registered case in catalog order."""
+    """Run every registered case in catalog order, once each has a point."""
+    for case in catalog():
+        case.points(grid)
     return SuiteResult([run_case(c, grid) for c in catalog()], grid)

@@ -1,11 +1,11 @@
 """Deterministic grid runner for the registered identity cases.
 
-Each case binds a parameter-space generator to a check returning
-(lhs, rhs); values compare by canonical equality (Fraction, Poly, or
-tuples thereof).  Probe cases evaluate several competing variants of a
-statement and report which ones survive the whole grid instead of
-failing the suite; they exist for statements whose printed form is
-suspected to carry a typo.
+Each case binds a parameter space, a tuple of ``Axis``, to a check
+returning (lhs, rhs); values compare by canonical equality (Fraction,
+Poly, or tuples thereof).  Probe cases evaluate several competing
+variants of a statement and report which ones survive the whole grid
+instead of failing the suite; they exist for statements whose printed
+form is suspected to carry a typo.
 
 Reports are deterministic for a fixed grid except for the elapsed-time
 field.  Cases are independent and side-effect free, so any subset may
@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable
 
-__all__ = ["Grid", "DEFAULT_GRID", "IdentityCase", "Report", "SuiteResult"]
+__all__ = ["Grid", "DEFAULT_GRID", "Axis", "IdentityCase", "Report", "SuiteResult"]
 
 _SEVEN_POINT = (
     Fraction(0),
@@ -110,13 +110,45 @@ def _params_str(params: dict) -> str:
     return ", ".join(f"{k}={_render(v)}" for k, v in params.items())
 
 
+@dataclass(frozen=True, slots=True)
+class Axis:
+    """One parameter of a case's point space, named as the check's argument.
+
+    An int axis runs from ``start`` to ``stop // per - less``, or to ``cap``
+    if that is smaller.  A value axis runs over ``values``, a ``Grid`` list
+    given by name or a fixed tuple, kept to |v| <= ``cap``.  ``stop`` and
+    ``cap`` are each an int, the name of a ``Grid`` bound, or the name of an
+    earlier axis of the case."""
+
+    name: str
+    stop: int | str | None = None
+    start: int = 0
+    per: int = 1
+    less: int = 0
+    cap: int | str | None = None
+    values: tuple | str | None = None
+
+    def span(self, grid: Grid, point: dict):
+        """The values on the grid; a bound naming an earlier axis reads ``point``."""
+        stop, cap = self.stop, self.cap
+        if isinstance(cap, str):
+            cap = point[cap] if cap in point else getattr(grid, cap)
+        if self.values is None:
+            if isinstance(stop, str):
+                stop = point[stop] if stop in point else getattr(grid, stop)
+            top = stop // self.per - self.less
+            return range(self.start, (top if cap is None else min(top, cap)) + 1)
+        values = getattr(grid, self.values) if isinstance(self.values, str) else self.values
+        return values if cap is None else [v for v in values if abs(v) <= cap]
+
+
 @dataclass(frozen=True)
 class IdentityCase:
-    """One registered identity (or probe) over a parameter space."""
+    """One registered identity (or probe) over the product of its axes."""
 
     id: str
     description: str
-    points: Callable[[Grid], Iterable[dict]]
+    axes: tuple
     check: Callable | None = None
     variants: dict | None = None  # probe cases only
 
@@ -128,6 +160,36 @@ class IdentityCase:
     @property
     def probe(self) -> bool:
         return self.variants is not None
+
+    def points(self, grid: Grid) -> list[dict]:
+        """The product of the axes on the grid, the first outermost, built level
+        by level: an axis is spanned once per level, or per value of the earlier
+        axes its bounds name.  No point is a ``ValueError``, not a vacuous pass."""
+        level, names = [{}], set()
+        for axis in self.axes:
+            name, out = axis.name, []
+            if axis.stop in names or axis.cap in names:
+                spans = {}
+                for p in level:
+                    key = p.get(axis.stop), p.get(axis.cap)
+                    if key not in spans:
+                        spans[key] = axis.span(grid, p)
+                    for v in spans[key]:
+                        point = p.copy()
+                        point[name] = v
+                        out.append(point)
+            else:
+                span = axis.span(grid, {})
+                for p in level:
+                    for v in span:
+                        point = p.copy()  # faster than {**p, name: v}
+                        point[name] = v
+                        out.append(point)
+            level = out
+            names.add(name)
+        if not level:
+            raise ValueError(f"case {self.id} has no point on this grid")
+        return level
 
 
 @dataclass
@@ -168,10 +230,9 @@ def run_case(case: IdentityCase, grid: Grid) -> Report:
     start = perf_counter()
     checks = case.variants if case.probe else {None: case.check}
     stats = dict.fromkeys(checks, 0)  # failing points per variant
-    points = 0
+    points = case.points(grid)
     failures: list = []
-    for params in case.points(grid):
-        points += 1
+    for params in points:
         for label, fn in checks.items():
             lhs, rhs = fn(**params)
             if not lhs == rhs:
@@ -183,12 +244,12 @@ def run_case(case: IdentityCase, grid: Grid) -> Report:
     finding = None
     if case.probe:
         holds = [label for label, bad in stats.items() if bad == 0]
-        fails = [f"{label} ({bad}/{points} points fail)" for label, bad in stats.items() if bad]
+        fails = [f"{label} ({bad}/{len(points)} points fail)" for label, bad in stats.items() if bad]
         finding = "holds: " + (", ".join(holds) if holds else "none")
         if fails:
             finding += "; fails: " + ", ".join(fails)
     millis = int((perf_counter() - start) * 1000)
-    return Report(case.id, case.group, points, failures, millis, finding, case.probe)
+    return Report(case.id, case.group, len(points), failures, millis, finding, case.probe)
 
 
 @dataclass

@@ -14,12 +14,15 @@ A shift, seed or factor that only one kind carries is scaled by
 (1 + e)/2, which is the reverse.  Where a case restates another case or a
 library construction, it registers that existing check or compares with
 that construction (``_constructions``) instead of writing the sum again.
+Each case declares its points as a tuple of ``engine.Axis``; the n, k, i
+and y axes are declared once below and narrowed with ``dataclasses.replace``.
 The leading underscore of the shared checks and helpers keeps them
 private, so the benchmark tracer (``bench/tracer.py``), which wraps every
 public package function, leaves them alone."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
@@ -33,7 +36,7 @@ from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
 from ..poly import Poly, _dot, _homogenised_row, _lincomb, _over_one_denominator, _weighted_sum, binom_poly
 from ..rational import _reciprocal_powers
 from ..stirling import _gsn1_row, _gsn2_row, a_number, central_u, gsn1, gsn2, stirling1, stirling2
-from .engine import IdentityCase
+from .engine import Axis, IdentityCase
 
 F = Fraction
 X = Poly.gen()
@@ -64,33 +67,13 @@ def _reflected(kind, n, k=1, construction="gsn"):
     return _reflect(kind, cauchy_poly(kind, n, k, construction))
 
 
-def _ns(grid, start=0, stop=None):
-    top = grid.max_n if stop is None else stop
-    return ({"n": n} for n in range(start, top + 1))
-
-
-def _n_i(grid, n_start=0, i_start=0):
-    return (
-        {"n": n, "i": i}
-        for n in range(n_start, grid.max_n_double + 1)
-        for i in range(i_start, n + 1)
-    )
-
-
-def _n_y(grid, start=0, double=False):
-    top = grid.max_n_double if double else grid.max_n
-    return ({"n": n, "y": y} for n in range(start, top + 1) for y in grid.xs)
-
-
-def _n_k(grid, n_start=0, double=False):
-    top = grid.max_n_double if double else grid.max_n
-    return (
-        {"n": n, "k": k} for n in range(n_start, top + 1) for k in range(1, grid.max_k + 1)
-    )
-
-
-def _even_points(grid):
-    return ({"n": n} for n in range(1, grid.max_n // 2 + 1))
+# n to max_n in a single sum or to max_n_double in a double sum, from 0 or 1;
+# the order k from 1 to max_k; the derivative order i to n; y over xs
+_N, _N1 = Axis("n", "max_n"), Axis("n", "max_n", start=1)
+_ND, _ND1 = Axis("n", "max_n_double"), Axis("n", "max_n_double", start=1)
+_K = Axis("k", "max_k", start=1)
+_I, _I1 = Axis("i", "n"), Axis("i", "n", start=1)
+_Y = Axis("y", values="xs")
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +85,7 @@ def _pro4(kind, n, k):
     return _reflected(kind, n, k, "integral"), _reflected(kind, n, k)
 
 
-def _constructions(lhs, rhs, kind, n, k=1):
+def _constructions(lhs, rhs, kind, n, k):
     """The kind's polynomial by the two named constructions."""
     return cauchy_poly(kind, n, k, lhs), cauchy_poly(kind, n, k, rhs)
 
@@ -273,13 +256,13 @@ def _g01():
         return _ch(n), rhs
 
     return [
-        IdentityCase("G01.th11", "first kind as signed 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro4, "first", k=1)),
-        IdentityCase("G01.th12", "second kind at -x as 1/(m+1) sum of shifted Stirling polynomials", _ns, partial(_pro4, "second", k=1)),
-        IdentityCase("G01.rem31", "second kind via x -> -x composed Stirling polynomials", _ns, partial(_constructions, "integral", "gsn", "second")),
-        IdentityCase("G01.shift-1mx", "second kind via the 1-x shifted Stirling polynomials", _ns, one_minus),
-        IdentityCase("G01.kargin", "second-kind numbers from the (n+1, m+1) Stirling column", _ns, kargin),
-        IdentityCase("G01.rem4a", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", _ns, partial(_inv, "first", k=1)),
-        IdentityCase("G01.rem4b", "second-kind Stirling transform of reflected second-kind polynomials", _ns, partial(_inv, "second", k=1)),
+        IdentityCase("G01.th11", "first kind as signed 1/(m+1) sum of shifted Stirling polynomials", (_N,), partial(_pro4, "first", k=1)),
+        IdentityCase("G01.th12", "second kind at -x as 1/(m+1) sum of shifted Stirling polynomials", (_N,), partial(_pro4, "second", k=1)),
+        IdentityCase("G01.rem31", "second kind via x -> -x composed Stirling polynomials", (_N,), partial(_constructions, "integral", "gsn", "second", k=1)),
+        IdentityCase("G01.shift-1mx", "second kind via the 1-x shifted Stirling polynomials", (_N,), one_minus),
+        IdentityCase("G01.kargin", "second-kind numbers from the (n+1, m+1) Stirling column", (_N,), kargin),
+        IdentityCase("G01.rem4a", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", (_N,), partial(_inv, "first", k=1)),
+        IdentityCase("G01.rem4b", "second-kind Stirling transform of reflected second-kind polynomials", (_N,), partial(_inv, "second", k=1)),
     ]
 
 
@@ -292,10 +275,10 @@ def _g02():
         return lhs, (F((-1) ** n * n * (n - 2), 2), F(-n * n, 2))
 
     return [
-        IdentityCase("G02.coef1", "closed-form coefficients of the first kind", _ns, partial(_cor2, "first", k=1)),
-        IdentityCase("G02.coef2", "closed-form coefficients of the second kind", _ns, partial(_cor2, "second", k=1)),
-        IdentityCase("G02.leading", "leading coefficients are (-1)^n and 1", _ns, leading),
-        IdentityCase("G02.subleading", "subleading coefficients n(n-2)/2 laws", lambda g: _ns(g, 1), subleading),
+        IdentityCase("G02.coef1", "closed-form coefficients of the first kind", (_N,), partial(_cor2, "first", k=1)),
+        IdentityCase("G02.coef2", "closed-form coefficients of the second kind", (_N,), partial(_cor2, "second", k=1)),
+        IdentityCase("G02.leading", "leading coefficients are (-1)^n and 1", (_N,), leading),
+        IdentityCase("G02.subleading", "subleading coefficients n(n-2)/2 laws", (_N1,), subleading),
     ]
 
 
@@ -320,16 +303,12 @@ def _g03():
         return sum((F((-1) ** m * stirling1(n, m)) for m in range(1, n + 1)), F(0)), F(0)
 
     return [
-        IdentityCase("G03.exp1", "explicit Stirling expansion of the first kind", lambda g: _ns(g, 1), partial(_constructions, "theorem1", "gsn", "first")),
-        IdentityCase("G03.exp2", "explicit Stirling expansion of the second kind", lambda g: _ns(g, 1), partial(_constructions, "theorem1", "gsn", "second")),
-        IdentityCase("G03.exp3", "first-kind numbers from Bernoulli numbers", lambda g: _ns(g, 1), exp3),
-        IdentityCase("G03.exp4", "nonconstant coefficients are (n/i) times a Stirling entry", lambda g: _ns(g, 1), exp4),
-        IdentityCase(
-            "G03.coef-ident", "alternating binomial-Stirling sum collapses to one entry",
-            lambda g: ({"n": n, "i": i} for n in range(1, g.max_n + 1) for i in range(1, n + 1)),
-            coef_ident,
-        ),
-        IdentityCase("G03.alt-sum", "alternating row sums of the first-kind triangle vanish", lambda g: _ns(g, 2), alt_sum),
+        IdentityCase("G03.exp1", "explicit Stirling expansion of the first kind", (_N1,), partial(_constructions, "theorem1", "gsn", "first", k=1)),
+        IdentityCase("G03.exp2", "explicit Stirling expansion of the second kind", (_N1,), partial(_constructions, "theorem1", "gsn", "second", k=1)),
+        IdentityCase("G03.exp3", "first-kind numbers from Bernoulli numbers", (_N1,), exp3),
+        IdentityCase("G03.exp4", "nonconstant coefficients are (n/i) times a Stirling entry", (_N1,), exp4),
+        IdentityCase("G03.coef-ident", "alternating binomial-Stirling sum collapses to one entry", (_N1, _I1), coef_ident),
+        IdentityCase("G03.alt-sum", "alternating row sums of the first-kind triangle vanish", (replace(_N, start=2),), alt_sum),
     ]
 
 
@@ -354,11 +333,11 @@ def _g04():
         return (_cp(n).integrate_01(), _chp(n).integrate_01()), (want, want)
 
     return [
-        IdentityCase("G04.lm11", "unit integral of the shifted power-sum polynomial", lambda g: _n_y(g, 1), partial(lm1, 1)),
-        IdentityCase("G04.lm12", "unit integral of the reflected power-sum polynomial", lambda g: _n_y(g, 1), partial(lm1, -1)),
-        IdentityCase("G04.qi", "first-kind numbers as 1/(m(m+1)) Stirling sums", lambda g: _ns(g, 1), qi),
-        IdentityCase("G04.int-pair", "unit integrals of both kinds share the Stirling sum value", lambda g: _ns(g, 1), int_pair),
-        IdentityCase("G04.int1", "unit integrals of both kinds equal (1-n) times the first-kind number", _ns, int1),
+        IdentityCase("G04.lm11", "unit integral of the shifted power-sum polynomial", (_N1, _Y), partial(lm1, 1)),
+        IdentityCase("G04.lm12", "unit integral of the reflected power-sum polynomial", (_N1, _Y), partial(lm1, -1)),
+        IdentityCase("G04.qi", "first-kind numbers as 1/(m(m+1)) Stirling sums", (_N1,), qi),
+        IdentityCase("G04.int-pair", "unit integrals of both kinds share the Stirling sum value", (_N1,), int_pair),
+        IdentityCase("G04.int1", "unit integrals of both kinds equal (1-n) times the first-kind number", (_N,), int1),
     ]
 
 
@@ -398,20 +377,20 @@ def _g05():
         return _reflected(kind, n), rhs
 
     return [
-        IdentityCase("G05.chen1", "first kind from second-kind numbers and rising binomials", _ns, partial(_symm5, k=1)),
-        IdentityCase("G05.chen2", "second kind from first-kind numbers and shifted binomials", _ns, partial(_symm6, k=1)),
-        IdentityCase("G05.symm1", "first kind from its own numbers and shifted binomials", _ns, partial(_symm_self, "first", k=1)),
-        IdentityCase("G05.symm2", "second kind from its own numbers and plain binomials", _ns, partial(_symm_self, "second", k=1)),
-        IdentityCase("G05.x1-a", "binomial self-convolution of second-kind numbers", _ns, x1_a),
-        IdentityCase("G05.x1-b", "first-kind numbers from shifted second-kind convolution", lambda g: _ns(g, 1), partial(x1_bc, "first")),
-        IdentityCase("G05.x1-c", "second-kind numbers from shifted first-kind convolution", lambda g: _ns(g, 1), partial(x1_bc, "second")),
-        IdentityCase("G05.x1-d", "first-kind numbers from doubly-shifted self convolution", lambda g: _ns(g, 2), x1_d),
-        IdentityCase("G05.alt-conv", "alternating convolution links the two kinds", _ns, alt_conv),
-        IdentityCase("G05.shift-two", "two-term relation between the kinds", lambda g: _ns(g, 1), shift_two),
-        IdentityCase("G05.conv-int", "binomial convolution of both kinds equals (1-n) c_n", _ns, conv_int),
-        IdentityCase("G05.c2-triple", "three equivalent sums for the value at 2", _ns, c2_triple),
-        IdentityCase("G05.seq1", "first kind in the factorial-binomial basis", _ns, partial(seq, "first")),
-        IdentityCase("G05.seq2", "reflected second kind in the factorial-binomial basis", _ns, partial(seq, "second")),
+        IdentityCase("G05.chen1", "first kind from second-kind numbers and rising binomials", (_N,), partial(_symm5, k=1)),
+        IdentityCase("G05.chen2", "second kind from first-kind numbers and shifted binomials", (_N,), partial(_symm6, k=1)),
+        IdentityCase("G05.symm1", "first kind from its own numbers and shifted binomials", (_N,), partial(_symm_self, "first", k=1)),
+        IdentityCase("G05.symm2", "second kind from its own numbers and plain binomials", (_N,), partial(_symm_self, "second", k=1)),
+        IdentityCase("G05.x1-a", "binomial self-convolution of second-kind numbers", (_N,), x1_a),
+        IdentityCase("G05.x1-b", "first-kind numbers from shifted second-kind convolution", (_N1,), partial(x1_bc, "first")),
+        IdentityCase("G05.x1-c", "second-kind numbers from shifted first-kind convolution", (_N1,), partial(x1_bc, "second")),
+        IdentityCase("G05.x1-d", "first-kind numbers from doubly-shifted self convolution", (replace(_N, start=2),), x1_d),
+        IdentityCase("G05.alt-conv", "alternating convolution links the two kinds", (_N,), alt_conv),
+        IdentityCase("G05.shift-two", "two-term relation between the kinds", (_N1,), shift_two),
+        IdentityCase("G05.conv-int", "binomial convolution of both kinds equals (1-n) c_n", (_N,), conv_int),
+        IdentityCase("G05.c2-triple", "three equivalent sums for the value at 2", (_N,), c2_triple),
+        IdentityCase("G05.seq1", "first kind in the factorial-binomial basis", (_N,), partial(seq, "first")),
+        IdentityCase("G05.seq2", "reflected second kind in the factorial-binomial basis", (_N,), partial(seq, "second")),
     ]
 
 
@@ -445,17 +424,17 @@ def _g06():
         return check
 
     return [
-        IdentityCase("G06.rec1", "one-step recurrence for the first kind", lambda g: _ns(g, 0, g.max_n - 1), partial(_reck, "first", k=1)),
-        IdentityCase("G06.rec2", "one-step recurrence for the second kind", lambda g: _ns(g, 0, g.max_n - 1), partial(_reck, "second", k=1)),
-        IdentityCase("G06.nstep1", "alternative step recurrence, first kind", lambda g: _ns(g, 1), nstep1),
-        IdentityCase("G06.nstep2", "alternative step recurrence, second kind", lambda g: _ns(g, 1), nstep2),
-        IdentityCase("G06.diff1", "difference equation of the first kind", lambda g: _ns(g, 1), partial(_diffk, "first", k=1)),
-        IdentityCase("G06.diff2", "difference equation of the second kind", lambda g: _ns(g, 1), partial(_diffk, "second", k=1)),
-        IdentityCase("G06.mirror", "first kind from the reflected second kind", lambda g: _ns(g, 1), mirror),
+        IdentityCase("G06.rec1", "one-step recurrence for the first kind", (replace(_N, less=1),), partial(_reck, "first", k=1)),
+        IdentityCase("G06.rec2", "one-step recurrence for the second kind", (replace(_N, less=1),), partial(_reck, "second", k=1)),
+        IdentityCase("G06.nstep1", "alternative step recurrence, first kind", (_N1,), nstep1),
+        IdentityCase("G06.nstep2", "alternative step recurrence, second kind", (_N1,), nstep2),
+        IdentityCase("G06.diff1", "difference equation of the first kind", (_N1,), partial(_diffk, "first", k=1)),
+        IdentityCase("G06.diff2", "difference equation of the second kind", (_N1,), partial(_diffk, "second", k=1)),
+        IdentityCase("G06.mirror", "first kind from the reflected second kind", (_N1,), mirror),
         IdentityCase(
             "G06.k-recurrence-sign",
             "probe: sign of the (x-n) term in the second-kind step recurrence for general order",
-            lambda g: _n_k(g, 0, True),
+            (_ND, _K),
             None,
             variants={"+(x-n)": _k_rec_variant(1), "-(x-n)": _k_rec_variant(-1)},
         ),
@@ -478,26 +457,15 @@ def _g07():
         return cauchy_poly(kind, 2 * n + 1, 1), rhs
 
     return [
-        IdentityCase("G07.even-first", "even first kind via central factorials and Bernoulli numbers", _even_points, partial(even, "first")),
-        IdentityCase("G07.even-second", "even second kind via central factorials and Bernoulli numbers", _even_points, partial(even, "second")),
-        IdentityCase("G07.odd-first", "odd first kind via central factorials and Euler polynomials", _even_points, partial(odd, "first")),
-        IdentityCase("G07.odd-second", "odd second kind via central factorials and Euler polynomials", _even_points, partial(odd, "second")),
+        IdentityCase("G07.even-first", "even first kind via central factorials and Bernoulli numbers", (replace(_N1, per=2),), partial(even, "first")),
+        IdentityCase("G07.even-second", "even second kind via central factorials and Bernoulli numbers", (replace(_N1, per=2),), partial(even, "second")),
+        IdentityCase("G07.odd-first", "odd first kind via central factorials and Euler polynomials", (replace(_N1, per=2),), partial(odd, "first")),
+        IdentityCase("G07.odd-second", "odd second kind via central factorials and Euler polynomials", (replace(_N1, per=2),), partial(odd, "second")),
     ]
 
 
-_WHITNEY_MS = (1, 2, -2, 3)
-_WHITNEY_RS = (-2, 0, 1, 3)
-
-
 def _g08():
-    def _points(grid):
-        return (
-            {"n": n, "m": m, "r": r}
-            for n in range(grid.max_n + 1)
-            for m in _WHITNEY_MS
-            for r in _WHITNEY_RS
-            if abs(r) <= grid.max_r
-        )
+    axes = (_N, Axis("m", values=(1, 2, -2, 3)), Axis("r", values=(-2, 0, 1, 3), cap="max_r"))
 
     def whit_rev(kind, n, m, r):
         # m^l W_{m,r}(n, l) = m^n {n l}_(r/m): the row of those values against
@@ -507,10 +475,10 @@ def _g08():
         return _dot(_gsn2_row(n, F(r, m), 1), values) * m**n, F(e**n * m**n, n + 1)
 
     return [
-        IdentityCase("G08.whit1", "first kind at r/m from first-kind Whitney numbers", _points, partial(_whitk, "first", k=1)),
-        IdentityCase("G08.whit2", "second kind at -r/m from first-kind Whitney numbers", _points, partial(_whitk, "second", k=1)),
-        IdentityCase("G08.whit1-rev", "reversed Whitney transform of first-kind values", _points, partial(whit_rev, "first")),
-        IdentityCase("G08.whit2-rev", "reversed Whitney transform of second-kind values", _points, partial(whit_rev, "second")),
+        IdentityCase("G08.whit1", "first kind at r/m from first-kind Whitney numbers", axes, partial(_whitk, "first", k=1)),
+        IdentityCase("G08.whit2", "second kind at -r/m from first-kind Whitney numbers", axes, partial(_whitk, "second", k=1)),
+        IdentityCase("G08.whit1-rev", "reversed Whitney transform of first-kind values", axes, partial(whit_rev, "first")),
+        IdentityCase("G08.whit2-rev", "reversed Whitney transform of second-kind values", axes, partial(whit_rev, "second")),
     ]
 
 
@@ -567,22 +535,22 @@ def _g09():
         return harmonic_sum("second", n), harmonic_number(n) / 2
 
     return [
-        IdentityCase("G09.th5-first", "derivatives via higher-order Bernoulli polynomials, first kind", _n_i, partial(_genk, "first", k=1)),
-        IdentityCase("G09.th5-second", "derivatives via higher-order Bernoulli polynomials, second kind", _n_i, partial(_genk, "second", k=1)),
-        IdentityCase("G09.th6-first", "derivatives via own numbers and Stirling polynomials, first kind", _n_i, partial(_derk, "first", k=1)),
-        IdentityCase("G09.th6-second", "derivatives via own numbers and Stirling polynomials, second kind", _n_i, partial(_derk, "second", k=1)),
-        IdentityCase("G09.th6b-first", "derivative rewrite through order-(m+1) Bernoulli polynomials", _n_i, partial(th6b, "first")),
-        IdentityCase("G09.th6b-second", "second-kind derivative rewrite through Bernoulli polynomials", _n_i, partial(th6b, "second")),
-        IdentityCase("G09.der12", "derivatives collapse to a single shifted Stirling polynomial", lambda g: _n_i(g, 1, 1), partial(der, "first")),
-        IdentityCase("G09.der22", "second-kind derivatives collapse with the 1-x argument", lambda g: _n_i(g, 1, 1), partial(der, "second")),
-        IdentityCase("G09.gder1", "Stirling-weighted number sums collapse, first kind", lambda g: _n_i(g, 1, 1), partial(gder, "first")),
-        IdentityCase("G09.gder2", "Stirling-weighted number sums collapse, second kind", lambda g: _n_i(g, 1, 1), partial(gder, "second")),
-        IdentityCase("G09.merlin", "self-referential recurrence of the first-kind numbers", lambda g: _ns(g, 1), partial(self_rec, "first")),
-        IdentityCase("G09.half-harm", "harmonic-weighted convolution gives 1/(2n)", lambda g: _ns(g, 1), half_harm),
-        IdentityCase("G09.zhao", "harmonic-weighted convolution gives 1", _ns, partial(zhao, "first")),
-        IdentityCase("G09.chat-rec", "self-referential recurrence of second-kind numbers", lambda g: _ns(g, 1), partial(self_rec, "second")),
-        IdentityCase("G09.chat-half", "second-kind harmonic convolution gives half a harmonic number", _ns, chat_half),
-        IdentityCase("G09.chat-zhao", "second-kind harmonic convolution gives n+1", _ns, partial(zhao, "second")),
+        IdentityCase("G09.th5-first", "derivatives via higher-order Bernoulli polynomials, first kind", (_ND, _I), partial(_genk, "first", k=1)),
+        IdentityCase("G09.th5-second", "derivatives via higher-order Bernoulli polynomials, second kind", (_ND, _I), partial(_genk, "second", k=1)),
+        IdentityCase("G09.th6-first", "derivatives via own numbers and Stirling polynomials, first kind", (_ND, _I), partial(_derk, "first", k=1)),
+        IdentityCase("G09.th6-second", "derivatives via own numbers and Stirling polynomials, second kind", (_ND, _I), partial(_derk, "second", k=1)),
+        IdentityCase("G09.th6b-first", "derivative rewrite through order-(m+1) Bernoulli polynomials", (_ND, _I), partial(th6b, "first")),
+        IdentityCase("G09.th6b-second", "second-kind derivative rewrite through Bernoulli polynomials", (_ND, _I), partial(th6b, "second")),
+        IdentityCase("G09.der12", "derivatives collapse to a single shifted Stirling polynomial", (_ND1, _I1), partial(der, "first")),
+        IdentityCase("G09.der22", "second-kind derivatives collapse with the 1-x argument", (_ND1, _I1), partial(der, "second")),
+        IdentityCase("G09.gder1", "Stirling-weighted number sums collapse, first kind", (_ND1, _I1), partial(gder, "first")),
+        IdentityCase("G09.gder2", "Stirling-weighted number sums collapse, second kind", (_ND1, _I1), partial(gder, "second")),
+        IdentityCase("G09.merlin", "self-referential recurrence of the first-kind numbers", (_N1,), partial(self_rec, "first")),
+        IdentityCase("G09.half-harm", "harmonic-weighted convolution gives 1/(2n)", (_N1,), half_harm),
+        IdentityCase("G09.zhao", "harmonic-weighted convolution gives 1", (_N,), partial(zhao, "first")),
+        IdentityCase("G09.chat-rec", "self-referential recurrence of second-kind numbers", (_N1,), partial(self_rec, "second")),
+        IdentityCase("G09.chat-half", "second-kind harmonic convolution gives half a harmonic number", (_N,), chat_half),
+        IdentityCase("G09.chat-zhao", "second-kind harmonic convolution gives n+1", (_N,), partial(zhao, "second")),
     ]
 
 
@@ -666,20 +634,20 @@ def _g10():
         return hyperharmonic_poly(n).affine_compose(1, (1 - KIND_SIGN[kind]) // 2), rhs
 
     return [
-        IdentityCase("G10.hyp1", "hyperharmonic convolution of the first kind gives a binomial", lambda g: _n_y(g), partial(hyp12, "first")),
-        IdentityCase("G10.hyp2", "hyperharmonic convolution of the second kind gives a binomial", lambda g: _n_y(g), partial(hyp12, "second")),
-        IdentityCase("G10.hyp3", "self-cancelling hyperharmonic convolution, first kind", _ns, hyp3),
-        IdentityCase("G10.hyp4", "constant hyperharmonic convolution, second kind", _ns, hyp4),
-        IdentityCase("G10.conec1", "recurrence with inner binomial weights, first kind", lambda g: _ns(g, 1), conec1),
-        IdentityCase("G10.conec2", "recurrence with inner binomial weights, second kind", lambda g: _ns(g, 1), conec2),
-        IdentityCase("G10.rec-negy", "two-factor denominator recurrence, first kind", lambda g: _ns(g, 1), partial(hyp5, "first")),
-        IdentityCase("G10.hyp5", "two-factor denominator recurrence, second kind", lambda g: _ns(g, 1), partial(hyp5, "second")),
-        IdentityCase("G10.hyp5-x1", "number specialization of the two-factor recurrence", lambda g: _ns(g, 1), hyp5_x1),
-        IdentityCase("G10.hyp6", "first kind as alternating shifted second-kind sums", _ns, partial(hyp67, "first")),
-        IdentityCase("G10.hyp7", "second kind as alternating shifted first-kind sums", _ns, partial(hyp67, "second")),
-        IdentityCase("G10.eval-two", "values at -n and n collapse to values at 2 and 0", _ns, eval_two),
-        IdentityCase("G10.via-bernoulli-1", "hyperharmonic polynomials from first-kind numbers and Bernoulli polynomials", lambda g: _ns(g, 1), partial(via_bernoulli, "first")),
-        IdentityCase("G10.via-bernoulli-2", "shifted hyperharmonic polynomials from second-kind numbers", lambda g: _ns(g, 1), partial(via_bernoulli, "second")),
+        IdentityCase("G10.hyp1", "hyperharmonic convolution of the first kind gives a binomial", (_N, _Y), partial(hyp12, "first")),
+        IdentityCase("G10.hyp2", "hyperharmonic convolution of the second kind gives a binomial", (_N, _Y), partial(hyp12, "second")),
+        IdentityCase("G10.hyp3", "self-cancelling hyperharmonic convolution, first kind", (_N,), hyp3),
+        IdentityCase("G10.hyp4", "constant hyperharmonic convolution, second kind", (_N,), hyp4),
+        IdentityCase("G10.conec1", "recurrence with inner binomial weights, first kind", (_N1,), conec1),
+        IdentityCase("G10.conec2", "recurrence with inner binomial weights, second kind", (_N1,), conec2),
+        IdentityCase("G10.rec-negy", "two-factor denominator recurrence, first kind", (_N1,), partial(hyp5, "first")),
+        IdentityCase("G10.hyp5", "two-factor denominator recurrence, second kind", (_N1,), partial(hyp5, "second")),
+        IdentityCase("G10.hyp5-x1", "number specialization of the two-factor recurrence", (_N1,), hyp5_x1),
+        IdentityCase("G10.hyp6", "first kind as alternating shifted second-kind sums", (_N,), partial(hyp67, "first")),
+        IdentityCase("G10.hyp7", "second kind as alternating shifted first-kind sums", (_N,), partial(hyp67, "second")),
+        IdentityCase("G10.eval-two", "values at -n and n collapse to values at 2 and 0", (_N,), eval_two),
+        IdentityCase("G10.via-bernoulli-1", "hyperharmonic polynomials from first-kind numbers and Bernoulli polynomials", (_N1,), partial(via_bernoulli, "first")),
+        IdentityCase("G10.via-bernoulli-2", "shifted hyperharmonic polynomials from second-kind numbers", (_N1,), partial(via_bernoulli, "second")),
     ]
 
 
@@ -724,17 +692,17 @@ def _g11():
         return lhs, rhs
 
     return [
-        IdentityCase("G11.th31", "Bernoulli polynomials from first-kind polynomial transforms", lambda g: _ns(g, 1), partial(_th3, "first")),
-        IdentityCase("G11.th32", "Bernoulli polynomials from reflected second-kind transforms", lambda g: _ns(g, 1), partial(_th3, "second")),
-        IdentityCase("G11.th31-x1", "Bernoulli numbers from second-kind numbers", lambda g: _ns(g, 1), th31_x1),
-        IdentityCase("G11.th31-x0", "Bernoulli numbers from first-kind numbers", lambda g: _ns(g, 1), th31_x0),
-        IdentityCase("G11.inv2", "first-kind polynomials from Bernoulli polynomials", lambda g: _ns(g, 1), partial(inv, "first")),
-        IdentityCase("G11.inv3", "reflected second kind from Bernoulli polynomials", lambda g: _ns(g, 1), partial(inv, "second")),
-        IdentityCase("G11.inv3-alt", "rewritten reflected second-kind inversion", lambda g: _ns(g, 1), inv3_alt),
-        IdentityCase("G11.exp5a", "second-kind numbers from Bernoulli numbers", lambda g: _ns(g, 1), exp5a),
-        IdentityCase("G11.exp5b", "first-kind numbers from alternating Bernoulli sums", lambda g: _ns(g, 1), exp5b),
-        IdentityCase("G11.odd-vanish", "equality forcing odd Bernoulli numbers to vanish", lambda g: _ns(g, 2), odd_vanish),
-        IdentityCase("G11.chat2n-at-n", "even second-kind value at n from central factorials", _even_points, chat2n_at_n),
+        IdentityCase("G11.th31", "Bernoulli polynomials from first-kind polynomial transforms", (_N1,), partial(_th3, "first")),
+        IdentityCase("G11.th32", "Bernoulli polynomials from reflected second-kind transforms", (_N1,), partial(_th3, "second")),
+        IdentityCase("G11.th31-x1", "Bernoulli numbers from second-kind numbers", (_N1,), th31_x1),
+        IdentityCase("G11.th31-x0", "Bernoulli numbers from first-kind numbers", (_N1,), th31_x0),
+        IdentityCase("G11.inv2", "first-kind polynomials from Bernoulli polynomials", (_N1,), partial(inv, "first")),
+        IdentityCase("G11.inv3", "reflected second kind from Bernoulli polynomials", (_N1,), partial(inv, "second")),
+        IdentityCase("G11.inv3-alt", "rewritten reflected second-kind inversion", (_N1,), inv3_alt),
+        IdentityCase("G11.exp5a", "second-kind numbers from Bernoulli numbers", (_N1,), exp5a),
+        IdentityCase("G11.exp5b", "first-kind numbers from alternating Bernoulli sums", (_N1,), exp5b),
+        IdentityCase("G11.odd-vanish", "equality forcing odd Bernoulli numbers to vanish", (replace(_N, start=2),), odd_vanish),
+        IdentityCase("G11.chat2n-at-n", "even second-kind value at n from central factorials", (replace(_N1, per=2),), chat2n_at_n),
     ]
 
 
@@ -760,13 +728,13 @@ def _g12():
         return lhs, F(1, n + 1)
 
     return [
-        IdentityCase("G12.th41", "Bernoulli polynomials from first-kind numbers and x^n", lambda g: _ns(g, 1), partial(_th4, "first")),
-        IdentityCase("G12.th42", "Bernoulli polynomials from second-kind numbers and (x-1)^n", lambda g: _ns(g, 1), partial(_th4, "second")),
-        IdentityCase("G12.bn-alt1", "alternative Bernoulli number formula, first kind", lambda g: _ns(g, 1), bn_alt1),
-        IdentityCase("G12.bn-alt2", "alternative Bernoulli number formula, second kind", lambda g: _ns(g, 1), bn_alt2),
-        IdentityCase("G12.diff-c", "number-minus-polynomial transform collapses to x^n/n", lambda g: _ns(g, 1), diff_c),
-        IdentityCase("G12.diff-cchat", "difference of the kinds under the Stirling transform", lambda g: _ns(g, 1), diff_cchat),
-        IdentityCase("G12.kargin-inv", "second-kind numbers under the shifted Stirling transform", _ns, kargin_inv),
+        IdentityCase("G12.th41", "Bernoulli polynomials from first-kind numbers and x^n", (_N1,), partial(_th4, "first")),
+        IdentityCase("G12.th42", "Bernoulli polynomials from second-kind numbers and (x-1)^n", (_N1,), partial(_th4, "second")),
+        IdentityCase("G12.bn-alt1", "alternative Bernoulli number formula, first kind", (_N1,), bn_alt1),
+        IdentityCase("G12.bn-alt2", "alternative Bernoulli number formula, second kind", (_N1,), bn_alt2),
+        IdentityCase("G12.diff-c", "number-minus-polynomial transform collapses to x^n/n", (_N1,), diff_c),
+        IdentityCase("G12.diff-cchat", "difference of the kinds under the Stirling transform", (_N1,), diff_cchat),
+        IdentityCase("G12.kargin-inv", "second-kind numbers under the shifted Stirling transform", (_N,), kargin_inv),
     ]
 
 
@@ -797,32 +765,19 @@ def _g13():
     def p5_numbers(number_kind, value_kind, n, y):
         return _th4(number_kind, n, partial(inner, value_kind, y=y), KIND_SIGN[value_kind])
 
-    descs = {
-        "p4a": "Bernoulli polynomials from double second-kind transforms of first-kind values",
-        "p4b": "Bernoulli polynomials from double transforms of reflected second-kind values",
-        "p4c": "first kind from double first-kind transforms of Bernoulli values",
-        "p4d": "reflected second kind from double first-kind transforms of Bernoulli values",
-        "p5a": "double-sum product form, first kind twice",
-        "p5b": "double-sum product form, first then second kind",
-        "p5c": "double-sum product form, second then first kind",
-        "p5d": "double-sum product form, second kind twice",
-        "p5e": "x^n form with first-kind numbers and values",
-        "p5f": "x^n form with first-kind numbers, second-kind values",
-        "p5g": "(x-1)^n form with second-kind numbers, first-kind values",
-        "p5h": "(x-1)^n form with second-kind numbers and values",
-    }
-    # check and first n of each case
-    checks = {
-        "p4a": (partial(p4ab, "first"), 0), "p4b": (partial(p4ab, "second"), 0),
-        "p4c": (partial(p4cd, "first"), 0), "p4d": (partial(p4cd, "second"), 0),
-        "p5a": (partial(p5_poly, "first", "first"), 1), "p5b": (partial(p5_poly, "first", "second"), 1),
-        "p5c": (partial(p5_poly, "second", "first"), 1), "p5d": (partial(p5_poly, "second", "second"), 1),
-        "p5e": (partial(p5_numbers, "first", "first"), 1), "p5f": (partial(p5_numbers, "first", "second"), 1),
-        "p5g": (partial(p5_numbers, "second", "first"), 1), "p5h": (partial(p5_numbers, "second", "second"), 1),
-    }
     return [
-        IdentityCase(f"G13.{name}", descs[name], partial(_n_y, start=start, double=True), fn)
-        for name, (fn, start) in checks.items()
+        IdentityCase("G13.p4a", "Bernoulli polynomials from double second-kind transforms of first-kind values", (_ND, _Y), partial(p4ab, "first")),
+        IdentityCase("G13.p4b", "Bernoulli polynomials from double transforms of reflected second-kind values", (_ND, _Y), partial(p4ab, "second")),
+        IdentityCase("G13.p4c", "first kind from double first-kind transforms of Bernoulli values", (_ND, _Y), partial(p4cd, "first")),
+        IdentityCase("G13.p4d", "reflected second kind from double first-kind transforms of Bernoulli values", (_ND, _Y), partial(p4cd, "second")),
+        IdentityCase("G13.p5a", "double-sum product form, first kind twice", (_ND1, _Y), partial(p5_poly, "first", "first")),
+        IdentityCase("G13.p5b", "double-sum product form, first then second kind", (_ND1, _Y), partial(p5_poly, "first", "second")),
+        IdentityCase("G13.p5c", "double-sum product form, second then first kind", (_ND1, _Y), partial(p5_poly, "second", "first")),
+        IdentityCase("G13.p5d", "double-sum product form, second kind twice", (_ND1, _Y), partial(p5_poly, "second", "second")),
+        IdentityCase("G13.p5e", "x^n form with first-kind numbers and values", (_ND1, _Y), partial(p5_numbers, "first", "first")),
+        IdentityCase("G13.p5f", "x^n form with first-kind numbers, second-kind values", (_ND1, _Y), partial(p5_numbers, "first", "second")),
+        IdentityCase("G13.p5g", "(x-1)^n form with second-kind numbers, first-kind values", (_ND1, _Y), partial(p5_numbers, "second", "first")),
+        IdentityCase("G13.p5h", "(x-1)^n form with second-kind numbers and values", (_ND1, _Y), partial(p5_numbers, "second", "second")),
     ]
 
 

@@ -12,10 +12,13 @@ structure stay two functions.  The kind's sign e = ``KIND_SIGN[kind]`` and
 term only one kind carries is scaled by (1 - e)/2 (second kind only) or
 (1 + e)/2 (first kind only).  A case that restates another case or a
 library construction registers that existing check (``_moments``,
-``_genk``, ``_constructions``) instead of writing the sum again."""
+``_genk``, ``_constructions``) instead of writing the sum again.  A case's
+points are a tuple of ``engine.Axis``: ``registry_core``'s n, k, i and y,
+the multiparameter axes declared before G21, or an axis of its own."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, prod
@@ -50,20 +53,11 @@ from ..stirling import (
     stirling1,
     stirling2,
 )
-from .engine import IdentityCase
+from .engine import Axis, IdentityCase
 from .registry_core import (
-    F, _c, _ch, _chp, _constructions, _conv, _cor2, _cp, _derk, _diffk, _genk, _inv, _n_k, _n_y, _ns,
-    _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _weighted_stirling, _whitk,
+    F, _I, _K, _N, _N1, _ND, _ND1, _Y, _c, _ch, _chp, _constructions, _conv, _cor2, _cp, _derk, _diffk, _genk,
+    _inv, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _weighted_stirling, _whitk,
 )
-
-
-def _n_i_k(grid, n_start=0, i_start=0):
-    return (
-        {"n": n, "i": i, "k": k}
-        for n in range(n_start, grid.max_n_double + 1)
-        for i in range(i_start, n + 1)
-        for k in range(1, grid.max_k + 1)
-    )
 
 
 def _moments(kind, n, k):
@@ -76,40 +70,20 @@ def _moments(kind, n, k):
 
 def _g14():
     return [
-        IdentityCase("G14.pro41", "general order first kind as weighted Stirling polynomial sums", _n_k, partial(_pro4, "first")),
-        IdentityCase("G14.pro42", "general order second kind at -x as weighted Stirling sums", _n_k, partial(_pro4, "second")),
-        IdentityCase("G14.cor2a", "closed-form coefficients at general order, first kind", _n_k, partial(_cor2, "first")),
-        IdentityCase("G14.cor2b", "closed-form coefficients at general order, second kind", _n_k, partial(_cor2, "second")),
-        IdentityCase("G14.back1", "double-sum expansion over the plain triangle, first kind", _n_k, partial(_moments, "first")),
-        IdentityCase("G14.back2", "double-sum expansion over the plain triangle, second kind", _n_k, partial(_moments, "second")),
-        IdentityCase("G14.inv-a", "inverted expansion gives 1/(n+1)^k", _n_k, partial(_inv, "first")),
-        IdentityCase("G14.inv-b", "inverted reflected expansion gives (-1)^n/(n+1)^k", _n_k, partial(_inv, "second")),
+        IdentityCase("G14.pro41", "general order first kind as weighted Stirling polynomial sums", (_N, _K), partial(_pro4, "first")),
+        IdentityCase("G14.pro42", "general order second kind at -x as weighted Stirling sums", (_N, _K), partial(_pro4, "second")),
+        IdentityCase("G14.cor2a", "closed-form coefficients at general order, first kind", (_N, _K), partial(_cor2, "first")),
+        IdentityCase("G14.cor2b", "closed-form coefficients at general order, second kind", (_N, _K), partial(_cor2, "second")),
+        IdentityCase("G14.back1", "double-sum expansion over the plain triangle, first kind", (_N, _K), partial(_moments, "first")),
+        IdentityCase("G14.back2", "double-sum expansion over the plain triangle, second kind", (_N, _K), partial(_moments, "second")),
+        IdentityCase("G14.inv-a", "inverted expansion gives 1/(n+1)^k", (_N, _K), partial(_inv, "first")),
+        IdentityCase("G14.inv-b", "inverted reflected expansion gives (-1)^n/(n+1)^k", (_N, _K), partial(_inv, "second")),
     ]
 
 
-_WHITNEY_MS = (1, 2, -2)
-_WHITNEY_RS = (-2, 1, 3)
-
-
 def _g15():
-    def _whit_points(grid):
-        return (
-            {"n": n, "k": k, "m": m, "r": r}
-            for n in range(grid.max_n_double + 1)
-            for k in range(1, grid.max_k + 1)
-            for m in _WHITNEY_MS
-            for r in _WHITNEY_RS
-            if abs(r) <= grid.max_r
-        )
-
-    def _korec_points(grid):
-        return (
-            {"n": n, "k": k, "r": r, "s": s}
-            for n in range(grid.max_n_double + 1)
-            for k in range(1, grid.max_k + 1)
-            for r in range(min(n, grid.max_r) + 1)
-            for s in range(r + 1)
-        )
+    whit = (_ND, _K, Axis("m", values=(1, 2, -2)), Axis("r", values=(-2, 1, 3), cap="max_r"))
+    korec_axes = (_ND, _K, Axis("r", "n", cap="max_r"), Axis("s", "r"))
 
     def korec(kind, n, k, r, s):
         e = KIND_SIGN[kind]
@@ -118,14 +92,6 @@ def _g15():
         # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second: the row over
         # j = l - s weighted by 1/(n-r+1+j)^k
         return lhs, _weighted_stirling(r - s, s, 1, n - r + 1, k, -e) * ((-1) ** (n - s) * (-e) ** (n + r))
-
-    def _korec_s0_points(grid):
-        return (
-            {"n": n, "k": k, "r": r}
-            for n in range(grid.max_n_double + 1)
-            for k in range(1, grid.max_k + 1)
-            for r in range(grid.max_r + 1)
-        )
 
     def korec_s0(kind, n, k, r):
         e = KIND_SIGN[kind]
@@ -145,30 +111,30 @@ def _g15():
         return (_c(n, k), _ch(n, k)), rhs
 
     return [
-        IdentityCase("G15.diffk1", "difference equation at general order, first kind", lambda g: _n_k(g, 1), partial(_diffk, "first")),
-        IdentityCase("G15.diffk2", "difference equation at general order, second kind", lambda g: _n_k(g, 1), partial(_diffk, "second")),
-        IdentityCase("G15.whitk1", "general order values at r/m from Whitney numbers", _whit_points, partial(_whitk, "first")),
-        IdentityCase("G15.whitk2", "general order second kind at -r/m from Whitney numbers", _whit_points, partial(_whitk, "second")),
-        IdentityCase("G15.symm5", "general order first kind from second-kind numbers", _n_k, _symm5),
-        IdentityCase("G15.symm6", "general order second kind from first-kind numbers", _n_k, _symm6),
-        IdentityCase("G15.symm7a", "self-number expansion with negated binomials, first kind", _n_k, partial(_symm_self, "first")),
-        IdentityCase("G15.symm7b", "self-number expansion with rising factorials, first kind", _n_k, partial(_constructions, "gsn", "binomial_conv", "first")),
-        IdentityCase("G15.symm8a", "self-number expansion with plain binomials, second kind", _n_k, partial(_symm_self, "second")),
-        IdentityCase("G15.symm8b", "self-number expansion with falling factorials, second kind", _n_k, partial(_constructions, "gsn", "binomial_conv", "second")),
-        IdentityCase("G15.reck1", "one-step recurrence at general order, first kind", lambda g: _n_k(g, 0, True), partial(_reck, "first")),
-        IdentityCase("G15.genk1", "derivatives via higher-order Bernoulli at general order, first kind", _n_i_k, partial(_genk, "first")),
-        IdentityCase("G15.genk2", "derivatives via higher-order Bernoulli at general order, second kind", _n_i_k, partial(_genk, "second")),
-        IdentityCase("G15.derk1", "derivatives via own numbers at general order, first kind", _n_i_k, partial(_derk, "first")),
-        IdentityCase("G15.derk2", "derivatives via own numbers at general order, second kind", _n_i_k, partial(_derk, "second")),
-        IdentityCase("G15.korec1", "three-index shifted transform identity, first kind", _korec_points, partial(korec, "first")),
-        IdentityCase("G15.korec2", "three-index shifted transform identity, second kind", _korec_points, partial(korec, "second")),
-        IdentityCase("G15.korec1-s0", "shifted transform with column sums, first kind", _korec_s0_points, partial(korec_s0, "first")),
-        IdentityCase("G15.korec2-s0", "shifted transform with column sums, second kind", _korec_s0_points, partial(korec_s0, "second")),
-        IdentityCase("G15.val-at1", "two sums for the general-order value at 1", _n_k, partial(val_at, "first")),
-        IdentityCase("G15.val-at-neg1", "two sums for the general-order second-kind value at -1", _n_k, partial(val_at, "second")),
-        IdentityCase("G15.lah-pair", "the two kinds exchange through Lah-number transforms", _n_k, lah_pair),
-        IdentityCase("G15.gbpk1", "general order first kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(_genk, "first", i=0)),
-        IdentityCase("G15.gbpk2", "general order second kind from higher-order Bernoulli polynomials", lambda g: _n_k(g, 0, True), partial(_genk, "second", i=0)),
+        IdentityCase("G15.diffk1", "difference equation at general order, first kind", (_N1, _K), partial(_diffk, "first")),
+        IdentityCase("G15.diffk2", "difference equation at general order, second kind", (_N1, _K), partial(_diffk, "second")),
+        IdentityCase("G15.whitk1", "general order values at r/m from Whitney numbers", whit, partial(_whitk, "first")),
+        IdentityCase("G15.whitk2", "general order second kind at -r/m from Whitney numbers", whit, partial(_whitk, "second")),
+        IdentityCase("G15.symm5", "general order first kind from second-kind numbers", (_N, _K), _symm5),
+        IdentityCase("G15.symm6", "general order second kind from first-kind numbers", (_N, _K), _symm6),
+        IdentityCase("G15.symm7a", "self-number expansion with negated binomials, first kind", (_N, _K), partial(_symm_self, "first")),
+        IdentityCase("G15.symm7b", "self-number expansion with rising factorials, first kind", (_N, _K), partial(_constructions, "gsn", "binomial_conv", "first")),
+        IdentityCase("G15.symm8a", "self-number expansion with plain binomials, second kind", (_N, _K), partial(_symm_self, "second")),
+        IdentityCase("G15.symm8b", "self-number expansion with falling factorials, second kind", (_N, _K), partial(_constructions, "gsn", "binomial_conv", "second")),
+        IdentityCase("G15.reck1", "one-step recurrence at general order, first kind", (_ND, _K), partial(_reck, "first")),
+        IdentityCase("G15.genk1", "derivatives via higher-order Bernoulli at general order, first kind", (_ND, _I, _K), partial(_genk, "first")),
+        IdentityCase("G15.genk2", "derivatives via higher-order Bernoulli at general order, second kind", (_ND, _I, _K), partial(_genk, "second")),
+        IdentityCase("G15.derk1", "derivatives via own numbers at general order, first kind", (_ND, _I, _K), partial(_derk, "first")),
+        IdentityCase("G15.derk2", "derivatives via own numbers at general order, second kind", (_ND, _I, _K), partial(_derk, "second")),
+        IdentityCase("G15.korec1", "three-index shifted transform identity, first kind", korec_axes, partial(korec, "first")),
+        IdentityCase("G15.korec2", "three-index shifted transform identity, second kind", korec_axes, partial(korec, "second")),
+        IdentityCase("G15.korec1-s0", "shifted transform with column sums, first kind", (_ND, _K, Axis("r", "max_r")), partial(korec_s0, "first")),
+        IdentityCase("G15.korec2-s0", "shifted transform with column sums, second kind", (_ND, _K, Axis("r", "max_r")), partial(korec_s0, "second")),
+        IdentityCase("G15.val-at1", "two sums for the general-order value at 1", (_N, _K), partial(val_at, "first")),
+        IdentityCase("G15.val-at-neg1", "two sums for the general-order second-kind value at -1", (_N, _K), partial(val_at, "second")),
+        IdentityCase("G15.lah-pair", "the two kinds exchange through Lah-number transforms", (_N, _K), lah_pair),
+        IdentityCase("G15.gbpk1", "general order first kind from higher-order Bernoulli polynomials", (_ND, _K), partial(_genk, "first", i=0)),
+        IdentityCase("G15.gbpk2", "general order second kind from higher-order Bernoulli polynomials", (_ND, _K), partial(_genk, "second", i=0)),
     ]
 
 
@@ -188,8 +154,8 @@ def _g16():
         return lhs, rhs
 
     return [
-        IdentityCase("G16.int2", "unit integral at general order, first kind", _n_k, int2),
-        IdentityCase("G16.int3", "unit integral at general order, second kind", _n_k, int3),
+        IdentityCase("G16.int2", "unit integral at general order, first kind", (_N, _K), int2),
+        IdentityCase("G16.int3", "unit integral at general order, second kind", (_N, _K), int3),
     ]
 
 
@@ -220,14 +186,6 @@ def _bernoulli_moments(e, m, k, start):
 
 
 def _g17():
-    def _pts(grid):
-        return (
-            {"n": n, "k": k, "y": y}
-            for n in range(grid.max_n_double + 1)
-            for k in range(1, grid.max_k + 1)
-            for y in grid.xs
-        )
-
     def kb12(kind, n, k, y):
         return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y) * (-1) ** n
 
@@ -250,14 +208,14 @@ def _g17():
         return cauchy_poly(kind, n, k), rhs
 
     return [
-        IdentityCase("G17.kb1", "poly-Bernoulli from double transforms of first-kind values", _pts, partial(kb12, "first")),
-        IdentityCase("G17.kb2", "poly-Bernoulli from double transforms of second-kind values", _pts, partial(kb12, "second")),
-        IdentityCase("G17.kb3", "general order first kind from poly-Bernoulli values", _pts, partial(kb34, "first")),
-        IdentityCase("G17.kb4", "reflected second kind from poly-Bernoulli values", _pts, partial(kb34, "second")),
-        IdentityCase("G17.kl1", "alternative poly-Bernoulli from first-kind polynomials", lambda g: _n_k(g, 0, True), partial(kl12, "first")),
-        IdentityCase("G17.kl2", "alternative poly-Bernoulli from second-kind polynomials", lambda g: _n_k(g, 0, True), partial(kl12, "second")),
-        IdentityCase("G17.kl3", "first kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), partial(kl34, "first")),
-        IdentityCase("G17.kl4", "second kind back from the alternative poly-Bernoulli family", lambda g: _n_k(g, 0, True), partial(kl34, "second")),
+        IdentityCase("G17.kb1", "poly-Bernoulli from double transforms of first-kind values", (_ND, _K, _Y), partial(kb12, "first")),
+        IdentityCase("G17.kb2", "poly-Bernoulli from double transforms of second-kind values", (_ND, _K, _Y), partial(kb12, "second")),
+        IdentityCase("G17.kb3", "general order first kind from poly-Bernoulli values", (_ND, _K, _Y), partial(kb34, "first")),
+        IdentityCase("G17.kb4", "reflected second kind from poly-Bernoulli values", (_ND, _K, _Y), partial(kb34, "second")),
+        IdentityCase("G17.kl1", "alternative poly-Bernoulli from first-kind polynomials", (_ND, _K), partial(kl12, "first")),
+        IdentityCase("G17.kl2", "alternative poly-Bernoulli from second-kind polynomials", (_ND, _K), partial(kl12, "second")),
+        IdentityCase("G17.kl3", "first kind back from the alternative poly-Bernoulli family", (_ND, _K), partial(kl34, "first")),
+        IdentityCase("G17.kl4", "second kind back from the alternative poly-Bernoulli family", (_ND, _K), partial(kl34, "second")),
     ]
 
 
@@ -285,16 +243,13 @@ def _g18():
         )
         return lhs, Poly([0] * m + [1])
 
-    def _ms(grid):
-        return ({"m": m} for m in range(grid.max_n + 1))
-
     return [
-        IdentityCase("G18.poly1", "general order first kind from Bernoulli-weighted moment polynomials", lambda g: _n_k(g, 1), partial(poly, "first", False)),
-        IdentityCase("G18.poly2", "general order second kind from Bernoulli-weighted moment polynomials", lambda g: _n_k(g, 1), partial(poly, "second", False)),
-        IdentityCase("G18.poly5", "variant seeded by the classical first-kind number", lambda g: _n_k(g, 1), partial(poly, "first", True)),
-        IdentityCase("G18.poly6", "second-kind variant seeded by the classical number", lambda g: _n_k(g, 1), partial(poly, "second", True)),
-        IdentityCase("G18.idc1", "Bernoulli-weighted moment polynomials collapse to x^m", _ms, idc1),
-        IdentityCase("G18.idc2", "alternating Bernoulli-weighted moments collapse to x^m", _ms, idc2),
+        IdentityCase("G18.poly1", "general order first kind from Bernoulli-weighted moment polynomials", (_N1, _K), partial(poly, "first", False)),
+        IdentityCase("G18.poly2", "general order second kind from Bernoulli-weighted moment polynomials", (_N1, _K), partial(poly, "second", False)),
+        IdentityCase("G18.poly5", "variant seeded by the classical first-kind number", (_N1, _K), partial(poly, "first", True)),
+        IdentityCase("G18.poly6", "second-kind variant seeded by the classical number", (_N1, _K), partial(poly, "second", True)),
+        IdentityCase("G18.idc1", "Bernoulli-weighted moment polynomials collapse to x^m", (replace(_N, name="m"),), idc1),
+        IdentityCase("G18.idc2", "alternating Bernoulli-weighted moments collapse to x^m", (replace(_N, name="m"),), idc2),
     ]
 
 
@@ -337,16 +292,16 @@ def _g19():
         return check
 
     return [
-        IdentityCase("G19.th10-first", "general order first kind from Bernoulli polynomials and constants", lambda g: _n_k(g, 1), partial(th10, "first")),
-        IdentityCase("G19.th10-second", "reflected general order second kind from Bernoulli data", lambda g: _n_k(g, 1), partial(th10, "second")),
-        IdentityCase("G19.alt-first", "alternative with (-x)^m seeded by the classical number", lambda g: _n_k(g, 1), partial(alt, "first")),
-        IdentityCase("G19.alt-second", "alternative with (1-x)^m seeded by the classical number", lambda g: _n_k(g, 1), partial(alt, "second")),
-        IdentityCase("G19.k1-first", "order-one collapse of the alternative form, first kind", lambda g: _ns(g, 1), k1_first),
+        IdentityCase("G19.th10-first", "general order first kind from Bernoulli polynomials and constants", (_N1, _K), partial(th10, "first")),
+        IdentityCase("G19.th10-second", "reflected general order second kind from Bernoulli data", (_N1, _K), partial(th10, "second")),
+        IdentityCase("G19.alt-first", "alternative with (-x)^m seeded by the classical number", (_N1, _K), partial(alt, "first")),
+        IdentityCase("G19.alt-second", "alternative with (1-x)^m seeded by the classical number", (_N1, _K), partial(alt, "second")),
+        IdentityCase("G19.k1-first", "order-one collapse of the alternative form, first kind", (_N1,), k1_first),
         IdentityCase(
             "G19.k1-second",
             "probe: order-one collapse of the second-kind alternative; the printed (-1)^m weight "
             "must not multiply the constant term",
-            lambda g: _ns(g, 1),
+            (_N1,),
             None,
             variants={
                 "as-printed ((-1)^m/m, (x-1)^m - 1)": _k1_second_variant(-1),
@@ -366,12 +321,8 @@ def _gen_euler(d: int, k: int) -> Poly:
 
 
 def _g20():
-    def _even_pts(grid):
-        return (
-            {"n": n, "k": k}
-            for n in range(1, grid.max_n_double // 2 + 1)
-            for k in range(1, grid.max_k + 1)
-        )
+    half = (replace(_ND1, per=2), _K)  # 1 <= n <= max_n_double // 2
+    half_m = (replace(_N1, name="m", per=2),)  # 1 <= m <= max_n // 2
 
     def th11_even(kind, n, k):
         # the inner sum over j < 2m of e^j binom(2m, j) B_j aux_poly(2m - j, k)(x + en)
@@ -396,19 +347,16 @@ def _g20():
     def gen_euler_odd(kind, n, k):
         return cauchy_poly(kind, 2 * n + 1, k), _odd_central(kind, n, partial(_gen_euler, k=k))
 
-    def _ms1(grid):
-        return ({"m": m} for m in range(1, grid.max_n // 2 + 1))
-
     return [
-        IdentityCase("G20.even-first", "even general order first kind via central factorials", _even_pts, partial(th11_even, "first")),
-        IdentityCase("G20.even-second", "even general order second kind via central factorials", _even_pts, partial(th11_even, "second")),
-        IdentityCase("G20.odd-first", "odd general order first kind via central factorials", _even_pts, partial(gen_euler_odd, "first")),
-        IdentityCase("G20.odd-second", "odd general order second kind via central factorials", _even_pts, partial(gen_euler_odd, "second")),
-        IdentityCase("G20.euler-odd", "odd Euler polynomials from Bernoulli-weighted moments", _ms1, euler_odd),
-        IdentityCase("G20.euler-at0", "odd Euler value at 0 via the next Bernoulli number", _ms1, euler_at0),
-        IdentityCase("G20.euler-even", "even Euler polynomials from centered moment differences", _ms1, euler_even),
-        IdentityCase("G20.gen-euler-odd-first", "odd first kind through generalized Euler polynomials", _even_pts, partial(gen_euler_odd, "first")),
-        IdentityCase("G20.gen-euler-odd-second", "odd second kind through generalized Euler polynomials", _even_pts, partial(gen_euler_odd, "second")),
+        IdentityCase("G20.even-first", "even general order first kind via central factorials", half, partial(th11_even, "first")),
+        IdentityCase("G20.even-second", "even general order second kind via central factorials", half, partial(th11_even, "second")),
+        IdentityCase("G20.odd-first", "odd general order first kind via central factorials", half, partial(gen_euler_odd, "first")),
+        IdentityCase("G20.odd-second", "odd general order second kind via central factorials", half, partial(gen_euler_odd, "second")),
+        IdentityCase("G20.euler-odd", "odd Euler polynomials from Bernoulli-weighted moments", half_m, euler_odd),
+        IdentityCase("G20.euler-at0", "odd Euler value at 0 via the next Bernoulli number", half_m, euler_at0),
+        IdentityCase("G20.euler-even", "even Euler polynomials from centered moment differences", half_m, euler_even),
+        IdentityCase("G20.gen-euler-odd-first", "odd first kind through generalized Euler polynomials", half, partial(gen_euler_odd, "first")),
+        IdentityCase("G20.gen-euler-odd-second", "odd second kind through generalized Euler polynomials", half, partial(gen_euler_odd, "second")),
     ]
 
 
@@ -440,25 +388,13 @@ _GOLDEN = {
 }
 
 
-def _g21():
-    def _mp_points(grid):
-        return (
-            {"n": n, "a": a, "q": q, "L": L, "y": y}
-            for n in range(grid.max_n_multi + 1)
-            for a in range(1, grid.max_a + 1)
-            for q in grid.qs
-            for L in grid.ls
-            for y in grid.ys_multi
-        )
+# the multiparameter axes: index n, shift a, step q, weight list L and offset y
+_NM, _A, _Q, _L, _YM = (Axis("n", "max_n_multi"), Axis("a", "max_a", start=1), Axis("q", values="qs"),
+                        Axis("L", values="ls"), Axis("y", values="ys_multi"))
 
-    def _shif_points(grid):
-        return (
-            {"n": n, "a": a, "q": q, "L": L}
-            for n in range(grid.max_n_multi + 1)
-            for a in range(1, grid.max_a + 1)
-            for q in grid.qs
-            for L in grid.ls
-        )
+
+def _g21():
+    mp = (_NM, _A, _Q, _L, _YM)
 
     def shif(kind, n, a, q, L):
         k = len(L)
@@ -485,14 +421,6 @@ def _g21():
         )
         return lhs, (_cp(n, k), _chp(n, k))
 
-    def _sym_points(grid):
-        return (
-            {"n": n, "q": q, "L": L}
-            for n in range(grid.max_n_multi + 1)
-            for q in grid.qs
-            for L in grid.ls
-        )
-
     def sym_xy(n, q, L):
         # each side as rows: row i is the coefficient of x^i, a Poly in y
         k = len(L)
@@ -518,16 +446,7 @@ def _g21():
         rhs = _mc("second", n, k, a, -q, L, y) * (-1) ** n
         return lhs, rhs
 
-    def _mpb_points(grid):
-        top = min(grid.max_n_multi, 3)
-        return (
-            {"n": n, "a": a, "q": q, "L": L, "y": y}
-            for n in range(top + 1)
-            for a in range(1, min(grid.max_a, 2) + 1)
-            for q in grid.qs
-            for L in grid.ls
-            for y in grid.ys_multi
-        )
+    mpb = (replace(_NM, cap=3), replace(_A, cap=2), _Q, _L, _YM)
 
     # the double sums over l <= m <= n are summed over m first: the outer row's
     # values weight the inner rows, whose coefficient l is the value at (m, l),
@@ -553,35 +472,27 @@ def _g21():
         ones = (F(1),) * k
         return _mpb(n, k, 1, F(1), ones, F(0)), poly_bernoulli_kl(n, k)
 
-    def _nk3(grid):
-        return (
-            {"n": n, "k": k}
-            for n in range(grid.max_n_double + 1)
-            for k in range(1, min(grid.max_k, 3) + 1)
-        )
-
-    def _single(grid):
-        return ({},)
+    nk3 = (_ND, replace(_K, cap=3))
 
     return [
-        IdentityCase("G21.shif1", "shifted numbers match the integral construction, first kind", _shif_points, partial(shif, "first")),
-        IdentityCase("G21.shif2", "shifted numbers match the integral construction, second kind", _shif_points, partial(shif, "second")),
-        IdentityCase("G21.para1", "bivariate Stirling expansion equals the integral oracle, first kind", _mp_points, partial(para, "first")),
-        IdentityCase("G21.para2", "bivariate Stirling expansion equals the integral oracle, second kind", _mp_points, partial(para, "second")),
-        IdentityCase("G21.x0-first", "value at 0 from bivariate Stirling sums, first kind", _mp_points, partial(x0, "first")),
-        IdentityCase("G21.x0-second", "value at 0 from bivariate Stirling sums, second kind", _mp_points, partial(x0, "second")),
-        IdentityCase("G21.reduce", "unit parameters reduce to the ordinary general-order family", _nk3, reduce_ordinary),
-        IdentityCase("G21.reduce-display-first", "plain-triangle moment expansion, first kind", _nk3, partial(_moments, "first")),
-        IdentityCase("G21.reduce-display-second", "plain-triangle moment expansion, second kind", _nk3, partial(_moments, "second")),
-        IdentityCase("G21.sym-xy", "with unit shift the two free arguments commute (bivariate equality)", _sym_points, sym_xy),
-        IdentityCase("G21.golden-first", "irrational-point evaluation splits to the recorded pair, first kind", _single, partial(golden, "first")),
-        IdentityCase("G21.golden-second", "irrational-point evaluation splits to the recorded pair, second kind", _single, partial(golden, "second")),
-        IdentityCase("G21.negq", "negating the step exchanges the kinds up to sign", _mp_points, negq),
-        IdentityCase("G21.mpb1", "multiparameter poly-Bernoulli from first-kind values", _mpb_points, partial(mpb12, "first")),
-        IdentityCase("G21.mpb2", "multiparameter poly-Bernoulli from second-kind values", _mpb_points, partial(mpb12, "second")),
-        IdentityCase("G21.mpb3", "first kind back from multiparameter poly-Bernoulli values", _mpb_points, partial(mpb34, "first")),
-        IdentityCase("G21.mpb4", "second kind back from multiparameter poly-Bernoulli values", _mpb_points, partial(mpb34, "second")),
-        IdentityCase("G21.mpb-reduce", "unit parameters reduce to the alternative poly-Bernoulli family", _nk3, mpb_reduce),
+        IdentityCase("G21.shif1", "shifted numbers match the integral construction, first kind", (_NM, _A, _Q, _L), partial(shif, "first")),
+        IdentityCase("G21.shif2", "shifted numbers match the integral construction, second kind", (_NM, _A, _Q, _L), partial(shif, "second")),
+        IdentityCase("G21.para1", "bivariate Stirling expansion equals the integral oracle, first kind", mp, partial(para, "first")),
+        IdentityCase("G21.para2", "bivariate Stirling expansion equals the integral oracle, second kind", mp, partial(para, "second")),
+        IdentityCase("G21.x0-first", "value at 0 from bivariate Stirling sums, first kind", mp, partial(x0, "first")),
+        IdentityCase("G21.x0-second", "value at 0 from bivariate Stirling sums, second kind", mp, partial(x0, "second")),
+        IdentityCase("G21.reduce", "unit parameters reduce to the ordinary general-order family", nk3, reduce_ordinary),
+        IdentityCase("G21.reduce-display-first", "plain-triangle moment expansion, first kind", nk3, partial(_moments, "first")),
+        IdentityCase("G21.reduce-display-second", "plain-triangle moment expansion, second kind", nk3, partial(_moments, "second")),
+        IdentityCase("G21.sym-xy", "with unit shift the two free arguments commute (bivariate equality)", (_NM, _Q, _L), sym_xy),
+        IdentityCase("G21.golden-first", "irrational-point evaluation splits to the recorded pair, first kind", (), partial(golden, "first")),
+        IdentityCase("G21.golden-second", "irrational-point evaluation splits to the recorded pair, second kind", (), partial(golden, "second")),
+        IdentityCase("G21.negq", "negating the step exchanges the kinds up to sign", mp, negq),
+        IdentityCase("G21.mpb1", "multiparameter poly-Bernoulli from first-kind values", mpb, partial(mpb12, "first")),
+        IdentityCase("G21.mpb2", "multiparameter poly-Bernoulli from second-kind values", mpb, partial(mpb12, "second")),
+        IdentityCase("G21.mpb3", "first kind back from multiparameter poly-Bernoulli values", mpb, partial(mpb34, "first")),
+        IdentityCase("G21.mpb4", "second kind back from multiparameter poly-Bernoulli values", mpb, partial(mpb34, "second")),
+        IdentityCase("G21.mpb-reduce", "unit parameters reduce to the alternative poly-Bernoulli family", nk3, mpb_reduce),
     ]
 
 
@@ -642,22 +553,22 @@ def _g22():
         return lhs, F((-1) ** n) * _x0_harmonic(n)
 
     return [
-        IdentityCase("G22.hp1", "harmonic-polynomial convolution of the first kind gives a binomial", _n_y, partial(hp, "first")),
-        IdentityCase("G22.hp2", "harmonic-polynomial convolution of the second kind gives a binomial", _n_y, partial(hp, "second")),
-        IdentityCase("G22.hp3", "second kind from first-kind numbers and harmonic polynomials", lambda g: _ns(g, 1), hp3),
+        IdentityCase("G22.hp1", "harmonic-polynomial convolution of the first kind gives a binomial", (_N, _Y), partial(hp, "first")),
+        IdentityCase("G22.hp2", "harmonic-polynomial convolution of the second kind gives a binomial", (_N, _Y), partial(hp, "second")),
+        IdentityCase("G22.hp3", "second kind from first-kind numbers and harmonic polynomials", (_N1,), hp3),
         IdentityCase(
             "G22.compare-hyp5",
             "probe: displayed comparison identity; the printed argument -x needs the shift 2-x",
-            _ns,
+            (_N,),
             None,
             variants={"as-printed (-x)": _compare_variant(0), "argument-shifted (2-x)": _compare_variant(2)},
         ),
         IdentityCase(
             "G22.compare-hyp5-x0",
             "probe: number specialization of the comparison identity",
-            _ns,
+            (_N,),
             None,
-            variants={"as-printed": lambda n: _x0_printed(n), "argument-shifted": lambda n: _x0_shifted(n)},
+            variants={"as-printed": _x0_printed, "argument-shifted": _x0_shifted},
         ),
     ]
 

@@ -20,16 +20,15 @@ builds no Fraction:
 * ``==`` (a tuple compare), ``+``, ``-``, negation, ``*`` and ``/`` by an
   int or Fraction, Poly x Poly products, ``derivative``, ``stretch`` by
   a rational factor, ``affine_compose`` with a rational shift;
-* evaluation at a point, ``eval_at_sqrt`` and the homogeneous value
-  q^n p(y/q), all by one integer Horner loop, and ``integrate_01``, which
-  build one Fraction per value;
+* evaluation at a point and ``eval_at_sqrt``, both by one integer Horner
+  loop, and ``integrate_01``, which build one Fraction per value;
 * ``_lincomb``, every rational-weighted sum of polynomials, the library's
   and the identity registries', ``_weighted_sum``, the same sum with its
   weights read from a Poly's coefficients, ``_linear_product``, a product
   of linear factors (``binom_poly`` and the multiparameter ``integral``
   oracle), ``_homogenised_row``, the values q^n p(y/q) of a list of
-  polynomials as the coefficients of one Poly (the bivariate Stirling
-  rows), and ``_dot``, the sum of the products of two such rows' values,
+  polynomials as one Poly's coefficients (the bivariate Stirling rows and
+  values), and ``_dot``, the sum of the products of two such rows' values,
   which builds one Fraction.  No other module reads or writes this form.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
@@ -424,16 +423,6 @@ def _dot(a: Poly, b: Poly) -> Fraction:
     """sum_i a[i] b[i], over the coefficients the two have in common: the
     integer dot product of the numerators over a's denominator times b's."""
     return Fraction(sum(map(mul, a._vec, b._vec)), a._den * b._den)
-
-
-def _homogenised_at(p: Poly, y, q) -> Fraction:
-    """q^n p(y/q) for n = p.degree >= 0, the leading term alone at q = 0.  With
-    y = a/b and q = c/d it is sum_i nums_i (ad)^i (cb)^(n-i) / (den (bd)^n)."""
-    y, q = _exact(y), _exact(q)
-    if not q:
-        return Fraction(p.leading() * y**p.degree)
-    b, d = y.denominator, q.denominator
-    return Fraction(_horner(p._vec, y.numerator * d, q.numerator * b), p._den * (b * d) ** p.degree)
 
 
 def binom_poly(shift=0, sign: int = 1, n: int = 0) -> Poly:

@@ -47,7 +47,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterator
 
-from .poly import Poly, _homogenised_at, _homogenised_row, binom_poly
+from .poly import Poly, _homogenised_row, binom_poly
 from .rational import _exact
 
 __all__ = [
@@ -244,7 +244,7 @@ def _gsn2_row(n: int, y, q, scales=None) -> Poly:
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:
     """The first-kind bivariate polynomial at (y, q): q^(n-m) [n m]_(y/q)."""
     _check_indices(n, m)
-    return _homogenised_at(gsn1(n, m), y, q)
+    return Fraction(_homogenised_row([gsn1(n, m)], y, q)[0])
 
 
 def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
@@ -252,7 +252,7 @@ def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
     _check_indices(n, m)
     if not _exact(q):
         raise ValueError("the bivariate second-kind value needs q != 0")
-    return _homogenised_at(gsn2(n, m), y, q)
+    return Fraction(_homogenised_row([gsn2(n, m)], y, q)[0])
 
 
 def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:

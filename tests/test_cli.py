@@ -530,6 +530,20 @@ def test_verify_zero_max_k_is_usage_error(capsys):
     assert err == "error: grid bound max_k must be >= 1, got 0\n"
 
 
+def test_verify_case_without_points_is_usage_error(capsys):
+    # every Whitney r of G15 has |r| > 0, so --max-r 0 would check nothing and pass
+    code, out, err = run(capsys, "verify", "--id", "G15.whitk1", "--max-r", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: case G15.whitk1 has no point on this grid\n"
+
+
+def test_verify_all_refuses_a_grid_that_empties_a_case(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "1", "--max-n-double", "1", "--max-k", "1",
+                         "--max-r", "0", "--max-a", "1", "--max-n-multi", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: case G03.alt-sum has no point on this grid\n"
+
+
 def test_verify_negative_grid_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("max_n_double=-1\n")

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -5,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import polycauchy.identities as identities
 from polycauchy.identities import (
     DEFAULT_GRID,
+    Axis,
     Grid,
     GROUPS,
+    IdentityCase,
     catalog,
     get_case,
     run_all,
@@ -18,6 +23,11 @@ from polycauchy.cli import _parse_config
 from polycauchy.identities import registry_core, registry_poly
 
 SMALL = Grid(max_n=5, max_n_double=3, max_k=2, max_r=2, max_a=2, max_n_multi=2)
+# odd max_n and max_n_double, and max_k, max_a, max_r and max_n_multi below the
+# caps that some axes put on them (k <= 3, a <= 2, |r| <= 3, n <= 3)
+CAPPED = Grid(max_n=7, max_n_double=5, max_k=2, max_r=1, max_a=1, max_n_multi=2)
+# every bound at its least: 19 cases, among them G07.*, G15.whitk* and G20.*, have no point
+BARE = Grid(max_n=1, max_n_double=1, max_k=1, max_r=0, max_a=1, max_n_multi=0)
 
 
 def test_catalog_contains_named_cases():
@@ -177,3 +187,85 @@ def test_registry_memos_are_bounded_and_hold_the_default_grid():
         info = memo.cache_info()
         assert info.maxsize is not None
         assert 0 < info.currsize < info.maxsize
+
+
+def _required(fn) -> set:
+    return {name for name, param in inspect.signature(fn).parameters.items()
+            if param.default is inspect.Parameter.empty}
+
+
+def test_axes_name_the_parameters_each_check_needs():
+    # a call keyword overrides a partial's, so a stray k axis on
+    # partial(_pro4, "first", k=1) would test every k in place of k = 1
+    for case in catalog():
+        names = [axis.name for axis in case.axes]
+        assert len(set(names)) == len(names), case.id
+        checks = case.variants.values() if case.probe else [case.check]
+        for fn in checks:
+            assert set(names) == _required(fn), case.id
+
+
+def test_axes_are_declared_not_generated():
+    for case in catalog():
+        assert isinstance(case.axes, tuple) and all(isinstance(axis, Axis) for axis in case.axes), case.id
+    for module in (registry_core, registry_poly):
+        assert "lambda g" not in Path(module.__file__).read_text()
+
+
+# one sha256 over (id, sorted params) of every point of every case, in
+# catalogue order, as the hand-written point generators gave them
+POINT_DIGESTS = {
+    "CAPPED": (CAPPED, 4251, "57128e7d0f054ef7885ae62e39e505193f0b62d4530b951d28d2cfc179a0f12d"),
+    "SMALL": (SMALL, 4436, "a4aad19b52bd341fa790706557ff180ed315c6de40bb9279758cf36c412e1ae5"),
+}
+
+
+@pytest.mark.parametrize("name", POINT_DIGESTS)
+def test_points_where_the_caps_bite_are_unchanged(name):
+    grid, count, want = POINT_DIGESTS[name]
+    digest, points = hashlib.sha256(), 0
+    for case in catalog():
+        for params in case.points(grid):
+            points += 1
+            digest.update(repr((case.id, sorted(params.items()))).encode() + b"\n")
+    assert (points, digest.hexdigest()) == (count, want)
+
+
+def test_axis_bounds():
+    grid = Grid(max_n=7, max_r=1)
+    assert list(Axis("n", "max_n", start=1, per=2).span(grid, {})) == [1, 2, 3]
+    assert list(Axis("n", "max_n", less=1).span(grid, {})) == list(range(7))
+    assert list(Axis("k", "max_n", start=1, cap=3).span(grid, {})) == [1, 2, 3]
+    assert list(Axis("r", "n", cap="max_r").span(grid, {"n": 4})) == [0, 1]
+    assert list(Axis("r", values=(-2, 0, 1, 3), cap="max_r").span(grid, {})) == [0, 1]
+    assert Axis("y", values="xs").span(grid, {}) == grid.xs
+    case = IdentityCase("G99.t", "", (Axis("n", 2), Axis("i", "n", start=1)))
+    assert case.points(grid) == [{"n": 1, "i": 1}, {"n": 2, "i": 1}, {"n": 2, "i": 2}]
+    assert IdentityCase("G99.t", "", ()).points(grid) == [{}]
+
+
+def test_case_without_points_is_refused_before_any_check_runs():
+    calls = []
+    case = IdentityCase("G99.empty", "", (Axis("n", "max_n", start=2),), lambda n: calls.append(n))
+    with pytest.raises(ValueError, match="G99.empty has no point"):
+        identities.run_case(case, Grid(max_n=1))
+    assert not calls
+    with pytest.raises(ValueError, match="G03.alt-sum has no point"):
+        verify("G03.alt-sum", Grid(max_n=1))
+    with pytest.raises(ValueError, match="G15.whitk1 has no point"):
+        verify("G15.whitk1", Grid(max_r=0))
+
+
+def test_run_all_refuses_a_grid_that_empties_a_case_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setattr(identities, "run_case", lambda case, grid: ran.append(case.id))
+    with pytest.raises(ValueError, match="G03.alt-sum has no point"):
+        run_all(BARE)
+    assert not ran
+    empty = []
+    for case in catalog():
+        try:
+            case.points(BARE)
+        except ValueError:
+            empty.append(case.id)
+    assert len(empty) == 19

@@ -295,6 +295,8 @@ bivariate_points = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_
 
 @given(st.data(), st.integers(0, 12), bivariate_points, st.one_of(st.just(0), bivariate_points))
 def test_bivariate_kernel_matches_fraction_reference(data, n, y, q):
+    # each value is the one entry of the row kernel poly._homogenised_row over
+    # gsn1(n, m) or gsn2(n, m), read back as a Fraction even when integral
     m = data.draw(st.integers(0, n))
     first = gsn1_bivariate_at(n, m, y, q)
     assert type(first) is F
