@@ -24,7 +24,12 @@ L = (l_1..l_k), offset y) follows the same pattern: a bivariate-Stirling
 formula as the primary route and the iterated-integral expansion over
 [0,l_1] x ... x [0,l_k] as the oracle.  The ordinary ``integral``
 construction is its unit-parameter case (a = 1, q = 1, L = (1,..,1),
-y = 0).
+y = 0).  Both routes, ``aux_poly_weighted`` and the multiparameter
+poly-Bernoulli polynomials weight the unit-cube moments through
+``_moment_sum``: the weight product w = u/v is read as two integer
+products, and the weighted moments at x/w are summed in one integer pass
+over one denominator (``poly._stretched_sum``), or, at w = 1, by the plain
+weighted sum.
 
 Every weight 1/(m+a)^k is read from ``rational._reciprocal_powers`` as
 integer numerators over one denominator, so each weighted sum is taken in
@@ -44,9 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd
 
-from .poly import Poly, _lincomb, _linear_product, _weighted_sum, binom_poly
+from .poly import Poly, _lincomb, _linear_product, _stretched_sum, _weighted_sum, binom_poly
 from .rational import _exact, _reciprocal_powers
 from .series import _CAUCHY1, _CAUCHY2, _sheffer_row
 from .stirling import _TRIANGLES, _gsn1_row, falling_factorial_poly, gsn1
@@ -112,17 +117,29 @@ def aux_poly(j: int, k: int) -> Poly:
     return Poly([(-1) ** i * comb(j, i) * weights[i] for i in range(j, -1, -1)]) / den
 
 
+def _weight_ratio(L: tuple) -> tuple[int, int]:
+    """The product w of the Fraction weights L as (u, v), w = u/v in lowest
+    terms with v > 0, from two integer products."""
+    u = v = 1
+    for l in L:
+        u *= l.numerator
+        v *= l.denominator
+    g = gcd(u, v)
+    return u // g, v // g
+
+
 def _moment_sum(weights: Poly, k: int, L: tuple, shift: int = 0) -> Poly:
     """sum_m c_m M_(m+shift) for the coefficients c_m of weights and the moments
     M_j of (x - t)^j, t = t_1...t_k, over [0,l_1] x ... x [0,l_k].  With w the
-    product of the weights L, M_j(x) = w^(j+1) aux_poly(j, k)(x/w), so the sum
-    is w^(shift+1) times sum_m c_m w^m aux_poly(m+shift, k) at x/w: the weights
-    are stretched by w, summed against the moments in integers over one
-    denominator, and the total is stretched back once."""
-    w = prod(L)
+    product of the weights L, M_j(x) = w^(j+1) aux_poly(j, k)(x/w).  w = u/v is
+    read as two integer products, and the whole sum is one integer pass over
+    one denominator (``poly._stretched_sum``); at w = 1 it is the plain
+    weighted sum of the moments."""
+    u, v = _weight_ratio(L)
     moments = [aux_poly(m + shift, k) for m in range(len(weights))]
-    total = _weighted_sum(weights.stretch(w), moments)
-    return total if w == 1 else total.stretch(1 / w) * w ** (shift + 1)
+    if u == v:
+        return _weighted_sum(weights, moments)
+    return _stretched_sum(weights, moments, u, v, shift + 1)
 
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:
@@ -283,8 +300,9 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
     e = _check_kind(kind)
     n, a, q, y = p.n, p.a, p.q, p.y
     if construction == "stirling":
-        # the values q^(n-m) [n m]_(ey/q) times e^m, as one Poly in m
-        weights = _reflect(kind, _gsn1_row(n, e * y, q)) * (-1) ** (a - 1 + n)
+        # the values q^(n-m) [n m]_(ey/q) times (-1)^(a-1+n) e^m, as one Poly in m
+        sign = (-1) ** (a - 1 + n)
+        weights = _gsn1_row(n, e * y, q, [sign * e**m for m in range(n + 1)])
         return _moment_sum(weights, p.k, p.L, a - 1)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
@@ -294,7 +312,7 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
     s = b * d
     shifts = [0] * (a - 1) + [-e * c * d - j * g * b for j in range(n)]
     product = _linear_product(shifts, -e * s, s ** (n + a - 1))
-    return _moment_sum(product * e ** (a - 1), p.k, p.L)
+    return _moment_sum(product if e ** (a - 1) == 1 else -product, p.k, p.L)
 
 
 def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
@@ -307,7 +325,7 @@ def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:
     from row n of the memoised triangle; the one Fraction built is the total."""
     e = _check_kind(kind)
     p = MultiParam(n, k, a, q, L, 0)
-    (c, d), (u, v) = p.q.as_integer_ratio(), prod(p.L).as_integer_ratio()
+    (c, d), (u, v) = p.q.as_integer_ratio(), _weight_ratio(p.L)
     weights, den = _reciprocal_powers(a, n + a + 1, k)
     row = _TRIANGLES["stirling1"].row(n)
     total = sum([(-c * v) ** (n - m) * (e * d * u) ** m * row[m] * weights[m] for m in range(n + 1)])

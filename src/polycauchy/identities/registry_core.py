@@ -141,11 +141,12 @@ def _diffk(kind, n, k):
     return poly.affine_compose(1, 1) - poly, rhs
 
 
-def _weighted_stirling(n, y, q, start, k, at):
-    """sum_l q^(n-l) [n l]_(y/q) at^l / (l+start)^k: the first-kind row of
-    bivariate values, scaled by the numerators of the weights, read at ``at``."""
+def _weighted_stirling(n, y, q, start, k, at, scale=1):
+    """scale times the sum over l of q^(n-l) [n l]_(y/q) at^l / (l+start)^k: the
+    first-kind row of bivariate values, scaled by the numerators of the
+    weights, read at ``at`` and times scale over their denominator."""
     weights, den = _reciprocal_powers(start, n + start + 1, k)
-    return F(_gsn1_row(n, y, q, weights)(at), den)
+    return _gsn1_row(n, y, q, weights)(at) * F(scale, den)
 
 
 def _whitk(kind, n, k, m, r):
@@ -154,7 +155,7 @@ def _whitk(kind, n, k, m, r):
     over m^(n-l), which is [n l]_(r/m)."""
     e = KIND_SIGN[kind]
     lhs = F(cauchy_poly(kind, n, k)(F(e * r, m)))
-    return lhs, _weighted_stirling(n, F(r, m), 1, 1, k, -e) * (-1) ** n
+    return lhs, _weighted_stirling(n, F(r, m), 1, 1, k, -e, (-1) ** n)
 
 
 def _genk(kind, n, i, k):
@@ -202,22 +203,40 @@ def _number_transform(kind, n, shift):
     ), F(0))
 
 
-def _th3(kind, n, weight=partial(F, 1), sign=1):
-    """(seed - B_n(x))/(sign n), and the sum over m of weight(m) gsn2(n-1, m-1)
+@lru_cache(maxsize=256)
+def _s2_terms(kind, n, polys):
+    """gsn2(n-1, m-1) times the kind's reflected polynomial of index m (polys
+    true) or its number c_m (polys false), for m = 1..n: the terms of
+    ``_th3`` and ``_th4``, which do not depend on a G13 case's point y.
+    Memoised, bounded above the 144 keys of the deep grid (max_n 36)."""
+    if polys:
+        return tuple([gsn2(n - 1, m - 1) * _reflected(kind, m) for m in range(1, n + 1)])
+    return tuple([gsn2(n - 1, m - 1) * cauchy_number(kind, m, 1) for m in range(1, n + 1)])
+
+
+def _reciprocals(n):
+    """1/m for m = 1..n, as the coefficients m - 1 of one Poly."""
+    nums, den = _reciprocal_powers(1, n + 1, 1)
+    return Poly(nums) / den
+
+
+def _th3(kind, n, weights=None, sign=1):
+    """(seed - B_n(x))/(sign n), and the sum over m of the weight of m, the
+    coefficient m-1 of weights (1/m if none are given), times gsn2(n-1, m-1)
     times the kind's reflected polynomial of index m, seeded by (-1)^n for the
-    second kind only: G11.th31/th32 at weight 1/m, G13.p5a-d at an inner sum."""
+    second kind only: G11.th31/th32 at 1/m, G13.p5a-d at an inner sum."""
     seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
-    rhs = _lincomb((weight(m), gsn2(n - 1, m - 1) * _reflected(kind, m)) for m in range(1, n + 1))
+    weights = _reciprocals(n) if weights is None else weights
+    rhs = _weighted_sum(weights, _s2_terms(kind, n, True))
     return (Poly([seed]) - bernoulli_poly(n)) / (sign * n), rhs
 
 
-def _th4(kind, n, weight=partial(F, 1), sign=1):
+def _th4(kind, n, weights=None, sign=1):
     """B_n(x), and x^n for the first kind, (x-1)^n for the second, minus sign n
-    times the sum over m of c_m weight(m) gsn2(n-1, m-1): G12.th41/th42 and
-    G13.p5e-h, weighted as for ``_th3``."""
-    rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _lincomb(
-        (cauchy_number(kind, m, 1) * weight(m), gsn2(n - 1, m - 1)) for m in range(1, n + 1)
-    ) * (sign * n)
+    times the sum over m of c_m times the weight of m times gsn2(n-1, m-1):
+    G12.th41/th42 and G13.p5e-h, weighted as for ``_th3``."""
+    weights = _reciprocals(n) if weights is None else weights
+    rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _weighted_sum(weights, _s2_terms(kind, n, False)) * (sign * n)
     return bernoulli_poly(n), rhs
 
 
@@ -234,12 +253,12 @@ def _s2_values(kind, m, k, y_num, y_den):
     return _dot(_gsn2_row(m, y, 1), values)
 
 
-def _s2_double(kind, n, k, y):
-    """Sum over m of (-e)^m m! _s2_values(kind, m, k, y) gsn2(n, m): the values
-    as one row over their lcm, weighted by the integers (-e)^m m!."""
+def _s2_double(kind, n, k, y, sign=1):
+    """sign times the sum over m of (-e)^m m! _s2_values(kind, m, k, y) gsn2(n, m):
+    the values as one row over their lcm, weighted by the integers sign (-e)^m m!."""
     e, a, b = KIND_SIGN[kind], y.numerator, y.denominator
     nums, den = _over_one_denominator([_s2_values(kind, m, k, a, b) for m in range(n + 1)])
-    weights = Poly([(-e) ** m * factorial(m) * c for m, c in enumerate(nums)]) / den
+    weights = Poly([sign * (-e) ** m * factorial(m) * c for m, c in enumerate(nums)]) / den
     return _weighted_sum(weights, [gsn2(n, m) for m in range(n + 1)])
 
 
@@ -754,16 +773,21 @@ def _g13():
         )
         return _reflected(kind, n), rhs
 
-    def inner(kind, m, y):
-        return F(KIND_SIGN[kind] ** m) * _s2_values(kind, m - 1, 1, y.numerator, y.denominator)
+    def inner(kind, n, y):
+        # e^m times the value kind's inner sum of index m - 1, m = 1..n, as
+        # integer numerators over their lcm
+        e = KIND_SIGN[kind]
+        nums, den = _over_one_denominator([_s2_values(kind, m - 1, 1, y.numerator, y.denominator)
+                                           for m in range(1, n + 1)])
+        return Poly([e**m * c for m, c in enumerate(nums, 1)]) / den
 
     # p5a-d are G11.th31/th32 and p5e-h G12.th41/th42, with the value kind's
     # inner sum in place of 1/m and its sign
     def p5_poly(poly_kind, value_kind, n, y):
-        return _th3(poly_kind, n, partial(inner, value_kind, y=y), KIND_SIGN[value_kind])
+        return _th3(poly_kind, n, inner(value_kind, n, y), KIND_SIGN[value_kind])
 
     def p5_numbers(number_kind, value_kind, n, y):
-        return _th4(number_kind, n, partial(inner, value_kind, y=y), KIND_SIGN[value_kind])
+        return _th4(number_kind, n, inner(value_kind, n, y), KIND_SIGN[value_kind])
 
     return [
         IdentityCase("G13.p4a", "Bernoulli polynomials from double second-kind transforms of first-kind values", (_ND, _Y), partial(p4ab, "first")),

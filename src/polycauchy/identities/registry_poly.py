@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from ..bernoulli import (
     bernoulli_number,
@@ -35,8 +35,9 @@ from ..cauchy import (
     KIND_SIGN,
     _OTHER,
     MultiParam,
+    _moment_sum,
+    _weight_ratio,
     aux_poly,
-    aux_poly_weighted,
     cauchy_number,
     cauchy_poly,
     multiparam_cauchy,
@@ -91,13 +92,13 @@ def _g15():
         lhs = _dot(_gsn2_row(n - r, r, 1), values)
         # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second: the row over
         # j = l - s weighted by 1/(n-r+1+j)^k
-        return lhs, _weighted_stirling(r - s, s, 1, n - r + 1, k, -e) * ((-1) ** (n - s) * (-e) ** (n + r))
+        return lhs, _weighted_stirling(r - s, s, 1, n - r + 1, k, -e, (-1) ** (n - s) * (-e) ** (n + r))
 
     def korec_s0(kind, n, k, r):
         e = KIND_SIGN[kind]
         lhs = _dot(_gsn2_row(n, r, 1), Poly([cauchy_number(kind, m + r, k) for m in range(n + 1)]))
         # (-1)^(r-l) [r l] for the first kind, (-1)^(n+r) [r l] for the second, over (n+l+1)^k
-        return lhs, _weighted_stirling(r, 0, 1, n + 1, k, -e) * ((-1) ** (n + r) * (-e) ** n)
+        return lhs, _weighted_stirling(r, 0, 1, n + 1, k, -e, (-1) ** (n + r) * (-e) ** n)
 
     def val_at(kind, n, k):
         want = F(cauchy_poly(kind, n, k)(F(KIND_SIGN[kind])))
@@ -168,9 +169,11 @@ def _g16():
 # are each one row of values per point.
 
 @lru_cache(maxsize=2048)
-def _kb_inner(kind, m, k, y):
-    """G17.kb3/kb4's inner sum over l of (-e)^m/m! gsn1(m, l)(y) B_l^(k)(y):
-    (-e)^m/m! times the first-kind row against the poly-Bernoulli values."""
+def _kb_inner(kind, m, k, y_num, y_den):
+    """G17.kb3/kb4's inner sum over l of (-e)^m/m! gsn1(m, l)(y) B_l^(k)(y), for
+    y = y_num/y_den: (-e)^m/m! times the first-kind row against the
+    poly-Bernoulli values.  y is keyed by two ints, as for ``_s2_values``."""
+    y = F(y_num, y_den)
     values = _homogenised_row([poly_bernoulli_gsn(l, k) for l in range(m + 1)], y, 1)
     return _dot(_gsn1_row(m, y, 1), values) * F((-KIND_SIGN[kind]) ** m, factorial(m))
 
@@ -187,11 +190,12 @@ def _bernoulli_moments(e, m, k, start):
 
 def _g17():
     def kb12(kind, n, k, y):
-        return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y) * (-1) ** n
+        return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y, (-1) ** n)
 
     def kb34(kind, n, k, y):
-        rhs = _lincomb((_kb_inner(kind, m, k, y), gsn1(n, m)) for m in range(n + 1)) * (-1) ** n
-        return _reflected(kind, n, k), rhs
+        a, b = y.numerator, y.denominator
+        weights = Poly([_kb_inner(kind, m, k, a, b) for m in range(n + 1)]) * (-1) ** n
+        return _reflected(kind, n, k), _weighted_sum(weights, [gsn1(n, m) for m in range(n + 1)])
 
     def kl12(kind, n, k):
         rhs = _lincomb((
@@ -360,19 +364,31 @@ def _g20():
     ]
 
 
+# The multiparameter polynomials, memoised by the parameters' integer ratios
+# (``_ratios``): hashing the Fractions q, L and y at every lookup cost more than
+# the rest of it.  The key is one flat tuple, the smallest to keep.
+def _ratios(q, L, y) -> tuple:
+    """The numerators and denominators of q, y and then each weight of L, one
+    memo key."""
+    return (q.numerator, q.denominator, y.numerator, y.denominator,
+            *[r for l in L for r in (l.numerator, l.denominator)])
+
+
+def _fractions(key: tuple) -> tuple:
+    """q, L and y back from their ``_ratios`` key."""
+    return F(key[0], key[1]), tuple([F(*key[i:i + 2]) for i in range(4, len(key), 2)]), F(key[2], key[3])
+
+
 @lru_cache(maxsize=4096)
-def _mc(kind: str, n: int, k: int, a: int, q, L, y) -> Poly:
-    return multiparam_cauchy(kind, MultiParam(n, k, a, q, L, y))
+def _mc(kind: str, n: int, a: int, key: tuple) -> Poly:
+    q, L, y = _fractions(key)
+    return multiparam_cauchy(kind, MultiParam(n, len(L), a, q, L, y))
 
 
 @lru_cache(maxsize=512)
-def _mpb(n: int, k: int, a: int, q, L, y) -> Poly:
-    return multiparam_poly_bernoulli(n, k, a, q, L, y)
-
-
-def _bivariate_fixed_q(n: int, m: int, q) -> Poly:
-    """First-kind bivariate Stirling polynomial with q fixed: a Poly in y."""
-    return Poly([c * q**(n - m - i) for i, c in enumerate(gsn1(n, m).coeffs)])
+def _mpb(n: int, a: int, key: tuple) -> Poly:
+    q, L, y = _fractions(key)
+    return multiparam_poly_bernoulli(n, len(L), a, q, L, y)
 
 
 def _transpose(rows: tuple) -> tuple:
@@ -403,74 +419,70 @@ def _g21():
 
     def para(kind, n, a, q, L, y):
         p = MultiParam(n, len(L), a, q, L, y)
-        return multiparam_cauchy(kind, p, "integral"), _mc(kind, n, len(L), a, q, L, y)
+        return multiparam_cauchy(kind, p, "integral"), _mc(kind, n, a, _ratios(q, L, y))
 
     def x0(kind, n, a, q, L, y):
-        # sum_m (-1)^n (-e)^m q^(n-m) [n m]_(ey/q) w^(m+a) / (m+a)^k
-        k = len(L)
-        w = prod(L)
+        # sum_m (-1)^n (-e)^m q^(n-m) [n m]_(ey/q) w^(m+a) / (m+a)^k, w = u/v
         e = KIND_SIGN[kind]
-        rhs = _weighted_stirling(n, e * y, q, a, k, -e * w) * (-1) ** n * w**a
-        return Fraction(_mc(kind, n, k, a, q, L, y).constant()), rhs
+        u, v = _weight_ratio(L)
+        rhs = _weighted_stirling(n, e * y, q, a, len(L), F(-e * u, v), F((-1) ** n * u**a, v**a))
+        return Fraction(_mc(kind, n, a, _ratios(q, L, y)).constant()), rhs
+
+    def unit(k):
+        # the key of q = 1, y = 0 and L = (1, ..., 1)
+        return (1, 1, 0, 1) + (1, 1) * k
 
     def reduce_ordinary(n, k):
-        ones = (F(1),) * k
-        lhs = (
-            _mc("first", n, k, 1, F(1), ones, F(0)),
-            _mc("second", n, k, 1, F(1), ones, F(0)),
-        )
-        return lhs, (_cp(n, k), _chp(n, k))
+        return (_mc("first", n, 1, unit(k)), _mc("second", n, 1, unit(k))), (_cp(n, k), _chp(n, k))
 
     def sym_xy(n, q, L):
-        # each side as rows: row i is the coefficient of x^i, a Poly in y
+        # each side as rows: row i is the coefficient of x^i, a Poly in y.  The
+        # coefficient of y^j of the first side is (-1)^n times the moment sum of
+        # gsn1(n, m)[j] q^(n-m-j), for q = c/d; the second side's carries
+        # (-1)^(n+j+m) in place of (-1)^n.  Each side's rows are those sums
+        # transposed, and its transpose is the sums themselves.
         k = len(L)
-        first = [Poly()] * (n + 1)
-        second = [Poly()] * (n + 1)
-        for m in range(n + 1):
-            ypoly = _bivariate_fixed_q(n, m, q)
-            yneg = ypoly.affine_compose(-1, 0) * (-1) ** (n - m)
-            for i, fc in enumerate(aux_poly_weighted(m, k, L).coeffs):
-                first[i] = first[i] + ypoly * fc
-                second[i] = second[i] + yneg * fc
-        first = tuple(r * (-1) ** n for r in first)
-        second = tuple(second)
-        return (first, second), (_transpose(first), _transpose(second))
+        c, d = q.as_integer_ratio()
+        first, second = [], []
+        for j in range(n + 1):
+            nums = [gsn1(n, m)[j] * c ** (n - m - j) * d**m for m in range(n - j + 1)]
+            den = d ** (n - j)
+            first.append(_moment_sum(Poly(nums) / ((-1) ** n * den), k, L))
+            second.append(_moment_sum(Poly([(-1) ** (n + j + m) * u for m, u in enumerate(nums)]) / den, k, L))
+        return (_transpose(first), _transpose(second)), (tuple(first), tuple(second))
 
     def golden(kind):
         p = MultiParam(4, 3, 1, F(-3), (F(1), F(1), F(1, 2)), F(-3, 2))
         return eval_at_sqrt(multiparam_cauchy(kind, p), 5), _GOLDEN[kind]
 
     def negq(n, a, q, L, y):
-        k = len(L)
-        lhs = _mc("first", n, k, a, q, L, y)
-        rhs = _mc("second", n, k, a, -q, L, y) * (-1) ** n
-        return lhs, rhs
+        key = _ratios(q, L, y)
+        return _mc("first", n, a, key), _mc("second", n, a, (-key[0], *key[1:])) * (-1) ** n
 
     mpb = (replace(_NM, cap=3), replace(_A, cap=2), _Q, _L, _YM)
 
     # the double sums over l <= m <= n are summed over m first: the outer row's
     # values weight the inner rows, whose coefficient l is the value at (m, l),
-    # so each memoised polynomial of index l is scaled once
+    # so each memoised polynomial of index l is scaled once; the outer row's
+    # integer scales carry every sign
     def mpb12(kind, n, a, q, L, y):
-        k = len(L)
         e = KIND_SIGN[kind]
-        outer = _gsn2_row(n, y, q, [factorial(m) for m in range(n + 1)]).stretch(-e)
-        inner = _weighted_sum(outer, [_gsn2_row(m, e * y, q) for m in range(n + 1)])
-        rhs = _weighted_sum(inner, [_mc(kind, l, k, a, q, L, y) for l in range(n + 1)]) * (-1) ** (n + a - 1)
-        return _mpb(n, k, a, q, L, y), rhs
+        key, ey, sign = _ratios(q, L, y), e * y, (-1) ** (n + a - 1)
+        outer = _gsn2_row(n, y, q, [sign * (-e) ** m * factorial(m) for m in range(n + 1)])
+        inner = _weighted_sum(outer, [_gsn2_row(m, ey, q) for m in range(n + 1)])
+        return _mpb(n, a, key), _weighted_sum(inner, [_mc(kind, l, a, key) for l in range(n + 1)])
 
     def mpb34(kind, n, a, q, L, y):
         # the weights (-e)^m/m! as the integers n!/m! over n!
-        k = len(L)
         e = KIND_SIGN[kind]
-        outer = _gsn1_row(n, e * y, q, [factorial(n) // factorial(m) for m in range(n + 1)]).stretch(-e)
-        inner = _weighted_sum(outer, [_gsn1_row(m, y, q) for m in range(n + 1)]) / factorial(n)
-        rhs = _weighted_sum(inner, [_mpb(l, k, a, q, L, y) for l in range(n + 1)]) * (-1) ** (n + a - 1)
-        return _mc(kind, n, k, a, q, L, y), rhs
+        key, sign = _ratios(q, L, y), (-1) ** (n + a - 1)
+        outer = _gsn1_row(n, e * y, q, [sign * (-e) ** m * (factorial(n) // factorial(m)) for m in range(n + 1)])
+        inner = _weighted_sum(outer, [_gsn1_row(m, y, q) for m in range(n + 1)])
+        rhs = _weighted_sum(inner, [_mpb(l, a, key) for l in range(n + 1)]) / factorial(n)
+        return _mc(kind, n, a, key), rhs
 
     def mpb_reduce(n, k):
-        ones = (F(1),) * k
-        return _mpb(n, k, 1, F(1), ones, F(0)), poly_bernoulli_kl(n, k)
+        return _mpb(n, 1, unit(k)), poly_bernoulli_kl(n, k)
 
     nk3 = (_ND, replace(_K, cap=3))
 

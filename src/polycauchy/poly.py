@@ -24,7 +24,10 @@ builds no Fraction:
   loop, and ``integrate_01``, which build one Fraction per value;
 * ``_lincomb``, every rational-weighted sum of polynomials, the library's
   and the identity registries', ``_weighted_sum``, the same sum with its
-  weights read from a Poly's coefficients, ``_linear_product``, a product
+  weights read from a Poly's coefficients, ``_stretched_sum``, the same sum
+  with each polynomial p_m(x) replaced by w^(m+s) p_m(x/w) for a rational w
+  (the multiparameter moment sums), ``_scale_each``, each coefficient times
+  its own integer scale, ``_linear_product``, a product
   of linear factors (``binom_poly`` and the multiparameter ``integral``
   oracle), ``_homogenised_row``, the values q^n p(y/q) of a list of
   polynomials as one Poly's coefficients (the bivariate Stirling rows and
@@ -385,6 +388,38 @@ def _sum_scaled(scaled) -> Poly:
         factor = numerator * (den // d)
         total[:len(vec)] = [t + factor * v for t, v in zip(total, vec)]
     return _make(total, den)
+
+
+def _stretched_sum(weights: Poly, polys, u: int, v: int, lift: int) -> Poly:
+    """sum_m weights[m] w^(m+lift) polys[m](x/w) for w = u/v (u != 0, v > 0),
+    each polys[m] of degree at most m + lift.  With M the degree of weights,
+    coefficient i is sum_m c_m u^(m+lift-i) v^(M-m+i) a_(m,i) over v^(M+lift),
+    for the numerators c_m of weights and a_(m,i) of polys[m] over the lcm of
+    their denominators: one integer pass, made canonical once."""
+    cs = weights._vec
+    if not cs:
+        return weights
+    degree = len(cs) - 1
+    top = degree + lift
+    polys = polys[:len(cs)]
+    den = lcm(*[p._den for p in polys])
+    # powers[j] = u^(top-j) v^j; term (m, i) reads powers[degree-m+i]
+    ups, downs = [1], [1]
+    for _ in range(top):
+        ups.append(ups[-1] * u)
+        downs.append(downs[-1] * v)
+    powers = [a * b for a, b in zip(reversed(ups), downs)]
+    total = [0] * max([len(p._vec) for p in polys])
+    for m, (c, p) in enumerate(zip(cs, polys)):
+        if c and p._vec:
+            factor = c * (den // p._den)
+            total[:len(p._vec)] = [t + factor * a * s for t, a, s in zip(total, p._vec, powers[degree - m:])]
+    return _make(total, weights._den * den * downs[-1])
+
+
+def _scale_each(p: Poly, scales) -> Poly:
+    """The Poly whose coefficient i is p[i] times the integer scales[i]."""
+    return _make([c * f for c, f in zip(p._vec, scales)], p._den)
 
 
 def _linear_product(shifts, slope: int, den: int = 1) -> Poly:

@@ -32,8 +32,10 @@ values q^(n-m) p(y/q) carry an extra geometric step q; the second kind's
 needs q != 0.  Each is read through the poly module's homogeneous
 evaluation of the memoised polynomial, and ``_gsn1_row``/``_gsn2_row``
 give the values for m = 0..n as the coefficients of one Poly, by the
-same integer Horner loop over one denominator.  The r-Whitney numbers are
-these values at (y, q) = (r, m).
+same integer Horner loop over one denominator.  Those rows are memoised,
+unscaled, in bounded caches keyed by n and the integer ratios of y and q,
+and a row with integer scales is the memoised row times the scales.  The
+r-Whitney numbers are these values at (y, q) = (r, m).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterator
 
-from .poly import Poly, _homogenised_row, binom_poly
+from .poly import Poly, _homogenised_row, _scale_each, binom_poly
 from .rational import _exact
 
 __all__ = [
@@ -223,22 +225,43 @@ def gsn2(n: int, m: int) -> Poly:
     return Poly([comb(n, i) * row(n - i)[m] for i in range(n - m + 1)])
 
 
+# The bivariate value rows, unscaled, memoised by (n, y, q) with y and q keyed
+# by their integer numerators and denominators, since hashing a Fraction costs
+# more than the rest of a lookup.  The identity catalogue reads the same rows
+# at many points: a default run makes 261 first-kind and 230 second-kind keys,
+# the deep grid (ci/deep-grid.cfg) 662 and 535, so each bound exceeds both.
+@lru_cache(maxsize=1024)
+def _gsn1_values(n: int, y_num: int, y_den: int, q_num: int, q_den: int) -> Poly:
+    return _homogenised_row([gsn1(n, m) for m in range(n + 1)], Fraction(y_num, y_den), Fraction(q_num, q_den))
+
+
+@lru_cache(maxsize=1024)
+def _gsn2_values(n: int, y_num: int, y_den: int, q_num: int, q_den: int) -> Poly:
+    return _homogenised_row([gsn2(n, m) for m in range(n + 1)], Fraction(y_num, y_den), Fraction(q_num, q_den))
+
+
 def _gsn1_row(n: int, y, q, scales=None) -> Poly:
     """The first-kind bivariate values q^(n-m) [n m]_(y/q), m = 0..n, each
     times the integer scales[m] if scales are given, as the coefficients of
-    one Poly: one homogeneous Horner pass per memoised gsn1(n, m), in
-    integers over one denominator."""
+    one Poly.  The unscaled row is memoised (``_gsn1_values``): one
+    homogeneous Horner pass per gsn1(n, m), in integers over one denominator.
+    A scaled row multiplies its numerators by the scales."""
     _check_indices(n, 0)
-    return _homogenised_row([gsn1(n, m) for m in range(n + 1)], y, q, scales)
+    y, q = _exact(y), _exact(q)
+    row = _gsn1_values(n, y.numerator, y.denominator, q.numerator, q.denominator)
+    return row if scales is None else _scale_each(row, scales)
 
 
 def _gsn2_row(n: int, y, q, scales=None) -> Poly:
     """The second-kind bivariate values q^(n-m) {n m}_(y/q), m = 0..n, for
-    q != 0, as ``_gsn1_row`` gives the first kind's."""
+    q != 0, as ``_gsn1_row`` gives the first kind's, memoised by
+    ``_gsn2_values``.  q = 0 raises before the memo is read."""
     _check_indices(n, 0)
-    if not _exact(q):
+    y, q = _exact(y), _exact(q)
+    if not q:
         raise ValueError("the bivariate second-kind value needs q != 0")
-    return _homogenised_row([gsn2(n, m) for m in range(n + 1)], y, q, scales)
+    row = _gsn2_values(n, y.numerator, y.denominator, q.numerator, q.denominator)
+    return row if scales is None else _scale_each(row, scales)
 
 
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:

@@ -22,6 +22,7 @@ from polycauchy import (
     multiparam_poly_bernoulli,
     shifted_cauchy_number,
 )
+import polycauchy.cauchy as cauchy_module
 from polycauchy.cauchy import _moment_sum
 from polycauchy.stirling import gsn1, stirling1
 from test_poly import assert_canonical
@@ -389,6 +390,37 @@ def test_moment_sum_matches_the_per_term_sum(coeffs, L, shift):
     got = _moment_sum(Poly(coeffs), len(L), L, shift)
     assert_canonical(got)
     assert got == want
+
+
+@pytest.mark.parametrize("L", [
+    (F(-1, 2), F(3), F(2, 5)),  # w < 0 from an odd number of negative weights
+    (F(-7, 3),),
+    (F(1, 2), F(2)),  # w = 1 from weights that are not 1
+    (F(2, 3), F(3, 5), F(5, 2)),
+    (F(3), F(1, 2)),
+])
+@pytest.mark.parametrize("shift", [0, 1, 3])
+def test_moment_sum_explicit_weights_at_degree_ten(L, shift):
+    coeffs = [F(3, 7), -2, 0, F(-5, 3), 1, 0, 0, 0, F(1, 11), 2, F(-1, 4)]
+    want = sum((_moment(m + shift, len(L), L) * c for m, c in enumerate(coeffs)), Poly())
+    got = _moment_sum(Poly(coeffs), len(L), L, shift)
+    assert_canonical(got)
+    assert got == want and got.degree == 10 + shift
+
+
+def test_moment_sum_at_unit_weight_product_is_the_plain_weighted_sum(monkeypatch):
+    # w = 1 keeps the plain weighted sum of the moments, which is quicker at high
+    # degree than the one-pass stretched sum
+    def refuse(*args):
+        raise AssertionError("the stretched sum ran at w = 1")
+
+    monkeypatch.setattr(cauchy_module, "_stretched_sum", refuse)
+    coeffs = list(range(1, 42))
+    L = (F(1, 2), F(2))
+    want = sum((_moment(m, 2, L) * c for m, c in enumerate(coeffs)), Poly())
+    assert _moment_sum(Poly(coeffs), 2, L) == want
+    with pytest.raises(AssertionError, match="stretched"):
+        _moment_sum(Poly(coeffs), 2, (F(1, 2), F(3)))
 
 
 def test_moment_sum_of_zero_coefficients_is_zero():

@@ -20,6 +20,7 @@ from polycauchy.identities import (
     verify,
 )
 from polycauchy.cli import _parse_config
+from polycauchy import stirling
 from polycauchy.identities import registry_core, registry_poly
 
 SMALL = Grid(max_n=5, max_n_double=3, max_k=2, max_r=2, max_a=2, max_n_multi=2)
@@ -176,10 +177,12 @@ def test_grid_overrides():
 
 
 def test_registry_memos_are_bounded_and_hold_the_default_grid():
-    # each memo of an inner sum or of single values is bounded, and a default
-    # run fills it below its bound, so nothing is evicted and computed again
-    memos = (registry_core._s2_values, registry_poly._kb_inner, registry_poly._bernoulli_moments,
-             registry_poly._mc, registry_poly._mpb)
+    # each memo of an inner sum, of single values or of a row of bivariate
+    # Stirling values is bounded, and a default run fills it below its bound,
+    # so nothing is evicted and computed again
+    memos = (registry_core._s2_values, registry_core._s2_terms, registry_poly._kb_inner,
+             registry_poly._bernoulli_moments, registry_poly._mc, registry_poly._mpb,
+             stirling._gsn1_values, stirling._gsn2_values)
     for memo in memos:
         memo.cache_clear()
     assert run_all(DEFAULT_GRID).ok

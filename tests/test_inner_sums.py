@@ -43,7 +43,7 @@ def test_kb_inner_matches_a_fraction_loop(kind, m, k, y):
     want = F(0)
     for l in range(m + 1):
         want += F((-KIND_SIGN[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
-    got = _kb_inner.__wrapped__(kind, m, k, y)
+    got = _kb_inner.__wrapped__(kind, m, k, y.numerator, y.denominator)
     assert type(got) is F and got == want
 
 

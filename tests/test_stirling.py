@@ -21,6 +21,7 @@ from polycauchy import (
     stirling2,
     whitney,
 )
+from polycauchy.poly import _homogenised_row
 from polycauchy.stirling import (
     _TRIANGLES,
     _Triangle,
@@ -339,6 +340,40 @@ def test_bivariate_rows_examples():
     assert _gsn1_row(0, 5, 7) == Poly([1])
     with pytest.raises(ValueError):
         _gsn1_row(-1, 0, 1)
+
+
+@given(st.integers(0, 12), bivariate_points, st.one_of(st.just(0), bivariate_points))
+def test_memoised_rows_equal_a_fresh_homogenised_row(n, y, q):
+    # the first call may fill the memo and the second reads it; scaled or not,
+    # both equal the rows evaluated afresh from the same polynomials
+    scales = [(-1) ** m * factorial(n) // factorial(m) for m in range(n + 1)]
+    firsts = [gsn1(n, m) for m in range(n + 1)]
+    seconds = [gsn2(n, m) for m in range(n + 1)]
+    for _ in range(2):
+        assert _gsn1_row(n, y, q) == _homogenised_row(firsts, y, q)
+        assert _gsn1_row(n, y, q, scales) == _homogenised_row(firsts, y, q, scales)
+        if q:
+            assert _gsn2_row(n, y, q) == _homogenised_row(seconds, y, q)
+            assert _gsn2_row(n, y, q, scales) == _homogenised_row(seconds, y, q, scales)
+
+
+def test_row_memos_key_by_integer_ratios():
+    # an int and the equal Fraction read one entry, and a scaled row leaves the
+    # memoised row as it was
+    row = _gsn1_row(5, 2, F(-3))
+    assert _gsn1_row(5, F(2), -3) is row
+    assert _gsn2_row(5, F(-1, 2), 4) is _gsn2_row(5, F(-2, 4), F(4))
+    _gsn1_row(5, 2, -3, [7] * 6)
+    assert _gsn1_row(5, 2, -3) == _homogenised_row([gsn1(5, m) for m in range(6)], 2, -3)
+
+
+def test_second_kind_row_at_zero_step_raises_on_every_call():
+    # the check comes before the memo, so a repeated call raises again
+    for q in (0, F(0), 0, F(0, 5)):
+        with pytest.raises(ValueError, match="needs q != 0"):
+            _gsn2_row(3, F(1, 2), q)
+        with pytest.raises(ValueError, match="needs q != 0"):
+            _gsn2_row(3, F(1, 2), q, [1, 2, 3, 4])
 
 
 def test_bivariate_first_kind_at_zero_step():
