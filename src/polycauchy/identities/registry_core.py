@@ -141,12 +141,11 @@ def _diffk(kind, n, k):
     return poly.affine_compose(1, 1) - poly, rhs
 
 
-def _weighted_stirling(n, y, q, start, k, at, scale=1):
-    """scale times the sum over l of q^(n-l) [n l]_(y/q) at^l / (l+start)^k: the
-    first-kind row of bivariate values, scaled by the numerators of the
-    weights, read at ``at`` and times scale over their denominator."""
+def _weighted_stirling(n, y, q, start, k, at):
+    """sum_l q^(n-l) [n l]_(y/q) at^l / (l+start)^k: the first-kind row of
+    bivariate values, scaled by the numerators of the weights, read at ``at``."""
     weights, den = _reciprocal_powers(start, n + start + 1, k)
-    return _gsn1_row(n, y, q, weights)(at) * F(scale, den)
+    return F(_gsn1_row(n, y, q, weights)(at), den)
 
 
 def _whitk(kind, n, k, m, r):
@@ -155,7 +154,7 @@ def _whitk(kind, n, k, m, r):
     over m^(n-l), which is [n l]_(r/m)."""
     e = KIND_SIGN[kind]
     lhs = F(cauchy_poly(kind, n, k)(F(e * r, m)))
-    return lhs, _weighted_stirling(n, F(r, m), 1, 1, k, -e, (-1) ** n)
+    return lhs, _weighted_stirling(n, F(r, m), 1, 1, k, -e) * (-1) ** n
 
 
 def _genk(kind, n, i, k):
@@ -204,13 +203,17 @@ def _number_transform(kind, n, shift):
 
 
 @lru_cache(maxsize=256)
-def _s2_terms(kind, n, polys):
-    """gsn2(n-1, m-1) times the kind's reflected polynomial of index m (polys
-    true) or its number c_m (polys false), for m = 1..n: the terms of
-    ``_th3`` and ``_th4``, which do not depend on a G13 case's point y.
-    Memoised, bounded above the 144 keys of the deep grid (max_n 36)."""
-    if polys:
-        return tuple([gsn2(n - 1, m - 1) * _reflected(kind, m) for m in range(1, n + 1)])
+def _th3_terms(kind, n):
+    """gsn2(n-1, m-1) times the kind's reflected polynomial of index m, for
+    m = 1..n: the terms of ``_th3``, which do not depend on a G13 case's point
+    y.  Memoised, bounded above the 72 keys of the deep grid (max_n 36)."""
+    return tuple([gsn2(n - 1, m - 1) * _reflected(kind, m) for m in range(1, n + 1)])
+
+
+@lru_cache(maxsize=256)
+def _th4_terms(kind, n):
+    """gsn2(n-1, m-1) times the kind's number c_m, for m = 1..n: the terms of
+    ``_th4``, memoised and bounded as for ``_th3_terms``."""
     return tuple([gsn2(n - 1, m - 1) * cauchy_number(kind, m, 1) for m in range(1, n + 1)])
 
 
@@ -227,7 +230,7 @@ def _th3(kind, n, weights=None, sign=1):
     second kind only: G11.th31/th32 at 1/m, G13.p5a-d at an inner sum."""
     seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
     weights = _reciprocals(n) if weights is None else weights
-    rhs = _weighted_sum(weights, _s2_terms(kind, n, True))
+    rhs = _weighted_sum(weights, _th3_terms(kind, n))
     return (Poly([seed]) - bernoulli_poly(n)) / (sign * n), rhs
 
 
@@ -236,7 +239,7 @@ def _th4(kind, n, weights=None, sign=1):
     times the sum over m of c_m times the weight of m times gsn2(n-1, m-1):
     G12.th41/th42 and G13.p5e-h, weighted as for ``_th3``."""
     weights = _reciprocals(n) if weights is None else weights
-    rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _weighted_sum(weights, _s2_terms(kind, n, False)) * (sign * n)
+    rhs = Poly([(KIND_SIGN[kind] - 1) // 2, 1]) ** n - _weighted_sum(weights, _th4_terms(kind, n)) * (sign * n)
     return bernoulli_poly(n), rhs
 
 
@@ -253,12 +256,12 @@ def _s2_values(kind, m, k, y_num, y_den):
     return _dot(_gsn2_row(m, y, 1), values)
 
 
-def _s2_double(kind, n, k, y, sign=1):
-    """sign times the sum over m of (-e)^m m! _s2_values(kind, m, k, y) gsn2(n, m):
-    the values as one row over their lcm, weighted by the integers sign (-e)^m m!."""
+def _s2_double(kind, n, k, y):
+    """Sum over m of (-e)^m m! _s2_values(kind, m, k, y) gsn2(n, m): the values
+    as one row over their lcm, weighted by the integers (-e)^m m!."""
     e, a, b = KIND_SIGN[kind], y.numerator, y.denominator
     nums, den = _over_one_denominator([_s2_values(kind, m, k, a, b) for m in range(n + 1)])
-    weights = Poly([sign * (-e) ** m * factorial(m) * c for m, c in enumerate(nums)]) / den
+    weights = Poly([(-e) ** m * factorial(m) * c for m, c in enumerate(nums)]) / den
     return _weighted_sum(weights, [gsn2(n, m) for m in range(n + 1)])
 
 

@@ -92,13 +92,13 @@ def _g15():
         lhs = _dot(_gsn2_row(n - r, r, 1), values)
         # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second: the row over
         # j = l - s weighted by 1/(n-r+1+j)^k
-        return lhs, _weighted_stirling(r - s, s, 1, n - r + 1, k, -e, (-1) ** (n - s) * (-e) ** (n + r))
+        return lhs, _weighted_stirling(r - s, s, 1, n - r + 1, k, -e) * ((-1) ** (n - s) * (-e) ** (n + r))
 
     def korec_s0(kind, n, k, r):
         e = KIND_SIGN[kind]
         lhs = _dot(_gsn2_row(n, r, 1), Poly([cauchy_number(kind, m + r, k) for m in range(n + 1)]))
         # (-1)^(r-l) [r l] for the first kind, (-1)^(n+r) [r l] for the second, over (n+l+1)^k
-        return lhs, _weighted_stirling(r, 0, 1, n + 1, k, -e, (-1) ** (n + r) * (-e) ** n)
+        return lhs, _weighted_stirling(r, 0, 1, n + 1, k, -e) * ((-1) ** (n + r) * (-e) ** n)
 
     def val_at(kind, n, k):
         want = F(cauchy_poly(kind, n, k)(F(KIND_SIGN[kind])))
@@ -190,7 +190,7 @@ def _bernoulli_moments(e, m, k, start):
 
 def _g17():
     def kb12(kind, n, k, y):
-        return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y, (-1) ** n)
+        return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y) * (-1) ** n
 
     def kb34(kind, n, k, y):
         a, b = y.numerator, y.denominator
@@ -425,12 +425,12 @@ def _g21():
         # sum_m (-1)^n (-e)^m q^(n-m) [n m]_(ey/q) w^(m+a) / (m+a)^k, w = u/v
         e = KIND_SIGN[kind]
         u, v = _weight_ratio(L)
-        rhs = _weighted_stirling(n, e * y, q, a, len(L), F(-e * u, v), F((-1) ** n * u**a, v**a))
+        rhs = _weighted_stirling(n, e * y, q, a, len(L), F(-e * u, v)) * F((-1) ** n * u**a, v**a)
         return Fraction(_mc(kind, n, a, _ratios(q, L, y)).constant()), rhs
 
     def unit(k):
         # the key of q = 1, y = 0 and L = (1, ..., 1)
-        return (1, 1, 0, 1) + (1, 1) * k
+        return _ratios(F(1), (F(1),) * k, F(0))
 
     def reduce_ordinary(n, k):
         return (_mc("first", n, 1, unit(k)), _mc("second", n, 1, unit(k))), (_cp(n, k), _chp(n, k))
@@ -456,8 +456,7 @@ def _g21():
         return eval_at_sqrt(multiparam_cauchy(kind, p), 5), _GOLDEN[kind]
 
     def negq(n, a, q, L, y):
-        key = _ratios(q, L, y)
-        return _mc("first", n, a, key), _mc("second", n, a, (-key[0], *key[1:])) * (-1) ** n
+        return _mc("first", n, a, _ratios(q, L, y)), _mc("second", n, a, _ratios(-q, L, y)) * (-1) ** n
 
     mpb = (replace(_NM, cap=3), replace(_A, cap=2), _Q, _L, _YM)
 

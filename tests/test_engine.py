@@ -180,9 +180,9 @@ def test_registry_memos_are_bounded_and_hold_the_default_grid():
     # each memo of an inner sum, of single values or of a row of bivariate
     # Stirling values is bounded, and a default run fills it below its bound,
     # so nothing is evicted and computed again
-    memos = (registry_core._s2_values, registry_core._s2_terms, registry_poly._kb_inner,
-             registry_poly._bernoulli_moments, registry_poly._mc, registry_poly._mpb,
-             stirling._gsn1_values, stirling._gsn2_values)
+    memos = (registry_core._s2_values, registry_core._th3_terms, registry_core._th4_terms,
+             registry_poly._kb_inner, registry_poly._bernoulli_moments, registry_poly._mc,
+             registry_poly._mpb, stirling._gsn1_values, stirling._gsn2_values)
     for memo in memos:
         memo.cache_clear()
     assert run_all(DEFAULT_GRID).ok
