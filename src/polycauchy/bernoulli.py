@@ -38,7 +38,7 @@ from .cauchy import MultiParam, _check_nk, _moment_sum, aux_poly
 from .poly import Poly, _lincomb, _weighted_sum
 from .rational import _reciprocal_powers
 from .series import _gen_bernoulli, _sheffer_row
-from .stirling import _gsn2_row, gsn2, stirling2
+from .stirling import _bivariate_row, gsn2, stirling2
 
 __all__ = [
     "bernoulli_number",
@@ -143,5 +143,5 @@ def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:
     """Multiparameter poly-Bernoulli polynomial: the bivariate second-kind
     Stirling transform of the weighted auxiliary polynomials, for q != 0."""
     p = MultiParam(n, k, a, q, L, y)
-    weights = _gsn2_row(n, p.y, p.q, [factorial(m) for m in range(n + 1)]) * (-1) ** n
+    weights = _bivariate_row("second", n, p.y, p.q, [(-1) ** n * factorial(m) for m in range(n + 1)])
     return _moment_sum(weights, k, p.L, a - 1)

@@ -54,7 +54,7 @@ from math import comb, factorial, gcd
 from .poly import Poly, _lincomb, _linear_product, _stretched_sum, _weighted_sum, binom_poly
 from .rational import _exact, _reciprocal_powers
 from .series import _CAUCHY1, _CAUCHY2, _sheffer_row
-from .stirling import _TRIANGLES, _gsn1_row, falling_factorial_poly, gsn1
+from .stirling import _TRIANGLES, _bivariate_row, falling_factorial_poly, gsn1
 
 __all__ = [
     "CONSTRUCTIONS",
@@ -302,7 +302,7 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
     if construction == "stirling":
         # the values q^(n-m) [n m]_(ey/q) times (-1)^(a-1+n) e^m, as one Poly in m
         sign = (-1) ** (a - 1 + n)
-        weights = _gsn1_row(n, e * y, q, [sign * e**m for m in range(n + 1)])
+        weights = _bivariate_row("first", n, e * y, q, [sign * e**m for m in range(n + 1)])
         return _moment_sum(weights, p.k, p.L, a - 1)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")

@@ -3,22 +3,24 @@ their Stirling/binomial/central-factorial/Whitney/derivative forms, the
 hyperharmonic connection, and the Bernoulli bridges.
 
 Where a classical identity is the k = 1 case of a general-order one, the
-formula is written once, as a module-level general-order check below;
-the G14/G15 case registers it as it is and the classical case with k
-fixed to 1.  Where a result is stated once for each kind, the check is
-written once with ``kind`` as its first argument and registered for each
-kind with ``functools.partial``; the kind's sign e = ``KIND_SIGN[kind]``
-and ``_reflect`` follow the convention stated in ``polycauchy.cauchy``.
-A shift, seed or factor that only one kind carries is scaled by
-(1 - e)/2, which is 0 for the first kind and 1 for the second, or by
-(1 + e)/2, which is the reverse.  Where a case restates another case or a
-library construction, it registers that existing check or compares with
-that construction (``_constructions``) instead of writing the sum again.
-Each case declares its points as a tuple of ``engine.Axis``; the n, k, i
-and y axes are declared once below and narrowed with ``dataclasses.replace``.
-The leading underscore of the shared checks and helpers keeps them
-private, so the benchmark tracer (``bench/tracer.py``), which wraps every
-public package function, leaves them alone."""
+formula is written once, as a module-level general-order check below; the
+G14/G15 case registers it as it is and the classical case with k fixed to 1.
+Where a result is stated once for each kind, the check is written once with
+``kind`` as its first argument and registered for each kind with
+``functools.partial``; the kind's sign e = ``KIND_SIGN[kind]`` and
+``_reflect`` follow the convention stated in ``polycauchy.cauchy``.  A shift,
+seed or factor that only one kind carries is scaled by (1 - e)/2, which is 0
+for the first kind and 1 for the second, or by (1 + e)/2, which is the
+reverse.  A polynomial or binomial that one kind reads at x and the other at
+-x is read at -e x; rising binomials are falling ones at -x, by
+C(-y, j) = (-1)^j C(y + j - 1, j).  Where a case restates another case or a
+library construction, it registers that existing check or compares with that
+construction (``_constructions``) instead of writing the sum again.  Each case
+declares its points as a tuple of ``engine.Axis``; the n, k, i and y axes are
+declared once below and narrowed with ``dataclasses.replace``.  The leading
+underscore of the shared checks and helpers keeps them private, so the
+benchmark tracer (``bench/tracer.py``), which wraps every public package
+function, leaves them alone."""
 
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ from ..cauchy import (
     cauchy_recurrence_step,
 )
 from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
-from ..poly import Poly, _dot, _homogenised_row, _lincomb, _over_one_denominator, _weighted_sum, binom_poly
+from ..poly import Poly, _dot, _homogenised_row, _lincomb, _over_one_denominator, _scale_each, _weighted_sum, binom_poly
 from ..rational import _reciprocal_powers
-from ..stirling import _gsn1_row, _gsn2_row, a_number, central_u, gsn1, gsn2, stirling1, stirling2
+from ..stirling import _bivariate_row, a_number, central_u, gsn1, gsn2, stirling1, stirling2
 from .engine import Axis, IdentityCase
 
 F = Fraction
@@ -104,20 +106,15 @@ def _cor2(kind, n, k):
     )
 
 
-def _symm5(n, k):
-    rhs = _lincomb(
-        (F(factorial(n), factorial(m)) * _ch(m, k), binom_poly(n - 1, 1, n - m))
-        for m in range(n + 1)
-    ) * (-1) ** n
-    return _cp(n, k), rhs
-
-
-def _symm6(n, k):
-    rhs = _lincomb(
-        (F((-1) ** m * factorial(n), factorial(m)) * _c(m, k), binom_poly(-m, 1, n - m))
-        for m in range(n + 1)
-    )
-    return _chp(n, k), rhs
+def _symm_other(kind, n, k, shift=0):
+    """The kind's polynomial, and the sum over m of (-1)^m n!/m! c_m
+    C(-e x + shift - m, n - m) over the other kind's numbers c_m."""
+    e = KIND_SIGN[kind]
+    rhs = _lincomb((
+        F((-1) ** m * factorial(n), factorial(m)) * cauchy_number(_OTHER[kind], m, k),
+        binom_poly(shift - m, -e, n - m),
+    ) for m in range(n + 1))
+    return cauchy_poly(kind, n, k), rhs
 
 
 def _symm_self(kind, n, k):
@@ -145,7 +142,7 @@ def _weighted_stirling(n, y, q, start, k, at):
     """sum_l q^(n-l) [n l]_(y/q) at^l / (l+start)^k: the first-kind row of
     bivariate values, scaled by the numerators of the weights, read at ``at``."""
     weights, den = _reciprocal_powers(start, n + start + 1, k)
-    return F(_gsn1_row(n, y, q, weights)(at), den)
+    return F(_bivariate_row("first", n, y, q, weights)(at), den)
 
 
 def _whitk(kind, n, k, m, r):
@@ -253,7 +250,7 @@ def _s2_values(kind, m, k, y_num, y_den):
     dot product of the two rows of values."""
     y = F(y_num, y_den)
     values = _homogenised_row([cauchy_poly(kind, l, k) for l in range(m + 1)], KIND_SIGN[kind] * y, 1)
-    return _dot(_gsn2_row(m, y, 1), values)
+    return _dot(_bivariate_row("second", m, y, 1), values)
 
 
 def _s2_double(kind, n, k, y):
@@ -399,8 +396,8 @@ def _g05():
         return _reflected(kind, n), rhs
 
     return [
-        IdentityCase("G05.chen1", "first kind from second-kind numbers and rising binomials", (_N,), partial(_symm5, k=1)),
-        IdentityCase("G05.chen2", "second kind from first-kind numbers and shifted binomials", (_N,), partial(_symm6, k=1)),
+        IdentityCase("G05.chen1", "first kind from second-kind numbers and rising binomials", (_N,), partial(_symm_other, "first", k=1)),
+        IdentityCase("G05.chen2", "second kind from first-kind numbers and shifted binomials", (_N,), partial(_symm_other, "second", k=1)),
         IdentityCase("G05.symm1", "first kind from its own numbers and shifted binomials", (_N,), partial(_symm_self, "first", k=1)),
         IdentityCase("G05.symm2", "second kind from its own numbers and plain binomials", (_N,), partial(_symm_self, "second", k=1)),
         IdentityCase("G05.x1-a", "binomial self-convolution of second-kind numbers", (_N,), x1_a),
@@ -417,19 +414,9 @@ def _g05():
 
 
 def _g06():
-    def nstep1(n):
-        rhs = _cp(n - 1) * (-n) + _lincomb(
-            (F(factorial(n), factorial(m)) * _ch(m), binom_poly(n - 2, 1, n - m))
-            for m in range(n + 1)
-        ) * (-1) ** n
-        return _cp(n), rhs
-
-    def nstep2(n):
-        rhs = _chp(n - 1) * (-n) + _lincomb(
-            (F((-1) ** m * factorial(n), factorial(m)) * _c(m), binom_poly(1 - m, 1, n - m))
-            for m in range(n + 1)
-        )
-        return _chp(n), rhs
+    def nstep(kind, n):
+        lhs, rhs = _symm_other(kind, n, 1, shift=1)
+        return lhs, rhs - cauchy_poly(kind, n - 1, 1) * n
 
     def mirror(n):
         rhs = _chp(n).affine_compose(-1, 0) + _chp(n - 1).affine_compose(-1, 0) * n
@@ -448,8 +435,8 @@ def _g06():
     return [
         IdentityCase("G06.rec1", "one-step recurrence for the first kind", (replace(_N, less=1),), partial(_reck, "first", k=1)),
         IdentityCase("G06.rec2", "one-step recurrence for the second kind", (replace(_N, less=1),), partial(_reck, "second", k=1)),
-        IdentityCase("G06.nstep1", "alternative step recurrence, first kind", (_N1,), nstep1),
-        IdentityCase("G06.nstep2", "alternative step recurrence, second kind", (_N1,), nstep2),
+        IdentityCase("G06.nstep1", "alternative step recurrence, first kind", (_N1,), partial(nstep, "first")),
+        IdentityCase("G06.nstep2", "alternative step recurrence, second kind", (_N1,), partial(nstep, "second")),
         IdentityCase("G06.diff1", "difference equation of the first kind", (_N1,), partial(_diffk, "first", k=1)),
         IdentityCase("G06.diff2", "difference equation of the second kind", (_N1,), partial(_diffk, "second", k=1)),
         IdentityCase("G06.mirror", "first kind from the reflected second kind", (_N1,), mirror),
@@ -494,7 +481,7 @@ def _g08():
         # the row of the kind's values at e r/m
         e = KIND_SIGN[kind]
         values = _homogenised_row([cauchy_poly(kind, l, 1) for l in range(n + 1)], F(e * r, m), 1)
-        return _dot(_gsn2_row(n, F(r, m), 1), values) * m**n, F(e**n * m**n, n + 1)
+        return _dot(_bivariate_row("second", n, F(r, m), 1), values) * m**n, F(e**n * m**n, n + 1)
 
     return [
         IdentityCase("G08.whit1", "first kind at r/m from first-kind Whitney numbers", axes, partial(_whitk, "first", k=1)),
@@ -581,44 +568,33 @@ def _g10():
         # the weights (-1)^m/m! H_(n+1-m)(y), with H_i = R_i/i! for the memoised
         # integer rows R_i: the values of R_(n+1-m) scaled by (-1)^m C(n+1, m), over (n+1)!
         e = KIND_SIGN[kind]
-        weights = _homogenised_row([Poly(_HYPER.row(n + 1 - m)) for m in range(n + 1)], y, 1,
-                                   [(-1) ** m * comb(n + 1, m) for m in range(n + 1)])
+        weights = _scale_each(_homogenised_row([Poly(_HYPER.row(n + 1 - m)) for m in range(n + 1)], y, 1),
+                              [(-1) ** m * comb(n + 1, m) for m in range(n + 1)])
         lhs = _weighted_sum(weights, [cauchy_poly(kind, m, 1) for m in range(n + 1)]) / factorial(n + 1)
         return lhs, binom_poly(y + n - (1 + e) // 2, e, n)
 
-    def hyp3(n):
-        lhs = _lincomb(
-            (F((-1) ** m, factorial(m)), _cp(m) * hyperharmonic_poly(n + 1 - m).affine_compose(-1, 0))
-            for m in range(n + 1)
-        )
-        return lhs, Poly([1 if n == 0 else 0])
+    def hyp34(kind, n):
+        # hyperharmonic polynomials at -x for the first kind, whose sum cancels
+        # for n >= 1, and at x for the second, whose sum is 1
+        e = KIND_SIGN[kind]
+        lhs = _lincomb((
+            F((-1) ** m, factorial(m)),
+            cauchy_poly(kind, m, 1) * hyperharmonic_poly(n + 1 - m).affine_compose(-e, 0),
+        ) for m in range(n + 1))
+        return lhs, Poly([1 if n == 0 else (1 - e) // 2])
 
-    def hyp4(n):
-        lhs = _lincomb(
-            (F((-1) ** m, factorial(m)), _chp(m) * hyperharmonic_poly(n + 1 - m))
-            for m in range(n + 1)
-        )
-        return lhs, Poly([1])
-
-    def conec1(n):
-        rhs = _lincomb((
+    def conec(kind, n):
+        # the second kind's inner binomials C(x + t - 1, t) are (-1)^t C(-x, t),
+        # so its inner sum is the first kind's at -x; only it is seeded, by (-1)^n
+        e = KIND_SIGN[kind]
+        rhs = Poly([(1 - e) // 2 * (-1) ** n]) + _lincomb((
             F(1, factorial(m)),
-            _cp(m) * _lincomb(
-                (F((-1) ** (n + 1 - m - t), n + 1 - m - t), binom_poly(0, 1, t))
+            cauchy_poly(kind, m, 1) * _lincomb(
+                (F((-1) ** (n + 1 - m - t), n + 1 - m - t), binom_poly(0, e, t))
                 for t in range(n - m + 1)
             ),
         ) for m in range(n))
-        return _cp(n) / factorial(n), rhs
-
-    def conec2(n):
-        rhs = Poly([F((-1) ** n)]) + _lincomb((
-            F(1, factorial(m)),
-            _chp(m) * _lincomb(
-                (F((-1) ** (n + 1 - m), n + 1 - m - t), binom_poly(t - 1, 1, t))
-                for t in range(n - m + 1)
-            ),
-        ) for m in range(n))
-        return _chp(n) / factorial(n), rhs
+        return cauchy_poly(kind, n, 1) / factorial(n), rhs
 
     def hyp5(kind, n):
         # C(1-x, n) = (-1)^n C(x+n-2, n) for the first kind, C(x, n) for the second
@@ -658,10 +634,10 @@ def _g10():
     return [
         IdentityCase("G10.hyp1", "hyperharmonic convolution of the first kind gives a binomial", (_N, _Y), partial(hyp12, "first")),
         IdentityCase("G10.hyp2", "hyperharmonic convolution of the second kind gives a binomial", (_N, _Y), partial(hyp12, "second")),
-        IdentityCase("G10.hyp3", "self-cancelling hyperharmonic convolution, first kind", (_N,), hyp3),
-        IdentityCase("G10.hyp4", "constant hyperharmonic convolution, second kind", (_N,), hyp4),
-        IdentityCase("G10.conec1", "recurrence with inner binomial weights, first kind", (_N1,), conec1),
-        IdentityCase("G10.conec2", "recurrence with inner binomial weights, second kind", (_N1,), conec2),
+        IdentityCase("G10.hyp3", "self-cancelling hyperharmonic convolution, first kind", (_N,), partial(hyp34, "first")),
+        IdentityCase("G10.hyp4", "constant hyperharmonic convolution, second kind", (_N,), partial(hyp34, "second")),
+        IdentityCase("G10.conec1", "recurrence with inner binomial weights, first kind", (_N1,), partial(conec, "first")),
+        IdentityCase("G10.conec2", "recurrence with inner binomial weights, second kind", (_N1,), partial(conec, "second")),
         IdentityCase("G10.rec-negy", "two-factor denominator recurrence, first kind", (_N1,), partial(hyp5, "first")),
         IdentityCase("G10.hyp5", "two-factor denominator recurrence, second kind", (_N1,), partial(hyp5, "second")),
         IdentityCase("G10.hyp5-x1", "number specialization of the two-factor recurrence", (_N1,), hyp5_x1),
@@ -768,10 +744,10 @@ def _g13():
         # inner sum m: (-1)^n (-e)^m/m! times the first-kind row m against the
         # Bernoulli values at y signed by (-1)^l, one row that every m reads
         e = KIND_SIGN[kind]
-        values = _homogenised_row([bernoulli_poly(l) for l in range(n + 1)], y, 1,
-                                  [(-1) ** l for l in range(n + 1)])
+        values = _scale_each(_homogenised_row([bernoulli_poly(l) for l in range(n + 1)], y, 1),
+                             [(-1) ** l for l in range(n + 1)])
         rhs = _lincomb(
-            (F((-1) ** n * (-e) ** m, factorial(m)) * _dot(_gsn1_row(m, y, 1), values), gsn1(n, m))
+            (F((-1) ** n * (-e) ** m, factorial(m)) * _dot(_bivariate_row("first", m, y, 1), values), gsn1(n, m))
             for m in range(n + 1)
         )
         return _reflected(kind, n), rhs

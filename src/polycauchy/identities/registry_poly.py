@@ -44,20 +44,12 @@ from ..cauchy import (
     shifted_cauchy_number,
 )
 from ..harmonic import harmonic_number, harmonic_poly, hyperharmonic_poly
-from ..poly import Poly, _dot, _homogenised_row, _lincomb, _weighted_sum, binom_poly, eval_at_sqrt
-from ..stirling import (
-    _gsn1_row,
-    _gsn2_row,
-    central_u,
-    gsn1,
-    lah,
-    stirling1,
-    stirling2,
-)
+from ..poly import Poly, _dot, _homogenised_row, _lincomb, _scale_each, _weighted_sum, binom_poly, eval_at_sqrt
+from ..stirling import _bivariate_row, central_u, gsn1, lah, stirling1, stirling2
 from .engine import Axis, IdentityCase
 from .registry_core import (
     F, _I, _K, _N, _N1, _ND, _ND1, _Y, _c, _ch, _chp, _constructions, _conv, _cor2, _cp, _derk, _diffk, _genk,
-    _inv, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm5, _symm6, _symm_self, _weighted_stirling, _whitk,
+    _inv, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm_other, _symm_self, _weighted_stirling, _whitk,
 )
 
 
@@ -89,14 +81,14 @@ def _g15():
     def korec(kind, n, k, r, s):
         e = KIND_SIGN[kind]
         values = _homogenised_row([cauchy_poly(kind, m - s, k) for m in range(r, n + 1)], e * s, 1)
-        lhs = _dot(_gsn2_row(n - r, r, 1), values)
+        lhs = _dot(_bivariate_row("second", n - r, r, 1), values)
         # (-1)^(r-l) for the first kind, (-1)^(n-s) for the second: the row over
         # j = l - s weighted by 1/(n-r+1+j)^k
         return lhs, _weighted_stirling(r - s, s, 1, n - r + 1, k, -e) * ((-1) ** (n - s) * (-e) ** (n + r))
 
     def korec_s0(kind, n, k, r):
         e = KIND_SIGN[kind]
-        lhs = _dot(_gsn2_row(n, r, 1), Poly([cauchy_number(kind, m + r, k) for m in range(n + 1)]))
+        lhs = _dot(_bivariate_row("second", n, r, 1), Poly([cauchy_number(kind, m + r, k) for m in range(n + 1)]))
         # (-1)^(r-l) [r l] for the first kind, (-1)^(n+r) [r l] for the second, over (n+l+1)^k
         return lhs, _weighted_stirling(r, 0, 1, n + 1, k, -e) * ((-1) ** (n + r) * (-e) ** n)
 
@@ -116,8 +108,8 @@ def _g15():
         IdentityCase("G15.diffk2", "difference equation at general order, second kind", (_N1, _K), partial(_diffk, "second")),
         IdentityCase("G15.whitk1", "general order values at r/m from Whitney numbers", whit, partial(_whitk, "first")),
         IdentityCase("G15.whitk2", "general order second kind at -r/m from Whitney numbers", whit, partial(_whitk, "second")),
-        IdentityCase("G15.symm5", "general order first kind from second-kind numbers", (_N, _K), _symm5),
-        IdentityCase("G15.symm6", "general order second kind from first-kind numbers", (_N, _K), _symm6),
+        IdentityCase("G15.symm5", "general order first kind from second-kind numbers", (_N, _K), partial(_symm_other, "first")),
+        IdentityCase("G15.symm6", "general order second kind from first-kind numbers", (_N, _K), partial(_symm_other, "second")),
         IdentityCase("G15.symm7a", "self-number expansion with negated binomials, first kind", (_N, _K), partial(_symm_self, "first")),
         IdentityCase("G15.symm7b", "self-number expansion with rising factorials, first kind", (_N, _K), partial(_constructions, "gsn", "binomial_conv", "first")),
         IdentityCase("G15.symm8a", "self-number expansion with plain binomials, second kind", (_N, _K), partial(_symm_self, "second")),
@@ -140,23 +132,20 @@ def _g15():
 
 
 def _g16():
-    def int2(n, k):
-        lhs = _cp(n, k).integrate_01()
-        rhs = _c(n) - n * sum((_c(n, j) for j in range(1, k + 1)), F(0))
-        return lhs, rhs
-
-    def int3(n, k):
-        lhs = _chp(n, k).integrate_01()
+    def unit_integral(kind, n, k):
+        # the (n - 1) c_(n-1) term is the second kind's only, and c_(-1) is not defined
+        lhs = cauchy_poly(kind, n, k).integrate_01()
         if n == 0:
-            return lhs, _ch(0)
-        rhs = _ch(n) - n * sum((
-            _ch(n, j) + (n - 1) * _ch(n - 1, j) for j in range(1, k + 1)
+            return lhs, cauchy_number(kind, 0, 1)
+        tail = (1 - KIND_SIGN[kind]) // 2 * (n - 1)
+        rhs = cauchy_number(kind, n, 1) - n * sum((
+            cauchy_number(kind, n, j) + tail * cauchy_number(kind, n - 1, j) for j in range(1, k + 1)
         ), F(0))
         return lhs, rhs
 
     return [
-        IdentityCase("G16.int2", "unit integral at general order, first kind", (_N, _K), int2),
-        IdentityCase("G16.int3", "unit integral at general order, second kind", (_N, _K), int3),
+        IdentityCase("G16.int2", "unit integral at general order, first kind", (_N, _K), partial(unit_integral, "first")),
+        IdentityCase("G16.int3", "unit integral at general order, second kind", (_N, _K), partial(unit_integral, "second")),
     ]
 
 
@@ -175,7 +164,7 @@ def _kb_inner(kind, m, k, y_num, y_den):
     poly-Bernoulli values.  y is keyed by two ints, as for ``_s2_values``."""
     y = F(y_num, y_den)
     values = _homogenised_row([poly_bernoulli_gsn(l, k) for l in range(m + 1)], y, 1)
-    return _dot(_gsn1_row(m, y, 1), values) * F((-KIND_SIGN[kind]) ** m, factorial(m))
+    return _dot(_bivariate_row("first", m, y, 1), values) * F((-KIND_SIGN[kind]) ** m, factorial(m))
 
 
 @lru_cache(maxsize=1024)
@@ -467,16 +456,17 @@ def _g21():
     def mpb12(kind, n, a, q, L, y):
         e = KIND_SIGN[kind]
         key, ey, sign = _ratios(q, L, y), e * y, (-1) ** (n + a - 1)
-        outer = _gsn2_row(n, y, q, [sign * (-e) ** m * factorial(m) for m in range(n + 1)])
-        inner = _weighted_sum(outer, [_gsn2_row(m, ey, q) for m in range(n + 1)])
+        outer = _bivariate_row("second", n, y, q, [sign * (-e) ** m * factorial(m) for m in range(n + 1)])
+        inner = _weighted_sum(outer, [_bivariate_row("second", m, ey, q) for m in range(n + 1)])
         return _mpb(n, a, key), _weighted_sum(inner, [_mc(kind, l, a, key) for l in range(n + 1)])
 
     def mpb34(kind, n, a, q, L, y):
         # the weights (-e)^m/m! as the integers n!/m! over n!
         e = KIND_SIGN[kind]
         key, sign = _ratios(q, L, y), (-1) ** (n + a - 1)
-        outer = _gsn1_row(n, e * y, q, [sign * (-e) ** m * (factorial(n) // factorial(m)) for m in range(n + 1)])
-        inner = _weighted_sum(outer, [_gsn1_row(m, y, q) for m in range(n + 1)])
+        outer = _bivariate_row("first", n, e * y, q,
+                               [sign * (-e) ** m * (factorial(n) // factorial(m)) for m in range(n + 1)])
+        inner = _weighted_sum(outer, [_bivariate_row("first", m, y, q) for m in range(n + 1)])
         rhs = _weighted_sum(inner, [_mpb(l, a, key) for l in range(n + 1)]) / factorial(n)
         return _mc(kind, n, a, key), rhs
 
@@ -514,8 +504,8 @@ def _g22():
         # first kind, x + 2 for the second, which are the hyperharmonic ones
         # of index m + 1 at -x + (e - 1)/2
         e = KIND_SIGN[kind]
-        weights = _homogenised_row([cauchy_poly(kind, n - m, 1) for m in range(n + 1)], y, 1,
-                                   [(-1) ** m * (factorial(n) // factorial(n - m)) for m in range(n + 1)])
+        weights = _scale_each(_homogenised_row([cauchy_poly(kind, n - m, 1) for m in range(n + 1)], y, 1),
+                              [(-1) ** m * (factorial(n) // factorial(n - m)) for m in range(n + 1)])
         lhs = _weighted_sum(weights, [hyperharmonic_poly(m + 1).affine_compose(-1, (e - 1) // 2)
                                       for m in range(n + 1)])
         return lhs / factorial(n), binom_poly(-e * y, 1, n)

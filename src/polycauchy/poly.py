@@ -435,11 +435,11 @@ def _linear_product(shifts, slope: int, den: int = 1) -> Poly:
     return _make(out, den * q ** len(nums))
 
 
-def _homogenised_row(polys, y, q, scales=None) -> Poly:
+def _homogenised_row(polys, y, q) -> Poly:
     """The values q^(n_m) p_m(y/q) of the nonzero polynomials p_m, of degrees
-    n_m, each times the integer scales[m] if scales are given, as the
-    coefficients of one Poly: coefficient m is the value of p_m.  With y = a/b,
-    q = c/d and D the lcm of the p_m's denominators, value m is
+    n_m, as the coefficients of one Poly: coefficient m is the value of p_m,
+    and ``_scale_each`` scales the row by integers.  With y = a/b, q = c/d
+    and D the lcm of the p_m's denominators, value m is
     _horner(nums_m, ad, cb) (D/den_m) (bd)^(n - n_m) over D (bd)^n, n the
     largest degree, and the row is made canonical once.  At q = 0 the loop
     leaves the leading term alone, times y^(n_m)."""
@@ -449,8 +449,6 @@ def _homogenised_row(polys, y, q, scales=None) -> Poly:
     n = max([len(p._vec) for p in polys]) - 1
     den = lcm(*[p._den for p in polys])
     nums = [_horner(p._vec, u, v) * (den // p._den) * s ** (n + 1 - len(p._vec)) for p in polys]
-    if scales is not None:
-        nums = [c * f for c, f in zip(nums, scales)]
     return _make(nums, den * s**n)
 
 

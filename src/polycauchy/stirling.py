@@ -29,14 +29,13 @@ Shifted-parameter polynomials (``gsn1``/``gsn2``) interpolate the
 ordinary triangles: at x = 0 they reduce to the triangle entry and at a
 non-negative integer r they give the r-shifted variants.  Their bivariate
 values q^(n-m) p(y/q) carry an extra geometric step q; the second kind's
-needs q != 0.  Each is read through the poly module's homogeneous
-evaluation of the memoised polynomial, and ``_gsn1_row``/``_gsn2_row``
-give the values for m = 0..n as the coefficients of one Poly, by the
-same integer Horner loop over one denominator.  Those rows are memoised,
-unscaled, in bounded caches keyed by n and the integer ratios of y and q,
-and a row with integer scales is the memoised row times the scales.  The
-r-Whitney numbers are these values at (y, q) = (r, m).
-"""
+needs q != 0.  A value is read through the poly module's homogeneous
+evaluation of the memoised polynomial, and ``_bivariate_row`` gives a
+kind's values for m = 0..n as the coefficients of one Poly, by the same
+integer Horner loop.  Those rows are memoised, unscaled, in one bounded
+cache keyed by the kind, n and the integer ratios of y and q, and a row
+with integer scales is the memoised row times the scales.  The r-Whitney
+numbers are these values at (y, q) = (r, m)."""
 
 from __future__ import annotations
 
@@ -225,57 +224,52 @@ def gsn2(n: int, m: int) -> Poly:
     return Poly([comb(n, i) * row(n - i)[m] for i in range(n - m + 1)])
 
 
-# The bivariate value rows, unscaled, memoised by (n, y, q) with y and q keyed
-# by their integer numerators and denominators, since hashing a Fraction costs
-# more than the rest of a lookup.  The identity catalogue reads the same rows
-# at many points: a default run makes 261 first-kind and 230 second-kind keys,
-# the deep grid (ci/deep-grid.cfg) 662 and 535, so each bound exceeds both.
-@lru_cache(maxsize=1024)
-def _gsn1_values(n: int, y_num: int, y_den: int, q_num: int, q_den: int) -> Poly:
-    return _homogenised_row([gsn1(n, m) for m in range(n + 1)], Fraction(y_num, y_den), Fraction(q_num, q_den))
+_GSN = {"first": gsn1, "second": gsn2}
 
 
-@lru_cache(maxsize=1024)
-def _gsn2_values(n: int, y_num: int, y_den: int, q_num: int, q_den: int) -> Poly:
-    return _homogenised_row([gsn2(n, m) for m in range(n + 1)], Fraction(y_num, y_den), Fraction(q_num, q_den))
-
-
-def _gsn1_row(n: int, y, q, scales=None) -> Poly:
-    """The first-kind bivariate values q^(n-m) [n m]_(y/q), m = 0..n, each
-    times the integer scales[m] if scales are given, as the coefficients of
-    one Poly.  The unscaled row is memoised (``_gsn1_values``): one
-    homogeneous Horner pass per gsn1(n, m), in integers over one denominator.
-    A scaled row multiplies its numerators by the scales."""
-    _check_indices(n, 0)
-    y, q = _exact(y), _exact(q)
-    row = _gsn1_values(n, y.numerator, y.denominator, q.numerator, q.denominator)
-    return row if scales is None else _scale_each(row, scales)
-
-
-def _gsn2_row(n: int, y, q, scales=None) -> Poly:
-    """The second-kind bivariate values q^(n-m) {n m}_(y/q), m = 0..n, for
-    q != 0, as ``_gsn1_row`` gives the first kind's, memoised by
-    ``_gsn2_values``.  q = 0 raises before the memo is read."""
-    _check_indices(n, 0)
-    y, q = _exact(y), _exact(q)
-    if not q:
+def _exact_step(kind: str, q) -> Fraction:
+    """The step q as an exact number, checked for the kind."""
+    q = _exact(q)
+    if kind == "second" and not q:
         raise ValueError("the bivariate second-kind value needs q != 0")
-    row = _gsn2_values(n, y.numerator, y.denominator, q.numerator, q.denominator)
+    return q
+
+
+# The bivariate value rows, unscaled, memoised by (kind, n, y, q) with y and q
+# keyed by their integer numerators and denominators, since hashing a Fraction
+# costs more than the rest of a lookup.  The identity catalogue reads the same
+# rows at many points: a default run makes 491 keys, the deep grid
+# (ci/deep-grid.cfg) 1,197, so the bound exceeds both.
+@lru_cache(maxsize=2048)
+def _bivariate_values(kind: str, n: int, y_num: int, y_den: int, q_num: int, q_den: int) -> Poly:
+    return _homogenised_row([_GSN[kind](n, m) for m in range(n + 1)], Fraction(y_num, y_den), Fraction(q_num, q_den))
+
+
+def _bivariate_row(kind: str, n: int, y, q, scales=None) -> Poly:
+    """The kind's values q^(n-m) p(y/q) for p = gsn1(n, m) or gsn2(n, m),
+    m = 0..n, each times the integer scales[m] if scales are given, as the
+    coefficients of one Poly.  The unscaled row is read from the memo, and the
+    second kind's q = 0 raises before it is read."""
+    _check_indices(n, 0)
+    y, q = _exact(y), _exact_step(kind, q)
+    row = _bivariate_values(kind, n, y.numerator, y.denominator, q.numerator, q.denominator)
     return row if scales is None else _scale_each(row, scales)
+
+
+def _bivariate_at(kind: str, n: int, m: int, y, q) -> Fraction:
+    """The one value q^(n-m) p(y/q), evaluated afresh, not read from the memo."""
+    _check_indices(n, m)
+    return Fraction(_homogenised_row([_GSN[kind](n, m)], y, _exact_step(kind, q))[0])
 
 
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:
     """The first-kind bivariate polynomial at (y, q): q^(n-m) [n m]_(y/q)."""
-    _check_indices(n, m)
-    return Fraction(_homogenised_row([gsn1(n, m)], y, q)[0])
+    return _bivariate_at("first", n, m, y, q)
 
 
 def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
     """The second-kind bivariate value q^(n-m) {n m}_(y/q), for q != 0."""
-    _check_indices(n, m)
-    if not _exact(q):
-        raise ValueError("the bivariate second-kind value needs q != 0")
-    return Fraction(_homogenised_row([gsn2(n, m)], y, q)[0])
+    return _bivariate_at("second", n, m, y, q)
 
 
 def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:
@@ -286,9 +280,9 @@ def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:
     """
     if m == 0:
         raise ValueError("r-Whitney numbers need m != 0")
-    if kind not in ("first", "second"):
+    if kind not in _GSN:
         raise ValueError(f"unknown kind {kind!r}")
-    return (gsn1_bivariate_at if kind == "first" else gsn2_bivariate_at)(n, l, r, m)
+    return _bivariate_at(kind, n, l, r, m)
 
 
 def a_number(n: int, m: int) -> Poly:

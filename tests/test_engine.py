@@ -170,6 +170,16 @@ def test_integer_grid_points_and_weights_stay_exact():
         assert verify(case_id, grid).ok
 
 
+def test_every_g21_case_passes_with_a_negative_weight_product():
+    # every weight list of the default grid has w > 0; with w = -3/2 as well, a
+    # sign lost in poly._stretched_sum fails G21.shif1/shif2 and G21.x0-first/x0-second
+    grid = replace(DEFAULT_GRID, ls=DEFAULT_GRID.ls + ((Fraction(-1, 2), Fraction(3)),))
+    case_ids = [case.id for case in catalog() if case.group == "G21"]
+    assert len(case_ids) == 18
+    for case_id in case_ids:
+        assert verify(case_id, grid).ok, case_id
+
+
 def test_grid_overrides():
     g = replace(DEFAULT_GRID, max_n=3)
     assert g.max_n == 3
@@ -182,7 +192,7 @@ def test_registry_memos_are_bounded_and_hold_the_default_grid():
     # so nothing is evicted and computed again
     memos = (registry_core._s2_values, registry_core._th3_terms, registry_core._th4_terms,
              registry_poly._kb_inner, registry_poly._bernoulli_moments, registry_poly._mc,
-             registry_poly._mpb, stirling._gsn1_values, stirling._gsn2_values)
+             registry_poly._mpb, stirling._bivariate_values)
     for memo in memos:
         memo.cache_clear()
     assert run_all(DEFAULT_GRID).ok

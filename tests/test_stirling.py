@@ -25,8 +25,7 @@ from polycauchy.poly import _homogenised_row
 from polycauchy.stirling import (
     _TRIANGLES,
     _Triangle,
-    _gsn1_row,
-    _gsn2_row,
+    _bivariate_row,
     falling_factorial_poly,
     rising_factorial_poly,
     triangle_rows,
@@ -316,64 +315,73 @@ def test_bivariate_kernel_matches_fraction_reference(data, n, y, q):
         assert got == value
 
 
-@given(st.integers(0, 12), st.one_of(st.just(0), bivariate_points), st.one_of(st.just(0), bivariate_points))
-def test_bivariate_rows_match_the_values(n, y, q):
-    # coefficient m of a row is the scalar value at (n, m), q = 0 and y = 0 included
-    assert _gsn1_row(n, y, q) == Poly([gsn1_bivariate_at(n, m, y, q) for m in range(n + 1)])
-    scales = [factorial(m) for m in range(n + 1)]
-    assert _gsn1_row(n, y, q, scales) == Poly([factorial(m) * gsn1_bivariate_at(n, m, y, q)
-                                               for m in range(n + 1)])
-    if q == 0:
+KINDS = ("first", "second")
+GSN = {"first": gsn1, "second": gsn2}
+BIVARIATE_AT = {"first": gsn1_bivariate_at, "second": gsn2_bivariate_at}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(n=st.integers(0, 12), y=st.one_of(st.just(0), bivariate_points), q=st.one_of(st.just(0), bivariate_points))
+def test_bivariate_rows_match_the_values(kind, n, y, q):
+    # coefficient m of a row is the scalar value at (n, m), q = 0 and y = 0
+    # included; the second kind refuses q = 0
+    if kind == "second" and q == 0:
         with pytest.raises(ValueError, match="needs q != 0"):
-            _gsn2_row(n, y, q)
+            _bivariate_row(kind, n, y, q)
         return
-    assert _gsn2_row(n, y, q) == Poly([gsn2_bivariate_at(n, m, y, q) for m in range(n + 1)])
-    assert _gsn2_row(n, y, q, scales) == Poly([factorial(m) * gsn2_bivariate_at(n, m, y, q)
-                                               for m in range(n + 1)])
+    at = BIVARIATE_AT[kind]
+    assert _bivariate_row(kind, n, y, q) == Poly([at(n, m, y, q) for m in range(n + 1)])
+    scales = [factorial(m) for m in range(n + 1)]
+    assert _bivariate_row(kind, n, y, q, scales) == Poly([factorial(m) * at(n, m, y, q) for m in range(n + 1)])
 
 
 def test_bivariate_rows_examples():
     # [2 m]_x = (x^2 + x, 2x + 1, 1): at (y, q) = (1/2, -3) the values are
     # q^2 ((y/q)^2 + y/q), q (2y/q + 1) and 1
-    assert _gsn1_row(2, F(1, 2), -3) == Poly([F(-5, 4), -2, 1])
-    assert _gsn1_row(2, F(1, 2), 0) == Poly([F(1, 4), 1, 1])
-    assert _gsn1_row(0, 5, 7) == Poly([1])
+    assert _bivariate_row("first", 2, F(1, 2), -3) == Poly([F(-5, 4), -2, 1])
+    assert _bivariate_row("first", 2, F(1, 2), 0) == Poly([F(1, 4), 1, 1])
+    assert _bivariate_row("first", 0, 5, 7) == Poly([1])
     with pytest.raises(ValueError):
-        _gsn1_row(-1, 0, 1)
+        _bivariate_row("first", -1, 0, 1)
 
 
-@given(st.integers(0, 12), bivariate_points, st.one_of(st.just(0), bivariate_points))
-def test_memoised_rows_equal_a_fresh_homogenised_row(n, y, q):
+@pytest.mark.parametrize("kind", KINDS)
+@given(n=st.integers(0, 12), y=bivariate_points, q=st.one_of(st.just(0), bivariate_points))
+def test_memoised_rows_equal_a_fresh_homogenised_row(kind, n, y, q):
     # the first call may fill the memo and the second reads it; scaled or not,
-    # both equal the rows evaluated afresh from the same polynomials
+    # both equal the rows evaluated afresh from the same polynomials, and
+    # scaled coefficient by coefficient in Fractions
+    if kind == "second" and q == 0:
+        return
     scales = [(-1) ** m * factorial(n) // factorial(m) for m in range(n + 1)]
-    firsts = [gsn1(n, m) for m in range(n + 1)]
-    seconds = [gsn2(n, m) for m in range(n + 1)]
+    fresh = _homogenised_row([GSN[kind](n, m) for m in range(n + 1)], y, q)
     for _ in range(2):
-        assert _gsn1_row(n, y, q) == _homogenised_row(firsts, y, q)
-        assert _gsn1_row(n, y, q, scales) == _homogenised_row(firsts, y, q, scales)
-        if q:
-            assert _gsn2_row(n, y, q) == _homogenised_row(seconds, y, q)
-            assert _gsn2_row(n, y, q, scales) == _homogenised_row(seconds, y, q, scales)
+        assert _bivariate_row(kind, n, y, q) == fresh
+        assert _bivariate_row(kind, n, y, q, scales) == Poly([f * c for f, c in zip(scales, fresh.coeffs)])
 
 
-def test_row_memos_key_by_integer_ratios():
-    # an int and the equal Fraction read one entry, and a scaled row leaves the
-    # memoised row as it was
-    row = _gsn1_row(5, 2, F(-3))
-    assert _gsn1_row(5, F(2), -3) is row
-    assert _gsn2_row(5, F(-1, 2), 4) is _gsn2_row(5, F(-2, 4), F(4))
-    _gsn1_row(5, 2, -3, [7] * 6)
-    assert _gsn1_row(5, 2, -3) == _homogenised_row([gsn1(5, m) for m in range(6)], 2, -3)
+@pytest.mark.parametrize("kind, y, q, same_y, same_q", [
+    ("first", 2, F(-3), F(2), -3),
+    ("second", F(-1, 2), 4, F(-2, 4), F(4)),
+], ids=KINDS)
+def test_row_memos_key_by_integer_ratios(kind, y, q, same_y, same_q):
+    # an int and the equal Fraction read one entry, the kind is part of the key,
+    # and a scaled row leaves the memoised row as it was
+    row = _bivariate_row(kind, 5, y, q)
+    assert _bivariate_row(kind, 5, same_y, same_q) is row
+    other = "second" if kind == "first" else "first"
+    assert _bivariate_row(other, 5, y, q) != row
+    _bivariate_row(kind, 5, y, q, [7] * 6)
+    assert _bivariate_row(kind, 5, y, q) == _homogenised_row([GSN[kind](5, m) for m in range(6)], y, q)
 
 
 def test_second_kind_row_at_zero_step_raises_on_every_call():
     # the check comes before the memo, so a repeated call raises again
     for q in (0, F(0), 0, F(0, 5)):
         with pytest.raises(ValueError, match="needs q != 0"):
-            _gsn2_row(3, F(1, 2), q)
+            _bivariate_row("second", 3, F(1, 2), q)
         with pytest.raises(ValueError, match="needs q != 0"):
-            _gsn2_row(3, F(1, 2), q, [1, 2, 3, 4])
+            _bivariate_row("second", 3, F(1, 2), q, [1, 2, 3, 4])
 
 
 def test_bivariate_first_kind_at_zero_step():
