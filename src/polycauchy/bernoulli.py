@@ -23,8 +23,8 @@ which is validated elsewhere through its role in the even/odd Cauchy
 polynomial decompositions and the half-interval integration rule.
 
 The poly-Bernoulli variants weight the unit-cube moment polynomials of
-the Cauchy module (``aux_poly``, ``_moment_sum``) by second-kind Stirling
-values, and check n and k with its ``_check_nk``.
+the Cauchy module by second-kind Stirling values, each as one
+``_moment_sum``, and check n and k with its ``_check_nk``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .cauchy import MultiParam, _check_nk, _moment_sum, aux_poly
-from .poly import Poly, _lincomb, _weighted_sum
+from .cauchy import MultiParam, _check_nk, _moment_sum
+from .poly import Poly, _weighted_sum
 from .rational import _reciprocal_powers
 from .series import _gen_bernoulli, _sheffer_row
 from .stirling import _bivariate_row, gsn2, stirling2
@@ -133,10 +133,10 @@ def poly_bernoulli_gsn(n: int, k: int) -> Poly:
 def poly_bernoulli_kl(n: int, k: int) -> Poly:
     """The alternative poly-Bernoulli polynomial: the unit-cube moment
     polynomials aux_poly(m, k) weighted by (-1)^n m! S(n, m), over the
-    ordinary second-kind triangle."""
+    ordinary second-kind triangle, as one moment sum."""
     _check_nk(n, k)
-    return _lincomb(((-1) ** n * factorial(m) * stirling2(n, m), aux_poly(m, k))
-                    for m in range(n + 1))
+    weights = Poly([(-1) ** n * factorial(m) * stirling2(n, m) for m in range(n + 1)])
+    return _moment_sum(weights, k, (1,) * k)
 
 
 def multiparam_poly_bernoulli(n: int, k: int, a: int, q, L, y) -> Poly:

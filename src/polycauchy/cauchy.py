@@ -24,12 +24,11 @@ L = (l_1..l_k), offset y) follows the same pattern: a bivariate-Stirling
 formula as the primary route and the iterated-integral expansion over
 [0,l_1] x ... x [0,l_k] as the oracle.  The ordinary ``integral``
 construction is its unit-parameter case (a = 1, q = 1, L = (1,..,1),
-y = 0).  Both routes, ``aux_poly_weighted`` and the multiparameter
-poly-Bernoulli polynomials weight the unit-cube moments through
-``_moment_sum``: the weight product w = u/v is read as two integer
-products, and the weighted moments at x/w are summed in one integer pass
-over one denominator (``poly._stretched_sum``), or, at w = 1, by the plain
-weighted sum.
+y = 0).  Every sum of cube moments in the library and the identity
+registries, over the unit cube or the box, is ``_moment_sum``: the weight
+product w = u/v is read as two integer products, and the sum is one integer
+correlation over one denominator (``poly._cube_moments``), with no memo.
+``aux_poly`` is the moments' closed form, one polynomial per (j, k).
 
 Every weight 1/(m+a)^k is read from ``rational._reciprocal_powers`` as
 integer numerators over one denominator, so each weighted sum is taken in
@@ -51,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
-from .poly import Poly, _lincomb, _linear_product, _stretched_sum, _weighted_sum, binom_poly
+from .poly import Poly, _cube_moments, _lincomb, _linear_product, _weighted_sum, binom_poly
 from .rational import _exact, _reciprocal_powers
 from .series import _CAUCHY1, _CAUCHY2, _sheffer_row
 from .stirling import _TRIANGLES, _bivariate_row, falling_factorial_poly, gsn1
@@ -107,7 +106,6 @@ def _check_weights(L, k: int) -> tuple:
     return L
 
 
-@lru_cache(maxsize=None)
 def aux_poly(j: int, k: int) -> Poly:
     """Moment polynomial of the k-fold unit-cube integral of (x - t)^j
     (up to sign bookkeeping): sum_i (-1)^i/(i+1)^k binom(j,i) x^(j-i),
@@ -132,14 +130,9 @@ def _moment_sum(weights: Poly, k: int, L: tuple, shift: int = 0) -> Poly:
     """sum_m c_m M_(m+shift) for the coefficients c_m of weights and the moments
     M_j of (x - t)^j, t = t_1...t_k, over [0,l_1] x ... x [0,l_k].  With w the
     product of the weights L, M_j(x) = w^(j+1) aux_poly(j, k)(x/w).  w = u/v is
-    read as two integer products, and the whole sum is one integer pass over
-    one denominator (``poly._stretched_sum``); at w = 1 it is the plain
-    weighted sum of the moments."""
-    u, v = _weight_ratio(L)
-    moments = [aux_poly(m + shift, k) for m in range(len(weights))]
-    if u == v:
-        return _weighted_sum(weights, moments)
-    return _stretched_sum(weights, moments, u, v, shift + 1)
+    read as two integer products, and the whole sum is one integer
+    correlation over one denominator (``poly._cube_moments``)."""
+    return _cube_moments(weights, k, *_weight_ratio(L), shift)
 
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:

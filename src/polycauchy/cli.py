@@ -17,8 +17,10 @@ import argparse
 import functools
 import json
 import os
+import signal
 import stat
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -142,6 +144,34 @@ def _write_each(fh, lines) -> None:
         write("\n")
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised while an output file is written through a temporary one."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+@contextmanager
+def _sigterm_raises():
+    """In the main thread, under SIGTERM's default action, SIGTERM raises
+    ``_Terminated`` in the block, so that its cleanup runs, and the process
+    then ends as SIGTERM ends it.  Otherwise the block runs as it is."""
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGTERM) != signal.SIG_DFL):
+        yield
+        return
+    signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _write_lines(lines, out_path):
     """Write each item, newline-terminated, to stdout or to the file out_path.
 
@@ -150,10 +180,10 @@ def _write_lines(lines, out_path):
 
     A regular or missing file is written through a temporary file that
     replaces it only once every line is written, so a run that fails
-    part-way leaves an existing file as it was and no partial file.  A
-    symlink is resolved first: the file it names is replaced, in that
-    file's directory, and the link is kept.  Any other existing path, such
-    as a FIFO or a device, is opened and written in place.
+    part-way, or is ended by SIGTERM, leaves an existing file as it was and
+    no partial file.  A symlink is resolved first: the file it names is
+    replaced, in that file's directory, and the link is kept.  Any other
+    existing path, such as a FIFO or a device, is opened and written in place.
     """
     if not out_path:
         _write_each(sys.stdout, lines)
@@ -171,14 +201,15 @@ def _write_lines(lines, out_path):
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
-        fh = open(tmp, "x", encoding="utf-8")
-        try:
-            with fh:
-                _write_each(fh, lines)
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with _sigterm_raises():
+            fh = open(tmp, "x", encoding="utf-8")
+            try:
+                with fh:
+                    _write_each(fh, lines)
+                os.replace(tmp, target)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     except OSError as exc:
         if exc.filename != tmp:
             raise

@@ -37,7 +37,6 @@ from ..cauchy import (
     MultiParam,
     _moment_sum,
     _weight_ratio,
-    aux_poly,
     cauchy_number,
     cauchy_poly,
     multiparam_cauchy,
@@ -55,10 +54,8 @@ from .registry_core import (
 
 def _moments(kind, n, k):
     """The kind's polynomial as moment polynomials over the plain Stirling triangle."""
-    rhs = _lincomb(
-        ((-1) ** n * KIND_SIGN[kind] ** m * stirling1(n, m), aux_poly(m, k)) for m in range(n + 1)
-    )
-    return cauchy_poly(kind, n, k), rhs
+    weights = Poly([(-1) ** n * KIND_SIGN[kind] ** m * stirling1(n, m) for m in range(n + 1)])
+    return cauchy_poly(kind, n, k), _moment_sum(weights, k, (1,) * k)
 
 
 def _g14():
@@ -170,11 +167,10 @@ def _kb_inner(kind, m, k, y_num, y_den):
 @lru_cache(maxsize=1024)
 def _bernoulli_moments(e, m, k, start):
     """The Bernoulli-weighted moment polynomial of G18.poly*:
-    sum_{start <= j <= m} e^j binom(m, j) B_(m-j) aux_poly(j, k)(x + e)."""
-    return _lincomb(
-        (e ** j * comb(m, j) * bernoulli_number(m - j), aux_poly(j, k).affine_compose(1, e))
-        for j in range(start, m + 1)
-    )
+    sum_{start <= j <= m} e^j binom(m, j) B_(m-j) aux_poly(j, k)(x + e), as
+    one moment sum moved to x + e."""
+    weights = Poly([e**j * comb(m, j) * bernoulli_number(m - j) if j >= start else 0 for j in range(m + 1)])
+    return _moment_sum(weights, k, (1,) * k).affine_compose(1, e)
 
 
 def _g17():
@@ -230,11 +226,8 @@ def _g18():
         return _bernoulli_moments(1, m, 1, 0), Poly([0] * m + [1])
 
     def idc2(m):
-        lhs = _lincomb(
-            ((-1) ** (m - j) * comb(m, j) * bernoulli_number(m - j), aux_poly(j, 1))
-            for j in range(m + 1)
-        )
-        return lhs, Poly([0] * m + [1])
+        weights = Poly([(-1) ** (m - j) * comb(m, j) * bernoulli_number(m - j) for j in range(m + 1)])
+        return _moment_sum(weights, 1, (1,)), Poly([0] * m + [1])
 
     return [
         IdentityCase("G18.poly1", "general order first kind from Bernoulli-weighted moment polynomials", (_N1, _K), partial(poly, "first", False)),
@@ -306,11 +299,10 @@ def _g19():
 
 def _gen_euler(d: int, k: int) -> Poly:
     """sum_{j < d} 2^j binom(d, j) B_j aux_poly(d - j, k)(x + 1): for odd d the
-    generalized Euler polynomial of degree d, at k = 1 the Euler polynomial."""
-    return _lincomb((
-        2**j * comb(d, j) * bernoulli_number(j),
-        aux_poly(d - j, k).affine_compose(1, 1),
-    ) for j in range(d))
+    generalized Euler polynomial of degree d, at k = 1 the Euler polynomial;
+    one moment sum, weight m = d - j, moved to x + 1."""
+    weights = Poly([0] + [2 ** (d - m) * comb(d, m) * bernoulli_number(d - m) for m in range(1, d + 1)])
+    return _moment_sum(weights, k, (1,) * k).affine_compose(1, 1)
 
 
 def _g20():

@@ -24,15 +24,15 @@ builds no Fraction:
   loop, and ``integrate_01``, which build one Fraction per value;
 * ``_lincomb``, every rational-weighted sum of polynomials, the library's
   and the identity registries', ``_weighted_sum``, the same sum with its
-  weights read from a Poly's coefficients, ``_stretched_sum``, the same sum
-  with each polynomial p_m(x) replaced by w^(m+s) p_m(x/w) for a rational w
-  (the multiparameter moment sums), ``_scale_each``, each coefficient times
-  its own integer scale, ``_linear_product``, a product
-  of linear factors (``binom_poly`` and the multiparameter ``integral``
-  oracle), ``_homogenised_row``, the values q^n p(y/q) of a list of
-  polynomials as one Poly's coefficients (the bivariate Stirling rows and
-  values), and ``_dot``, the sum of the products of two such rows' values,
-  which builds one Fraction.  No other module reads or writes this form.
+  weights read from a Poly's coefficients, ``_cube_moments``, every sum of
+  the cube moments w^(j+1) A_j(x/w) as one integer correlation,
+  ``_scale_each``, each coefficient times its own integer scale,
+  ``_linear_product``, a product of linear factors (``binom_poly`` and the
+  multiparameter ``integral`` oracle), ``_homogenised_row``, the values
+  q^n p(y/q) of a list of polynomials as one Poly's coefficients (the
+  bivariate Stirling rows and values), and ``_dot``, the sum of the products
+  of two such rows' values, which builds one Fraction.  No other module
+  reads or writes this form.
 
 ``coeffs``, ``[i]`` and ``str`` build the Fractions when read; they are
 not kept.  Every coefficient reads back as an int when the whole polynomial
@@ -43,6 +43,7 @@ too: ``Poly([Fraction(1, 2), 1])[1]`` is ``Fraction(1, 1)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable
@@ -390,31 +391,28 @@ def _sum_scaled(scaled) -> Poly:
     return _make(total, den)
 
 
-def _stretched_sum(weights: Poly, polys, u: int, v: int, lift: int) -> Poly:
-    """sum_m weights[m] w^(m+lift) polys[m](x/w) for w = u/v (u != 0, v > 0),
-    each polys[m] of degree at most m + lift.  With M the degree of weights,
-    coefficient i is sum_m c_m u^(m+lift-i) v^(M-m+i) a_(m,i) over v^(M+lift),
-    for the numerators c_m of weights and a_(m,i) of polys[m] over the lcm of
-    their denominators: one integer pass, made canonical once."""
+def _cube_moments(weights: Poly, k: int, u: int, v: int, shift: int) -> Poly:
+    """sum_m c_m w^(m+shift+1) A_(m+shift)(x/w) for the coefficients c_m of
+    weights, w = u/v (u != 0, v > 0) and the unit-cube moments
+    A_j(x) = sum_i (-1)^i binom(j, i) x^(j-i) / (i+1)^k.  With N the top
+    degree, d the numerators of weights behind shift zeros and R_i / B the
+    weights 1/(i+1)^k, coefficient r is the one correlation
+    sum_i a_i binom(r+i, i) d_(r+i), a_i = (-1)^i R_i u^(i+1) v^(N-i), over
+    B v^(N+1) times weights' denominator.  Row r of the binomials is the
+    prefix sums of row r - 1, and the whole is made canonical once."""
     cs = weights._vec
-    if not cs:
-        return weights
-    degree = len(cs) - 1
-    top = degree + lift
-    polys = polys[:len(cs)]
-    den = lcm(*[p._den for p in polys])
-    # powers[j] = u^(top-j) v^j; term (m, i) reads powers[degree-m+i]
-    ups, downs = [1], [1]
-    for _ in range(top):
-        ups.append(ups[-1] * u)
-        downs.append(downs[-1] * v)
-    powers = [a * b for a, b in zip(reversed(ups), downs)]
-    total = [0] * max([len(p._vec) for p in polys])
-    for m, (c, p) in enumerate(zip(cs, polys)):
-        if c and p._vec:
-            factor = c * (den // p._den)
-            total[:len(p._vec)] = [t + factor * a * s for t, a, s in zip(total, p._vec, powers[degree - m:])]
-    return _make(total, weights._den * den * downs[-1])
+    top = len(cs) - 1 + shift
+    recips, base = _reciprocal_powers(1, top + 2, k)
+    ups = accumulate([u] + [-u] * top, mul)
+    downs = list(accumulate([1] + [v] * top, mul))
+    alphas = list(map(mul, map(mul, recips, ups), reversed(downs)))
+    column = [0] * shift + list(cs)
+    binoms = [1] * (top + 1)
+    out = []
+    for r in range(top + 1):
+        out.append(sum(map(mul, map(mul, alphas, binoms), column[r:])))
+        binoms = list(accumulate(binoms[:top - r]))
+    return _make(out, weights._den * base * downs[-1] * v)
 
 
 def _scale_each(p: Poly, scales) -> Poly:

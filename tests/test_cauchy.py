@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, prod
 
@@ -19,11 +18,10 @@ from polycauchy import (
     cauchy_recurrence_step,
     eval_at_sqrt,
     multiparam_cauchy,
-    multiparam_poly_bernoulli,
     shifted_cauchy_number,
 )
-import polycauchy.cauchy as cauchy_module
 from polycauchy.cauchy import _moment_sum
+from polycauchy.poly import _lincomb
 from polycauchy.stirling import gsn1, stirling1
 from test_poly import assert_canonical
 
@@ -382,10 +380,23 @@ def _moment(j, k, L):
                 for i in range(j + 1)), Poly())
 
 
+@st.composite
+def signed_weights(draw):
+    """Weights whose product w is negative, is 1 from weights that are not all
+    1, or is anything else."""
+    L = draw(st.lists(rationals.filter(bool), min_size=1, max_size=3))
+    target = draw(st.sampled_from(["negative", "unit", "free"]))
+    w = prod(L)
+    if target == "negative" and w > 0:
+        L[0] = -L[0]
+    elif target == "unit":
+        L.append(1 / w)
+    return tuple(L)
+
+
 @given(st.lists(st.one_of(st.just(0), st.integers(-4, 4), rationals), max_size=6),
-       weights, st.integers(0, 3))
+       signed_weights(), st.integers(0, 3))
 def test_moment_sum_matches_the_per_term_sum(coeffs, L, shift):
-    L = tuple(L)
     want = sum((_moment(m + shift, len(L), L) * c for m, c in enumerate(coeffs)), Poly())
     got = _moment_sum(Poly(coeffs), len(L), L, shift)
     assert_canonical(got)
@@ -408,19 +419,15 @@ def test_moment_sum_explicit_weights_at_degree_ten(L, shift):
     assert got == want and got.degree == 10 + shift
 
 
-def test_moment_sum_at_unit_weight_product_is_the_plain_weighted_sum(monkeypatch):
-    # w = 1 keeps the plain weighted sum of the moments, which is quicker at high
-    # degree than the one-pass stretched sum
-    def refuse(*args):
-        raise AssertionError("the stretched sum ran at w = 1")
-
-    monkeypatch.setattr(cauchy_module, "_stretched_sum", refuse)
-    coeffs = list(range(1, 42))
-    L = (F(1, 2), F(2))
-    want = sum((_moment(m, 2, L) * c for m, c in enumerate(coeffs)), Poly())
-    assert _moment_sum(Poly(coeffs), 2, L) == want
-    with pytest.raises(AssertionError, match="stretched"):
-        _moment_sum(Poly(coeffs), 2, (F(1, 2), F(3)))
+@pytest.mark.parametrize("L", [(F(1), F(1), F(1)), (F(-1, 2), F(3), F(2, 5))])
+def test_moment_sum_at_degree_eighty_matches_the_closed_form_moments(L):
+    # w^(m+1) aux_poly(m, k)(x/w), the closed form term by term
+    w = prod(L)
+    coeffs = [F((-1) ** m * (m + 3), 2 * m + 1) for m in range(81)]
+    want = _lincomb((c * w ** (m + 1), aux_poly(m, 3).stretch(1 / w)) for m, c in enumerate(coeffs))
+    got = _moment_sum(Poly(coeffs), 3, L)
+    assert_canonical(got)
+    assert got == want and got.degree == 80
 
 
 def test_moment_sum_of_zero_coefficients_is_zero():
@@ -455,24 +462,6 @@ def test_multiparam_degree():
 def test_multiparam_q_zero_allowed_in_integral_definition():
     p = MultiParam(2, 1, 1, F(0), (F(1),), F(1, 2))
     assert multiparam_cauchy("first", p) == multiparam_cauchy("first", p, "integral")
-
-
-def test_moment_cache_does_not_grow_with_the_weights():
-    # the moments are cached by (j, k) alone, so new weights add no entries
-    p = MultiParam(6, 2, 2, F(1, 2), (F(1), F(1)), F(1, 3))
-
-    def run_every_weighted_route(p):
-        for kind in ("first", "second"):
-            for construction in ("stirling", "integral"):
-                multiparam_cauchy(kind, p, construction)
-        multiparam_poly_bernoulli(p.n, p.k, p.a, p.q, p.L, p.y)
-        aux_poly_weighted(p.n + p.a - 1, p.k, p.L)
-
-    run_every_weighted_route(p)
-    size = aux_poly.cache_info().currsize
-    for i in range(2, 50):
-        run_every_weighted_route(replace(p, L=(F(i), F(-1, i + 1))))
-    assert aux_poly.cache_info().currsize == size
 
 
 def test_shifted_numbers_match_multiparam_at_origin():

@@ -3,7 +3,9 @@ import hashlib
 import json
 import os
 import re
+import signal
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -402,6 +404,27 @@ def test_table_failing_part_way_leaves_out_file_alone(tmp_path, monkeypatch, cap
     assert err.startswith("error: ") and "injected failure" in err
     assert out_path.read_text() == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["numbers.tsv"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="SIGTERM ends a process only on POSIX")
+def test_sigterm_mid_write_leaves_no_temporary_file(tmp_path):
+    # a table of rows 0..1500 takes many seconds to write, so the signal lands mid-write
+    out_path = tmp_path / "table.tsv"
+    src = os.path.dirname(os.path.dirname(pc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "polycauchy.cli", "table", "stirling1", "--max-n", "1500", "--out", str(out_path)]
+    child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".table.tsv.*.tmp")):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) == -signal.SIGTERM
+    finally:
+        child.kill()
+        child.wait()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_into_a_missing_directory_names_the_out_path(tmp_path, monkeypatch, capsys):

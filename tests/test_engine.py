@@ -172,7 +172,7 @@ def test_integer_grid_points_and_weights_stay_exact():
 
 def test_every_g21_case_passes_with_a_negative_weight_product():
     # every weight list of the default grid has w > 0; with w = -3/2 as well, a
-    # sign lost in poly._stretched_sum fails G21.shif1/shif2 and G21.x0-first/x0-second
+    # sign lost in poly._cube_moments fails G21.shif1/shif2 and G21.x0-first/x0-second
     grid = replace(DEFAULT_GRID, ls=DEFAULT_GRID.ls + ((Fraction(-1, 2), Fraction(3)),))
     case_ids = [case.id for case in catalog() if case.group == "G21"]
     assert len(case_ids) == 18
