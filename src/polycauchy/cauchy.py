@@ -14,8 +14,9 @@ constructions which must agree (the test suite enforces this):
 * ``series``       -- k = 1 only: exponential-generating-function
                       coefficient times n!;
 * ``binomial_conv``-- convolution of the family's own numbers with
-                      rising/falling factorials, read from the rows of
-                      the first-kind Stirling triangle;
+                      rising/falling factorials, summed in the factorials'
+                      Newton basis by one Horner pass (``poly._newton_sum``),
+                      with no Stirling row read;
 * ``theorem1``     -- k = 1 only: the explicit first-kind-Stirling
                       expansion seeded by the Cauchy numbers.
 
@@ -49,11 +50,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
+from operator import mul
 
-from .poly import Poly, _cube_moments, _lincomb, _linear_product, _weighted_sum, binom_poly
+from .poly import Poly, _cube_moments, _lincomb, _linear_product, _newton_sum, _weighted_sum
 from .rational import _exact, _reciprocal_powers
 from .series import _CAUCHY1, _CAUCHY2, _sheffer_row
-from .stirling import _TRIANGLES, _bivariate_row, falling_factorial_poly, gsn1
+from .stirling import _TRIANGLES, _bivariate_row, gsn1
 
 __all__ = [
     "CONSTRUCTIONS",
@@ -163,10 +165,9 @@ def _poly_series(kind: str, n: int, k: int) -> Poly:
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:
-    total = _lincomb((comb(n, m) * cauchy_number(kind, n - m, k), falling_factorial_poly(m))
-                     for m in range(n + 1))
-    # the first kind sums (-1)^m x^(m) = (-x)_m, so it is the falling sum at -x
-    return _reflect(_OTHER[kind], total)
+    # sum_m binom(n, m) c_(n-m) (-ex)_m: the first kind sums (-1)^m x^(m) = (-x)_m
+    weights = [comb(n, m) * cauchy_number(kind, n - m, k) for m in range(n + 1)]
+    return _newton_sum(weights, range(0, -n, -1), -KIND_SIGN[kind], [1] * n)
 
 
 def _poly_theorem1(kind: str, n: int, k: int) -> Poly:
@@ -222,9 +223,12 @@ def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
     if i < 0 or i > n:
         raise ValueError(f"coefficient index must satisfy 0 <= i <= n, got {i}")
     weights, den = _reciprocal_powers(1, n - i + 2, k)
-    row = _TRIANGLES["stirling1"].row(n)
-    total = sum([(-e) ** m * comb(m, i) * row[m] * w for m, w in zip(range(i, n + 1), weights)])
-    return Fraction((-1) ** (n + i) * total, den)
+    row = _TRIANGLES["stirling1"].row(n)[i:]
+    if i:
+        row = [comb(m, i) * c for m, c in enumerate(row, i)]
+    # (-1)^(n+i) (-e)^m is (-1)^n e^i where m - i is even, and -e times that where it is odd
+    total = sum(map(mul, row[::2], weights[::2])) - e * sum(map(mul, row[1::2], weights[1::2]))
+    return Fraction((-1) ** n * e**i * total, den)
 
 
 def cauchy_derivative(kind: str, n: int, k: int = 1, order: int = 1) -> Poly:
@@ -247,11 +251,17 @@ def cauchy_recurrence_step(kind: str, n: int, k: int = 1) -> Poly:
     """
     e = _check_kind(kind)
     _check_nk(n, k)
-    total = _lincomb((
-        (-1) ** m * Fraction(factorial(n), factorial(m)) * cauchy_number(_OTHER[kind], m + 1, k),
-        binom_poly(-m - 1, -e, n - m),
-    ) for m in range(n + 1))
-    return Poly([-n, -e]) * cauchy_poly(kind, n, k) - total   # (u - n) P_n - ..., u = -e x
+    return Poly([-n, -e]) * cauchy_poly(kind, n, k) - _recurrence_sum(kind, n, k)   # (u - n) P_n - ..., u = -e x
+
+
+def _recurrence_sum(kind: str, n: int, k: int) -> Poly:
+    """sum_m (-1)^m n!/m! c_(m+1) binom(-ex - m - 1, n - m) over the other kind's
+    numbers c: term i = n - m is the product of the factors (-ex - n + j)/(j + 1),
+    j < i, so the sum is one Newton sum."""
+    other = _OTHER[kind]
+    weights = [(-1) ** (n - i) * (factorial(n) // factorial(n - i)) * cauchy_number(other, n - i + 1, k)
+               for i in range(n + 1)]
+    return _newton_sum(weights, range(-n, 0), -KIND_SIGN[kind], range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -144,32 +144,41 @@ def _write_each(fh, lines) -> None:
         write("\n")
 
 
+# the signals whose default action ends the process without unwinding it
+_ENDING_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP", "SIGQUIT") if hasattr(signal, name))
+
+
 class _Terminated(BaseException):
-    """SIGTERM, raised while an output file is written through a temporary one."""
+    """An ending signal, raised while an output file is written through a
+    temporary one; its one argument is the signal's number."""
 
 
 def _raise_terminated(signum, frame):
-    raise _Terminated
+    raise _Terminated(signum)
 
 
 @contextmanager
-def _sigterm_raises():
-    """In the main thread, under SIGTERM's default action, SIGTERM raises
-    ``_Terminated`` in the block, so that its cleanup runs, and the process
-    then ends as SIGTERM ends it.  Otherwise the block runs as it is."""
-    if (threading.current_thread() is not threading.main_thread()
-            or signal.getsignal(signal.SIGTERM) != signal.SIG_DFL):
+def _ending_signals_raise():
+    """In the main thread, each of SIGTERM, SIGHUP and SIGQUIT that has its
+    default action raises ``_Terminated`` in the block, so that its cleanup
+    runs, and the process then ends as that signal ends it.  A signal with
+    another action, and any other thread, is left as it is."""
+    if threading.current_thread() is not threading.main_thread():
         yield
         return
-    signal.signal(signal.SIGTERM, _raise_terminated)
+    caught = [signum for signum in _ENDING_SIGNALS if signal.getsignal(signum) == signal.SIG_DFL]
+    for signum in caught:
+        signal.signal(signum, _raise_terminated)
     try:
         yield
-    except _Terminated:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.raise_signal(signal.SIGTERM)
+    except _Terminated as ended:
+        for signum in caught:
+            signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(ended.args[0])
         raise
     finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for signum in caught:
+            signal.signal(signum, signal.SIG_DFL)
 
 
 def _write_lines(lines, out_path):
@@ -180,10 +189,11 @@ def _write_lines(lines, out_path):
 
     A regular or missing file is written through a temporary file that
     replaces it only once every line is written, so a run that fails
-    part-way, or is ended by SIGTERM, leaves an existing file as it was and
-    no partial file.  A symlink is resolved first: the file it names is
-    replaced, in that file's directory, and the link is kept.  Any other
-    existing path, such as a FIFO or a device, is opened and written in place.
+    part-way, or is ended by SIGTERM, SIGHUP or SIGQUIT, leaves an existing
+    file as it was and no partial file.  A symlink is resolved first: the
+    file it names is replaced, in that file's directory, and the link is
+    kept.  Any other existing path, such as a FIFO or a device, is opened
+    and written in place.
     """
     if not out_path:
         _write_each(sys.stdout, lines)
@@ -201,7 +211,7 @@ def _write_lines(lines, out_path):
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
-        with _sigterm_raises():
+        with _ending_signals_raise():
             fh = open(tmp, "x", encoding="utf-8")
             try:
                 with fh:

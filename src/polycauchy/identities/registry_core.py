@@ -31,13 +31,15 @@ from math import comb, factorial
 
 from ..bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli_poly, euler_poly, power_sum_poly
 from ..cauchy import (
-    KIND_SIGN, _OTHER, _reflect, cauchy_coefficient, cauchy_derivative, cauchy_number, cauchy_poly,
-    cauchy_recurrence_step,
+    KIND_SIGN, _OTHER, _recurrence_sum, _reflect, cauchy_coefficient, cauchy_derivative, cauchy_number,
+    cauchy_poly, cauchy_recurrence_step,
 )
 from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
-from ..poly import Poly, _dot, _homogenised_row, _lincomb, _over_one_denominator, _scale_each, _weighted_sum, binom_poly
+from ..poly import (
+    Poly, _dot, _homogenised_row, _lincomb, _newton_sum, _over_one_denominator, _scale_each, _weighted_sum, binom_poly,
+)
 from ..rational import _reciprocal_powers
-from ..stirling import _bivariate_row, a_number, central_u, gsn1, gsn2, stirling1, stirling2
+from ..stirling import _bivariate_row, central_u, gsn1, gsn2, stirling1, stirling2
 from .engine import Axis, IdentityCase
 
 F = Fraction
@@ -106,25 +108,26 @@ def _cor2(kind, n, k):
     )
 
 
+# In the binomial sums below, term i = n - m of a sum over m is the product of
+# i linear factors over i!, and term i + 1 has the factors of term i and one
+# more, so each sum is one ``_newton_sum``.
+
+
 def _symm_other(kind, n, k, shift=0):
     """The kind's polynomial, and the sum over m of (-1)^m n!/m! c_m
-    C(-e x + shift - m, n - m) over the other kind's numbers c_m."""
-    e = KIND_SIGN[kind]
-    rhs = _lincomb((
-        F((-1) ** m * factorial(n), factorial(m)) * cauchy_number(_OTHER[kind], m, k),
-        binom_poly(shift - m, -e, n - m),
-    ) for m in range(n + 1))
+    C(-e x + shift - m, n - m) over the other kind's numbers c_m, whose factor
+    j is -e x + shift - n + 1 + j."""
+    weights = [(-1) ** (n - i) * (factorial(n) // factorial(n - i)) * cauchy_number(_OTHER[kind], n - i, k)
+               for i in range(n + 1)]
+    rhs = _newton_sum(weights, range(shift - n + 1, shift + 1), -KIND_SIGN[kind], range(1, n + 1))
     return cauchy_poly(kind, n, k), rhs
 
 
 def _symm_self(kind, n, k):
-    # C(-x, j) = (-1)^j C(x+j-1, j): at k = 1 the first kind is the classical symm1 form
-    e = KIND_SIGN[kind]
-    rhs = _lincomb(
-        (F(factorial(n), factorial(m)) * cauchy_number(kind, m, k), binom_poly(0, -e, n - m))
-        for m in range(n + 1)
-    )
-    return cauchy_poly(kind, n, k), rhs
+    # C(-x, j) = (-1)^j C(x+j-1, j): at k = 1 the first kind is the classical symm1 form;
+    # the sum over m of n!/m! c_m C(-e x, n - m), whose factor j is -e x - j
+    weights = [(factorial(n) // factorial(n - i)) * cauchy_number(kind, n - i, k) for i in range(n + 1)]
+    return cauchy_poly(kind, n, k), _newton_sum(weights, range(0, -n, -1), -KIND_SIGN[kind], range(1, n + 1))
 
 
 def _reck(kind, n, k):
@@ -159,7 +162,7 @@ def _genk(kind, n, i, k):
     # the weight 1/(n+1-m)^k of term m is weights[n - m]
     weights, den = _reciprocal_powers(1, n + 2 - i, k)
     signed = Poly([e ** (n - m) * comb(n, m) * comb(m, i) * weights[n - m] for m in range(i, n + 1)]) / den
-    rhs = _weighted_sum(signed, [gen_bernoulli_poly(m - i, n + 1).affine_compose(-e, 1) for m in range(i, n + 1)])
+    rhs = _weighted_sum(signed, [gen_bernoulli_poly(m - i, n + 1) for m in range(i, n + 1)]).affine_compose(-e, 1)
     return cauchy_poly(kind, n, k).derivative(i), rhs * ((-e) ** i * factorial(i))
 
 
@@ -171,10 +174,8 @@ def _odd_central(kind, n, odd_poly):
     """The central-factorial sum for the kind's index-(2n+1) polynomial,
     odd_poly(d) being an Euler-type polynomial of odd degree d."""
     e = KIND_SIGN[kind]
-    return _lincomb(
-        (F(central_u(n, m), 2 * m + 1), odd_poly(2 * m + 1).affine_compose(1, e * n))
-        for m in range(1, n + 1)
-    ) * (-e * (2 * n + 1))
+    total = _lincomb((F(central_u(n, m), 2 * m + 1), odd_poly(2 * m + 1)) for m in range(1, n + 1))
+    return total.affine_compose(1, e * n) * (-e * (2 * n + 1))
 
 
 def _conv(kind, n, k, weight, start=0):
@@ -203,7 +204,7 @@ def _number_transform(kind, n, shift):
 def _th3_terms(kind, n):
     """gsn2(n-1, m-1) times the kind's reflected polynomial of index m, for
     m = 1..n: the terms of ``_th3``, which do not depend on a G13 case's point
-    y.  Memoised, bounded above the 72 keys of the deep grid (max_n 36)."""
+    y.  Memoised, bounded above the 96 keys of the deep grid (max_n 48)."""
     return tuple([gsn2(n - 1, m - 1) * _reflected(kind, m) for m in range(1, n + 1)])
 
 
@@ -264,10 +265,7 @@ def _s2_double(kind, n, k, y):
 
 def _g01():
     def one_minus(n):
-        rhs = _lincomb(
-            (F((-1) ** (n - m), m + 1), gsn1(n, m).affine_compose(-1, 1))
-            for m in range(n + 1)
-        )
+        rhs = _lincomb((F((-1) ** (n - m), m + 1), gsn1(n, m)) for m in range(n + 1)).affine_compose(-1, 1)
         return cauchy_poly("second", n, 1, "integral"), rhs
 
     def kargin(n):
@@ -390,10 +388,10 @@ def _g05():
         return (t1, t2, t3), (want, want, want)
 
     def seq(kind, n):
-        rhs = _lincomb(
-            (cauchy_number(_OTHER[kind], m, 1), a_number(n, m)) for m in range(n + 1)
-        ) * (-1) ** n
-        return _reflected(kind, n), rhs
+        # a_number(n, m) = n!/m! C(x + n - 1, n - m), whose factor j is x + n - 1 - j
+        weights = [(-1) ** n * (factorial(n) // factorial(n - i)) * cauchy_number(_OTHER[kind], n - i, 1)
+                   for i in range(n + 1)]
+        return _reflected(kind, n), _newton_sum(weights, range(n - 1, -1, -1), 1, range(1, n + 1))
 
     return [
         IdentityCase("G05.chen1", "first kind from second-kind numbers and rising binomials", (_N,), partial(_symm_other, "first", k=1)),
@@ -424,10 +422,8 @@ def _g06():
 
     def _k_rec_variant(sign):
         def check(n, k):
-            rhs = (X - n) * _chp(n, k) * sign - _lincomb((
-                F((-1) ** m * factorial(n), factorial(m)) * _c(m + 1, k),
-                binom_poly(-m - 1, 1, n - m),
-            ) for m in range(n + 1))
+            # the sum over m of (-1)^m n!/m! c_(m+1) C(x - m - 1, n - m) is the library's
+            rhs = (X - n) * _chp(n, k) * sign - _recurrence_sum("second", n, k)
             return _chp(n + 1, k), rhs
 
         return check
@@ -495,9 +491,8 @@ def _g09():
     def th6b(kind, n, i):
         e = KIND_SIGN[kind]
         rhs = _lincomb((
-            cauchy_number(kind, n - m, 1) * comb(n, m) * comb(m, i),
-            gen_bernoulli_poly(m - i, m + 1).affine_compose(-e, 1),
-        ) for m in range(i, n + 1)) * ((-e) ** i * factorial(i))
+            cauchy_number(kind, n - m, 1) * comb(n, m) * comb(m, i), gen_bernoulli_poly(m - i, m + 1),
+        ) for m in range(i, n + 1)).affine_compose(-e, 1) * ((-e) ** i * factorial(i))
         return cauchy_poly(kind, n, 1).derivative(i), rhs
 
     def der(kind, n, i):
@@ -585,15 +580,18 @@ def _g10():
 
     def conec(kind, n):
         # the second kind's inner binomials C(x + t - 1, t) are (-1)^t C(-x, t),
-        # so its inner sum is the first kind's at -x; only it is seeded, by (-1)^n
+        # so its inner sum is the first kind's at -x; only it is seeded, by (-1)^n.
+        # The inner sum over t <= d = n - m of (-1)^(d+1-t)/(d+1-t) C(e x, t) is a
+        # Newton sum, factor j being e x - j
         e = KIND_SIGN[kind]
-        rhs = Poly([(1 - e) // 2 * (-1) ** n]) + _lincomb((
-            F(1, factorial(m)),
-            cauchy_poly(kind, m, 1) * _lincomb(
-                (F((-1) ** (n + 1 - m - t), n + 1 - m - t), binom_poly(0, e, t))
-                for t in range(n - m + 1)
-            ),
-        ) for m in range(n))
+
+        def inner(d):
+            weights = [F((-1) ** (d + 1 - t), d + 1 - t) for t in range(d + 1)]
+            return _newton_sum(weights, range(0, -d, -1), e, range(1, d + 1))
+
+        rhs = Poly([(1 - e) // 2 * (-1) ** n]) + _lincomb(
+            (F(1, factorial(m)), cauchy_poly(kind, m, 1) * inner(n - m)) for m in range(n)
+        )
         return cauchy_poly(kind, n, 1) / factorial(n), rhs
 
     def hyp5(kind, n):
@@ -613,11 +611,8 @@ def _g10():
         return _c(n) / factorial(n), rhs
 
     def hyp67(kind, n):
-        rhs = _lincomb((
-            F((-1) ** m, factorial(m)),
-            cauchy_poly(_OTHER[kind], m, 1).affine_compose(1, KIND_SIGN[kind] * n),
-        ) for m in range(n + 1))
-        return cauchy_poly(kind, n, 1) / factorial(n), rhs
+        rhs = _lincomb((F((-1) ** m, factorial(m)), cauchy_poly(_OTHER[kind], m, 1)) for m in range(n + 1))
+        return cauchy_poly(kind, n, 1) / factorial(n), rhs.affine_compose(1, KIND_SIGN[kind] * n)
 
     def eval_two(n):
         lhs = (F(_cp(n)(F(-n))), F(_chp(n)(F(n))))

@@ -42,8 +42,10 @@ from ..cauchy import (
     multiparam_cauchy,
     shifted_cauchy_number,
 )
-from ..harmonic import harmonic_number, harmonic_poly, hyperharmonic_poly
-from ..poly import Poly, _dot, _homogenised_row, _lincomb, _scale_each, _weighted_sum, binom_poly, eval_at_sqrt
+from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
+from ..poly import (
+    Poly, _dot, _homogenised_row, _lincomb, _newton_sum, _scale_each, _weighted_sum, binom_poly, eval_at_sqrt,
+)
 from ..stirling import _bivariate_row, central_u, gsn1, lah, stirling1, stirling2
 from .engine import Axis, IdentityCase
 from .registry_core import (
@@ -149,7 +151,7 @@ def _g16():
 # Inner sums that do not depend on the outer index n of their case are
 # memoised once per key (as is ``registry_core._s2_values``).  Each memo is
 # bounded, and its maxsize exceeds the keys of the default grid and of the
-# deep grid, with max_n 36, max_n_double 16 and max_k 6 (1,428 and 864 keys),
+# deep grid, with max_n 48, max_n_double 16 and max_k 6 (1,428 and 1,178 keys),
 # so neither run evicts and recomputes a sum.  A value read once per point
 # is not memoised: the r-Whitney sums of G08/G15 and the G15.korec* sums
 # are each one row of values per point.
@@ -164,7 +166,7 @@ def _kb_inner(kind, m, k, y_num, y_den):
     return _dot(_bivariate_row("first", m, y, 1), values) * F((-KIND_SIGN[kind]) ** m, factorial(m))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=2048)
 def _bernoulli_moments(e, m, k, start):
     """The Bernoulli-weighted moment polynomial of G18.poly*:
     sum_{start <= j <= m} e^j binom(m, j) B_(m-j) aux_poly(j, k)(x + e), as
@@ -239,40 +241,51 @@ def _g18():
     ]
 
 
+@lru_cache(maxsize=128)
+def _th10_bernoulli(n):
+    """sum_{1 <= m <= n} (-1)^(n+m)/m gsn1(n-1, m-1) B_m(x): the part of
+    G19.th10 that depends on neither the kind nor k.  Memoised, bounded above
+    the 48 keys of the deep grid (max_n 48)."""
+    return _lincomb((F((-1) ** (n + m), m), gsn1(n - 1, m - 1) * bernoulli_poly(m)) for m in range(1, n + 1))
+
+
+def _shifted_powers(weights, shift, slope):
+    """sum_m weights[m] (shift + slope x)^m over the Poly weights: the powers
+    of one linear factor as one Newton sum."""
+    n = len(weights) - 1
+    return _newton_sum(weights, [shift] * n, slope, [1] * n)
+
+
 def _g19():
     def moments_at(kind, m, k):
         # the Bernoulli-weighted moment polynomial of degree m at 1, or at -1
         # with alternating weights for the second kind
         return _bernoulli_moments(KIND_SIGN[kind], m, k, 0).constant()
 
+    def moments_sum(kind, n, k):
+        # sum_m (-1)^n/m gsn1(n-1, m-1) times the moment constant of degree m
+        return _lincomb((F((-1) ** n, m) * moments_at(kind, m, k), gsn1(n - 1, m - 1)) for m in range(1, n + 1))
+
     def th10(kind, n, k):
-        rhs = _lincomb((
-            F((-1) ** n, m),
-            gsn1(n - 1, m - 1) * (bernoulli_poly(m) * (-1) ** m - moments_at(kind, m, k)),
-        ) for m in range(1, n + 1))
-        return _reflected(kind, n, k) / (-n), rhs
+        return _reflected(kind, n, k) / (-n), _th10_bernoulli(n) - moments_sum(kind, n, k)
 
     def alt(kind, n, k):
         # (-x)^m for the first kind, (1-x)^m for the second
-        rhs = Poly([cauchy_number(kind, n, 1)]) - _lincomb((
-            F((-1) ** n, m),
-            gsn1(n - 1, m - 1) * (Poly([(1 - KIND_SIGN[kind]) // 2, -1]) ** m - moments_at(kind, m, k)),
-        ) for m in range(1, n + 1)) * n
+        weights = [Poly()] + [gsn1(n - 1, m - 1) * F((-1) ** n, m) for m in range(1, n + 1)]
+        powers = _shifted_powers(weights, (1 - KIND_SIGN[kind]) // 2, -1)
+        rhs = Poly([cauchy_number(kind, n, 1)]) - (powers - moments_sum(kind, n, k)) * n
         return _reflected(kind, n, k), rhs
 
     def k1_first(n):
-        rhs = Poly([_c(n)]) - _lincomb(
-            (1, gsn1(n - 1, m - 1) * Poly([0] * m + [F((-1) ** m, m)])) for m in range(1, n + 1)
-        ) * ((-1) ** n * n)
-        return _cp(n), rhs
+        weights = [Poly()] + [gsn1(n - 1, m - 1) * F((-1) ** m, m) for m in range(1, n + 1)]
+        return _cp(n), Poly([_c(n)]) - _shifted_powers(weights, 0, 1) * ((-1) ** n * n)
 
     def _k1_second_variant(sign):
         # sign -1: the printed (-1)^m/m against (x-1)^m - 1; sign 1: 1/m against (1-x)^m - 1
         def check(n):
-            rhs = Poly([_ch(n)]) - _lincomb(
-                (F(sign**m, m), gsn1(n - 1, m - 1) * (Poly([sign, -sign]) ** m - 1))
-                for m in range(1, n + 1)
-            ) * ((-1) ** n * n)
+            weights = [Poly()] + [gsn1(n - 1, m - 1) * F(sign**m, m) for m in range(1, n + 1)]
+            ones = _lincomb((1, w) for w in weights)  # the term -1 of each power
+            rhs = Poly([_ch(n)]) - (_shifted_powers(weights, sign, -sign) - ones) * ((-1) ** n * n)
             return _chp(n).affine_compose(-1, 0), rhs
 
         return check
@@ -312,11 +325,8 @@ def _g20():
     def th11_even(kind, n, k):
         # the inner sum over j < 2m of e^j binom(2m, j) B_j aux_poly(2m - j, k)(x + en)
         e = KIND_SIGN[kind]
-        rhs = _lincomb((
-            F(central_u(n, m), m),
-            _bernoulli_moments(e, 2 * m, k, 1).affine_compose(1, e * (n - 1)),
-        ) for m in range(1, n + 1)) * n
-        return cauchy_poly(kind, 2 * n, k), rhs
+        rhs = _lincomb((F(central_u(n, m), m), _bernoulli_moments(e, 2 * m, k, 1)) for m in range(1, n + 1))
+        return cauchy_poly(kind, 2 * n, k), rhs.affine_compose(1, e * (n - 1)) * n
 
     def euler_odd(m):
         return euler_poly(2 * m + 1), _gen_euler(2 * m + 1, 1)
@@ -491,35 +501,34 @@ def _g21():
 
 def _g22():
     def hp(kind, n, y):
-        # the weights (-1)^m/(n-m)! c_(n-m)(y): the values scaled by
-        # (-1)^m n!/(n-m)!, over n!; harmonic polynomials at x + 1 for the
-        # first kind, x + 2 for the second, which are the hyperharmonic ones
-        # of index m + 1 at -x + (e - 1)/2
+        # the weights (-1)^m/(n-m)! c_(n-m)(y) times harmonic polynomials at
+        # x + 1 for the first kind, x + 2 for the second, which are the
+        # hyperharmonic ones of index m + 1 at -x + (e - 1)/2, R_(m+1)/(m+1)!
+        # for the memoised integer rows R: the values scaled by
+        # (-1)^m n!/(n-m)! (n+1)!/(m+1)!, over n! (n+1)!, against the rows
         e = KIND_SIGN[kind]
-        weights = _scale_each(_homogenised_row([cauchy_poly(kind, n - m, 1) for m in range(n + 1)], y, 1),
-                              [(-1) ** m * (factorial(n) // factorial(n - m)) for m in range(n + 1)])
-        lhs = _weighted_sum(weights, [hyperharmonic_poly(m + 1).affine_compose(-1, (e - 1) // 2)
-                                      for m in range(n + 1)])
-        return lhs / factorial(n), binom_poly(-e * y, 1, n)
+        scales = [(-1) ** m * (factorial(n) // factorial(n - m)) * (factorial(n + 1) // factorial(m + 1))
+                  for m in range(n + 1)]
+        weights = _scale_each(_homogenised_row([cauchy_poly(kind, n - m, 1) for m in range(n + 1)], y, 1), scales)
+        lhs = _weighted_sum(weights, [Poly(_HYPER.row(m + 1)) for m in range(n + 1)]).affine_compose(-1, (e - 1) // 2)
+        return lhs / (factorial(n) * factorial(n + 1)), binom_poly(-e * y, 1, n)
 
     def hp3(n):
-        rhs = binom_poly(0, 1, n) - _lincomb(
-            (F((-1) ** m, factorial(n - m - 1)) * _c(n - m), harmonic_poly(m).affine_compose(1, 1))
-            for m in range(n)
-        )
-        return _chp(n) / factorial(n), rhs
+        # harmonic_poly(m) at x + 1 is the hyperharmonic polynomial of index m + 1 at -x
+        total = _lincomb((F((-1) ** m, factorial(n - m - 1)) * _c(n - m), hyperharmonic_poly(m + 1)) for m in range(n))
+        return _chp(n) / factorial(n), binom_poly(0, 1, n) - total.affine_compose(-1, 0)
 
     def _compare_variant(shift):
         # shift: the argument of the first-kind polynomials on the left side
         def check(n):
-            lhs = _lincomb((
-                F((-1) ** m, factorial(m) * (n - m + 1) * (n - m + 2)),
-                _cp(m).affine_compose(-1, shift),
-            ) for m in range(n + 1))
+            lhs = _lincomb(
+                (F((-1) ** m, factorial(m) * (n - m + 1) * (n - m + 2)), _cp(m)) for m in range(n + 1)
+            ).affine_compose(-1, shift)
+            # harmonic_poly(m) is the hyperharmonic polynomial of index m + 1 at 1 - x
             rhs = _lincomb(
-                (F((-1) ** (n - m)) * _c(n + 1 - m) / factorial(n - m), harmonic_poly(m))
+                (F((-1) ** (n - m)) * _c(n + 1 - m) / factorial(n - m), hyperharmonic_poly(m + 1))
                 for m in range(n + 1)
-            )
+            ).affine_compose(-1, 1)
             return lhs, rhs
 
         return check

@@ -27,8 +27,11 @@ builds no Fraction:
   weights read from a Poly's coefficients, ``_cube_moments``, every sum of
   the cube moments w^(j+1) A_j(x/w) as one integer correlation,
   ``_scale_each``, each coefficient times its own integer scale,
-  ``_linear_product``, a product of linear factors (``binom_poly`` and the
-  multiparameter ``integral`` oracle), ``_homogenised_row``, the values
+  ``_newton_sum``, every sum over a nested basis of linear-factor products
+  (binomials, falling and rising factorials, powers of a shifted argument) by
+  one Horner pass, and ``_linear_product``, its one-weight case, a product of
+  linear factors (``binom_poly`` and the multiparameter ``integral``
+  oracle), ``_homogenised_row``, the values
   q^n p(y/q) of a list of polynomials as one Poly's coefficients (the
   bivariate Stirling rows and values), and ``_dot``, the sum of the products
   of two such rows' values, which builds one Fraction.  No other module
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable
 
@@ -420,17 +423,64 @@ def _scale_each(p: Poly, scales) -> Poly:
     return _make([c * f for c, f in zip(p._vec, scales)], p._den)
 
 
+def _newton_sum(weights, shifts, slope: int, divisors) -> Poly:
+    """sum_m w_m prod_(j<m) (shifts[j] + slope x) / divisors[j] for the
+    weights w_m (each a Poly, int or Fraction), int or Fraction shifts, an int
+    slope and int divisors > 0, one shift and one divisor for each weight but
+    the last, by Horner's rule from the last nonzero weight w_n.  Over the
+    lcm Q of the shifts' denominators each factor is
+    (a_j + slope Q x) / (Q divisors[j]) with a_j an integer, and over the lcm
+    E of the weights' denominators the partial sum from m on times
+    E prod_(m<=j<n) Q divisors[j] is an integer polynomial: each step
+    multiplies it by one linear factor, and a nonzero w_m adds its scaled
+    numerators.  The total is made canonical once, over
+    E prod_(j<n) Q divisors[j]."""
+    n = len(weights) - 1
+    while n >= 0 and not weights[n]:
+        n -= 1
+    if n < 0:
+        return _stored((), 1)
+    nums, q = _over_one_denominator(shifts[:n])
+    b = slope * q
+    vec, scale = _split(weights[n])
+    acc = list(vec)
+    if any(weights[:n]):
+        common = lcm(scale, *[w._den if isinstance(w, Poly) else w.denominator for w in weights[:n] if w])
+        f = common // scale
+        acc = [c * f for c in acc]
+        scale = common
+    # scale is E prod_(top<=j<n) Q divisors[j], top the last step that added a weight
+    top = n
+    for m in range(n - 1, -1, -1):
+        a = nums[m]
+        # a slope of 1 or -1 needs no multiplication
+        if b == 1:
+            acc = [a * lo + hi for lo, hi in zip(acc + [0], [0] + acc)]
+        elif b == -1:
+            acc = [a * lo - hi for lo, hi in zip(acc + [0], [0] + acc)]
+        else:
+            acc = [a * lo + b * hi for lo, hi in zip(acc + [0], [0] + acc)]
+        if weights[m]:
+            scale *= prod(divisors[m:top]) * q ** (top - m)
+            top = m
+            vec, d = _split(weights[m])
+            if len(vec) > len(acc):
+                acc += [0] * (len(vec) - len(acc))
+            f = scale // d
+            acc[:len(vec)] = [t + f * c for t, c in zip(acc, vec)]
+    return _make(acc, scale * prod(divisors[:top]) * q ** top)
+
+
+def _split(w) -> tuple:
+    """The integer numerators and the denominator of a Poly, int or Fraction w."""
+    return (w._vec, w._den) if isinstance(w, Poly) else ((w.numerator,), w.denominator)
+
+
 def _linear_product(shifts, slope: int, den: int = 1) -> Poly:
     """prod_j (shifts[j] + slope x) / den for int or Fraction shifts, an int
-    slope and an int den > 0.  Over the lcm Q of the shifts' denominators each
-    factor is (a_j + slope Q x) / Q with a_j an integer, so the product is
-    stepped in integers and made canonical once, over den Q^n."""
-    nums, q = _over_one_denominator(shifts)
-    b = slope * q
-    out = [1]
-    for a in nums:
-        out = [a * lo + b * hi for lo, hi in zip(out + [0], [0] + out)]
-    return _make(out, den * q ** len(nums))
+    slope and an int den > 0: the Newton sum whose one weight, the last, is 1/den."""
+    n = len(shifts)
+    return _newton_sum([0] * n + [_stored((1,), den)], shifts, slope, [1] * n)
 
 
 def _homogenised_row(polys, y, q) -> Poly:

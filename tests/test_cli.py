@@ -406,8 +406,9 @@ def test_table_failing_part_way_leaves_out_file_alone(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["numbers.tsv"]
 
 
-@pytest.mark.skipif(os.name != "posix", reason="SIGTERM ends a process only on POSIX")
-def test_sigterm_mid_write_leaves_no_temporary_file(tmp_path):
+def _signal_mid_write(tmp_path, signum):
+    """Start a large table with --out, send signum once its temporary file
+    exists, and assert that the signal ended the run and left nothing."""
     # a table of rows 0..1500 takes many seconds to write, so the signal lands mid-write
     out_path = tmp_path / "table.tsv"
     src = os.path.dirname(os.path.dirname(pc.__file__))
@@ -419,12 +420,23 @@ def test_sigterm_mid_write_leaves_no_temporary_file(tmp_path):
         while not list(tmp_path.glob(".table.tsv.*.tmp")):
             assert child.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        child.send_signal(signal.SIGTERM)
-        assert child.wait(timeout=60) == -signal.SIGTERM
+        child.send_signal(signum)
+        assert child.wait(timeout=60) == -signum
     finally:
         child.kill()
         child.wait()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="SIGTERM ends a process only on POSIX")
+def test_sigterm_mid_write_leaves_no_temporary_file(tmp_path):
+    _signal_mid_write(tmp_path, signal.SIGTERM)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGHUP"), reason="SIGHUP is POSIX only")
+def test_sighup_mid_write_leaves_no_temporary_file(tmp_path):
+    # a closed terminal sends SIGHUP, whose default action also ends the process without unwinding
+    _signal_mid_write(tmp_path, signal.SIGHUP)
 
 
 def test_out_into_a_missing_directory_names_the_out_path(tmp_path, monkeypatch, capsys):

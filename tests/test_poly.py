@@ -17,7 +17,7 @@ from polycauchy import (
     poly_to_strings,
     rising_factorial_poly,
 )
-from polycauchy.poly import _dot, _homogenised_row, _lincomb, _linear_product, _scale_each, _weighted_sum
+from polycauchy.poly import _dot, _homogenised_row, _lincomb, _linear_product, _newton_sum, _scale_each, _weighted_sum
 
 coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=5)
 polys = coeffs.map(Poly)
@@ -422,6 +422,45 @@ def test_linear_product_matches_reference(cs, slope, den):
     got = _linear_product(cs, slope, den)
     assert_canonical(got)
     assert_same(got, ref_linear_product(cs, slope, den))
+
+
+def ref_newton_sum(weights, cs, slope, divisors):
+    """sum_m w_m prod_(j<m) (cs[j] + slope x) / divisors[j], each basis
+    polynomial built factor by factor and the terms summed by ``_lincomb``."""
+    terms, basis = [], Poly([1])
+    for m, w in enumerate(weights):
+        terms.append((1, ref_mul(w, basis)) if isinstance(w, Poly) else (w, basis))
+        if m < len(cs):
+            basis = ref_mul(basis, Poly([cs[m], slope])) / divisors[m]
+    return _lincomb(terms)
+
+
+newton_weights = st.lists(st.one_of(wide_polys, scalars, st.sampled_from([0, F(0), Poly()])), max_size=10)
+
+
+@given(newton_weights, st.integers(-4, 4), st.data())
+def test_newton_sum_matches_reference(weights, slope, data):
+    # the single weight 1/den behind n zero weights is _linear_product's case
+    if data.draw(st.booleans()):
+        weights = [0] * len(weights) + [F(1, data.draw(st.integers(1, 10**6)))]
+    size = max(len(weights) - 1, 0)
+    cs = data.draw(st.lists(shifts, min_size=size, max_size=size))
+    divisors = data.draw(st.lists(st.integers(1, 60), min_size=size, max_size=size))
+    got = _newton_sum(weights, cs, slope, divisors)
+    assert_canonical(got)
+    assert_same(got, ref_newton_sum(weights, cs, slope, divisors))
+
+
+def test_newton_sum_examples():
+    assert_same(_newton_sum([], [], 1, []), Poly())
+    assert_same(_newton_sum([0, Poly(), F(0)], [1, 2], 1, [1, 1]), Poly())
+    # sum_m C(x, m) over m <= 3 with factor j (x - j)/(j + 1)
+    assert_same(_newton_sum([1, 1, 1, 1], [0, -1, -2], 1, [1, 2, 3]),
+                Poly([1]) + sum((binom_poly(0, 1, m) for m in range(1, 4)), Poly()))
+    # Poly and int weights: 1 + x (x + 1) x/2 + 2 x (x + 1) (x + 2)
+    got = _newton_sum([Poly([1]), Poly(), Poly([0, F(1, 2)]), 2], [0, 1, 2], 1, [1, 1, 1])
+    assert_same(got, Poly([1]) + Poly([0, 1]) * Poly([1, 1]) * Poly([0, F(1, 2)])
+                + Poly([0, 1]) * Poly([1, 1]) * Poly([2, 1]) * 2)
 
 
 @given(shifts, signs, st.integers(0, 12))
