@@ -431,7 +431,8 @@ def main(argv=None) -> int:
         # exact results, such as the numerator of B_460, can run past the cap
         with _uncapped_int_text():
             return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    # an index past sys.maxsize, such as --n 10**22, cannot size a range
+    except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from ..cauchy import (
 )
 from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
 from ..poly import (
-    Poly, _dot, _homogenised_row, _lincomb, _newton_sum, _over_one_denominator, _scale_each, _weighted_sum, binom_poly,
+    Poly, _dot, _homogenised_row, _lincomb, _newton_sum, _scale_each, _weighted_sum, binom_poly,
 )
 from ..rational import _reciprocal_powers
 from ..stirling import _bivariate_row, central_u, gsn1, gsn2, stirling1, stirling2
@@ -258,8 +258,8 @@ def _s2_double(kind, n, k, y):
     """Sum over m of (-e)^m m! _s2_values(kind, m, k, y) gsn2(n, m): the values
     as one row over their lcm, weighted by the integers (-e)^m m!."""
     e, a, b = KIND_SIGN[kind], y.numerator, y.denominator
-    nums, den = _over_one_denominator([_s2_values(kind, m, k, a, b) for m in range(n + 1)])
-    weights = Poly([(-e) ** m * factorial(m) * c for m, c in enumerate(nums)]) / den
+    weights = _scale_each(Poly([_s2_values(kind, m, k, a, b) for m in range(n + 1)]),
+                          [(-e) ** m * factorial(m) for m in range(n + 1)])
     return _weighted_sum(weights, [gsn2(n, m) for m in range(n + 1)])
 
 
@@ -748,12 +748,10 @@ def _g13():
         return _reflected(kind, n), rhs
 
     def inner(kind, n, y):
-        # e^m times the value kind's inner sum of index m - 1, m = 1..n, as
-        # integer numerators over their lcm
+        # e^m times the value kind's inner sum of index m - 1, m = 1..n
         e = KIND_SIGN[kind]
-        nums, den = _over_one_denominator([_s2_values(kind, m - 1, 1, y.numerator, y.denominator)
-                                           for m in range(1, n + 1)])
-        return Poly([e**m * c for m, c in enumerate(nums, 1)]) / den
+        return _scale_each(Poly([_s2_values(kind, m - 1, 1, y.numerator, y.denominator) for m in range(1, n + 1)]),
+                           [e**m for m in range(1, n + 1)])
 
     # p5a-d are G11.th31/th32 and p5e-h G12.th41/th42, with the value kind's
     # inner sum in place of 1/m and its sign

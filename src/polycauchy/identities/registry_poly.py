@@ -151,10 +151,11 @@ def _g16():
 # Inner sums that do not depend on the outer index n of their case are
 # memoised once per key (as is ``registry_core._s2_values``).  Each memo is
 # bounded, and its maxsize exceeds the keys of the default grid and of the
-# deep grid, with max_n 48, max_n_double 16 and max_k 6 (1,428 and 1,178 keys),
-# so neither run evicts and recomputes a sum.  A value read once per point
-# is not memoised: the r-Whitney sums of G08/G15 and the G15.korec* sums
-# are each one row of values per point.
+# deep grid, with max_n 48, max_n_double 16 and max_k 6 (1,428 keys for
+# ``_kb_inner`` and 1,153 for ``_bernoulli_moments``), so neither run evicts
+# and recomputes a sum.  A value read once per point is not memoised: the
+# r-Whitney sums of G08/G15 and the G15.korec* sums are each one row of
+# values per point.
 
 @lru_cache(maxsize=2048)
 def _kb_inner(kind, m, k, y_num, y_den):

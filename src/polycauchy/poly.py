@@ -17,9 +17,13 @@ denominator 1), so equal polynomials store equal pairs.  ``Poly(list)``
 splits its coefficients once; every operation works on the integers and
 builds no Fraction:
 
-* ``==`` (a tuple compare), ``+``, ``-``, negation, ``*`` and ``/`` by an
-  int or Fraction, Poly x Poly products, ``derivative``, ``stretch`` by
-  a rational factor, ``affine_compose`` with a rational shift;
+* ``==`` (a tuple compare), negation, ``*`` and ``/`` by an int or
+  Fraction, ``derivative``, ``stretch`` by a rational factor,
+  ``affine_compose`` with a rational shift;
+* ``+`` and ``-``, through ``_sum_scaled``, the kernel of every sum below,
+  and Poly x Poly products, through ``_product``, one integer convolution
+  cut at a given size, which is also every truncated product of a
+  :class:`~polycauchy.series.Series`;
 * evaluation at a point and ``eval_at_sqrt``, both by one integer Horner
   loop, and ``integrate_01``, which build one Fraction per value;
 * ``_lincomb``, every rational-weighted sum of polynomials, the library's
@@ -197,34 +201,21 @@ class Poly:
         return _stored(tuple([-n for n in self._vec]), self._den)
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return _add_rational(self._vec, self._den, other._vec, other._den)
-        other = _exact(other)
-        return _add_rational(self._vec, self._den, (other.numerator,), other.denominator)
+        return _sum_scaled([(self._vec, 1, self._den), _term(other, 1)])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        return self + (-other)
+        return _sum_scaled([(self._vec, 1, self._den), _term(other, -1)])
 
     def __rsub__(self, other) -> "Poly":
-        return (-self) + other
+        return _sum_scaled([(self._vec, -1, self._den), _term(other, 1)])
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = _exact(other)
             return _make([n * other.numerator for n in self._vec], self._den * other.denominator)
-        a, b = self._vec, other._vec
-        if not a or not b:
-            return _stored((), 1)
-        out = [0] * (len(a) + len(b) - 1)
-        if len(a) > len(b):
-            a, b = b, a
-        m = len(b)
-        for i, x in enumerate(a):
-            if x:
-                out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], b)]
-        return _make(out, self._den * other._den)
+        return _product(self, other, len(self._vec) + len(other._vec) - 1)
 
     __rmul__ = __mul__
 
@@ -352,20 +343,25 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def _add_rational(a, da, b, db) -> Poly:
-    """sum(a[i] x^i) / da + sum(b[i] x^i) / db, over lcm(da, db)."""
-    if da != db:
-        den = lcm(da, db)
-        if den != da:
-            a = [n * (den // da) for n in a]
-        if den != db:
-            b = [n * (den // db) for n in b]
-        da = den
-    if len(a) < len(b):
+def _term(w, sign: int) -> tuple:
+    """A Poly, int or Fraction w times the sign, as a ``_sum_scaled`` triple."""
+    vec, den = _split(w if isinstance(w, Poly) else _exact(w))
+    return vec, sign, den
+
+
+def _product(p: Poly, q: Poly, size: int) -> Poly:
+    """p q modulo x^size, FLINT's ``fmpq_poly_mullow``: one integer
+    convolution of the numerators, cut at size, over the product of the
+    denominators, made canonical once."""
+    a, b = p._vec, q._vec
+    if len(a) > len(b):
         a, b = b, a
-    out = list(a)
-    out[:len(b)] = [x + y for x, y in zip(a, b)]
-    return _make(out, da)
+    out = [0] * min(size, len(a) + len(b) - 1)
+    m = len(b)
+    for i, x in enumerate(a[:size]):
+        if x:
+            out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], b)]
+    return _make(out, p._den * q._den)
 
 
 def _lincomb(terms) -> Poly:

@@ -6,22 +6,8 @@ Coefficients are ints or Fractions; any other coefficient or ``scale``
 factor raises ``TypeError``, so neither a float nor a polynomial enters a
 series.  Everything is formal, convergence is never consulted.
 
-Storage.  A Series is stored as a :class:`~polycauchy.poly.Poly` is: one
-tuple of integer numerators over one denominator, in canonical form
-(denominator > 0, gcd of the numerators and the denominator 1, trailing
-zeros kept), so equal series store equal pairs.  ``Series(list)`` splits
-its coefficients once.  ``*`` is one truncated integer convolution and one
-gcd; ``reciprocal`` sums in integers over the running lcm of its prefix's
-denominators, with one gcd per coefficient; ``pow_int`` squares and
-multiplies by ``*``; ``+``, ``-``, negation and ``scale`` work on the
-integers too.  :func:`sheffer_rows` reads the integer form of A and g
-directly: each power A g^j / j! is stepped from the last by one integer dot
-product per coefficient over the nonzero width w of g/t (O(order * w) per
-power, a scaled copy when w = 1), and each row is built from integers.
-The Cauchy ``series`` construction and the Bernoulli polynomials build
-their one row n from the same powers without rows 0..n-1.  ``coeffs``,
-``[i]`` and ``repr`` build the Fractions when read; they are not kept.  An
-integral coefficient reads back as an int.
+Storage.  A Series is a :class:`~polycauchy.poly.Poly` of degree at most
+its order, and Poly's kernels do its arithmetic (``*`` is ``poly._product``).
 
 Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
 with scalar A and g (Roman, *The Umbral Calculus*, 1984), returned as the
@@ -45,7 +31,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable
 
-from .poly import Poly, _over_one_denominator, _power
+from .poly import Poly, _power, _product, _split
 from .rational import _exact
 
 __all__ = [
@@ -61,96 +47,73 @@ __all__ = [
 ]
 
 
-def _reduced(nums, lcd: int) -> "Series":
-    """The Series sum(nums[i] t^i) / lcd (lcd > 0), in lowest terms."""
-    if lcd != 1:
-        common = gcd(lcd, *nums)
-        if common != 1:
-            nums = [n // common for n in nums]
-            lcd //= common
-    s = Series.__new__(Series)
-    s._nums, s._lcd = tuple(nums), lcd
-    return s
-
-
 class Series:
     """Power series modulo t^(order+1) with rational coefficients.
 
-    ``_nums`` holds the order + 1 integer numerators over the denominator ``_lcd``.
+    ``_poly`` holds the coefficients as a Poly of degree at most ``order``.
     """
 
-    __slots__ = ("_nums", "_lcd")
+    __slots__ = ("_poly", "_order")
 
     def __init__(self, coeffs: Iterable):
-        nums, lcd = _over_one_denominator(list(map(_exact, coeffs)))
-        if not nums:
+        cs = list(coeffs)
+        if not cs:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
-        self._nums, self._lcd = tuple(nums), lcd
+        self._poly, self._order = Poly(cs), len(cs) - 1
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return _reduced([1] + [0] * order, 1)
+        return _series(Poly([1]), order)
 
     @property
     def order(self) -> int:
-        return len(self._nums) - 1
+        return self._order
 
     @property
     def coeffs(self) -> tuple:
-        if self._lcd == 1:
-            return self._nums
-        return tuple([self[i] for i in range(len(self._nums))])
+        nums, den = _integers(self)
+        if den == 1:
+            return nums
+        return tuple([Fraction(n, den) if n % den else n // den for n in nums])
 
     def __getitem__(self, n: int):
-        whole, rest = divmod(self._nums[n], self._lcd)
-        return Fraction(self._nums[n], self._lcd) if rest else whole
+        # as a tuple of the order + 1 coefficients: n < 0 counts from the end
+        c = self._poly[range(self._order + 1)[n]]
+        return c.numerator if c.denominator == 1 else c
 
     def _check(self, other: "Series"):
-        if self.order != other.order:
-            raise ValueError("series orders differ: %d vs %d" % (self.order, other.order))
+        if self._order != other._order:
+            raise ValueError("series orders differ: %d vs %d" % (self._order, other._order))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Series) and self._lcd == other._lcd
-                and self._nums == other._nums)
+        return isinstance(other, Series) and self._order == other._order and self._poly == other._poly
 
     def __hash__(self):
-        return hash((self._nums, self._lcd))
+        return hash(_integers(self))
 
     def __neg__(self) -> "Series":
-        return _reduced([-n for n in self._nums], self._lcd)
-
-    def _plus(self, other: "Series", sign: int) -> "Series":
-        """self + sign * other, over the lcm of the two denominators."""
-        self._check(other)
-        lcd = lcm(self._lcd, other._lcd)
-        fa, fb = lcd // self._lcd, sign * (lcd // other._lcd)
-        return _reduced([a * fa + b * fb for a, b in zip(self._nums, other._nums)], lcd)
+        return _series(-self._poly, self._order)
 
     def __add__(self, other: "Series") -> "Series":
-        return self._plus(other, 1)
+        self._check(other)
+        return _series(self._poly + other._poly, self._order)
 
     def __sub__(self, other: "Series") -> "Series":
-        return self._plus(other, -1)
+        self._check(other)
+        return _series(self._poly - other._poly, self._order)
 
     def __mul__(self, other: "Series") -> "Series":
-        """One truncated convolution of the numerators, over the product of the denominators."""
+        """The product of the two Polys modulo t^(order+1)."""
         self._check(other)
-        b = other._nums
-        out = [0] * len(b)
-        for i, a in enumerate(self._nums):
-            if a:
-                out[i:] = [o + a * c for o, c in zip(out[i:], b)]
-        return _reduced(out, self._lcd * other._lcd)
+        return _series(_product(self._poly, other._poly, self._order + 1), self._order)
 
     def scale(self, factor) -> "Series":
-        factor = _exact(factor)
-        p = factor.numerator
-        return _reduced([n * p for n in self._nums], self._lcd * factor.denominator)
+        return _series(self._poly * _exact(factor), self._order)
 
     def pow_int(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative series power")
-        return _power(self, k, Series.one(self.order))
+        return _power(self, k, Series.one(self._order))
 
     def reciprocal(self) -> "Series":
         """With coefficients c_j = a_j/d: b_0 = d/a_0 and b_i = -(1/a_0) sum_{j=1..i}
@@ -158,12 +121,12 @@ class Series:
         of their reduced denominators, so each sum is taken in integers, b_i
         costs one gcd, and the prefix is rescaled only when b_i's denominator
         grows that lcm."""
-        a = self._nums
+        a, d = _integers(self)
         if not a[0]:
             raise ValueError("constant term is not invertible")
         sign, a0 = (-1, -a[0]) if a[0] < 0 else (1, a[0])
-        common = gcd(self._lcd, a0)
-        out, lcd = [sign * self._lcd // common], a0 // common
+        common = gcd(d, a0)
+        out, lcd = [sign * d // common], a0 // common
         for i in range(1, len(a)):
             s = -sign * sum([x * y for x, y in zip(a[1:i + 1], reversed(out))])
             den = a0 * lcd
@@ -174,21 +137,35 @@ class Series:
                 out = [c * grow for c in out]
                 lcd *= grow
             out.append(s * (lcd // den))
-        return _reduced(out, lcd)
+        return _series(Poly(out) / lcd, self._order)
 
     def exp(self) -> "Series":
         """exp(g) for g(0) = 0 by n f_n = sum_{k=1..n} k g_k f_{n-k}, from f' = g' f
         (Brent & Kung, J. ACM 1978); zero g_k are skipped."""
-        if self._nums[0]:
+        if self._poly.constant():
             raise ValueError("exp needs a zero constant term")
         dg = [(k, k * c) for k, c in enumerate(self.coeffs) if k and c]
         out = [1]
-        for n in range(1, len(self._nums)):
+        for n in range(1, self._order + 1):
             out.append(sum([kc * out[n - k] for k, kc in dg if k <= n]) * Fraction(1, n))
         return Series(out)
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r})"
+
+
+def _series(p: Poly, order: int) -> Series:
+    """The Series of the given order whose coefficients are p's (degree <= order)."""
+    s = Series.__new__(Series)
+    s._poly, s._order = p, order
+    return s
+
+
+def _integers(s: Series) -> tuple[tuple, int]:
+    """The order + 1 integer numerators of s, trailing zeros kept, over their
+    positive denominator, in lowest terms."""
+    nums, den = _split(s._poly)
+    return nums + (0,) * (s._order + 1 - len(nums)), den
 
 
 def log1p_series(order: int) -> Series:
@@ -227,12 +204,13 @@ def _sheffer_powers(A: Callable[[int], Series], g: Callable[[int], Series],
     for name, series in (("A", a), ("g", g_series)):
         if series.order != order:
             raise ValueError(f"{name}({order}) has order {series.order}, expected {order}")
-    if g_series._nums[0]:
+    h, g_den = _integers(g_series)
+    if h[0]:
         raise ValueError("g needs a zero constant term")
-    h, g_den = g_series._nums[1:], g_series._lcd
+    h = h[1:]
     width = max([m + 1 for m, c in enumerate(h) if c], default=1)
     h_rev = h[width - 1::-1]
-    nums, den = a._nums, a._lcd
+    nums, den = _integers(a)
     powers = [(nums, den)]
     for j in range(order):
         size = order - j  # the next power's coefficients t^(j+1) .. t^order

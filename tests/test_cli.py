@@ -326,6 +326,22 @@ def test_series_harmonic_negative_order_is_a_usage_error(capsys, order):
     assert err == f"error: series order must be >= 0, got {order}\n"
 
 
+# only n past sys.maxsize: those fail at once, while a large n below it would
+# first try to build its tables
+@pytest.mark.parametrize("verb", [
+    ("eval", "cauchy"),
+    ("export", "--family", "cauchy-poly", "--format", "json", "--out"),
+], ids=["eval", "export"])
+def test_n_past_maxsize_is_a_usage_error(tmp_path, capsys, verb):
+    huge = "99999999999999999999999"
+    assert int(huge) > sys.maxsize
+    argv = [*verb, str(tmp_path / "out.json")] if verb[0] == "export" else list(verb)
+    code, out, err = run(capsys, *argv, "--n", huge)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_single_case(capsys):
     code, out, _ = run(capsys, "verify", "--id", "G04.int1")
     assert code == 0

@@ -17,7 +17,9 @@ from polycauchy import (
     poly_to_strings,
     rising_factorial_poly,
 )
-from polycauchy.poly import _dot, _homogenised_row, _lincomb, _linear_product, _newton_sum, _scale_each, _weighted_sum
+from polycauchy.poly import (
+    _dot, _homogenised_row, _lincomb, _linear_product, _newton_sum, _product, _scale_each, _weighted_sum,
+)
 
 coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=5)
 polys = coeffs.map(Poly)
@@ -260,6 +262,13 @@ def test_mul_kernel_matches_reference(p, q):
     assert_same(p * q, ref_mul(p, q))
 
 
+@given(wide_polys, wide_polys, st.integers(0, 50))
+def test_truncated_product_matches_reference(p, q, size):
+    got = _product(p, q, size)
+    assert_canonical(got)
+    assert_same(got, Poly(ref_mul(p, q).coeffs[:size]))
+
+
 @given(wide_polys, points)
 def test_eval_kernel_matches_reference(p, x):
     got = p(x)
@@ -477,7 +486,8 @@ def test_only_poly_reads_the_storage():
     readers = [
         (path.relative_to(package).as_posix(), token)
         for path in sorted(package.rglob("*.py")) if path != package / "poly.py"
-        for token in ("._vec", "._den", "_make(", "_stored(") if token in path.read_text()
+        for token in ("._vec", "._den", "_make(", "_stored(", "_over_one_denominator(", "._nums", "._lcd")
+        if token in path.read_text()
     ]
     assert not readers
 

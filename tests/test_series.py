@@ -18,7 +18,7 @@ from polycauchy import (
     log1p_series,
     sheffer_rows,
 )
-from polycauchy.series import _sheffer_powers, _sheffer_row
+from polycauchy.series import _integers, _sheffer_powers, _sheffer_row
 
 units = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10), min_size=3, max_size=6
@@ -69,13 +69,12 @@ def assert_canonical(s, order):
     """A Series stores order + 1 integer numerators, trailing zeros kept, over
     a positive coprime denominator, and reads back as ints or Fractions, an
     integral coefficient as an int."""
-    nums, lcd = s._nums, s._lcd
+    nums, lcd = _integers(s)
     assert type(nums) is tuple and len(nums) == order + 1 == s.order + 1
     assert all(type(n) is int for n in nums)
     assert type(lcd) is int and lcd > 0 and gcd(lcd, *nums) == 1
     assert all(type(c) is (int if F(c).denominator == 1 else F) for c in s.coeffs)
-    rebuilt = Series(s.coeffs)
-    assert (rebuilt._nums, rebuilt._lcd) == (nums, lcd)
+    assert _integers(Series(s.coeffs)) == (nums, lcd)
 
 
 def assert_matches(got, want):
@@ -121,16 +120,26 @@ def test_construction_is_canonical(a):
 
 
 def test_storage_examples():
-    assert Series([1, 0, 0])._nums == (1, 0, 0) and Series([1, 0, 0])._lcd == 1
-    assert Series([F(2, 4), F(3, 2), 0])._nums == (1, 3, 0) and Series([F(2, 4), F(3, 2), 0])._lcd == 2
+    assert _integers(Series([1, 0, 0])) == ((1, 0, 0), 1)
+    assert _integers(Series([F(2, 4), F(3, 2), 0])) == ((1, 3, 0), 2)
     assert Series([F(4, 2), F(1, 3)]).coeffs == (2, F(1, 3)) and type(Series([F(4, 2), F(1, 3)])[0]) is int
     assert Series([F(1, 2), 0, F(1, 2)]) * Series([2, 0, 0]) == Series([1, 0, 1])
-    assert (Series([F(1, 2), 0, F(1, 2)]) * Series([2, 0, 0]))._lcd == 1
+    assert _integers(Series([F(1, 2), 0, F(1, 2)]) * Series([2, 0, 0]))[1] == 1
     assert Series([-2, 0, 1]).reciprocal().coeffs == (F(-1, 2), 0, F(-1, 4))
     assert Series([F(-3, 7)]).reciprocal() == Series([F(-7, 3)])
     assert Series([F(1, 3), 1]) - Series([F(1, 3), 1]) == Series([0, 0])
     assert repr(Series([F(1, 2), 1])) == "Series([Fraction(1, 2), 1])"
     assert hash(Series([F(2, 4), 1])) == hash(Series([F(1, 2), F(2, 2)]))
+
+
+def test_read_back_is_tuple_like():
+    s = Series([F(1, 2), F(4, 2), 0, F(-1, 3)])
+    assert s[-1] == F(-1, 3) and s[-4] == F(1, 2)
+    assert s[1] == 2 and type(s[1]) is int and type(s[2]) is int
+    assert [type(c) for c in s.coeffs] == [F, int, int, F]
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            s[i]
 
 
 def test_log1p():
