@@ -316,7 +316,7 @@ def _status(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.id:
+    if args.id is not None:
         try:
             report = verify(args.id, args.grid)
         except KeyError as exc:

@@ -94,10 +94,18 @@ def _constructions(lhs, rhs, kind, n, k):
     return cauchy_poly(kind, n, k, lhs), cauchy_poly(kind, n, k, rhs)
 
 
+@lru_cache(maxsize=1024)
+def _inv_sum(kind, n, k):
+    """G14.inv's left side, the sum over m of gsn2(n, m) times the kind's
+    reflected order-k polynomial of index m.  G08.whit-rev, G13 and G17 read
+    it at their point, so it is memoised, bounded above the 588 keys of the
+    deep grid (max_n 48, max_k 6)."""
+    return _lincomb((1, gsn2(n, m) * _reflected(kind, m, k)) for m in range(n + 1))
+
+
 def _inv(kind, n, k):
-    lhs = _lincomb((1, gsn2(n, m) * _reflected(kind, m, k)) for m in range(n + 1))
     weights, den = _reciprocal_powers(n + 1, n + 2, k)
-    return lhs, Poly([KIND_SIGN[kind] ** n * w for w in weights]) / den
+    return _inv_sum(kind, n, k), Poly([KIND_SIGN[kind] ** n * w for w in weights]) / den
 
 
 def _cor2(kind, n, k):
@@ -241,24 +249,11 @@ def _th4(kind, n, weights=None, sign=1):
     return bernoulli_poly(n), rhs
 
 
-@lru_cache(maxsize=2048)
-def _s2_values(kind, m, k, y_num, y_den):
-    """Sum over l of gsn2(m, l)(y) times the kind's index-l value at y, or
-    at -y for the second kind, for y = y_num/y_den.  Memoised, bounded above
-    the 1,428 keys of the deep grid (max_n_double 16, max_k 6), since G13 and
-    G17 read each value for every n of an outer sum; y is keyed by two ints,
-    as hashing a Fraction costs more than the rest of a lookup.  It is the
-    dot product of the two rows of values."""
-    y = F(y_num, y_den)
-    values = _homogenised_row([cauchy_poly(kind, l, k) for l in range(m + 1)], KIND_SIGN[kind] * y, 1)
-    return _dot(_bivariate_row("second", m, y, 1), values)
-
-
 def _s2_double(kind, n, k, y):
-    """Sum over m of (-e)^m m! _s2_values(kind, m, k, y) gsn2(n, m): the values
-    as one row over their lcm, weighted by the integers (-e)^m m!."""
-    e, a, b = KIND_SIGN[kind], y.numerator, y.denominator
-    weights = _scale_each(Poly([_s2_values(kind, m, k, a, b) for m in range(n + 1)]),
+    """Sum over m of (-e)^m m! _inv_sum(kind, m, k)(y) gsn2(n, m): the inner
+    sums at y as one row over their lcm, weighted by the integers (-e)^m m!."""
+    e = KIND_SIGN[kind]
+    weights = _scale_each(Poly([_inv_sum(kind, m, k)(y) for m in range(n + 1)]),
                           [(-e) ** m * factorial(m) for m in range(n + 1)])
     return _weighted_sum(weights, [gsn2(n, m) for m in range(n + 1)])
 
@@ -473,11 +468,9 @@ def _g08():
     axes = (_N, Axis("m", values=(1, 2, -2, 3)), Axis("r", values=(-2, 0, 1, 3), cap="max_r"))
 
     def whit_rev(kind, n, m, r):
-        # m^l W_{m,r}(n, l) = m^n {n l}_(r/m): the row of those values against
-        # the row of the kind's values at e r/m
-        e = KIND_SIGN[kind]
-        values = _homogenised_row([cauchy_poly(kind, l, 1) for l in range(n + 1)], F(e * r, m), 1)
-        return _dot(_bivariate_row("second", n, F(r, m), 1), values) * m**n, F(e**n * m**n, n + 1)
+        # m^l W_{m,r}(n, l) = m^n {n l}_(r/m), so the sum is m^n times G14.inv's
+        # left side at r/m
+        return F(_inv_sum(kind, n, 1)(F(r, m)) * m**n), F(KIND_SIGN[kind] ** n * m**n, n + 1)
 
     return [
         IdentityCase("G08.whit1", "first kind at r/m from first-kind Whitney numbers", axes, partial(_whitk, "first", k=1)),
@@ -750,8 +743,7 @@ def _g13():
     def inner(kind, n, y):
         # e^m times the value kind's inner sum of index m - 1, m = 1..n
         e = KIND_SIGN[kind]
-        return _scale_each(Poly([_s2_values(kind, m - 1, 1, y.numerator, y.denominator) for m in range(1, n + 1)]),
-                           [e**m for m in range(1, n + 1)])
+        return _scale_each(Poly([_inv_sum(kind, m - 1, 1)(y) for m in range(1, n + 1)]), [e**m for m in range(1, n + 1)])
 
     # p5a-d are G11.th31/th32 and p5e-h G12.th41/th42, with the value kind's
     # inner sum in place of 1/m and its sign

@@ -149,22 +149,19 @@ def _g16():
 
 
 # Inner sums that do not depend on the outer index n of their case are
-# memoised once per key (as is ``registry_core._s2_values``).  Each memo is
+# memoised once per key, as is ``registry_core._inv_sum``.  Each memo is
 # bounded, and its maxsize exceeds the keys of the default grid and of the
-# deep grid, with max_n 48, max_n_double 16 and max_k 6 (1,428 keys for
-# ``_kb_inner`` and 1,153 for ``_bernoulli_moments``), so neither run evicts
-# and recomputes a sum.  A value read once per point is not memoised: the
-# r-Whitney sums of G08/G15 and the G15.korec* sums are each one row of
-# values per point.
+# deep grid, with max_n 48, max_n_double 16 and max_k 6 (102 keys for
+# ``_kb_sum`` and 1,153 for ``_bernoulli_moments``), so neither run evicts and
+# recomputes a sum.  A value read once per point is not memoised: the
+# r-Whitney sums of G08/G15 and the G15.korec* sums are each one row of values
+# per point.
 
-@lru_cache(maxsize=2048)
-def _kb_inner(kind, m, k, y_num, y_den):
-    """G17.kb3/kb4's inner sum over l of (-e)^m/m! gsn1(m, l)(y) B_l^(k)(y), for
-    y = y_num/y_den: (-e)^m/m! times the first-kind row against the
-    poly-Bernoulli values.  y is keyed by two ints, as for ``_s2_values``."""
-    y = F(y_num, y_den)
-    values = _homogenised_row([poly_bernoulli_gsn(l, k) for l in range(m + 1)], y, 1)
-    return _dot(_bivariate_row("first", m, y, 1), values) * F((-KIND_SIGN[kind]) ** m, factorial(m))
+@lru_cache(maxsize=256)
+def _kb_sum(m, k):
+    """G17.kb3/kb4's inner sum over l of gsn1(m, l) B_l^(k), a polynomial that
+    the case reads at its point y and scales by the kind's (-e)^m/m!."""
+    return _lincomb((1, gsn1(m, l) * poly_bernoulli_gsn(l, k)) for l in range(m + 1))
 
 
 @lru_cache(maxsize=2048)
@@ -181,8 +178,8 @@ def _g17():
         return poly_bernoulli_gsn(n, k), _s2_double(kind, n, k, y) * (-1) ** n
 
     def kb34(kind, n, k, y):
-        a, b = y.numerator, y.denominator
-        weights = Poly([_kb_inner(kind, m, k, a, b) for m in range(n + 1)]) * (-1) ** n
+        e = KIND_SIGN[kind]
+        weights = Poly([F((-e) ** m, factorial(m)) * _kb_sum(m, k)(y) for m in range(n + 1)]) * (-1) ** n
         return _reflected(kind, n, k), _weighted_sum(weights, [gsn1(n, m) for m in range(n + 1)])
 
     def kl12(kind, n, k):

@@ -238,8 +238,8 @@ def _exact_step(kind: str, q) -> Fraction:
 # The bivariate value rows, unscaled, memoised by (kind, n, y, q) with y and q
 # keyed by their integer numerators and denominators, since hashing a Fraction
 # costs more than the rest of a lookup.  The identity catalogue reads the same
-# rows at many points: a default run makes 491 keys, the deep grid
-# (ci/deep-grid.cfg) 1,461, so the bound exceeds both.
+# rows at many points: a default run makes 382 keys, the deep grid
+# (ci/deep-grid.cfg) 972, so the bound exceeds both.
 @lru_cache(maxsize=2048)
 def _bivariate_values(kind: str, n: int, y_num: int, y_den: int, q_num: int, q_den: int) -> Poly:
     return _homogenised_row([_GSN[kind](n, m) for m in range(n + 1)], Fraction(y_num, y_den), Fraction(q_num, q_den))

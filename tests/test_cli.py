@@ -354,6 +354,13 @@ def test_verify_unknown_id(capsys):
     assert err == "error: unknown identity case 'bogus'\n"
 
 
+def test_verify_empty_id_is_an_unknown_case(capsys):
+    # an empty id names no case; it does not select the whole catalogue
+    code, out, err = run(capsys, "verify", "--id", "")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown identity case ''\n"
+
+
 def test_verify_json_small_grid(capsys):
     code, out, _ = run(capsys, "verify", "--json", "--max-n", "3", "--max-n-double", "2",
                        "--max-k", "1", "--max-r", "1", "--max-a", "1", "--max-n-multi", "1")

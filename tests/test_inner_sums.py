@@ -1,6 +1,6 @@
-"""The registries' inner sums, computed from integer rows of values, against
-the plain-Fraction loops they replace: one Fraction per value, product and
-partial sum, written here term by term."""
+"""The registries' inner sums, computed as polynomials or from integer rows of
+values, against the plain-Fraction loops they replace: one Fraction per value,
+product and partial sum, written here term by term."""
 
 from fractions import Fraction as F
 from math import factorial
@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from polycauchy.bernoulli import poly_bernoulli_gsn
 from polycauchy.cauchy import KIND_SIGN, cauchy_number, cauchy_poly
 from polycauchy.identities import get_case
-from polycauchy.identities.registry_core import _s2_values, _whitk
-from polycauchy.identities.registry_poly import _kb_inner
+from polycauchy.identities.registry_core import _inv_sum, _whitk
+from polycauchy.identities.registry_poly import _kb_sum
+from polycauchy.poly import Poly
 from polycauchy.stirling import gsn1, gsn2, stirling1, whitney
 
 kinds = st.sampled_from(["first", "second"])
@@ -30,21 +31,26 @@ def _kind_check(case_id):
 
 
 @given(kinds, indices, orders, points)
-def test_s2_values_matches_a_fraction_loop(kind, m, k, y):
+def test_inv_sum_at_y_matches_a_fraction_loop(kind, m, k, y):
     want = F(0)
     for l in range(m + 1):
         want += gsn2(m, l)(y) * cauchy_poly(kind, l, k)(KIND_SIGN[kind] * y)
-    got = _s2_values.__wrapped__(kind, m, k, y.numerator, y.denominator)
-    assert type(got) is F and got == want
+    assert _inv_sum.__wrapped__(kind, m, k)(y) == want
 
 
-@given(kinds, indices, orders, points)
-def test_kb_inner_matches_a_fraction_loop(kind, m, k, y):
+@given(indices, orders, points)
+def test_kb_sum_at_y_matches_a_fraction_loop(m, k, y):
     want = F(0)
     for l in range(m + 1):
-        want += F((-KIND_SIGN[kind]) ** m, factorial(m)) * gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
-    got = _kb_inner.__wrapped__(kind, m, k, y.numerator, y.denominator)
-    assert type(got) is F and got == want
+        want += gsn1(m, l)(y) * poly_bernoulli_gsn(l, k)(y)
+    assert _kb_sum.__wrapped__(m, k)(y) == want
+
+
+def test_kb_sum_is_the_constant_m_factorial_over_m_plus_1_to_the_k():
+    # so G17.kb3/kb4 read the same weights at every point y
+    for m in range(13):
+        for k in range(1, 6):
+            assert _kb_sum(m, k) == Poly([F(factorial(m), (m + 1) ** k)]), (m, k)
 
 
 @given(kinds, indices, orders, nonzero_ms, st.integers(-9, 9))
