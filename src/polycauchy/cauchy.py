@@ -251,17 +251,18 @@ def cauchy_recurrence_step(kind: str, n: int, k: int = 1) -> Poly:
     """
     e = _check_kind(kind)
     _check_nk(n, k)
-    return Poly([-n, -e]) * cauchy_poly(kind, n, k) - _recurrence_sum(kind, n, k)   # (u - n) P_n - ..., u = -e x
+    return Poly([-n, -e]) * cauchy_poly(kind, n, k) - _other_kind_sum(kind, n, k, -1, 1)   # (u - n) P_n - ..., u = -e x
 
 
-def _recurrence_sum(kind: str, n: int, k: int) -> Poly:
-    """sum_m (-1)^m n!/m! c_(m+1) binom(-ex - m - 1, n - m) over the other kind's
-    numbers c: term i = n - m is the product of the factors (-ex - n + j)/(j + 1),
+def _other_kind_sum(kind: str, n: int, k: int, shift: int = 0, lift: int = 0) -> Poly:
+    """sum_m (-1)^m n!/m! c_(m+lift) binom(-ex + shift - m, n - m) over the other
+    kind's numbers c, read by the recurrence step at shift -1 and lift 1: term
+    i = n - m is the product of the factors (-ex + shift - n + 1 + j)/(j + 1),
     j < i, so the sum is one Newton sum."""
     other = _OTHER[kind]
-    weights = [(-1) ** (n - i) * (factorial(n) // factorial(n - i)) * cauchy_number(other, n - i + 1, k)
+    weights = [(-1) ** (n - i) * (factorial(n) // factorial(n - i)) * cauchy_number(other, n - i + lift, k)
                for i in range(n + 1)]
-    return _newton_sum(weights, range(-n, 0), -KIND_SIGN[kind], range(1, n + 1))
+    return _newton_sum(weights, range(shift - n + 1, shift + 1), -KIND_SIGN[kind], range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

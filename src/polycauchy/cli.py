@@ -79,6 +79,12 @@ class UsageError(Exception):
     pass
 
 
+def _file_name(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("empty file name")
+    return text
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -93,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-n", "--n", dest="max_n", type=int, default=10)
     p_table.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_table.add_argument("--k", type=int, default=1)
-    p_table.add_argument("--out", help="write to a file instead of stdout")
+    p_table.add_argument("--out", type=_file_name, help="write to a file instead of stdout")
     p_table.set_defaults(func=_cmd_table)
 
     p_eval = sub.add_parser("eval", help="evaluate one family member exactly")
@@ -109,14 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("gf", choices=tuple(_SERIES))
     p_series.add_argument("--order", type=int, default=8)
     p_series.add_argument("--alpha", type=int, default=1)
-    p_series.add_argument("--out")
+    p_series.add_argument("--out", type=_file_name)
     p_series.set_defaults(func=_cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--id", help="run a single case instead of the full catalog")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
-    p_verify.add_argument("--config", help="key=value file overriding grid defaults")
-    p_verify.add_argument("--out", help="write the report to a file as well")
+    p_verify.add_argument("--config", type=_file_name, help="key=value file overriding grid defaults")
+    p_verify.add_argument("--out", type=_file_name, help="write the report to a file as well")
     for key in _GRID_INT_KEYS:
         p_verify.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
@@ -125,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--family", required=True,
                           choices=tuple(_EXPORTS))
     p_export.add_argument("--format", required=True, choices=("json", "tsv"))
-    p_export.add_argument("--out", required=True)
+    p_export.add_argument("--out", type=_file_name, required=True)
     p_export.add_argument("--kind", choices=tuple(cauchy.KIND_SIGN), default="first")
     p_export.add_argument("--n", type=int, default=6)
     p_export.add_argument("--k", type=int, default=1)
@@ -302,7 +308,7 @@ def _parse_config(path: str) -> dict:
 
 def _grid_from_args(args) -> Grid:
     overrides: dict = {}
-    if args.config:
+    if args.config is not None:
         overrides.update(_parse_config(args.config))
     for key in _GRID_INT_KEYS:
         flag = getattr(args, key)

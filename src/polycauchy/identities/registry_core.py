@@ -15,8 +15,11 @@ reverse.  A polynomial or binomial that one kind reads at x and the other at
 -x is read at -e x; rising binomials are falling ones at -x, by
 C(-y, j) = (-1)^j C(y + j - 1, j).  Where a case restates another case or a
 library construction, it registers that existing check or compares with that
-construction (``_constructions``) instead of writing the sum again.  Each case
-declares its points as a tuple of ``engine.Axis``; the n, k, i and y axes are
+construction (``_constructions``) instead of writing the sum again: the Newton
+sums over the other kind's numbers are ``cauchy._other_kind_sum``, those over
+the kind's own the ``binomial_conv`` construction, and G11.inv2/inv3/inv3-alt
+read G19's Bernoulli sum ``_th10_bernoulli``.  Each case declares its points
+as a tuple of ``engine.Axis``; the n, k, i and y axes are
 declared once below and narrowed with ``dataclasses.replace``.  The leading
 underscore of the shared checks and helpers keeps them private, so the
 benchmark tracer (``bench/tracer.py``), which wraps every public package
@@ -31,7 +34,7 @@ from math import comb, factorial
 
 from ..bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli_poly, euler_poly, power_sum_poly
 from ..cauchy import (
-    KIND_SIGN, _OTHER, _recurrence_sum, _reflect, cauchy_coefficient, cauchy_derivative, cauchy_number,
+    KIND_SIGN, _OTHER, _other_kind_sum, _reflect, cauchy_coefficient, cauchy_derivative, cauchy_number,
     cauchy_poly, cauchy_recurrence_step,
 )
 from ..harmonic import _HYPER, harmonic_number, hyperharmonic_poly
@@ -116,26 +119,10 @@ def _cor2(kind, n, k):
     )
 
 
-# In the binomial sums below, term i = n - m of a sum over m is the product of
-# i linear factors over i!, and term i + 1 has the factors of term i and one
-# more, so each sum is one ``_newton_sum``.
-
-
-def _symm_other(kind, n, k, shift=0):
-    """The kind's polynomial, and the sum over m of (-1)^m n!/m! c_m
-    C(-e x + shift - m, n - m) over the other kind's numbers c_m, whose factor
-    j is -e x + shift - n + 1 + j."""
-    weights = [(-1) ** (n - i) * (factorial(n) // factorial(n - i)) * cauchy_number(_OTHER[kind], n - i, k)
-               for i in range(n + 1)]
-    rhs = _newton_sum(weights, range(shift - n + 1, shift + 1), -KIND_SIGN[kind], range(1, n + 1))
-    return cauchy_poly(kind, n, k), rhs
-
-
-def _symm_self(kind, n, k):
-    # C(-x, j) = (-1)^j C(x+j-1, j): at k = 1 the first kind is the classical symm1 form;
-    # the sum over m of n!/m! c_m C(-e x, n - m), whose factor j is -e x - j
-    weights = [(factorial(n) // factorial(n - i)) * cauchy_number(kind, n - i, k) for i in range(n + 1)]
-    return cauchy_poly(kind, n, k), _newton_sum(weights, range(0, -n, -1), -KIND_SIGN[kind], range(1, n + 1))
+def _symm_other(kind, n, k):
+    """The kind's polynomial, and the library's sum over m of (-1)^m n!/m! c_m
+    C(-e x - m, n - m) over the other kind's numbers c_m."""
+    return cauchy_poly(kind, n, k), _other_kind_sum(kind, n, k)
 
 
 def _reck(kind, n, k):
@@ -249,6 +236,14 @@ def _th4(kind, n, weights=None, sign=1):
     return bernoulli_poly(n), rhs
 
 
+@lru_cache(maxsize=128)
+def _th10_bernoulli(n):
+    """sum_{1 <= m <= n} (-1)^(n+m)/m gsn1(n-1, m-1) B_m(x): G11.inv2/inv3/inv3-alt's
+    sum and the part of G19.th10 that depends on neither the kind nor k.
+    Memoised, bounded above the 48 keys of the deep grid (max_n 48)."""
+    return _lincomb((F((-1) ** (n + m), m), gsn1(n - 1, m - 1) * bernoulli_poly(m)) for m in range(1, n + 1))
+
+
 def _s2_double(kind, n, k, y):
     """Sum over m of (-e)^m m! _inv_sum(kind, m, k)(y) gsn2(n, m): the inner
     sums at y as one row over their lcm, weighted by the integers (-e)^m m!."""
@@ -260,8 +255,8 @@ def _s2_double(kind, n, k, y):
 
 def _g01():
     def one_minus(n):
-        rhs = _lincomb((F((-1) ** (n - m), m + 1), gsn1(n, m)) for m in range(n + 1)).affine_compose(-1, 1)
-        return cauchy_poly("second", n, 1, "integral"), rhs
+        # the sum over m of (-1)^(n-m)/(m+1) gsn1(n, m) is the first kind's gsn construction
+        return cauchy_poly("second", n, 1, "integral"), _cp(n).affine_compose(-1, 1)
 
     def kargin(n):
         rhs = sum((F((-1) ** (n - m) * stirling1(n + 1, m + 1), m + 1) for m in range(n + 1)), F(0))
@@ -383,16 +378,14 @@ def _g05():
         return (t1, t2, t3), (want, want, want)
 
     def seq(kind, n):
-        # a_number(n, m) = n!/m! C(x + n - 1, n - m), whose factor j is x + n - 1 - j
-        weights = [(-1) ** n * (factorial(n) // factorial(n - i)) * cauchy_number(_OTHER[kind], n - i, 1)
-                   for i in range(n + 1)]
-        return _reflected(kind, n), _newton_sum(weights, range(n - 1, -1, -1), 1, range(1, n + 1))
+        # (-1)^m C(-x - m, n - m) = (-1)^n C(x + n - 1, n - m): G05.chen1/chen2 read at e x
+        return tuple(_reflect(kind, p) for p in _symm_other(kind, n, 1))
 
     return [
         IdentityCase("G05.chen1", "first kind from second-kind numbers and rising binomials", (_N,), partial(_symm_other, "first", k=1)),
         IdentityCase("G05.chen2", "second kind from first-kind numbers and shifted binomials", (_N,), partial(_symm_other, "second", k=1)),
-        IdentityCase("G05.symm1", "first kind from its own numbers and shifted binomials", (_N,), partial(_symm_self, "first", k=1)),
-        IdentityCase("G05.symm2", "second kind from its own numbers and plain binomials", (_N,), partial(_symm_self, "second", k=1)),
+        IdentityCase("G05.symm1", "first kind from its own numbers and shifted binomials", (_N,), partial(_constructions, "gsn", "binomial_conv", "first", k=1)),
+        IdentityCase("G05.symm2", "second kind from its own numbers and plain binomials", (_N,), partial(_constructions, "gsn", "binomial_conv", "second", k=1)),
         IdentityCase("G05.x1-a", "binomial self-convolution of second-kind numbers", (_N,), x1_a),
         IdentityCase("G05.x1-b", "first-kind numbers from shifted second-kind convolution", (_N1,), partial(x1_bc, "first")),
         IdentityCase("G05.x1-c", "second-kind numbers from shifted first-kind convolution", (_N1,), partial(x1_bc, "second")),
@@ -408,8 +401,7 @@ def _g05():
 
 def _g06():
     def nstep(kind, n):
-        lhs, rhs = _symm_other(kind, n, 1, shift=1)
-        return lhs, rhs - cauchy_poly(kind, n - 1, 1) * n
+        return cauchy_poly(kind, n, 1), _other_kind_sum(kind, n, 1, 1) - cauchy_poly(kind, n - 1, 1) * n
 
     def mirror(n):
         rhs = _chp(n).affine_compose(-1, 0) + _chp(n - 1).affine_compose(-1, 0) * n
@@ -418,7 +410,7 @@ def _g06():
     def _k_rec_variant(sign):
         def check(n, k):
             # the sum over m of (-1)^m n!/m! c_(m+1) C(x - m - 1, n - m) is the library's
-            rhs = (X - n) * _chp(n, k) * sign - _recurrence_sum("second", n, k)
+            rhs = (X - n) * _chp(n, k) * sign - _other_kind_sum("second", n, k, -1, 1)
             return _chp(n + 1, k), rhs
 
         return check
@@ -645,20 +637,14 @@ def _g11():
         return -bernoulli_number(n) / n, _number_transform("first", n, 1)
 
     def inv(kind, n):
+        # G19's Bernoulli sum, less the sum over m of seed/m gsn1(n-1, m-1)
         seed = (1 - KIND_SIGN[kind]) // 2 * (-1) ** n
-        rhs = _lincomb(
-            (F(1, m), gsn1(n - 1, m - 1) * (bernoulli_poly(m) * (-1) ** (n - m) - seed))
-            for m in range(1, n + 1)
-        )
-        return _reflected(kind, n) / (-n), rhs
+        seeds = _lincomb((F(seed, m), gsn1(n - 1, m - 1)) for m in range(1, n + 1))
+        return _reflected(kind, n) / (-n), _th10_bernoulli(n) - seeds
 
     def inv3_alt(n):
         lhs = _chp(n).affine_compose(-1, 0) / (-n)
-        rhs = _chp(n - 1).affine_compose(-1, 0) + _lincomb(
-            (F((-1) ** (n - m), m), gsn1(n - 1, m - 1) * bernoulli_poly(m))
-            for m in range(1, n + 1)
-        )
-        return lhs, rhs
+        return lhs, _chp(n - 1).affine_compose(-1, 0) + _th10_bernoulli(n)
 
     def exp5a(n):
         rhs = sum((stirling1(n, m) * bernoulli_number(m) / m for m in range(1, n + 1)), F(0))
@@ -700,10 +686,9 @@ def _g12():
         return bernoulli_number(n), F((-1) ** n) - n * _number_transform("second", n, 1)
 
     def diff_c(n):
-        lhs = _lincomb(
-            (F(1, m), gsn2(n - 1, m - 1) * (Poly([_c(m)]) - _cp(m)))
-            for m in range(1, n + 1)
-        )
+        # the terms of G12.th41 less those of G11.th31, at 1/m
+        weights = _reciprocals(n)
+        lhs = _weighted_sum(weights, _th4_terms("first", n)) - _weighted_sum(weights, _th3_terms("first", n))
         return lhs, Poly([0] * n + [F(1, n)])
 
     def diff_cchat(n):

@@ -11,10 +11,11 @@ structure stay two functions.  The kind's sign e = ``KIND_SIGN[kind]`` and
 ``_reflect`` follow the convention stated in ``polycauchy.cauchy``, and a
 term only one kind carries is scaled by (1 - e)/2 (second kind only) or
 (1 + e)/2 (first kind only).  A case that restates another case or a
-library construction registers that existing check (``_moments``,
-``_genk``, ``_constructions``) instead of writing the sum again.  A case's
-points are a tuple of ``engine.Axis``: ``registry_core``'s n, k, i and y,
-the multiparameter axes declared before G21, or an axis of its own."""
+library construction registers that existing check (``_moments``, ``_genk``,
+``_symm_other``, ``_constructions``, ``registry_core._th10_bernoulli``) instead
+of writing the sum again.  A case's points are a tuple of ``engine.Axis``:
+``registry_core``'s n, k, i and y, the multiparameter axes declared before
+G21, or an axis of its own."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from math import comb, factorial
 
 from ..bernoulli import (
     bernoulli_number,
-    bernoulli_poly,
     euler_poly,
     multiparam_poly_bernoulli,
     poly_bernoulli_gsn,
@@ -50,7 +50,8 @@ from ..stirling import _bivariate_row, central_u, gsn1, lah, stirling1, stirling
 from .engine import Axis, IdentityCase
 from .registry_core import (
     F, _I, _K, _N, _N1, _ND, _ND1, _Y, _c, _ch, _chp, _constructions, _conv, _cor2, _cp, _derk, _diffk, _genk,
-    _inv, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm_other, _symm_self, _weighted_stirling, _whitk,
+    _inv, _odd_central, _pro4, _reck, _reflected, _s2_double, _symm_other, _th10_bernoulli, _weighted_stirling,
+    _whitk,
 )
 
 
@@ -109,9 +110,9 @@ def _g15():
         IdentityCase("G15.whitk2", "general order second kind at -r/m from Whitney numbers", whit, partial(_whitk, "second")),
         IdentityCase("G15.symm5", "general order first kind from second-kind numbers", (_N, _K), partial(_symm_other, "first")),
         IdentityCase("G15.symm6", "general order second kind from first-kind numbers", (_N, _K), partial(_symm_other, "second")),
-        IdentityCase("G15.symm7a", "self-number expansion with negated binomials, first kind", (_N, _K), partial(_symm_self, "first")),
+        IdentityCase("G15.symm7a", "self-number expansion with negated binomials, first kind", (_N, _K), partial(_constructions, "gsn", "binomial_conv", "first")),
         IdentityCase("G15.symm7b", "self-number expansion with rising factorials, first kind", (_N, _K), partial(_constructions, "gsn", "binomial_conv", "first")),
-        IdentityCase("G15.symm8a", "self-number expansion with plain binomials, second kind", (_N, _K), partial(_symm_self, "second")),
+        IdentityCase("G15.symm8a", "self-number expansion with plain binomials, second kind", (_N, _K), partial(_constructions, "gsn", "binomial_conv", "second")),
         IdentityCase("G15.symm8b", "self-number expansion with falling factorials, second kind", (_N, _K), partial(_constructions, "gsn", "binomial_conv", "second")),
         IdentityCase("G15.reck1", "one-step recurrence at general order, first kind", (_ND, _K), partial(_reck, "first")),
         IdentityCase("G15.genk1", "derivatives via higher-order Bernoulli at general order, first kind", (_ND, _I, _K), partial(_genk, "first")),
@@ -237,14 +238,6 @@ def _g18():
         IdentityCase("G18.idc1", "Bernoulli-weighted moment polynomials collapse to x^m", (replace(_N, name="m"),), idc1),
         IdentityCase("G18.idc2", "alternating Bernoulli-weighted moments collapse to x^m", (replace(_N, name="m"),), idc2),
     ]
-
-
-@lru_cache(maxsize=128)
-def _th10_bernoulli(n):
-    """sum_{1 <= m <= n} (-1)^(n+m)/m gsn1(n-1, m-1) B_m(x): the part of
-    G19.th10 that depends on neither the kind nor k.  Memoised, bounded above
-    the 48 keys of the deep grid (max_n 48)."""
-    return _lincomb((F((-1) ** (n + m), m), gsn1(n - 1, m - 1) * bernoulli_poly(m)) for m in range(1, n + 1))
 
 
 def _shifted_powers(weights, shift, slope):

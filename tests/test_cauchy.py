@@ -20,9 +20,9 @@ from polycauchy import (
     multiparam_cauchy,
     shifted_cauchy_number,
 )
-from polycauchy.cauchy import _moment_sum
+from polycauchy.cauchy import KIND_SIGN, _moment_sum, _other_kind_sum
 from polycauchy.poly import _lincomb
-from polycauchy.stirling import gsn1, stirling1
+from polycauchy.stirling import falling_factorial_poly, gsn1, stirling1
 from test_poly import assert_canonical
 
 FIRST = {
@@ -241,6 +241,21 @@ def test_recurrence_step():
         for n in range(7):
             for k in (1, 2, 4):
                 assert cauchy_recurrence_step(kind, n, k) == cauchy_poly(kind, n + 1, k)
+
+
+def test_other_kind_sum_matches_falling_factorials():
+    # n!/m! C(y, n - m) is C(n, m) (y)_(n-m), the falling factorial read from the
+    # memoised triangle at y = -e x + shift - m; (shift, lift) are the three pairs
+    # in use: the catalogue's (0, 0) and (1, 0), the recurrence step's (-1, 1)
+    for kind, other in (("first", "second"), ("second", "first")):
+        e = KIND_SIGN[kind]
+        for shift, lift in ((0, 0), (1, 0), (-1, 1)):
+            for n in range(13):
+                for k in (1, 2, 3):
+                    want = sum((falling_factorial_poly(n - m).affine_compose(-e, shift - m)
+                                * ((-1) ** m * comb(n, m) * cauchy_number(other, m + lift, k))
+                                for m in range(n + 1)), Poly())
+                    assert _other_kind_sum(kind, n, k, shift, lift) == want, (kind, shift, lift, n, k)
 
 
 def test_aux_polys():

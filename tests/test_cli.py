@@ -342,6 +342,25 @@ def test_n_past_maxsize_is_a_usage_error(tmp_path, capsys, verb):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "bernoulli", "--max-n", "2", "--out", ""),
+    ("series", "cauchy1", "--order", "2", "--out", ""),
+    ("export", "--family", "bernoulli", "--format", "tsv", "--out", ""),
+    ("verify", "--id", "G04.int1", "--out", ""),
+    ("verify", "--id", "G04.int1", "--config", ""),
+], ids=["table", "series", "export", "verify-out", "verify-config"])
+def test_empty_file_name_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # not the option left out: nothing reaches stdout, and no file is written
+    # in the working directory or, through a temporary file, in its parent
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "empty file name" in err
+    assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
+
+
 def test_verify_single_case(capsys):
     code, out, _ = run(capsys, "verify", "--id", "G04.int1")
     assert code == 0

@@ -191,8 +191,8 @@ def test_registry_memos_are_bounded_and_hold_the_default_grid():
     # Stirling values is bounded, and a default run fills it below its bound,
     # so nothing is evicted and computed again
     memos = (registry_core._inv_sum, registry_core._th3_terms, registry_core._th4_terms,
-             registry_poly._kb_sum, registry_poly._bernoulli_moments, registry_poly._mc,
-             registry_poly._mpb, registry_poly._th10_bernoulli, stirling._bivariate_values)
+             registry_core._th10_bernoulli, registry_poly._kb_sum, registry_poly._bernoulli_moments,
+             registry_poly._mc, registry_poly._mpb, stirling._bivariate_values)
     for memo in memos:
         memo.cache_clear()
     assert run_all(DEFAULT_GRID).ok
