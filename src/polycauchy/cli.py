@@ -28,11 +28,9 @@ from math import factorial
 
 from . import bernoulli, cauchy, harmonic, series, stirling
 from .identities import DEFAULT_GRID, Grid, run_all, verify
+from .identities.engine import BOUNDS
 from .poly import Poly, poly_from_strings, poly_to_strings
 from .rational import format_rational, parse_rational
-
-_GRID_INT_KEYS = ("max_n", "max_n_double", "max_k", "max_r", "max_a", "max_n_multi")
-_GRID_LIST_KEYS = ("qs", "xs", "ys_multi")
 
 
 # family -> the polynomial that ``eval`` evaluates at --x
@@ -123,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
     p_verify.add_argument("--config", type=_file_name, help="key=value file overriding grid defaults")
     p_verify.add_argument("--out", type=_file_name, help="write the report to a file as well")
-    for key in _GRID_INT_KEYS:
+    for key in BOUNDS:
         p_verify.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -282,39 +280,13 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _parse_config(path: str) -> dict:
-    overrides: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line (want key=value): {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in _GRID_INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _GRID_LIST_KEYS:
-                items = value.split(",") if value else []
-                if not all(items):
-                    raise UsageError(f"empty item in grid list {key}: {value!r}")
-                overrides[key] = tuple(parse_rational(v) for v in items)
-            else:
-                raise UsageError(f"unknown config key {key!r}")
-    return overrides
-
-
 def _grid_from_args(args) -> Grid:
-    overrides: dict = {}
+    grid = DEFAULT_GRID
     if args.config is not None:
-        overrides.update(_parse_config(args.config))
-    for key in _GRID_INT_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            overrides[key] = flag
-    return replace(DEFAULT_GRID, **overrides)
+        with open(args.config, encoding="utf-8") as fh:
+            grid = Grid.from_text(fh.read())
+    flags = {key: getattr(args, key) for key in BOUNDS if getattr(args, key) is not None}
+    return replace(grid, **flags)
 
 
 def _status(report) -> str:

@@ -20,7 +20,9 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Callable
 
-__all__ = ["Grid", "DEFAULT_GRID", "Axis", "IdentityCase", "Report", "SuiteResult"]
+from ..rational import parse_rational
+
+__all__ = ["Grid", "DEFAULT_GRID", "BOUNDS", "Axis", "IdentityCase", "Report", "SuiteResult"]
 
 _SEVEN_POINT = (
     Fraction(0),
@@ -42,6 +44,9 @@ class Grid:
     because each of its indices n is checked at every shift a, step q,
     weight list L and offset y (108 points per n on the default lists), not
     because a point is dear: the oracle's product is stepped in integers.
+
+    Its text form (``from_text``) is ``key=value`` lines whose keys are the fields: an int
+    bound, comma-separated "p/q" points, or, for ``ls``, ``;``-separated lists of them.
     """
 
     max_n: int = 12
@@ -60,15 +65,14 @@ class Grid:
     ys_multi: tuple = (Fraction(0), Fraction(1, 2), Fraction(-3, 2))
 
     def __post_init__(self):
-        # every field with an int default is a bound and every other a list of
-        # points; a bound below its first index or an empty list empties the
+        # a bound below its first index or an empty list empties the
         # grid of every case that reads it, and those cases would pass
         # vacuously.  A float would fail part-way through a run and a bool
         # bound would run as n <= 1, so both are refused here, as is a weight
         # list that the multiparameter family would refuse part-way.
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, int):
+            if f.name in BOUNDS:
                 if not _is_int(value):
                     raise ValueError(f"grid bound {f.name} must be an int, got {value!r}")
                 low = 1 if f.name in ("max_k", "max_a") else 0
@@ -87,6 +91,39 @@ class Grid:
                     if not _is_point(point):
                         raise ValueError(f"grid list {f.name} must hold int or Fraction points, "
                                          f"got {point!r}")
+
+    @classmethod
+    def from_text(cls, text: str) -> Grid:
+        """The default grid with the ``key=value`` lines of ``text`` applied, blank and
+        ``#`` lines skipped; bad text, or a value the grid refuses, raises ``ValueError``."""
+        overrides: dict = {}
+        for line in map(str.strip, text.splitlines()):
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"bad config line (want key=value): {line!r}")
+            key, value = key.strip(), value.strip()
+            if key in BOUNDS:
+                overrides[key] = int(value)
+            elif key == "ls":
+                overrides[key] = tuple(_points(key, weights) for weights in value.split(";"))
+            elif key in {f.name for f in fields(cls)}:
+                overrides[key] = _points(key, value)
+            else:
+                raise ValueError(f"unknown config key {key!r}")
+        return cls(**overrides)
+
+
+# every field with an int default is a bound, and every other a list of points
+BOUNDS = tuple(f.name for f in fields(Grid) if isinstance(f.default, int))
+
+
+def _points(key: str, text: str) -> tuple:
+    items = text.split(",") if text else []
+    if not all(items):
+        raise ValueError(f"empty item in grid list {key}: {text!r}")
+    return tuple(map(parse_rational, items))
 
 
 def _is_int(value) -> bool:
@@ -165,28 +202,18 @@ class IdentityCase:
         """The product of the axes on the grid, the first outermost, built level
         by level: an axis is spanned once per level, or per value of the earlier
         axes its bounds name.  No point is a ``ValueError``, not a vacuous pass."""
-        level, names = [{}], set()
+        level = [{}]
         for axis in self.axes:
-            name, out = axis.name, []
-            if axis.stop in names or axis.cap in names:
-                spans = {}
-                for p in level:
-                    key = p.get(axis.stop), p.get(axis.cap)
-                    if key not in spans:
-                        spans[key] = axis.span(grid, p)
-                    for v in spans[key]:
-                        point = p.copy()
-                        point[name] = v
-                        out.append(point)
-            else:
-                span = axis.span(grid, {})
-                for p in level:
-                    for v in span:
-                        point = p.copy()  # faster than {**p, name: v}
-                        point[name] = v
-                        out.append(point)
+            name, out, spans = axis.name, [], {}
+            for p in level:
+                key = p.get(axis.stop), p.get(axis.cap)
+                if key not in spans:
+                    spans[key] = axis.span(grid, p)
+                for v in spans[key]:
+                    point = p.copy()  # faster than {**p, name: v}
+                    point[name] = v
+                    out.append(point)
             level = out
-            names.add(name)
         if not level:
             raise ValueError(f"case {self.id} has no point on this grid")
         return level

@@ -398,6 +398,33 @@ def test_verify_config_file(tmp_path, capsys):
     assert "(5 points" in out
 
 
+def test_verify_config_sets_weight_lists(tmp_path, capsys):
+    # a fourth weight list, with a negative product, adds 60 points to the 180 of the default grid
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("ls=1; 1/2, 2; 1, 1, 1/2; -1/2, 3\n")
+    code, out, err = run(capsys, "verify", "--id", "G21.shif1", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert out.startswith("G21.shif1: pass (240 points, ")
+    code, out, _ = run(capsys, "verify", "--id", "G21.shif1")
+    assert out.startswith("G21.shif1: pass (180 points, ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ls=", "grid list ls must hold non-empty tuples of nonzero int or Fraction weights, got ()"),
+    ("ls=1;", "grid list ls must hold non-empty tuples of nonzero int or Fraction weights, got ()"),
+    ("ls=1,,2", "empty item in grid list ls: '1,,2'"),
+    ("ls=0", "grid list ls must hold non-empty tuples of nonzero int or Fraction weights, "
+             "got (Fraction(0, 1),)"),
+    ("xs=1;2", "Invalid literal for Fraction: '1;2'"),  # only ls splits on ";"
+    ("max_n=2.5", "invalid literal for int() with base 10: '2.5'"),
+])
+def test_verify_bad_config_value_is_usage_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "verify", "--id", "G21.shif1", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_bad_config(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("nonsense=1\n")

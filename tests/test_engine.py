@@ -1,7 +1,7 @@
 import hashlib
 import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +19,6 @@ from polycauchy.identities import (
     run_all,
     verify,
 )
-from polycauchy.cli import _parse_config
 from polycauchy import stirling
 from polycauchy.identities import registry_core, registry_poly
 
@@ -103,8 +102,25 @@ def test_grid_of_bad_type_rejected_when_built(overrides, field):
 
 def test_deep_grid_config_builds():
     config = Path(__file__).resolve().parents[1] / "ci" / "deep-grid.cfg"
-    grid = replace(DEFAULT_GRID, **_parse_config(str(config)))
+    grid = Grid.from_text(config.read_text())
     assert grid.max_n > DEFAULT_GRID.max_n and grid.qs == DEFAULT_GRID.qs
+
+
+def _field_text(value) -> str:
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value[0], tuple):
+        return "; ".join(map(_field_text, value))
+    return ", ".join(map(str, value))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Grid)])
+def test_grid_text_reads_every_field(name):
+    # a field that the text form leaves out could not be set by verify --config
+    value = getattr(DEFAULT_GRID, name)
+    other = value + 1 if isinstance(value, int) else value[::-1]
+    grid = Grid.from_text(f"# one field\n\n {name} = {_field_text(other)}\n")
+    assert grid == replace(DEFAULT_GRID, **{name: other})
 
 
 def test_verify_zhao():
