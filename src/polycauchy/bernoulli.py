@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# memoised, as are both poly-Bernoulli forms, with a bound above the keys of
+# the deep grid (ci/deep-grid.cfg), which CI checks
+@lru_cache(maxsize=512)
 def gen_bernoulli_poly(n: int, alpha: int) -> Poly:
     """Order-alpha (higher-order) Bernoulli polynomial of degree n."""
     if n < 0:
@@ -116,7 +118,7 @@ def power_sum_poly(n: int) -> Poly:
     return (b.affine_compose(1, 1) - b(Fraction(1))) / (n + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def poly_bernoulli_gsn(n: int, k: int) -> Poly:
     """Poly-Bernoulli polynomial over second-kind Stirling polynomials.
 
@@ -129,7 +131,7 @@ def poly_bernoulli_gsn(n: int, k: int) -> Poly:
     return _weighted_sum(signed, [gsn2(n, m) for m in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def poly_bernoulli_kl(n: int, k: int) -> Poly:
     """The alternative poly-Bernoulli polynomial: the unit-cube moment
     polynomials aux_poly(m, k) weighted by (-1)^n m! S(n, m), over the

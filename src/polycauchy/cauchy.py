@@ -26,7 +26,7 @@ formula as the primary route and the iterated-integral expansion over
 [0,l_1] x ... x [0,l_k] as the oracle.  The ordinary ``integral``
 construction is its unit-parameter case (a = 1, q = 1, L = (1,..,1),
 y = 0).  Every sum of cube moments in the library and the identity
-registries, over the unit cube or the box, is ``_moment_sum``: the weight
+catalogue, over the unit cube or the box, is ``_moment_sum``: the weight
 product w = u/v is read as two integer products, and the sum is one integer
 correlation over one denominator (``poly._cube_moments``), with no memo.
 ``aux_poly`` is the moments' closed form, one polynomial per (j, k).
@@ -40,7 +40,7 @@ kind's sign e = ``KIND_SIGN[kind]`` (1 for the first kind, -1 for the
 second): a sign that only the first kind carries is (-e)^m, one that only
 the second kind carries is e^m, and a point +-y is e*y.  ``_reflect(kind,
 p)`` is p for the first kind and p(-x) for the second, and ``_OTHER[kind]``
-names the other kind.  The identity registries read the same table and
+names the other kind.  The identity catalogue reads the same table and
 helper.
 """
 
@@ -146,7 +146,9 @@ def aux_poly_weighted(j: int, k: int, L) -> Poly:
 # constructions
 
 
-@lru_cache(maxsize=None)
+# memoised, as is cauchy_number, with a bound above the keys of the deep grid
+# (ci/deep-grid.cfg), which CI checks
+@lru_cache(maxsize=2048)
 def _poly_gsn(kind: str, n: int, k: int) -> Poly:
     e = KIND_SIGN[kind]
     weights, den = _reciprocal_powers(1, n + 2, k)
@@ -205,7 +207,7 @@ def cauchy_poly(kind: str, n: int, k: int = 1, construction: str = "gsn") -> Pol
     return fn(kind, n, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
     """Constant term of the poly-Cauchy polynomial, memoised: coefficient 0
     of the closed form, Komatsu's sum over the unsigned Stirling triangle.

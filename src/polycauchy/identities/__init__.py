@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .engine import DEFAULT_GRID, Axis, Grid, IdentityCase, Report, SuiteResult, run_case
-from . import registry_core, registry_poly
+from . import registry
 
 __all__ = [
     "Axis",
@@ -33,7 +33,7 @@ GROUPS = tuple(f"G{i:02d}" for i in range(1, 23))
 @lru_cache(maxsize=1)
 def catalog() -> tuple[IdentityCase, ...]:
     """All registered cases, deterministically ordered by group then id."""
-    cases = tuple(registry_core.build() + registry_poly.build())
+    cases = tuple(registry.build())
     ids = [c.id for c in cases]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})

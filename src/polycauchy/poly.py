@@ -27,7 +27,7 @@ builds no Fraction:
 * evaluation at a point and ``eval_at_sqrt``, both by one integer Horner
   loop, and ``integrate_01``, which build one Fraction per value;
 * ``_lincomb``, every rational-weighted sum of polynomials, the library's
-  and the identity registries', ``_weighted_sum``, the same sum with its
+  and the identity catalogue's, ``_weighted_sum``, the same sum with its
   weights read from a Poly's coefficients, ``_cube_moments``, every sum of
   the cube moments w^(j+1) A_j(x/w) as one integer correlation,
   ``_scale_each``, each coefficient times its own integer scale,

@@ -204,7 +204,9 @@ def _check_indices(n: int, m: int):
         raise ValueError(f"indices out of range: need 0 <= m <= n, got n={n}, m={m}")
 
 
-@lru_cache(maxsize=None)
+# gsn1 and gsn2 are memoised by (n, m), with a bound above the keys of the
+# deep grid (ci/deep-grid.cfg), which CI checks
+@lru_cache(maxsize=4096)
 def gsn1(n: int, m: int) -> Poly:
     """Shifted-parameter Stirling polynomial of the first kind, [n m]_x: the
     integer coefficients binom(i+m, m) [n i+m] of x^i, read from row n of
@@ -214,7 +216,7 @@ def gsn1(n: int, m: int) -> Poly:
     return Poly([comb(i, m) * row[i] for i in range(m, n + 1)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def gsn2(n: int, m: int) -> Poly:
     """Shifted-parameter Stirling polynomial of the second kind, {n m}_x: the
     integer coefficients binom(n, i) {n-i m} of x^i, read down column m of
@@ -238,8 +240,8 @@ def _exact_step(kind: str, q) -> Fraction:
 # The bivariate value rows, unscaled, memoised by (kind, n, y, q) with y and q
 # keyed by their integer numerators and denominators, since hashing a Fraction
 # costs more than the rest of a lookup.  The identity catalogue reads the same
-# rows at many points: a default run makes 382 keys, the deep grid
-# (ci/deep-grid.cfg) 972, so the bound exceeds both.
+# rows at many points; the bound exceeds the keys of a default run and of the
+# deep grid (ci/deep-grid.cfg), which tier-1 and CI check.
 @lru_cache(maxsize=2048)
 def _bivariate_values(kind: str, n: int, y_num: int, y_den: int, q_num: int, q_den: int) -> Poly:
     return _homogenised_row([_GSN[kind](n, m) for m in range(n + 1)], Fraction(y_num, y_den), Fraction(q_num, q_den))

@@ -1,12 +1,15 @@
 import hashlib
+import importlib
 import inspect
 import json
+import pkgutil
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import polycauchy
 import polycauchy.identities as identities
 from polycauchy.identities import (
     DEFAULT_GRID,
@@ -19,8 +22,7 @@ from polycauchy.identities import (
     run_all,
     verify,
 )
-from polycauchy import stirling
-from polycauchy.identities import registry_core, registry_poly
+from polycauchy.identities import registry
 
 SMALL = Grid(max_n=5, max_n_double=3, max_k=2, max_r=2, max_a=2, max_n_multi=2)
 # odd max_n and max_n_double, and max_k, max_a, max_r and max_n_multi below the
@@ -202,20 +204,32 @@ def test_grid_overrides():
     assert g.max_k == DEFAULT_GRID.max_k
 
 
+def _package_memos() -> dict:
+    """Every memo of a function with arguments in the polycauchy modules,
+    found by ``cache_info`` as the benchmark tracer finds them."""
+    memos = {}
+    for info in pkgutil.walk_packages(polycauchy.__path__, "polycauchy."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+                    and inspect.signature(obj).parameters):
+                memos[f"{module.__name__}.{name}"] = obj
+    return memos
+
+
 def test_registry_memos_are_bounded_and_hold_the_default_grid():
-    # each memo of an inner sum, of single values or of a row of bivariate
-    # Stirling values is bounded, and a default run fills it below its bound,
-    # so nothing is evicted and computed again
-    memos = (registry_core._inv_sum, registry_core._th3_terms, registry_core._th4_terms,
-             registry_core._th10_bernoulli, registry_poly._kb_sum, registry_poly._bernoulli_moments,
-             registry_poly._mc, registry_poly._mpb, stirling._bivariate_values)
-    for memo in memos:
+    # each memo of the library and of the catalogue is bounded, and a default
+    # run fills it below its bound, so nothing is evicted and computed again
+    memos = _package_memos()
+    assert "polycauchy.identities.registry._inv_sum" in memos
+    assert "polycauchy.stirling.gsn1" in memos
+    for memo in memos.values():
         memo.cache_clear()
     assert run_all(DEFAULT_GRID).ok
-    for memo in memos:
+    for name, memo in memos.items():
         info = memo.cache_info()
-        assert info.maxsize is not None
-        assert 0 < info.currsize < info.maxsize
+        assert info.maxsize is not None, name
+        assert 0 < info.currsize < info.maxsize, (name, info)
 
 
 def _required(fn) -> set:
@@ -237,8 +251,7 @@ def test_axes_name_the_parameters_each_check_needs():
 def test_axes_are_declared_not_generated():
     for case in catalog():
         assert isinstance(case.axes, tuple) and all(isinstance(axis, Axis) for axis in case.axes), case.id
-    for module in (registry_core, registry_poly):
-        assert "lambda g" not in Path(module.__file__).read_text()
+    assert "lambda g" not in Path(registry.__file__).read_text()
 
 
 # one sha256 over (id, sorted params) of every point of every case, in

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from polycauchy.bernoulli import poly_bernoulli_gsn
 from polycauchy.cauchy import KIND_SIGN, cauchy_number, cauchy_poly
 from polycauchy.identities import get_case
-from polycauchy.identities.registry_core import _inv_sum, _whitk
-from polycauchy.identities.registry_poly import _kb_sum
+from polycauchy.identities.registry import _inv_sum, _kb_sum, _whitk
 from polycauchy.poly import Poly
 from polycauchy.stirling import gsn1, gsn2, stirling1, whitney
 

@@ -1,11 +1,16 @@
-"""Memory held by families that keep no memo of their own."""
+"""Memory held by families that keep no memo of their own, and by the
+bounded memos of those that do."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import threading
 
 import polycauchy
+from polycauchy import cauchy_number, cauchy_poly
+from polycauchy.cauchy import _poly_gsn, cauchy_coefficient
 
 # Euler and power-sum polynomials read the memoised Bernoulli rows, so the
 # session warms those first; what it builds after them is dropped by each
@@ -58,6 +63,36 @@ _MOMENT_SESSION = textwrap.dedent("""
 """)
 
 
+# Five library memos flooded with four times their bounds of distinct keys, at
+# degree 0 so that each call is cheap and the bytes kept are the memo entries
+# themselves: 8,192 keys each for cauchy_number and for cauchy_poly's gsn memo
+# (bound 2,048), 2,048 for gen_bernoulli_poly (512) and 1,024 for each
+# poly-Bernoulli form (256).  gsn1 and gsn2 are left out: 4 x 4,096 keys (n, m)
+# need rows past n = 180.
+_FLOOD_SESSION = textwrap.dedent("""
+    import gc, tracemalloc
+    from polycauchy import cauchy_number, cauchy_poly, gen_bernoulli_poly, poly_bernoulli_gsn, poly_bernoulli_kl
+    cauchy_poly("first", 0, 1)
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for k in range(1, 4097):
+        for kind in ("first", "second"):
+            cauchy_number(kind, 0, k)
+            cauchy_poly(kind, 0, k)
+    for k in range(1, 2049):
+        gen_bernoulli_poly(0, k)
+    for k in range(1, 1025):
+        poly_bernoulli_gsn(0, k)
+        poly_bernoulli_kl(0, k)
+    gc.collect()
+    print(tracemalloc.get_traced_memory()[0] - before)
+""")
+
+# about 1.4 MB with the bounds (Python 3.11), 3.8 MB when the memos were unbounded
+FLOOD_BUDGET = 2 * 1024 * 1024
+
+
 def _retained(session: str) -> int:
     """The bytes a session's measured part leaves allocated, in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(polycauchy.__file__))
@@ -75,3 +110,41 @@ def test_unmemoised_families_retain_under_budget():
 def test_moment_sums_over_fresh_weights_retain_nothing():
     # nothing at all here; the bound leaves room for the interpreter's own caches
     assert _retained(_MOMENT_SESSION) < 1024
+
+
+def test_memos_flooded_past_their_bounds_retain_under_budget():
+    assert _retained(_FLOOD_SESSION) < FLOOD_BUDGET
+
+
+def test_threads_evicting_a_bounded_memo_get_equal_results():
+    # more keys than either memo holds, each read twice per thread in its own
+    # order, so entries are evicted and computed again while other threads read
+    keys = [(kind, n, k) for kind in ("first", "second") for n in range(4) for k in range(1, 301)]
+    memos = (cauchy_number, _poly_gsn)
+    for memo in memos:
+        assert len(keys) > (memo.cache_info().maxsize or len(keys))
+        memo.cache_clear()
+    want = {key: cauchy_coefficient(*key[:2], 0, key[2]) for key in keys}
+    results = {}
+
+    def worker(i):
+        order = keys * 2
+        random.Random(i).shuffle(order)
+        results[i] = all(cauchy_number(*key) == want[key] and cauchy_poly(*key)[0] == want[key]
+                         for key in order)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: True for i in range(4)}
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize and info.misses > len(keys)
