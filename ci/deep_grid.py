@@ -1,53 +1,42 @@
 """Run the identity catalogue on the deep grid and check it against its record.
 
-    python ci/deep_grid.py            # check: exit 1 on a failure or a digest change
+    python ci/deep_grid.py            # check: exit 1 on a failure, a digest change or a full memo
     python ci/deep_grid.py --record   # rewrite ci/deep-grid.json from this run
 
-The grid is ``ci/deep-grid.cfg``.  The run is ``polycauchy verify --config
-ci/deep-grid.cfg --json`` in a child interpreter under ``timeout 60``, so
-``polycauchy`` must be importable (installed, or ``PYTHONPATH=src``).  A case's
-digest is the sha256 of ``json.dumps(Report.fingerprint(), sort_keys=True)``,
-its report without the elapsed time, and the suite digest hashes every
-case's digest in case-id order, as ``bench/workloads.py``'s ``suite_digest``
-does for the default grid.
+The grid is ``ci/deep-grid.cfg``, run in this process, so ``polycauchy`` must be
+importable (installed, or ``PYTHONPATH=src``).  The record is the run's totals and
+``SuiteResult.fingerprint()``.  After the run, every package memo of a function with
+arguments must be bounded and not full: the deep grid reaches further than the
+default one, so a memo that fills here would evict while the catalogue runs.
 """
 
-import hashlib
+import inspect
 import json
-import subprocess
 import sys
 from pathlib import Path
+
+import polycauchy.cli  # noqa: F401  loads every package module, so every memo is counted
+from polycauchy.identities import Grid, run_all
 
 HERE = Path(__file__).resolve().parent
 CONFIG = HERE / "deep-grid.cfg"
 RECORD = HERE / "deep-grid.json"
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def run() -> dict:
-    command = ["timeout", "60", sys.executable, "-m", "polycauchy.cli",
-               "verify", "--config", str(CONFIG), "--json"]
-    done = subprocess.run(command, capture_output=True, text=True)
-    if done.returncode not in (0, 1):  # 1: some identity failed, reported below
-        sys.exit(f"deep grid run exited {done.returncode}:\n{done.stderr}")
-    result = json.loads(done.stdout)
-    cases = {}
-    for report in result["reports"]:
-        report.pop("millis")
-        cases[report["id"]] = _sha256(json.dumps(report, sort_keys=True))
-    summary = result["summary"]
-    return {
-        "totals": {key: summary[key] for key in ("cases", "points", "failures")},
-        "suite_sha256": _sha256("".join(f"{cid} {d}\n" for cid, d in sorted(cases.items()))),
-        "cases": cases,
-    }
+def full_memos() -> tuple[int, list]:
+    """The number of package memos of functions with arguments, and those unbounded or full."""
+    memos = {f for name, m in list(sys.modules.items()) if name.startswith("polycauchy")
+             for f in vars(m).values() if hasattr(f, "cache_info") and inspect.signature(f).parameters}
+    full = sorted(f.__qualname__ for f in memos
+                  if f.cache_info().maxsize is None or f.cache_info().currsize >= f.cache_info().maxsize)
+    return len(memos), full
 
 
 def main(argv) -> int:
-    got = run()
+    result = run_all(Grid.from_text(CONFIG.read_text()))
+    totals = {"cases": len(result.reports), "points": sum(r.points for r in result.reports),
+              "failures": result.failures}
+    got = {"totals": totals, **result.fingerprint()}
     if argv[1:] == ["--record"]:
         RECORD.write_text(json.dumps(got, indent=1) + "\n")
         return 0
@@ -55,11 +44,15 @@ def main(argv) -> int:
     problems = [f"{cid}: fingerprint differs from the record" for cid, d in sorted(got["cases"].items())
                 if want["cases"].get(cid) != d]
     problems += [f"{cid}: recorded case did not run" for cid in sorted(set(want["cases"]) - set(got["cases"]))]
-    if got["totals"]["failures"]:
-        problems.append(f"{got['totals']['failures']} failing points")
+    if result.failures:
+        problems.append(f"{result.failures} failing points")
     if got["suite_sha256"] != want["suite_sha256"]:
         problems.append("suite digest differs from the record")
-    print(json.dumps(got["totals"]), got["suite_sha256"])
+    count, full = full_memos()
+    if not count:
+        problems.append("no package memo found")
+    problems += [f"{name}: memo unbounded or full after the run" for name in full]
+    print(json.dumps(totals), got["suite_sha256"], f"{count} memos; full: {full}")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -8,12 +8,14 @@ instead of failing the suite; they exist for statements whose printed
 form is suspected to carry a typo.
 
 Reports are deterministic for a fixed grid except for the elapsed-time
-field.  Cases are independent and side-effect free, so any subset may
-run in any order; the runner is sequential and emits catalog order.
+field, which ``fingerprint()`` leaves out.  Cases are independent and
+side-effect free, so any subset may run in any order; the runner is
+sequential and emits catalog order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -225,7 +227,7 @@ class Report:
     group: str
     points: int
     failures: list = field(default_factory=list)
-    millis: int = 0
+    millis: float = 0.0  # elapsed time, to the microsecond
     finding: str | None = None
     probe: bool = False
 
@@ -253,6 +255,10 @@ class Report:
         return out
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_case(case: IdentityCase, grid: Grid) -> Report:
     start = perf_counter()
     checks = case.variants if case.probe else {None: case.check}
@@ -275,7 +281,7 @@ def run_case(case: IdentityCase, grid: Grid) -> Report:
         finding = "holds: " + (", ".join(holds) if holds else "none")
         if fails:
             finding += "; fails: " + ", ".join(fails)
-    millis = int((perf_counter() - start) * 1000)
+    millis = round((perf_counter() - start) * 1000, 3)
     return Report(case.id, case.group, len(points), failures, millis, finding, case.probe)
 
 
@@ -310,6 +316,14 @@ class SuiteResult:
             {"id": r.case_id, "finding": r.finding} for r in self.reports if r.probe
         ]
 
+    def fingerprint(self) -> dict:
+        """Each case's sha256 of ``json.dumps(Report.fingerprint(), sort_keys=True)``, in
+        catalog order, and the suite's: the sha256 of the ``"{id} {digest}\\n"`` lines in id
+        order.  Two runs on one grid with the same outcomes give equal fingerprints."""
+        cases = {r.case_id: _sha256(json.dumps(r.fingerprint(), sort_keys=True)) for r in self.reports}
+        suite = _sha256("".join(f"{cid} {d}\n" for cid, d in sorted(cases.items())))
+        return {"suite_sha256": suite, "cases": cases}
+
     def to_dict(self) -> dict:
         return {
             "reports": [r.to_dict() for r in self.reports],
@@ -320,6 +334,7 @@ class SuiteResult:
                 "groups": self.group_summary(),
                 "findings": self.findings(),
                 "ok": self.ok,
+                "fingerprint": self.fingerprint()["suite_sha256"],
             },
         }
 

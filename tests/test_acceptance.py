@@ -5,7 +5,6 @@ All comparisons are exact (zero tolerance); the only non-exact bounds
 are the stated runtime budgets.
 """
 
-import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -114,13 +113,12 @@ def test_criterion_4_identity_suite_default_grids():
         for r in probes:
             assert r.finding
         # every case's id, point count and probe finding as recorded for the benchmark
-        expected = json.loads(EXPECTED_VERIFY.read_text())["cases"]
-        digests = {
-            r.case_id: hashlib.sha256(json.dumps(r.fingerprint(), sort_keys=True).encode()).hexdigest()
-            for r in result.reports
-        }
-        assert list(digests) == list(expected)
-        assert [cid for cid in expected if digests[cid] != expected[cid]] == []
+        expected = json.loads(EXPECTED_VERIFY.read_text())
+        fingerprint = result.fingerprint()
+        digests = fingerprint["cases"]
+        assert list(digests) == list(expected["cases"])
+        assert [cid for cid in digests if digests[cid] != expected["cases"][cid]] == []
+        assert fingerprint["suite_sha256"] == expected["suite_sha256"]
 
     _criterion(4, "identity suite on default grids: zero failures, fingerprints as recorded, <5min", check)
 

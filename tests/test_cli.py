@@ -390,6 +390,21 @@ def test_verify_json_small_grid(capsys):
     assert set(report) >= {"id", "group", "points", "failures", "millis"}
 
 
+def test_verify_text_times(capsys):
+    # the full run's table gives each case's time to the microsecond; one case's
+    # line keeps whole milliseconds
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-n-double", "2",
+                       "--max-k", "1", "--max-r", "1", "--max-a", "1", "--max-n-multi", "1")
+    assert code == 0
+    rows = out.split("\n--\n")[0].splitlines()
+    times = [line for line in rows if not line.startswith(" ")]  # not a finding or failure
+    assert len(times) == 198
+    assert all(re.search(r" points +\d+\.\d{3} ms$", line) for line in times)
+    code, out, _ = run(capsys, "verify", "--id", "G04.int1")
+    assert code == 0
+    assert re.fullmatch(r"G04\.int1: pass \(\d+ points, \d+ ms\)\n", out)
+
+
 def test_verify_config_file(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("# comment\nmax_n=4\n")

@@ -142,6 +142,25 @@ def test_determinism_modulo_elapsed_time():
     assert a.fingerprint() == b.fingerprint()
 
 
+def test_suite_fingerprint_leaves_out_elapsed_time():
+    a, b = run_all(SMALL), run_all(SMALL)
+    assert a.fingerprint() == b.fingerprint()
+    assert [r.millis for r in a.reports] != [r.millis for r in b.reports]
+    assert all(isinstance(r.millis, float) for r in a.reports)
+    assert list(a.fingerprint()["cases"]) == [r.case_id for r in a.reports]
+    assert a.to_dict()["summary"]["fingerprint"] == a.fingerprint()["suite_sha256"]
+
+
+def test_suite_fingerprint_follows_the_outcome():
+    result = run_all(SMALL)
+    before = result.fingerprint()
+    result.reports[0] = replace(result.reports[0], points=result.reports[0].points + 1)
+    after = result.fingerprint()
+    first = result.reports[0].case_id
+    assert [cid for cid in before["cases"] if before["cases"][cid] != after["cases"][cid]] == [first]
+    assert before["suite_sha256"] != after["suite_sha256"]
+
+
 def test_probe_reports_single_surviving_sign():
     report = verify("G06.k-recurrence-sign", SMALL)
     assert report.probe
