@@ -24,6 +24,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 from . import bernoulli, cauchy, harmonic, series, stirling
@@ -238,8 +239,7 @@ def _checked_max_n(max_n: int) -> int:
 
 
 def _cmd_table(args) -> int:
-    max_n = _checked_max_n(args.max_n)
-    _write_lines(_table_lines(args, max_n), args.out)
+    _write_lines(_table_lines(args, _checked_max_n(args.max_n)), args.out)
     return 0
 
 
@@ -257,13 +257,17 @@ def _table_lines(args, max_n: int):
             yield "".join(parts)
         return
     header, entry = _SEQUENCES[args.family]
-    # entry n = 0 comes before the header, so an argument the family
-    # rejects, such as --k 0, fails before any line reaches stdout
-    first = entry(args, 0)
+    yield from _numbered(header, (entry(args, n) for n in range(max_n + 1)))
+
+
+def _numbered(header: str, items):
+    """The header, then "{i}\t{item}" per item.  Item 0 comes before the header,
+    so an argument the family rejects, such as --k 0, fails before any output."""
+    rows = (f"{i}\t{item}" for i, item in enumerate(items))
+    first = list(islice(rows, 1))
     yield header
-    yield f"0\t{first}"
-    for n in range(1, max_n + 1):
-        yield f"{n}\t{entry(args, n)}"
+    yield from first
+    yield from rows
 
 
 def _cmd_eval(args) -> int:
@@ -273,10 +277,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_series(args) -> int:
     rows = _SERIES[args.gf](args)
-    lines = ["n\tn!\tcoefficient"]
-    for n in range(args.order + 1):
-        lines.append(f"{n}\t{factorial(n)}\t{rows[n]}")
-    _write_lines(lines, args.out)
+    items = (f"{factorial(n)}\t{row}" for n, row in enumerate(rows))
+    _write_lines(_numbered("n\tn!\tcoefficient", items), args.out)
     return 0
 
 
@@ -293,70 +295,58 @@ def _status(report) -> str:
     return "probe" if report.probe else ("pass" if report.ok else "FAIL")
 
 
+def _report_lines(head: str, report, indent: str, shown: int):
+    """head, then the report's finding and its first ``shown`` failures, indented."""
+    yield head
+    if report.finding:
+        yield f"{indent}finding: {report.finding}"
+    for f in report.failures[:shown]:
+        yield f"{indent}at {f['params']}: {f['lhs']} != {f['rhs']}"
+
+
+def _suite_lines(result):
+    for r in result.reports:
+        head = f"{r.case_id:30s} {_status(r):5s} {r.points:6d} points {r.millis:10.3f} ms"
+        yield from _report_lines(head, r, " " * 31, 5)
+    yield "--"
+    for g in result.group_summary():
+        yield f"{g['group']}: {g['cases']} cases, {g['points']} points, {g['failures']} failures"
+    yield (f"total: {len(result.reports)} cases, {sum(r.points for r in result.reports)} points, "
+           f"{result.failures} failures")
+
+
 def _cmd_verify(args) -> int:
-    if args.id is not None:
+    if args.id is None:
+        result = run_all(args.grid)
+        lines = _suite_lines(result)
+    else:
         try:
-            report = verify(args.id, args.grid)
+            result = verify(args.id, args.grid)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
-        payload = json.dumps(report.to_dict(), indent=2) if args.json or args.out else None
-        if args.json:
-            print(payload)
-        else:
-            # whole milliseconds: bench/workloads.py masks this time as \d+ ms\) before hashing
-            print(f"{report.case_id}: {_status(report)} ({report.points} points, "
-                  f"{int(report.millis)} ms)")
-            if report.finding:
-                print(f"  finding: {report.finding}")
-            for f in report.failures[:10]:
-                print(f"  at {f['params']}: {f['lhs']} != {f['rhs']}")
-        if args.out:
-            _write_lines([payload], args.out)
-        return 0 if report.ok else 1
-
-    result = run_all(args.grid)
-    if args.json:
-        print(result.to_json())
-    else:
-        for report in result.reports:
-            line = (f"{report.case_id:30s} {_status(report):5s} {report.points:6d} points "
-                    f"{report.millis:10.3f} ms")
-            print(line)
-            if report.finding:
-                print(f"{'':30s} finding: {report.finding}")
-            for f in report.failures[:5]:
-                print(f"{'':30s} at {f['params']}: {f['lhs']} != {f['rhs']}")
-        print("--")
-        for g in result.group_summary():
-            print(
-                f"{g['group']}: {g['cases']} cases, {g['points']} points, "
-                f"{g['failures']} failures"
-            )
-        print(
-            f"total: {len(result.reports)} cases, "
-            f"{sum(r.points for r in result.reports)} points, "
-            f"{result.failures} failures"
-        )
+        # whole milliseconds: bench/workloads.py masks this time as \d+ ms\) before hashing
+        head = f"{result.case_id}: {_status(result)} ({result.points} points, {int(result.millis)} ms)"
+        lines = _report_lines(head, result, "  ", 10)
+    payload = json.dumps(result.to_dict(), indent=2) if args.json or args.out else None
+    _write_lines([payload] if args.json else lines, None)
     if args.out:
-        _write_lines([result.to_json()], args.out)
+        _write_lines([payload], args.out)
     return 0 if result.ok else 1
 
 
 def _cmd_export(args) -> int:
-    max_n = _checked_max_n(args.max_n)
     keys, poly = _EXPORTS[args.family]
-    params = {key: getattr(args, key) for key in keys}
     if poly:
-        key, header = "coefficients", "i\tcoefficient"
-        strings = poly_to_strings(poly(args))
+        key, header, strings = "coefficients", "i\tcoefficient", poly_to_strings(poly(args))
     else:
         key, (header, entry) = "values", _SEQUENCES[args.family]
-        strings = [entry(args, n) for n in range(max_n + 1)]
+        strings = [entry(args, n) for n in range(_checked_max_n(args.max_n) + 1)]
     if args.format == "json":
+        params = {name: getattr(args, name) for name in keys}
         payload = {"family": args.family, "params": params, key: strings}
         _write_lines([json.dumps(payload, indent=2)], args.out)
     else:
-        _write_lines([header] + [f"{i}\t{v}" for i, v in enumerate(strings)], args.out)
+        _write_lines(_numbered(header, strings), args.out)
     return 0
 
 

@@ -32,7 +32,7 @@ from operator import mul
 from typing import Callable, Iterable
 
 from .poly import Poly, _power, _product, _split
-from .rational import _exact
+from .rational import _exact, _reciprocal_powers
 
 __all__ = [
     "Series",
@@ -168,19 +168,28 @@ def _integers(s: Series) -> tuple[tuple, int]:
     return nums + (0,) * (s._order + 1 - len(nums)), den
 
 
+def _reciprocal_series(order: int, shift: int, sign: int) -> Series:
+    """The Series of the given order whose coefficient of t^(j-1+shift) is
+    sign^(j+1)/j, j >= 1: one ``_reciprocal_powers`` row over its denominator."""
+    nums, den = _reciprocal_powers(1, order + 2 - shift, 1)
+    if sign < 0:
+        nums[1::2] = [-w for w in nums[1::2]]
+    return _series(Poly([0] * shift + nums) / den, order)
+
+
 def log1p_series(order: int) -> Series:
     """log(1+t) = t - t^2/2 + t^3/3 - ..."""
-    return Series([Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)])
+    return _reciprocal_series(order, 1, -1)
 
 
 def log1p_over_t_series(order: int) -> Series:
     """log(1+t)/t = 1 - t/2 + t^2/3 - ..."""
-    return Series([Fraction((-1) ** n, n + 1) for n in range(order + 1)])
+    return _reciprocal_series(order, 0, -1)
 
 
 def _neg_log1m_series(order: int) -> Series:
     """-log(1-t) = t + t^2/2 + t^3/3 + ..."""
-    return Series([Fraction(0)] + [Fraction(1, n) for n in range(1, order + 1)])
+    return _reciprocal_series(order, 1, 1)
 
 
 def _sheffer_powers(A: Callable[[int], Series], g: Callable[[int], Series],

@@ -735,6 +735,17 @@ def test_export_negative_max_n_is_usage_error(tmp_path, capsys, fmt, max_n):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("family", ["cauchy-poly", "hyperharmonic"])
+def test_export_polynomial_ignores_max_n(tmp_path, capsys, family, fmt):
+    # a polynomial export never reads --max-n, so a negative one changes nothing
+    plain, flagged = tmp_path / f"plain.{fmt}", tmp_path / f"flagged.{fmt}"
+    argv = ("export", "--family", family, "--n", "5", "--format", fmt)
+    assert run(capsys, *argv, "--out", str(plain)) == (0, "", "")
+    assert run(capsys, *argv, "--max-n", "-1", "--out", str(flagged)) == (0, "", "")
+    assert flagged.read_bytes() == plain.read_bytes()
+
+
 def test_triangle_files_in_env_dir_are_neither_read_nor_written(tmp_path, monkeypatch, capsys):
     # a wrong stirling1(1, 1) and an unparsable central row must not reach the result
     header = "# polycauchy triangle cache v1\n"

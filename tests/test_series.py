@@ -18,7 +18,7 @@ from polycauchy import (
     log1p_series,
     sheffer_rows,
 )
-from polycauchy.series import _integers, _sheffer_powers, _sheffer_row
+from polycauchy.series import _integers, _neg_log1m_series, _sheffer_powers, _sheffer_row
 
 units = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10), min_size=3, max_size=6
@@ -144,6 +144,19 @@ def test_read_back_is_tuple_like():
 
 def test_log1p():
     assert log1p_series(3).coeffs == (0, 1, F(-1, 2), F(1, 3))
+
+
+def test_log_series_equal_their_defining_fractions():
+    # each is one 1/j row over one denominator; the coefficients are the definitions'
+    for order in range(41):
+        log1p = Series([F(0)] + [F((-1) ** (n + 1), n) for n in range(1, order + 1)])
+        log1p_over_t = Series([F((-1) ** n, n + 1) for n in range(order + 1)])
+        neg_log1m = Series([F(0)] + [F(1, n) for n in range(1, order + 1)])
+        for built, defined in ((log1p_series(order), log1p),
+                               (log1p_over_t_series(order), log1p_over_t),
+                               (_neg_log1m_series(order), neg_log1m)):
+            assert built == defined, order
+            assert (built.order, built.coeffs) == (order, defined.coeffs)
 
 
 def test_geometric_reciprocal():
