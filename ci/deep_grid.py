@@ -10,12 +10,14 @@ arguments must be bounded and not full: the deep grid reaches further than the
 default one, so a memo that fills here would evict while the catalogue runs.
 """
 
+import importlib
 import inspect
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
-import polycauchy.cli  # noqa: F401  loads every package module, so every memo is counted
+import polycauchy
 from polycauchy.identities import Grid, run_all
 
 HERE = Path(__file__).resolve().parent
@@ -25,8 +27,10 @@ RECORD = HERE / "deep-grid.json"
 
 def full_memos() -> tuple[int, list]:
     """The number of package memos of functions with arguments, and those unbounded or full."""
-    memos = {f for name, m in list(sys.modules.items()) if name.startswith("polycauchy")
-             for f in vars(m).values() if hasattr(f, "cache_info") and inspect.signature(f).parameters}
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(polycauchy.__path__, "polycauchy.")]
+    memos = {f for m in modules for f in vars(m).values()
+             if hasattr(f, "cache_info") and inspect.signature(f).parameters}
     full = sorted(f.__qualname__ for f in memos
                   if f.cache_info().maxsize is None or f.cache_info().currsize >= f.cache_info().maxsize)
     return len(memos), full

@@ -28,8 +28,7 @@ from itertools import islice
 from math import factorial
 
 from . import bernoulli, cauchy, harmonic, series, stirling
-from .identities import DEFAULT_GRID, Grid, run_all, verify
-from .identities.engine import BOUNDS
+from .identities import BOUNDS, DEFAULT_GRID, Grid, run_all, verify
 from .poly import Poly, poly_from_strings, poly_to_strings
 from .rational import format_rational, parse_rational
 
