@@ -8,6 +8,7 @@ importable (installed, or ``PYTHONPATH=src``).  The record is the run's totals a
 ``SuiteResult.fingerprint()``.  After the run, every package memo of a function with
 arguments must be bounded and not full: the deep grid reaches further than the
 default one, so a memo that fills here would evict while the catalogue runs.
+Each memo's fill, ``name currsize/maxsize``, is printed, fullest first.
 """
 
 import importlib
@@ -25,15 +26,15 @@ CONFIG = HERE / "deep-grid.cfg"
 RECORD = HERE / "deep-grid.json"
 
 
-def full_memos() -> tuple[int, list]:
-    """The number of package memos of functions with arguments, and those unbounded or full."""
+def memo_fills() -> list:
+    """(name, currsize, maxsize) of each package memo of a function with arguments,
+    fullest first; an unbounded memo, of maxsize None, counts as full."""
     modules = [importlib.import_module(info.name)
                for info in pkgutil.walk_packages(polycauchy.__path__, "polycauchy.")]
     memos = {f for m in modules for f in vars(m).values()
              if hasattr(f, "cache_info") and inspect.signature(f).parameters}
-    full = sorted(f.__qualname__ for f in memos
-                  if f.cache_info().maxsize is None or f.cache_info().currsize >= f.cache_info().maxsize)
-    return len(memos), full
+    fills = sorted((f.__qualname__, f.cache_info().currsize, f.cache_info().maxsize) for f in memos)
+    return sorted(fills, key=lambda m: float("inf") if m[2] is None else m[1] / m[2], reverse=True)
 
 
 def main(argv) -> int:
@@ -52,11 +53,14 @@ def main(argv) -> int:
         problems.append(f"{result.failures} failing points")
     if got["suite_sha256"] != want["suite_sha256"]:
         problems.append("suite digest differs from the record")
-    count, full = full_memos()
-    if not count:
+    fills = memo_fills()
+    full = sorted(name for name, size, bound in fills if bound is None or size >= bound)
+    if not fills:
         problems.append("no package memo found")
     problems += [f"{name}: memo unbounded or full after the run" for name in full]
-    print(json.dumps(totals), got["suite_sha256"], f"{count} memos; full: {full}")
+    print(json.dumps(totals), got["suite_sha256"], f"{len(fills)} memos; full: {full}")
+    for name, size, bound in fills:
+        print(f"{name} {size}/{bound}")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

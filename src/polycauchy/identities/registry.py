@@ -25,7 +25,11 @@ that existing check or compares with that construction (``_constructions``)
 instead of writing the sum again: the Newton sums over the other kind's
 numbers are ``cauchy._other_kind_sum``, those over the kind's own the
 ``binomial_conv`` construction, and G11.inv2/inv3/inv3-alt read G19's
-Bernoulli sum ``_th10_bernoulli``.
+Bernoulli sum ``_th10_bernoulli``.  A number corollary reads the check it
+specialises at its point (``_at``): G10.hyp5-x1 is G10.rec-negy at 0.  A
+classical case reads its multiparameter statement at unit parameters, q = 1,
+L = (1, ..., 1) and y = 0 (``_unit``): G17.kl1-kl4 take their right sides from
+G21.mpb1-mpb4.
 
 Each case declares its points as a tuple of ``engine.Axis``.  The n, k, i and
 y axes and the multiparameter n, a, q, L and y axes are declared once below
@@ -213,11 +217,9 @@ def _stirling_bernoulli(n, sign):
     ), F(0))
 
 
-def _number_transform(kind, n, shift):
-    """sum_{1 <= m <= n} c_m/m {n-shift m-shift} over the kind's numbers c_m."""
-    return sum((
-        cauchy_number(kind, m, 1) / m * stirling2(n - shift, m - shift) for m in range(1, n + 1)
-    ), F(0))
+def _at(x, sides, scale=1):
+    """A check's two sides at x, times scale, as Fractions."""
+    return tuple(F(side(x)) * scale for side in sides)
 
 
 @lru_cache(maxsize=256)
@@ -432,13 +434,10 @@ def _g06():
         rhs = _chp(n).affine_compose(-1, 0) + _chp(n - 1).affine_compose(-1, 0) * n
         return _cp(n), rhs
 
-    def _k_rec_variant(sign):
-        def check(n, k):
-            # the sum over m of (-1)^m n!/m! c_(m+1) C(x - m - 1, n - m) is the library's
-            rhs = (X - n) * _chp(n, k) * sign - _other_kind_sum("second", n, k, -1, 1)
-            return _chp(n + 1, k), rhs
-
-        return check
+    def k_rec(sign, n, k):
+        # the sum over m of (-1)^m n!/m! c_(m+1) C(x - m - 1, n - m) is the library's
+        rhs = (X - n) * _chp(n, k) * sign - _other_kind_sum("second", n, k, -1, 1)
+        return _chp(n + 1, k), rhs
 
     return [
         IdentityCase("G06.rec1", "one-step recurrence for the first kind", (replace(_N, less=1),), partial(_reck, "first", k=1)),
@@ -453,7 +452,7 @@ def _g06():
             "probe: sign of the (x-n) term in the second-kind step recurrence for general order",
             (_ND, _K),
             None,
-            variants={"+(x-n)": _k_rec_variant(1), "-(x-n)": _k_rec_variant(-1)},
+            variants={"+(x-n)": partial(k_rec, 1), "-(x-n)": partial(k_rec, -1)},
         ),
     ]
 
@@ -614,11 +613,7 @@ def _g10():
         return cauchy_poly(kind, n, 1) / factorial(n), rhs
 
     def hyp5_x1(n):
-        rhs = (F(1) if n == 1 else F(0)) + sum((
-            _c(m) / factorial(m) * F((-1) ** (n - m), (n - m) * (n + 1 - m))
-            for m in range(n)
-        ), F(0))
-        return _c(n) / factorial(n), rhs
+        return _at(0, hyp5("first", n))
 
     def hyp67(kind, n):
         rhs = _lincomb((F((-1) ** m, factorial(m)), cauchy_poly(_OTHER[kind], m, 1)) for m in range(n + 1))
@@ -655,11 +650,14 @@ def _g10():
 
 
 def _g11():
+    # at 1: c_m(1) is the second kind's number, since the first kind's generating
+    # function at x = 1 is the second kind's at 0; gsn2(n-1, m-1)(1) is {n m};
+    # and B_n(1) is (-1)^n B_n
     def th31_x1(n):
-        return -bernoulli_number(n) / n, F((-1) ** n) * _number_transform("second", n, 0)
+        return _at(1, _th3("first", n), (-1) ** n)
 
     def th31_x0(n):
-        return -bernoulli_number(n) / n, _number_transform("first", n, 1)
+        return _at(0, _th3("first", n))
 
     def inv(kind, n):
         # G19's Bernoulli sum, less the sum over m of seed/m gsn1(n-1, m-1)
@@ -676,7 +674,7 @@ def _g11():
         return F((-1) ** (n + 1)) * _ch(n) / n, rhs
 
     def exp5b(n):
-        return F((-1) ** (n + 1)) * _c(n) / n, _stirling_bernoulli(n, -1)
+        return _at(0, inv("first", n), (-1) ** n)
 
     def odd_vanish(n):
         return _stirling_bernoulli(n, 1), _stirling_bernoulli(n, -1)
@@ -704,11 +702,12 @@ def _g11():
 
 
 def _g12():
+    # at 1, as for G11.th31-x1
     def bn_alt1(n):
-        return bernoulli_number(n), F((-1) ** n) * (1 - n * _number_transform("first", n, 0))
+        return _at(1, _th4("first", n), (-1) ** n)
 
     def bn_alt2(n):
-        return bernoulli_number(n), F((-1) ** n) - n * _number_transform("second", n, 1)
+        return _at(0, _th4("second", n))
 
     def diff_c(n):
         # the terms of G12.th41 less those of G11.th31, at 1/m
@@ -717,7 +716,7 @@ def _g12():
         return lhs, Poly([0] * n + [F(1, n)])
 
     def diff_cchat(n):
-        return _number_transform("first", n, 0) - _number_transform("second", n, 0), F(1, n)
+        return _at(1, diff_c(n))
 
     def kargin_inv(n):
         lhs = sum((stirling2(n + 1, m + 1) * _ch(m) for m in range(n + 1)), F(0))
@@ -898,19 +897,12 @@ def _g17():
         weights = Poly([F((-e) ** m, factorial(m)) * _kb_sum(m, k)(y) for m in range(n + 1)]) * (-1) ** n
         return _reflected(kind, n, k), _weighted_sum(weights, [gsn1(n, m) for m in range(n + 1)])
 
+    # G21.mpb1-mpb4 at unit parameters, against the library's order-k families
     def kl12(kind, n, k):
-        rhs = _lincomb((
-            (-KIND_SIGN[kind]) ** m * factorial(m) * stirling2(n, m) * stirling2(m, l),
-            cauchy_poly(kind, l, k),
-        ) for m in range(n + 1) for l in range(m + 1)) * (-1) ** n
-        return poly_bernoulli_kl(n, k), rhs
+        return poly_bernoulli_kl(n, k), _mpb12(kind, n, 1, *_unit(k))[1]
 
     def kl34(kind, n, k):
-        rhs = _lincomb((
-            F((-KIND_SIGN[kind]) ** m, factorial(m)) * stirling1(n, m) * stirling1(m, l),
-            poly_bernoulli_kl(l, k),
-        ) for m in range(n + 1) for l in range(m + 1)) * (-1) ** n
-        return cauchy_poly(kind, n, k), rhs
+        return cauchy_poly(kind, n, k), _mpb34(kind, n, 1, *_unit(k))[1]
 
     return [
         IdentityCase("G17.kb1", "poly-Bernoulli from double transforms of first-kind values", (_ND, _K, _Y), partial(kb12, "first")),
@@ -986,15 +978,12 @@ def _g19():
         weights = [Poly()] + [gsn1(n - 1, m - 1) * F((-1) ** m, m) for m in range(1, n + 1)]
         return _cp(n), Poly([_c(n)]) - _shifted_powers(weights, 0, 1) * ((-1) ** n * n)
 
-    def _k1_second_variant(sign):
+    def k1_second(sign, n):
         # sign -1: the printed (-1)^m/m against (x-1)^m - 1; sign 1: 1/m against (1-x)^m - 1
-        def check(n):
-            weights = [Poly()] + [gsn1(n - 1, m - 1) * F(sign**m, m) for m in range(1, n + 1)]
-            ones = _lincomb((1, w) for w in weights)  # the term -1 of each power
-            rhs = Poly([_ch(n)]) - (_shifted_powers(weights, sign, -sign) - ones) * ((-1) ** n * n)
-            return _chp(n).affine_compose(-1, 0), rhs
-
-        return check
+        weights = [Poly()] + [gsn1(n - 1, m - 1) * F(sign**m, m) for m in range(1, n + 1)]
+        ones = _lincomb((1, w) for w in weights)  # the term -1 of each power
+        rhs = Poly([_ch(n)]) - (_shifted_powers(weights, sign, -sign) - ones) * ((-1) ** n * n)
+        return _chp(n).affine_compose(-1, 0), rhs
 
     return [
         IdentityCase("G19.th10-first", "general order first kind from Bernoulli polynomials and constants", (_N1, _K), partial(th10, "first")),
@@ -1009,8 +998,8 @@ def _g19():
             (_N1,),
             None,
             variants={
-                "as-printed ((-1)^m/m, (x-1)^m - 1)": _k1_second_variant(-1),
-                "unsigned (1/m, (1-x)^m - 1)": _k1_second_variant(1),
+                "as-printed ((-1)^m/m, (x-1)^m - 1)": partial(k1_second, -1),
+                "unsigned (1/m, (1-x)^m - 1)": partial(k1_second, 1),
             },
         ),
     ]
@@ -1088,6 +1077,35 @@ def _mpb(n: int, a: int, key: tuple) -> Poly:
     return multiparam_poly_bernoulli(n, len(L), a, q, L, y)
 
 
+def _unit(k):
+    """q = 1, L = (1, ..., 1) of length k and y = 0: the multiparameter
+    arguments at which the family is the ordinary order-k one."""
+    return F(1), (F(1),) * k, F(0)
+
+
+# G21.mpb1-mpb4.  The double sums over l <= m <= n are summed over m first: the
+# outer row's values weight the inner rows, whose coefficient l is the value at
+# (m, l), so each memoised polynomial of index l is scaled once; the outer row's
+# integer scales carry every sign
+def _mpb12(kind, n, a, q, L, y):
+    e = KIND_SIGN[kind]
+    key, ey, sign = _ratios(q, L, y), e * y, (-1) ** (n + a - 1)
+    outer = _bivariate_row("second", n, y, q, [sign * (-e) ** m * factorial(m) for m in range(n + 1)])
+    inner = _weighted_sum(outer, [_bivariate_row("second", m, ey, q) for m in range(n + 1)])
+    return _mpb(n, a, key), _weighted_sum(inner, [_mc(kind, l, a, key) for l in range(n + 1)])
+
+
+def _mpb34(kind, n, a, q, L, y):
+    # the weights (-e)^m/m! as the integers n!/m! over n!
+    e = KIND_SIGN[kind]
+    key, sign = _ratios(q, L, y), (-1) ** (n + a - 1)
+    outer = _bivariate_row("first", n, e * y, q,
+                           [sign * (-e) ** m * (factorial(n) // factorial(m)) for m in range(n + 1)])
+    inner = _weighted_sum(outer, [_bivariate_row("first", m, y, q) for m in range(n + 1)])
+    rhs = _weighted_sum(inner, [_mpb(l, a, key) for l in range(n + 1)]) / factorial(n)
+    return _mc(kind, n, a, key), rhs
+
+
 def _transpose(rows: tuple) -> tuple:
     """Swap the two variables of rows[i], the coefficient of x^i as a Poly in y."""
     height = max((r.degree for r in rows), default=-1) + 1
@@ -1120,12 +1138,9 @@ def _g21():
         rhs = _weighted_stirling(n, e * y, q, a, len(L), F(-e * u, v)) * F((-1) ** n * u**a, v**a)
         return Fraction(_mc(kind, n, a, _ratios(q, L, y)).constant()), rhs
 
-    def unit(k):
-        # the key of q = 1, y = 0 and L = (1, ..., 1)
-        return _ratios(F(1), (F(1),) * k, F(0))
-
     def reduce_ordinary(n, k):
-        return (_mc("first", n, 1, unit(k)), _mc("second", n, 1, unit(k))), (_cp(n, k), _chp(n, k))
+        key = _ratios(*_unit(k))
+        return (_mc("first", n, 1, key), _mc("second", n, 1, key)), (_cp(n, k), _chp(n, k))
 
     def sym_xy(n, q, L):
         # each side as rows: row i is the coefficient of x^i, a Poly in y.  The
@@ -1152,29 +1167,8 @@ def _g21():
 
     mpb = (replace(_NM, cap=3), replace(_A, cap=2), _Q, _L, _YM)
 
-    # the double sums over l <= m <= n are summed over m first: the outer row's
-    # values weight the inner rows, whose coefficient l is the value at (m, l),
-    # so each memoised polynomial of index l is scaled once; the outer row's
-    # integer scales carry every sign
-    def mpb12(kind, n, a, q, L, y):
-        e = KIND_SIGN[kind]
-        key, ey, sign = _ratios(q, L, y), e * y, (-1) ** (n + a - 1)
-        outer = _bivariate_row("second", n, y, q, [sign * (-e) ** m * factorial(m) for m in range(n + 1)])
-        inner = _weighted_sum(outer, [_bivariate_row("second", m, ey, q) for m in range(n + 1)])
-        return _mpb(n, a, key), _weighted_sum(inner, [_mc(kind, l, a, key) for l in range(n + 1)])
-
-    def mpb34(kind, n, a, q, L, y):
-        # the weights (-e)^m/m! as the integers n!/m! over n!
-        e = KIND_SIGN[kind]
-        key, sign = _ratios(q, L, y), (-1) ** (n + a - 1)
-        outer = _bivariate_row("first", n, e * y, q,
-                               [sign * (-e) ** m * (factorial(n) // factorial(m)) for m in range(n + 1)])
-        inner = _weighted_sum(outer, [_bivariate_row("first", m, y, q) for m in range(n + 1)])
-        rhs = _weighted_sum(inner, [_mpb(l, a, key) for l in range(n + 1)]) / factorial(n)
-        return _mc(kind, n, a, key), rhs
-
     def mpb_reduce(n, k):
-        return _mpb(n, 1, unit(k)), poly_bernoulli_kl(n, k)
+        return _mpb(n, 1, _ratios(*_unit(k))), poly_bernoulli_kl(n, k)
 
     nk3 = (_ND, replace(_K, cap=3))
 
@@ -1192,10 +1186,10 @@ def _g21():
         IdentityCase("G21.golden-first", "irrational-point evaluation splits to the recorded pair, first kind", (), partial(golden, "first")),
         IdentityCase("G21.golden-second", "irrational-point evaluation splits to the recorded pair, second kind", (), partial(golden, "second")),
         IdentityCase("G21.negq", "negating the step exchanges the kinds up to sign", mp, negq),
-        IdentityCase("G21.mpb1", "multiparameter poly-Bernoulli from first-kind values", mpb, partial(mpb12, "first")),
-        IdentityCase("G21.mpb2", "multiparameter poly-Bernoulli from second-kind values", mpb, partial(mpb12, "second")),
-        IdentityCase("G21.mpb3", "first kind back from multiparameter poly-Bernoulli values", mpb, partial(mpb34, "first")),
-        IdentityCase("G21.mpb4", "second kind back from multiparameter poly-Bernoulli values", mpb, partial(mpb34, "second")),
+        IdentityCase("G21.mpb1", "multiparameter poly-Bernoulli from first-kind values", mpb, partial(_mpb12, "first")),
+        IdentityCase("G21.mpb2", "multiparameter poly-Bernoulli from second-kind values", mpb, partial(_mpb12, "second")),
+        IdentityCase("G21.mpb3", "first kind back from multiparameter poly-Bernoulli values", mpb, partial(_mpb34, "first")),
+        IdentityCase("G21.mpb4", "second kind back from multiparameter poly-Bernoulli values", mpb, partial(_mpb34, "second")),
         IdentityCase("G21.mpb-reduce", "unit parameters reduce to the alternative poly-Bernoulli family", nk3, mpb_reduce),
     ]
 
@@ -1219,41 +1213,22 @@ def _g22():
         total = _lincomb((F((-1) ** m, factorial(n - m - 1)) * _c(n - m), hyperharmonic_poly(m + 1)) for m in range(n))
         return _chp(n) / factorial(n), binom_poly(0, 1, n) - total.affine_compose(-1, 0)
 
-    def _compare_variant(shift):
+    def compare(shift, n):
         # shift: the argument of the first-kind polynomials on the left side
-        def check(n):
-            lhs = _lincomb(
-                (F((-1) ** m, factorial(m) * (n - m + 1) * (n - m + 2)), _cp(m)) for m in range(n + 1)
-            ).affine_compose(-1, shift)
-            # harmonic_poly(m) is the hyperharmonic polynomial of index m + 1 at 1 - x
-            rhs = _lincomb(
-                (F((-1) ** (n - m)) * _c(n + 1 - m) / factorial(n - m), hyperharmonic_poly(m + 1))
-                for m in range(n + 1)
-            ).affine_compose(-1, 1)
-            return lhs, rhs
-
-        return check
-
-    def _x0_harmonic(n):
-        # sum_m (-1)^m c_(n+1-m) H_(m+1)/(n-m)!: the printed right side, and (-1)^n times the shifted one
-        return sum((
-            F((-1) ** m) * _c(n + 1 - m) / factorial(n - m) * harmonic_number(m + 1)
+        lhs = _lincomb(
+            (F((-1) ** m, factorial(m) * (n - m + 1) * (n - m + 2)), _cp(m)) for m in range(n + 1)
+        ).affine_compose(-1, shift)
+        # harmonic_poly(m) is the hyperharmonic polynomial of index m + 1 at 1 - x
+        rhs = _lincomb(
+            (F((-1) ** (n - m)) * _c(n + 1 - m) / factorial(n - m), hyperharmonic_poly(m + 1))
             for m in range(n + 1)
-        ), F(0))
+        ).affine_compose(-1, 1)
+        return lhs, rhs
 
-    def _x0_printed(n):
-        lhs = sum((
-            F((-1) ** m) * _c(n - m) / (factorial(n - m) * (m + 1) * (m + 2))
-            for m in range(n + 1)
-        ), F(0))
-        return lhs, _x0_harmonic(n)
-
-    def _x0_shifted(n):
-        lhs = sum((
-            F((-1) ** m) * F(_cp(m)(F(2))) / (factorial(m) * (n + 1 - m) * (n + 2 - m))
-            for m in range(n + 1)
-        ), F(0))
-        return lhs, F((-1) ** n) * _x0_harmonic(n)
+    def compare_x0(shift, n):
+        # the printed sums are re-indexed by m -> n - m, so as printed they are
+        # (-1)^n times the sides at 0
+        return _at(0, compare(shift, n), (-1) ** n if shift == 0 else 1)
 
     return [
         IdentityCase("G22.hp1", "harmonic-polynomial convolution of the first kind gives a binomial", (_N, _Y), partial(hp, "first")),
@@ -1264,14 +1239,14 @@ def _g22():
             "probe: displayed comparison identity; the printed argument -x needs the shift 2-x",
             (_N,),
             None,
-            variants={"as-printed (-x)": _compare_variant(0), "argument-shifted (2-x)": _compare_variant(2)},
+            variants={"as-printed (-x)": partial(compare, 0), "argument-shifted (2-x)": partial(compare, 2)},
         ),
         IdentityCase(
             "G22.compare-hyp5-x0",
             "probe: number specialization of the comparison identity",
             (_N,),
             None,
-            variants={"as-printed": _x0_printed, "argument-shifted": _x0_shifted},
+            variants={"as-printed": partial(compare_x0, 0), "argument-shifted": partial(compare_x0, 2)},
         ),
     ]
 

@@ -544,6 +544,21 @@ def test_table_out_file_matches_stdout(tmp_path, capsys):
         "cauchy-numbers.tsv", "central.tsv", "stirling1.tsv"]
 
 
+def test_out_from_a_worker_thread_leaves_signal_handlers_alone(tmp_path, capsys):
+    # signal.signal raises outside the main thread, so there --out installs no handler
+    out_path = tmp_path / "lah.tsv"
+    code, out, _ = run(capsys, "table", "lah", "--max-n", "4")
+    before = signal.getsignal(signal.SIGTERM)
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["table", "lah", "--max-n", "4", "--out", str(out_path)])))
+    worker.start()
+    worker.join()
+    assert codes == [code] == [0]
+    assert out_path.read_bytes() == out.encode()
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 @pytest.mark.parametrize("family, max_n", [*((f, 40) for f in TRIANGLE_TABLE_SHA256), ("central", 300)])
 def test_triangle_table_out_bytes_equal_stdout(tmp_path, capsys, family, max_n):
     out_path = tmp_path / "table.tsv"

@@ -17,12 +17,14 @@ from polycauchy.identities import (
     Grid,
     GROUPS,
     IdentityCase,
+    SuiteResult,
     catalog,
     get_case,
     run_all,
     verify,
 )
 from polycauchy.identities import registry
+from polycauchy.poly import Poly
 
 SMALL = Grid(max_n=5, max_n_double=3, max_k=2, max_r=2, max_a=2, max_n_multi=2)
 # odd max_n and max_n_double, and max_k, max_a, max_r and max_n_multi below the
@@ -192,11 +194,15 @@ def test_run_all_small_grid():
 
 
 def test_failure_reporting_shape():
-    # a deliberately broken case never ships; simulate by checking the
-    # failure dict structure through a probe variant that fails
-    report = verify("G22.compare-hyp5", SMALL)
-    assert report.probe and report.ok
-    assert "argument-shifted" in report.finding
+    # a deliberately false case, whose second sides differ at every point, reaches
+    # the failure branch and renders each point's parameters and tuple sides
+    case = IdentityCase("G00.false", "deliberately false", (Axis("n", 2),),
+                        lambda n: ((Fraction(n), Poly([n, 1])), (Fraction(n), Poly([n + 1, 1]))))
+    report = identities.run_case(case, DEFAULT_GRID)
+    first = {"params": "n=0", "lhs": "(0, x)", "rhs": "(0, 1 + x)"}
+    assert not report.ok and len(report.failures) == 3
+    assert report.failures[0] == first and report.to_dict()["failures"][0] == first
+    assert SuiteResult([report], DEFAULT_GRID).failures == 3
 
 
 def test_integer_grid_points_and_weights_stay_exact():
