@@ -21,7 +21,7 @@ import signal
 import stat
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -152,34 +152,28 @@ def _write_each(fh, lines) -> None:
 _ENDING_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP", "SIGQUIT") if hasattr(signal, name))
 
 
-class _Terminated(BaseException):
-    """An ending signal, raised while an output file is written through a
-    temporary one; its one argument is the signal's number."""
-
-
-def _raise_terminated(signum, frame):
-    raise _Terminated(signum)
-
-
 @contextmanager
-def _ending_signals_raise():
+def _removed_on_ending_signals(path):
     """In the main thread, each of SIGTERM, SIGHUP and SIGQUIT that has its
-    default action raises ``_Terminated`` in the block, so that its cleanup
-    runs, and the process then ends as that signal ends it.  A signal with
+    default action removes path, if it exists, and then ends the process as
+    that signal ends it, wherever in the block it lands.  A signal with
     another action, and any other thread, is left as it is."""
     if threading.current_thread() is not threading.main_thread():
         yield
         return
+
+    def remove_and_end(signum, frame):
+        # a file that cannot be removed must not keep the signal from ending the run
+        with suppress(OSError):
+            os.unlink(path)
+        signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(signum)
+
     caught = [signum for signum in _ENDING_SIGNALS if signal.getsignal(signum) == signal.SIG_DFL]
     for signum in caught:
-        signal.signal(signum, _raise_terminated)
+        signal.signal(signum, remove_and_end)
     try:
         yield
-    except _Terminated as ended:
-        for signum in caught:
-            signal.signal(signum, signal.SIG_DFL)
-        signal.raise_signal(ended.args[0])
-        raise
     finally:
         for signum in caught:
             signal.signal(signum, signal.SIG_DFL)
@@ -215,7 +209,7 @@ def _write_lines(lines, out_path):
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
-        with _ending_signals_raise():
+        with _removed_on_ending_signals(tmp):
             fh = open(tmp, "x", encoding="utf-8")
             try:
                 with fh:

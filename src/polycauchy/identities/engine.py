@@ -93,6 +93,10 @@ class Grid:
                     if not _is_point(point):
                         raise ValueError(f"grid list {f.name} must hold int or Fraction points, "
                                          f"got {point!r}")
+                # refused here, not part-way through a run at the first case that reads q = 0
+                if f.name == "qs" and 0 in value:
+                    raise ValueError("grid list qs must not hold 0: G21.mpb1-mpb4 read the "
+                                     "bivariate second-kind values, which need q != 0")
 
     @classmethod
     def from_text(cls, text: str) -> Grid:

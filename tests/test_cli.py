@@ -490,15 +490,23 @@ def test_table_failing_part_way_leaves_out_file_alone(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["numbers.tsv"]
 
 
+# a child interpreter that cannot dump core, so that SIGQUIT leaves no file behind
+_NO_CORE = "import resource; resource.setrlimit(resource.RLIMIT_CORE, (0, 0))\n"
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(pc.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _signal_mid_write(tmp_path, signum):
     """Start a large table with --out, send signum once its temporary file
     exists, and assert that the signal ended the run and left nothing."""
     # a table of rows 0..1500 takes many seconds to write, so the signal lands mid-write
     out_path = tmp_path / "table.tsv"
-    src = os.path.dirname(os.path.dirname(pc.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    command = [sys.executable, "-m", "polycauchy.cli", "table", "stirling1", "--max-n", "1500", "--out", str(out_path)]
-    child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    command = [sys.executable, "-c", _NO_CORE + "from polycauchy.cli import console_main; console_main()",
+               "table", "stirling1", "--max-n", "1500", "--out", str(out_path)]
+    child = subprocess.Popen(command, env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 60
         while not list(tmp_path.glob(".table.tsv.*.tmp")):
@@ -521,6 +529,55 @@ def test_sigterm_mid_write_leaves_no_temporary_file(tmp_path):
 def test_sighup_mid_write_leaves_no_temporary_file(tmp_path):
     # a closed terminal sends SIGHUP, whose default action also ends the process without unwinding
     _signal_mid_write(tmp_path, signal.SIGHUP)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGQUIT"), reason="SIGQUIT is POSIX only")
+def test_sigquit_mid_write_leaves_no_temporary_file(tmp_path):
+    _signal_mid_write(tmp_path, signal.SIGQUIT)
+
+
+# argv: signal number, "open" or "replace", --out path.  The child writes a
+# table with --out and sends itself the signal just after the temporary file
+# is created, or just after it is renamed over the target.
+_SIGNAL_AFTER = _NO_CORE + """\
+import os, sys
+from polycauchy import cli
+signum, hooked, out_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+
+def open_then_signal(file, mode="r", *args, **kwargs):
+    fh = open(file, mode, *args, **kwargs)
+    if mode == "x":
+        os.kill(os.getpid(), signum)
+    return fh
+
+def replace_then_signal(*args, real=os.replace):
+    real(*args)
+    os.kill(os.getpid(), signum)
+
+if hooked == "open":
+    cli.open = open_then_signal
+else:
+    os.replace = replace_then_signal
+sys.exit(cli.main(["table", "lah", "--max-n", "5", "--out", out_path]))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="these signals end a process only on POSIX")
+@pytest.mark.parametrize("hooked", ["open", "replace"])
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP", "SIGQUIT"])
+def test_signal_at_either_end_of_the_write_ends_the_run_and_leaves_no_temporary_file(
+        tmp_path, capsys, name, hooked):
+    # just after the create, the temporary file is removed; just after the
+    # rename, the target is complete.  Either way the signal ends the run.
+    signum = getattr(signal, name)
+    code, out, _ = run(capsys, "table", "lah", "--max-n", "5")
+    assert code == 0
+    out_path = tmp_path / "lah.tsv"
+    child = subprocess.run([sys.executable, "-c", _SIGNAL_AFTER, str(signum), hooked, str(out_path)],
+                           env=_child_env(), capture_output=True, timeout=60)
+    assert (child.returncode, child.stderr) == (-signum, b"")
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert written == ({} if hooked == "open" else {"lah.tsv": out.encode()})
 
 
 def test_out_into_a_missing_directory_names_the_out_path(tmp_path, monkeypatch, capsys):
@@ -676,6 +733,17 @@ def test_verify_all_refuses_a_grid_that_empties_a_case(capsys):
                          "--max-r", "0", "--max-a", "1", "--max-n-multi", "0")
     assert (code, out) == (2, "")
     assert err == "error: case G03.alt-sum has no point on this grid\n"
+
+
+def test_verify_zero_q_config_is_refused_before_any_case_runs(tmp_path, capsys, monkeypatch):
+    # G21.mpb1-mpb4 cannot read q = 0, so the grid is refused before the run, not at G21
+    monkeypatch.setattr(cli, "run_all", lambda grid: pytest.fail("the suite ran"))
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("qs=1,0\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == ("error: grid list qs must not hold 0: G21.mpb1-mpb4 read the bivariate "
+                   "second-kind values, which need q != 0\n")
 
 
 def test_verify_negative_grid_config_is_usage_error(tmp_path, capsys):

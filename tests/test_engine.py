@@ -96,7 +96,8 @@ def test_empty_grid_list_rejected(points):
     ({"max_n": 2.5}, "max_n"),
     ({"max_n": True}, "max_n"),
     ({"ls": ((Fraction(0),),)}, "ls"),
-], ids=["float-x", "float-q", "float-y", "float-bound", "bool-bound", "zero-weight"])
+    ({"qs": (Fraction(1), Fraction(0))}, "qs must not hold 0"),
+], ids=["float-x", "float-q", "float-y", "float-bound", "bool-bound", "zero-weight", "zero-q"])
 def test_grid_of_bad_type_rejected_when_built(overrides, field):
     # each of these used to be accepted, then fail part-way through run_all()
     # or, for the bool bound, run as n <= 1

@@ -99,6 +99,14 @@ def test_gsn_examples():
     assert gsn1(2, 1)(1) == 3 == stirling1(3, 2)
 
 
+def test_gsn2_at_one_is_the_next_stirling_number():
+    # sum_i C(n-1, i) S(n-1-i, m-1) = S(n, m): the fact by which the number
+    # corollaries G10.hyp5-x1 ... G22.compare-hyp5-x0 read their statement at x = 1
+    for n in range(1, 30):
+        for m in range(1, n + 1):
+            assert gsn2(n - 1, m - 1)(1) == stirling2(n, m)
+
+
 @given(st.integers(0, 40), st.data())
 def test_gsn_coefficients_are_comb_times_stirling(n, data):
     m = data.draw(st.integers(0, n))
