@@ -12,7 +12,11 @@ constructions which must agree (the test suite enforces this):
                       contributes a 1/(i+1)^k weight; never performed
                       numerically);
 * ``series``       -- k = 1 only: exponential-generating-function
-                      coefficient times n!;
+                      coefficient times n!, read from the powers of
+                      -log(1+t) that ``series`` holds for both kinds at
+                      the largest order asked (up to its cap), so a lower
+                      order reads a prefix and the second kind is the
+                      (A, -log(1+t)) row at -x (``_reflect``);
 * ``binomial_conv``-- convolution of the family's own numbers with
                       rising/falling factorials, summed in the factorials'
                       Newton basis by one Horner pass (``poly._newton_sum``),
@@ -163,7 +167,7 @@ def _poly_integral(kind: str, n: int, k: int) -> Poly:
 def _poly_series(kind: str, n: int, k: int) -> Poly:
     if k != 1:
         raise ValueError("the generating-function construction is defined for k = 1 only")
-    return _sheffer_row(*(_CAUCHY1 if kind == "first" else _CAUCHY2), n) * factorial(n)
+    return _reflect(kind, _sheffer_row(_CAUCHY1 if kind == "first" else _CAUCHY2, n) * factorial(n))
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:

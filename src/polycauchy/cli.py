@@ -187,11 +187,11 @@ def _write_lines(lines, out_path):
 
     A regular or missing file is written through a temporary file that
     replaces it only once every line is written, so a run that fails
-    part-way, or is ended by SIGTERM, SIGHUP or SIGQUIT, leaves an existing
-    file as it was and no partial file.  A symlink is resolved first: the
-    file it names is replaced, in that file's directory, and the link is
-    kept.  Any other existing path, such as a FIFO or a device, is opened
-    and written in place.
+    part-way, or is ended by SIGTERM, SIGHUP, SIGQUIT or SIGINT, leaves an
+    existing file as it was and no partial file.  A symlink is resolved
+    first: the file it names is replaced, in that file's directory, and the
+    link is kept.  Any other existing path, such as a FIFO or a device, is
+    opened and written in place.
     """
     if not out_path:
         _write_each(sys.stdout, lines)
@@ -210,13 +210,16 @@ def _write_lines(lines, out_path):
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
         with _removed_on_ending_signals(tmp):
-            fh = open(tmp, "x", encoding="utf-8")
             try:
-                with fh:
+                with open(tmp, "x", encoding="utf-8") as fh:
                     _write_each(fh, lines)
                 os.replace(tmp, target)
+            except FileExistsError:
+                raise  # the name is another file's, which stays
             except BaseException:
-                os.unlink(tmp)
+                # an interrupt may land before the create is bound or after the rename
+                with suppress(FileNotFoundError):
+                    os.unlink(tmp)
                 raise
     except OSError as exc:
         if exc.filename != tmp:

@@ -11,22 +11,44 @@ its order, and Poly's kernels do its arithmetic (``*`` is ``poly._product``).
 
 Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
 with scalar A and g (Roman, *The Umbral Calculus*, 1984), returned as the
-rows [t^n] (Polys in x) that :func:`sheffer_rows` computes.  The first
+rows [t^n] (Polys in x) of ``_rows``, the reader behind
+:func:`sheffer_rows`.  Row n is sum_j x^j sum_i A_i [t^(n-i)] P_j for the
+powers P_j = g^j / j!, so coefficient j is one integer dot product and a
+row costs O(n^2) integer products once the powers are built.  The first
 three are exponential (row n times n! is the family value), the last
 ordinary (row n is the value):
 
 * ``gf_cauchy1``: A = t/log(1+t), g = -log(1+t);
-* ``gf_cauchy2``: A = t/((1+t) log(1+t)), g = log(1+t);
+* ``gf_cauchy2``: A = t/((1+t) log(1+t)), g = log(1+t), read as the
+  (A, -log(1+t)) rows at -x;
 * ``gf_gen_bernoulli``: A = (t/(e^t - 1))^alpha, g = t;
-* ``gf_hyperharmonic``: A = g = -log(1-t).
+* ``gf_hyperharmonic``: A = g = -log(1-t), read at -t as (-1)^n times
+  the row n of A = g = -log(1+t).
 
 ``gf_harmonic_poly`` divides the hyperharmonic function by t and puts
 1 - x for x, so its rows are hyperharmonic rows 1..order+1 at 1 - x.
+
+Held tables.  The library's pairs hold their tables once per process:
+the powers of -log(1+t), which three of the four read, the powers of t,
+and the integers of each A.  The second Cauchy kind's A is read from the
+first kind's, and the Bernoulli A is held for the ``_ALPHAS_KEPT`` orders
+alpha asked most recently.  Coefficients 0..N of a product,
+reciprocal or power depend only on coefficients 0..N of its inputs, so a
+table is held at the largest order asked so far and a lower order reads
+its prefix; a larger order extends the powers, computing only the new
+coefficients, and builds the A again.  Nothing above ``_HELD_ORDER_CAP``
+(128, where the -log(1+t) powers take 0.70 MiB) is kept: such a request
+extends a copy for the one call.  ``sheffer_rows`` over callables the
+caller passes builds its tables for the call and holds nothing.  Each
+table is built under its own lock and published by one reference swap,
+so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable
@@ -168,77 +190,132 @@ def _integers(s: Series) -> tuple[tuple, int]:
     return nums + (0,) * (s._order + 1 - len(nums)), den
 
 
-def _reciprocal_series(order: int, shift: int, sign: int) -> Series:
+def _reciprocal_series(order: int, shift: int) -> Series:
     """The Series of the given order whose coefficient of t^(j-1+shift) is
-    sign^(j+1)/j, j >= 1: one ``_reciprocal_powers`` row over its denominator."""
+    (-1)^(j+1)/j, j >= 1: one ``_reciprocal_powers`` row over its denominator."""
     nums, den = _reciprocal_powers(1, order + 2 - shift, 1)
-    if sign < 0:
-        nums[1::2] = [-w for w in nums[1::2]]
+    nums[1::2] = [-w for w in nums[1::2]]
     return _series(Poly([0] * shift + nums) / den, order)
 
 
 def log1p_series(order: int) -> Series:
     """log(1+t) = t - t^2/2 + t^3/3 - ..."""
-    return _reciprocal_series(order, 1, -1)
+    return _reciprocal_series(order, 1)
 
 
 def log1p_over_t_series(order: int) -> Series:
     """log(1+t)/t = 1 - t/2 + t^2/3 - ..."""
-    return _reciprocal_series(order, 0, -1)
+    return _reciprocal_series(order, 0)
 
 
-def _neg_log1m_series(order: int) -> Series:
-    """-log(1-t) = t + t^2/2 + t^3/3 + ..."""
-    return _reciprocal_series(order, 1, 1)
+# Held tables stop at this order; above it a table is built for the one call,
+# from the held prefix, and dropped.  The power table of -log(1+t) takes
+# 0.06 MiB at order 48, 0.21 MiB at 80, 0.70 MiB at 128 and 1.3 MiB at 160.
+_HELD_ORDER_CAP = 128
 
 
-def _sheffer_powers(A: Callable[[int], Series], g: Callable[[int], Series],
-                    order: int) -> list:
-    """The powers A g^j / j!, j = 0..order, of the pair (A, g) of ``sheffer_rows``:
-    power j held from t^j to t^order as (integer numerators, denominator) in
-    lowest terms.
+class _Held:
+    """A table of a fixed series, held at the largest order asked so far up to
+    ``_HELD_ORDER_CAP``; a call at a lower order reads the held one.
 
-    With h = g/t, power j+1 is power j times h, shifted by t and divided by
-    j+1, so its coefficient i is the dot product of h_0..h_i with the
-    coefficients i..0 of power j.  h is reversed once, its trailing zeros
-    trimmed to its last nonzero h_(w-1), so each coefficient is one
-    ``sum(map(mul, ...))`` over a window of at most w terms, and a step
-    costs O(order * w) integer products and one gcd.  For w = 1 (g = g_1 t,
-    as for the Bernoulli family) the next power is a scaled copy, which is
-    faster than w one-term windows.
+    ``build(table, order)`` returns the table at ``order`` from ``table``, the
+    one at a lower order (``()`` before the first), and changes neither.
+    Coefficients 0..N of a product, reciprocal or power depend only on
+    coefficients 0..N of its inputs, so the table at order N holds the table
+    at each lower order as a prefix.  A build runs under the lock and is
+    published as one (order, table) reference, so readers need no lock.
     """
-    if order < 0:
-        raise ValueError(f"series order must be >= 0, got {order}")
-    a, g_series = A(order), g(order)
-    for name, series in (("A", a), ("g", g_series)):
-        if series.order != order:
-            raise ValueError(f"{name}({order}) has order {series.order}, expected {order}")
-    h, g_den = _integers(g_series)
+
+    def __init__(self, build: Callable[[tuple, int], tuple]):
+        self._build = build
+        self._held = (-1, ())
+        self._lock = threading.Lock()
+
+    def __call__(self, order: int) -> tuple:
+        held_order, table = self._held
+        if order <= held_order:
+            return table
+        if order > _HELD_ORDER_CAP:
+            return self._build(table, order)
+        with self._lock:
+            held_order, table = self._held
+            if order > held_order:
+                table = self._build(table, order)
+                self._held = (order, table)
+        return table
+
+
+def _of_order(f: Callable[[int], Series], name: str, order: int) -> Series:
+    """f(order), which must be a series of that order."""
+    series = f(order)
+    if series.order != order:
+        raise ValueError(f"{name}({order}) has order {series.order}, expected {order}")
+    return series
+
+
+def _powers(g: Series, table: tuple = ()) -> tuple:
+    """The powers P_j = g^j / j!, j = 0..N for N = g's order, power j held from
+    t^j to t^N as (integer numerators, denominator) in lowest terms, extending
+    ``table``, the powers of the same g at a lower order.
+
+    With h = g/t, P_j is P_(j-1) times h, shifted by t and divided by j, so
+    its coefficient t^(j+r) is the dot product of h_0..h_r with the stored
+    coefficients r..0 of P_(j-1).  h is reversed once, its trailing zeros
+    trimmed to its last nonzero h_(w-1), so each coefficient is one
+    ``sum(map(mul, ...))`` over a window of at most w terms.  Only the
+    coefficients past ``table``'s are computed; its own are brought over the
+    new denominator, which they divide.  So a table stepped to N through lower
+    orders costs what one built at N does, O(N^2 w) integer products.
+    """
+    h, g_den = _integers(g)
     if h[0]:
         raise ValueError("g needs a zero constant term")
-    h = h[1:]
+    order, h = len(h) - 1, h[1:]
     width = max([m + 1 for m, c in enumerate(h) if c], default=1)
     h_rev = h[width - 1::-1]
-    nums, den = _integers(a)
-    powers = [(nums, den)]
-    for j in range(order):
-        size = order - j  # the next power's coefficients t^(j+1) .. t^order
-        if width == 1:
-            nxt = [h_rev[0] * c for c in nums[:size]]
+    out = [((1,) + (0,) * order, 1)]
+    for j in range(1, order + 1):
+        prev, prev_den = out[-1]
+        old, old_den = table[j] if j < len(table) else ((), 1)
+        size = order + 1 - j  # P_j's coefficients t^j .. t^order
+        if width == 1:  # g = g_1 t: each power is a scaled copy of the one before
+            new = [h_rev[0] * c for c in prev[len(old):size]]
         else:
-            nxt = [sum(map(mul, h_rev[width - 1 - i:], nums)) for i in range(min(width - 1, size))]
-            nxt += [sum(map(mul, h_rev, nums[i + 1 - width:i + 1])) for i in range(width - 1, size)]
-        den *= g_den * (j + 1)
-        common = gcd(den, *nxt)
-        nums, den = [c // common for c in nxt], den // common
-        powers.append((nums, den))
-    return powers
+            new = [sum(map(mul, h_rev[width - 1 - r:], prev)) for r in range(len(old), min(width - 1, size))]
+            new += [sum(map(mul, h_rev, prev[r + 1 - width:r + 1])) for r in range(max(len(old), width - 1), size)]
+        den = prev_den * g_den * j
+        nums = [c * (den // old_den) for c in old] + new
+        common = gcd(den, *nums)
+        out.append((tuple([c // common for c in nums]), den // common))
+    return tuple(out)
 
 
-def _row(powers: list, n: int, lcd: int) -> Poly:
-    """Row n, sum_j ([t^n] power j) x^j, from powers 0..n over lcd, a common
-    multiple of their denominators."""
-    return Poly([p[n - j] * (lcd // d) for j, (p, d) in enumerate(powers[:n + 1])]) / lcd
+def _row(a: tuple, powers: tuple, n: int, lcd: int) -> Poly:
+    """Row n, sum_j x^j sum_i a_i [t^(n-i)] P_j, of the pair whose A has the
+    numerators and denominator a and whose powers g^j / j! are ``powers``
+    (both at order n or above): coefficient j is one integer dot product,
+    brought over lcd, a common multiple of the denominators of P_0..P_n."""
+    nums, den = a
+    return Poly([sum(map(mul, nums, p[n - j::-1])) * (lcd // d)
+                 for j, (p, d) in enumerate(powers[:n + 1])]) / (lcd * den)
+
+
+def _rows(pair: tuple, order: int) -> tuple[Poly, ...]:
+    """Rows 0..order of the pair (A, powers), each mapping an order to its table."""
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
+    a, powers = pair[0](order), pair[1](order)
+    rows, lcd = [], 1
+    for n in range(order + 1):
+        lcd = lcm(lcd, powers[n][1])
+        rows.append(_row(a, powers, n, lcd))
+    return tuple(rows)
+
+
+def _sheffer_row(pair: tuple, n: int) -> Poly:
+    """``_rows(pair, n)[n]`` without building rows 0..n-1."""
+    a, powers = pair[0](n), pair[1](n)
+    return _row(a, powers, n, lcm(*[d for _, d in powers[:n + 1]]))
 
 
 def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
@@ -246,57 +323,84 @@ def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
     """Rows 0..order of A(t) exp(x g(t)), row n the Poly sum_j ([t^n] A g^j / j!) x^j.
 
     ``A`` and ``g`` map an order to a series of that order, and a series of
-    another order raises ``ValueError``; g(0) = 0.  The
-    powers A g^j / j! are stepped in integers by ``_sheffer_powers``, one dot
-    product per coefficient over the nonzero width of g/t, and row n is built
-    over the lcm of the denominators of powers 0..n.
+    another order raises ``ValueError``; g(0) = 0.  The powers g^j / j! are
+    stepped in integers by ``_powers`` and row n is read from them by
+    ``_row``.  Nothing is held: the library's own pairs hold their tables.
     """
-    powers = _sheffer_powers(A, g, order)
-    rows, lcd = [], 1
-    for n, (_, d) in enumerate(powers):
-        lcd = lcm(lcd, d)
-        rows.append(_row(powers, n, lcd))
-    return tuple(rows)
+    return _rows((lambda n: _integers(_of_order(A, "A", n)),
+                  lambda n: _powers(_of_order(g, "g", n))), order)
 
 
-def _sheffer_row(A: Callable[[int], Series], g: Callable[[int], Series], n: int) -> Poly:
-    """``sheffer_rows(A, g, n)[n]`` without building rows 0..n-1."""
-    powers = _sheffer_powers(A, g, n)
-    return _row(powers, n, lcm(*[d for _, d in powers]))
+def _held_integers(build: Callable[[int], Series]) -> _Held:
+    """A held A: the integers of build(order), rebuilt whole at a larger order."""
+    return _Held(lambda _, n: _integers(build(n)))
 
 
-# (A, g) of the generating functions, each mapping an order to a Series
-_CAUCHY1 = (lambda n: log1p_over_t_series(n).reciprocal(), lambda n: -log1p_series(n))
-_CAUCHY2 = (lambda n: _CAUCHY1[0](n) * Series([(-1) ** i for i in range(n + 1)]), log1p_series)
+def _prefix(a: tuple, order: int) -> Series:
+    """The Series of the given order read from a held A's integers."""
+    nums, den = a
+    return _series(Poly(nums[:order + 1]) / den, order)
+
+
+def _over_one_plus_t(a: tuple, order: int) -> tuple:
+    """The integers of A/(1+t) at the given order from those of A: coefficient
+    i is the alternating sum a_i - a_(i-1) + ... +- a_0."""
+    nums, den = a
+    return tuple(accumulate(nums[:order + 1], lambda s, c: c - s)), den
+
+
+# The library's pairs, each (A, powers of g) held once.  Three read the powers
+# of g = -log(1+t).  The second Cauchy kind's g is log(1+t), so its rows are
+# the (A, -log(1+t)) rows at -x; its A, the first kind's over 1 + t, is read
+# from the held first-kind A by O(n) prefix sums and not held itself.  The
+# hyperharmonic function at -t is g exp(x g), so its row n is (-1)^n times
+# the (g, g) row n.
+_NEG_LOG1P = _Held(lambda table, n: _powers(-log1p_series(n), table))
+_CAUCHY1 = (_held_integers(lambda n: log1p_over_t_series(n).reciprocal()), _NEG_LOG1P)
+_CAUCHY2 = (lambda n: _over_one_plus_t(_CAUCHY1[0](n), n), _NEG_LOG1P)
+_HYPERHARMONIC = (_held_integers(lambda n: -log1p_series(n)), _NEG_LOG1P)
+
+# The Bernoulli family's g = t and t/(e^t - 1); its A for order alpha is that
+# to the power alpha, held for the _ALPHAS_KEPT orders asked most recently.
+_T = _Held(lambda table, n: _powers(Series([int(i == 1) for i in range(n + 1)]), table))
+_BERNOULLI = _held_integers(
+    lambda n: Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)]).reciprocal())
+_ALPHAS_KEPT = 8
+_ALPHAS: dict = {}  # alpha -> held A, least recently asked first
+_ALPHAS_LOCK = threading.Lock()
 
 
 def _gen_bernoulli(alpha: int) -> tuple:
-    """(A, g) of the order-alpha Bernoulli generating function."""
-    return (lambda n: Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)])
-            .reciprocal().pow_int(alpha),
-            lambda n: Series([int(i == 1) for i in range(n + 1)]))
+    """(A, powers) of the order-alpha Bernoulli generating function."""
+    with _ALPHAS_LOCK:
+        a = _ALPHAS.pop(alpha, None) or _held_integers(
+            lambda n: _prefix(_BERNOULLI(n), n).pow_int(alpha))
+        _ALPHAS[alpha] = a
+        while len(_ALPHAS) > _ALPHAS_KEPT:
+            del _ALPHAS[next(iter(_ALPHAS))]
+    return a, _T
 
 
 def gf_cauchy1(order: int) -> tuple[Poly, ...]:
     """t / ((1+t)^x log(1+t)); row n times n! is c_n(x)."""
-    return sheffer_rows(*_CAUCHY1, order)
+    return _rows(_CAUCHY1, order)
 
 
 def gf_cauchy2(order: int) -> tuple[Poly, ...]:
     """t (1+t)^x / ((1+t) log(1+t)); row n times n! is the second-kind polynomial."""
-    return sheffer_rows(*_CAUCHY2, order)
+    return tuple(row.affine_compose(-1, 0) for row in _rows(_CAUCHY2, order))
 
 
 def gf_gen_bernoulli(alpha: int, order: int) -> tuple[Poly, ...]:
     """(t/(e^t - 1))^alpha * e^(x t); row n times n! is the order-alpha Bernoulli polynomial."""
     if alpha < 0:
         raise ValueError("order of the generalized Bernoulli family must be >= 0")
-    return sheffer_rows(*_gen_bernoulli(alpha), order)
+    return _rows(_gen_bernoulli(alpha), order)
 
 
 def gf_hyperharmonic(order: int) -> tuple[Poly, ...]:
     """-log(1-t)/(1-t)^x; row n *is* the hyperharmonic polynomial in x."""
-    return sheffer_rows(_neg_log1m_series, _neg_log1m_series, order)
+    return tuple(-row if n & 1 else row for n, row in enumerate(_rows(_HYPERHARMONIC, order)))
 
 
 def gf_harmonic_poly(order: int) -> tuple[Poly, ...]:

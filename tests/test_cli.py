@@ -580,6 +580,36 @@ def test_signal_at_either_end_of_the_write_ends_the_run_and_leaves_no_temporary_
     assert written == ({} if hooked == "open" else {"lah.tsv": out.encode()})
 
 
+@pytest.mark.skipif(os.name != "posix", reason="a process ended by a signal has a negative code only on POSIX")
+@pytest.mark.parametrize("hooked", ["open", "replace"])
+def test_sigint_at_either_end_of_the_write_leaves_no_temporary_file_and_no_false_error(
+        tmp_path, capsys, hooked):
+    # SIGINT raises KeyboardInterrupt, which unwinds through the write: just
+    # after the create, the temporary file is removed and the old target
+    # stays; just after the rename, the new target is complete.  Either way
+    # the interrupt ends the run, with no exit 2 and no error about the path.
+    code, out, _ = run(capsys, "table", "lah", "--max-n", "5")
+    assert code == 0
+    out_path = tmp_path / "lah.tsv"
+    out_path.write_text("old\n")
+    child = subprocess.run([sys.executable, "-c", _SIGNAL_AFTER, str(signal.SIGINT), hooked, str(out_path)],
+                           env=_child_env(), capture_output=True, timeout=60)
+    assert child.returncode == -signal.SIGINT
+    assert child.stderr.rstrip().endswith(b"KeyboardInterrupt") and b"error:" not in child.stderr
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert written == {"lah.tsv": b"old\n" if hooked == "open" else out.encode()}
+
+
+def test_a_taken_temporary_name_is_an_error_and_the_file_holding_it_stays(tmp_path, monkeypatch, capsys):
+    # the temporary name is random; a file that already has it is another's
+    monkeypatch.setattr(os, "urandom", bytes)
+    taken = tmp_path / ".lah.tsv.000000000000.tmp"
+    taken.write_text("taken\n")
+    code, out, err = run(capsys, "table", "lah", "--max-n", "3", "--out", str(tmp_path / "lah.tsv"))
+    assert (code, out) == (2, "") and "File exists" in err
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {taken.name: "taken\n"}
+
+
 def test_out_into_a_missing_directory_names_the_out_path(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "export", "--family", "cauchy-poly", "--format", "json",

@@ -11,6 +11,7 @@ import threading
 import polycauchy
 from polycauchy import cauchy_number, cauchy_poly
 from polycauchy.cauchy import _poly_gsn, cauchy_coefficient
+from polycauchy.series import _ALPHAS_KEPT, _HELD_ORDER_CAP
 
 # Euler and power-sum polynomials read the memoised Bernoulli rows, so the
 # session warms those first; what it builds after them is dropped by each
@@ -93,14 +94,54 @@ _FLOOD_SESSION = textwrap.dedent("""
 FLOOD_BUDGET = 2 * 1024 * 1024
 
 
-def _retained(session: str) -> int:
-    """The bytes a session's measured part leaves allocated, in a fresh interpreter."""
+# Generating-function requests at the held-order cap and past it, both Cauchy
+# kinds, and one Bernoulli row for each of 12 orders alpha, half of them past
+# the cap: about 0.9 MiB is kept, 0.70 MiB of it the -log(1+t) table at the
+# cap.  Prints the bytes kept, the order that table is held at and the number
+# of alphas whose A is held.
+_SERIES_SESSION = textwrap.dedent("""
+    import gc, tracemalloc
+    from polycauchy import cauchy_poly
+    from polycauchy.series import _ALPHAS, _HELD_ORDER_CAP, _NEG_LOG1P, _gen_bernoulli, _sheffer_row
+    cauchy_poly("first", 0, 1, "series")
+    _sheffer_row(_gen_bernoulli(0), 0)
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for n in (_HELD_ORDER_CAP, _HELD_ORDER_CAP + 8):
+        for kind in ("first", "second"):
+            cauchy_poly(kind, n, 1, "series")
+    for alpha in range(12):
+        _sheffer_row(_gen_bernoulli(alpha), _HELD_ORDER_CAP + 8 * (alpha & 1))
+    gc.collect()
+    print(tracemalloc.get_traced_memory()[0] - before, _NEG_LOG1P._held[0], len(_ALPHAS))
+""")
+SERIES_BUDGET = 1152 * 1024
+
+# A default verify run in one process: the Bernoulli orders alpha it asks
+# for, and the number of those whose A stays held.
+_RUN_ALL_SESSION = textwrap.dedent("""
+    from polycauchy.bernoulli import gen_bernoulli_poly
+    from polycauchy.identities import run_all
+    from polycauchy.series import _ALPHAS
+    run_all()
+    print(gen_bernoulli_poly.cache_info().misses, len(_ALPHAS))
+""")
+
+
+def _output(session: str) -> str:
+    """What a session prints, run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(polycauchy.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", session], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    return int(done.stdout)
+    return done.stdout
+
+
+def _retained(session: str) -> int:
+    """The bytes a session's measured part leaves allocated, in a fresh interpreter."""
+    return int(_output(session))
 
 
 def test_unmemoised_families_retain_under_budget():
@@ -148,3 +189,15 @@ def test_threads_evicting_a_bounded_memo_get_equal_results():
     for memo in memos:
         info = memo.cache_info()
         assert info.currsize == info.maxsize and info.misses > len(keys)
+
+
+def test_held_series_tables_stop_at_the_cap_and_keep_few_alphas():
+    kept, held_order, alphas = map(int, _output(_SERIES_SESSION).split())
+    assert kept < SERIES_BUDGET
+    assert held_order == _HELD_ORDER_CAP
+    assert alphas == _ALPHAS_KEPT
+
+
+def test_a_default_run_holds_no_table_per_bernoulli_call():
+    calls, alphas = map(int, _output(_RUN_ALL_SESSION).split())
+    assert alphas <= _ALPHAS_KEPT < calls

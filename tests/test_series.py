@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polycauchy
 from polycauchy import (
     Poly,
     Series,
@@ -18,7 +23,7 @@ from polycauchy import (
     log1p_series,
     sheffer_rows,
 )
-from polycauchy.series import _integers, _neg_log1m_series, _sheffer_powers, _sheffer_row
+from polycauchy.series import _integers, _powers, _sheffer_row
 
 units = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10), min_size=3, max_size=6
@@ -151,10 +156,8 @@ def test_log_series_equal_their_defining_fractions():
     for order in range(41):
         log1p = Series([F(0)] + [F((-1) ** (n + 1), n) for n in range(1, order + 1)])
         log1p_over_t = Series([F((-1) ** n, n + 1) for n in range(order + 1)])
-        neg_log1m = Series([F(0)] + [F(1, n) for n in range(1, order + 1)])
         for built, defined in ((log1p_series(order), log1p),
-                               (log1p_over_t_series(order), log1p_over_t),
-                               (_neg_log1m_series(order), neg_log1m)):
+                               (log1p_over_t_series(order), log1p_over_t)):
             assert built == defined, order
             assert (built.order, built.coeffs) == (order, defined.coeffs)
 
@@ -236,15 +239,21 @@ def test_sheffer_rows_match_reference(pair):
     order = len(a) - 1
     A, G = (lambda n: Series(a[:n + 1])), (lambda n: Series(g[:n + 1]))
     want = ref_sheffer_powers(a, g)
-    # power j is held from t^j, as integer numerators over a positive denominator, in lowest terms
-    for j, (nums, den) in enumerate(_sheffer_powers(A, G, order)):
+    # g^j / j!, the reference at A = 1: power j held from t^j, as integer
+    # numerators over a positive denominator, in lowest terms
+    powers = _powers(G(order))
+    for j, ((nums, den), ref) in enumerate(zip(powers, ref_sheffer_powers([1] + [0] * order, g), strict=True)):
         assert all(type(c) is int for c in nums) and type(den) is int
         assert den > 0 and gcd(den, *nums) == 1
-        assert [F(c, den) for c in nums] == want[j][j:]
+        assert [F(c, den) for c in nums] == ref[j:]
+    # extended from the table of a lower order, it is the table built at once
+    assert _powers(G(order), _powers(G(order // 2))) == powers
     rows = sheffer_rows(A, G, order)
     assert rows == tuple(Poly([want[j][n] for j in range(n + 1)]) for n in range(order + 1))
+    # each row read from the order-`order` tables, which hold each lower order's
+    held = (lambda _: _integers(A(order)), lambda _: powers)
     for n in range(order + 1):
-        assert _sheffer_row(A, G, n) == rows[n]
+        assert _sheffer_row(held, n) == rows[n]
 
 
 def test_sheffer_rows_of_exp_xt():
@@ -375,3 +384,78 @@ def test_egf_value_normalization():
     for kind, gf in (("first", gf_cauchy1(5)), ("second", gf_cauchy2(5))):
         assert [r * factorial(n) for n, r in enumerate(gf)] == [
             cauchy_poly(kind, n, 1, "gsn") for n in range(6)]
+
+
+# The held tables, read in a fresh interpreter so that they start empty.  Each
+# family is compared with an oracle that reads no table: both Cauchy kinds
+# with gsn, and the order-alpha Bernoulli polynomials, alpha = 0..3, with the
+# Norlund form, the alpha-fold convolution of the Bernoulli numbers.
+_ORACLES = textwrap.dedent("""
+    import sys, threading
+    from functools import partial
+    from math import comb, factorial
+    from polycauchy import (Poly, bernoulli_number, cauchy_poly, gen_bernoulli_poly, gf_cauchy1,
+                            gf_cauchy2, gf_gen_bernoulli)
+    from polycauchy.series import _NEG_LOG1P
+
+    def norlund(n, alpha):
+        numbers = [1] + [0] * n
+        for _ in range(alpha):
+            numbers = [sum(comb(k, j) * numbers[j] * bernoulli_number(k - j) for j in range(k + 1))
+                       for k in range(n + 1)]
+        return Poly([comb(n, i) * numbers[n - i] for i in range(n + 1)])
+
+    def oracles(n):
+        return [cauchy_poly(kind, n, 1, "gsn") for kind in ("first", "second")] + [
+            norlund(n, alpha) for alpha in range(4)]
+""")
+
+# One row at a time, in the order given on the command line, through
+# cauchy_poly and gen_bernoulli_poly; prints the rows that differ and the
+# order the -log(1+t) table is held at.
+_ONE_ROW_AT_A_TIME = _ORACLES + textwrap.dedent("""
+    orders = [int(n) for n in sys.argv[1].split(",")]
+    bad = [n for n in orders if [cauchy_poly(kind, n, 1, "series") for kind in ("first", "second")]
+           + [gen_bernoulli_poly(n, alpha) for alpha in range(4)] != oracles(n)]
+    print(bad, _NEG_LOG1P._held[0])
+""")
+
+# Four threads, each asking the generating functions for all rows up to its
+# own order; prints the threads whose rows differ from the oracles'.
+_FOUR_THREADS = _ORACLES + textwrap.dedent("""
+    ORDERS = (12, 24, 36, 48)
+    families = (gf_cauchy1, gf_cauchy2, *[partial(gf_gen_bernoulli, alpha) for alpha in range(4)])
+    results = {}
+
+    def worker(i):
+        rows = [gf(ORDERS[i]) for gf in families]
+        results[i] = [[r[n] * factorial(n) for r in rows] for n in range(ORDERS[i] + 1)]
+
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    want = [oracles(n) for n in range(max(ORDERS) + 1)]
+    print([i for i in range(4) if results.get(i) != want[:ORDERS[i] + 1]], _NEG_LOG1P._held[0])
+""")
+
+
+def _fresh(session: str, *args: str) -> str:
+    """The output of a session run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(polycauchy.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", session, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("orders", ["5,17,40", "40,17,5"])
+def test_rows_read_from_a_held_table_equal_the_oracles(orders):
+    # descending, every order after the first is a prefix of the held table
+    assert _fresh(_ONE_ROW_AT_A_TIME, orders) == "[] 40"
+
+
+def test_threads_asking_for_different_orders_get_the_oracles_rows():
+    assert _fresh(_FOUR_THREADS) == "[] 48"
