@@ -13,10 +13,11 @@ Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
 with scalar A and g (Roman, *The Umbral Calculus*, 1984), returned as the
 rows [t^n] (Polys in x) of ``_rows``, the reader behind
 :func:`sheffer_rows`.  Row n is sum_j x^j sum_i A_i [t^(n-i)] P_j for the
-powers P_j = g^j / j!, so coefficient j is one integer dot product and a
-row costs O(n^2) integer products once the powers are built.  The first
-three are exponential (row n times n! is the family value), the last
-ordinary (row n is the value):
+powers P_j = g^j / j!, held as the numbers m! [t^m] P_j, so n! times
+coefficient j is one integer dot product, sum_i binom(n, i) (i! A_i)
+((n-i)! [t^(n-i)] P_j), and a row costs O(n^2) integer products once the
+powers are built.  The first three are exponential (row n times n! is the
+family value), the last ordinary (row n is the value):
 
 * ``gf_cauchy1``: A = t/log(1+t), g = -log(1+t);
 * ``gf_cauchy2``: A = t/((1+t) log(1+t)), g = log(1+t), read as the
@@ -29,19 +30,20 @@ ordinary (row n is the value):
 1 - x for x, so its rows are hyperharmonic rows 1..order+1 at 1 - x.
 
 Held tables.  The library's pairs hold their tables once per process:
-the powers of -log(1+t), which three of the four read, the powers of t,
-and the integers of each A.  The second Cauchy kind's A is read from the
-first kind's, and the Bernoulli A is held for the ``_ALPHAS_KEPT`` orders
-alpha asked most recently.  Coefficients 0..N of a product,
-reciprocal or power depend only on coefficients 0..N of its inputs, so a
-table is held at the largest order asked so far and a lower order reads
-its prefix; a larger order extends the powers, computing only the new
-coefficients, and builds the A again.  Nothing above ``_HELD_ORDER_CAP``
-(128, where the -log(1+t) powers take 0.70 MiB) is kept: such a request
-extends a copy for the one call.  ``sheffer_rows`` over callables the
-caller passes builds its tables for the call and holds nothing.  Each
-table is built under its own lock and published by one reference swap,
-so concurrent readers are safe.
+the powers of -log(1+t), which three of the four read, the first Cauchy
+kind's A, read from those powers as Lif_1(log(1+t)) = sum_m (-1)^m
+P_m / (m+1), and the Bernoulli A for the ``_ALPHAS_KEPT`` orders alpha
+asked most recently.  The numbers m! [t^m] P_j of -log(1+t) are Stirling
+numbers of the first kind, integers that do not depend on the order, so a
+table is held at the largest order asked so far, a lower order reads its
+prefix, and a larger order appends only the new columns: the cost of a
+request does not depend on the order held, and the total cost not on the
+order of the requests.  The Bernoulli A is built again at a larger order.
+Nothing above ``_HELD_ORDER_CAP`` (128, where the -log(1+t) powers take
+0.58 MiB) is kept: such a request extends a copy for the one call.
+``sheffer_rows`` over callables the caller passes builds its tables for
+the call and holds nothing.  Each table is built under its own lock and
+published by one reference swap, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable
 
@@ -210,7 +212,7 @@ def log1p_over_t_series(order: int) -> Series:
 
 # Held tables stop at this order; above it a table is built for the one call,
 # from the held prefix, and dropped.  The power table of -log(1+t) takes
-# 0.06 MiB at order 48, 0.21 MiB at 80, 0.70 MiB at 128 and 1.3 MiB at 160.
+# 0.06 MiB at order 48, 0.18 MiB at 80, 0.58 MiB at 128 and 1.0 MiB at 160.
 _HELD_ORDER_CAP = 128
 
 
@@ -253,19 +255,35 @@ def _of_order(f: Callable[[int], Series], name: str, order: int) -> Series:
     return series
 
 
-def _powers(g: Series, table: tuple = ()) -> tuple:
-    """The powers P_j = g^j / j!, j = 0..N for N = g's order, power j held from
-    t^j to t^N as (integer numerators, denominator) in lowest terms, extending
-    ``table``, the powers of the same g at a lower order.
+def _factorials(order: int) -> list:
+    """0!, 1!, .., order!"""
+    return list(accumulate(range(1, order + 1), mul, initial=1))
+
+
+def _lowest(nums: list, den: int) -> tuple:
+    """(nums, den) with their common factor divided out, nums as a tuple."""
+    common = gcd(den, *nums)
+    return tuple([c // common for c in nums]), den // common
+
+
+def _egf_integers(s: Series) -> tuple:
+    """The numbers n! [t^n] s, n = 0..order, as integer numerators over one
+    positive denominator, in lowest terms."""
+    nums, den = _integers(s)
+    return _lowest([c * f for c, f in zip(nums, _factorials(s.order))], den)
+
+
+def _powers(g: Series) -> tuple:
+    """The powers P_j = g^j / j!, j = 0..N for N = g's order, power j held as
+    the numbers n! [t^n] P_j, n = j..N, over one positive denominator:
+    (integer numerators, denominator) in lowest terms.
 
     With h = g/t, P_j is P_(j-1) times h, shifted by t and divided by j, so
-    its coefficient t^(j+r) is the dot product of h_0..h_r with the stored
+    its coefficient t^(j+r) is the dot product of h_0..h_r with the
     coefficients r..0 of P_(j-1).  h is reversed once, its trailing zeros
     trimmed to its last nonzero h_(w-1), so each coefficient is one
-    ``sum(map(mul, ...))`` over a window of at most w terms.  Only the
-    coefficients past ``table``'s are computed; its own are brought over the
-    new denominator, which they divide.  So a table stepped to N through lower
-    orders costs what one built at N does, O(N^2 w) integer products.
+    ``sum(map(mul, ...))`` over a window of at most w terms, and the table
+    costs O(N^2 w) integer products.
     """
     h, g_den = _integers(g)
     if h[0]:
@@ -273,31 +291,55 @@ def _powers(g: Series, table: tuple = ()) -> tuple:
     order, h = len(h) - 1, h[1:]
     width = max([m + 1 for m, c in enumerate(h) if c], default=1)
     h_rev = h[width - 1::-1]
-    out = [((1,) + (0,) * order, 1)]
+    factorials = _factorials(order)
+    nums, den = (1,) + (0,) * order, 1  # the coefficients of P_0 from t^0
+    out = [(nums, 1)]
     for j in range(1, order + 1):
-        prev, prev_den = out[-1]
-        old, old_den = table[j] if j < len(table) else ((), 1)
         size = order + 1 - j  # P_j's coefficients t^j .. t^order
         if width == 1:  # g = g_1 t: each power is a scaled copy of the one before
-            new = [h_rev[0] * c for c in prev[len(old):size]]
+            nxt = [h_rev[0] * c for c in nums[:size]]
         else:
-            new = [sum(map(mul, h_rev[width - 1 - r:], prev)) for r in range(len(old), min(width - 1, size))]
-            new += [sum(map(mul, h_rev, prev[r + 1 - width:r + 1])) for r in range(max(len(old), width - 1), size)]
-        den = prev_den * g_den * j
-        nums = [c * (den // old_den) for c in old] + new
-        common = gcd(den, *nums)
-        out.append((tuple([c // common for c in nums]), den // common))
+            nxt = [sum(map(mul, h_rev[width - 1 - r:], nums)) for r in range(min(width - 1, size))]
+            nxt += [sum(map(mul, h_rev, nums[r + 1 - width:r + 1])) for r in range(width - 1, size)]
+        nums, den = _lowest(nxt, den * g_den * j)
+        out.append(_lowest([c * f for c, f in zip(nums, factorials[j:])], den))
     return tuple(out)
 
 
+def _neg_log1p_powers(table: tuple, order: int) -> tuple:
+    """The powers P_j = (-log(1+t))^j / j! as ``_powers`` holds them, extending
+    ``table``, the same powers at a lower order (``()`` for none).
+
+    q(j, n) = n! [t^n] P_j is the Stirling number s(n, j) of the first kind
+    times (-1)^j, an integer, and (1+t) P_j' = -P_(j-1) steps the table
+    column by column: q(j, n+1) = -(n q(j, n) + q(j-1, n)).  No entry depends
+    on the order, so a larger order appends the columns past the held one,
+    O(n) integer products each, and the table costs O(N^2) at any order of
+    the requests.  The stirling1 triangle in ``stirling`` holds the same
+    numbers unsigned, but other constructions fill it, so reading it would
+    make this table's cost depend on which of them ran first.
+    """
+    powers = [list(p) for p, _ in table] or [[1]]
+    column = [p[-1] for p in powers]  # q(j, n) for the held order n
+    for n in range(len(powers) - 1, order):
+        column = [-n * column[0]] + [-(n * q + prev) for q, prev in zip(column[1:] + [0], column)]
+        powers.append([])
+        for p, q in zip(powers, column):
+            p.append(q)
+    return tuple([(tuple(p), 1) for p in powers])
+
+
 def _row(a: tuple, powers: tuple, n: int, lcd: int) -> Poly:
-    """Row n, sum_j x^j sum_i a_i [t^(n-i)] P_j, of the pair whose A has the
-    numerators and denominator a and whose powers g^j / j! are ``powers``
-    (both at order n or above): coefficient j is one integer dot product,
-    brought over lcd, a common multiple of the denominators of P_0..P_n."""
+    """Row n, sum_j x^j sum_i A_i [t^(n-i)] P_j, of the pair whose A has the
+    numbers i! A_i = a_i / d, a = ((a_0, a_1, ..), d), and whose powers
+    g^j / j! are ``powers`` as ``_powers`` holds them (both at order n or
+    above).  With n! [t^m] P_j = p_(m-j) / d_j, n! times coefficient j is
+    sum_i binom(n, i) a_i p_(n-i-j) / (d d_j): one integer dot product,
+    brought over lcd, a common multiple of d_0..d_n."""
     nums, den = a
-    return Poly([sum(map(mul, nums, p[n - j::-1])) * (lcd // d)
-                 for j, (p, d) in enumerate(powers[:n + 1])]) / (lcd * den)
+    weights = [c * comb(n, i) for i, c in enumerate(nums[:n + 1])]
+    return Poly([sum(map(mul, weights, p[n - j::-1])) * (lcd // d)
+                 for j, (p, d) in enumerate(powers[:n + 1])]) / (lcd * den * factorial(n))
 
 
 def _rows(pair: tuple, order: int) -> tuple[Poly, ...]:
@@ -327,44 +369,62 @@ def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
     stepped in integers by ``_powers`` and row n is read from them by
     ``_row``.  Nothing is held: the library's own pairs hold their tables.
     """
-    return _rows((lambda n: _integers(_of_order(A, "A", n)),
+    return _rows((lambda n: _egf_integers(_of_order(A, "A", n)),
                   lambda n: _powers(_of_order(g, "g", n))), order)
 
 
-def _held_integers(build: Callable[[int], Series]) -> _Held:
-    """A held A: the integers of build(order), rebuilt whole at a larger order."""
-    return _Held(lambda _, n: _integers(build(n)))
+def _lif1(table: tuple, order: int) -> tuple:
+    """t/log(1+t) = sum_m (-1)^m P_m / (m+1) over the powers P_m of
+    -log(1+t) (it is Lif_1(log(1+t))), as the numbers n! [t^n], the Cauchy
+    numbers sum_m (-1)^m q(m, n) / (m+1) of the first kind, over the
+    denominator of the weights 1/(m+1); extends ``table``, the same at a
+    lower order."""
+    weights, den = _reciprocal_powers(1, order + 2, 1)
+    weights[1::2] = [-w for w in weights[1::2]]
+    nums = [c * (den // table[1]) for c in table[0]] if table else []
+    powers = _NEG_LOG1P(order)
+    for n in range(len(nums), order + 1):
+        nums.append(sum(map(mul, weights, [p[n - m] for m, (p, _) in enumerate(powers[:n + 1])])))
+    return tuple(nums), den
+
+
+def _over_one_plus_t(a: tuple, order: int) -> tuple:
+    """A/(1+t) at the given order from A, both as the numbers n! [t^n] over
+    one denominator: number n is a_n - n times number n-1."""
+    nums, den = a
+    out = [nums[0]]
+    for n in range(1, order + 1):
+        out.append(nums[n] - n * out[-1])
+    return tuple(out), den
 
 
 def _prefix(a: tuple, order: int) -> Series:
-    """The Series of the given order read from a held A's integers."""
+    """The Series of the given order read from held integers."""
     nums, den = a
     return _series(Poly(nums[:order + 1]) / den, order)
 
 
-def _over_one_plus_t(a: tuple, order: int) -> tuple:
-    """The integers of A/(1+t) at the given order from those of A: coefficient
-    i is the alternating sum a_i - a_(i-1) + ... +- a_0."""
-    nums, den = a
-    return tuple(accumulate(nums[:order + 1], lambda s, c: c - s)), den
+def _t_powers(order: int) -> tuple:
+    """The powers t^j / j! as ``_powers`` holds them: n! [t^n] is 1 at n = j."""
+    return tuple([((1,) + (0,) * (order - j), 1) for j in range(order + 1)])
 
 
-# The library's pairs, each (A, powers of g) held once.  Three read the powers
-# of g = -log(1+t).  The second Cauchy kind's g is log(1+t), so its rows are
-# the (A, -log(1+t)) rows at -x; its A, the first kind's over 1 + t, is read
-# from the held first-kind A by O(n) prefix sums and not held itself.  The
-# hyperharmonic function at -t is g exp(x g), so its row n is (-1)^n times
-# the (g, g) row n.
-_NEG_LOG1P = _Held(lambda table, n: _powers(-log1p_series(n), table))
-_CAUCHY1 = (_held_integers(lambda n: log1p_over_t_series(n).reciprocal()), _NEG_LOG1P)
+# The library's pairs.  Three read the one held table of the powers of
+# g = -log(1+t).  The first Cauchy kind's A is read from that table by
+# ``_lif1`` and held.  The second kind's g is log(1+t), so its rows are the
+# (A, -log(1+t)) rows at -x; its A, the first kind's over 1 + t, is read
+# from the held first-kind A in O(n) and not held itself.  The hyperharmonic
+# function at -t is g exp(x g), so its row n is (-1)^n times the (g, g) row n.
+_NEG_LOG1P = _Held(_neg_log1p_powers)
+_CAUCHY1 = (_Held(_lif1), _NEG_LOG1P)
 _CAUCHY2 = (lambda n: _over_one_plus_t(_CAUCHY1[0](n), n), _NEG_LOG1P)
-_HYPERHARMONIC = (_held_integers(lambda n: -log1p_series(n)), _NEG_LOG1P)
+_HYPERHARMONIC = (lambda n: _egf_integers(-log1p_series(n)), _NEG_LOG1P)
 
 # The Bernoulli family's g = t and t/(e^t - 1); its A for order alpha is that
-# to the power alpha, held for the _ALPHAS_KEPT orders asked most recently.
-_T = _Held(lambda table, n: _powers(Series([int(i == 1) for i in range(n + 1)]), table))
-_BERNOULLI = _held_integers(
-    lambda n: Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)]).reciprocal())
+# to the power alpha, held for the _ALPHAS_KEPT orders asked most recently
+# and built again at a larger order.
+_BERNOULLI = _Held(lambda _, n: _integers(
+    Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)]).reciprocal()))
 _ALPHAS_KEPT = 8
 _ALPHAS: dict = {}  # alpha -> held A, least recently asked first
 _ALPHAS_LOCK = threading.Lock()
@@ -373,12 +433,12 @@ _ALPHAS_LOCK = threading.Lock()
 def _gen_bernoulli(alpha: int) -> tuple:
     """(A, powers) of the order-alpha Bernoulli generating function."""
     with _ALPHAS_LOCK:
-        a = _ALPHAS.pop(alpha, None) or _held_integers(
-            lambda n: _prefix(_BERNOULLI(n), n).pow_int(alpha))
+        a = _ALPHAS.pop(alpha, None) or _Held(
+            lambda _, n: _egf_integers(_prefix(_BERNOULLI(n), n).pow_int(alpha)))
         _ALPHAS[alpha] = a
         while len(_ALPHAS) > _ALPHAS_KEPT:
             del _ALPHAS[next(iter(_ALPHAS))]
-    return a, _T
+    return a, _t_powers
 
 
 def gf_cauchy1(order: int) -> tuple[Poly, ...]:

@@ -96,8 +96,8 @@ FLOOD_BUDGET = 2 * 1024 * 1024
 
 # Generating-function requests at the held-order cap and past it, both Cauchy
 # kinds, and one Bernoulli row for each of 12 orders alpha, half of them past
-# the cap: about 0.9 MiB is kept, 0.70 MiB of it the -log(1+t) table at the
-# cap.  Prints the bytes kept, the order that table is held at and the number
+# the cap: about 0.64 MiB is kept, 0.59 MiB of it the -log(1+t) table and the
+# first-kind A at the cap.  Prints the bytes kept, the order that table is held at and the number
 # of alphas whose A is held.
 _SERIES_SESSION = textwrap.dedent("""
     import gc, tracemalloc

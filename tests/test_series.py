@@ -23,7 +23,7 @@ from polycauchy import (
     log1p_series,
     sheffer_rows,
 )
-from polycauchy.series import _integers, _powers, _sheffer_row
+from polycauchy.series import _egf_integers, _integers, _neg_log1p_powers, _powers, _sheffer_row
 
 units = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10), min_size=3, max_size=6
@@ -239,21 +239,29 @@ def test_sheffer_rows_match_reference(pair):
     order = len(a) - 1
     A, G = (lambda n: Series(a[:n + 1])), (lambda n: Series(g[:n + 1]))
     want = ref_sheffer_powers(a, g)
-    # g^j / j!, the reference at A = 1: power j held from t^j, as integer
-    # numerators over a positive denominator, in lowest terms
+    # g^j / j!, the reference at A = 1: power j held as the numbers n! [t^n],
+    # n = j..order, integer numerators over a positive denominator, in lowest terms
     powers = _powers(G(order))
     for j, ((nums, den), ref) in enumerate(zip(powers, ref_sheffer_powers([1] + [0] * order, g), strict=True)):
         assert all(type(c) is int for c in nums) and type(den) is int
         assert den > 0 and gcd(den, *nums) == 1
-        assert [F(c, den) for c in nums] == ref[j:]
-    # extended from the table of a lower order, it is the table built at once
-    assert _powers(G(order), _powers(G(order // 2))) == powers
+        assert [F(c, den) for c in nums] == [c * factorial(n) for n, c in enumerate(ref) if n >= j]
     rows = sheffer_rows(A, G, order)
     assert rows == tuple(Poly([want[j][n] for j in range(n + 1)]) for n in range(order + 1))
     # each row read from the order-`order` tables, which hold each lower order's
-    held = (lambda _: _integers(A(order)), lambda _: powers)
+    held = (lambda _: _egf_integers(A(order)), lambda _: powers)
     for n in range(order + 1):
         assert _sheffer_row(held, n) == rows[n]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 30])
+def test_neg_log1p_powers_extend_to_the_table_built_at_once(order):
+    # the Stirling-number recurrence gives the powers _powers steps, and a
+    # table extended from any lower order is the one built at once
+    built = _neg_log1p_powers((), order)
+    assert built == _powers(-log1p_series(order))
+    for lower in range(order):
+        assert _neg_log1p_powers(_neg_log1p_powers((), lower), order) == built
 
 
 def test_sheffer_rows_of_exp_xt():
