@@ -3,9 +3,9 @@ and the poly-Bernoulli variants.
 
 The Bernoulli, Euler and power-sum polynomials are rows of the
 generating function (t/(e^t - 1))^alpha e^(xt) (``gf_gen_bernoulli``);
-``gen_bernoulli_poly`` reads its one row n from the same Sheffer pair and
-held tables as ``gf_gen_bernoulli``, so the series module is the single
-source of the defining convention (B_1 = -1/2).
+``gen_bernoulli_poly`` reads its one row n from the same Sheffer pair as
+``gf_gen_bernoulli``, built for the call at order n, so the series module
+is the single source of the defining convention (B_1 = -1/2).
 
 The Bernoulli numbers are read from integers alone, by the TangentNumbers
 algorithm of Brent & Harvey, "Fast computation of Bernoulli, Tangent and
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .cauchy import MultiParam, _check_nk, _moment_sum
@@ -61,7 +61,7 @@ def gen_bernoulli_poly(n: int, alpha: int) -> Poly:
         raise ValueError("degree must be >= 0")
     if alpha < 0:
         raise ValueError("order must be >= 0")
-    return _sheffer_row(_gen_bernoulli(alpha), n) * factorial(n)
+    return _sheffer_row(partial(_gen_bernoulli, alpha), n) * factorial(n)
 
 
 def bernoulli_poly(n: int) -> Poly:

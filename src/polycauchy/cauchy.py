@@ -12,11 +12,11 @@ constructions which must agree (the test suite enforces this):
                       contributes a 1/(i+1)^k weight; never performed
                       numerically);
 * ``series``       -- k = 1 only: exponential-generating-function
-                      coefficient times n!, read from the powers of
-                      -log(1+t) that ``series`` holds for both kinds at
-                      the largest order asked (up to its cap), so a lower
-                      order reads a prefix and the second kind is the
-                      (A, -log(1+t)) row at -x (``_reflect``);
+                      coefficient times n!, the (A, -log(1+t)) Sheffer row
+                      sum_m binom(n, m) c_(n-m) (-1)^m x^(m) over the
+                      rising factorials, rows of the memoised first-kind
+                      triangle, with A's numbers c_i summed from the same
+                      rows; the second kind is its row at -x (``_reflect``);
 * ``binomial_conv``-- convolution of the family's own numbers with
                       rising/falling factorials, summed in the factorials'
                       Newton basis by one Horner pass (``poly._newton_sum``),
@@ -52,13 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, gcd
 from operator import mul
 
 from .poly import Poly, _cube_moments, _lincomb, _linear_product, _newton_sum, _weighted_sum
 from .rational import _exact, _reciprocal_powers
-from .series import _CAUCHY1, _CAUCHY2, _sheffer_row
+from .series import _cauchy, _sheffer_row
 from .stirling import _TRIANGLES, _bivariate_row, gsn1
 
 __all__ = [
@@ -167,7 +167,7 @@ def _poly_integral(kind: str, n: int, k: int) -> Poly:
 def _poly_series(kind: str, n: int, k: int) -> Poly:
     if k != 1:
         raise ValueError("the generating-function construction is defined for k = 1 only")
-    return _reflect(kind, _sheffer_row(_CAUCHY1 if kind == "first" else _CAUCHY2, n) * factorial(n))
+    return _reflect(kind, _sheffer_row(partial(_cauchy, KIND_SIGN[kind]), n) * factorial(n))
 
 
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:

@@ -20,8 +20,9 @@ builds no Fraction:
 * ``==`` (a tuple compare), negation, ``*`` and ``/`` by an int or
   Fraction, ``derivative``, ``stretch`` by a rational factor,
   ``affine_compose`` with a rational shift;
-* ``+`` and ``-``, through ``_sum_scaled``, the kernel of every sum below,
-  and Poly x Poly products, through ``_product``, one integer convolution
+* ``+`` and ``-``, through ``_sum_scaled``, the kernel of every sum below
+  and of each Sheffer row of :mod:`~polycauchy.series`, which hands it
+  integer rows over their denominators, and Poly x Poly products, through ``_product``, one integer convolution
   cut at a given size, which is also every truncated product of a
   :class:`~polycauchy.series.Series`;
 * evaluation at a point and ``eval_at_sqrt``, both by one integer Horner
@@ -52,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable
 
 from .rational import _exact, _reciprocal_powers, format_rational, parse_rational
@@ -381,12 +382,19 @@ def _weighted_sum(weights: Poly, polys) -> Poly:
 
 def _sum_scaled(scaled) -> Poly:
     """sum numerator vec / d over the (vec, numerator, d) triples, in integers
-    over the lcm of the d's, made canonical once."""
+    over the lcm of the d's, made canonical once.  A term is multiplied only
+    when its factor is not 1, and added into the longer of itself and the
+    total so far."""
     den = lcm(*[d for _, _, d in scaled])
-    total = [0] * max([len(vec) for vec, _, _ in scaled], default=0)
+    total = ()
     for vec, numerator, d in scaled:
         factor = numerator * (den // d)
-        total[:len(vec)] = [t + factor * v for t, v in zip(total, vec)]
+        if factor != 1:
+            vec = [factor * v for v in vec]
+        if len(vec) > len(total):
+            total, vec = vec, total
+        if vec:
+            total = [*map(add, total, vec), *total[len(vec):]]
     return _make(total, den)
 
 

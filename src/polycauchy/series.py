@@ -10,53 +10,48 @@ Storage.  A Series is a :class:`~polycauchy.poly.Poly` of degree at most
 its order, and Poly's kernels do its arithmetic (``*`` is ``poly._product``).
 
 Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
-with scalar A and g (Roman, *The Umbral Calculus*, 1984), returned as the
-rows [t^n] (Polys in x) of ``_rows``, the reader behind
-:func:`sheffer_rows`.  Row n is sum_j x^j sum_i A_i [t^(n-i)] P_j for the
-powers P_j = g^j / j!, held as the numbers m! [t^m] P_j, so n! times
-coefficient j is one integer dot product, sum_i binom(n, i) (i! A_i)
-((n-i)! [t^(n-i)] P_j), and a row costs O(n^2) integer products once the
-powers are built.  The first three are exponential (row n times n! is the
-family value), the last ordinary (row n is the value):
+with scalar A and g, returned as the rows [t^n] (Polys in x) of ``_rows``,
+the reader behind :func:`sheffer_rows`.  exp(x g(t)) is the exponential
+generating function of a sequence of binomial type, p_m(x) = m! [t^m]
+exp(x g(t)) (Roman, *The Umbral Calculus*, 1984), so row n is
+sum_m binom(n, m) a_(n-m) p_m(x) / n! for A's numbers a_i = i! A_i: one
+``poly._sum_scaled`` over the basis p_0..p_n, each held as integer
+numerators over a denominator, O(n^2) integer products.
+The first three are exponential (row n times n! is the family value), the
+last ordinary (row n is the value):
 
 * ``gf_cauchy1``: A = t/log(1+t), g = -log(1+t);
 * ``gf_cauchy2``: A = t/((1+t) log(1+t)), g = log(1+t), read as the
   (A, -log(1+t)) rows at -x;
 * ``gf_gen_bernoulli``: A = (t/(e^t - 1))^alpha, g = t;
-* ``gf_hyperharmonic``: A = g = -log(1-t), read at -t as (-1)^n times
-  the row n of A = g = -log(1+t).
+* ``gf_hyperharmonic``: A = g = -log(1-t).
 
 ``gf_harmonic_poly`` divides the hyperharmonic function by t and puts
 1 - x for x, so its rows are hyperharmonic rows 1..order+1 at 1 - x.
 
-Held tables.  The library's pairs hold their tables once per process:
-the powers of -log(1+t), which three of the four read, the first Cauchy
-kind's A, read from those powers as Lif_1(log(1+t)) = sum_m (-1)^m
-P_m / (m+1), and the Bernoulli A for the ``_ALPHAS_KEPT`` orders alpha
-asked most recently.  The numbers m! [t^m] P_j of -log(1+t) are Stirling
-numbers of the first kind, integers that do not depend on the order, so a
-table is held at the largest order asked so far, a lower order reads its
-prefix, and a larger order appends only the new columns: the cost of a
-request does not depend on the order held, and the total cost not on the
-order of the requests.  The Bernoulli A is built again at a larger order.
-Nothing above ``_HELD_ORDER_CAP`` (128, where the -log(1+t) powers take
-0.58 MiB) is kept: such a request extends a copy for the one call.
-``sheffer_rows`` over callables the caller passes builds its tables for
-the call and holds nothing.  Each table is built under its own lock and
-published by one reference swap, so concurrent readers are safe.
+The module keeps nothing.  Each call builds A and the basis at the order it
+asks for.  For g = -log(1-t) the basis is the rising factorials x^(m), the
+rows of the memoised first-kind triangle in ``stirling``, and for
+g = -log(1+t) the same rows with the sign (-1)^m, since
+m! [t^m] (-log(1+t))^j / j! = (-1)^m [m j]; for g = t it is the monomials.
+The Cauchy numbers that are the Cauchy kinds' A are summed from the same
+triangle rows.  ``sheffer_rows`` over callables the caller passes steps the
+powers g^j / j! in integers (``_powers``) and reads the basis as their
+transpose.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from operator import mul
 from typing import Callable, Iterable
 
-from .poly import Poly, _power, _product, _split
+from .poly import Poly, _power, _product, _split, _sum_scaled
 from .rational import _exact, _reciprocal_powers
+from .stirling import _TRIANGLES
 
 __all__ = [
     "Series",
@@ -210,43 +205,6 @@ def log1p_over_t_series(order: int) -> Series:
     return _reciprocal_series(order, 0)
 
 
-# Held tables stop at this order; above it a table is built for the one call,
-# from the held prefix, and dropped.  The power table of -log(1+t) takes
-# 0.06 MiB at order 48, 0.18 MiB at 80, 0.58 MiB at 128 and 1.0 MiB at 160.
-_HELD_ORDER_CAP = 128
-
-
-class _Held:
-    """A table of a fixed series, held at the largest order asked so far up to
-    ``_HELD_ORDER_CAP``; a call at a lower order reads the held one.
-
-    ``build(table, order)`` returns the table at ``order`` from ``table``, the
-    one at a lower order (``()`` before the first), and changes neither.
-    Coefficients 0..N of a product, reciprocal or power depend only on
-    coefficients 0..N of its inputs, so the table at order N holds the table
-    at each lower order as a prefix.  A build runs under the lock and is
-    published as one (order, table) reference, so readers need no lock.
-    """
-
-    def __init__(self, build: Callable[[tuple, int], tuple]):
-        self._build = build
-        self._held = (-1, ())
-        self._lock = threading.Lock()
-
-    def __call__(self, order: int) -> tuple:
-        held_order, table = self._held
-        if order <= held_order:
-            return table
-        if order > _HELD_ORDER_CAP:
-            return self._build(table, order)
-        with self._lock:
-            held_order, table = self._held
-            if order > held_order:
-                table = self._build(table, order)
-                self._held = (order, table)
-        return table
-
-
 def _of_order(f: Callable[[int], Series], name: str, order: int) -> Series:
     """f(order), which must be a series of that order."""
     series = f(order)
@@ -306,58 +264,46 @@ def _powers(g: Series) -> tuple:
     return tuple(out)
 
 
-def _neg_log1p_powers(table: tuple, order: int) -> tuple:
-    """The powers P_j = (-log(1+t))^j / j! as ``_powers`` holds them, extending
-    ``table``, the same powers at a lower order (``()`` for none).
-
-    q(j, n) = n! [t^n] P_j is the Stirling number s(n, j) of the first kind
-    times (-1)^j, an integer, and (1+t) P_j' = -P_(j-1) steps the table
-    column by column: q(j, n+1) = -(n q(j, n) + q(j-1, n)).  No entry depends
-    on the order, so a larger order appends the columns past the held one,
-    O(n) integer products each, and the table costs O(N^2) at any order of
-    the requests.  The stirling1 triangle in ``stirling`` holds the same
-    numbers unsigned, but other constructions fill it, so reading it would
-    make this table's cost depend on which of them ran first.
-    """
-    powers = [list(p) for p, _ in table] or [[1]]
-    column = [p[-1] for p in powers]  # q(j, n) for the held order n
-    for n in range(len(powers) - 1, order):
-        column = [-n * column[0]] + [-(n * q + prev) for q, prev in zip(column[1:] + [0], column)]
-        powers.append([])
-        for p, q in zip(powers, column):
-            p.append(q)
-    return tuple([(tuple(p), 1) for p in powers])
+def _basis(powers: tuple) -> list:
+    """The polynomials p_m(x) = sum_j (m! [t^m] g^j / j!) x^j, m = 0..N, read
+    from the powers of g as ``_powers`` holds them (the table's transpose),
+    each as its integer numerators over its denominator."""
+    return [_split(Poly([Fraction(p[m - j], d) for j, (p, d) in enumerate(powers[:m + 1])]))
+            for m in range(len(powers))]
 
 
-def _row(a: tuple, powers: tuple, n: int, lcd: int) -> Poly:
-    """Row n, sum_j x^j sum_i A_i [t^(n-i)] P_j, of the pair whose A has the
-    numbers i! A_i = a_i / d, a = ((a_0, a_1, ..), d), and whose powers
-    g^j / j! are ``powers`` as ``_powers`` holds them (both at order n or
-    above).  With n! [t^m] P_j = p_(m-j) / d_j, n! times coefficient j is
-    sum_i binom(n, i) a_i p_(n-i-j) / (d d_j): one integer dot product,
-    brought over lcd, a common multiple of d_0..d_n."""
-    nums, den = a
-    weights = [c * comb(n, i) for i, c in enumerate(nums[:n + 1])]
-    return Poly([sum(map(mul, weights, p[n - j::-1])) * (lcd // d)
-                 for j, (p, d) in enumerate(powers[:n + 1])]) / (lcd * den * factorial(n))
+def _rising(order: int) -> list:
+    """The rising factorials x^(m), m = 0..order, as ``_basis`` gives a basis:
+    the rows of the memoised first-kind triangle over 1."""
+    triangle = _TRIANGLES["stirling1"]
+    return [(triangle.row(m), 1) for m in range(order + 1)]
 
 
-def _rows(pair: tuple, order: int) -> tuple[Poly, ...]:
-    """Rows 0..order of the pair (A, powers), each mapping an order to its table."""
+def _row(tables: tuple, n: int) -> Poly:
+    """Row n, sum_m binom(n, m) a_(n-m) p_m(x) / n!, of a pair's tables
+    (a, basis, sign) at order n or above: A's numbers i! A_i are a_i / d,
+    a = ((a_0, a_1, ..), d), and p_m = sign^m basis[m] is m! [t^m] exp(x g(t)),
+    basis[m] its integer numerators over its denominator, so the row is one
+    ``poly._sum_scaled`` over the basis."""
+    (nums, den), basis, sign = tables
+    weights = [comb(n, m) * c for m, c in enumerate(nums[n::-1])]
+    if sign < 0:
+        weights[1::2] = [-w for w in weights[1::2]]
+    scale = den * factorial(n)
+    return _sum_scaled([(vec, w, d * scale) for w, (vec, d) in zip(weights, basis) if w])
+
+
+def _rows(pair: Callable[[int], tuple], order: int) -> tuple[Poly, ...]:
+    """Rows 0..order of the pair, which maps an order to its tables."""
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
-    a, powers = pair[0](order), pair[1](order)
-    rows, lcd = [], 1
-    for n in range(order + 1):
-        lcd = lcm(lcd, powers[n][1])
-        rows.append(_row(a, powers, n, lcd))
-    return tuple(rows)
+    tables = pair(order)
+    return tuple([_row(tables, n) for n in range(order + 1)])
 
 
-def _sheffer_row(pair: tuple, n: int) -> Poly:
+def _sheffer_row(pair: Callable[[int], tuple], n: int) -> Poly:
     """``_rows(pair, n)[n]`` without building rows 0..n-1."""
-    a, powers = pair[0](n), pair[1](n)
-    return _row(a, powers, n, lcm(*[d for _, d in powers[:n + 1]]))
+    return _row(pair(n), n)
 
 
 def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
@@ -366,101 +312,75 @@ def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
 
     ``A`` and ``g`` map an order to a series of that order, and a series of
     another order raises ``ValueError``; g(0) = 0.  The powers g^j / j! are
-    stepped in integers by ``_powers`` and row n is read from them by
-    ``_row``.  Nothing is held: the library's own pairs hold their tables.
+    stepped in integers by ``_powers``, and row n is read over their
+    transpose by ``_row``.
     """
-    return _rows((lambda n: _egf_integers(_of_order(A, "A", n)),
-                  lambda n: _powers(_of_order(g, "g", n))), order)
+    return _rows(lambda n: (_egf_integers(_of_order(A, "A", n)),
+                            _basis(_powers(_of_order(g, "g", n))), 1), order)
 
 
-def _lif1(table: tuple, order: int) -> tuple:
-    """t/log(1+t) = sum_m (-1)^m P_m / (m+1) over the powers P_m of
-    -log(1+t) (it is Lif_1(log(1+t))), as the numbers n! [t^n], the Cauchy
-    numbers sum_m (-1)^m q(m, n) / (m+1) of the first kind, over the
-    denominator of the weights 1/(m+1); extends ``table``, the same at a
-    lower order."""
+# The library's pairs: each maps an order to its tables (a, basis, sign).
+def _cauchy(e: int, order: int) -> tuple:
+    """The tables of the Cauchy kind of sign e (1 first, -1 second): A is
+    t/log(1+t) or t/((1+t) log(1+t)) and g = -log(1+t); the second kind's g
+    is log(1+t), so its rows are these at -x.  i! A_i is the kind's Cauchy
+    number (-1)^i sum_m (-e)^m [i m] / (m+1) (Komatsu), summed in integers
+    from row i of the triangle over the denominator of the weights 1/(m+1)."""
     weights, den = _reciprocal_powers(1, order + 2, 1)
-    weights[1::2] = [-w for w in weights[1::2]]
-    nums = [c * (den // table[1]) for c in table[0]] if table else []
-    powers = _NEG_LOG1P(order)
-    for n in range(len(nums), order + 1):
-        nums.append(sum(map(mul, weights, [p[n - m] for m, (p, _) in enumerate(powers[:n + 1])])))
-    return tuple(nums), den
+    if e > 0:
+        weights[1::2] = [-w for w in weights[1::2]]
+    basis = _rising(order)
+    nums = [sum(map(mul, weights, row)) for row, _ in basis]
+    nums[1::2] = [-c for c in nums[1::2]]
+    return (nums, den), basis, -1
 
 
-def _over_one_plus_t(a: tuple, order: int) -> tuple:
-    """A/(1+t) at the given order from A, both as the numbers n! [t^n] over
-    one denominator: number n is a_n - n times number n-1."""
-    nums, den = a
-    out = [nums[0]]
+def _hyperharmonic(order: int) -> tuple:
+    """The tables of A = g = -log(1-t), whose numbers i! A_i are (i-1)!."""
+    return ([0] + _factorials(order)[:order], 1), _rising(order), 1
+
+
+def _gen_bernoulli(alpha: int, order: int) -> tuple:
+    """The tables of A = (t/(e^t - 1))^alpha and g = t, whose basis is the
+    monomials x^m.  i! A_i is the Norlund number B_i^(alpha), from J. C. P.
+    Miller's recurrence for a power of h = (e^t - 1)/t, i! h_i = 1/(i+1):
+    n (n+1) B_n = sum_(k=1..n) binom(n+1, k+1) ((1-alpha) k - n) B_(n-k).
+    The numbers so far are held as integer numerators over the lcm of their
+    reduced denominators, as ``Series.reciprocal`` holds its coefficients."""
+    nums, lcd = [1], 1
     for n in range(1, order + 1):
-        out.append(nums[n] - n * out[-1])
-    return tuple(out), den
-
-
-def _prefix(a: tuple, order: int) -> Series:
-    """The Series of the given order read from held integers."""
-    nums, den = a
-    return _series(Poly(nums[:order + 1]) / den, order)
-
-
-def _t_powers(order: int) -> tuple:
-    """The powers t^j / j! as ``_powers`` holds them: n! [t^n] is 1 at n = j."""
-    return tuple([((1,) + (0,) * (order - j), 1) for j in range(order + 1)])
-
-
-# The library's pairs.  Three read the one held table of the powers of
-# g = -log(1+t).  The first Cauchy kind's A is read from that table by
-# ``_lif1`` and held.  The second kind's g is log(1+t), so its rows are the
-# (A, -log(1+t)) rows at -x; its A, the first kind's over 1 + t, is read
-# from the held first-kind A in O(n) and not held itself.  The hyperharmonic
-# function at -t is g exp(x g), so its row n is (-1)^n times the (g, g) row n.
-_NEG_LOG1P = _Held(_neg_log1p_powers)
-_CAUCHY1 = (_Held(_lif1), _NEG_LOG1P)
-_CAUCHY2 = (lambda n: _over_one_plus_t(_CAUCHY1[0](n), n), _NEG_LOG1P)
-_HYPERHARMONIC = (lambda n: _egf_integers(-log1p_series(n)), _NEG_LOG1P)
-
-# The Bernoulli family's g = t and t/(e^t - 1); its A for order alpha is that
-# to the power alpha, held for the _ALPHAS_KEPT orders asked most recently
-# and built again at a larger order.
-_BERNOULLI = _Held(lambda _, n: _integers(
-    Series([Fraction(1, factorial(i + 1)) for i in range(n + 1)]).reciprocal()))
-_ALPHAS_KEPT = 8
-_ALPHAS: dict = {}  # alpha -> held A, least recently asked first
-_ALPHAS_LOCK = threading.Lock()
-
-
-def _gen_bernoulli(alpha: int) -> tuple:
-    """(A, powers) of the order-alpha Bernoulli generating function."""
-    with _ALPHAS_LOCK:
-        a = _ALPHAS.pop(alpha, None) or _Held(
-            lambda _, n: _egf_integers(_prefix(_BERNOULLI(n), n).pow_int(alpha)))
-        _ALPHAS[alpha] = a
-        while len(_ALPHAS) > _ALPHAS_KEPT:
-            del _ALPHAS[next(iter(_ALPHAS))]
-    return a, _t_powers
+        s = sum([comb(n + 1, k + 1) * ((1 - alpha) * k - n) * nums[n - k] for k in range(1, n + 1)])
+        den = n * (n + 1) * lcd
+        common = gcd(s, den)
+        s, den = s // common, den // common
+        grow = den // gcd(lcd, den)
+        if grow != 1:
+            nums = [c * grow for c in nums]
+            lcd *= grow
+        nums.append(s * (lcd // den))
+    return (nums, lcd), [((0,) * m + (1,), 1) for m in range(order + 1)], 1
 
 
 def gf_cauchy1(order: int) -> tuple[Poly, ...]:
     """t / ((1+t)^x log(1+t)); row n times n! is c_n(x)."""
-    return _rows(_CAUCHY1, order)
+    return _rows(partial(_cauchy, 1), order)
 
 
 def gf_cauchy2(order: int) -> tuple[Poly, ...]:
     """t (1+t)^x / ((1+t) log(1+t)); row n times n! is the second-kind polynomial."""
-    return tuple(row.affine_compose(-1, 0) for row in _rows(_CAUCHY2, order))
+    return tuple(row.affine_compose(-1, 0) for row in _rows(partial(_cauchy, -1), order))
 
 
 def gf_gen_bernoulli(alpha: int, order: int) -> tuple[Poly, ...]:
     """(t/(e^t - 1))^alpha * e^(x t); row n times n! is the order-alpha Bernoulli polynomial."""
     if alpha < 0:
         raise ValueError("order of the generalized Bernoulli family must be >= 0")
-    return _rows(_gen_bernoulli(alpha), order)
+    return _rows(partial(_gen_bernoulli, alpha), order)
 
 
 def gf_hyperharmonic(order: int) -> tuple[Poly, ...]:
     """-log(1-t)/(1-t)^x; row n *is* the hyperharmonic polynomial in x."""
-    return tuple(-row if n & 1 else row for n, row in enumerate(_rows(_HYPERHARMONIC, order)))
+    return _rows(_hyperharmonic, order)
 
 
 def gf_harmonic_poly(order: int) -> tuple[Poly, ...]:

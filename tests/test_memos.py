@@ -11,7 +11,6 @@ import threading
 import polycauchy
 from polycauchy import cauchy_number, cauchy_poly
 from polycauchy.cauchy import _poly_gsn, cauchy_coefficient
-from polycauchy.series import _ALPHAS_KEPT, _HELD_ORDER_CAP
 
 # Euler and power-sum polynomials read the memoised Bernoulli rows, so the
 # session warms those first; what it builds after them is dropped by each
@@ -94,38 +93,29 @@ _FLOOD_SESSION = textwrap.dedent("""
 FLOOD_BUDGET = 2 * 1024 * 1024
 
 
-# Generating-function requests at the held-order cap and past it, both Cauchy
-# kinds, and one Bernoulli row for each of 12 orders alpha, half of them past
-# the cap: about 0.64 MiB is kept, 0.59 MiB of it the -log(1+t) table and the
-# first-kind A at the cap.  Prints the bytes kept, the order that table is held at and the number
-# of alphas whose A is held.
+# Generating-function rows past n = 128, both Cauchy kinds at 128 and 136,
+# and one Bernoulli row for each of 12 orders alpha, after the first-kind
+# triangle the Cauchy rows read is filled to row 136.  The series module
+# keeps nothing, and the Bernoulli rows' own memo is cleared before the
+# bytes are read: 0 bytes are kept (Python 3.11.7).
 _SERIES_SESSION = textwrap.dedent("""
     import gc, tracemalloc
-    from polycauchy import cauchy_poly
-    from polycauchy.series import _ALPHAS, _HELD_ORDER_CAP, _NEG_LOG1P, _gen_bernoulli, _sheffer_row
+    from polycauchy import cauchy_poly, gen_bernoulli_poly, stirling1
+    stirling1(136, 0)
     cauchy_poly("first", 0, 1, "series")
-    _sheffer_row(_gen_bernoulli(0), 0)
+    gen_bernoulli_poly(0, 0)
+    gen_bernoulli_poly.cache_clear()
     gc.collect()
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
-    for n in (_HELD_ORDER_CAP, _HELD_ORDER_CAP + 8):
+    for n in (128, 136):
         for kind in ("first", "second"):
             cauchy_poly(kind, n, 1, "series")
     for alpha in range(12):
-        _sheffer_row(_gen_bernoulli(alpha), _HELD_ORDER_CAP + 8 * (alpha & 1))
+        gen_bernoulli_poly(128 + 8 * (alpha & 1), alpha)
+    gen_bernoulli_poly.cache_clear()
     gc.collect()
-    print(tracemalloc.get_traced_memory()[0] - before, _NEG_LOG1P._held[0], len(_ALPHAS))
-""")
-SERIES_BUDGET = 1152 * 1024
-
-# A default verify run in one process: the Bernoulli orders alpha it asks
-# for, and the number of those whose A stays held.
-_RUN_ALL_SESSION = textwrap.dedent("""
-    from polycauchy.bernoulli import gen_bernoulli_poly
-    from polycauchy.identities import run_all
-    from polycauchy.series import _ALPHAS
-    run_all()
-    print(gen_bernoulli_poly.cache_info().misses, len(_ALPHAS))
+    print(tracemalloc.get_traced_memory()[0] - before)
 """)
 
 
@@ -191,13 +181,5 @@ def test_threads_evicting_a_bounded_memo_get_equal_results():
         assert info.currsize == info.maxsize and info.misses > len(keys)
 
 
-def test_held_series_tables_stop_at_the_cap_and_keep_few_alphas():
-    kept, held_order, alphas = map(int, _output(_SERIES_SESSION).split())
-    assert kept < SERIES_BUDGET
-    assert held_order == _HELD_ORDER_CAP
-    assert alphas == _ALPHAS_KEPT
-
-
-def test_a_default_run_holds_no_table_per_bernoulli_call():
-    calls, alphas = map(int, _output(_RUN_ALL_SESSION).split())
-    assert alphas <= _ALPHAS_KEPT < calls
+def test_series_rows_keep_nothing_past_the_triangle():
+    assert _retained(_SERIES_SESSION) < RETAINED_BUDGET

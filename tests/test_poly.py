@@ -372,6 +372,22 @@ def test_lincomb_examples():
     assert_same(total, Poly([1, 2, 1]))
 
 
+def test_sum_kernel_examples_of_unequal_lengths_and_unit_factors():
+    # a term whose factor is 1 is added as it is, into the longer of itself and
+    # the total so far, and no operand's coefficients change
+    short, long = Poly([1, 2]), Poly([F(1, 2), 0, 3, F(-5, 2)])
+    vecs = (short._vec, long._vec)
+    for got, want in ((short + long, Poly([F(3, 2), 2, 3, F(-5, 2)])),
+                      (long + short, Poly([F(3, 2), 2, 3, F(-5, 2)])),
+                      (long - short, Poly([F(-1, 2), -2, 3, F(-5, 2)])),
+                      (_lincomb([(1, long)]), long),
+                      (_lincomb([(1, short), (1, long), (F(1, 2), short)]), Poly([2, 3, 3, F(-5, 2)])),
+                      (_weighted_sum(Poly([1, 0, 1]), [long, short, short]), Poly([F(3, 2), 2, 3, F(-5, 2)]))):
+        assert_canonical(got)
+        assert_same(got, want)
+    assert (short._vec, long._vec) == vecs == ((1, 2), (1, 0, 6, -5))
+
+
 @given(polys, st.lists(st.one_of(wide_polys, st.just(Poly())), max_size=6))
 def test_weighted_sum_matches_reference(weights, ps):
     ps = ps + [Poly([1])] * (len(weights) - len(ps))  # one polynomial per weight at least

@@ -13,6 +13,7 @@ import polycauchy
 from polycauchy import (
     Poly,
     Series,
+    cauchy_number,
     cauchy_poly,
     gf_cauchy1,
     gf_cauchy2,
@@ -23,7 +24,10 @@ from polycauchy import (
     log1p_series,
     sheffer_rows,
 )
-from polycauchy.series import _egf_integers, _integers, _neg_log1p_powers, _powers, _sheffer_row
+from polycauchy.series import (
+    _basis, _cauchy, _egf_integers, _gen_bernoulli, _integers, _powers, _rising, _sheffer_row,
+)
+from polycauchy.stirling import _Triangle, _step_s1
 
 units = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=10), min_size=3, max_size=6
@@ -249,19 +253,35 @@ def test_sheffer_rows_match_reference(pair):
     rows = sheffer_rows(A, G, order)
     assert rows == tuple(Poly([want[j][n] for j in range(n + 1)]) for n in range(order + 1))
     # each row read from the order-`order` tables, which hold each lower order's
-    held = (lambda _: _egf_integers(A(order)), lambda _: powers)
+    tables = (_egf_integers(A(order)), _basis(powers), 1)
     for n in range(order + 1):
-        assert _sheffer_row(held, n) == rows[n]
+        assert _sheffer_row(lambda _: tables, n) == rows[n]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 30])
 def test_neg_log1p_powers_extend_to_the_table_built_at_once(order):
-    # the Stirling-number recurrence gives the powers _powers steps, and a
-    # table extended from any lower order is the one built at once
-    built = _neg_log1p_powers((), order)
-    assert built == _powers(-log1p_series(order))
-    for lower in range(order):
-        assert _neg_log1p_powers(_neg_log1p_powers((), lower), order) == built
+    # row m of the first-kind triangle with the sign (-1)^m, the basis the
+    # Cauchy pairs read, is m! [t^m] exp(x (-log(1+t))), the transpose of the
+    # powers _powers steps; a triangle stepped up to `order` in two parts
+    # holds the same rows
+    want = [Poly(vec) / d for vec, d in _basis(_powers(-log1p_series(order)))]
+    assert [Poly(row) / d * (-1) ** m for m, (row, d) in enumerate(_rising(order))] == want
+    triangle = _Triangle("stirling1", _step_s1)
+    triangle.row(order // 2)
+    assert [Poly(triangle.row(m)) * (-1) ** m for m in range(order + 1)] == want
+
+
+def test_pair_numbers_are_the_families_numbers():
+    # i! A_i of the Cauchy pairs are the Cauchy numbers, and those of the
+    # Bernoulli pair are those of the reciprocal series to the power alpha
+    (nums, den), _, _ = _cauchy(1, 30)
+    assert [F(c, den) for c in nums] == [cauchy_number("first", i, 1) for i in range(31)]
+    (nums, den), _, _ = _cauchy(-1, 30)
+    assert [F(c, den) for c in nums] == [cauchy_number("second", i, 1) for i in range(31)]
+    h = Series([F(1, factorial(i + 1)) for i in range(31)])
+    for alpha in range(6):
+        (nums, den), _, _ = _gen_bernoulli(alpha, 30)
+        assert (tuple(nums), den) == _egf_integers(h.reciprocal().pow_int(alpha))
 
 
 def test_sheffer_rows_of_exp_xt():
@@ -394,17 +414,17 @@ def test_egf_value_normalization():
             cauchy_poly(kind, n, 1, "gsn") for n in range(6)]
 
 
-# The held tables, read in a fresh interpreter so that they start empty.  Each
-# family is compared with an oracle that reads no table: both Cauchy kinds
-# with gsn, and the order-alpha Bernoulli polynomials, alpha = 0..3, with the
-# Norlund form, the alpha-fold convolution of the Bernoulli numbers.
+# The rows, read in a fresh interpreter so that the first-kind triangle the
+# Cauchy rows read starts empty.  Each family is compared with an oracle that
+# builds no Sheffer row: both Cauchy kinds with gsn, and the order-alpha
+# Bernoulli polynomials, alpha = 0..3, with the Norlund form, the alpha-fold
+# convolution of the Bernoulli numbers.
 _ORACLES = textwrap.dedent("""
     import sys, threading
     from functools import partial
     from math import comb, factorial
     from polycauchy import (Poly, bernoulli_number, cauchy_poly, gen_bernoulli_poly, gf_cauchy1,
                             gf_cauchy2, gf_gen_bernoulli)
-    from polycauchy.series import _NEG_LOG1P
 
     def norlund(n, alpha):
         numbers = [1] + [0] * n
@@ -419,13 +439,12 @@ _ORACLES = textwrap.dedent("""
 """)
 
 # One row at a time, in the order given on the command line, through
-# cauchy_poly and gen_bernoulli_poly; prints the rows that differ and the
-# order the -log(1+t) table is held at.
+# cauchy_poly and gen_bernoulli_poly; prints the rows that differ.
 _ONE_ROW_AT_A_TIME = _ORACLES + textwrap.dedent("""
     orders = [int(n) for n in sys.argv[1].split(",")]
     bad = [n for n in orders if [cauchy_poly(kind, n, 1, "series") for kind in ("first", "second")]
            + [gen_bernoulli_poly(n, alpha) for alpha in range(4)] != oracles(n)]
-    print(bad, _NEG_LOG1P._held[0])
+    print(bad)
 """)
 
 # Four threads, each asking the generating functions for all rows up to its
@@ -446,7 +465,7 @@ _FOUR_THREADS = _ORACLES + textwrap.dedent("""
     for t in threads:
         t.join(timeout=60)
     want = [oracles(n) for n in range(max(ORDERS) + 1)]
-    print([i for i in range(4) if results.get(i) != want[:ORDERS[i] + 1]], _NEG_LOG1P._held[0])
+    print([i for i in range(4) if results.get(i) != want[:ORDERS[i] + 1]])
 """)
 
 
@@ -461,9 +480,9 @@ def _fresh(session: str, *args: str) -> str:
 
 @pytest.mark.parametrize("orders", ["5,17,40", "40,17,5"])
 def test_rows_read_from_a_held_table_equal_the_oracles(orders):
-    # descending, every order after the first is a prefix of the held table
-    assert _fresh(_ONE_ROW_AT_A_TIME, orders) == "[] 40"
+    # descending, every order after the first reads triangle rows the first filled
+    assert _fresh(_ONE_ROW_AT_A_TIME, orders) == "[]"
 
 
 def test_threads_asking_for_different_orders_get_the_oracles_rows():
-    assert _fresh(_FOUR_THREADS) == "[] 48"
+    assert _fresh(_FOUR_THREADS) == "[]"
