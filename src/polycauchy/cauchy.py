@@ -54,11 +54,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, gcd
-from operator import mul
 
 from .poly import Poly, _cube_moments, _lincomb, _linear_product, _newton_sum, _weighted_sum
 from .rational import _exact, _reciprocal_powers
-from .series import _cauchy, _sheffer_row
+from .series import _cauchy, _komatsu, _sheffer_row
 from .stirling import _TRIANGLES, _bivariate_row, gsn1
 
 __all__ = [
@@ -223,17 +222,17 @@ def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
 def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
     """Closed-form coefficient of x^i in the poly-Cauchy polynomial:
     sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k,
-    summed in integers from row n of the memoised first-kind triangle."""
+    Komatsu's sum in integers over row n of the memoised first-kind triangle
+    (``series._komatsu``)."""
     e = _check_kind(kind)
     _check_nk(n, k)
     if i < 0 or i > n:
         raise ValueError(f"coefficient index must satisfy 0 <= i <= n, got {i}")
-    weights, den = _reciprocal_powers(1, n - i + 2, k)
     row = _TRIANGLES["stirling1"].row(n)[i:]
     if i:
         row = [comb(m, i) * c for m, c in enumerate(row, i)]
-    # (-1)^(n+i) (-e)^m is (-1)^n e^i where m - i is even, and -e times that where it is odd
-    total = sum(map(mul, row[::2], weights[::2])) - e * sum(map(mul, row[1::2], weights[1::2]))
+    # (-1)^(n+i) (-e)^m is (-1)^n e^i (-e)^(m-i)
+    (total,), den = _komatsu(e, [row], k)
     return Fraction((-1) ** n * e**i * total, den)
 
 

@@ -10,10 +10,10 @@ Storage.  A Series is a :class:`~polycauchy.poly.Poly` of degree at most
 its order, and Poly's kernels do its arithmetic (``*`` is ``poly._product``).
 
 Each bivariate generating function is a Sheffer pair A(t) exp(x g(t))
-with scalar A and g, returned as the rows [t^n] (Polys in x) of ``_rows``,
-the reader behind :func:`sheffer_rows`.  exp(x g(t)) is the exponential
-generating function of a sequence of binomial type, p_m(x) = m! [t^m]
-exp(x g(t)) (Roman, *The Umbral Calculus*, 1984), so row n is
+with scalar A and g, returned as the rows [t^n] (Polys in x) of ``_rows``.
+exp(x g(t)) is the exponential generating function of a sequence of
+binomial type, p_m(x) = m! [t^m] exp(x g(t)) (Roman, *The Umbral
+Calculus*, 1984), so row n is
 sum_m binom(n, m) a_(n-m) p_m(x) / n! for A's numbers a_i = i! A_i: one
 ``poly._sum_scaled`` over the basis p_0..p_n, each held as integer
 numerators over a denominator, O(n^2) integer products.
@@ -34,17 +34,17 @@ asks for.  For g = -log(1-t) the basis is the rising factorials x^(m), the
 rows of the memoised first-kind triangle in ``stirling``, and for
 g = -log(1+t) the same rows with the sign (-1)^m, since
 m! [t^m] (-log(1+t))^j / j! = (-1)^m [m j]; for g = t it is the monomials.
-The Cauchy numbers that are the Cauchy kinds' A are summed from the same
-triangle rows.  ``sheffer_rows`` over callables the caller passes steps the
-powers g^j / j! in integers (``_powers``) and reads the basis as their
-transpose.
+The Cauchy numbers that are the Cauchy kinds' A are Komatsu's sums over
+the same triangle rows (``_komatsu``, which ``cauchy.cauchy_coefficient``
+reads too).  :func:`sheffer_rows`, for a pair the caller passes as
+callables, is the definition itself: each A g^j / j! is one ``Series``
+product and ``scale`` from the one before, and no library pair reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from math import comb, factorial, gcd
 from operator import mul
 from typing import Callable, Iterable
@@ -213,68 +213,9 @@ def _of_order(f: Callable[[int], Series], name: str, order: int) -> Series:
     return series
 
 
-def _factorials(order: int) -> list:
-    """0!, 1!, .., order!"""
-    return list(accumulate(range(1, order + 1), mul, initial=1))
-
-
-def _lowest(nums: list, den: int) -> tuple:
-    """(nums, den) with their common factor divided out, nums as a tuple."""
-    common = gcd(den, *nums)
-    return tuple([c // common for c in nums]), den // common
-
-
-def _egf_integers(s: Series) -> tuple:
-    """The numbers n! [t^n] s, n = 0..order, as integer numerators over one
-    positive denominator, in lowest terms."""
-    nums, den = _integers(s)
-    return _lowest([c * f for c, f in zip(nums, _factorials(s.order))], den)
-
-
-def _powers(g: Series) -> tuple:
-    """The powers P_j = g^j / j!, j = 0..N for N = g's order, power j held as
-    the numbers n! [t^n] P_j, n = j..N, over one positive denominator:
-    (integer numerators, denominator) in lowest terms.
-
-    With h = g/t, P_j is P_(j-1) times h, shifted by t and divided by j, so
-    its coefficient t^(j+r) is the dot product of h_0..h_r with the
-    coefficients r..0 of P_(j-1).  h is reversed once, its trailing zeros
-    trimmed to its last nonzero h_(w-1), so each coefficient is one
-    ``sum(map(mul, ...))`` over a window of at most w terms, and the table
-    costs O(N^2 w) integer products.
-    """
-    h, g_den = _integers(g)
-    if h[0]:
-        raise ValueError("g needs a zero constant term")
-    order, h = len(h) - 1, h[1:]
-    width = max([m + 1 for m, c in enumerate(h) if c], default=1)
-    h_rev = h[width - 1::-1]
-    factorials = _factorials(order)
-    nums, den = (1,) + (0,) * order, 1  # the coefficients of P_0 from t^0
-    out = [(nums, 1)]
-    for j in range(1, order + 1):
-        size = order + 1 - j  # P_j's coefficients t^j .. t^order
-        if width == 1:  # g = g_1 t: each power is a scaled copy of the one before
-            nxt = [h_rev[0] * c for c in nums[:size]]
-        else:
-            nxt = [sum(map(mul, h_rev[width - 1 - r:], nums)) for r in range(min(width - 1, size))]
-            nxt += [sum(map(mul, h_rev, nums[r + 1 - width:r + 1])) for r in range(width - 1, size)]
-        nums, den = _lowest(nxt, den * g_den * j)
-        out.append(_lowest([c * f for c, f in zip(nums, factorials[j:])], den))
-    return tuple(out)
-
-
-def _basis(powers: tuple) -> list:
-    """The polynomials p_m(x) = sum_j (m! [t^m] g^j / j!) x^j, m = 0..N, read
-    from the powers of g as ``_powers`` holds them (the table's transpose),
-    each as its integer numerators over its denominator."""
-    return [_split(Poly([Fraction(p[m - j], d) for j, (p, d) in enumerate(powers[:m + 1])]))
-            for m in range(len(powers))]
-
-
 def _rising(order: int) -> list:
-    """The rising factorials x^(m), m = 0..order, as ``_basis`` gives a basis:
-    the rows of the memoised first-kind triangle over 1."""
+    """The rising factorials x^(m), m = 0..order, as ``_row`` reads a basis:
+    the rows of the memoised first-kind triangle, each over the denominator 1."""
     triangle = _TRIANGLES["stirling1"]
     return [(triangle.row(m), 1) for m in range(order + 1)]
 
@@ -311,12 +252,31 @@ def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
     """Rows 0..order of A(t) exp(x g(t)), row n the Poly sum_j ([t^n] A g^j / j!) x^j.
 
     ``A`` and ``g`` map an order to a series of that order, and a series of
-    another order raises ``ValueError``; g(0) = 0.  The powers g^j / j! are
-    stepped in integers by ``_powers``, and row n is read over their
-    transpose by ``_row``.
+    another order raises ``ValueError``; g(0) = 0.  Column j is the truncated
+    product A g^j / j!, stepped from column j - 1 by one ``Series`` product
+    and ``scale``, and row n is coefficient n of columns 0..n.
     """
-    return _rows(lambda n: (_egf_integers(_of_order(A, "A", n)),
-                            _basis(_powers(_of_order(g, "g", n))), 1), order)
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
+    column, g = _of_order(A, "A", order), _of_order(g, "g", order)
+    if g[0]:
+        raise ValueError("g needs a zero constant term")
+    columns = [column.coeffs]
+    for j in range(1, order + 1):
+        column = (column * g).scale(Fraction(1, j))
+        columns.append(column.coeffs)
+    return tuple([Poly([c[n] for c in columns[:n + 1]]) for n in range(order + 1)])
+
+
+def _komatsu(e: int, rows: list, k: int) -> tuple[list, int]:
+    """Komatsu's sum sum_m (-e)^m row[m] / (m+1)^k for each integer row, as
+    integer numerators over the denominator of the weights 1/(m+1)^k: over row
+    n of the first-kind triangle, (-1)^n times the poly-Cauchy number of the
+    kind of sign e."""
+    weights, den = _reciprocal_powers(1, max(map(len, rows)) + 1, k)
+    if e > 0:
+        weights[1::2] = [-w for w in weights[1::2]]
+    return [sum(map(mul, weights, row)) for row in rows], den
 
 
 # The library's pairs: each maps an order to its tables (a, basis, sign).
@@ -324,20 +284,17 @@ def _cauchy(e: int, order: int) -> tuple:
     """The tables of the Cauchy kind of sign e (1 first, -1 second): A is
     t/log(1+t) or t/((1+t) log(1+t)) and g = -log(1+t); the second kind's g
     is log(1+t), so its rows are these at -x.  i! A_i is the kind's Cauchy
-    number (-1)^i sum_m (-e)^m [i m] / (m+1) (Komatsu), summed in integers
-    from row i of the triangle over the denominator of the weights 1/(m+1)."""
-    weights, den = _reciprocal_powers(1, order + 2, 1)
-    if e > 0:
-        weights[1::2] = [-w for w in weights[1::2]]
+    number (-1)^i sum_m (-e)^m [i m] / (m+1), Komatsu's sum over row i of the
+    triangle."""
     basis = _rising(order)
-    nums = [sum(map(mul, weights, row)) for row, _ in basis]
+    nums, den = _komatsu(e, [row for row, _ in basis], 1)
     nums[1::2] = [-c for c in nums[1::2]]
     return (nums, den), basis, -1
 
 
 def _hyperharmonic(order: int) -> tuple:
     """The tables of A = g = -log(1-t), whose numbers i! A_i are (i-1)!."""
-    return ([0] + _factorials(order)[:order], 1), _rising(order), 1
+    return ([0] + [factorial(i) for i in range(order)], 1), _rising(order), 1
 
 
 def _gen_bernoulli(alpha: int, order: int) -> tuple:

@@ -11,16 +11,21 @@ expansion of their closed-form generating functions.  The hyperharmonic
 polynomials are also checked at integer points against Conway and Guy's
 closed form in harmonic numbers.  The multiparameter Cauchy polynomials,
 and the ordinary poly-Cauchy polynomials as their unit-parameter case, are
-checked against SymPy's own iterated integral of the defining product.
+checked against SymPy's own iterated integral of the defining product, and
+the poly-Bernoulli polynomials against Kaneko's generating function, expanded
+in SymPy's polynomial ring.
 SymPy uses B_1 = +1/2; this package uses B_1 = -1/2.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy import QQ  # noqa: E402
 from sympy.functions.combinatorial.numbers import bernoulli, harmonic, stirling  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
 
 from polycauchy import (  # noqa: E402
     MultiParam,
@@ -37,6 +42,8 @@ from polycauchy import (  # noqa: E402
     hyperharmonic_poly,
     lah,
     multiparam_cauchy,
+    poly_bernoulli_gsn,
+    poly_bernoulli_kl,
     rising_factorial_poly,
     stirling1,
     stirling2,
@@ -182,3 +189,34 @@ def test_poly_cauchy_matches_sympy_integral_at_unit_parameters():
         for n in range(7):
             want = Poly(_coeffs(_cube_integral(kind, n, 1, 1, (1, 1), 0)))
             assert cauchy_poly(kind, n, 2) == want, (kind, n)
+
+
+def test_poly_bernoulli_matches_kaneko_generating_function():
+    # Li_k(1 - e^(-t)) / (1 - e^(-t)) e^(-xt) = sum_n B_n^(k)(x) t^n / n!, with
+    # Li_k(u) / u = sum_m u^m / (m+1)^k cut at m = N, as u = 1 - e^(-t) = O(t);
+    # each product in QQ[t, x] is cut past t^N
+    N = 8
+    R, ts, xs = ring("t, x", QQ)
+
+    def cut(p):
+        return R({m: c for m, c in p.items() if m[0] <= N})
+
+    u = sum((-(-ts) ** j / factorial(j) for j in range(1, N + 1)), R.zero)
+    exp_xt = sum(((-xs * ts) ** j / factorial(j) for j in range(N + 1)), R.zero)
+    for k in (1, 2, 3):
+        li_over_u, power = R.zero, R.one
+        for m in range(N + 1):
+            li_over_u += power / (m + 1) ** k
+            power = cut(power * u)
+        gf = cut(li_over_u * exp_xt)
+        for n in range(N + 1):
+            coeffs = [0] * (n + 1)
+            for (i, j), c in gf.items():
+                if i == n:
+                    coeffs[j] = _fraction(QQ.to_sympy(c)) * factorial(n)
+            want = Poly(coeffs)
+            assert poly_bernoulli_gsn(n, k) == want, (n, k)
+            # the moment-sum form has the same numbers, not the same polynomials
+            assert poly_bernoulli_kl(n, k)(0) == want(0), (n, k)
+    assert poly_bernoulli_gsn(2, 2) == Poly([Fraction(-1, 36), Fraction(-1, 2), 1])
+    assert poly_bernoulli_kl(2, 2) == Poly([Fraction(-1, 36), 0, 2])

@@ -25,7 +25,7 @@ from polycauchy import (
     sheffer_rows,
 )
 from polycauchy.series import (
-    _basis, _cauchy, _egf_integers, _gen_bernoulli, _integers, _powers, _rising, _sheffer_row,
+    _cauchy, _gen_bernoulli, _integers, _rising,
 )
 from polycauchy.stirling import _Triangle, _step_s1
 
@@ -193,21 +193,18 @@ def test_exp_matches_defining_sum_fraction(order):
 
 @pytest.mark.parametrize("order", range(13))
 def test_exp_matches_defining_sum_poly(order):
-    # the rows of A exp(x g) against the defining sum sum_j A g^j x^j / j!;
-    # every third coefficient of g is zero, so the zero-skipping path is exercised
-    a = Series([F(2 * k - 3, k + 1) for k in range(order + 1)])
-    g = Series([0] + [F(k, 3) - F(1, k) if k % 3 else 0 for k in range(1, order + 1)])
-    want = [[0] * (order + 1) for _ in range(order + 1)]
-    term = a
-    for j in range(order + 1):
-        for n, c in enumerate(term.coeffs):
-            want[n][j] = c
-        term = (term * g).scale(F(1, j + 1))
-    assert sheffer_rows(lambda _: a, lambda _: g, order) == tuple(Poly(r) for r in want)
+    # the rows of A exp(x g) against the defining sum sum_j A g^j x^j / j!,
+    # taken by the reference loop over Fractions; every third coefficient of
+    # g is zero
+    a = [F(2 * k - 3, k + 1) for k in range(order + 1)]
+    g = [0] + [F(k, 3) - F(1, k) if k % 3 else 0 for k in range(1, order + 1)]
+    want = ref_sheffer_powers(a, g)
+    rows = sheffer_rows(lambda _: Series(a), lambda _: Series(g), order)
+    assert rows == tuple(Poly([want[j][n] for j in range(n + 1)]) for n in range(order + 1))
 
 
-# g = t h(t) for the shapes the power step treats apart: h dense, h a
-# constant (g = c t), h with interior zeros, and h with trailing zeros.
+# g = t h(t) for h dense, h a constant (g = c t), h with interior zeros, and
+# h with trailing zeros.
 # Small coefficients keep the order-20 reference products quick.
 nonzero = st.builds(F, st.integers(1, 30) | st.integers(-30, -1), st.integers(1, 12))
 small = st.just(0) | nonzero
@@ -243,28 +240,18 @@ def test_sheffer_rows_match_reference(pair):
     order = len(a) - 1
     A, G = (lambda n: Series(a[:n + 1])), (lambda n: Series(g[:n + 1]))
     want = ref_sheffer_powers(a, g)
-    # g^j / j!, the reference at A = 1: power j held as the numbers n! [t^n],
-    # n = j..order, integer numerators over a positive denominator, in lowest terms
-    powers = _powers(G(order))
-    for j, ((nums, den), ref) in enumerate(zip(powers, ref_sheffer_powers([1] + [0] * order, g), strict=True)):
-        assert all(type(c) is int for c in nums) and type(den) is int
-        assert den > 0 and gcd(den, *nums) == 1
-        assert [F(c, den) for c in nums] == [c * factorial(n) for n, c in enumerate(ref) if n >= j]
     rows = sheffer_rows(A, G, order)
     assert rows == tuple(Poly([want[j][n] for j in range(n + 1)]) for n in range(order + 1))
-    # each row read from the order-`order` tables, which hold each lower order's
-    tables = (_egf_integers(A(order)), _basis(powers), 1)
-    for n in range(order + 1):
-        assert _sheffer_row(lambda _: tables, n) == rows[n]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 30])
 def test_neg_log1p_powers_extend_to_the_table_built_at_once(order):
     # row m of the first-kind triangle with the sign (-1)^m, the basis the
-    # Cauchy pairs read, is m! [t^m] exp(x (-log(1+t))), the transpose of the
-    # powers _powers steps; a triangle stepped up to `order` in two parts
+    # Cauchy pairs read, is m! [t^m] exp(x (-log(1+t))), m! times row m of
+    # sheffer_rows at A = 1; a triangle stepped up to `order` in two parts
     # holds the same rows
-    want = [Poly(vec) / d for vec, d in _basis(_powers(-log1p_series(order)))]
+    rows = sheffer_rows(Series.one, lambda n: -log1p_series(n), order)
+    want = [row * factorial(m) for m, row in enumerate(rows)]
     assert [Poly(row) / d * (-1) ** m for m, (row, d) in enumerate(_rising(order))] == want
     triangle = _Triangle("stirling1", _step_s1)
     triangle.row(order // 2)
@@ -281,7 +268,8 @@ def test_pair_numbers_are_the_families_numbers():
     h = Series([F(1, factorial(i + 1)) for i in range(31)])
     for alpha in range(6):
         (nums, den), _, _ = _gen_bernoulli(alpha, 30)
-        assert (tuple(nums), den) == _egf_integers(h.reciprocal().pow_int(alpha))
+        want = h.reciprocal().pow_int(alpha).coeffs
+        assert [F(c, den) for c in nums] == [c * factorial(i) for i, c in enumerate(want)]
 
 
 def test_sheffer_rows_of_exp_xt():
