@@ -5,7 +5,8 @@ constructions which must agree (the test suite enforces this):
 
 * ``gsn``          -- weighted sum of first-kind Stirling polynomials;
                       the canonical (default) construction, defined for
-                      every (kind, n, k);
+                      every (kind, n, k), summed once for both kinds as
+                      its even-m and odd-m halves and memoised by (n, k);
 * ``integral``     -- expand the defining product under the k-fold unit
                       cube integral as one polynomial in v = x - t and map
                       each v^m to its moment polynomial in x (t^i
@@ -45,7 +46,11 @@ second): a sign that only the first kind carries is (-e)^m, one that only
 the second kind carries is e^m, and a point +-y is e*y.  ``_reflect(kind,
 p)`` is p for the first kind and p(-x) for the second, and ``_OTHER[kind]``
 names the other kind.  The identity catalogue reads the same table and
-helper.
+helper.  A kind-signed sum sum_m (-e)^m t_m is E - e O, with E its terms
+over even m and O over odd m, so the ``gsn`` polynomials and Komatsu's sums
+(``series._komatsu``) compute E and O once and give both kinds: the two
+memos, ``_gsn_pair`` and ``_number_pair``, hold both kinds' results under
+one (n, k) key, and asking for either kind makes the other a memo hit.
 """
 
 from __future__ import annotations
@@ -149,14 +154,24 @@ def aux_poly_weighted(j: int, k: int, L) -> Poly:
 # constructions
 
 
-# memoised, as is cauchy_number, with a bound above the keys of the deep grid
-# (ci/deep-grid.cfg), which CI checks
-@lru_cache(maxsize=2048)
 def _poly_gsn(kind: str, n: int, k: int) -> Poly:
-    e = KIND_SIGN[kind]
+    return _gsn_pair(n, k)[(1 - KIND_SIGN[kind]) // 2]
+
+
+# memoised by (n, k) for both kinds, as are the numbers (``_number_pair``),
+# with a bound above the keys of the deep grid (ci/deep-grid.cfg), which CI checks
+@lru_cache(maxsize=1024)
+def _gsn_pair(n: int, k: int) -> tuple[Poly, Poly]:
+    """Both kinds' ``gsn`` polynomials, first then second.  With E and O the
+    sums of (-1)^n gsn1(n, m) / (m+1)^k over even and odd m, the first kind's
+    weights (-1)^n (-1)^m / (m+1)^k sum to E - O, and the second kind is
+    E + O at -x."""
     weights, den = _reciprocal_powers(1, n + 2, k)
-    signed = Poly([(-1) ** n * (-e) ** m * w for m, w in enumerate(weights)]) / den
-    return _reflect(kind, _weighted_sum(signed, [gsn1(n, m) for m in range(n + 1)]))
+    polys = [gsn1(n, m) for m in range(n + 1)]
+    scale = (-1) ** n * den
+    even = _weighted_sum(Poly(weights[::2]) / scale, polys[::2])
+    odd = _weighted_sum(Poly(weights[1::2]) / scale, polys[1::2])
+    return even - odd, (even + odd).affine_compose(-1, 0)
 
 
 def _poly_integral(kind: str, n: int, k: int) -> Poly:
@@ -210,30 +225,45 @@ def cauchy_poly(kind: str, n: int, k: int = 1, construction: str = "gsn") -> Pol
     return fn(kind, n, k)
 
 
-@lru_cache(maxsize=2048)
 def cauchy_number(kind: str, n: int, k: int = 1) -> Fraction:
-    """Constant term of the poly-Cauchy polynomial, memoised: coefficient 0
-    of the closed form, Komatsu's sum over the unsigned Stirling triangle.
-    It reads only the triangle, so no gsn1 polynomial is built or memoised.
+    """Constant term of the poly-Cauchy polynomial, memoised by (n, k) for
+    both kinds: coefficient 0 of the closed form, Komatsu's sum over the
+    unsigned Stirling triangle.  It reads only the triangle, so no gsn1
+    polynomial is built or memoised.
     """
-    return cauchy_coefficient(kind, n, 0, k)
+    e = _check_kind(kind)
+    _check_nk(n, k)
+    return _number_pair(n, k)[(1 - e) // 2]
+
+
+@lru_cache(maxsize=1024)
+def _number_pair(n: int, k: int) -> tuple[Fraction, Fraction]:
+    return _coefficients(n, 0, k)
 
 
 def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
     """Closed-form coefficient of x^i in the poly-Cauchy polynomial:
     sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k,
-    Komatsu's sum in integers over row n of the memoised first-kind triangle
-    (``series._komatsu``)."""
+    Komatsu's sum in integers over row n of the memoised first-kind triangle,
+    read from its even and odd halves (``series._komatsu``)."""
     e = _check_kind(kind)
     _check_nk(n, k)
     if i < 0 or i > n:
         raise ValueError(f"coefficient index must satisfy 0 <= i <= n, got {i}")
+    return _coefficients(n, i, k)[(1 - e) // 2]
+
+
+def _coefficients(n: int, i: int, k: int) -> tuple[Fraction, Fraction]:
+    """The closed-form coefficient of x^i of both kinds, first then second.
+    (-1)^(n+i) (-e)^m is (-1)^n e^i (-e)^(m-i), so with E and O the halves of
+    Komatsu's sum over even and odd m - i, the first kind's coefficient is
+    (-1)^n (E - O) and the second's (-1)^(n+i) (E + O)."""
     row = _TRIANGLES["stirling1"].row(n)[i:]
     if i:
         row = [comb(m, i) * c for m, c in enumerate(row, i)]
-    # (-1)^(n+i) (-e)^m is (-1)^n e^i (-e)^(m-i)
-    (total,), den = _komatsu(e, [row], k)
-    return Fraction((-1) ** n * e**i * total, den)
+    (even,), (odd,), den = _komatsu([row], k)
+    sign = (-1) ** n
+    return Fraction(sign * (even - odd), den), Fraction(sign * (-1) ** i * (even + odd), den)
 
 
 def cauchy_derivative(kind: str, n: int, k: int = 1, order: int = 1) -> Poly:

@@ -35,10 +35,12 @@ rows of the memoised first-kind triangle in ``stirling``, and for
 g = -log(1+t) the same rows with the sign (-1)^m, since
 m! [t^m] (-log(1+t))^j / j! = (-1)^m [m j]; for g = t it is the monomials.
 The Cauchy numbers that are the Cauchy kinds' A are Komatsu's sums over
-the same triangle rows (``_komatsu``, which ``cauchy.cauchy_coefficient``
-reads too).  :func:`sheffer_rows`, for a pair the caller passes as
-callables, is the definition itself: each A g^j / j! is one ``Series``
-product and ``scale`` from the one before, and no library pair reads it.
+the same triangle rows, read from one split into even-m and odd-m halves
+that serves both kinds (``_komatsu``, which ``cauchy``'s closed-form
+coefficients and its number memo read too).  :func:`sheffer_rows`, for a
+pair the caller passes as callables, is the definition itself: each
+A g^j / j! is one ``Series`` product and ``scale`` from the one before, and
+no library pair reads it.
 """
 
 from __future__ import annotations
@@ -268,15 +270,17 @@ def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
     return tuple([Poly([c[n] for c in columns[:n + 1]]) for n in range(order + 1)])
 
 
-def _komatsu(e: int, rows: list, k: int) -> tuple[list, int]:
-    """Komatsu's sum sum_m (-e)^m row[m] / (m+1)^k for each integer row, as
-    integer numerators over the denominator of the weights 1/(m+1)^k: over row
-    n of the first-kind triangle, (-1)^n times the poly-Cauchy number of the
-    kind of sign e."""
+def _komatsu(rows: list, k: int) -> tuple[list, list, int]:
+    """Komatsu's sum sum_m (-e)^m row[m] / (m+1)^k for each integer row, split
+    by the parity of m into its halves E (even m) and O (odd m), as integer
+    numerators over the denominator of the weights 1/(m+1)^k.  The kind of
+    sign e sums E - e O, so both kinds read one split: over row n of the
+    first-kind triangle, (-1)^n (E - O) is the first kind's poly-Cauchy
+    number and (-1)^n (E + O) the second's."""
     weights, den = _reciprocal_powers(1, max(map(len, rows)) + 1, k)
-    if e > 0:
-        weights[1::2] = [-w for w in weights[1::2]]
-    return [sum(map(mul, weights, row)) for row in rows], den
+    even, odd = weights[::2], weights[1::2]
+    return ([sum(map(mul, even, row[::2])) for row in rows],
+            [sum(map(mul, odd, row[1::2])) for row in rows], den)
 
 
 # The library's pairs: each maps an order to its tables (a, basis, sign).
@@ -284,10 +288,11 @@ def _cauchy(e: int, order: int) -> tuple:
     """The tables of the Cauchy kind of sign e (1 first, -1 second): A is
     t/log(1+t) or t/((1+t) log(1+t)) and g = -log(1+t); the second kind's g
     is log(1+t), so its rows are these at -x.  i! A_i is the kind's Cauchy
-    number (-1)^i sum_m (-e)^m [i m] / (m+1), Komatsu's sum over row i of the
-    triangle."""
+    number (-1)^i sum_m (-e)^m [i m] / (m+1) = (-1)^i (E - e O), from the
+    halves of Komatsu's sum over row i of the triangle."""
     basis = _rising(order)
-    nums, den = _komatsu(e, [row for row, _ in basis], 1)
+    even, odd, den = _komatsu([row for row, _ in basis], 1)
+    nums = [E - e * O for E, O in zip(even, odd)]
     nums[1::2] = [-c for c in nums[1::2]]
     return (nums, den), basis, -1
 

@@ -20,7 +20,7 @@ from polycauchy import (
     multiparam_cauchy,
     shifted_cauchy_number,
 )
-from polycauchy.cauchy import KIND_SIGN, _moment_sum, _other_kind_sum
+from polycauchy.cauchy import KIND_SIGN, _gsn_pair, _moment_sum, _number_pair, _other_kind_sum
 from polycauchy.poly import _lincomb
 from polycauchy.stirling import falling_factorial_poly, gsn1, stirling1
 from test_poly import assert_canonical
@@ -126,13 +126,47 @@ def test_number_builds_no_gsn1_polynomial():
     # cauchy_number reads the Stirling triangle; it must not fill the
     # unbounded gsn1 memo with whole polynomials
     gsn1.cache_clear()
-    got = {(kind, n): cauchy_number.__wrapped__(kind, n, 5)
-           for kind in ("first", "second") for n in range(40)}
+    got = {(kind, n): _number_pair.__wrapped__(n, 5)[i]
+           for i, kind in enumerate(("first", "second")) for n in range(40)}
     assert gsn1.cache_info().currsize == 0
     # the constant term of the gsn construction, term by term
     for (kind, n), value in got.items():
         signs = [(-1) ** (n - m) if kind == "first" else (-1) ** n for m in range(n + 1)]
         assert value == sum(F(s * gsn1(n, m).constant(), (m + 1) ** 5) for m, s in enumerate(signs))
+
+
+def test_gsn_and_numbers_match_the_integral_construction():
+    # the integral route expands the defining product and reads no Stirling
+    # row, so it shares nothing with Komatsu's sum or its even/odd halves
+    for kind in ("first", "second"):
+        for n in range(41):
+            for k in range(1, 5):
+                want = cauchy_poly(kind, n, k, "integral")
+                assert cauchy_poly(kind, n, k, "gsn") == want
+                assert cauchy_number(kind, n, k) == want.constant()
+
+
+@pytest.mark.parametrize("memo, read", [
+    (_number_pair, cauchy_number),
+    (_gsn_pair, cauchy_poly),
+])
+@pytest.mark.parametrize("kinds", [("first", "second"), ("second", "first")])
+def test_either_kind_fills_the_other_kinds_memo_entry(memo, read, kinds):
+    memo.cache_clear()
+    read(kinds[0], 9, 3)
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (0, 1)
+    read(kinds[1], 9, 3)
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
+    assert memo.cache_info().currsize == 1
+
+
+def test_number_memo_keys_on_values_not_on_how_they_are_passed():
+    _number_pair.cache_clear()
+    values = {cauchy_number("first", 7, 2), cauchy_number("first", 7, k=2),
+              cauchy_number("first", n=7, k=2), cauchy_number(kind="first", n=7, k=2)}
+    info = _number_pair.cache_info()
+    assert values == {sum(F((-1) ** (7 - m) * stirling1(7, m), (m + 1) ** 2) for m in range(8))}
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
 
 
 def test_series_matches_gsn_at_high_degree():

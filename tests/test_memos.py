@@ -10,7 +10,7 @@ import threading
 
 import polycauchy
 from polycauchy import cauchy_number, cauchy_poly
-from polycauchy.cauchy import _poly_gsn, cauchy_coefficient
+from polycauchy.cauchy import _gsn_pair, _number_pair, cauchy_coefficient
 
 # Euler and power-sum polynomials read the memoised Bernoulli rows, so the
 # session warms those first; what it builds after them is dropped by each
@@ -65,10 +65,10 @@ _MOMENT_SESSION = textwrap.dedent("""
 
 # Five library memos flooded with four times their bounds of distinct keys, at
 # degree 0 so that each call is cheap and the bytes kept are the memo entries
-# themselves: 8,192 keys each for cauchy_number and for cauchy_poly's gsn memo
-# (bound 2,048), 2,048 for gen_bernoulli_poly (512) and 1,024 for each
-# poly-Bernoulli form (256).  gsn1 and gsn2 are left out: 4 x 4,096 keys (n, m)
-# need rows past n = 180.
+# themselves: 4,096 keys (0, k) each, asked for both kinds, for the Cauchy
+# numbers' memo and cauchy_poly's gsn memo (bound 1,024), 2,048 for
+# gen_bernoulli_poly (512) and 1,024 for each poly-Bernoulli form (256).
+# gsn1 and gsn2 are left out: 4 x 4,096 keys (n, m) need rows past n = 180.
 _FLOOD_SESSION = textwrap.dedent("""
     import gc, tracemalloc
     from polycauchy import cauchy_number, cauchy_poly, gen_bernoulli_poly, poly_bernoulli_gsn, poly_bernoulli_kl
@@ -89,7 +89,7 @@ _FLOOD_SESSION = textwrap.dedent("""
     print(tracemalloc.get_traced_memory()[0] - before)
 """)
 
-# about 1.4 MB with the bounds (Python 3.11), 3.8 MB when the memos were unbounded
+# about 1.1 MB with the bounds (Python 3.11), 3.8 MB when the memos were unbounded
 FLOOD_BUDGET = 2 * 1024 * 1024
 
 
@@ -148,18 +148,20 @@ def test_memos_flooded_past_their_bounds_retain_under_budget():
 
 
 def test_threads_evicting_a_bounded_memo_get_equal_results():
-    # more keys than either memo holds, each read twice per thread in its own
-    # order, so entries are evicted and computed again while other threads read
-    keys = [(kind, n, k) for kind in ("first", "second") for n in range(4) for k in range(1, 301)]
-    memos = (cauchy_number, _poly_gsn)
+    # more keys (n, k) than either memo holds, each read for both kinds twice
+    # per thread in its own order, so entries are evicted and computed again
+    # while other threads read
+    keys = [(n, k) for n in range(4) for k in range(1, 301)]
+    memos = (_number_pair, _gsn_pair)
     for memo in memos:
         assert len(keys) > (memo.cache_info().maxsize or len(keys))
         memo.cache_clear()
-    want = {key: cauchy_coefficient(*key[:2], 0, key[2]) for key in keys}
+    kinds = ("first", "second")
+    want = {(kind, *key): cauchy_coefficient(kind, key[0], 0, key[1]) for kind in kinds for key in keys}
     results = {}
 
     def worker(i):
-        order = keys * 2
+        order = [(kind, *key) for kind in kinds for key in keys] * 2
         random.Random(i).shuffle(order)
         results[i] = all(cauchy_number(*key) == want[key] and cauchy_poly(*key)[0] == want[key]
                          for key in order)
