@@ -11,7 +11,10 @@ constructions which must agree (the test suite enforces this):
                       cube integral as one polynomial in v = x - t and map
                       each v^m to its moment polynomial in x (t^i
                       contributes a 1/(i+1)^k weight; never performed
-                      numerically);
+                      numerically); the second kind's product is the first
+                      kind's at -v, so one product and one pass over its
+                      moments give both kinds, memoised with the
+                      multiparameter values at y = 0 (``_integral_pair``);
 * ``series``       -- k = 1 only: exponential-generating-function
                       coefficient times n!, the (A, -log(1+t)) Sheffer row
                       sum_m binom(n, m) c_(n-m) (-1)^m x^(m) over the
@@ -33,7 +36,10 @@ construction is its unit-parameter case (a = 1, q = 1, L = (1,..,1),
 y = 0).  Every sum of cube moments in the library and the identity
 catalogue, over the unit cube or the box, is ``_moment_sum``: the weight
 product w = u/v is read as two integer products, and the sum is one integer
-correlation over one denominator (``poly._cube_moments``), with no memo.
+correlation over one denominator (``poly._cube_moments``), with no memo;
+the one exception is the ``integral`` construction at y = 0, whose two kinds
+are read from one pass of the same correlation (``poly._cube_moment_pair``)
+and memoised.
 ``aux_poly`` is the moments' closed form, one polynomial per (j, k).
 
 Every weight 1/(m+a)^k is read from ``rational._reciprocal_powers`` as
@@ -50,7 +56,14 @@ helper.  A kind-signed sum sum_m (-e)^m t_m is E - e O, with E its terms
 over even m and O over odd m, so the ``gsn`` polynomials and Komatsu's sums
 (``series._komatsu``) compute E and O once and give both kinds: the two
 memos, ``_gsn_pair`` and ``_number_pair``, hold both kinds' results under
-one (n, k) key, and asking for either kind makes the other a memo hit.
+one (n, k) key, and asking for either kind makes the other a memo hit.  The
+``integral`` construction splits its own sum the same way: at y = 0 its
+integrand F(v) is the first kind's and (-1)^(a-1) F(-v) the second's, so with
+E and O the moments of F's even and odd powers of v, the first kind is E + O
+and the second (-1)^(a-1) (E - O).  The third pair memo, ``_integral_pair``,
+holds both under one (n, k, a, q, w) key, w the product of the weights (the
+moments read the weights only through w and k); the ordinary ``integral``
+construction is its key at a = q = w = 1.
 """
 
 from __future__ import annotations
@@ -60,7 +73,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, gcd
 
-from .poly import Poly, _cube_moments, _lincomb, _linear_product, _newton_sum, _weighted_sum
+from .poly import (
+    Poly, _cube_moment_pair, _cube_moments, _lincomb, _linear_product, _newton_sum, _weighted_sum,
+)
 from .rational import _exact, _reciprocal_powers
 from .series import _cauchy, _komatsu, _sheffer_row
 from .stirling import _TRIANGLES, _bivariate_row, gsn1
@@ -335,6 +350,10 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
     (-ev)^(a-1) prod_{j<n} (-e(v + y) - jq) in v (it carries the n! of the
     defining formula), multiplies its coefficients by the e^(a-1) in front,
     and maps each v^m through the cube integral to its moment polynomial.
+    At y = 0 the second kind's integrand is the first kind's at -v times
+    (-1)^(a-1), so both kinds come from one product and one pass over its
+    moments, memoised by (n, k, a, q, w) with w the product of the weights
+    (``_integral_pair``); at y != 0 each kind expands its own product.
     """
     e = _check_kind(kind)
     n, a, q, y = p.n, p.a, p.q, p.y
@@ -345,13 +364,36 @@ def multiparam_cauchy(kind: str, p: MultiParam, construction: str = "stirling") 
         return _moment_sum(weights, p.k, p.L, a - 1)
     if construction != "integral":
         raise ValueError(f"unknown construction {construction!r}")
-    # over s = bd for y = c/b and q = g/d, each factor is (s_j - esv)/s with an
-    # integer s_j, so the product is stepped in integers over s^(n+a-1)
-    (c, b), (g, d) = y.as_integer_ratio(), q.as_integer_ratio()
+    if y:
+        return _moment_sum(_integrand(e, n, a, y.as_integer_ratio(), q.as_integer_ratio()), p.k, p.L)
+    return _integral_pair(n, p.k, a, *q.as_integer_ratio(), *_weight_ratio(p.L))[(1 - e) // 2]
+
+
+def _integrand(e: int, n: int, a: int, y: tuple, q: tuple) -> Poly:
+    """The kind's integrand e^(a-1) (-ev)^(a-1) prod_{j<n} (-e(v + y) - jq) as a
+    polynomial in v, for y = c/b and q = g/d given as integer ratios: over
+    s = bd each factor is (s_j - esv)/s with an integer s_j, so the product is
+    stepped in integers over s^(n+a-1)."""
+    (c, b), (g, d) = y, q
     s = b * d
     shifts = [0] * (a - 1) + [-e * c * d - j * g * b for j in range(n)]
     product = _linear_product(shifts, -e * s, s ** (n + a - 1))
-    return _moment_sum(product if e ** (a - 1) == 1 else -product, p.k, p.L)
+    return product if e ** (a - 1) == 1 else -product
+
+
+# memoised by (n, k, a, q, w) for both kinds, q and w as integer numerators and
+# denominators, with a bound above the keys of the deep grid (ci/deep-grid.cfg),
+# which CI checks
+@lru_cache(maxsize=1024)
+def _integral_pair(n: int, k: int, a: int, qn: int, qd: int, wn: int, wd: int) -> tuple[Poly, Poly]:
+    """Both kinds' ``integral`` polynomials at y = 0, first then second, for
+    q = qn/qd and the weight product w = wn/wd.  The first kind's integrand is
+    F(v) = (-v)^(a-1) prod_{j<n} (-v - jq) and the second's (-1)^(a-1) F(-v), so
+    with E and O the even and odd powers of v in F, the first kind is
+    M(E) + M(O) and the second (-1)^(a-1) (M(E) - M(O)), M the moment map: one
+    pass over F's moments gives both (``poly._cube_moment_pair``)."""
+    first, reflected = _cube_moment_pair(_integrand(1, n, a, (0, 1), (qn, qd)), k, wn, wd)
+    return first, reflected if a % 2 else -reflected
 
 
 def shifted_cauchy_number(kind: str, n: int, k: int, a: int, q, L) -> Fraction:

@@ -31,6 +31,9 @@ builds no Fraction:
   and the identity catalogue's, ``_weighted_sum``, the same sum with its
   weights read from a Poly's coefficients, ``_cube_moments``, every sum of
   the cube moments w^(j+1) A_j(x/w) as one integer correlation,
+  ``_cube_moment_pair``, the same sums of W(x) and W(-x) from one pass over
+  the correlation's rows (``_moment_rows``), each row's terms summed by
+  parity,
   ``_scale_each``, each coefficient times its own integer scale,
   ``_newton_sum``, every sum over a nested basis of linear-factor products
   (binomials, falling and rising factorials, powers of a shifted argument) by
@@ -401,25 +404,50 @@ def _sum_scaled(scaled) -> Poly:
 def _cube_moments(weights: Poly, k: int, u: int, v: int, shift: int) -> Poly:
     """sum_m c_m w^(m+shift+1) A_(m+shift)(x/w) for the coefficients c_m of
     weights, w = u/v (u != 0, v > 0) and the unit-cube moments
-    A_j(x) = sum_i (-1)^i binom(j, i) x^(j-i) / (i+1)^k.  With N the top
-    degree, d the numerators of weights behind shift zeros and R_i / B the
-    weights 1/(i+1)^k, coefficient r is the one correlation
-    sum_i a_i binom(r+i, i) d_(r+i), a_i = (-1)^i R_i u^(i+1) v^(N-i), over
-    B v^(N+1) times weights' denominator.  Row r of the binomials is the
-    prefix sums of row r - 1, and the whole is made canonical once."""
+    A_j(x) = sum_i (-1)^i binom(j, i) x^(j-i) / (i+1)^k: coefficient r is the
+    sum of row r of ``_moment_rows``, and the whole is made canonical once."""
+    return _make(*_moment_rows(weights, k, u, v, shift, sum))
+
+
+def _cube_moment_pair(weights: Poly, k: int, u: int, v: int) -> tuple[Poly, Poly]:
+    """``_cube_moments`` of W(x) and of W(-x) at shift 0, W the polynomial
+    weights, from one pass.  Term i of row r reads column r + i of W, which
+    W(-x) carries with the sign (-1)^(r+i); with A and B the sums of the
+    terms of even and odd i, coefficient r of the first is A + B and of the
+    second (-1)^r (A - B)."""
+    rows, den = _moment_rows(weights, k, u, v, 0, _halves)
+    plus = [a + b for a, b in rows]
+    minus = [b - a if r & 1 else a - b for r, (a, b) in enumerate(rows)]
+    return _make(plus, den), _make(minus, den)
+
+
+def _halves(terms) -> tuple[int, int]:
+    """The sums of terms at even and at odd positions."""
+    terms = list(terms)
+    return sum(terms[::2]), sum(terms[1::2])
+
+
+def _moment_rows(weights: Poly, k: int, u: int, v: int, shift: int, reduce) -> tuple[list, int]:
+    """Each coefficient of ``_cube_moments``' correlation as reduce of its
+    terms, and their denominator.  With N the top degree, d the numerators of
+    weights behind shift zeros and R_i / B the weights 1/(i+1)^k, coefficient
+    r sums the terms a_i binom(r+i, i) d_(r+i),
+    a_i = (-1)^i R_i u^(i+1) v^(N-i), over B v^(N+1) times weights'
+    denominator, and the binomials of row r are the prefix sums of row
+    r - 1."""
     cs = weights._vec
     top = len(cs) - 1 + shift
     recips, base = _reciprocal_powers(1, top + 2, k)
     ups = accumulate([u] + [-u] * top, mul)
     downs = list(accumulate([1] + [v] * top, mul))
     alphas = list(map(mul, map(mul, recips, ups), reversed(downs)))
-    column = [0] * shift + list(cs)
+    column = (0,) * shift + cs
     binoms = [1] * (top + 1)
     out = []
     for r in range(top + 1):
-        out.append(sum(map(mul, map(mul, alphas, binoms), column[r:])))
+        out.append(reduce(map(mul, map(mul, alphas, binoms), column[r:])))
         binoms = list(accumulate(binoms[:top - r]))
-    return _make(out, weights._den * base * downs[-1] * v)
+    return out, weights._den * base * downs[-1] * v
 
 
 def _scale_each(p: Poly, scales) -> Poly:

@@ -20,8 +20,9 @@ from polycauchy import (
     multiparam_cauchy,
     shifted_cauchy_number,
 )
-from polycauchy.cauchy import KIND_SIGN, _gsn_pair, _moment_sum, _number_pair, _other_kind_sum
-from polycauchy.poly import _lincomb
+from polycauchy.cauchy import KIND_SIGN, _gsn_pair, _integral_pair, _moment_sum, _number_pair, _other_kind_sum
+from polycauchy.identities import DEFAULT_GRID
+from polycauchy.poly import _lincomb, _linear_product
 from polycauchy.stirling import falling_factorial_poly, gsn1, stirling1
 from test_poly import assert_canonical
 
@@ -137,7 +138,8 @@ def test_number_builds_no_gsn1_polynomial():
 
 def test_gsn_and_numbers_match_the_integral_construction():
     # the integral route expands the defining product and reads no Stirling
-    # row, so it shares nothing with Komatsu's sum or its even/odd halves
+    # row, so it shares nothing with Komatsu's sum or its even/odd halves; its
+    # own even/odd split is over the powers of v in that product
     for kind in ("first", "second"):
         for n in range(41):
             for k in range(1, 5):
@@ -146,9 +148,14 @@ def test_gsn_and_numbers_match_the_integral_construction():
                 assert cauchy_number(kind, n, k) == want.constant()
 
 
+def integral_poly(kind, n, k):
+    return cauchy_poly(kind, n, k, "integral")
+
+
 @pytest.mark.parametrize("memo, read", [
     (_number_pair, cauchy_number),
     (_gsn_pair, cauchy_poly),
+    (_integral_pair, integral_poly),
 ])
 @pytest.mark.parametrize("kinds", [("first", "second"), ("second", "first")])
 def test_either_kind_fills_the_other_kinds_memo_entry(memo, read, kinds):
@@ -158,6 +165,48 @@ def test_either_kind_fills_the_other_kinds_memo_entry(memo, read, kinds):
     read(kinds[1], 9, 3)
     assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
     assert memo.cache_info().currsize == 1
+
+
+def _integral_per_kind(kind, p):
+    """The kind's own integrand e^(a-1) (-ev)^(a-1) prod_{j<n} (-ev - jq) at
+    y = 0, q = g/d, as a product of linear factors (-jg - edv)/d, then its
+    moment sum, with nothing shared between the two kinds."""
+    e = KIND_SIGN[kind]
+    g, d = p.q.as_integer_ratio()
+    product = _linear_product([0] * (p.a - 1) + [-j * g for j in range(p.n)], -e * d, d ** (p.n + p.a - 1))
+    return _moment_sum(product * e ** (p.a - 1), p.k, p.L)
+
+
+def test_integral_at_y0_matches_each_kinds_own_product():
+    # one memo fill for all weights, so an entry read back under another
+    # weight product, a lost (-1)^(a-1) or swapped halves fails here
+    _integral_pair.cache_clear()
+    for L in ((1,), (F(1, 2),), (F(-3, 2),), (1, 1), (F(1, 4), 2), (F(-1, 2), 3)):
+        for q in DEFAULT_GRID.qs:
+            for n in range(13):
+                for a in (1, 2, 3):
+                    p = MultiParam(n, len(L), a, q, L, 0)
+                    for kind in ("first", "second"):
+                        want = _integral_per_kind(kind, p)
+                        assert multiparam_cauchy(kind, p, "integral") == want, (kind, p)
+
+
+def test_integral_pair_memo_keys_on_the_weight_product():
+    # the moments read the weights only through their product and k
+    _integral_pair.cache_clear()
+    values = {multiparam_cauchy("second", MultiParam(5, 2, 2, F(1, 2), L, 0), "integral")
+              for L in ((1, 1), (F(1, 2), 2), (F(-1, 3), -3))}
+    assert len(values) == 1
+    assert (_integral_pair.cache_info().currsize, _integral_pair.cache_info().hits) == (1, 2)
+
+
+def test_integral_off_y0_fills_no_pair_memo_entry():
+    _integral_pair.cache_clear()
+    p = MultiParam(6, 2, 2, F(-3, 2), (F(-1, 2), 3), F(5, 7))
+    for kind in ("first", "second"):
+        assert multiparam_cauchy(kind, p, "integral") == multiparam_cauchy(kind, p)
+    info = _integral_pair.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
 
 
 def test_number_memo_keys_on_values_not_on_how_they_are_passed():

@@ -63,15 +63,17 @@ _MOMENT_SESSION = textwrap.dedent("""
 """)
 
 
-# Five library memos flooded with four times their bounds of distinct keys, at
+# Six library memos flooded with four times their bounds of distinct keys, at
 # degree 0 so that each call is cheap and the bytes kept are the memo entries
 # themselves: 4,096 keys (0, k) each, asked for both kinds, for the Cauchy
-# numbers' memo and cauchy_poly's gsn memo (bound 1,024), 2,048 for
+# numbers' memo and cauchy_poly's gsn memo (bound 1,024), 4,096 steps q at
+# y = 0, both kinds, for the integral memo (1,024), 2,048 for
 # gen_bernoulli_poly (512) and 1,024 for each poly-Bernoulli form (256).
 # gsn1 and gsn2 are left out: 4 x 4,096 keys (n, m) need rows past n = 180.
 _FLOOD_SESSION = textwrap.dedent("""
     import gc, tracemalloc
-    from polycauchy import cauchy_number, cauchy_poly, gen_bernoulli_poly, poly_bernoulli_gsn, poly_bernoulli_kl
+    from polycauchy import (MultiParam, cauchy_number, cauchy_poly, gen_bernoulli_poly, multiparam_cauchy,
+                            poly_bernoulli_gsn, poly_bernoulli_kl)
     cauchy_poly("first", 0, 1)
     gc.collect()
     tracemalloc.start()
@@ -80,6 +82,7 @@ _FLOOD_SESSION = textwrap.dedent("""
         for kind in ("first", "second"):
             cauchy_number(kind, 0, k)
             cauchy_poly(kind, 0, k)
+            multiparam_cauchy(kind, MultiParam(0, 1, 1, k, (1,), 0), "integral")
     for k in range(1, 2049):
         gen_bernoulli_poly(0, k)
     for k in range(1, 1025):
@@ -89,7 +92,8 @@ _FLOOD_SESSION = textwrap.dedent("""
     print(tracemalloc.get_traced_memory()[0] - before)
 """)
 
-# about 1.1 MB with the bounds (Python 3.11), 3.8 MB when the memos were unbounded
+# about 1.6 MB with the bounds (Python 3.11; 1.1 MB before the integral memo),
+# 3.8 MB when the memos were unbounded
 FLOOD_BUDGET = 2 * 1024 * 1024
 
 

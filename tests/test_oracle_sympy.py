@@ -165,11 +165,14 @@ def _cube_integral(kind: str, n: int, a: int, q, L, y):
     return sympy.integrate(sympy.expand(integrand), *limits)
 
 
-# (q, L, y) from DEFAULT_GRID; the last has weight product 1/2
+# (q, L, y): three from DEFAULT_GRID, the third with weight product 1/2, and
+# ci/signed-weights.cfg's negative product -3/2 at y = 0, where the integral
+# construction reads the second kind from the first kind's product at -v
 _MULTIPARAM_POINTS = (
     (-1, (1,), Fraction(-3, 2)),
     (Fraction(1, 2), (Fraction(1, 2), 2), Fraction(1, 2)),
     (-3, (1, 1, Fraction(1, 2)), Fraction(-3, 2)),
+    (Fraction(-3, 2), (Fraction(-1, 2), 3), 0),
 )
 
 
