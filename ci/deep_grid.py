@@ -1,11 +1,11 @@
 """Run the identity catalogue on the deep grid and check it against its record.
 
-    python ci/deep_grid.py            # check: exit 1 on a failure, a digest change or a full memo
-    python ci/deep_grid.py --record   # rewrite ci/deep-grid.json from this run
+    python ci/deep_grid.py    # exit 1 on a failure, a digest change or a full memo
 
 The grid is ``ci/deep-grid.cfg``, run in this process, so ``polycauchy`` must be
-importable (installed, or ``PYTHONPATH=src``).  The record is the run's totals and
-``SuiteResult.fingerprint()``.  After the run, every package memo of a function with
+importable (installed, or ``PYTHONPATH=src``).  The record, ``ci/deep-grid.json``,
+is the run's totals and ``SuiteResult.fingerprint()``; ``python ci/record.py``
+writes it.  After the run, every package memo of a function with
 arguments must be bounded and not full: the deep grid reaches further than the
 default one, so a memo that fills here would evict while the catalogue runs.
 Each memo's fill, ``name currsize/maxsize``, is printed, fullest first.
@@ -37,20 +37,23 @@ def memo_fills() -> list:
     return sorted(fills, key=lambda m: float("inf") if m[2] is None else m[1] / m[2], reverse=True)
 
 
-def main(argv) -> int:
+def run() -> dict:
+    """The catalogue's run on the deep grid, as its record holds it."""
     result = run_all(Grid.from_text(CONFIG.read_text()))
     totals = {"cases": len(result.reports), "points": sum(r.points for r in result.reports),
               "failures": result.failures}
-    got = {"totals": totals, **result.fingerprint()}
-    if argv[1:] == ["--record"]:
-        RECORD.write_text(json.dumps(got, indent=1) + "\n")
-        return 0
+    return {"totals": totals, **result.fingerprint()}
+
+
+def main() -> int:
+    got = run()
+    totals = got["totals"]
     want = json.loads(RECORD.read_text())
     problems = [f"{cid}: fingerprint differs from the record" for cid, d in sorted(got["cases"].items())
                 if want["cases"].get(cid) != d]
     problems += [f"{cid}: recorded case did not run" for cid in sorted(set(want["cases"]) - set(got["cases"]))]
-    if result.failures:
-        problems.append(f"{result.failures} failing points")
+    if totals["failures"]:
+        problems.append(f"{totals['failures']} failing points")
     if got["suite_sha256"] != want["suite_sha256"]:
         problems.append("suite digest differs from the record")
     fills = memo_fills()
@@ -67,4 +70,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

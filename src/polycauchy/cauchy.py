@@ -162,6 +162,7 @@ def _moment_sum(weights: Poly, k: int, L: tuple, shift: int = 0) -> Poly:
 
 def aux_poly_weighted(j: int, k: int, L) -> Poly:
     """Weighted moment polynomial for integration over [0,l_1]x...x[0,l_k]."""
+    _check_nk(j, k)
     return _moment_sum(Poly([1]), k, _check_weights(L, k), j)
 
 

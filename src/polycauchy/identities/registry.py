@@ -297,6 +297,8 @@ def _g01():
         IdentityCase("G01.kargin", "second-kind numbers from the (n+1, m+1) Stirling column", (_N,), kargin),
         IdentityCase("G01.rem4a", "second-kind Stirling transform of first-kind polynomials is 1/(n+1)", (_N,), partial(_inv, "first", k=1)),
         IdentityCase("G01.rem4b", "second-kind Stirling transform of reflected second-kind polynomials", (_N,), partial(_inv, "second", k=1)),
+        IdentityCase("G01.series1", "first kind from its generating function t/((1+t)^x log(1+t))", (_N,), partial(_constructions, "series", "gsn", "first", k=1)),
+        IdentityCase("G01.series2", "second kind from its generating function t(1+t)^x/((1+t) log(1+t))", (_N,), partial(_constructions, "series", "gsn", "second", k=1)),
     ]
 
 

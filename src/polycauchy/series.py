@@ -139,9 +139,8 @@ class Series:
     def reciprocal(self) -> "Series":
         """With coefficients c_j = a_j/d: b_0 = d/a_0 and b_i = -(1/a_0) sum_{j=1..i}
         a_j b_(i-j).  The b_j so far are held as integer numerators over the lcm
-        of their reduced denominators, so each sum is taken in integers, b_i
-        costs one gcd, and the prefix is rescaled only when b_i's denominator
-        grows that lcm."""
+        of their reduced denominators (``_append_over``), so each sum is taken
+        in integers and b_i costs one gcd."""
         a, d = _integers(self)
         if not a[0]:
             raise ValueError("constant term is not invertible")
@@ -150,14 +149,7 @@ class Series:
         out, lcd = [sign * d // common], a0 // common
         for i in range(1, len(a)):
             s = -sign * sum([x * y for x, y in zip(a[1:i + 1], reversed(out))])
-            den = a0 * lcd
-            common = gcd(s, den)
-            s, den = s // common, den // common
-            grow = den // gcd(lcd, den)
-            if grow != 1:
-                out = [c * grow for c in out]
-                lcd *= grow
-            out.append(s * (lcd // den))
+            lcd = _append_over(out, lcd, s, a0 * lcd)
         return _series(Poly(out) / lcd, self._order)
 
     def exp(self) -> "Series":
@@ -187,6 +179,19 @@ def _integers(s: Series) -> tuple[tuple, int]:
     positive denominator, in lowest terms."""
     nums, den = _split(s._poly)
     return nums + (0,) * (s._order + 1 - len(nums)), den
+
+
+def _append_over(nums: list, lcd: int, s: int, den: int) -> int:
+    """Append s/den to the numerators nums over their lcm denominator lcd, with one
+    gcd, rescaling nums in place only when den grows lcd; return the new lcd."""
+    common = gcd(s, den)
+    s, den = s // common, den // common
+    grow = den // gcd(lcd, den)
+    if grow != 1:
+        nums[:] = [c * grow for c in nums]
+        lcd *= grow
+    nums.append(s * (lcd // den))
+    return lcd
 
 
 def _reciprocal_series(order: int, shift: int) -> Series:
@@ -312,14 +317,7 @@ def _gen_bernoulli(alpha: int, order: int) -> tuple:
     nums, lcd = [1], 1
     for n in range(1, order + 1):
         s = sum([comb(n + 1, k + 1) * ((1 - alpha) * k - n) * nums[n - k] for k in range(1, n + 1)])
-        den = n * (n + 1) * lcd
-        common = gcd(s, den)
-        s, den = s // common, den // common
-        grow = den // gcd(lcd, den)
-        if grow != 1:
-            nums = [c * grow for c in nums]
-            lcd *= grow
-        nums.append(s * (lcd // den))
+        lcd = _append_over(nums, lcd, s, n * (n + 1) * lcd)
     return (nums, lcd), [((0,) * m + (1,), 1) for m in range(order + 1)], 1
 
 

@@ -258,20 +258,16 @@ def _bivariate_row(kind: str, n: int, y, q, scales=None) -> Poly:
     return row if scales is None else _scale_each(row, scales)
 
 
-def _bivariate_at(kind: str, n: int, m: int, y, q) -> Fraction:
-    """The one value q^(n-m) p(y/q), evaluated afresh, not read from the memo."""
-    _check_indices(n, m)
-    return Fraction(_homogenised_row([_GSN[kind](n, m)], y, _exact_step(kind, q))[0])
-
-
 def gsn1_bivariate_at(n: int, m: int, y, q) -> Fraction:
     """The first-kind bivariate polynomial at (y, q): q^(n-m) [n m]_(y/q)."""
-    return _bivariate_at("first", n, m, y, q)
+    _check_indices(n, m)
+    return Fraction(_bivariate_row("first", n, y, q)[m])
 
 
 def gsn2_bivariate_at(n: int, m: int, y, q) -> Fraction:
     """The second-kind bivariate value q^(n-m) {n m}_(y/q), for q != 0."""
-    return _bivariate_at("second", n, m, y, q)
+    _check_indices(n, m)
+    return Fraction(_bivariate_row("second", n, y, q)[m])
 
 
 def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:
@@ -284,7 +280,8 @@ def whitney(kind: str, m: int, r: int, n: int, l: int) -> Fraction:
         raise ValueError("r-Whitney numbers need m != 0")
     if kind not in _GSN:
         raise ValueError(f"unknown kind {kind!r}")
-    return _bivariate_at(kind, n, l, r, m)
+    _check_indices(n, l)
+    return Fraction(_bivariate_row(kind, n, r, m)[l])
 
 
 def a_number(n: int, m: int) -> Poly:

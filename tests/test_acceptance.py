@@ -5,11 +5,9 @@ All comparisons are exact (zero tolerance); the only non-exact bounds
 are the stated runtime budgets.
 """
 
-import json
 import random
 from fractions import Fraction as F
 from math import comb, factorial
-from pathlib import Path
 from time import perf_counter
 
 from polycauchy import (
@@ -31,9 +29,8 @@ from polycauchy import (
 )
 from polycauchy.identities import run_all, verify
 
+import catalogue_lock
 from test_cauchy import FIRST, SECOND, poly_cauchy_golden_first, poly_cauchy_golden_second
-
-EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
 
 
 def _criterion(num, desc, fn):
@@ -112,13 +109,14 @@ def test_criterion_4_identity_suite_default_grids():
         assert probes, "probe cases must report"
         for r in probes:
             assert r.finding
-        # every case's id, point count and probe finding as recorded for the benchmark
-        expected = json.loads(EXPECTED_VERIFY.read_text())
+        # every case's id, point count and probe finding as the catalogue lock records them
+        expected = catalogue_lock.read()
         fingerprint = result.fingerprint()
         digests = fingerprint["cases"]
         assert list(digests) == list(expected["cases"])
-        assert [cid for cid in digests if digests[cid] != expected["cases"][cid]] == []
+        assert [cid for cid in digests if digests[cid] != expected["cases"][cid]["report"]] == []
         assert fingerprint["suite_sha256"] == expected["suite_sha256"]
+        assert catalogue_lock.totals(result.reports) == expected["totals"]
 
     _criterion(4, "identity suite on default grids: zero failures, fingerprints as recorded, <5min", check)
 

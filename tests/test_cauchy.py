@@ -355,6 +355,11 @@ def test_aux_polys():
         aux_poly_weighted(1, 2, (F(1),))
     with pytest.raises(ValueError):
         aux_poly_weighted(1, 1, (F(0),))
+    # the indices are checked as aux_poly checks them, not read as an empty sum
+    with pytest.raises(ValueError, match="degree index"):
+        aux_poly_weighted(-1, 1, (F(1),))
+    with pytest.raises(ValueError, match="poly order"):
+        aux_poly_weighted(2, 0, ())
 
 
 @given(st.integers(0, 40), st.integers(1, 5))

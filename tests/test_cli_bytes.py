@@ -5,13 +5,13 @@ matrix run through ``cli.main``: over the exit code, stdout, stderr and
 the bytes of the ``--out`` file.  Elapsed times are masked first (the
 ``verify --id`` line's ``N ms)``, the full table's ``N.NNN ms`` and JSON
 ``"millis"``).  A refactor of the CLI that keeps every byte keeps every digest.
+``python ci/record.py`` writes the file with ``cli_digests``.
 """
 
 import hashlib
 import io
 import json
 import re
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -132,22 +132,13 @@ def cli_digests(tmp: Path) -> dict:
 
 
 def test_cli_bytes_match_recorded(tmp_path):
-    """After a deliberate change to what the CLI writes, regenerate the file
+    """After a deliberate change to what the CLI writes, rewrite every lock
     from the repository root with
 
-        PYTHONPATH=src python tests/test_cli_bytes.py --write
+        python ci/record.py
     """
     expected = json.loads(EXPECTED.read_text())
     actual = cli_digests(tmp_path)
     assert list(actual) == list(expected), "request names or their order changed"
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, f"CLI bytes changed for {changed}"
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_cli_bytes.py --write")
-    with tempfile.TemporaryDirectory() as tmp:
-        EXPECTED.write_text(json.dumps(cli_digests(Path(tmp)), indent=1) + "\n")

@@ -1,4 +1,3 @@
-import hashlib
 import importlib
 import inspect
 import json
@@ -26,10 +25,8 @@ from polycauchy.identities import (
 from polycauchy.identities import registry
 from polycauchy.poly import Poly
 
-SMALL = Grid(max_n=5, max_n_double=3, max_k=2, max_r=2, max_a=2, max_n_multi=2)
-# odd max_n and max_n_double, and max_k, max_a, max_r and max_n_multi below the
-# caps that some axes put on them (k <= 3, a <= 2, |r| <= 3, n <= 3)
-CAPPED = Grid(max_n=7, max_n_double=5, max_k=2, max_r=1, max_a=1, max_n_multi=2)
+from catalogue_lock import GRIDS, SMALL, points_digest, read
+
 # every bound at its least: 19 cases, among them G07.*, G15.whitk* and G20.*, have no point
 BARE = Grid(max_n=1, max_n_double=1, max_k=1, max_r=0, max_a=1, max_n_multi=0)
 
@@ -280,23 +277,10 @@ def test_axes_are_declared_not_generated():
     assert "lambda g" not in Path(registry.__file__).read_text()
 
 
-# one sha256 over (id, sorted params) of every point of every case, in
-# catalogue order, as the hand-written point generators gave them
-POINT_DIGESTS = {
-    "CAPPED": (CAPPED, 4251, "57128e7d0f054ef7885ae62e39e505193f0b62d4530b951d28d2cfc179a0f12d"),
-    "SMALL": (SMALL, 4436, "a4aad19b52bd341fa790706557ff180ed315c6de40bb9279758cf36c412e1ae5"),
-}
-
-
-@pytest.mark.parametrize("name", POINT_DIGESTS)
+@pytest.mark.parametrize("name", GRIDS)
 def test_points_where_the_caps_bite_are_unchanged(name):
-    grid, count, want = POINT_DIGESTS[name]
-    digest, points = hashlib.sha256(), 0
-    for case in catalog():
-        for params in case.points(grid):
-            points += 1
-            digest.update(repr((case.id, sorted(params.items()))).encode() + b"\n")
-    assert (points, digest.hexdigest()) == (count, want)
+    # the point count and one digest over every point, as the catalogue lock records them
+    assert points_digest(GRIDS[name]) == read()["grids"][name]
 
 
 def test_axis_bounds():
