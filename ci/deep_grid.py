@@ -26,23 +26,31 @@ CONFIG = HERE / "deep-grid.cfg"
 RECORD = HERE / "deep-grid.json"
 
 
+def package_memos() -> dict:
+    """Every memo of a function with arguments in the polycauchy modules, by
+    ``module.name``, found by ``cache_info`` as the benchmark tracer finds them;
+    a memo is found in the module that defines it, not where it is imported."""
+    memos = {}
+    for info in pkgutil.walk_packages(polycauchy.__path__, "polycauchy."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+                    and inspect.signature(obj).parameters):
+                memos[f"{module.__name__}.{name}"] = obj
+    return memos
+
+
 def memo_fills() -> list:
-    """(name, currsize, maxsize) of each package memo of a function with arguments,
-    fullest first; an unbounded memo, of maxsize None, counts as full."""
-    modules = [importlib.import_module(info.name)
-               for info in pkgutil.walk_packages(polycauchy.__path__, "polycauchy.")]
-    memos = {f for m in modules for f in vars(m).values()
-             if hasattr(f, "cache_info") and inspect.signature(f).parameters}
-    fills = sorted((f.__qualname__, f.cache_info().currsize, f.cache_info().maxsize) for f in memos)
+    """(name, currsize, maxsize) of each of ``package_memos()``, fullest first;
+    an unbounded memo, of maxsize None, counts as full."""
+    fills = sorted((name, f.cache_info().currsize, f.cache_info().maxsize) for name, f in package_memos().items())
     return sorted(fills, key=lambda m: float("inf") if m[2] is None else m[1] / m[2], reverse=True)
 
 
 def run() -> dict:
     """The catalogue's run on the deep grid, as its record holds it."""
     result = run_all(Grid.from_text(CONFIG.read_text()))
-    totals = {"cases": len(result.reports), "points": sum(r.points for r in result.reports),
-              "failures": result.failures}
-    return {"totals": totals, **result.fingerprint()}
+    return {"totals": result.totals(), **result.fingerprint()}
 
 
 def main() -> int:

@@ -56,10 +56,18 @@ def _gsn_pairs(n, constructions):
             for kind in KINDS for c, ks in constructions for k in ks]
 
 
-_MP40 = MultiParam(40, 3, 2, F(-3, 2), (F(1, 2), F(2), F(3)), F(5, 7))
-# a negative weight product, w = -3/2, at y = 5/7 and at y = 0, where integral
-# reads both kinds from one product
-_MP40_SIGNED, _MP40_Y0 = (MultiParam(40, 2, 2, F(-3, 2), (F(-1, 2), F(3)), y) for y in (F(5, 7), F(0)))
+def _route_pairs(n):
+    """The multiparameter stirling route against its integral oracle at n, both
+    kinds, at three points: positive weights, and a negative weight product,
+    w = -3/2, at y = 5/7 and at y = 0, where integral reads both kinds from one
+    product."""
+    points = (MultiParam(n, 3, 2, F(-3, 2), (F(1, 2), F(2), F(3)), F(5, 7)),
+              *(MultiParam(n, 2, 2, F(-3, 2), (F(-1, 2), F(3)), y) for y in (F(5, 7), F(0))))
+    return [(Call(multiparam_cauchy, (kind, p)), Call(multiparam_cauchy, (kind, p, "integral")))
+            for p in points for kind in KINDS]
+
+
+_MP40_Y0 = MultiParam(40, 2, 2, F(-3, 2), (F(-1, 2), F(3)), F(0))
 
 # (what is computed, what it is compared with)
 ROWS = (
@@ -75,13 +83,15 @@ ROWS = (
       for kind in KINDS for n in (120, 200) for k in (1, 2, 3)),
     # the moment-sum poly-Bernoulli form equals the gsn form at x = 0 (only there)
     *((Call(poly_bernoulli_kl, (80, k), 0), Call(poly_bernoulli_gsn, (80, k), 0)) for k in (1, 2, 3)),
-    # the multiparameter stirling route against its integral oracle
-    *((Call(multiparam_cauchy, (kind, p)), Call(multiparam_cauchy, (kind, p, "integral")))
-      for p in (_MP40, _MP40_SIGNED, _MP40_Y0) for kind in KINDS),
+    *_route_pairs(40),
     # at y = 0 the value at 0 is the shifted number
     *((Call(multiparam_cauchy, (kind, _MP40_Y0), 0),
        Call(shifted_cauchy_number, (kind, 40, 2, 2, F(-3, 2), (F(-1, 2), F(3)))))
       for kind in KINDS),
+    # every construction against gsn at n = 240 and 320, at k = 1 and 3 where it is defined
+    *(pair for n in (240, 320) for pair in _gsn_pairs(n, (("integral", (1, 3)), ("binomial_conv", (1, 3)),
+                                                           ("series", (1,)), ("theorem1", (1,))))),
+    *_route_pairs(80),
 )
 
 

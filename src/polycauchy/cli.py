@@ -307,8 +307,8 @@ def _suite_lines(result):
     yield "--"
     for g in result.group_summary():
         yield f"{g['group']}: {g['cases']} cases, {g['points']} points, {g['failures']} failures"
-    yield (f"total: {len(result.reports)} cases, {sum(r.points for r in result.reports)} points, "
-           f"{result.failures} failures")
+    totals = result.totals()
+    yield f"total: {totals['cases']} cases, {totals['points']} points, {totals['failures']} failures"
 
 
 def _cmd_verify(args) -> int:

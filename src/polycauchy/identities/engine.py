@@ -7,6 +7,11 @@ variants of a statement and report which ones survive the whole grid
 instead of failing the suite; they exist for statements whose printed
 form is suspected to carry a typo.
 
+A case's values are produced in one place, ``_evaluations``: it yields
+(label, params, lhs, rhs) for every check of the case at every point, and
+``run_case`` consumes it.  A run's counts are produced in one place too,
+``SuiteResult.totals``.
+
 Reports are deterministic for a fixed grid except for the elapsed-time
 field, which ``fingerprint()`` leaves out.  Cases are independent and
 side-effect free, so any subset may run in any order; the runner is
@@ -204,6 +209,11 @@ class IdentityCase:
     def probe(self) -> bool:
         return self.variants is not None
 
+    @property
+    def checks(self) -> dict:
+        """The checks by label: a probe's variants, otherwise ``{None: check}``."""
+        return self.variants if self.probe else {None: self.check}
+
     def points(self, grid: Grid) -> list[dict]:
         """The product of the axes on the grid, the first outermost, built level
         by level: an axis is spanned once per level, or per value of the earlier
@@ -263,21 +273,26 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _evaluations(case: IdentityCase, points: list):
+    """(label, params, lhs, rhs) for each point, and at each point for each
+    check of ``case.checks`` in its order."""
+    checks = case.checks.items()
+    for params in points:
+        for label, fn in checks:
+            lhs, rhs = fn(**params)
+            yield label, params, lhs, rhs
+
+
 def run_case(case: IdentityCase, grid: Grid) -> Report:
     start = perf_counter()
-    checks = case.variants if case.probe else {None: case.check}
-    stats = dict.fromkeys(checks, 0)  # failing points per variant
+    stats = dict.fromkeys(case.checks, 0)  # failing points per variant
     points = case.points(grid)
     failures: list = []
-    for params in points:
-        for label, fn in checks.items():
-            lhs, rhs = fn(**params)
-            if not lhs == rhs:
-                stats[label] += 1
-                if not case.probe:
-                    failures.append(
-                        {"params": _params_str(params), "lhs": _render(lhs), "rhs": _render(rhs)}
-                    )
+    for label, params, lhs, rhs in _evaluations(case, points):
+        if not lhs == rhs:
+            stats[label] += 1
+            if not case.probe:
+                failures.append({"params": _params_str(params), "lhs": _render(lhs), "rhs": _render(rhs)})
     finding = None
     if case.probe:
         holds = [label for label, bad in stats.items() if bad == 0]
@@ -328,13 +343,23 @@ class SuiteResult:
         suite = _sha256("".join(f"{cid} {d}\n" for cid, d in sorted(cases.items())))
         return {"suite_sha256": suite, "cases": cases}
 
+    def totals(self) -> dict:
+        """The run's counts: cases, points, failing points and probe findings."""
+        return {
+            "cases": len(self.reports),
+            "points": sum(r.points for r in self.reports),
+            "failures": self.failures,
+            "probe_findings": sum(1 for r in self.reports if r.probe and r.finding),
+        }
+
     def to_dict(self) -> dict:
+        totals = self.totals()
         return {
             "reports": [r.to_dict() for r in self.reports],
             "summary": {
-                "cases": len(self.reports),
-                "points": sum(r.points for r in self.reports),
-                "failures": self.failures,
+                "cases": totals["cases"],
+                "points": totals["points"],
+                "failures": totals["failures"],
                 "groups": self.group_summary(),
                 "findings": self.findings(),
                 "ok": self.ok,

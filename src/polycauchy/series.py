@@ -15,8 +15,8 @@ exp(x g(t)) is the exponential generating function of a sequence of
 binomial type, p_m(x) = m! [t^m] exp(x g(t)) (Roman, *The Umbral
 Calculus*, 1984), so row n is
 sum_m binom(n, m) a_(n-m) p_m(x) / n! for A's numbers a_i = i! A_i: one
-``poly._sum_scaled`` over the basis p_0..p_n, each held as integer
-numerators over a denominator, O(n^2) integer products.
+``poly._sum_scaled`` over the basis p_0..p_n, each a row of integers,
+O(n^2) integer products.
 The first three are exponential (row n times n! is the family value), the
 last ordinary (row n is the value):
 
@@ -222,23 +222,23 @@ def _of_order(f: Callable[[int], Series], name: str, order: int) -> Series:
 
 def _rising(order: int) -> list:
     """The rising factorials x^(m), m = 0..order, as ``_row`` reads a basis:
-    the rows of the memoised first-kind triangle, each over the denominator 1."""
+    the rows of the memoised first-kind triangle."""
     triangle = _TRIANGLES["stirling1"]
-    return [(triangle.row(m), 1) for m in range(order + 1)]
+    return [triangle.row(m) for m in range(order + 1)]
 
 
 def _row(tables: tuple, n: int) -> Poly:
     """Row n, sum_m binom(n, m) a_(n-m) p_m(x) / n!, of a pair's tables
     (a, basis, sign) at order n or above: A's numbers i! A_i are a_i / d,
     a = ((a_0, a_1, ..), d), and p_m = sign^m basis[m] is m! [t^m] exp(x g(t)),
-    basis[m] its integer numerators over its denominator, so the row is one
-    ``poly._sum_scaled`` over the basis."""
+    basis[m] its integer coefficients, so the row is one ``poly._sum_scaled``
+    over the basis."""
     (nums, den), basis, sign = tables
     weights = [comb(n, m) * c for m, c in enumerate(nums[n::-1])]
     if sign < 0:
         weights[1::2] = [-w for w in weights[1::2]]
     scale = den * factorial(n)
-    return _sum_scaled([(vec, w, d * scale) for w, (vec, d) in zip(weights, basis) if w])
+    return _sum_scaled([(vec, w, scale) for w, vec in zip(weights, basis) if w])
 
 
 def _rows(pair: Callable[[int], tuple], order: int) -> tuple[Poly, ...]:
@@ -296,7 +296,7 @@ def _cauchy(e: int, order: int) -> tuple:
     number (-1)^i sum_m (-e)^m [i m] / (m+1) = (-1)^i (E - e O), from the
     halves of Komatsu's sum over row i of the triangle."""
     basis = _rising(order)
-    even, odd, den = _komatsu([row for row, _ in basis], 1)
+    even, odd, den = _komatsu(basis, 1)
     nums = [E - e * O for E, O in zip(even, odd)]
     nums[1::2] = [-c for c in nums[1::2]]
     return (nums, den), basis, -1
@@ -318,7 +318,7 @@ def _gen_bernoulli(alpha: int, order: int) -> tuple:
     for n in range(1, order + 1):
         s = sum([comb(n + 1, k + 1) * ((1 - alpha) * k - n) * nums[n - k] for k in range(1, n + 1)])
         lcd = _append_over(nums, lcd, s, n * (n + 1) * lcd)
-    return (nums, lcd), [((0,) * m + (1,), 1) for m in range(order + 1)], 1
+    return (nums, lcd), [(0,) * m + (1,) for m in range(order + 1)], 1
 
 
 def gf_cauchy1(order: int) -> tuple[Poly, ...]:

@@ -6,16 +6,18 @@ It holds, for each case id in catalogue order, on ``DEFAULT_GRID``:
 
 - ``points``: the number of points;
 - ``values``: one sha256 over repr((variant label, sorted params, lhs, rhs))
-  at every point; the label is None for a plain case and each variant's label
-  for a probe.  A registry refactor that keeps every value and its type keeps
-  every digest;
+  of each evaluation that ``engine._evaluations`` yields, the one loop that
+  ``run_case`` runs too; the label is None for a plain case and each
+  variant's label for a probe.  A registry refactor that keeps every value
+  and its type keeps every digest;
 - ``report``: the sha256 of ``json.dumps(Report.fingerprint(), sort_keys=True)``,
   as ``SuiteResult.fingerprint()`` gives it;
 - ``finding``, for a probe: the variants that held and failed.
 
-Then the run's ``totals`` and ``suite_sha256``, and for each grid of ``GRIDS``,
-one sha256 over (id, sorted params) of every point of every case, in catalogue
-order, with the number of points.
+Then the run's ``totals``, as ``SuiteResult.totals()`` gives them, and
+``suite_sha256``, and for each grid of ``GRIDS``, one sha256 over (id, sorted
+params) of every point of every case, in catalogue order, with the number of
+points.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import json
 from pathlib import Path
 
 from polycauchy.identities import DEFAULT_GRID, Grid, catalog
+from polycauchy.identities.engine import _evaluations
 
 LOCK = Path(__file__).resolve().parent / "expected_catalogue.json"
 
@@ -38,13 +41,9 @@ def read() -> dict:
 
 
 def values_digest(case, grid=DEFAULT_GRID) -> str:
-    checks = case.variants.items() if case.probe else ((None, case.check),)
     digest = hashlib.sha256()
-    for params in case.points(grid):
-        for label, fn in checks:
-            lhs, rhs = fn(**params)
-            row = repr((label, sorted(params.items()), lhs, rhs))
-            digest.update(row.encode() + b"\n")
+    for label, params, lhs, rhs in _evaluations(case, case.points(grid)):
+        digest.update(repr((label, sorted(params.items()), lhs, rhs)).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -57,15 +56,6 @@ def points_digest(grid) -> dict:
     return {"points": points, "sha256": digest.hexdigest()}
 
 
-def totals(reports) -> dict:
-    return {
-        "cases": len(reports),
-        "points": sum(r.points for r in reports),
-        "failures": sum(len(r.failures) for r in reports),
-        "probe_findings": sum(1 for r in reports if r.probe and r.finding),
-    }
-
-
 def record(result) -> dict:
     """The lock's content, from ``run_all(DEFAULT_GRID)``'s result."""
     fingerprint = result.fingerprint()
@@ -75,5 +65,5 @@ def record(result) -> dict:
                           "report": fingerprint["cases"][case.id]}
         if report.probe:
             cases[case.id]["finding"] = report.finding
-    return {"totals": totals(result.reports), "suite_sha256": fingerprint["suite_sha256"],
+    return {"totals": result.totals(), "suite_sha256": fingerprint["suite_sha256"],
             "cases": cases, "grids": {name: points_digest(grid) for name, grid in GRIDS.items()}}

@@ -1,14 +1,12 @@
-import importlib
 import inspect
 import json
-import pkgutil
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import polycauchy
 import polycauchy.identities as identities
 from polycauchy.identities import (
     DEFAULT_GRID,
@@ -26,6 +24,10 @@ from polycauchy.identities import registry
 from polycauchy.poly import Poly
 
 from catalogue_lock import GRIDS, SMALL, points_digest, read
+
+# the one scan for package memos, which the deep-grid census reads too
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ci"))
+from deep_grid import package_memos  # noqa: E402
 
 # every bound at its least: 19 cases, among them G07.*, G15.whitk* and G20.*, have no point
 BARE = Grid(max_n=1, max_n_double=1, max_k=1, max_r=0, max_a=1, max_n_multi=0)
@@ -227,23 +229,10 @@ def test_grid_overrides():
     assert g.max_k == DEFAULT_GRID.max_k
 
 
-def _package_memos() -> dict:
-    """Every memo of a function with arguments in the polycauchy modules,
-    found by ``cache_info`` as the benchmark tracer finds them."""
-    memos = {}
-    for info in pkgutil.walk_packages(polycauchy.__path__, "polycauchy."):
-        module = importlib.import_module(info.name)
-        for name, obj in vars(module).items():
-            if (hasattr(obj, "cache_info") and obj.__module__ == module.__name__
-                    and inspect.signature(obj).parameters):
-                memos[f"{module.__name__}.{name}"] = obj
-    return memos
-
-
 def test_registry_memos_are_bounded_and_hold_the_default_grid():
     # each memo of the library and of the catalogue is bounded, and a default
     # run fills it below its bound, so nothing is evicted and computed again
-    memos = _package_memos()
+    memos = package_memos()
     assert "polycauchy.identities.registry._inv_sum" in memos
     assert "polycauchy.stirling.gsn1" in memos
     for memo in memos.values():
@@ -266,8 +255,7 @@ def test_axes_name_the_parameters_each_check_needs():
     for case in catalog():
         names = [axis.name for axis in case.axes]
         assert len(set(names)) == len(names), case.id
-        checks = case.variants.values() if case.probe else [case.check]
-        for fn in checks:
+        for fn in case.checks.values():
             assert set(names) == _required(fn), case.id
 
 
