@@ -17,6 +17,7 @@ import polycauchy as pc
 from polycauchy import cauchy_poly, cli, stirling
 from polycauchy.cli import load_exported_poly, main
 from polycauchy.identities import catalog
+from test_cli_bytes import EXPECTED, TABLES, outcome
 
 needs_int_digit_cap = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int/str digit cap")
@@ -56,6 +57,34 @@ def test_table_triangle(capsys):
     code, out, _ = run(capsys, "table", "stirling1", "--max-n", "3")
     assert code == 0
     assert "3\t2\t3" in out.splitlines()
+
+
+def table_is_locked(tmp_path, family, max_n):
+    """`table <family> --max-n <max_n>` exits 0, writes nothing to stderr and
+    its bytes are those recorded in the CLI bytes lock; returns its stdout."""
+    name = f"table.{family}.n{max_n}"
+    code, out, err, digest = outcome(TABLES[name], tmp_path)
+    assert (code, err) == (0, "")
+    assert digest == json.loads(EXPECTED.read_text())[name], name
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(stirling._TRIANGLES))
+def test_triangle_table_bytes_are_locked(tmp_path, family):
+    out = table_is_locked(tmp_path, family, 40)
+    assert len(out.splitlines()) == 1 + 41 * 42 // 2
+
+
+@pytest.mark.parametrize("family", sorted(stirling._TRIANGLES))
+def test_triangle_table_300_bytes_are_locked(tmp_path, family):
+    out = table_is_locked(tmp_path, family, 300)
+    assert len(out.splitlines()) == 1 + 301 * 302 // 2
+
+
+def test_hyperharmonic_table_bytes_are_locked(tmp_path):
+    for max_n in (120, 300):
+        out = table_is_locked(tmp_path, "hyperharmonic", max_n)
+        assert len(out.splitlines()) == 1 + max_n + 1
 
 
 def test_triangle_table_ignores_the_callers_decimal_context(capsys):
