@@ -1,14 +1,16 @@
-"""Run the identity catalogue on the deep grid and check it against its record.
+"""Run the identity catalogue on the deep grid and check it against its lock.
 
-    python ci/deep_grid.py    # exit 1 on a failure, a digest change or a full memo
+    python ci/deep_grid.py    # exit 1 on a failure, a moved lock entry or a full memo
 
 The grid is ``ci/deep-grid.cfg``, run in this process, so ``polycauchy`` must be
-importable (installed, or ``PYTHONPATH=src``).  The record, ``ci/deep-grid.json``,
-is the run's totals and ``SuiteResult.fingerprint()``; ``python ci/record.py``
-writes it.  After the run, every package memo of a function with
-arguments must be bounded and not full: the deep grid reaches further than the
-default one, so a memo that fills here would evict while the catalogue runs.
-Each memo's fill, ``name currsize/maxsize``, is printed, fullest first.
+importable (installed, or ``PYTHONPATH=src``).  The lock, ``ci/deep-grid.json``
+(``locks.DEEP_GRID``), is the run's totals and ``SuiteResult.fingerprint()``;
+``python ci/record.py`` writes it, and each of its entries that moved is
+printed as ``locks.moved`` names it.  After the run, every package memo of a
+function with arguments must be bounded and not full: the deep grid reaches
+further than the default one, so a memo that fills here would evict while the
+catalogue runs.  Each memo's fill, ``name currsize/maxsize``, is printed,
+fullest first.
 """
 
 import importlib
@@ -21,9 +23,9 @@ from pathlib import Path
 import polycauchy
 from polycauchy.identities import Grid, run_all
 
-HERE = Path(__file__).resolve().parent
-CONFIG = HERE / "deep-grid.cfg"
-RECORD = HERE / "deep-grid.json"
+from locks import DEEP_GRID, moved, read
+
+CONFIG = Path(__file__).resolve().parent / "deep-grid.cfg"
 
 
 def package_memos() -> dict:
@@ -56,14 +58,9 @@ def run() -> dict:
 def main() -> int:
     got = run()
     totals = got["totals"]
-    want = json.loads(RECORD.read_text())
-    problems = [f"{cid}: fingerprint differs from the record" for cid, d in sorted(got["cases"].items())
-                if want["cases"].get(cid) != d]
-    problems += [f"{cid}: recorded case did not run" for cid in sorted(set(want["cases"]) - set(got["cases"]))]
+    problems = [f"{DEEP_GRID.name}: {line}" for line in moved(read(DEEP_GRID), got)]
     if totals["failures"]:
         problems.append(f"{totals['failures']} failing points")
-    if got["suite_sha256"] != want["suite_sha256"]:
-        problems.append("suite digest differs from the record")
     fills = memo_fills()
     full = sorted(name for name, size, bound in fills if bound is None or size >= bound)
     if not fills:

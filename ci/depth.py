@@ -1,21 +1,20 @@
 """Check the constructions past the deep grid's n against each other and their record.
 
-    python ci/depth.py    # exit 1 on a comparison that fails or a value that differs from the record
+    python ci/depth.py    # exit 1 on a comparison that fails or a moved lock entry
 
 ``ROWS`` is the one declared table: each row computes one value and the value it
 is compared with, as (function, arguments) calls, optionally read at a point.
-One line per row is printed with its time.  ``ci/depth.json`` holds a sha256
-of the text of each value computed, so an error shared by both sides of a row
-fails here too; ``python ci/record.py`` writes it.  ``polycauchy`` must be
-importable (installed, or ``PYTHONPATH=src``).
+One line per row is printed with its time.  The lock, ``ci/depth.json``
+(``locks.DEPTH``), holds a sha256 of the text of each value computed, so an
+error shared by both sides of a row fails here too; ``python ci/record.py``
+writes it, and each of its entries that moved is printed as ``locks.moved``
+names it.  ``polycauchy`` must be importable (installed, or ``PYTHONPATH=src``).
 """
 
 import hashlib
-import json
 import sys
 from dataclasses import fields
 from fractions import Fraction as F
-from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -24,7 +23,8 @@ from polycauchy import (
     poly_bernoulli_gsn, poly_bernoulli_kl, shifted_cauchy_number,
 )
 
-RECORD = Path(__file__).resolve().parent / "depth.json"
+from locks import DEPTH, moved, read
+
 KINDS = ("first", "second")
 
 
@@ -118,9 +118,7 @@ def run(out=None) -> tuple[dict, list]:
 
 def main() -> int:
     digests, problems = run(sys.stdout)
-    want = json.loads(RECORD.read_text())
-    problems += [f"{label}: value differs from the record" for label in digests if want.get(label) != digests[label]]
-    problems += [f"{label}: recorded value not computed" for label in want if label not in digests]
+    problems += [f"{DEPTH.name}: {line}" for line in moved(read(DEPTH), digests)]
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

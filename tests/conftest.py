@@ -1,4 +1,10 @@
+import sys
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
+
+# the locks (ci/locks.py) and the deep grid's memo scan are imported from ci/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ci"))
 
 settings.register_profile(
     "polycauchy",

@@ -29,7 +29,7 @@ from polycauchy import (
 )
 from polycauchy.identities import run_all, verify
 
-import catalogue_lock
+from locks import CATALOGUE, moved, read
 from test_cauchy import FIRST, SECOND, poly_cauchy_golden_first, poly_cauchy_golden_second
 
 
@@ -110,13 +110,12 @@ def test_criterion_4_identity_suite_default_grids():
         for r in probes:
             assert r.finding
         # every case's id, point count and probe finding as the catalogue lock records them
-        expected = catalogue_lock.read()
-        fingerprint = result.fingerprint()
-        digests = fingerprint["cases"]
-        assert list(digests) == list(expected["cases"])
-        assert [cid for cid in digests if digests[cid] != expected["cases"][cid]["report"]] == []
-        assert fingerprint["suite_sha256"] == expected["suite_sha256"]
-        assert result.totals() == expected["totals"]
+        lock, fingerprint = read(CATALOGUE), result.fingerprint()
+        lines = moved({"totals": lock["totals"], "suite_sha256": lock["suite_sha256"],
+                       "cases": {cid: {"report": entry["report"]} for cid, entry in lock["cases"].items()}},
+                      {"totals": result.totals(), "suite_sha256": fingerprint["suite_sha256"],
+                       "cases": {cid: {"report": digest} for cid, digest in fingerprint["cases"].items()}})
+        assert not lines, "\n".join(lines)
 
     _criterion(4, "identity suite on default grids: zero failures, fingerprints as recorded, <5min", check)
 

@@ -17,7 +17,7 @@ import polycauchy as pc
 from polycauchy import cauchy_poly, cli, stirling
 from polycauchy.cli import load_exported_poly, main
 from polycauchy.identities import catalog
-from test_cli_bytes import EXPECTED, TABLES, outcome
+from locks import CLI, TABLES, moved, outcome, read
 
 needs_int_digit_cap = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int/str digit cap")
@@ -65,7 +65,8 @@ def table_is_locked(tmp_path, family, max_n):
     name = f"table.{family}.n{max_n}"
     code, out, err, digest = outcome(TABLES[name], tmp_path)
     assert (code, err) == (0, "")
-    assert digest == json.loads(EXPECTED.read_text())[name], name
+    lines = moved({key: value for key, value in read(CLI).items() if key == name}, {name: digest})
+    assert not lines, "\n".join(lines)
     return out
 
 
