@@ -144,6 +144,7 @@ REQUESTS = {
     "table.cauchy-numbers": ("table", "cauchy-numbers"),
     "table.cauchy-numbers.second.k2": ("table", "cauchy-numbers", "--kind", "second", "--k", "2",
                                        "--max-n", "12"),
+    "table.cauchy-numbers.k2.n300": ("table", "cauchy-numbers", "--max-n", "300", "--k", "2"),
     "table.cauchy-numbers.k0": ("table", "cauchy-numbers", "--k", "0"),
     "table.bernoulli.n20.out": ("table", "bernoulli", "--n", "20", "--out", "{out}"),
     "table.bernoulli.n0": ("table", "bernoulli", "--max-n", "0"),

@@ -2,6 +2,7 @@ import inspect
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from polycauchy.poly import Poly
 
 # the one scan for package memos, which the deep-grid census reads too
 from deep_grid import CONFIG, package_memos
-from locks import CATALOGUE, GRIDS, SMALL, moved, points_digest, read
+from locks import CATALOGUE, GRIDS, ROOT, SMALL, moved, points_digest, read
 
 # every bound at its least: 19 cases, among them G07.*, G15.whitk* and G20.*, have no point
 BARE = Grid(max_n=1, max_n_double=1, max_k=1, max_r=0, max_a=1, max_n_multi=0)
@@ -210,9 +211,12 @@ def test_integer_grid_points_and_weights_stay_exact():
 
 
 def test_every_g21_case_passes_with_a_negative_weight_product():
-    # every weight list of the default grid has w > 0; with w = -3/2 as well, a
-    # sign lost in poly._cube_moments fails G21.shif1/shif2 and G21.x0-first/x0-second
-    grid = replace(DEFAULT_GRID, ls=DEFAULT_GRID.ls + ((Fraction(-1, 2), Fraction(3)),))
+    # every weight list of the default grid has w > 0; ci/signed-weights.cfg adds one
+    # with w = -3/2, on which a sign lost in poly._cube_moments fails G21.shif1/shif2
+    # and G21.x0-first/x0-second
+    grid = Grid.from_text((ROOT / "ci" / "signed-weights.cfg").read_text())
+    assert grid.ls != DEFAULT_GRID.ls and replace(grid, ls=DEFAULT_GRID.ls) == DEFAULT_GRID
+    assert min(map(prod, grid.ls)) < 0
     case_ids = [case.id for case in catalog() if case.group == "G21"]
     assert len(case_ids) == 18
     for case_id in case_ids:
@@ -259,6 +263,13 @@ def test_axes_are_declared_not_generated():
     for case in catalog():
         assert isinstance(case.axes, tuple) and all(isinstance(axis, Axis) for axis in case.axes), case.id
     assert "lambda g" not in Path(registry.__file__).read_text()
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_every_case_passes_where_the_caps_bite(name):
+    # odd n bounds, and k, a, r and multiparameter n below the caps some axes put on them
+    result = run_all(GRIDS[name])
+    assert [report.case_id for report in result.reports if not report.ok] == []
 
 
 @pytest.mark.parametrize("name", GRIDS)
