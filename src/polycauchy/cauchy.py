@@ -17,10 +17,12 @@ constructions which must agree (the test suite enforces this):
                       multiparameter values at y = 0 (``_integral_pair``);
 * ``series``       -- k = 1 only: exponential-generating-function
                       coefficient times n!, the (A, -log(1+t)) Sheffer row
-                      sum_m binom(n, m) c_(n-m) (-1)^m x^(m) over the
-                      rising factorials, rows of the memoised first-kind
-                      triangle, with A's numbers c_i summed from the same
-                      rows; the second kind is its row at -x (``_reflect``);
+                      sum_m binom(n, m) c_(n-m) (-1)^m x^(m) of
+                      ``gf_cauchy1``; A's numbers c_i are the number memo
+                      that ``binomial_conv`` reads (``_number_pair``), and
+                      only the basis differs: the rising factorials as rows
+                      of the memoised first-kind triangle; the second kind
+                      is its row at -x (``_reflect``);
 * ``binomial_conv``-- convolution of the family's own numbers with
                       rising/falling factorials, summed in the factorials'
                       Newton basis by one Horner pass (``poly._newton_sum``),
@@ -54,7 +56,7 @@ p)`` is p for the first kind and p(-x) for the second, and ``_OTHER[kind]``
 names the other kind.  The identity catalogue reads the same table and
 helper.  A kind-signed sum sum_m (-e)^m t_m is E - e O, with E its terms
 over even m and O over odd m, so the ``gsn`` polynomials and Komatsu's sums
-(``series._komatsu``) compute E and O once and give both kinds: the two
+(``_coefficients``) compute E and O once and give both kinds: the two
 memos, ``_gsn_pair`` and ``_number_pair``, hold both kinds' results under
 one (n, k) key, and asking for either kind makes the other a memo hit.  The
 ``integral`` construction splits its own sum the same way: at y = 0 its
@@ -64,6 +66,11 @@ and the second (-1)^(a-1) (E - O).  The third pair memo, ``_integral_pair``,
 holds both under one (n, k, a, q, w) key, w the product of the weights (the
 moments read the weights only through w and k); the ordinary ``integral``
 construction is its key at a = q = w = 1.
+
+The Cauchy numbers are summed in one place, ``_coefficients`` at i = 0
+through ``_number_pair``: the constructions, the recurrence step, the
+identity catalogue and the generating functions ``gf_cauchy1`` and
+``gf_cauchy2`` (Sheffer rows of ``series``) all read that memo.
 """
 
 from __future__ import annotations
@@ -71,13 +78,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .poly import (
     Poly, _cube_moment_pair, _cube_moments, _lincomb, _linear_product, _newton_sum, _weighted_sum,
 )
 from .rational import _exact, _reciprocal_powers
-from .series import _cauchy, _komatsu, _sheffer_row
+from .series import _rising, _rows, _sheffer_row
 from .stirling import _TRIANGLES, _bivariate_row, gsn1
 
 __all__ = [
@@ -91,6 +99,8 @@ __all__ = [
     "cauchy_coefficient",
     "cauchy_derivative",
     "cauchy_recurrence_step",
+    "gf_cauchy1",
+    "gf_cauchy2",
     "multiparam_cauchy",
     "shifted_cauchy_number",
 ]
@@ -200,6 +210,27 @@ def _poly_series(kind: str, n: int, k: int) -> Poly:
     return _reflect(kind, _sheffer_row(partial(_cauchy, KIND_SIGN[kind]), n) * factorial(n))
 
 
+def _cauchy(e: int, order: int) -> tuple:
+    """The Sheffer tables (a, basis, sign) of the Cauchy kind of sign e (1
+    first, -1 second), as ``series._row`` reads them: A is t/log(1+t) or
+    t/((1+t) log(1+t)) and g = -log(1+t); the second kind's g is log(1+t), so
+    its rows are these at -x.  i! A_i is the kind's Cauchy number c_i, read
+    from the memo (``_number_pair``) over the lcm of their denominators."""
+    numbers = [_number_pair(i, 1)[(1 - e) // 2] for i in range(order + 1)]
+    den = lcm(*[c.denominator for c in numbers])
+    return ([c.numerator * (den // c.denominator) for c in numbers], den), _rising(order), -1
+
+
+def gf_cauchy1(order: int) -> tuple[Poly, ...]:
+    """t / ((1+t)^x log(1+t)); row n times n! is c_n(x)."""
+    return _rows(partial(_cauchy, 1), order)
+
+
+def gf_cauchy2(order: int) -> tuple[Poly, ...]:
+    """t (1+t)^x / ((1+t) log(1+t)); row n times n! is the second-kind polynomial."""
+    return tuple(row.affine_compose(-1, 0) for row in _rows(partial(_cauchy, -1), order))
+
+
 def _poly_binomial_conv(kind: str, n: int, k: int) -> Poly:
     # sum_m binom(n, m) c_(n-m) (-ex)_m: the first kind sums (-1)^m x^(m) = (-x)_m
     weights = [comb(n, m) * cauchy_number(kind, n - m, k) for m in range(n + 1)]
@@ -261,7 +292,7 @@ def cauchy_coefficient(kind: str, n: int, i: int, k: int = 1) -> Fraction:
     """Closed-form coefficient of x^i in the poly-Cauchy polynomial:
     sum_m (-1)^(n+i) (-e)^m binom(m, i) stirling1(n, m) / (m-i+1)^k,
     Komatsu's sum in integers over row n of the memoised first-kind triangle,
-    read from its even and odd halves (``series._komatsu``)."""
+    read from its even and odd halves (``_coefficients``)."""
     e = _check_kind(kind)
     _check_nk(n, k)
     if i < 0 or i > n:
@@ -273,11 +304,13 @@ def _coefficients(n: int, i: int, k: int) -> tuple[Fraction, Fraction]:
     """The closed-form coefficient of x^i of both kinds, first then second.
     (-1)^(n+i) (-e)^m is (-1)^n e^i (-e)^(m-i), so with E and O the halves of
     Komatsu's sum over even and odd m - i, the first kind's coefficient is
-    (-1)^n (E - O) and the second's (-1)^(n+i) (E + O)."""
+    (-1)^n (E - O) and the second's (-1)^(n+i) (E + O), with the weights
+    1/(m-i+1)^k as integer numerators over one denominator."""
     row = _TRIANGLES["stirling1"].row(n)[i:]
     if i:
         row = [comb(m, i) * c for m, c in enumerate(row, i)]
-    (even,), (odd,), den = _komatsu([row], k)
+    weights, den = _reciprocal_powers(1, len(row) + 1, k)
+    even, odd = sum(map(mul, weights[::2], row[::2])), sum(map(mul, weights[1::2], row[1::2]))
     sign = (-1) ** n
     return Fraction(sign * (even - odd), den), Fraction(sign * (-1) ** i * (even + odd), den)
 

@@ -65,8 +65,8 @@ _EXPORTS = {
 
 # generating function -> the rows that ``series`` dumps
 _SERIES = {
-    "cauchy1": lambda a: series.gf_cauchy1(a.order),
-    "cauchy2": lambda a: series.gf_cauchy2(a.order),
+    "cauchy1": lambda a: cauchy.gf_cauchy1(a.order),
+    "cauchy2": lambda a: cauchy.gf_cauchy2(a.order),
     "gen-bernoulli": lambda a: series.gf_gen_bernoulli(a.alpha, a.order),
     "hyperharmonic": lambda a: series.gf_hyperharmonic(a.order),
     "harmonic": lambda a: series.gf_harmonic_poly(a.order),

@@ -39,6 +39,5 @@ def verify(case_id: str, grid: Grid = DEFAULT_GRID) -> Report:
 
 def run_all(grid: Grid = DEFAULT_GRID) -> SuiteResult:
     """Run every registered case in catalog order, once each has a point."""
-    for case in catalog():
-        case.points(grid)
-    return SuiteResult([run_case(c, grid) for c in catalog()], grid)
+    cases = [(case, case.points(grid)) for case in catalog()]
+    return SuiteResult([engine._run(case, points) for case, points in cases], grid)

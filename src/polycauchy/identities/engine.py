@@ -9,7 +9,7 @@ form is suspected to carry a typo.
 
 A case's values are produced in one place, ``_evaluations``: it yields
 (label, params, lhs, rhs) for every check of the case at every point, and
-``run_case`` consumes it.  A run's counts are produced in one place too,
+``_run`` consumes it.  A run's counts are produced in one place too,
 ``SuiteResult.totals``.
 
 Reports are deterministic for a fixed grid except for the elapsed-time
@@ -284,9 +284,13 @@ def _evaluations(case: IdentityCase, points: list):
 
 
 def run_case(case: IdentityCase, grid: Grid) -> Report:
+    return _run(case, case.points(grid))
+
+
+def _run(case: IdentityCase, points: list) -> Report:
+    """The case's report over its points, built by ``IdentityCase.points``."""
     start = perf_counter()
     stats = dict.fromkeys(case.checks, 0)  # failing points per variant
-    points = case.points(grid)
     failures: list = []
     for label, params, lhs, rhs in _evaluations(case, points):
         if not lhs == rhs:

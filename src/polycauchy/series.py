@@ -17,30 +17,27 @@ Calculus*, 1984), so row n is
 sum_m binom(n, m) a_(n-m) p_m(x) / n! for A's numbers a_i = i! A_i: one
 ``poly._sum_scaled`` over the basis p_0..p_n, each a row of integers,
 O(n^2) integer products.
-The first three are exponential (row n times n! is the family value), the
-last ordinary (row n is the value):
+The pairs here are one exponential (row n times n! is the family value)
+and one ordinary (row n is the value):
 
-* ``gf_cauchy1``: A = t/log(1+t), g = -log(1+t);
-* ``gf_cauchy2``: A = t/((1+t) log(1+t)), g = log(1+t), read as the
-  (A, -log(1+t)) rows at -x;
 * ``gf_gen_bernoulli``: A = (t/(e^t - 1))^alpha, g = t;
 * ``gf_hyperharmonic``: A = g = -log(1-t).
 
 ``gf_harmonic_poly`` divides the hyperharmonic function by t and puts
 1 - x for x, so its rows are hyperharmonic rows 1..order+1 at 1 - x.
+The Cauchy pair, A = t/log(1+t) and g = -log(1+t), is built in ``cauchy``
+(``gf_cauchy1``, ``gf_cauchy2``) from these rows and basis: its numbers
+are the Cauchy numbers that ``cauchy`` sums and memoises, and this module
+holds no Cauchy arithmetic.
 
 The module keeps nothing.  Each call builds A and the basis at the order it
 asks for.  For g = -log(1-t) the basis is the rising factorials x^(m), the
-rows of the memoised first-kind triangle in ``stirling``, and for
-g = -log(1+t) the same rows with the sign (-1)^m, since
-m! [t^m] (-log(1+t))^j / j! = (-1)^m [m j]; for g = t it is the monomials.
-The Cauchy numbers that are the Cauchy kinds' A are Komatsu's sums over
-the same triangle rows, read from one split into even-m and odd-m halves
-that serves both kinds (``_komatsu``, which ``cauchy``'s closed-form
-coefficients and its number memo read too).  :func:`sheffer_rows`, for a
-pair the caller passes as callables, is the definition itself: each
-A g^j / j! is one ``Series`` product and ``scale`` from the one before, and
-no library pair reads it.
+rows of the memoised first-kind triangle in ``stirling`` (``_rising``), and
+for g = -log(1+t) the same rows with the sign (-1)^m, ``_row``'s sign -1,
+since m! [t^m] (-log(1+t))^j / j! = (-1)^m [m j]; for g = t it is the
+monomials.  :func:`sheffer_rows`, for a pair the caller passes as
+callables, is the definition itself: each A g^j / j! is one ``Series``
+product and ``scale`` from the one before, and no library pair reads it.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd
-from operator import mul
 from typing import Callable, Iterable
 
 from .poly import Poly, _power, _product, _split, _sum_scaled
@@ -60,8 +56,6 @@ __all__ = [
     "log1p_series",
     "log1p_over_t_series",
     "sheffer_rows",
-    "gf_cauchy1",
-    "gf_cauchy2",
     "gf_gen_bernoulli",
     "gf_hyperharmonic",
     "gf_harmonic_poly",
@@ -275,33 +269,7 @@ def sheffer_rows(A: Callable[[int], Series], g: Callable[[int], Series],
     return tuple([Poly([c[n] for c in columns[:n + 1]]) for n in range(order + 1)])
 
 
-def _komatsu(rows: list, k: int) -> tuple[list, list, int]:
-    """Komatsu's sum sum_m (-e)^m row[m] / (m+1)^k for each integer row, split
-    by the parity of m into its halves E (even m) and O (odd m), as integer
-    numerators over the denominator of the weights 1/(m+1)^k.  The kind of
-    sign e sums E - e O, so both kinds read one split: over row n of the
-    first-kind triangle, (-1)^n (E - O) is the first kind's poly-Cauchy
-    number and (-1)^n (E + O) the second's."""
-    weights, den = _reciprocal_powers(1, max(map(len, rows)) + 1, k)
-    even, odd = weights[::2], weights[1::2]
-    return ([sum(map(mul, even, row[::2])) for row in rows],
-            [sum(map(mul, odd, row[1::2])) for row in rows], den)
-
-
 # The library's pairs: each maps an order to its tables (a, basis, sign).
-def _cauchy(e: int, order: int) -> tuple:
-    """The tables of the Cauchy kind of sign e (1 first, -1 second): A is
-    t/log(1+t) or t/((1+t) log(1+t)) and g = -log(1+t); the second kind's g
-    is log(1+t), so its rows are these at -x.  i! A_i is the kind's Cauchy
-    number (-1)^i sum_m (-e)^m [i m] / (m+1) = (-1)^i (E - e O), from the
-    halves of Komatsu's sum over row i of the triangle."""
-    basis = _rising(order)
-    even, odd, den = _komatsu(basis, 1)
-    nums = [E - e * O for E, O in zip(even, odd)]
-    nums[1::2] = [-c for c in nums[1::2]]
-    return (nums, den), basis, -1
-
-
 def _hyperharmonic(order: int) -> tuple:
     """The tables of A = g = -log(1-t), whose numbers i! A_i are (i-1)!."""
     return ([0] + [factorial(i) for i in range(order)], 1), _rising(order), 1
@@ -319,16 +287,6 @@ def _gen_bernoulli(alpha: int, order: int) -> tuple:
         s = sum([comb(n + 1, k + 1) * ((1 - alpha) * k - n) * nums[n - k] for k in range(1, n + 1)])
         lcd = _append_over(nums, lcd, s, n * (n + 1) * lcd)
     return (nums, lcd), [(0,) * m + (1,) for m in range(order + 1)], 1
-
-
-def gf_cauchy1(order: int) -> tuple[Poly, ...]:
-    """t / ((1+t)^x log(1+t)); row n times n! is c_n(x)."""
-    return _rows(partial(_cauchy, 1), order)
-
-
-def gf_cauchy2(order: int) -> tuple[Poly, ...]:
-    """t (1+t)^x / ((1+t) log(1+t)); row n times n! is the second-kind polynomial."""
-    return tuple(row.affine_compose(-1, 0) for row in _rows(partial(_cauchy, -1), order))
 
 
 def gf_gen_bernoulli(alpha: int, order: int) -> tuple[Poly, ...]:

@@ -167,6 +167,18 @@ def test_either_kind_fills_the_other_kinds_memo_entry(memo, read, kinds):
     assert memo.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("kinds", [("first", "second"), ("second", "first")])
+def test_series_construction_reads_the_number_memo(kinds):
+    # A's numbers c_0..c_9 are the memo's keys (i, 1), so the other kind's
+    # row sums no number of its own
+    _number_pair.cache_clear()
+    cauchy_poly(kinds[0], 9, 1, "series")
+    assert (_number_pair.cache_info().hits, _number_pair.cache_info().misses) == (0, 10)
+    cauchy_poly(kinds[1], 9, 1, "series")
+    assert (_number_pair.cache_info().hits, _number_pair.cache_info().misses) == (10, 10)
+    assert _number_pair.cache_info().currsize == 10
+
+
 def _integral_per_kind(kind, p):
     """The kind's own integrand e^(a-1) (-ev)^(a-1) prod_{j<n} (-ev - jq) at
     y = 0, q = g/d, as a product of linear factors (-jg - edv)/d, then its

@@ -305,9 +305,17 @@ def test_case_without_points_is_refused_before_any_check_runs():
         verify("G15.whitk1", Grid(max_r=0))
 
 
+def test_run_all_builds_each_cases_points_once(monkeypatch):
+    built, points = [], IdentityCase.points
+    monkeypatch.setattr(IdentityCase, "points", lambda case, grid: built.append(case.id) or points(case, grid))
+    monkeypatch.setattr(identities.engine, "_run", lambda case, points: None)
+    run_all(DEFAULT_GRID)
+    assert built == [case.id for case in catalog()]
+
+
 def test_run_all_refuses_a_grid_that_empties_a_case_before_running_any(monkeypatch):
     ran = []
-    monkeypatch.setattr(identities, "run_case", lambda case, grid: ran.append(case.id))
+    monkeypatch.setattr(identities.engine, "_run", lambda case, points: ran.append(case.id))
     with pytest.raises(ValueError, match="G03.alt-sum has no point"):
         run_all(BARE)
     assert not ran

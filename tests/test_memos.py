@@ -100,11 +100,14 @@ FLOOD_BUDGET = 2 * 1024 * 1024
 # Generating-function rows past n = 128, both Cauchy kinds at 128 and 136,
 # and one Bernoulli row for each of 12 orders alpha, after the first-kind
 # triangle the Cauchy rows read is filled to row 136.  The series module
-# keeps nothing, and the Bernoulli rows' own memo is cleared before the
-# bytes are read: 0 bytes are kept (Python 3.11.7).
+# keeps nothing.  The Cauchy rows fill the numbers' memo with its 137 keys
+# (i, 1), i <= 136, whose bytes _FLOOD_SESSION bounds, so that memo is cleared
+# before the bytes are read, as is the Bernoulli rows' own memo: 0 bytes are
+# kept (Python 3.11.7).
 _SERIES_SESSION = textwrap.dedent("""
     import gc, tracemalloc
     from polycauchy import cauchy_poly, gen_bernoulli_poly, stirling1
+    from polycauchy.cauchy import _number_pair
     stirling1(136, 0)
     cauchy_poly("first", 0, 1, "series")
     gen_bernoulli_poly(0, 0)
@@ -117,6 +120,8 @@ _SERIES_SESSION = textwrap.dedent("""
             cauchy_poly(kind, n, 1, "series")
     for alpha in range(12):
         gen_bernoulli_poly(128 + 8 * (alpha & 1), alpha)
+    assert _number_pair.cache_info().currsize == 137
+    _number_pair.cache_clear()
     gen_bernoulli_poly.cache_clear()
     gc.collect()
     print(tracemalloc.get_traced_memory()[0] - before)
